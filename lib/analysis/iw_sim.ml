@@ -191,27 +191,29 @@ let ipc_of_packed ?(latencies = Fom_isa.Latency.unit) ?issue_limit packed ~windo
      it immediately ready or book a calendar wakeup. *)
   let place w ~floor =
     let hi = dep_off.(w + 1) in
-    let rec scan k ready =
-      if k >= hi then begin
-        let r = if ready < floor then floor else ready in
-        if r <= !cycle then heap_push w
-        else begin
-          let b = r land cal_mask in
-          cal_next.(w) <- cal.(b);
-          cal.(b) <- w
-        end
+    let k = ref dep_off.(w) in
+    let ready = ref floor in
+    let parked = ref false in
+    while (not !parked) && !k < hi do
+      let d = dep_val.(!k) in
+      let cd = comp.(d) in
+      if cd < 0 then begin
+        wnext.(w) <- whead.(d);
+        whead.(d) <- w;
+        parked := true
       end
+      else if cd > !ready then ready := cd;
+      incr k
+    done;
+    if not !parked then begin
+      let r = !ready in
+      if r <= !cycle then heap_push w
       else begin
-        let d = dep_val.(k) in
-        let cd = comp.(d) in
-        if cd < 0 then begin
-          wnext.(w) <- whead.(d);
-          whead.(d) <- w
-        end
-        else scan (k + 1) (if cd > ready then cd else ready)
+        let b = r land cal_mask in
+        cal_next.(w) <- cal.(b);
+        cal.(b) <- w
       end
-    in
-    scan dep_off.(w) 0
+    end
   in
   let admitted = ref 0 in
   let issued_total = ref 0 in

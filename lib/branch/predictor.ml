@@ -34,7 +34,9 @@ type impl =
       mutable history : int;
     }
 
-type t = { spec : spec; impl : impl; mutable s : stats }
+(* Counters are mutable fields so that [observe] allocates nothing;
+   {!stats} builds the record when asked. *)
+type t = { spec : spec; impl : impl; mutable branches : int; mutable mispredictions : int }
 
 let diagnostics spec =
   let module C = Fom_check.Checker in
@@ -80,7 +82,7 @@ let create spec =
             history = 0;
           }
   in
-  { spec; impl; s = { branches = 0; mispredictions = 0 } }
+  { spec; impl; branches = 0; mispredictions = 0 }
 
 let spec t = t.spec
 
@@ -126,17 +128,15 @@ let train t ~pc ~taken =
 let observe t ~pc ~taken =
   let correct = predict t ~pc ~taken = taken in
   train t ~pc ~taken;
-  t.s <-
-    {
-      branches = t.s.branches + 1;
-      mispredictions = (t.s.mispredictions + if correct then 0 else 1);
-    };
+  t.branches <- t.branches + 1;
+  if not correct then t.mispredictions <- t.mispredictions + 1;
   correct
 
-let stats t = t.s
+let stats t : stats = { branches = t.branches; mispredictions = t.mispredictions }
 
 let misprediction_rate t =
-  if t.s.branches = 0 then 0.0
-  else float_of_int t.s.mispredictions /. float_of_int t.s.branches
+  if t.branches = 0 then 0.0 else float_of_int t.mispredictions /. float_of_int t.branches
 
-let reset_stats t = t.s <- { branches = 0; mispredictions = 0 }
+let reset_stats t =
+  t.branches <- 0;
+  t.mispredictions <- 0

@@ -38,23 +38,20 @@ type stats = {
   long_misses : int;
 }
 
+(* Counters are mutable fields so that an access allocates nothing;
+   {!stats} assembles the record when asked. *)
 type t = {
   config : config;
   l1i : Sa_cache.t option;
   l1d : Sa_cache.t option;
   l2 : Sa_cache.t option;
-  mutable s : stats;
+  mutable n_inst : int;
+  mutable n_l1i_misses : int;
+  mutable n_l2i_misses : int;
+  mutable n_data : int;
+  mutable n_short : int;
+  mutable n_long : int;
 }
-
-let zero_stats =
-  {
-    inst_accesses = 0;
-    l1i_misses = 0;
-    l2i_misses = 0;
-    data_accesses = 0;
-    short_misses = 0;
-    long_misses = 0;
-  }
 
 let diagnostics (config : config) =
   let module C = Fom_check.Checker in
@@ -85,7 +82,18 @@ let create (config : config) =
     | Ideal_l2 | No_l2 -> None
     | Real_l2 g -> Some (Sa_cache.create g)
   in
-  { config; l1i = level config.l1i; l1d = level config.l1d; l2; s = zero_stats }
+  {
+    config;
+    l1i = level config.l1i;
+    l1d = level config.l1d;
+    l2;
+    n_inst = 0;
+    n_l1i_misses = 0;
+    n_l2i_misses = 0;
+    n_data = 0;
+    n_short = 0;
+    n_long = 0;
+  }
 
 let config t = t.config
 
@@ -97,34 +105,26 @@ let beyond_l1 t addr =
   | Real_l2 _, None -> Fom_check.Checker.internal_error "real L2 configured without a cache"
 
 let access_inst t addr =
-  let outcome =
-    match t.l1i with
-    | None -> L1_hit
-    | Some l1 -> if Sa_cache.access l1 addr then L1_hit else beyond_l1 t addr
-  in
-  t.s <-
-    {
-      t.s with
-      inst_accesses = t.s.inst_accesses + 1;
-      l1i_misses = (t.s.l1i_misses + match outcome with L1_hit -> 0 | L2_hit | Memory -> 1);
-      l2i_misses = (t.s.l2i_misses + match outcome with Memory -> 1 | L1_hit | L2_hit -> 0);
-    };
-  outcome
+  t.n_inst <- t.n_inst + 1;
+  match t.l1i with
+  | Some l1 when not (Sa_cache.access l1 addr) ->
+      t.n_l1i_misses <- t.n_l1i_misses + 1;
+      let outcome = beyond_l1 t addr in
+      if outcome = Memory then t.n_l2i_misses <- t.n_l2i_misses + 1;
+      outcome
+  | Some _ | None -> L1_hit
 
 let access_data t addr =
-  let outcome =
-    match t.l1d with
-    | None -> L1_hit
-    | Some l1 -> if Sa_cache.access l1 addr then L1_hit else beyond_l1 t addr
-  in
-  t.s <-
-    {
-      t.s with
-      data_accesses = t.s.data_accesses + 1;
-      short_misses = (t.s.short_misses + match outcome with L2_hit -> 1 | L1_hit | Memory -> 0);
-      long_misses = (t.s.long_misses + match outcome with Memory -> 1 | L1_hit | L2_hit -> 0);
-    };
-  outcome
+  t.n_data <- t.n_data + 1;
+  match t.l1d with
+  | Some l1 when not (Sa_cache.access l1 addr) ->
+      let outcome = beyond_l1 t addr in
+      (match outcome with
+      | L2_hit -> t.n_short <- t.n_short + 1
+      | Memory -> t.n_long <- t.n_long + 1
+      | L1_hit -> ());
+      outcome
+  | Some _ | None -> L1_hit
 
 let data_latency t = function
   | L1_hit -> t.config.latencies.l1
@@ -136,5 +136,20 @@ let inst_stall t = function
   | L2_hit -> t.config.latencies.l2
   | Memory -> t.config.latencies.memory
 
-let stats t = t.s
-let reset_stats t = t.s <- zero_stats
+let stats t =
+  {
+    inst_accesses = t.n_inst;
+    l1i_misses = t.n_l1i_misses;
+    l2i_misses = t.n_l2i_misses;
+    data_accesses = t.n_data;
+    short_misses = t.n_short;
+    long_misses = t.n_long;
+  }
+
+let reset_stats t =
+  t.n_inst <- 0;
+  t.n_l1i_misses <- 0;
+  t.n_l2i_misses <- 0;
+  t.n_data <- 0;
+  t.n_short <- 0;
+  t.n_long <- 0

@@ -1,8 +1,14 @@
 (* Each set stores [assoc] tags with an age stamp; the LRU victim is
    the smallest stamp. Sets are small (4-way baseline), so linear scans
-   beat fancier structures. Tag -1 marks an invalid way. *)
+   beat fancier structures. Tag -1 marks an invalid way. Line size and
+   set count are powers of two (see {!Geometry.diagnostics}), so the
+   set index and tag are shifts and masks computed once at [create]. *)
 type t = {
   geometry : Geometry.t;
+  assoc : int;
+  line_shift : int;
+  set_mask : int;
+  set_bits : int;
   tags : int array;  (* sets * assoc *)
   stamps : int array;
   mutable clock : int;
@@ -10,10 +16,20 @@ type t = {
   mutable misses : int;
 }
 
+let log2 n =
+  let rec go b = if 1 lsl b >= n then b else go (b + 1) in
+  go 0
+
 let create geometry =
-  let n = Geometry.sets geometry * geometry.Geometry.assoc in
+  Fom_check.Checker.run_exn (Geometry.diagnostics geometry);
+  let sets = Geometry.sets geometry in
+  let n = sets * geometry.Geometry.assoc in
   {
     geometry;
+    assoc = geometry.Geometry.assoc;
+    line_shift = log2 geometry.Geometry.line;
+    set_mask = sets - 1;
+    set_bits = log2 sets;
     tags = Array.make n (-1);
     stamps = Array.make n 0;
     clock = 0;
@@ -23,38 +39,44 @@ let create geometry =
 
 let geometry t = t.geometry
 
-let find t addr =
-  let g = t.geometry in
-  let base = Geometry.set_index g addr * g.Geometry.assoc in
-  let tag = Geometry.tag g addr in
-  let rec scan way =
-    if way >= g.Geometry.assoc then None
-    else if t.tags.(base + way) = tag then Some (base + way)
-    else scan (way + 1)
-  in
-  scan 0
+(* First way of [addr]'s set. *)
+let set_base t addr = ((addr lsr t.line_shift) land t.set_mask) * t.assoc
+let tag t addr = (addr lsr t.line_shift) lsr t.set_bits
 
-let probe t addr = Option.is_some (find t addr)
+(* The slot holding [addr]'s line, or -1 on a miss. *)
+let find t addr =
+  let base = set_base t addr in
+  let tag = tag t addr in
+  let slot = ref (-1) in
+  let way = ref 0 in
+  while !slot < 0 && !way < t.assoc do
+    if t.tags.(base + !way) = tag then slot := base + !way;
+    incr way
+  done;
+  !slot
+
+let probe t addr = find t addr >= 0
 let resident = probe
 
 let access t addr =
   t.accesses <- t.accesses + 1;
   t.clock <- t.clock + 1;
-  match find t addr with
-  | Some slot ->
-      t.stamps.(slot) <- t.clock;
-      true
-  | None ->
-      t.misses <- t.misses + 1;
-      let g = t.geometry in
-      let base = Geometry.set_index g addr * g.Geometry.assoc in
-      let victim = ref base in
-      for way = 1 to g.Geometry.assoc - 1 do
-        if t.stamps.(base + way) < t.stamps.(!victim) then victim := base + way
-      done;
-      t.tags.(!victim) <- Geometry.tag g addr;
-      t.stamps.(!victim) <- t.clock;
-      false
+  let slot = find t addr in
+  if slot >= 0 then begin
+    t.stamps.(slot) <- t.clock;
+    true
+  end
+  else begin
+    t.misses <- t.misses + 1;
+    let base = set_base t addr in
+    let victim = ref base in
+    for way = 1 to t.assoc - 1 do
+      if t.stamps.(base + way) < t.stamps.(!victim) then victim := base + way
+    done;
+    t.tags.(!victim) <- tag t addr;
+    t.stamps.(!victim) <- t.clock;
+    false
+  end
 
 let accesses t = t.accesses
 let misses t = t.misses

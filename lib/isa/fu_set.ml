@@ -47,5 +47,3 @@ let of_class t = function
   | Opclass.Store -> t.store
   | Opclass.Branch -> t.branch
   | Opclass.Jump -> t.jump
-
-let is_unbounded t = t = unbounded

@@ -24,5 +24,3 @@ val diagnostics : t -> Fom_check.Diagnostic.t list
 
 val of_class : t -> Opclass.t -> int
 (** Units available for a class; [max_int] when unbounded. *)
-
-val is_unbounded : t -> bool

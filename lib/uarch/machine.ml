@@ -3,6 +3,7 @@ module Opclass = Fom_isa.Opclass
 module Latency = Fom_isa.Latency
 module Hierarchy = Fom_cache.Hierarchy
 module Predictor = Fom_branch.Predictor
+module Packed = Fom_trace.Packed
 
 exception Cycle_limit_exceeded
 
@@ -17,38 +18,9 @@ let m_instructions = Fom_obs.Metrics.counter "sim.instructions"
 let m_events = Fom_obs.Metrics.counter "sim.events"
 let s_run = Fom_obs.Span.id "sim.run"
 
-(* The machine's working view of one in-flight instruction: plain
-   immediate fields only, decoded once at fetch. [deps] is a shared
-   backing array ([dep_lo], [dep_n] delimit this instruction's slice):
-   the instruction's own array for a thunk feed, the packed trace's
-   CSR column for a packed feed — so a packed-fed simulation allocates
-   exactly one small record per instruction, nothing else. *)
-type inflight = {
-  index : int;
-  pc : int;
-  op : Opclass.t;
-  mem : int;  (* effective address, -1 for non-memory ops *)
-  taken : bool;  (* conditional-branch direction *)
-  deps : int array;
-  dep_lo : int;
-  dep_n : int;
-  mutable issue_time : int;  (* -1 until issued *)
-  mutable complete_time : int;  (* max_int until issued *)
-  mutable cluster : int;  (* assigned at dispatch *)
-}
-
 (* Where fetched instructions come from: a pull thunk materializing
    {!Fom_isa.Instr.t} values, or packed columns read in place. *)
-type feed =
-  | Thunk of (unit -> Instr.t)
-  | Packed of { packed : Fom_trace.Packed.t; mutable pos : int }
-
-(* Completion-time ring: complete_time of recently issued instructions,
-   keyed by dynamic index. The ring is sized per configuration
-   ({!Config.comp_ring_bits}) so the span of in-flight instructions —
-   ROB plus front end — always maps to distinct slots; an entry is
-   valid exactly when its stored index matches. The same slot keying
-   serves the event kernel's wakeup structures. *)
+type feed = Thunk of (unit -> Instr.t) | Packed of Packed.t
 
 (* Calendar buckets for the event kernel. Wakeups land at most the
    longest issue latency ahead; waits beyond the ring (a long miss
@@ -56,34 +28,62 @@ type feed =
 let calendar_size = 1024
 
 let calendar_mask = calendar_size - 1
+let load_tag = Opclass.to_int Opclass.Load
+let store_tag = Opclass.to_int Opclass.Store
+let branch_tag = Opclass.to_int Opclass.Branch
 
+(* In-flight state lives in int columns keyed by slot = [index land
+   slot_mask], sized per configuration ({!Config.comp_ring_bits}) so
+   that everything in flight — ROB, front-end pipe and an instruction
+   held back by an I-miss — maps to distinct slots. Fetch decodes an
+   instruction straight into its slot's columns; nothing is allocated
+   per instruction or per cycle.
+
+   The ROB and the pipe always hold consecutive dynamic indices, so
+   each is an index range: the ROB is [last_retired + 1 ..
+   last_dispatched], the pipe [last_dispatched + 1 .. last_fetched].
+
+   Completion: [comp_time.(slot)] is valid exactly when
+   [comp_idx.(slot)] holds the index, i.e. once the instruction has
+   issued; before that its completion time is unknown (infinite). *)
 type t = {
   config : Config.t;
   kernel : kernel;
   feed : feed;
-  (* completion tracking *)
-  comp_mask : int;
+  slot_mask : int;
+  (* per-slot columns, decoded at fetch *)
+  op : int array;  (* {!Opclass.to_int} tag *)
+  pc : int array;
+  mem : int array;  (* effective address, -1 for non-memory ops *)
+  taken : bool array;  (* conditional-branch direction *)
+  deps : int array array;
+      (* dependence backing array; [dep_lo], [dep_n] delimit the slot's
+         slice: the packed trace's CSR column (every slot, set once) or
+         the instruction's own [deps] array — never a copy *)
+  dep_lo : int array;
+  dep_n : int array;
+  cluster : int array;  (* assigned at dispatch *)
+  pipe_at : int array;  (* cycle a fetched instruction may dispatch *)
   comp_idx : int array;
   comp_time : int array;
-  comp_cluster : int array;
-  mutable last_retired : int;  (* highest retired dynamic index *)
-  (* front end: a preallocated ring of (instruction, dispatchable-at) *)
-  pipe_f : inflight option array;
-  pipe_at : int array;
-  mutable pipe_head : int;
-  mutable pipe_count : int;
-  mutable pending : inflight option;  (* fetched but stalled on an I-miss *)
+  (* the in-flight index ranges *)
+  mutable last_retired : int;
+  mutable last_dispatched : int;
+  mutable last_fetched : int;
+  pipe_capacity : int;
+  (* front end *)
+  mutable pending : int;  (* decoded but stalled on an I-miss; -1 for none *)
   mutable fetch_stall_until : int;
-  mutable blocking_branch : inflight option;
+  mutable blocking_branch : int;  (* unresolved mispredicted branch; -1 for none *)
   mutable last_line : int;
-  (* window: age-ordered dense array (Scan kernel only) *)
-  window : inflight option array;
+  l1i_line_mask : int;
+  (* window: age-ordered dense array of indices (Scan kernel only) *)
+  window : int array;
   mutable win_count : int;
   cluster_counts : int array;  (* window occupancy per cluster *)
   cluster_issued : int array;  (* issues this cycle per cluster *)
   mutable next_cluster : int;  (* round-robin dispatch steering *)
-  (* event kernel wakeup structures, all keyed by index land comp_mask *)
-  unissued : inflight option array;  (* dispatched, not yet issued *)
+  (* event kernel wakeup structures, keyed by slot *)
   ready_at : int array;  (* earliest-issue lower bound *)
   chain_next : int array;  (* link through waiter and calendar chains *)
   waiter_head : int array;  (* producer slot -> first parked consumer *)
@@ -91,20 +91,25 @@ type t = {
   heap : int array;  (* min-heap of ready indices = age order *)
   mutable heap_len : int;
   stash : int array;  (* ready but budget-blocked this cycle *)
-  (* rob: circular *)
-  rob : inflight option array;
-  mutable rob_head : int;
-  mutable rob_count : int;
   (* memory system *)
   hierarchy : Hierarchy.t;
   predictor : Predictor.t;
   dtlb : Fom_cache.Tlb.t option;
-  long_miss_completions : int Queue.t;
-  (* per-cycle structural state *)
+  walk_latency : int;
+  (* Completion cycles of outstanding long misses, a FIFO ring that
+     grows by doubling. Only expired entries at the front leave it, and
+     with a dTLB walk completion times are not monotone, so an expired
+     entry behind a later one still counts as outstanding. *)
+  mutable long_miss : int array;
+  mutable long_miss_head : int;
+  mutable long_miss_len : int;
+  (* per-class tables and per-cycle structural state *)
+  latency : int array;  (* by class tag *)
+  fu_limit : int array;  (* by class tag; max_int when unbounded *)
+  fu_unbounded : bool;
   fu_busy : int array;  (* instructions issued this cycle per class *)
   (* bookkeeping *)
   mutable cycle : int;
-  mutable retired : int;
   mutable wake_events : int;  (* ready-heap insertions, for sim.events *)
   (* optional per-cycle recording *)
   mutable recording : bool;
@@ -127,35 +132,46 @@ type t = {
 let create_feed ?(kernel = Event) config feed =
   Config.validate config;
   let ring = Config.comp_ring_size config in
-  let pipe_capacity =
-    (config.Config.width * config.Config.pipeline_depth) + config.Config.fetch_buffer
-  in
   (* Each kernel allocates only its own machinery: the scan kernel the
      age-ordered window array, the event kernel the wakeup tables. *)
   let scan = kernel = Scan in
+  let by_class f = Array.init Opclass.count (fun tag -> f (Opclass.of_int tag)) in
+  let fu_limit = by_class (Fom_isa.Fu_set.of_class config.Config.fu_limits) in
+  let dtlb = Option.map Fom_cache.Tlb.create config.Config.dtlb in
   {
     config;
     kernel;
     feed;
-    comp_mask = ring - 1;
+    slot_mask = ring - 1;
+    op = Array.make ring 0;
+    pc = Array.make ring 0;
+    mem = Array.make ring (-1);
+    taken = Array.make ring false;
+    deps = Array.make ring (match feed with Packed p -> p.Packed.dep_val | Thunk _ -> [||]);
+    dep_lo = Array.make ring 0;
+    dep_n = Array.make ring 0;
+    cluster = Array.make ring 0;
+    pipe_at = Array.make ring 0;
     comp_idx = Array.make ring (-1);
     comp_time = Array.make ring 0;
-    comp_cluster = Array.make ring 0;
     last_retired = -1;
-    pipe_f = Array.make pipe_capacity None;
-    pipe_at = Array.make pipe_capacity 0;
-    pipe_head = 0;
-    pipe_count = 0;
-    pending = None;
+    last_dispatched = -1;
+    last_fetched = -1;
+    pipe_capacity =
+      (config.Config.width * config.Config.pipeline_depth) + config.Config.fetch_buffer;
+    pending = -1;
     fetch_stall_until = 0;
-    blocking_branch = None;
+    blocking_branch = -1;
     last_line = -1;
-    window = Array.make (if scan then config.Config.window_size else 1) None;
+    l1i_line_mask =
+      (match config.Config.cache.Hierarchy.l1i with
+      | Hierarchy.Real g -> lnot (g.Fom_cache.Geometry.line - 1)
+      | Hierarchy.Ideal -> lnot 127);
+    window = Array.make (if scan then config.Config.window_size else 1) 0;
     win_count = 0;
     cluster_counts = Array.make config.Config.clusters 0;
     cluster_issued = Array.make config.Config.clusters 0;
     next_cluster = 0;
-    unissued = Array.make (if scan then 1 else ring) None;
     ready_at = Array.make (if scan then 1 else ring) 0;
     chain_next = Array.make (if scan then 1 else ring) (-1);
     waiter_head = Array.make (if scan then 1 else ring) (-1);
@@ -163,16 +179,21 @@ let create_feed ?(kernel = Event) config feed =
     heap = Array.make (if scan then 1 else config.Config.window_size) 0;
     heap_len = 0;
     stash = Array.make (if scan then 1 else config.Config.window_size) 0;
-    rob = Array.make config.Config.rob_size None;
-    rob_head = 0;
-    rob_count = 0;
     hierarchy = Hierarchy.create config.Config.cache;
     predictor = Predictor.create config.Config.predictor;
-    dtlb = Option.map Fom_cache.Tlb.create config.Config.dtlb;
-    long_miss_completions = Queue.create ();
+    dtlb;
+    walk_latency =
+      (match dtlb with
+      | Some d -> (Fom_cache.Tlb.spec d).Fom_cache.Tlb.walk_latency
+      | None -> 0);
+    long_miss = Array.make 64 0;
+    long_miss_head = 0;
+    long_miss_len = 0;
+    latency = Latency.table config.Config.latencies;
+    fu_limit;
+    fu_unbounded = Array.for_all (fun l -> l = max_int) fu_limit;
     fu_busy = Array.make Opclass.count 0;
     cycle = 0;
-    retired = 0;
     wake_events = 0;
     recording = false;
     issued_this_cycle = 0;
@@ -191,200 +212,201 @@ let create_feed ?(kernel = Event) config feed =
   }
 
 let create ?kernel config next_instr = create_feed ?kernel config (Thunk next_instr)
+let create_packed ?kernel config packed = create_feed ?kernel config (Packed packed)
 
-let create_packed ?kernel config packed =
-  create_feed ?kernel config (Packed { packed; pos = 0 })
-
-(* Decode the next instruction into an in-flight record. The packed
-   path reads the columns in place: no [Instr.t], no dependence-array
-   copy. Both paths decode identical field values, so the simulated
-   machine is bit-identical either way. *)
-let next_inflight t =
+(* Decode instruction [idx] into its slot. The packed path reads the
+   columns in place; the thunk path keeps the instruction's own
+   dependence array. Both decode identical field values, so the
+   simulated machine is bit-identical either way. *)
+let decode t idx =
+  let s = idx land t.slot_mask in
   match t.feed with
   | Thunk next ->
       let i = next () in
-      {
-        index = i.Instr.index;
-        pc = i.Instr.pc;
-        op = i.Instr.opclass;
-        mem = (match i.Instr.mem with Some addr -> addr | None -> -1);
-        taken = (match i.Instr.ctrl with Some c -> c.Instr.taken | None -> false);
-        deps = i.Instr.deps;
-        dep_lo = 0;
-        dep_n = Array.length i.Instr.deps;
-        issue_time = -1;
-        complete_time = max_int;
-        cluster = 0;
-      }
-  | Packed p ->
-      let packed = p.packed in
-      let i = p.pos in
+      Fom_check.Checker.ensure ~code:"FOM-T133" ~path:"machine.feed" (i.Instr.index = idx)
+        "thunk feed must yield consecutive dynamic indices from 0";
+      t.op.(s) <- Opclass.to_int i.Instr.opclass;
+      t.pc.(s) <- i.Instr.pc;
+      t.mem.(s) <- (match i.Instr.mem with Some addr -> addr | None -> -1);
+      t.taken.(s) <- (match i.Instr.ctrl with Some c -> c.Instr.taken | None -> false);
+      t.deps.(s) <- i.Instr.deps;
+      t.dep_lo.(s) <- 0;
+      t.dep_n.(s) <- Array.length i.Instr.deps
+  | Packed packed ->
       Fom_check.Checker.ensure ~code:"FOM-T132" ~path:"machine.feed"
-        (i < packed.Fom_trace.Packed.len)
+        (idx < packed.Packed.len)
         "packed trace exhausted before the run retired its target";
-      p.pos <- i + 1;
-      let ctrl = packed.Fom_trace.Packed.ctrl.(i) in
-      let dep_lo = packed.Fom_trace.Packed.dep_off.(i) in
-      {
-        index = i;
-        pc = packed.Fom_trace.Packed.pc.(i);
-        op = Opclass.of_int packed.Fom_trace.Packed.tag.(i);
-        mem = packed.Fom_trace.Packed.mem.(i);
-        taken = ctrl >= 0 && ctrl land 1 = 1;
-        deps = packed.Fom_trace.Packed.dep_val;
-        dep_lo;
-        dep_n = packed.Fom_trace.Packed.dep_off.(i + 1) - dep_lo;
-        issue_time = -1;
-        complete_time = max_int;
-        cluster = 0;
-      }
+      let ctrl = packed.Packed.ctrl.(idx) in
+      let dep_lo = packed.Packed.dep_off.(idx) in
+      t.op.(s) <- packed.Packed.tag.(idx);
+      t.pc.(s) <- packed.Packed.pc.(idx);
+      t.mem.(s) <- packed.Packed.mem.(idx);
+      t.taken.(s) <- ctrl >= 0 && ctrl land 1 = 1;
+      t.dep_lo.(s) <- dep_lo;
+      t.dep_n.(s) <- packed.Packed.dep_off.(idx + 1) - dep_lo
+
+let completed t idx =
+  let s = idx land t.slot_mask in
+  t.comp_idx.(s) = idx && t.comp_time.(s) <= t.cycle
 
 (* A value produced in another cluster needs one extra bypass cycle
    (ancient producers are long past any bypass network). *)
 let dep_complete t ~cluster d =
   d <= t.last_retired
   ||
-  let slot = d land t.comp_mask in
-  t.comp_idx.(slot) = d
+  let s = d land t.slot_mask in
+  t.comp_idx.(s) = d
   &&
-  let bypass = if t.comp_cluster.(slot) = cluster then 0 else 1 in
-  t.comp_time.(slot) + bypass <= t.cycle
+  let bypass = if t.cluster.(s) = cluster then 0 else 1 in
+  t.comp_time.(s) + bypass <= t.cycle
 
-let deps_ready t (f : inflight) =
-  let deps = f.deps in
-  let cluster = f.cluster in
-  let rec check k =
-    k >= f.dep_n || (dep_complete t ~cluster deps.(f.dep_lo + k) && check (k + 1))
-  in
-  check 0
+let deps_ready t s =
+  let deps = t.deps.(s) in
+  let cluster = t.cluster.(s) in
+  let k = ref t.dep_lo.(s) in
+  let hi = !k + t.dep_n.(s) in
+  while !k < hi && dep_complete t ~cluster deps.(!k) do
+    incr k
+  done;
+  !k >= hi
 
-let record_completion t index time ~cluster =
-  let slot = index land t.comp_mask in
-  t.comp_idx.(slot) <- index;
-  t.comp_time.(slot) <- time;
-  t.comp_cluster.(slot) <- cluster
+(* Pop expired long misses off the front. Doing so at any cycle pops a
+   prefix of what a later call would, so callers may drain early. *)
+let drain_long_misses t =
+  let mask = Array.length t.long_miss - 1 in
+  while t.long_miss_len > 0 && t.long_miss.(t.long_miss_head) <= t.cycle do
+    t.long_miss_head <- (t.long_miss_head + 1) land mask;
+    t.long_miss_len <- t.long_miss_len - 1
+  done
 
 let long_misses_outstanding t =
-  while
-    (not (Queue.is_empty t.long_miss_completions))
-    && Queue.peek t.long_miss_completions <= t.cycle
-  do
-    ignore (Queue.pop t.long_miss_completions)
-  done;
-  Queue.length t.long_miss_completions
+  drain_long_misses t;
+  t.long_miss_len
+
+let push_long_miss t time =
+  drain_long_misses t;
+  let cap = Array.length t.long_miss in
+  if t.long_miss_len = cap then begin
+    let grown = Array.make (2 * cap) 0 in
+    for k = 0 to cap - 1 do
+      grown.(k) <- t.long_miss.((t.long_miss_head + k) land (cap - 1))
+    done;
+    t.long_miss <- grown;
+    t.long_miss_head <- 0
+  end;
+  let mask = Array.length t.long_miss - 1 in
+  t.long_miss.((t.long_miss_head + t.long_miss_len) land mask) <- time;
+  t.long_miss_len <- t.long_miss_len + 1
 
 let retire t =
-  let rob_size = Array.length t.rob in
   let budget = ref t.config.Config.width in
-  let continue_ = ref true in
-  while !continue_ && !budget > 0 && t.rob_count > 0 do
-    match t.rob.(t.rob_head) with
-    | Some f when f.complete_time <= t.cycle ->
-        t.rob.(t.rob_head) <- None;
-        t.rob_head <- (t.rob_head + 1) mod rob_size;
-        t.rob_count <- t.rob_count - 1;
-        t.last_retired <- f.index;
-        t.retired <- t.retired + 1;
-        decr budget
-    | Some _ -> continue_ := false
-    | None -> Fom_check.Checker.internal_error "ROB head empty while rob_count > 0"
+  while !budget > 0 && t.last_retired < t.last_dispatched && completed t (t.last_retired + 1) do
+    t.last_retired <- t.last_retired + 1;
+    decr budget
   done
 
 (* Translate a memory access; a TLB miss adds the walk latency up
    front (the walk precedes the cache access). Store misses fill the
    TLB but are not counted as miss-events: the write buffer hides
    them, mirroring the treatment of store cache misses. *)
-let translate ?(count = true) t addr =
+let translate t addr ~count =
   match t.dtlb with
   | None -> 0
   | Some dtlb ->
       if Fom_cache.Tlb.access dtlb addr then 0
       else begin
         if count then t.dtlb_misses <- t.dtlb_misses + 1;
-        (Fom_cache.Tlb.spec dtlb).Fom_cache.Tlb.walk_latency
+        t.walk_latency
       end
 
-let issue_latency t (f : inflight) =
-  let lat = Latency.of_class t.config.Config.latencies f.op in
-  match f.op with
-  | Opclass.Load ->
-      let addr = f.mem in
-      let walk = translate t addr in
-      let outcome = Hierarchy.access_data t.hierarchy addr in
-      let cache_lat = Hierarchy.data_latency t.hierarchy outcome in
-      if outcome = Hierarchy.L2_hit then t.short_load_misses <- t.short_load_misses + 1;
-      if outcome = Hierarchy.Memory then begin
+let issue_latency t idx s =
+  let op = t.op.(s) in
+  let lat = t.latency.(op) in
+  if op = load_tag then begin
+    let addr = t.mem.(s) in
+    let walk = translate t addr ~count:true in
+    let outcome = Hierarchy.access_data t.hierarchy addr in
+    let cache_lat = Hierarchy.data_latency t.hierarchy outcome in
+    match outcome with
+    | Hierarchy.L1_hit -> walk + Stdlib.max lat cache_lat
+    | Hierarchy.L2_hit ->
+        t.short_load_misses <- t.short_load_misses + 1;
+        walk + Stdlib.max lat cache_lat
+    | Hierarchy.Memory ->
         t.long_load_misses <- t.long_load_misses + 1;
-        Queue.push (t.cycle + walk + cache_lat) t.long_miss_completions;
-        (* Entries in the ROB ahead of this load: dynamic indices in
-           the ROB are consecutive, so it is an index difference. *)
-        (match t.rob.(t.rob_head) with
-        | Some head ->
-            Fom_util.Stats.Acc.add t.rob_ahead_of_long_miss
-              (float_of_int (f.index - head.index))
-        | None -> ());
+        push_long_miss t (t.cycle + walk + cache_lat);
+        (* Entries in the ROB ahead of this load: an index
+           difference, the ROB being an index range. *)
+        Fom_util.Stats.Acc.add t.rob_ahead_of_long_miss
+          (float_of_int (idx - (t.last_retired + 1)));
         walk + cache_lat
-      end
-      else walk + Stdlib.max lat cache_lat
-  | Opclass.Store ->
-      (* Stores update the TLB and cache for residency but never
-         block: a write buffer absorbs them (the paper models
-         data-cache penalties through loads only). *)
-      let addr = f.mem in
-      ignore (translate ~count:false t addr);
-      ignore (Hierarchy.access_data t.hierarchy addr);
-      lat
-  | Opclass.Alu | Opclass.Mul | Opclass.Div | Opclass.Branch | Opclass.Jump -> lat
+  end
+  else if op = store_tag then begin
+    (* Stores update the TLB and cache for residency but never block:
+       a write buffer absorbs them (the paper models data-cache
+       penalties through loads only). *)
+    let addr = t.mem.(s) in
+    ignore (translate t addr ~count:false);
+    ignore (Hierarchy.access_data t.hierarchy addr);
+    lat
+  end
+  else lat
 
-let class_slot = Opclass.to_int
+let fu_available t s =
+  t.fu_unbounded
+  ||
+  let op = t.op.(s) in
+  t.fu_busy.(op) < t.fu_limit.(op)
 
-let fu_available t (f : inflight) =
-  Fom_isa.Fu_set.is_unbounded t.config.Config.fu_limits
-  || t.fu_busy.(class_slot f.op) < Fom_isa.Fu_set.of_class t.config.Config.fu_limits f.op
-
-(* The bookkeeping shared by both kernels when instruction [f] issues
+(* The bookkeeping shared by both kernels when instruction [idx] issues
    this cycle; [issued_before] is how many issued earlier this cycle. *)
-let issue_instr t (f : inflight) ~issued_before =
-  t.fu_busy.(class_slot f.op) <- t.fu_busy.(class_slot f.op) + 1;
-  t.cluster_issued.(f.cluster) <- t.cluster_issued.(f.cluster) + 1;
-  t.cluster_counts.(f.cluster) <- t.cluster_counts.(f.cluster) - 1;
-  f.issue_time <- t.cycle;
-  f.complete_time <- t.cycle + issue_latency t f;
-  record_completion t f.index f.complete_time ~cluster:f.cluster;
-  match t.blocking_branch with
-  | Some b when b == f ->
-      Fom_util.Stats.Acc.add t.window_at_branch_issue
-        (float_of_int (t.win_count - issued_before - 1))
-  | Some _ | None -> ()
+let issue_instr t idx ~issued_before =
+  let s = idx land t.slot_mask in
+  let op = t.op.(s) and c = t.cluster.(s) in
+  if not t.fu_unbounded then t.fu_busy.(op) <- t.fu_busy.(op) + 1;
+  t.cluster_issued.(c) <- t.cluster_issued.(c) + 1;
+  t.cluster_counts.(c) <- t.cluster_counts.(c) - 1;
+  let complete = t.cycle + issue_latency t idx s in
+  t.comp_idx.(s) <- idx;
+  t.comp_time.(s) <- complete;
+  if idx = t.blocking_branch then
+    Fom_util.Stats.Acc.add t.window_at_branch_issue
+      (float_of_int (t.win_count - issued_before - 1))
+
+(* Zero the per-cycle issue counts (the FU counts are only kept when
+   some class is limited). *)
+let reset_cycle_budgets t =
+  if not t.fu_unbounded then
+    for op = 0 to Opclass.count - 1 do
+      t.fu_busy.(op) <- 0
+    done;
+  for c = 0 to t.config.Config.clusters - 1 do
+    t.cluster_issued.(c) <- 0
+  done
 
 let issue_scan t =
   let width = t.config.Config.width in
   let clusters = t.config.Config.clusters in
   let cluster_width = width / clusters in
   let unbounded = t.config.Config.unbounded_issue in
-  Array.fill t.fu_busy 0 (Array.length t.fu_busy) 0;
-  Array.fill t.cluster_issued 0 clusters 0;
+  reset_cycle_budgets t;
   let issued = ref 0 in
   let kept = ref 0 in
   for i = 0 to t.win_count - 1 do
-    match t.window.(i) with
-    | None -> Fom_check.Checker.internal_error "window slot empty below win_count"
-    | Some f ->
-        if
-          (unbounded || (!issued < width && t.cluster_issued.(f.cluster) < cluster_width))
-          && fu_available t f && deps_ready t f
-        then begin
-          issue_instr t f ~issued_before:!issued;
-          incr issued
-        end
-        else begin
-          (* Compact survivors in place, preserving age order. *)
-          t.window.(!kept) <- t.window.(i);
-          incr kept
-        end
-  done;
-  for i = !kept to t.win_count - 1 do
-    t.window.(i) <- None
+    let idx = t.window.(i) in
+    let s = idx land t.slot_mask in
+    if
+      (unbounded || (!issued < width && t.cluster_issued.(t.cluster.(s)) < cluster_width))
+      && fu_available t s && deps_ready t s
+    then begin
+      issue_instr t idx ~issued_before:!issued;
+      incr issued
+    end
+    else begin
+      (* Compact survivors in place, preserving age order. *)
+      t.window.(!kept) <- idx;
+      incr kept
+    end
   done;
   t.win_count <- !kept;
   t.issued_this_cycle <- !issued
@@ -434,12 +456,12 @@ let heap_pop t =
   top
 
 let book_wakeup t idx ~at =
-  let slot = idx land t.comp_mask in
+  let s = idx land t.slot_mask in
   (* Waits past the calendar horizon re-book when the clamped bucket
      drains ([ready_at] keeps the true cycle). *)
   let target = if at - t.cycle >= calendar_size then t.cycle + calendar_size - 1 else at in
   let b = target land calendar_mask in
-  t.chain_next.(slot) <- t.calendar.(b);
+  t.chain_next.(s) <- t.calendar.(b);
   t.calendar.(b) <- idx
 
 (* Park a dispatched, unissued instruction on the wakeup structures:
@@ -450,51 +472,47 @@ let book_wakeup t idx ~at =
    cross-cluster bypass and a bypass can push one cycle past it, so
    [issue_event] re-evaluates [deps_ready] exactly when the
    instruction surfaces. *)
-let place t (f : inflight) ~floor =
-  let idx = f.index in
-  let deps = f.deps in
-  let rec scan k lower =
-    if k >= f.dep_n then begin
-      let at = if lower < floor then floor else lower in
-      t.ready_at.(idx land t.comp_mask) <- at;
-      if at <= t.cycle then heap_push t idx else book_wakeup t idx ~at
-    end
-    else
-      let d = deps.(f.dep_lo + k) in
-      if d <= t.last_retired then scan (k + 1) lower
-      else
-        let dslot = d land t.comp_mask in
-        if t.comp_idx.(dslot) = d then
-          scan (k + 1) (Stdlib.max lower t.comp_time.(dslot))
-        else begin
-          (* The producer has not issued: wait for its issue event. *)
-          t.chain_next.(idx land t.comp_mask) <- t.waiter_head.(dslot);
-          t.waiter_head.(dslot) <- idx
-        end
-  in
-  scan 0 0
-
-let unissued_exn t idx =
-  match t.unissued.(idx land t.comp_mask) with
-  | Some f when f.index = idx -> f
-  | Some _ | None ->
-      Fom_check.Checker.internal_error "woken instruction missing from unissued table"
+let place t idx ~floor =
+  let s = idx land t.slot_mask in
+  let deps = t.deps.(s) in
+  let k = ref t.dep_lo.(s) in
+  let hi = !k + t.dep_n.(s) in
+  let at = ref floor in
+  let parked = ref false in
+  while (not !parked) && !k < hi do
+    let d = deps.(!k) in
+    (if d > t.last_retired then
+       let ds = d land t.slot_mask in
+       if t.comp_idx.(ds) = d then begin
+         if t.comp_time.(ds) > !at then at := t.comp_time.(ds)
+       end
+       else begin
+         (* The producer has not issued: wait for its issue event. *)
+         t.chain_next.(s) <- t.waiter_head.(ds);
+         t.waiter_head.(ds) <- idx;
+         parked := true
+       end);
+    incr k
+  done;
+  if not !parked then begin
+    t.ready_at.(s) <- !at;
+    if !at <= t.cycle then heap_push t idx else book_wakeup t idx ~at:!at
+  end
 
 let issue_event t =
   let width = t.config.Config.width in
   let clusters = t.config.Config.clusters in
   let cluster_width = width / clusters in
   let unbounded = t.config.Config.unbounded_issue in
-  Array.fill t.fu_busy 0 (Array.length t.fu_busy) 0;
-  Array.fill t.cluster_issued 0 clusters 0;
+  reset_cycle_budgets t;
   (* Wake this cycle's calendar bucket into the ready heap. *)
   let bucket = t.cycle land calendar_mask in
   let woken = ref t.calendar.(bucket) in
   t.calendar.(bucket) <- -1;
   while !woken >= 0 do
     let idx = !woken in
-    woken := t.chain_next.(idx land t.comp_mask);
-    let at = t.ready_at.(idx land t.comp_mask) in
+    woken := t.chain_next.(idx land t.slot_mask);
+    let at = t.ready_at.(idx land t.slot_mask) in
     if at <= t.cycle then heap_push t idx else book_wakeup t idx ~at
   done;
   (* Issue oldest-first up to the width limit. A popped instruction
@@ -510,24 +528,21 @@ let issue_event t =
     if (not unbounded) && !issued >= width then popping := false
     else begin
       let idx = heap_pop t in
-      let f = unissued_exn t idx in
-      if not (deps_ready t f) then place t f ~floor:(t.cycle + 1)
-      else if
-          (unbounded || t.cluster_issued.(f.cluster) < cluster_width) && fu_available t f
+      let s = idx land t.slot_mask in
+      if not (deps_ready t s) then place t idx ~floor:(t.cycle + 1)
+      else if (unbounded || t.cluster_issued.(t.cluster.(s)) < cluster_width) && fu_available t s
       then begin
-        t.unissued.(idx land t.comp_mask) <- None;
-        issue_instr t f ~issued_before:!issued;
+        issue_instr t idx ~issued_before:!issued;
         incr issued;
         (* Its value has a completion time now: re-park every consumer
            waiting on this producer (their earliest cycle is past this
            one, so none re-enters this cycle's heap). *)
-        let slot = idx land t.comp_mask in
-        let waiter = ref t.waiter_head.(slot) in
-        t.waiter_head.(slot) <- -1;
+        let waiter = ref t.waiter_head.(s) in
+        t.waiter_head.(s) <- -1;
         while !waiter >= 0 do
           let w = !waiter in
-          waiter := t.chain_next.(w land t.comp_mask);
-          place t (unissued_exn t w) ~floor:(t.cycle + 1)
+          waiter := t.chain_next.(w land t.slot_mask);
+          place t w ~floor:(t.cycle + 1)
         done
       end
       else begin
@@ -544,75 +559,57 @@ let issue_event t =
 
 let issue t = match t.kernel with Scan -> issue_scan t | Event -> issue_event t
 
+(* Round-robin steering; a full cluster passes its turn. The window
+   space guard in [dispatch] ensures at least one cluster has room. *)
+let steer t =
+  let clusters = t.config.Config.clusters in
+  let capacity = t.config.Config.window_size / clusters in
+  let c = ref t.next_cluster in
+  let tries = ref 1 in
+  while t.cluster_counts.(!c) >= capacity do
+    if !tries = clusters then
+      Fom_check.Checker.internal_error "no cluster has window space at dispatch";
+    c := if !c + 1 = clusters then 0 else !c + 1;
+    incr tries
+  done;
+  t.next_cluster <- (if !c + 1 = clusters then 0 else !c + 1);
+  !c
+
 let dispatch t =
-  let width = t.config.Config.width in
-  let rob_size = Array.length t.rob in
-  let budget = ref width in
+  let budget = ref t.config.Config.width in
   let continue_ = ref true in
   while
     !continue_ && !budget > 0
     && t.win_count < t.config.Config.window_size
-    && t.rob_count < rob_size && t.pipe_count > 0
+    && t.last_dispatched - t.last_retired < t.config.Config.rob_size
+    && t.last_dispatched < t.last_fetched
   do
-    let head = t.pipe_head in
-    if t.pipe_at.(head) <= t.cycle then begin
-      let f =
-        match t.pipe_f.(head) with
-        | Some f -> f
-        | None -> Fom_check.Checker.internal_error "pipe head empty while pipe_count > 0"
-      in
-      t.pipe_f.(head) <- None;
-      t.pipe_head <- (head + 1) mod Array.length t.pipe_f;
-      t.pipe_count <- t.pipe_count - 1;
-      (* Round-robin steering; a full cluster passes its turn. *)
-      let clusters = t.config.Config.clusters in
-      let cluster_capacity = t.config.Config.window_size / clusters in
-      let rec steer tries =
-        if tries = 0 then None
-        else
-          let c = t.next_cluster in
-          t.next_cluster <- (t.next_cluster + 1) mod clusters;
-          if t.cluster_counts.(c) < cluster_capacity then Some c else steer (tries - 1)
-      in
-      (* The window-space guard ensures at least one cluster has
-         room. *)
-      let cluster =
-        match steer clusters with
-        | Some c -> c
-        | None -> Fom_check.Checker.internal_error "no cluster has window space at dispatch"
-      in
-      f.cluster <- cluster;
-      t.cluster_counts.(cluster) <- t.cluster_counts.(cluster) + 1;
+    let idx = t.last_dispatched + 1 in
+    let s = idx land t.slot_mask in
+    if t.pipe_at.(s) <= t.cycle then begin
+      t.last_dispatched <- idx;
+      let c = steer t in
+      t.cluster.(s) <- c;
+      t.cluster_counts.(c) <- t.cluster_counts.(c) + 1;
       (match t.kernel with
-      | Scan -> t.window.(t.win_count) <- Some f
+      | Scan -> t.window.(t.win_count) <- idx
       | Event ->
           (* Issue runs before dispatch each cycle, so a newly
              dispatched instruction is first eligible next cycle. *)
-          t.unissued.(f.index land t.comp_mask) <- Some f;
-          place t f ~floor:(t.cycle + 1));
+          place t idx ~floor:(t.cycle + 1));
       t.win_count <- t.win_count + 1;
-      let tail = (t.rob_head + t.rob_count) mod rob_size in
-      t.rob.(tail) <- Some f;
-      t.rob_count <- t.rob_count + 1;
       decr budget
     end
     else continue_ := false
   done
 
-let line_of t addr =
-  match t.config.Config.cache.Hierarchy.l1i with
-  | Hierarchy.Real g -> Fom_cache.Geometry.line_address g addr
-  | Hierarchy.Ideal -> addr land lnot 127
-
 let fetch t =
-  (match t.blocking_branch with
-  | Some b when b.complete_time <= t.cycle ->
-      t.blocking_branch <- None;
-      if t.recording then Fom_util.Int_buffer.push t.resolve_record t.cycle
-  | Some _ | None -> ());
-  if t.blocking_branch = None && t.cycle >= t.fetch_stall_until then begin
+  if t.blocking_branch >= 0 && completed t t.blocking_branch then begin
+    t.blocking_branch <- -1;
+    if t.recording then Fom_util.Int_buffer.push t.resolve_record t.cycle
+  end;
+  if t.blocking_branch < 0 && t.cycle >= t.fetch_stall_until then begin
     let width = t.config.Config.width in
-    let pipe_capacity = Array.length t.pipe_f in
     (* With a fetch buffer, fetch is line-based and bursty: it can run
        ahead of dispatch at up to twice the machine width while buffer
        space remains, which is what lets the buffer hide I-miss
@@ -620,19 +617,19 @@ let fetch t =
     let fetch_limit = if t.config.Config.fetch_buffer > 0 then 2 * width else width in
     let fetched = ref 0 in
     let stopped = ref false in
-    while (not !stopped) && !fetched < fetch_limit && t.pipe_count < pipe_capacity do
-      let f =
-        match t.pending with
-        | Some f ->
-            t.pending <- None;
-            f
-        | None -> next_inflight t
-      in
-      let line = line_of t f.pc in
+    while
+      (not !stopped) && !fetched < fetch_limit
+      && t.last_fetched - t.last_dispatched < t.pipe_capacity
+    do
+      let idx = t.last_fetched + 1 in
+      if t.pending >= 0 then t.pending <- -1 else decode t idx;
+      let s = idx land t.slot_mask in
+      let pc = t.pc.(s) in
+      let line = pc land t.l1i_line_mask in
       let icache_ok =
         if line = t.last_line then true
         else begin
-          let outcome = Hierarchy.access_inst t.hierarchy f.pc in
+          let outcome = Hierarchy.access_inst t.hierarchy pc in
           t.last_line <- line;
           match outcome with
           | Hierarchy.L1_hit -> true
@@ -640,7 +637,7 @@ let fetch t =
               if long_misses_outstanding t > 0 then
                 t.imiss_under_long <- t.imiss_under_long + 1;
               t.fetch_stall_until <- t.cycle + Hierarchy.inst_stall t.hierarchy outcome;
-              t.pending <- Some f;
+              t.pending <- idx;
               (* The line is now resident: do not re-probe when the
                  stalled instruction is finally fetched. *)
               false
@@ -648,18 +645,16 @@ let fetch t =
       in
       if not icache_ok then stopped := true
       else begin
-        let tail = (t.pipe_head + t.pipe_count) mod pipe_capacity in
-        t.pipe_f.(tail) <- Some f;
-        t.pipe_at.(tail) <- t.cycle + t.config.Config.pipeline_depth;
-        t.pipe_count <- t.pipe_count + 1;
+        t.pipe_at.(s) <- t.cycle + t.config.Config.pipeline_depth;
+        t.last_fetched <- idx;
         incr fetched;
-        if f.op = Opclass.Branch then begin
-          let correct = Predictor.observe t.predictor ~pc:f.pc ~taken:f.taken in
+        if t.op.(s) = branch_tag then begin
+          let correct = Predictor.observe t.predictor ~pc ~taken:t.taken.(s) in
           if not correct then begin
             t.mispredictions <- t.mispredictions + 1;
             if long_misses_outstanding t > 0 then
               t.mispred_under_long <- t.mispred_under_long + 1;
-            t.blocking_branch <- Some f;
+            t.blocking_branch <- idx;
             stopped := true
           end
         end
@@ -674,28 +669,28 @@ let step t =
   fetch t;
   if t.recording then Fom_util.Int_buffer.push t.issue_record t.issued_this_cycle;
   t.occupancy_window_sum <- t.occupancy_window_sum + t.win_count;
-  t.occupancy_rob_sum <- t.occupancy_rob_sum + t.rob_count;
+  t.occupancy_rob_sum <- t.occupancy_rob_sum + (t.last_dispatched - t.last_retired);
   t.cycle <- t.cycle + 1
 
 let run ?cycle_limit t ~n =
   (* The budget is relative to the current cycle so that a machine can
      be resumed with successive [run] calls. *)
   let limit = t.cycle + Option.value cycle_limit ~default:((250 * n) + 100_000) in
-  let target = t.retired + n in
-  let c0 = t.cycle and r0 = t.retired and e0 = t.wake_events in
+  let target = t.last_retired + n in
+  let c0 = t.cycle and r0 = t.last_retired and e0 = t.wake_events in
   Fom_obs.Span.with_ s_run (fun () ->
-      while t.retired < target do
+      while t.last_retired < target do
         if t.cycle > limit then raise Cycle_limit_exceeded;
         step t
       done);
   Fom_obs.Metrics.incr m_runs;
   Fom_obs.Metrics.add m_cycles (t.cycle - c0);
-  Fom_obs.Metrics.add m_instructions (t.retired - r0);
+  Fom_obs.Metrics.add m_instructions (t.last_retired - r0);
   Fom_obs.Metrics.add m_events (t.wake_events - e0);
   let mean sum = float_of_int sum /. float_of_int (Stdlib.max 1 t.cycle) in
   let cache_stats = Hierarchy.stats t.hierarchy in
   {
-    Stats.instructions = t.retired;
+    Stats.instructions = t.last_retired + 1;
     cycles = t.cycle;
     branch_mispredictions = t.mispredictions;
     l1i_misses = cache_stats.Hierarchy.l1i_misses - cache_stats.Hierarchy.l2i_misses;

@@ -35,7 +35,8 @@ type kernel =
 
 val create : ?kernel:kernel -> Config.t -> (unit -> Fom_isa.Instr.t) -> t
 (** [create config next] builds a machine pulling instructions from
-    [next] (typically [Fom_trace.Stream.next]). [kernel] selects the
+    [next] (typically [Fom_trace.Stream.next]), whose dynamic indices
+    must run 0, 1, 2, ... ([FOM-T133] otherwise). [kernel] selects the
     issue-stage implementation (default [Event]). *)
 
 val create_packed : ?kernel:kernel -> Config.t -> Fom_trace.Packed.t -> t

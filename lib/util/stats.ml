@@ -66,27 +66,28 @@ let max_abs_error reference candidate =
   if Array.length errs = 0 then 0.0 else max errs
 
 module Acc = struct
-  type t = {
-    mutable count : int;
-    mutable mean : float;
-    mutable m2 : float;
-    mutable min : float;
-    mutable max : float;
-  }
+  (* The float state sits in one flat float array — mean, m2, min, max
+     — so an update stores unboxed floats and allocates nothing. *)
+  type t = { mutable count : int; f : float array }
 
-  let create () = { count = 0; mean = 0.0; m2 = 0.0; min = infinity; max = neg_infinity }
+  let mean_ = 0
+  let m2_ = 1
+  let min_ = 2
+  let max_ = 3
+  let create () = { count = 0; f = [| 0.0; 0.0; infinity; neg_infinity |] }
 
   let add t x =
+    let f = t.f in
     t.count <- t.count + 1;
-    let delta = x -. t.mean in
-    t.mean <- t.mean +. (delta /. float_of_int t.count);
-    t.m2 <- t.m2 +. (delta *. (x -. t.mean));
-    if x < t.min then t.min <- x;
-    if x > t.max then t.max <- x
+    let delta = x -. f.(mean_) in
+    f.(mean_) <- f.(mean_) +. (delta /. float_of_int t.count);
+    f.(m2_) <- f.(m2_) +. (delta *. (x -. f.(mean_)));
+    if x < f.(min_) then f.(min_) <- x;
+    if x > f.(max_) then f.(max_) <- x
 
   let count t = t.count
-  let mean t = t.mean
-  let variance t = if t.count < 2 then 0.0 else t.m2 /. float_of_int t.count
-  let min t = t.min
-  let max t = t.max
+  let mean t = t.f.(mean_)
+  let variance t = if t.count < 2 then 0.0 else t.f.(m2_) /. float_of_int t.count
+  let min t = t.f.(min_)
+  let max t = t.f.(max_)
 end

@@ -228,7 +228,13 @@ let test_of_instrs_codes () =
   let i0 =
     Fom_isa.Instr.make ~index:1 ~pc:0x1000 ~opclass:Fom_isa.Opclass.Alu ()
   in
-  expect_invalid "T110 order" "FOM-T110" (fun () -> Fom_trace.Source.of_instrs [| i0 |])
+  expect_invalid "T110 order" "FOM-T110" (fun () -> Fom_trace.Source.of_instrs [| i0 |]);
+  (* The machine's ROB and pipe are index ranges: a thunk feed that
+     does not number its instructions from 0 is rejected. *)
+  expect_invalid "T133 feed order" "FOM-T133" (fun () ->
+      Fom_uarch.Machine.run
+        (Fom_uarch.Machine.create Fom_uarch.Config.baseline (fun () -> i0))
+        ~n:1)
 
 (* --- instruction structure (FOM-T12x, FOM-U) ------------------------- *)
 

@@ -195,9 +195,11 @@ let prop_event_kernel_matches_scan =
 let prop_packed_feed_matches_thunk =
   (* The packed feed decodes the same field values the thunk feed
      does, so a packed-fed machine must produce bit-identical full
-     statistics — both kernels, real and ideal features. *)
-  QCheck.Test.make ~name:"packed feed matches thunk feed exactly" ~count:25
-    QCheck.(triple (int_range 0 11) (int_bound 10_000) (int_range 0 3))
+     statistics — both kernels, across every feature that reads the
+     decoded fields: real and ideal caches, clusters, fetch buffer, FU
+     limits, dTLB and unbounded issue. *)
+  QCheck.Test.make ~name:"packed feed matches thunk feed exactly" ~count:35
+    QCheck.(triple (int_range 0 11) (int_bound 10_000) (int_range 0 6))
     (fun (workload, seed, variant) ->
       let spec =
         Fom_workloads.Spec2000.with_seed seed
@@ -209,7 +211,16 @@ let prop_packed_feed_matches_thunk =
         | 0 -> ideal
         | 1 -> Config.baseline
         | 2 -> Config.with_clusters 2 Config.baseline
-        | _ -> Config.with_fetch_buffer 16 ideal
+        | 3 -> Config.with_fetch_buffer 16 ideal
+        | 4 ->
+            Config.with_fu_limits
+              (Fom_isa.Fu_set.make ~alu:1 ~load:1 ~store:1 ())
+              Config.baseline
+        | 5 ->
+            Config.with_dtlb
+              { Fom_cache.Tlb.entries = 16; page_bits = 13; walk_latency = 30 }
+              Config.baseline
+        | _ -> { Config.baseline with Config.unbounded_issue = true }
       in
       let n = 3000 in
       let packed =
@@ -233,6 +244,66 @@ let test_resumable_runs_compose () =
   Alcotest.(check int) "same total cycles" full.Stats.cycles second.Stats.cycles;
   Alcotest.(check bool) "at least 1000 retired" true (second.Stats.instructions >= 1000)
 
+let test_resumable_packed_runs_compose () =
+  (* The ROB and the front-end pipe are index ranges that must carry
+     across a [run] boundary: stopping a packed-fed machine part-way and
+     resuming it to the same retirement target gives exactly the full
+     statistics of one uninterrupted run, under both kernels. *)
+  let n = 6000 in
+  List.iter
+    (fun (name, config) ->
+      let program = Fom_trace.Program.generate (Fom_workloads.Spec2000.find name) in
+      let packed =
+        Fom_trace.Packed.of_source
+          (Fom_trace.Source.of_program program)
+          ~n:(n + Config.inflight_span config)
+      in
+      List.iter
+        (fun kernel ->
+          let resumed = Machine.create_packed ~kernel config packed in
+          let first = Machine.run resumed ~n:2500 in
+          let second = Machine.run resumed ~n:(n - first.Stats.instructions) in
+          let full = Machine.run (Machine.create_packed ~kernel config packed) ~n in
+          Alcotest.(check bool) (name ^ ": resumed run equals one run") true (second = full))
+        [ Machine.Event; Machine.Scan ])
+    [
+      ("gzip", Config.baseline);
+      ("mcf", Config.baseline);
+      ( "gcc",
+        Config.with_fetch_buffer 16
+          (Config.with_dtlb Fom_cache.Tlb.default_spec (Config.with_clusters 2 Config.baseline))
+      );
+    ]
+
+let test_packed_run_allocation_free () =
+  (* The detailed simulator keeps its in-flight state in preallocated
+     columns, so a packed-fed run allocates nothing per instruction or
+     per cycle. Counting minor words is deterministic on one domain,
+     which makes this an exact gate: at most 2 words per instruction
+     over the whole run, machine creation included. *)
+  let n = 20_000 in
+  List.iter
+    (fun name ->
+      let program = Fom_trace.Program.generate (Fom_workloads.Spec2000.find name) in
+      List.iter
+        (fun (label, config) ->
+          let packed =
+            Fom_trace.Packed.of_source
+              (Fom_trace.Source.of_program program)
+              ~n:(n + Config.inflight_span config)
+          in
+          let before = Gc.minor_words () in
+          let stats = Fom_uarch.Simulate.run_packed ~kernel:Machine.Event config packed ~n in
+          let per_instr =
+            (Gc.minor_words () -. before) /. float_of_int stats.Stats.instructions
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s/%s: %.3f minor words per instruction <= 2" name label
+               per_instr)
+            true (per_instr <= 2.0))
+        [ ("ideal", ideal); ("baseline", Config.baseline) ])
+    [ "gzip"; "mcf" ]
+
 let suite =
   ( "machine-exactness",
     [
@@ -247,6 +318,9 @@ let suite =
       Alcotest.test_case "store misses do not block" `Quick test_store_misses_do_not_block;
       Alcotest.test_case "occupancy stats bounded" `Quick test_window_stat_bounded;
       Alcotest.test_case "resumable runs compose" `Quick test_resumable_runs_compose;
+      Alcotest.test_case "resumable packed runs compose" `Quick
+        test_resumable_packed_runs_compose;
+      Alcotest.test_case "packed run allocation-free" `Quick test_packed_run_allocation_free;
       QCheck_alcotest.to_alcotest prop_event_kernel_matches_scan;
       QCheck_alcotest.to_alcotest prop_packed_feed_matches_thunk;
     ] )
