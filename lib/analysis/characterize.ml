@@ -31,10 +31,8 @@ let curve_and_inputs_of_packed ?pool ?windows ?iw_instructions ?cache ?predictor
                      profile" (Packed.length packed) n);
   let curve = Iw_curve.measure_packed ?pool ?windows ?n:iw_instructions packed in
   let profile =
-    Profile.run_source ?cache ?predictor ?latencies ?grouping ?dtlb
-      ~burst_window:params.Params.window_size ~group_window:params.Params.rob_size
-      (Packed.to_source ~wrap:false packed)
-      ~n
+    Profile.run_packed ?cache ?predictor ?latencies ?grouping ?dtlb
+      ~burst_window:params.Params.window_size ~group_window:params.Params.rob_size packed ~n
   in
   (curve, profile, assemble ~name:(Packed.label packed) ~n curve profile)
 

@@ -19,7 +19,9 @@ let record_point ~cycles ~instructions =
   Fom_obs.Metrics.add m_instructions instructions
 
 let check_shape ~window ~n =
-  let ensure = Fom_check.Checker.ensure ~code:"FOM-I030" in
+  let ensure ~path cond message =
+    Fom_check.Checker.ensure ~code:"FOM-I030" ~path cond message
+  in
   ensure ~path:"iw_sim.window" (window >= 1) "window size must be positive";
   ensure ~path:"iw_sim.n" (n > 0) "instruction count must be positive";
   Fom_check.Checker.ensure ~code:"FOM-I031" ~path:"iw_sim.window" (window <= ring_size)

@@ -1,9 +1,9 @@
-module Instr = Fom_isa.Instr
 module Opclass = Fom_isa.Opclass
 module Latency = Fom_isa.Latency
 module Hierarchy = Fom_cache.Hierarchy
 module Predictor = Fom_branch.Predictor
 module Distribution = Fom_util.Distribution
+module Packed = Fom_trace.Packed
 
 type t = {
   instructions : int;
@@ -77,31 +77,33 @@ type taint = { idx : int array; group : int array }
 
 let taint_create () = { idx = Array.make taint_size (-1); group = Array.make taint_size (-1) }
 
-let tainted_by taint ~group_id deps =
-  let rec check k =
-    k < Array.length deps
-    &&
-    let d = deps.(k) in
-    let slot = d land taint_mask in
-    (taint.idx.(slot) = d && taint.group.(slot) = group_id) || check (k + 1)
-  in
-  check 0
+(* [deps.(lo) .. deps.(hi - 1)] is one instruction's slice of a
+   packed trace's dependence column. Top-level recursion rather than a
+   local closure, so the per-instruction check allocates nothing. *)
+let rec tainted_by taint ~group_id deps lo hi =
+  lo < hi
+  &&
+  let d = deps.(lo) in
+  let slot = d land taint_mask in
+  (taint.idx.(slot) = d && taint.group.(slot) = group_id)
+  || tainted_by taint ~group_id deps (lo + 1) hi
 
 let taint_mark taint ~group_id index =
   let slot = index land taint_mask in
   taint.idx.(slot) <- index;
   taint.group.(slot) <- group_id
 
-let run_source ?(cache = Hierarchy.baseline) ?(predictor = Predictor.default_spec)
+let run_packed ?(cache = Hierarchy.baseline) ?(predictor = Predictor.default_spec)
     ?(latencies = Latency.default) ?(burst_window = 48) ?(group_window = 128)
-    ?(grouping = Dependence_aware) ?dtlb source ~n =
+    ?(grouping = Dependence_aware) ?dtlb (packed : Packed.t) ~n =
   Fom_check.Checker.ensure ~code:"FOM-I030" ~path:"profile.n" (n > 0)
     "profiled instruction count must be positive";
+  Fom_check.Checker.ensure ~code:"FOM-I030" ~path:"profile.n" (n <= Packed.length packed)
+    "profiled instruction count exceeds the packed trace";
   let hierarchy = Hierarchy.create cache in
   let pred = Predictor.create predictor in
-  let next_instr = Fom_trace.Source.fresh source in
   let counts = Array.make Opclass.count 0 in
-  let class_slot = Opclass.to_int in
+  let latency_of = Latency.table latencies in
   let latency_sum = ref 0.0 in
   let branches = ref 0 in
   let mispredictions = ref 0 in
@@ -111,6 +113,7 @@ let run_source ?(cache = Hierarchy.baseline) ?(predictor = Predictor.default_spe
     | Dependence_aware -> grouper ~anchor:Leader group_window
     | Paper_naive -> grouper ~anchor:Previous group_window
   in
+  let aware = grouping = Dependence_aware in
   let taint = taint_create () in
   let group_id = ref 0 in
   let tlb = Option.map Fom_cache.Tlb.create dtlb in
@@ -121,15 +124,6 @@ let run_source ?(cache = Hierarchy.baseline) ?(predictor = Predictor.default_spe
      misses. *)
   let tlb_taint = taint_create () in
   let tlb_group_id = ref 0 in
-  (* [count]: store misses fill the TLB but are not miss-events. *)
-  let translate ~count addr =
-    match tlb with
-    | None -> false
-    | Some tlb ->
-        let miss = not (Fom_cache.Tlb.access tlb addr) in
-        if miss && count then incr dtlb_misses;
-        miss && count
-  in
   let short_misses = ref 0 in
   let long_misses = ref 0 in
   let last_line = ref (-1) in
@@ -138,38 +132,37 @@ let run_source ?(cache = Hierarchy.baseline) ?(predictor = Predictor.default_spe
     | Hierarchy.Real g -> Fom_cache.Geometry.line_address g pc
     | Hierarchy.Ideal -> pc land lnot 127
   in
-  for _ = 1 to n do
-    let instr = next_instr () in
-    counts.(class_slot instr.Instr.opclass) <- counts.(class_slot instr.Instr.opclass) + 1;
-    let line = line_of instr.Instr.pc in
+  let { Packed.tag; pc; dep_off; dep_val; mem; ctrl; _ } = packed in
+  for i = 0 to n - 1 do
+    let cls = tag.(i) in
+    counts.(cls) <- counts.(cls) + 1;
+    let line = line_of pc.(i) in
     if line <> !last_line then begin
       last_line := line;
-      ignore (Hierarchy.access_inst hierarchy instr.Instr.pc)
+      ignore (Hierarchy.access_inst hierarchy pc.(i))
     end;
-    let is_tainted =
-      grouping = Dependence_aware
-      && tainted_by taint ~group_id:!group_id instr.Instr.deps
-    in
-    let base_latency = Latency.of_class latencies instr.Instr.opclass in
+    let lo = dep_off.(i) and hi = dep_off.(i + 1) in
+    let is_tainted = aware && tainted_by taint ~group_id:!group_id dep_val lo hi in
+    let base_latency = float_of_int latency_of.(cls) in
     let marked_as_miss = ref false in
     let tlb_tainted =
-      grouping = Dependence_aware
-      && Option.is_some tlb
-      && tainted_by tlb_taint ~group_id:!tlb_group_id instr.Instr.deps
+      aware && Option.is_some tlb && tainted_by tlb_taint ~group_id:!tlb_group_id dep_val lo hi
     in
     let tlb_marked = ref false in
-    (match instr.Instr.opclass with
+    (match Opclass.of_int cls with
     | Opclass.Load -> (
-        if translate ~count:true (Instr.mem_exn instr) then begin
-          if grouper_add ~split:tlb_tainted tlb_groups instr.Instr.index then
-            incr tlb_group_id;
-          if grouping = Dependence_aware then begin
-            taint_mark tlb_taint ~group_id:!tlb_group_id instr.Instr.index;
-            tlb_marked := true
-          end
-        end;
-        match Hierarchy.access_data hierarchy (Instr.mem_exn instr) with
-        | Hierarchy.L1_hit -> latency_sum := !latency_sum +. float_of_int base_latency
+        let addr = mem.(i) in
+        (match tlb with
+        | Some tlb when not (Fom_cache.Tlb.access tlb addr) ->
+            incr dtlb_misses;
+            if grouper_add ~split:tlb_tainted tlb_groups i then incr tlb_group_id;
+            if aware then begin
+              taint_mark tlb_taint ~group_id:!tlb_group_id i;
+              tlb_marked := true
+            end
+        | Some _ | None -> ());
+        match Hierarchy.access_data hierarchy addr with
+        | Hierarchy.L1_hit -> latency_sum := !latency_sum +. base_latency
         | Hierarchy.L2_hit ->
             incr short_misses;
             (* Short misses behave like a long-latency functional
@@ -180,33 +173,31 @@ let run_source ?(cache = Hierarchy.baseline) ?(predictor = Predictor.default_spe
             incr long_misses;
             (* A miss that depends on the open group serializes after
                it and starts a new group. *)
-            let new_group = grouper_add ~split:is_tainted groups instr.Instr.index in
-            if new_group then incr group_id;
-            if grouping = Dependence_aware then begin
-              taint_mark taint ~group_id:!group_id instr.Instr.index;
+            if grouper_add ~split:is_tainted groups i then incr group_id;
+            if aware then begin
+              taint_mark taint ~group_id:!group_id i;
               marked_as_miss := true
             end;
             (* Long misses are modeled separately; they contribute
                their base latency here. *)
-            latency_sum := !latency_sum +. float_of_int base_latency)
+            latency_sum := !latency_sum +. base_latency)
     | Opclass.Store ->
-        ignore (translate ~count:false (Instr.mem_exn instr));
-        ignore (Hierarchy.access_data hierarchy (Instr.mem_exn instr));
-        latency_sum := !latency_sum +. float_of_int base_latency
+        (* Store misses fill the TLB but are not miss-events. *)
+        (match tlb with Some tlb -> ignore (Fom_cache.Tlb.access tlb mem.(i)) | None -> ());
+        ignore (Hierarchy.access_data hierarchy mem.(i));
+        latency_sum := !latency_sum +. base_latency
     | Opclass.Branch ->
         incr branches;
-        let taken = (Instr.ctrl_exn instr).Instr.taken in
-        if not (Predictor.observe pred ~pc:instr.Instr.pc ~taken) then begin
+        let taken = ctrl.(i) land 1 = 1 in
+        if not (Predictor.observe pred ~pc:pc.(i) ~taken) then begin
           incr mispredictions;
-          ignore (grouper_add bursts instr.Instr.index)
+          ignore (grouper_add bursts i)
         end;
-        latency_sum := !latency_sum +. float_of_int base_latency
+        latency_sum := !latency_sum +. base_latency
     | Opclass.Alu | Opclass.Mul | Opclass.Div | Opclass.Jump ->
-        latency_sum := !latency_sum +. float_of_int base_latency);
-    if is_tainted && not !marked_as_miss then
-      taint_mark taint ~group_id:!group_id instr.Instr.index;
-    if tlb_tainted && not !tlb_marked then
-      taint_mark tlb_taint ~group_id:!tlb_group_id instr.Instr.index
+        latency_sum := !latency_sum +. base_latency);
+    if is_tainted && not !marked_as_miss then taint_mark taint ~group_id:!group_id i;
+    if tlb_tainted && not !tlb_marked then taint_mark tlb_taint ~group_id:!tlb_group_id i
   done;
   grouper_flush bursts;
   grouper_flush groups;
@@ -235,5 +226,6 @@ let class_fraction t cls =
 let per_instr t count = float_of_int count /. float_of_int t.instructions
 
 let run ?cache ?predictor ?latencies ?burst_window ?group_window ?grouping ?dtlb program ~n =
-  run_source ?cache ?predictor ?latencies ?burst_window ?group_window ?grouping ?dtlb
-    (Fom_trace.Source.of_program program) ~n
+  run_packed ?cache ?predictor ?latencies ?burst_window ?group_window ?grouping ?dtlb
+    (Packed.of_source (Fom_trace.Source.of_program program) ~n)
+    ~n

@@ -57,7 +57,7 @@ val run :
     issue-window size), group window 128 (the ROB size), and
     {!Dependence_aware} grouping. *)
 
-val run_source :
+val run_packed :
   ?cache:Fom_cache.Hierarchy.config ->
   ?predictor:Fom_branch.Predictor.spec ->
   ?latencies:Fom_isa.Latency.t ->
@@ -65,8 +65,11 @@ val run_source :
   ?group_window:int ->
   ?grouping:grouping ->
   ?dtlb:Fom_cache.Tlb.spec ->
-  Fom_trace.Source.t -> n:int -> t
-(** {!run} over any replayable source (e.g. an imported trace). *)
+  Fom_trace.Packed.t -> n:int -> t
+(** {!run} over the first [n] instructions of a packed trace, read
+    straight from its columns ([FOM-I030] unless
+    [0 < n <= Packed.length]). {!run} packs the program and calls
+    this. *)
 
 val class_fraction : t -> Fom_isa.Opclass.t -> float
 

@@ -1,5 +1,7 @@
 let latency_penalty ~clusters ?(bypass = 1.0) ?(deps_per_instr = 1.0) () =
-  let ensure = Fom_check.Checker.ensure ~code:"FOM-I030" in
+  let ensure ~path cond message =
+    Fom_check.Checker.ensure ~code:"FOM-I030" ~path cond message
+  in
   ensure ~path:"clustering.clusters" (clusters >= 1) "cluster count must be at least 1";
   ensure ~path:"clustering.bypass"
     (bypass >= 0.0 && deps_per_instr >= 0.0)

@@ -6,7 +6,7 @@ let drain_plus_ramp iw (params : Params.t) =
   let ramp = Transient.ramp_up iw ~window in
   (drain.Transient.penalty, ramp.Transient.penalty)
 
-let ensure = Fom_check.Checker.ensure ~code:"FOM-I030"
+let ensure ~path cond message = Fom_check.Checker.ensure ~code:"FOM-I030" ~path cond message
 
 let branch_misprediction iw params ~burst =
   ensure ~path:"penalties.burst" (burst >= 1.0) "burst size must be at least 1";

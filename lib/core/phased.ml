@@ -1,5 +1,7 @@
 let combine weighted =
-  let ensure = Fom_check.Checker.ensure ~code:"FOM-I030" in
+  let ensure ~path cond message =
+    Fom_check.Checker.ensure ~code:"FOM-I030" ~path cond message
+  in
   ensure ~path:"phased.weighted" (weighted <> []) "phase list must be non-empty";
   let total = List.fold_left (fun acc (w, _) -> acc +. w) 0.0 weighted in
   ensure ~path:"phased.weighted" (total > 0.0) "phase weights must sum to a positive total";

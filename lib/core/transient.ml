@@ -17,7 +17,7 @@ let drain iw ~window =
   let cycles = float_of_int cycles in
   { cycles; instructions; penalty = cycles -. (instructions /. steady) }
 
-let ensure = Fom_check.Checker.ensure ~code:"FOM-I030"
+let ensure ~path cond message = Fom_check.Checker.ensure ~code:"FOM-I030" ~path cond message
 
 let ramp_up ?(epsilon = 0.1) iw ~window =
   ensure ~path:"transient.ramp_up" (Float.is_finite iw.Iw.issue_width)

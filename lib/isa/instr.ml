@@ -13,13 +13,22 @@ type t = {
 
 (* Static messages: [make] runs once per generated instruction, so the
    happy path must not allocate. *)
-let ensure = Fom_check.Checker.ensure ~code:"FOM-T120"
+let ensure ~path cond message = Fom_check.Checker.ensure ~code:"FOM-T120" ~path cond message
+
+(* A loop: [Array.for_all] with a closure over [index] would allocate
+   the closure on every [make]. *)
+let deps_precede deps index =
+  let ok = ref true in
+  for k = 0 to Array.length deps - 1 do
+    let d = deps.(k) in
+    if d < 0 || d >= index then ok := false
+  done;
+  !ok
 
 let make ~index ~pc ~opclass ?dst ?(srcs = []) ?(deps = [||]) ?mem ?ctrl () =
   ensure ~path:"instr.index" (index >= 0) "dynamic index must be non-negative";
   ensure ~path:"instr.srcs" (List.length srcs <= 2) "at most two source registers";
-  ensure ~path:"instr.deps"
-    (Array.for_all (fun d -> d >= 0 && d < index) deps)
+  ensure ~path:"instr.deps" (deps_precede deps index)
     "dependences must name earlier instructions";
   ensure ~path:"instr.mem"
     (Opclass.is_memory opclass = Option.is_some mem)

@@ -10,7 +10,9 @@ type t = {
 }
 
 let create ?seed_rng kind region =
-  let ensure = Fom_check.Checker.ensure ~code:"FOM-T050" in
+  let ensure ~path cond message =
+    Fom_check.Checker.ensure ~code:"FOM-T050" ~path cond message
+  in
   ensure ~path:"address_gen.region.size"
     (region.size > 0 && region.size mod 8 = 0)
     "region size must be a positive multiple of 8 bytes";

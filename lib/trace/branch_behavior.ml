@@ -7,7 +7,7 @@ type kind =
 type t = { kind : kind; rng : Fom_util.Rng.t; mutable step : int }
 
 let create ?seed_rng kind =
-  let ensure = Fom_check.Checker.ensure in
+  let ensure ~code ~path cond message = Fom_check.Checker.ensure ~code ~path cond message in
   (match kind with
   | Biased p | Chaotic p ->
       ensure ~code:"FOM-T030" ~path:"branch_behavior.taken_probability"

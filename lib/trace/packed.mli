@@ -39,8 +39,12 @@ type t = private {
 }
 
 val of_source : ?label:string -> Source.t -> n:int -> t
-(** Materialize the first [n] instructions ([FOM-T130] if [n <= 0];
-    fields are validated as they are packed). *)
+(** Materialize the first [n] instructions ([FOM-T130] if [n <= 0]).
+    A generator-backed source ({!Source.of_program}) is packed by
+    stepping its {!Stream} straight into the columns, allocating
+    nothing per instruction; any other source is read one
+    {!Fom_isa.Instr.t} at a time, its fields validated as they are
+    packed. Both paths yield the same columns for the same trace. *)
 
 val length : t -> int
 (** Number of packed instructions. *)
@@ -52,10 +56,3 @@ val instr : t -> int -> Fom_isa.Instr.t
 (** Decode dynamic instruction [i] ([FOM-T131] if negative). Past the
     end the trace wraps with re-based indices and dependences, exactly
     like {!Source.of_instrs} replay. *)
-
-val to_source : ?wrap:bool -> t -> Source.t
-(** A replayable {!Source.t} decoding from the packed columns.
-    [wrap] (default [true]) selects the {!Source.of_instrs} wrapping
-    behaviour past the end; with [~wrap:false] reading past the end
-    raises a [FOM-T132] diagnostic instead — for callers that sized
-    the packing to cover the whole run and want overruns loud. *)

@@ -2,23 +2,35 @@ module Instr = Fom_isa.Instr
 module Opclass = Fom_isa.Opclass
 module Reg = Fom_isa.Reg
 
-type t = { label : string; fresh : unit -> unit -> Instr.t }
+(* [stream] is set only for generator-backed sources, so that packing
+   can step the generator directly instead of decoding an [Instr.t]
+   per instruction. *)
+type t = {
+  label : string;
+  fresh : unit -> unit -> Instr.t;
+  stream : (unit -> Stream.t) option;
+}
 
 let label t = t.label
 let fresh t = t.fresh ()
-let of_factory ~label fresh = { label; fresh }
+let stream t = Option.map (fun create -> create ()) t.stream
+let of_factory ~label fresh = { label; fresh; stream = None }
 
 let of_program ?seed program =
+  let create () = Stream.create ?seed program in
   {
     label = program.Program.config.Config.name;
     fresh =
       (fun () ->
-        let stream = Stream.create ?seed program in
+        let stream = create () in
         fun () -> Stream.next stream);
+    stream = Some create;
   }
 
 let of_instrs ?(label = "recorded") instrs =
-  let ensure = Fom_check.Checker.ensure ~code:"FOM-T110" in
+  let ensure ~path cond message =
+    Fom_check.Checker.ensure ~code:"FOM-T110" ~path cond message
+  in
   ensure ~path:"source.of_instrs" (Array.length instrs > 0)
     "recorded trace must be non-empty";
   Array.iteri
@@ -29,6 +41,7 @@ let of_instrs ?(label = "recorded") instrs =
   let len = Array.length instrs in
   {
     label;
+    stream = None;
     fresh =
       (fun () ->
         let position = ref 0 in

@@ -34,6 +34,11 @@ val label : t -> string
 val fresh : t -> unit -> Fom_isa.Instr.t
 (** A thunk restarting the trace from instruction 0. *)
 
+val stream : t -> Stream.t option
+(** A fresh {!Stream} positioned at instruction 0 when the source
+    replays the synthetic generator ({!of_program}), [None] for every
+    other source. Its {!Stream.step} walk is the one [fresh] decodes. *)
+
 val of_program : ?seed:int -> Program.t -> t
 (** Replay the synthetic program (each thunk is a new {!Stream}).
     [?seed] passes an explicit per-task stream seed through to

@@ -22,26 +22,38 @@ let ring_push r index reg =
   r.head <- (r.head + 1) mod Array.length r.idx;
   if r.count < Array.length r.idx then r.count <- r.count + 1
 
-(* [ring_get r d] returns the producer [d] places back, 1 = newest. *)
-let ring_get r d =
-  assert (d >= 1 && d <= r.count);
+(* Slot of the producer [d] places back, 1 = newest; [1 <= d <= count]. *)
+let ring_pos r d =
   let cap = Array.length r.idx in
-  let pos = (r.head - d + cap + cap) mod cap in
-  (r.idx.(pos), r.reg.(pos))
+  (r.head - d + cap + cap) mod cap
+
+type cursor = {
+  mutable index : int;
+  mutable pc : int;
+  mutable tag : int;
+  mutable dst : int;
+  mutable ndeps : int;
+  deps : int array;
+  srcs : int array;
+  mutable mem : int;
+  mutable ctrl : int;
+}
 
 type t = {
   program : Program.t;
   rng : Rng.t;  (* dependence-distance sampling *)
+  short_rate : float;  (* geometric success probability of short distances *)
   agens : Address_gen.t option array;  (* per static uid *)
   behaviors : Branch_behavior.t option array;
   last_instance : int array;  (* last dynamic index per chase chain *)
   chase_chains : int;  (* 0 = one chain per static chase load *)
   ring : ring;
-  mutable stack : int list;  (* return blocks for call-style jumps *)
+  stack : int array;  (* return blocks for call-style jumps *)
   mutable stack_depth : int;
   mutable index : int;
   mutable block : int;
   mutable pos : int;  (* offset of the next instruction within block *)
+  cur : cursor;
 }
 
 (* Calls nest one level: a called region executes with further calls
@@ -58,8 +70,10 @@ let create ?seed program =
   let n = Program.static_count program in
   let agens = Array.make n None in
   let behaviors = Array.make n None in
+  let max_nsrc = ref 1 in
   Array.iter
     (fun (s : Program.static) ->
+      max_nsrc := Stdlib.max !max_nsrc s.nsrc;
       (match s.agen_spec with
       | Some (kind, region) ->
           agens.(s.uid) <- Some (Address_gen.create ~seed_rng kind region)
@@ -68,85 +82,95 @@ let create ?seed program =
       | Some kind -> behaviors.(s.uid) <- Some (Branch_behavior.create ~seed_rng kind)
       | None -> ())
     program.Program.statics;
+  let deps = config.Config.deps in
   {
     program;
     rng = Rng.split seed_rng;
+    short_rate = 1.0 /. deps.Config.short_mean;
     agens;
     behaviors;
     last_instance = Array.make (Stdlib.max n 1) (-1);
     chase_chains = config.Config.memory.Config.chase_chains;
-    ring = ring_create (Stdlib.max 64 config.Config.deps.long_max);
-    stack = [];
+    ring = ring_create (Stdlib.max 64 deps.Config.long_max);
+    stack = Array.make max_call_depth 0;
     stack_depth = 0;
     index = 0;
     block = Program.entry program;
     pos = 0;
+    cur =
+      {
+        index = -1;
+        pc = 0;
+        tag = 0;
+        dst = -1;
+        ndeps = 0;
+        deps = Array.make !max_nsrc 0;
+        srcs = Array.make !max_nsrc 0;
+        mem = -1;
+        ctrl = -1;
+      };
   }
 
-let sample_dep t =
+(* Sample [nsrc] producers into the cursor. [Instr.t] lists the most
+   recently sampled dependence (and its register) first, so sample [j]
+   lands in slot [k - 1 - j]. An empty ring yields no dependences. *)
+let sample_deps t c nsrc =
+  let ring = t.ring in
   let deps = t.program.Program.config.Config.deps in
-  if t.ring.count = 0 then None
-  else
+  let k = if ring.count = 0 then 0 else nsrc in
+  for j = 0 to k - 1 do
     let d =
-      if Rng.bernoulli t.rng deps.short_p then
-        1 + Rng.geometric t.rng (1.0 /. deps.short_mean)
+      if Rng.bernoulli t.rng deps.short_p then 1 + Rng.geometric t.rng t.short_rate
       else 1 + Rng.int t.rng deps.long_max
     in
-    let d = Stdlib.min d t.ring.count in
-    Some (ring_get t.ring d)
+    let pos = ring_pos ring (Stdlib.min d ring.count) in
+    c.deps.(k - 1 - j) <- ring.idx.(pos);
+    c.srcs.(k - 1 - j) <- ring.reg.(pos)
+  done;
+  c.ndeps <- k
 
-let sample_deps t nsrc =
-  let rec loop n acc_deps acc_srcs =
-    if n = 0 then (acc_deps, acc_srcs)
-    else
-      match sample_dep t with
-      | None -> (acc_deps, acc_srcs)
-      | Some (idx, reg) -> loop (n - 1) (idx :: acc_deps) (Reg.of_int reg :: acc_srcs)
-  in
-  let deps, srcs = loop nsrc [] [] in
-  (Array.of_list deps, srcs)
-
-let next t =
+let step t =
   let program = t.program in
   let blk = program.Program.blocks.(t.block) in
   let s = program.Program.statics.(blk.first + t.pos) in
+  let c = t.cur in
   let index = t.index in
   t.index <- index + 1;
-  let is_terminator = t.pos = blk.len - 1 in
-  if is_terminator then t.pos <- 0 else t.pos <- t.pos + 1;
-  let mem =
-    match s.agen_spec with
-    | None -> None
+  if t.pos = blk.len - 1 then t.pos <- 0 else t.pos <- t.pos + 1;
+  c.index <- index;
+  c.pc <- s.pc;
+  c.tag <- Opclass.to_int s.opclass;
+  c.dst <- (match s.dst with Some d -> Reg.to_int d | None -> -1);
+  c.mem <-
+    (match s.agen_spec with
+    | None -> -1
     | Some _ -> (
         match t.agens.(s.uid) with
-        | Some agen -> Some (Address_gen.next agen)
+        | Some agen -> Address_gen.next agen
         | None ->
             Fom_check.Checker.internal_error
-              "static with an address-generator spec has no generator")
-  in
+              "static with an address-generator spec has no generator"));
   let chain = if t.chase_chains > 0 then s.uid mod t.chase_chains else s.uid in
-  let deps, srcs =
-    if s.chase && t.last_instance.(chain) >= 0 then
-      (* Pointer chase: serialized on the previous load of its chain;
-         the source register is that load's result. *)
-      let dst =
-        match s.dst with
-        | Some d -> d
-        | None -> Fom_check.Checker.internal_error "chase load has no destination register"
-      in
-      ([| t.last_instance.(chain) |], [ dst ])
-    else sample_deps t s.nsrc
-  in
+  if s.chase && t.last_instance.(chain) >= 0 then begin
+    (* Pointer chase: serialized on the previous load of its chain;
+       the source register is that load's result. *)
+    if c.dst < 0 then
+      Fom_check.Checker.internal_error "chase load has no destination register";
+    c.ndeps <- 1;
+    c.deps.(0) <- t.last_instance.(chain);
+    c.srcs.(0) <- c.dst
+  end
+  else sample_deps t c s.nsrc;
   if s.chase then t.last_instance.(chain) <- index;
-  let ctrl =
-    match s.opclass with
+  c.ctrl <-
+    (match s.opclass with
     | Opclass.Jump ->
         (* Call: remember where to resume once the callee region
            completes; at the depth cap the call is elided and the walk
            falls through. *)
         let succ =
           if t.stack_depth < max_call_depth then begin
-            t.stack <- blk.fall_succ :: t.stack;
+            t.stack.(t.stack_depth) <- blk.fall_succ;
             t.stack_depth <- t.stack_depth + 1;
             blk.taken_succ
           end
@@ -154,7 +178,7 @@ let next t =
         in
         let target_blk = program.Program.blocks.(succ) in
         t.block <- succ;
-        Some { Instr.target = program.Program.statics.(target_blk.first).pc; taken = true }
+        (program.Program.statics.(target_blk.first).pc lsl 1) lor 1
     | Opclass.Branch ->
         let taken =
           match t.behaviors.(s.uid) with
@@ -166,25 +190,34 @@ let next t =
         let is_loop_exit = (not taken) && blk.taken_succ <= t.block in
         let succ =
           if taken then blk.taken_succ
-          else
-            match (is_loop_exit, t.stack) with
-            | true, return :: rest ->
-                (* Region completed: return to the pending caller. *)
-                t.stack <- rest;
-                t.stack_depth <- t.stack_depth - 1;
-                return
-            | true, [] | false, _ -> blk.fall_succ
+          else if is_loop_exit && t.stack_depth > 0 then begin
+            (* Region completed: return to the pending caller. *)
+            t.stack_depth <- t.stack_depth - 1;
+            t.stack.(t.stack_depth)
+          end
+          else blk.fall_succ
         in
         let target_blk = program.Program.blocks.(blk.taken_succ) in
         t.block <- succ;
-        Some { Instr.target = program.Program.statics.(target_blk.first).pc; taken }
-    | Opclass.Alu | Opclass.Mul | Opclass.Div | Opclass.Load | Opclass.Store -> None
-  in
-  let instr =
-    Instr.make ~index ~pc:s.pc ~opclass:s.opclass ?dst:s.dst ~srcs ~deps ?mem ?ctrl ()
-  in
-  Option.iter (fun d -> ring_push t.ring index (Reg.to_int d)) s.dst;
-  instr
+        (program.Program.statics.(target_blk.first).pc lsl 1) lor Bool.to_int taken
+    | Opclass.Alu | Opclass.Mul | Opclass.Div | Opclass.Load | Opclass.Store -> -1);
+  if c.dst >= 0 then ring_push t.ring index c.dst;
+  c
+
+let next t =
+  let c = step t in
+  let srcs = ref [] in
+  for k = c.ndeps - 1 downto 0 do
+    srcs := Reg.of_int c.srcs.(k) :: !srcs
+  done;
+  Instr.make ~index:c.index ~pc:c.pc ~opclass:(Opclass.of_int c.tag)
+    ?dst:(if c.dst < 0 then None else Some (Reg.of_int c.dst))
+    ~srcs:!srcs ~deps:(Array.sub c.deps 0 c.ndeps)
+    ?mem:(if c.mem < 0 then None else Some c.mem)
+    ?ctrl:
+      (if c.ctrl < 0 then None
+       else Some { Instr.target = c.ctrl lsr 1; taken = c.ctrl land 1 = 1 })
+    ()
 
 let iter program ~n f =
   let t = create program in

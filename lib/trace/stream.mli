@@ -18,9 +18,33 @@ val create : ?seed:int -> Program.t -> t
     each task an explicit {!Fom_util.Rng.split_seeds}-derived stream
     that is independent of task execution order. *)
 
+(** The instruction the last {!step} produced, as plain ints. Fields
+    use the {!Packed} column encodings, so a column writer copies them
+    straight across. *)
+type cursor = private {
+  mutable index : int;  (** dynamic index *)
+  mutable pc : int;
+  mutable tag : int;  (** {!Fom_isa.Opclass.to_int} *)
+  mutable dst : int;  (** {!Fom_isa.Reg.to_int}, or [-1] *)
+  mutable ndeps : int;
+  deps : int array;
+      (** the first [ndeps] entries are the true producers, in
+          {!Fom_isa.Instr.t} field order: the most recently sampled
+          one first *)
+  srcs : int array;  (** the producers' destination registers, same order *)
+  mutable mem : int;  (** effective address, or [-1] *)
+  mutable ctrl : int;  (** [-1], or [(target lsl 1) lor taken] *)
+}
+
+val step : t -> cursor
+(** Advance the walk by one instruction and return the stream's cursor
+    holding it. The cursor is the same record on every call, valid
+    until the next [step]; stepping allocates nothing. *)
+
 val next : t -> Fom_isa.Instr.t
-(** Emit the next dynamic instruction. Never fails: the synthetic walk
-    is infinite. *)
+(** Emit the next dynamic instruction: one {!step}, decoded through
+    {!Fom_isa.Instr.make}. Never fails: the synthetic walk is
+    infinite. *)
 
 val iter : Program.t -> n:int -> (Fom_isa.Instr.t -> unit) -> unit
 (** [iter program ~n f] applies [f] to the first [n] instructions of a

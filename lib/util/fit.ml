@@ -1,6 +1,6 @@
 type line = { slope : float; intercept : float; r2 : float }
 
-let ensure = Fom_check.Checker.ensure ~code:"FOM-U001"
+let ensure ~path cond message = Fom_check.Checker.ensure ~code:"FOM-U001" ~path cond message
 
 let line points =
   let n = Array.length points in

@@ -12,7 +12,7 @@ let variance a =
 
 let stddev a = sqrt (variance a)
 
-let ensure = Fom_check.Checker.ensure ~code:"FOM-U001"
+let ensure ~path cond message = Fom_check.Checker.ensure ~code:"FOM-U001" ~path cond message
 
 let min a =
   ensure ~path:"stats.min" (Array.length a > 0) "empty sample";

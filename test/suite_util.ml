@@ -33,6 +33,28 @@ let test_rng_copy () =
   let b = Rng.copy a in
   Alcotest.(check int64) "copy resumes identically" (Rng.bits64 a) (Rng.bits64 b)
 
+let test_rng_golden () =
+  (* SplitMix64 reference outputs: every trace and workload in the
+     repository descends from these streams. *)
+  List.iter
+    (fun (seed, expected) ->
+      let r = Rng.create seed in
+      List.iteri
+        (fun k want ->
+          Alcotest.(check int64) (Printf.sprintf "seed %d draw %d" seed k) want (Rng.bits64 r))
+        expected)
+    [
+      ( 0,
+        [ 0xE220A8397B1DCDAFL; 0x6E789E6AA1B965F4L; 0x06C45D188009454FL; 0xF88BB8A8724C81ECL;
+          0x1B39896A51A8749BL; 0x53CB9F0C747EA2EAL; 0x2C829ABE1F4532E1L; 0xC584133AC916AB3CL ] );
+      ( 1,
+        [ 0x910A2DEC89025CC1L; 0xBEEB8DA1658EEC67L; 0xF893A2EEFB32555EL; 0x71C18690EE42C90BL;
+          0x71BB54D8D101B5B9L; 0xC34D0BFF90150280L; 0xE099EC6CD7363CA5L; 0x85E7BB0F12278575L ] );
+      ( 0x7A12,
+        [ 0x84425AF9D9027AFFL; 0x2DB682CA4C7752D9L; 0x7E6D9C0F5CD8441DL; 0xFA21297D59D41A68L;
+          0xC5DD5E3E5BD76D9BL; 0x18CDFB35E472CDFEL; 0x1211BB6F916D30E9L; 0xD7934501DFA88061L ] );
+    ]
+
 let test_rng_int_range () =
   let r = Rng.create 3 in
   for _ = 1 to 1000 do
@@ -280,6 +302,7 @@ let suite =
       Alcotest.test_case "rng seed sensitivity" `Quick test_rng_seed_sensitivity;
       Alcotest.test_case "rng split independent" `Quick test_rng_split_independent;
       Alcotest.test_case "rng copy" `Quick test_rng_copy;
+      Alcotest.test_case "rng golden outputs" `Quick test_rng_golden;
       Alcotest.test_case "rng int range" `Quick test_rng_int_range;
       Alcotest.test_case "rng float range" `Quick test_rng_float_range;
       Alcotest.test_case "rng bernoulli mean" `Quick test_rng_bernoulli_mean;

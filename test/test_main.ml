@@ -7,6 +7,7 @@ let () =
       Suite_util.suite;
       Suite_isa.suite;
       Suite_trace.suite;
+      Suite_generation.suite;
       Suite_source.suite;
       Suite_phases.suite;
       Suite_cache.suite;

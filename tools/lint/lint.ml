@@ -8,6 +8,12 @@
      FOM-L003  exit         libraries must not terminate the process
      FOM-L004  List.hd / List.tl / Option.get   partial stdlib calls
      FOM-L005  .ml file without a corresponding .mli
+     FOM-L006  let-bound partial application of Checker.ensure, e.g.
+               [let ensure = Fom_check.Checker.ensure ~code:"..."]:
+               without flambda every call through such a binding
+               allocates a closure application (about 12 words), so
+               hot paths must eta-expand it
+               ([let ensure ~path cond msg = ... ~path cond msg])
 
    An allowlist file grants sanctioned exceptions, one per line:
 
@@ -140,6 +146,67 @@ let has_qualified line tok =
 let bare_bans = [ ("assert", "FOM-L001"); ("failwith", "FOM-L002"); ("exit", "FOM-L003") ]
 let qualified_bans = [ "List.hd"; "List.tl"; "Option.get" ]
 
+(* FOM-L006: [let <name> = <Path.>Checker.ensure ...], i.e. no
+   parameters between the bound name and [=]. Scans the whole stripped
+   source, so a binding split across lines is caught too; returns the
+   line of each offending [let]. *)
+let partial_ensures stripped =
+  let tok = "Checker.ensure" in
+  let n = String.length stripped and m = String.length tok in
+  let is_space c = c = ' ' || c = '\n' || c = '\t' || c = '\r' in
+  let rec skip_space k = if k >= 0 && is_space stripped.[k] then skip_space (k - 1) else k in
+  (* Start of the identifier that ends just before [k]. *)
+  let rec ident_start k =
+    if k > 0 && is_ident_char stripped.[k - 1] then ident_start (k - 1) else k
+  in
+  (* The word ending at or before [k], blanks skipped: its text and start. *)
+  let word_before k =
+    let e = skip_space k in
+    if e < 0 || not (is_ident_char stripped.[e]) then None
+    else
+      let s = ident_start (e + 1) in
+      Some (String.sub stripped s (e - s + 1), s)
+  in
+  (* Start of the module path qualifying the name at [k]. *)
+  let rec path_start k =
+    if k > 1 && stripped.[k - 1] = '.' && is_ident_char stripped.[k - 2] then
+      path_start (ident_start (k - 1))
+    else k
+  in
+  let binding_start k =
+    let e = skip_space (path_start k - 1) in
+    if e < 1 || stripped.[e] <> '=' || not (is_space stripped.[e - 1] || is_ident_char stripped.[e - 1])
+    then None
+    else
+      match word_before (e - 1) with
+      | None -> None
+      | Some (_, s) -> (
+          match word_before (s - 1) with
+          | Some (("let" | "and"), l) -> Some l
+          | Some _ | None -> None)
+  in
+  let rec search from acc =
+    match if from + m > n then None else String.index_from_opt stripped from tok.[0] with
+    | None -> List.rev acc
+    | Some k ->
+        let is_tok =
+          k + m <= n
+          && String.sub stripped k m = tok
+          && (k = 0 || stripped.[k - 1] = '.' || not (is_ident_char stripped.[k - 1]))
+          && (k + m = n || not (is_ident_char stripped.[k + m]))
+        in
+        let acc =
+          match if is_tok then binding_start k else None with Some l -> l :: acc | None -> acc
+        in
+        search (k + 1) acc
+  in
+  let line_of pos =
+    let line = ref 1 in
+    String.iteri (fun i c -> if i < pos && c = '\n' then incr line) stripped;
+    !line
+  in
+  List.map line_of (search 0 [])
+
 let scan_file path =
   let ic = open_in_bin path in
   let len = in_channel_length ic in
@@ -165,6 +232,13 @@ let scan_file path =
               :: !findings)
         qualified_bans)
     (String.split_on_char '\n' stripped);
+  List.iter
+    (fun line ->
+      findings :=
+        { file = path; line; code = "FOM-L006"; construct = "partial-ensure";
+          text = raw_lines.(line - 1) }
+        :: !findings)
+    (partial_ensures stripped);
   List.rev !findings
 
 (* --- filesystem walk ------------------------------------------------- *)
