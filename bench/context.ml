@@ -90,9 +90,10 @@ let fig14_machine = Config.with_cache Hierarchy.fig14 ideal
 
 (* One packed trace per benchmark, shared by every simulation variant
    and the characterization passes. The margin past the longest pass
-   covers the machine's fetch-ahead (bounded by the in-flight span)
-   and the IW sweep's window overhang. Packing is cheap relative to
-   what replays it, so it is memoized in-process but never written to
+   covers the machine's fetch-ahead (the in-flight span of every
+   machine variant the exhibits build, a few hundred instructions) and
+   the IW sweep's window overhang. Packing is cheap relative to what
+   replays it, so it is memoized in-process but never written to
    disk. *)
 let packed_margin = 8192
 
@@ -113,14 +114,7 @@ let sim t ~variant ~config name =
             Cache.part config;
             string_of_int t.n_sim;
           ]
-        (fun () ->
-          (* Replay the packed columns instead of re-generating the
-             stream; identical instructions, so identical statistics.
-             Configs whose fetch-ahead could outrun the packed margin
-             (none of the stock variants) fall back to generation. *)
-          if Config.inflight_span config <= packed_margin then
-            Fom_uarch.Simulate.run_packed config (packed t name) ~n:t.n_sim
-          else Fom_uarch.Simulate.run config (program t name) ~n:t.n_sim))
+        (fun () -> Fom_uarch.Simulate.run_packed config (packed t name) ~n:t.n_sim))
 
 (* Characterize [name] under an optional non-baseline cache hierarchy
    and model parameters (Figure 14 profiles against its own 128K-L1D /

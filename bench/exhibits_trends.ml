@@ -84,12 +84,11 @@ let fig18 ctx =
 let fig19_sim ctx =
   Context.heading "Figure 19 (validation): measured vs analytic issue ramp (gzip)";
   let name = "gzip" in
-  let program = Context.program ctx name in
   let machine =
     Fom_uarch.Machine.create
       (Fom_uarch.Config.with_predictor Fom_branch.Predictor.default_spec
          (Fom_uarch.Config.ideal Fom_uarch.Config.baseline))
-      (Fom_trace.Source.fresh (Fom_trace.Source.of_program program))
+      (Context.packed ctx name)
   in
   let horizon = 20 in
   let _, issued, resolves = Fom_uarch.Machine.run_recorded machine ~n:ctx.Context.n_sim in

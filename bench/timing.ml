@@ -12,8 +12,7 @@ let make_tests () =
   let inputs = Fom_analysis.Characterize.inputs ~iw_instructions:2000 ~params program ~n:5000 in
   let square = Fom_model.Iw_characteristic.make ~alpha:1.0 ~beta:0.5 ~issue_width:4.0 () in
   [
-    (* Table 1 / Figures 4-6: one IW-curve point (reference kernel,
-       packing included). *)
+    (* Table 1 / Figures 4-6: one IW-curve point, packing included. *)
     Test.make ~name:"iw-sim point (w=32, 2k instrs)"
       (Staged.stage (fun () -> Fom_analysis.Iw_sim.ipc program ~window:32 ~n:2000));
     (* Packed-trace construction alone: one pass over the stream into
@@ -38,15 +37,16 @@ let make_tests () =
     (* Figures 15-16: a full model evaluation (given inputs). *)
     Test.make ~name:"model evaluate"
       (Staged.stage (fun () -> Fom_model.Cpi.evaluate params inputs));
-    (* Figures 2, 9, 11, 14: detailed simulation, per 1k instructions. *)
+    (* Figures 2, 9, 11, 14: detailed simulation of 1k instructions
+       replayed from a pre-built packing, machine creation included. *)
     Test.make ~name:"detailed sim (1k instrs)"
       (Staged.stage
-         (let stream = Fom_trace.Stream.create program in
-          let machine =
-            Fom_uarch.Machine.create Fom_uarch.Config.baseline (fun () ->
-                Fom_trace.Stream.next stream)
+         (let config = Fom_uarch.Config.baseline in
+          let packed =
+            Fom_trace.Packed.of_source (Fom_trace.Source.of_program program)
+              ~n:(1000 + Fom_uarch.Config.inflight_span config)
           in
-          fun () -> ignore (Fom_uarch.Machine.run machine ~n:1000)));
+          fun () -> ignore (Fom_uarch.Simulate.run_packed config packed ~n:1000)));
     (* Input pipeline: functional profiling, per 1k instructions. *)
     Test.make ~name:"functional profile (1k instrs)"
       (Staged.stage (fun () -> ignore (Fom_analysis.Profile.run program ~n:1000)));

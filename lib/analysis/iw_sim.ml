@@ -261,4 +261,6 @@ let ipc_of_packed ?(latencies = Fom_isa.Latency.unit) ?issue_limit packed ~windo
   float_of_int !issued_total /. float_of_int !cycle
 
 let ipc ?latencies ?issue_limit program ~window ~n =
-  ipc_of_source ?latencies ?issue_limit (Fom_trace.Source.of_program program) ~window ~n
+  check_shape ~window ~n;
+  let packed = Packed.of_source (Fom_trace.Source.of_program program) ~n:(n + window) in
+  ipc_of_packed ?latencies ?issue_limit packed ~window ~n

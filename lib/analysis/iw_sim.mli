@@ -30,13 +30,15 @@ val ipc :
   Fom_trace.Program.t -> window:int -> n:int -> float
 (** [ipc program ~window ~n]: average instructions issued per cycle
     over the first [n] instructions. Default latencies are unit;
-    default issue width is unbounded. *)
+    default issue width is unbounded. Packs the first [n + window]
+    instructions and runs {!ipc_of_packed} on them. *)
 
 val ipc_of_source :
   ?latencies:Fom_isa.Latency.t -> ?issue_limit:int ->
   Fom_trace.Source.t -> window:int -> n:int -> float
-(** {!ipc} over any replayable source (e.g. an imported trace) —
-    the reference window-rescanning kernel. *)
+(** The same measurement over any replayable source (e.g. an imported
+    trace), computed by the reference window-rescanning kernel — the
+    oracle {!ipc_of_packed} is tested against. *)
 
 val ipc_of_packed :
   ?latencies:Fom_isa.Latency.t -> ?issue_limit:int ->

@@ -1,11 +1,13 @@
 (** Replayable instruction sources.
 
-    Every consumer in this repository — the functional profiler, the
-    idealized IW simulation, the detailed simulator — reads a trace as
-    a plain [unit -> Instr.t] thunk. A [Source.t] is a *factory* of
-    such thunks: each [fresh] call restarts the trace from the
-    beginning, which is what multi-pass analyses (one pass per IW
-    window size, one for the profile) need.
+    A [Source.t] is a *factory* of [unit -> Instr.t] thunks: each
+    [fresh] call restarts the trace from the beginning. The functional
+    profiler, the IW simulation and the detailed simulator do not read
+    sources directly: {!Packed.of_source} packs a source's first [n]
+    instructions once into flat columns, and every pass replays those.
+    Only packing, trace export ({!record}, {!save}) and the reference
+    IW kernel ([Fom_analysis.Iw_sim.ipc_of_source]) pull instructions
+    through a thunk.
 
     Sources come from three places: the synthetic generator
     ({!of_program}), a materialized array ({!of_instrs}), or a trace

@@ -34,10 +34,14 @@ let baseline =
    front-end pipe — must map to distinct slots, or completion lookups
    silently alias; the ring is therefore sized from the configuration
    (next power of two past the worst-case span), and configurations
-   whose span would need an absurd ring are rejected outright. *)
+   whose span would need an absurd ring are rejected outright. The
+   same span bounds how far past its retirement target a run fetches:
+   the last cycle can retire up to [width - 1] past the target, and
+   that cycle's dispatch and fetch still refill the ROB and pipe
+   behind it. *)
 let max_comp_ring_bits = 24
 
-let inflight_span t = t.rob_size + (t.width * t.pipeline_depth) + t.fetch_buffer + 4
+let inflight_span t = t.rob_size + (t.width * t.pipeline_depth) + t.fetch_buffer + t.width
 
 let comp_ring_bits t =
   let span = inflight_span t in
@@ -62,7 +66,7 @@ let check t =
         C.check ~code:"FOM-I032" ~path:"machine.rob_size"
           (inflight_span t < 1 lsl max_comp_ring_bits)
           (Printf.sprintf
-             "in-flight span of %d (rob_size + width * pipeline_depth + fetch_buffer) \
+             "in-flight span of %d (rob_size + width * pipeline_depth + fetch_buffer + width) \
               exceeds the largest supported completion ring (2^%d entries); completion \
               lookups would silently alias"
              (inflight_span t) max_comp_ring_bits);

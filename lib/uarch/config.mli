@@ -48,9 +48,12 @@ val max_comp_ring_bits : int
     of silently aliasing completion lookups. *)
 
 val inflight_span : t -> int
-(** Worst-case spread of in-flight dynamic indices: ROB residents plus
-    the front-end pipe ([rob_size + width * pipeline_depth +
-    fetch_buffer], with a small safety margin). *)
+(** Worst-case spread of in-flight dynamic indices, [rob_size + width *
+    pipeline_depth + fetch_buffer + width]: ROB residents, the
+    front-end pipe, and up to [width - 1] instructions that the last
+    cycle of a run retires past its target. A run to [n] retirements
+    from a fresh machine fetches fewer than [n + inflight_span]
+    instructions, which is how long a packing it replays must be. *)
 
 val comp_ring_bits : t -> int
 (** log2 size of the completion-tracking ring {!Machine} allocates for

@@ -1,4 +1,3 @@
-module Instr = Fom_isa.Instr
 module Opclass = Fom_isa.Opclass
 module Latency = Fom_isa.Latency
 module Hierarchy = Fom_cache.Hierarchy
@@ -18,10 +17,6 @@ let m_instructions = Fom_obs.Metrics.counter "sim.instructions"
 let m_events = Fom_obs.Metrics.counter "sim.events"
 let s_run = Fom_obs.Span.id "sim.run"
 
-(* Where fetched instructions come from: a pull thunk materializing
-   {!Fom_isa.Instr.t} values, or packed columns read in place. *)
-type feed = Thunk of (unit -> Instr.t) | Packed of Packed.t
-
 (* Calendar buckets for the event kernel. Wakeups land at most the
    longest issue latency ahead; waits beyond the ring (a long miss
    under an extreme memory latency) re-book when their bucket drains. *)
@@ -32,12 +27,13 @@ let load_tag = Opclass.to_int Opclass.Load
 let store_tag = Opclass.to_int Opclass.Store
 let branch_tag = Opclass.to_int Opclass.Branch
 
-(* In-flight state lives in int columns keyed by slot = [index land
-   slot_mask], sized per configuration ({!Config.comp_ring_bits}) so
-   that everything in flight — ROB, front-end pipe and an instruction
-   held back by an I-miss — maps to distinct slots. Fetch decodes an
-   instruction straight into its slot's columns; nothing is allocated
-   per instruction or per cycle.
+(* The trace is a packed one, read in place: an instruction's fields
+   are looked up by its dynamic index in the packing's columns, never
+   copied. In-flight machine state lives in int columns keyed by slot
+   = [index land slot_mask], sized per configuration
+   ({!Config.comp_ring_bits}) so that everything in flight — the ROB
+   and the front-end pipe — maps to distinct slots. Nothing is
+   allocated per instruction or per cycle.
 
    The ROB and the pipe always hold consecutive dynamic indices, so
    each is an index range: the ROB is [last_retired + 1 ..
@@ -49,19 +45,16 @@ let branch_tag = Opclass.to_int Opclass.Branch
 type t = {
   config : Config.t;
   kernel : kernel;
-  feed : feed;
-  slot_mask : int;
-  (* per-slot columns, decoded at fetch *)
-  op : int array;  (* {!Opclass.to_int} tag *)
+  (* the packed trace's columns, by dynamic index (see {!Packed}) *)
+  len : int;
+  tag : int array;
   pc : int array;
-  mem : int array;  (* effective address, -1 for non-memory ops *)
-  taken : bool array;  (* conditional-branch direction *)
-  deps : int array array;
-      (* dependence backing array; [dep_lo], [dep_n] delimit the slot's
-         slice: the packed trace's CSR column (every slot, set once) or
-         the instruction's own [deps] array — never a copy *)
-  dep_lo : int array;
-  dep_n : int array;
+  mem : int array;
+  ctrl : int array;
+  dep_off : int array;
+  dep_val : int array;
+  (* per-slot machine state *)
+  slot_mask : int;
   cluster : int array;  (* assigned at dispatch *)
   pipe_at : int array;  (* cycle a fetched instruction may dispatch *)
   comp_idx : int array;
@@ -72,7 +65,6 @@ type t = {
   mutable last_fetched : int;
   pipe_capacity : int;
   (* front end *)
-  mutable pending : int;  (* decoded but stalled on an I-miss; -1 for none *)
   mutable fetch_stall_until : int;
   mutable blocking_branch : int;  (* unresolved mispredicted branch; -1 for none *)
   mutable last_line : int;
@@ -129,7 +121,7 @@ type t = {
   mutable occupancy_rob_sum : int;
 }
 
-let create_feed ?(kernel = Event) config feed =
+let create ?(kernel = Event) config packed =
   Config.validate config;
   let ring = Config.comp_ring_size config in
   (* Each kernel allocates only its own machinery: the scan kernel the
@@ -141,15 +133,14 @@ let create_feed ?(kernel = Event) config feed =
   {
     config;
     kernel;
-    feed;
+    len = packed.Packed.len;
+    tag = packed.Packed.tag;
+    pc = packed.Packed.pc;
+    mem = packed.Packed.mem;
+    ctrl = packed.Packed.ctrl;
+    dep_off = packed.Packed.dep_off;
+    dep_val = packed.Packed.dep_val;
     slot_mask = ring - 1;
-    op = Array.make ring 0;
-    pc = Array.make ring 0;
-    mem = Array.make ring (-1);
-    taken = Array.make ring false;
-    deps = Array.make ring (match feed with Packed p -> p.Packed.dep_val | Thunk _ -> [||]);
-    dep_lo = Array.make ring 0;
-    dep_n = Array.make ring 0;
     cluster = Array.make ring 0;
     pipe_at = Array.make ring 0;
     comp_idx = Array.make ring (-1);
@@ -159,7 +150,6 @@ let create_feed ?(kernel = Event) config feed =
     last_fetched = -1;
     pipe_capacity =
       (config.Config.width * config.Config.pipeline_depth) + config.Config.fetch_buffer;
-    pending = -1;
     fetch_stall_until = 0;
     blocking_branch = -1;
     last_line = -1;
@@ -211,40 +201,6 @@ let create_feed ?(kernel = Event) config feed =
     occupancy_rob_sum = 0;
   }
 
-let create ?kernel config next_instr = create_feed ?kernel config (Thunk next_instr)
-let create_packed ?kernel config packed = create_feed ?kernel config (Packed packed)
-
-(* Decode instruction [idx] into its slot. The packed path reads the
-   columns in place; the thunk path keeps the instruction's own
-   dependence array. Both decode identical field values, so the
-   simulated machine is bit-identical either way. *)
-let decode t idx =
-  let s = idx land t.slot_mask in
-  match t.feed with
-  | Thunk next ->
-      let i = next () in
-      Fom_check.Checker.ensure ~code:"FOM-T133" ~path:"machine.feed" (i.Instr.index = idx)
-        "thunk feed must yield consecutive dynamic indices from 0";
-      t.op.(s) <- Opclass.to_int i.Instr.opclass;
-      t.pc.(s) <- i.Instr.pc;
-      t.mem.(s) <- (match i.Instr.mem with Some addr -> addr | None -> -1);
-      t.taken.(s) <- (match i.Instr.ctrl with Some c -> c.Instr.taken | None -> false);
-      t.deps.(s) <- i.Instr.deps;
-      t.dep_lo.(s) <- 0;
-      t.dep_n.(s) <- Array.length i.Instr.deps
-  | Packed packed ->
-      Fom_check.Checker.ensure ~code:"FOM-T132" ~path:"machine.feed"
-        (idx < packed.Packed.len)
-        "packed trace exhausted before the run retired its target";
-      let ctrl = packed.Packed.ctrl.(idx) in
-      let dep_lo = packed.Packed.dep_off.(idx) in
-      t.op.(s) <- packed.Packed.tag.(idx);
-      t.pc.(s) <- packed.Packed.pc.(idx);
-      t.mem.(s) <- packed.Packed.mem.(idx);
-      t.taken.(s) <- ctrl >= 0 && ctrl land 1 = 1;
-      t.dep_lo.(s) <- dep_lo;
-      t.dep_n.(s) <- packed.Packed.dep_off.(idx + 1) - dep_lo
-
 let completed t idx =
   let s = idx land t.slot_mask in
   t.comp_idx.(s) = idx && t.comp_time.(s) <= t.cycle
@@ -260,12 +216,11 @@ let dep_complete t ~cluster d =
   let bypass = if t.cluster.(s) = cluster then 0 else 1 in
   t.comp_time.(s) + bypass <= t.cycle
 
-let deps_ready t s =
-  let deps = t.deps.(s) in
-  let cluster = t.cluster.(s) in
-  let k = ref t.dep_lo.(s) in
-  let hi = !k + t.dep_n.(s) in
-  while !k < hi && dep_complete t ~cluster deps.(!k) do
+let deps_ready t idx =
+  let cluster = t.cluster.(idx land t.slot_mask) in
+  let k = ref t.dep_off.(idx) in
+  let hi = t.dep_off.(idx + 1) in
+  while !k < hi && dep_complete t ~cluster t.dep_val.(!k) do
     incr k
   done;
   !k >= hi
@@ -319,11 +274,11 @@ let translate t addr ~count =
         t.walk_latency
       end
 
-let issue_latency t idx s =
-  let op = t.op.(s) in
+let issue_latency t idx =
+  let op = t.tag.(idx) in
   let lat = t.latency.(op) in
   if op = load_tag then begin
-    let addr = t.mem.(s) in
+    let addr = t.mem.(idx) in
     let walk = translate t addr ~count:true in
     let outcome = Hierarchy.access_data t.hierarchy addr in
     let cache_lat = Hierarchy.data_latency t.hierarchy outcome in
@@ -345,28 +300,28 @@ let issue_latency t idx s =
     (* Stores update the TLB and cache for residency but never block:
        a write buffer absorbs them (the paper models data-cache
        penalties through loads only). *)
-    let addr = t.mem.(s) in
+    let addr = t.mem.(idx) in
     ignore (translate t addr ~count:false);
     ignore (Hierarchy.access_data t.hierarchy addr);
     lat
   end
   else lat
 
-let fu_available t s =
+let fu_available t idx =
   t.fu_unbounded
   ||
-  let op = t.op.(s) in
+  let op = t.tag.(idx) in
   t.fu_busy.(op) < t.fu_limit.(op)
 
 (* The bookkeeping shared by both kernels when instruction [idx] issues
    this cycle; [issued_before] is how many issued earlier this cycle. *)
 let issue_instr t idx ~issued_before =
   let s = idx land t.slot_mask in
-  let op = t.op.(s) and c = t.cluster.(s) in
+  let op = t.tag.(idx) and c = t.cluster.(s) in
   if not t.fu_unbounded then t.fu_busy.(op) <- t.fu_busy.(op) + 1;
   t.cluster_issued.(c) <- t.cluster_issued.(c) + 1;
   t.cluster_counts.(c) <- t.cluster_counts.(c) - 1;
-  let complete = t.cycle + issue_latency t idx s in
+  let complete = t.cycle + issue_latency t idx in
   t.comp_idx.(s) <- idx;
   t.comp_time.(s) <- complete;
   if idx = t.blocking_branch then
@@ -397,7 +352,7 @@ let issue_scan t =
     let s = idx land t.slot_mask in
     if
       (unbounded || (!issued < width && t.cluster_issued.(t.cluster.(s)) < cluster_width))
-      && fu_available t s && deps_ready t s
+      && fu_available t idx && deps_ready t idx
     then begin
       issue_instr t idx ~issued_before:!issued;
       incr issued
@@ -474,13 +429,12 @@ let book_wakeup t idx ~at =
    instruction surfaces. *)
 let place t idx ~floor =
   let s = idx land t.slot_mask in
-  let deps = t.deps.(s) in
-  let k = ref t.dep_lo.(s) in
-  let hi = !k + t.dep_n.(s) in
+  let k = ref t.dep_off.(idx) in
+  let hi = t.dep_off.(idx + 1) in
   let at = ref floor in
   let parked = ref false in
   while (not !parked) && !k < hi do
-    let d = deps.(!k) in
+    let d = t.dep_val.(!k) in
     (if d > t.last_retired then
        let ds = d land t.slot_mask in
        if t.comp_idx.(ds) = d then begin
@@ -529,8 +483,8 @@ let issue_event t =
     else begin
       let idx = heap_pop t in
       let s = idx land t.slot_mask in
-      if not (deps_ready t s) then place t idx ~floor:(t.cycle + 1)
-      else if (unbounded || t.cluster_issued.(t.cluster.(s)) < cluster_width) && fu_available t s
+      if not (deps_ready t idx) then place t idx ~floor:(t.cycle + 1)
+      else if (unbounded || t.cluster_issued.(t.cluster.(s)) < cluster_width) && fu_available t idx
       then begin
         issue_instr t idx ~issued_before:!issued;
         incr issued;
@@ -622,9 +576,9 @@ let fetch t =
       && t.last_fetched - t.last_dispatched < t.pipe_capacity
     do
       let idx = t.last_fetched + 1 in
-      if t.pending >= 0 then t.pending <- -1 else decode t idx;
-      let s = idx land t.slot_mask in
-      let pc = t.pc.(s) in
+      Fom_check.Checker.ensure ~code:"FOM-T132" ~path:"machine.trace" (idx < t.len)
+        "packed trace exhausted before the run retired its target";
+      let pc = t.pc.(idx) in
       let line = pc land t.l1i_line_mask in
       let icache_ok =
         if line = t.last_line then true
@@ -637,7 +591,6 @@ let fetch t =
               if long_misses_outstanding t > 0 then
                 t.imiss_under_long <- t.imiss_under_long + 1;
               t.fetch_stall_until <- t.cycle + Hierarchy.inst_stall t.hierarchy outcome;
-              t.pending <- idx;
               (* The line is now resident: do not re-probe when the
                  stalled instruction is finally fetched. *)
               false
@@ -645,11 +598,12 @@ let fetch t =
       in
       if not icache_ok then stopped := true
       else begin
-        t.pipe_at.(s) <- t.cycle + t.config.Config.pipeline_depth;
+        t.pipe_at.(idx land t.slot_mask) <- t.cycle + t.config.Config.pipeline_depth;
         t.last_fetched <- idx;
         incr fetched;
-        if t.op.(s) = branch_tag then begin
-          let correct = Predictor.observe t.predictor ~pc ~taken:t.taken.(s) in
+        if t.tag.(idx) = branch_tag then begin
+          let taken = t.ctrl.(idx) >= 0 && t.ctrl.(idx) land 1 = 1 in
+          let correct = Predictor.observe t.predictor ~pc ~taken in
           if not correct then begin
             t.mispredictions <- t.mispredictions + 1;
             if long_misses_outstanding t > 0 then

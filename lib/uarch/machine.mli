@@ -17,8 +17,9 @@
     with oldest-first issue they never displace useful issue slots
     (paper, Section 4.1).
 
-    The paper's five Figure 2 configurations are obtained purely by
-    idealizing caches/predictor in the {!Config.t}. *)
+    The trace enters as a {!Fom_trace.Packed.t}: pack first, then
+    replay. The paper's five Figure 2 configurations are obtained
+    purely by idealizing caches/predictor in the {!Config.t}. *)
 
 type t
 
@@ -33,20 +34,15 @@ type kernel =
     O(instructions woken) instead of O(window) — and is property-tested
     to produce statistics identical to [Scan] on every run. *)
 
-val create : ?kernel:kernel -> Config.t -> (unit -> Fom_isa.Instr.t) -> t
-(** [create config next] builds a machine pulling instructions from
-    [next] (typically [Fom_trace.Stream.next]), whose dynamic indices
-    must run 0, 1, 2, ... ([FOM-T133] otherwise). [kernel] selects the
-    issue-stage implementation (default [Event]). *)
-
-val create_packed : ?kernel:kernel -> Config.t -> Fom_trace.Packed.t -> t
-(** [create_packed config packed] builds a machine fed directly from a
-    packed trace's columns, starting at dynamic index 0. No
-    {!Fom_isa.Instr.t} is materialized per instruction, which removes
-    the replay path's allocation churn; the decoded fields are
-    identical to the thunk path's, so the simulated statistics are
-    bit-identical to [create] over the same trace. Raises [FOM-T132]
-    if the packing is exhausted before {!run} retires its target. *)
+val create : ?kernel:kernel -> Config.t -> Fom_trace.Packed.t -> t
+(** [create config packed] builds a machine replaying a packed trace
+    from dynamic index 0. Each instruction's fields are read where the
+    packing keeps them, by dynamic index; nothing is decoded or
+    allocated per instruction. The packing must cover every
+    instruction the machine fetches — [n] plus {!Config.inflight_span}
+    for a run to [n] retirements — or fetch raises [FOM-T132].
+    [kernel] selects the issue-stage implementation (default
+    [Event]). *)
 
 exception Cycle_limit_exceeded
 (** Raised when the simulation exceeds its cycle budget — a deadlock

@@ -1,15 +1,13 @@
-let run_source ?kernel config source ~n =
-  let machine = Machine.create ?kernel config (Fom_trace.Source.fresh source) in
-  Machine.run machine ~n
+let run_packed ?kernel config packed ~n = Machine.run (Machine.create ?kernel config packed) ~n
 
-let run_packed ?kernel config packed ~n =
-  let machine = Machine.create_packed ?kernel config packed in
-  Machine.run machine ~n
+let run_source ?kernel config source ~n =
+  (* Validate before sizing the packing from the configuration. *)
+  Config.validate config;
+  let packed = Fom_trace.Packed.of_source source ~n:(n + Config.inflight_span config) in
+  run_packed ?kernel config packed ~n
 
 let run ?kernel config program ~n =
   run_source ?kernel config (Fom_trace.Source.of_program program) ~n
-
-let run_config config workload ~n = run config (Fom_trace.Program.generate workload) ~n
 
 type event_penalty = { events : int; penalty_per_event : float }
 

@@ -5,18 +5,17 @@ val run : ?kernel:Machine.kernel -> Config.t -> Fom_trace.Program.t -> n:int -> 
     [kernel] selects the issue-stage implementation (see
     {!Machine.kernel}; default [Event]). *)
 
-val run_config : Config.t -> Fom_trace.Config.t -> n:int -> Stats.t
-(** Generate the program from a workload config, then {!run}. *)
-
 val run_source : ?kernel:Machine.kernel -> Config.t -> Fom_trace.Source.t -> n:int -> Stats.t
-(** {!run} over any replayable source (e.g. an imported trace). *)
+(** {!run} over any replayable source (e.g. an imported trace): packs
+    the first [n + ]{!Config.inflight_span}[ config] instructions, then
+    replays them with {!run_packed}. *)
 
 val run_packed : ?kernel:Machine.kernel -> Config.t -> Fom_trace.Packed.t -> n:int -> Stats.t
-(** {!run} fed directly from packed columns (see
-    {!Machine.create_packed}) — the fastest replay path, bit-identical
-    to {!run} over the same trace. The packing must cover at least the
-    instructions the machine fetches: [n] plus the in-flight span
-    ({!Config.inflight_span}). *)
+(** {!run} over an existing packing (see {!Machine.create}), so one
+    packed trace can serve many configurations. The packing must cover
+    every instruction the machine fetches: [n] plus the in-flight span
+    ({!Config.inflight_span}), which bounds how far fetch runs ahead of
+    retirement, including the last cycle's retire overshoot. *)
 
 type event_penalty = {
   events : int;  (** miss-events of the isolated kind *)

@@ -229,11 +229,12 @@ let test_of_instrs_codes () =
     Fom_isa.Instr.make ~index:1 ~pc:0x1000 ~opclass:Fom_isa.Opclass.Alu ()
   in
   expect_invalid "T110 order" "FOM-T110" (fun () -> Fom_trace.Source.of_instrs [| i0 |]);
-  (* The machine's ROB and pipe are index ranges: a thunk feed that
-     does not number its instructions from 0 is rejected. *)
-  expect_invalid "T133 feed order" "FOM-T133" (fun () ->
-      Fom_uarch.Machine.run
-        (Fom_uarch.Machine.create Fom_uarch.Config.baseline (fun () -> i0))
+  (* Packing reads a source in dynamic index order (the simulators
+     index its columns by it): a source that does not number its
+     instructions from 0 is rejected. *)
+  expect_invalid "T130 packing order" "FOM-T130" (fun () ->
+      Fom_trace.Packed.of_source
+        (Fom_trace.Source.of_factory ~label:"misnumbered" (fun () () -> i0))
         ~n:1)
 
 (* --- instruction structure (FOM-T12x, FOM-U) ------------------------- *)

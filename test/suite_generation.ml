@@ -73,6 +73,8 @@ let test_generation_allocation_per_instr () =
       let packed = Packed.of_source (Source.of_program p) ~n in
       per_instr ("Profile.run_packed " ^ name) ~bound:1.0 (fun () ->
           ignore (Profile.run_packed packed ~n));
+      per_instr ("Iw_sim.ipc " ^ name) ~bound:1.0 (fun () ->
+          ignore (Fom_analysis.Iw_sim.ipc p ~window:32 ~n));
       let stream = Stream.create p in
       per_instr ("Stream.next " ^ name) ~bound:40.0 (fun () ->
           for _ = 1 to n do

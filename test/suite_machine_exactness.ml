@@ -12,21 +12,11 @@ module Predictor = Fom_branch.Predictor
 
 let ideal = Config.ideal Config.baseline
 
-(* Build a thunk over a generator function from index to instruction. *)
-let trace_of gen =
-  let counter = ref 0 in
-  fun () ->
-    let index = !counter in
-    incr counter;
-    gen index
-
 let alu ?pc ?(deps = [||]) index =
   let pc = Option.value pc ~default:(0x400000 + (4 * index)) in
   Instr.make ~index ~pc ~opclass:Opclass.Alu ~dst:(Reg.of_int ((index mod 31) + 1)) ~deps ()
 
-let run_cycles config gen ~n =
-  let machine = Machine.create config (trace_of gen) in
-  (Machine.run machine ~n).Stats.cycles
+let run_cycles config gen ~n = (Hand_trace.run config gen ~n).Stats.cycles
 
 let test_pipeline_fill_latency () =
   (* The very first instruction retires after fetch (cycle 0), the
@@ -75,10 +65,7 @@ let test_branch_mispredict_penalty_exact () =
     else alu index
   in
   let config = Config.with_predictor Predictor.Always_taken ideal in
-  let with_misp =
-    let machine = Machine.create config (trace_of gen) in
-    Machine.run machine ~n:6000
-  in
+  let with_misp = Hand_trace.run config gen ~n:6000 in
   Alcotest.(check int) "exactly one misprediction" 1 with_misp.Stats.branch_mispredictions;
   let base = run_cycles ideal alu ~n:6000 in
   let penalty = with_misp.Stats.cycles - base in
@@ -96,8 +83,7 @@ let test_icache_miss_stall_exact () =
      fill delay once per line. Two lines of instructions: one cold
      miss each. *)
   let config = Config.with_cache Hierarchy.ideal_except_l1i ideal in
-  let machine = Machine.create config (trace_of alu) in
-  let stats = Machine.run machine ~n:64 in
+  let stats = Hand_trace.run config alu ~n:64 in
   (* 64 sequential instructions, 4 bytes each = 2 lines of 128B: two
      cold misses stall the fetch of retired work (fetch-ahead may
      touch the third line without delaying retirement). *)
@@ -116,8 +102,7 @@ let test_long_miss_blocks_retirement () =
     else alu index
   in
   let config = Config.with_cache Hierarchy.fig14 ideal in
-  let machine = Machine.create config (trace_of gen) in
-  let stats = Machine.run machine ~n:128 in
+  let stats = Hand_trace.run config gen ~n:128 in
   (* The load issues early and waits 200 cycles; the 127 younger
      instructions fill the ROB and retire only after it. *)
   Alcotest.(check int) "one long miss" 1 stats.Stats.long_data_misses;
@@ -145,8 +130,7 @@ let test_store_misses_do_not_block () =
   Alcotest.(check bool) "store misses free" true (stores < base + 20)
 
 let test_window_stat_bounded () =
-  let machine = Machine.create Config.baseline (trace_of alu) in
-  let stats = Machine.run machine ~n:10000 in
+  let stats = Hand_trace.run Config.baseline alu ~n:10000 in
   Alcotest.(check bool) "window occupancy within size" true
     (stats.Stats.mean_window_occupancy <= 48.0);
   Alcotest.(check bool) "rob occupancy within size" true
@@ -192,55 +176,72 @@ let prop_event_kernel_matches_scan =
       let run kernel = Fom_uarch.Simulate.run ~kernel config program ~n in
       run Machine.Scan = run Machine.Event)
 
-let prop_packed_feed_matches_thunk =
-  (* The packed feed decodes the same field values the thunk feed
-     does, so a packed-fed machine must produce bit-identical full
-     statistics — both kernels, across every feature that reads the
-     decoded fields: real and ideal caches, clusters, fetch buffer, FU
-     limits, dTLB and unbounded issue. *)
-  QCheck.Test.make ~name:"packed feed matches thunk feed exactly" ~count:35
-    QCheck.(triple (int_range 0 11) (int_bound 10_000) (int_range 0 6))
-    (fun (workload, seed, variant) ->
-      let spec =
-        Fom_workloads.Spec2000.with_seed seed
-          (List.nth Fom_workloads.Spec2000.all workload)
+(* Packing exactly [n + inflight_span] instructions must be enough for
+   a run to [n] retirements: replaying a longer packing of the same
+   trace gives identical full statistics, at widths 2, 4 and 8 under
+   both kernels. A short span makes the exact packing run dry at fetch
+   ([FOM-T132]) on wide machines, whose last cycle retires up to
+   [width - 1] past the target. *)
+let packing_length_invariant (workload, seed, variant, shape) =
+  let spec =
+    Fom_workloads.Spec2000.with_seed seed (List.nth Fom_workloads.Spec2000.all workload)
+  in
+  let source = Fom_trace.Source.of_program (Fom_trace.Program.generate spec) in
+  let n = 3000 in
+  let long = Fom_trace.Packed.of_source source ~n:(n + 8192) in
+  List.for_all
+    (fun width ->
+      let base =
+        {
+          Config.baseline with
+          Config.width;
+          pipeline_depth = 3 + (shape mod 4);
+          window_size = [| 16; 32; 48 |].(shape mod 3);
+          rob_size = 96 + (32 * (shape mod 3));
+        }
       in
-      let program = Fom_trace.Program.generate spec in
       let config =
         match variant with
-        | 0 -> ideal
-        | 1 -> Config.baseline
-        | 2 -> Config.with_clusters 2 Config.baseline
-        | 3 -> Config.with_fetch_buffer 16 ideal
+        | 0 -> Config.ideal base
+        | 1 -> base
+        | 2 -> Config.with_clusters 2 base
+        | 3 -> Config.with_fu_limits (Fom_isa.Fu_set.make ~alu:2 ~load:1 ~mul:1 ()) base
         | 4 ->
-            Config.with_fu_limits
-              (Fom_isa.Fu_set.make ~alu:1 ~load:1 ~store:1 ())
-              Config.baseline
-        | 5 ->
-            Config.with_dtlb
-              { Fom_cache.Tlb.entries = 16; page_bits = 13; walk_latency = 30 }
-              Config.baseline
-        | _ -> { Config.baseline with Config.unbounded_issue = true }
+            Config.with_fetch_buffer 16
+              (Config.with_dtlb
+                 { Fom_cache.Tlb.entries = 16; page_bits = 13; walk_latency = 30 }
+                 base)
+        | _ -> { (Config.ideal base) with Config.unbounded_issue = true }
       in
-      let n = 3000 in
-      let packed =
-        Fom_trace.Packed.of_source
-          (Fom_trace.Source.of_program program)
-          ~n:(n + Config.inflight_span config)
-      in
-      let check kernel =
-        Fom_uarch.Simulate.run ~kernel config program ~n
-        = Fom_uarch.Simulate.run_packed ~kernel config packed ~n
-      in
-      check Machine.Event && check Machine.Scan)
+      let exact = Fom_trace.Packed.of_source source ~n:(n + Config.inflight_span config) in
+      List.for_all
+        (fun kernel ->
+          Fom_uarch.Simulate.run_packed ~kernel config exact ~n
+          = Fom_uarch.Simulate.run_packed ~kernel config long ~n)
+        [ Machine.Event; Machine.Scan ])
+    [ 2; 4; 8 ]
+
+let prop_packing_length_does_not_change_results =
+  QCheck.Test.make ~name:"packing length does not change results" ~count:20
+    QCheck.(quad (int_range 0 11) (int_bound 10_000) (int_range 0 5) (int_bound 10_000))
+    packing_length_invariant
+
+let test_packing_margin_wide_machines () =
+  (* Draws of the property above whose width-8 machines retire past
+     the target in the last cycle. *)
+  List.iter
+    (fun ((workload, seed, variant, shape) as case) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "workload %d seed %d variant %d shape %d" workload seed variant shape)
+        true (packing_length_invariant case))
+    [ (3, 316, 1, 11); (4, 541, 1, 2); (5, 655, 0, 2); (10, 7148, 0, 8) ]
 
 let test_resumable_runs_compose () =
   (* Two runs of n/2 equal one run of n on the same machine. *)
-  let m1 = Machine.create ideal (trace_of alu) in
-  let _ = Machine.run m1 ~n:500 in
-  let second = Machine.run m1 ~n:500 in
-  let m2 = Machine.create ideal (trace_of alu) in
-  let full = Machine.run m2 ~n:1000 in
+  let m1 = Hand_trace.machine ideal alu ~n:1000 in
+  let first = Machine.run m1 ~n:500 in
+  let second = Machine.run m1 ~n:(1000 - first.Stats.instructions) in
+  let full = Hand_trace.run ideal alu ~n:1000 in
   Alcotest.(check int) "same total cycles" full.Stats.cycles second.Stats.cycles;
   Alcotest.(check bool) "at least 1000 retired" true (second.Stats.instructions >= 1000)
 
@@ -260,10 +261,10 @@ let test_resumable_packed_runs_compose () =
       in
       List.iter
         (fun kernel ->
-          let resumed = Machine.create_packed ~kernel config packed in
+          let resumed = Machine.create ~kernel config packed in
           let first = Machine.run resumed ~n:2500 in
           let second = Machine.run resumed ~n:(n - first.Stats.instructions) in
-          let full = Machine.run (Machine.create_packed ~kernel config packed) ~n in
+          let full = Machine.run (Machine.create ~kernel config packed) ~n in
           Alcotest.(check bool) (name ^ ": resumed run equals one run") true (second = full))
         [ Machine.Event; Machine.Scan ])
     [
@@ -277,11 +278,20 @@ let test_resumable_packed_runs_compose () =
 
 let test_packed_run_allocation_free () =
   (* The detailed simulator keeps its in-flight state in preallocated
-     columns, so a packed-fed run allocates nothing per instruction or
-     per cycle. Counting minor words is deterministic on one domain,
-     which makes this an exact gate: at most 2 words per instruction
-     over the whole run, machine creation included. *)
+     columns, so a packed run allocates nothing per instruction or per
+     cycle. Counting minor words is deterministic on one domain, which
+     makes this an exact gate: at most 2 words per instruction over the
+     whole run, machine creation included — and for [Simulate.run],
+     packing included. *)
   let n = 20_000 in
+  let check label f =
+    let before = Gc.minor_words () in
+    let stats = f () in
+    let per_instr = (Gc.minor_words () -. before) /. float_of_int stats.Stats.instructions in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %.3f minor words per instruction <= 2" label per_instr)
+      true (per_instr <= 2.0)
+  in
   List.iter
     (fun name ->
       let program = Fom_trace.Program.generate (Fom_workloads.Spec2000.find name) in
@@ -292,15 +302,10 @@ let test_packed_run_allocation_free () =
               (Fom_trace.Source.of_program program)
               ~n:(n + Config.inflight_span config)
           in
-          let before = Gc.minor_words () in
-          let stats = Fom_uarch.Simulate.run_packed ~kernel:Machine.Event config packed ~n in
-          let per_instr =
-            (Gc.minor_words () -. before) /. float_of_int stats.Stats.instructions
-          in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s/%s: %.3f minor words per instruction <= 2" name label
-               per_instr)
-            true (per_instr <= 2.0))
+          check (name ^ "/" ^ label ^ " run_packed") (fun () ->
+              Fom_uarch.Simulate.run_packed config packed ~n);
+          check (name ^ "/" ^ label ^ " run") (fun () ->
+              Fom_uarch.Simulate.run config program ~n))
         [ ("ideal", ideal); ("baseline", Config.baseline) ])
     [ "gzip"; "mcf" ]
 
@@ -322,5 +327,7 @@ let suite =
         test_resumable_packed_runs_compose;
       Alcotest.test_case "packed run allocation-free" `Quick test_packed_run_allocation_free;
       QCheck_alcotest.to_alcotest prop_event_kernel_matches_scan;
-      QCheck_alcotest.to_alcotest prop_packed_feed_matches_thunk;
+      Alcotest.test_case "packing margin covers wide machines" `Quick
+        test_packing_margin_wide_machines;
+      QCheck_alcotest.to_alcotest prop_packing_length_does_not_change_results;
     ] )

@@ -2,7 +2,6 @@
    directional responses to each miss-event knob. *)
 
 module Config = Fom_uarch.Config
-module Machine = Fom_uarch.Machine
 module Stats = Fom_uarch.Stats
 module Simulate = Fom_uarch.Simulate
 module Hierarchy = Fom_cache.Hierarchy
@@ -14,21 +13,6 @@ module Reg = Fom_isa.Reg
 let gzip_program = lazy (Fom_trace.Program.generate (Fom_workloads.Spec2000.find "gzip"))
 let mcf_program = lazy (Fom_trace.Program.generate (Fom_workloads.Spec2000.find "mcf"))
 
-(* A hand-built trace: a thunk serving instructions from a list, then
-   endless independent ALU filler. *)
-let of_list instrs =
-  let remaining = ref instrs in
-  let counter = ref (List.length instrs) in
-  fun () ->
-    match !remaining with
-    | i :: rest ->
-        remaining := rest;
-        i
-    | [] ->
-        let index = !counter in
-        incr counter;
-        Instr.make ~index ~pc:0x400000 ~opclass:Opclass.Alu ~dst:(Reg.of_int 1) ()
-
 let alu ~index ?(deps = [||]) () =
   Instr.make ~index ~pc:(0x400000 + (4 * index)) ~opclass:Opclass.Alu
     ~dst:(Reg.of_int ((index mod 31) + 1)) ~deps ()
@@ -37,35 +21,25 @@ let ideal_config = Config.ideal Config.baseline
 
 let test_empty_chain_throughput () =
   (* Independent ALU instructions retire at full width. *)
-  let machine = Machine.create ideal_config (of_list []) in
-  let stats = Machine.run machine ~n:10000 in
+  let filler index = Instr.make ~index ~pc:0x400000 ~opclass:Opclass.Alu ~dst:(Reg.of_int 1) () in
+  let stats = Hand_trace.run ideal_config filler ~n:10000 in
   Alcotest.(check bool) "ipc near width" true (Stats.ipc stats > 3.5)
 
 let test_serial_chain_throughput () =
   (* A pure dependence chain cannot exceed IPC 1. *)
-  let counter = ref 0 in
-  let next () =
-    let index = !counter in
-    incr counter;
-    alu ~index ~deps:(if index = 0 then [||] else [| index - 1 |]) ()
-  in
-  let machine = Machine.create ideal_config next in
-  let stats = Machine.run machine ~n:5000 in
+  let chain index = alu ~index ~deps:(if index = 0 then [||] else [| index - 1 |]) () in
+  let stats = Hand_trace.run ideal_config chain ~n:5000 in
   Alcotest.(check bool) "ipc at most 1" true (Stats.ipc stats <= 1.01);
   Alcotest.(check bool) "ipc near 1" true (Stats.ipc stats > 0.9)
 
 let test_latency_respected () =
   (* A chain of div (latency 12) instructions: IPC about 1/12. *)
-  let counter = ref 0 in
-  let next () =
-    let index = !counter in
-    incr counter;
+  let chain index =
     Instr.make ~index ~pc:0x400000 ~opclass:Opclass.Div ~dst:(Reg.of_int 1)
       ~deps:(if index = 0 then [||] else [| index - 1 |])
       ()
   in
-  let machine = Machine.create ideal_config next in
-  let stats = Machine.run machine ~n:500 in
+  let stats = Hand_trace.run ideal_config chain ~n:500 in
   Alcotest.(check (float 0.1)) "cpi 12" 12.0 (Stats.cpi stats)
 
 let test_ideal_no_events () =
@@ -139,21 +113,13 @@ let test_isolated_long_miss_penalty () =
      by about the memory latency (the paper's isolated-miss analysis:
      penalty about delta_D when the load is old). *)
   let mem_latency = 200 in
-  let make_trace ~miss =
-    let counter = ref 0 in
-    fun () ->
-      let index = !counter in
-      incr counter;
-      if miss && index = 1000 then
-        Instr.make ~index ~pc:0x400000 ~opclass:Opclass.Load ~dst:(Reg.of_int 1)
-          ~mem:0xDEAD000 ()
-      else alu ~index ()
+  let make_trace ~miss index =
+    if miss && index = 1000 then
+      Instr.make ~index ~pc:0x400000 ~opclass:Opclass.Load ~dst:(Reg.of_int 1) ~mem:0xDEAD000 ()
+    else alu ~index ()
   in
   let config = Config.with_cache Hierarchy.fig14 ideal_config in
-  let run miss =
-    let machine = Machine.create config (make_trace ~miss) in
-    (Machine.run machine ~n:20000).Stats.cycles
-  in
+  let run miss = (Hand_trace.run config (make_trace ~miss) ~n:20000).Stats.cycles in
   let penalty = run true - run false in
   Alcotest.(check bool)
     (Printf.sprintf "penalty %d near %d" penalty mem_latency)
@@ -163,22 +129,15 @@ let test_isolated_long_miss_penalty () =
 let test_overlapping_long_misses_share_penalty () =
   (* Two independent long-miss loads within a ROB of each other cost
      about one isolated penalty in total (paper eq. 7). *)
-  let make_trace ~misses =
-    let counter = ref 0 in
-    fun () ->
-      let index = !counter in
-      incr counter;
-      if List.mem index misses then
-        Instr.make ~index ~pc:0x400000 ~opclass:Opclass.Load ~dst:(Reg.of_int 1)
-          ~mem:(0xDEAD000 + (index * 0x100000))
-          ()
-      else alu ~index ()
+  let make_trace ~misses index =
+    if List.mem index misses then
+      Instr.make ~index ~pc:0x400000 ~opclass:Opclass.Load ~dst:(Reg.of_int 1)
+        ~mem:(0xDEAD000 + (index * 0x100000))
+        ()
+    else alu ~index ()
   in
   let config = Config.with_cache Hierarchy.fig14 ideal_config in
-  let run misses =
-    let machine = Machine.create config (make_trace ~misses) in
-    (Machine.run machine ~n:20000).Stats.cycles
-  in
+  let run misses = (Hand_trace.run config (make_trace ~misses) ~n:20000).Stats.cycles in
   let base = run [] in
   let one = run [ 1000 ] - base in
   let two = run [ 1000; 1040 ] - base in
@@ -188,22 +147,15 @@ let test_overlapping_long_misses_share_penalty () =
     (float_of_int two < 1.3 *. float_of_int one)
 
 let test_far_apart_misses_add () =
-  let make_trace ~misses =
-    let counter = ref 0 in
-    fun () ->
-      let index = !counter in
-      incr counter;
-      if List.mem index misses then
-        Instr.make ~index ~pc:0x400000 ~opclass:Opclass.Load ~dst:(Reg.of_int 1)
-          ~mem:(0xDEAD000 + (index * 0x100000))
-          ()
-      else alu ~index ()
+  let make_trace ~misses index =
+    if List.mem index misses then
+      Instr.make ~index ~pc:0x400000 ~opclass:Opclass.Load ~dst:(Reg.of_int 1)
+        ~mem:(0xDEAD000 + (index * 0x100000))
+        ()
+    else alu ~index ()
   in
   let config = Config.with_cache Hierarchy.fig14 ideal_config in
-  let run misses =
-    let machine = Machine.create config (make_trace ~misses) in
-    (Machine.run machine ~n:20000).Stats.cycles
-  in
+  let run misses = (Hand_trace.run config (make_trace ~misses) ~n:20000).Stats.cycles in
   let base = run [] in
   let one = run [ 1000 ] - base in
   let two = run [ 1000; 8000 ] - base in
