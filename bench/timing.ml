@@ -21,9 +21,9 @@ let make_tests () =
       (Staged.stage (fun () ->
            ignore
              (Fom_trace.Packed.of_source (Fom_trace.Source.of_program program) ~n:10_000)));
-    (* The event-driven IW kernel over a pre-built packing — the inner
-       loop of every window sweep. *)
-    Test.make ~name:"iw event kernel (w=32, 2k instrs)"
+    (* The IW recurrence over a pre-built packing — the inner loop of
+       every window sweep. *)
+    Test.make ~name:"iw kernel (w=32, 2k instrs)"
       (Staged.stage
          (let packed =
             Fom_trace.Packed.of_source (Fom_trace.Source.of_program program) ~n:2100

@@ -31,8 +31,9 @@ let () =
       Printf.printf "loaded trace: %s\n\n" (Fom_trace.Source.label source);
 
       let params = Fom_model.Params.baseline in
+      let packed = Fom_trace.Packed.of_source source ~n:100_000 in
       let curve, profile, inputs =
-        Fom_analysis.Characterize.curve_and_inputs_of_source ~params source ~n:100_000
+        Fom_analysis.Characterize.curve_and_inputs_of_packed ~params packed ~n:100_000
       in
       Printf.printf "IW characteristic: I = %.2f * W^%.2f (r2 %.3f), mean latency %.2f\n"
         (Fom_analysis.Iw_curve.alpha curve)

@@ -17,9 +17,14 @@ let () =
   let params = Fom_model.Params.baseline in
 
   (* 3. Trace analysis: IW power law + functional miss profiling.
-     No cycle-level simulation is involved. *)
+     No cycle-level simulation is involved. The trace is packed once
+     into flat columns that both analyses replay; 100k instructions
+     cover the profile and the IW sweep (30k plus the largest window). *)
+  let packed =
+    Fom_trace.Packed.of_source (Fom_trace.Source.of_program program) ~n:100_000
+  in
   let curve, profile, inputs =
-    Fom_analysis.Characterize.curve_and_inputs ~params program ~n:100_000
+    Fom_analysis.Characterize.curve_and_inputs_of_packed ~params packed ~n:100_000
   in
   Printf.printf "workload %s: alpha %.2f, beta %.2f, mean latency %.2f\n"
     inputs.Fom_model.Inputs.name

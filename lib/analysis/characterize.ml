@@ -36,40 +36,25 @@ let curve_and_inputs_of_packed ?pool ?windows ?iw_instructions ?cache ?predictor
   in
   (curve, profile, assemble ~name:(Packed.label packed) ~n curve profile)
 
-let curve_and_inputs_of_source ?pool ?windows ?iw_instructions ?cache ?predictor ?latencies
-    ?grouping ?dtlb ~params source ~n =
+let inputs_of_source ?pool ?windows ?iw_instructions ?cache ?predictor ?latencies ?grouping
+    ?dtlb ~params source ~n =
   (* Pack the trace once, sized for whichever pass reads furthest: the
      profile's [n] or the IW sweep's instructions plus its largest
      window of fetch-ahead. Both passes then replay the same flat
      columns with no further decode of the underlying source. *)
   let iw_instructions = Option.value iw_instructions ~default:30_000 in
-  let windows = match windows with Some w -> w | None -> Iw_curve.default_windows in
+  let windows = Option.value windows ~default:Iw_curve.default_windows in
   let max_window = List.fold_left Stdlib.max 1 windows in
-  let packed =
-    Packed.of_source source ~n:(Stdlib.max n (iw_instructions + max_window))
+  let packed = Packed.of_source source ~n:(Stdlib.max n (iw_instructions + max_window)) in
+  let _, _, result =
+    curve_and_inputs_of_packed ?pool ~windows ~iw_instructions ?cache ?predictor ?latencies
+      ?grouping ?dtlb ~params packed ~n
   in
-  curve_and_inputs_of_packed ?pool ~windows ~iw_instructions ?cache ?predictor ?latencies
-    ?grouping ?dtlb ~params packed ~n
-
-let curve_and_inputs ?pool ?windows ?iw_instructions ?cache ?predictor ?latencies ?grouping
-    ?dtlb ~params program ~n =
-  curve_and_inputs_of_source ?pool ?windows ?iw_instructions ?cache ?predictor ?latencies
-    ?grouping ?dtlb ~params
-    (Fom_trace.Source.of_program program)
-    ~n
+  result
 
 let inputs ?pool ?windows ?iw_instructions ?cache ?predictor ?latencies ?grouping ?dtlb
     ~params program ~n =
-  let _, _, result =
-    curve_and_inputs ?pool ?windows ?iw_instructions ?cache ?predictor ?latencies ?grouping
-      ?dtlb ~params program ~n
-  in
-  result
-
-let inputs_of_source ?pool ?windows ?iw_instructions ?cache ?predictor ?latencies ?grouping
-    ?dtlb ~params source ~n =
-  let _, _, result =
-    curve_and_inputs_of_source ?pool ?windows ?iw_instructions ?cache ?predictor ?latencies
-      ?grouping ?dtlb ~params source ~n
-  in
-  result
+  inputs_of_source ?pool ?windows ?iw_instructions ?cache ?predictor ?latencies ?grouping
+    ?dtlb ~params
+    (Fom_trace.Source.of_program program)
+    ~n

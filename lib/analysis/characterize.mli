@@ -36,34 +36,9 @@ val inputs_of_source :
   Fom_trace.Source.t -> n:int -> Fom_model.Inputs.t
 (** {!inputs} over any replayable source — the bring-your-own-trace
     path: characterize an imported trace and model it without any
-    synthetic generation. *)
-
-val curve_and_inputs :
-  ?pool:Fom_exec.Pool.t ->
-  ?windows:int list -> ?iw_instructions:int ->
-  ?cache:Fom_cache.Hierarchy.config ->
-  ?predictor:Fom_branch.Predictor.spec ->
-  ?latencies:Fom_isa.Latency.t ->
-  ?grouping:Profile.grouping ->
-  ?dtlb:Fom_cache.Tlb.spec ->
-  params:Fom_model.Params.t ->
-  Fom_trace.Program.t -> n:int -> Iw_curve.t * Profile.t * Fom_model.Inputs.t
-(** Like {!inputs} but also returns the raw curve and profile, for
-    harnesses that print them (Table 1, Figures 4–5). *)
-
-val curve_and_inputs_of_source :
-  ?pool:Fom_exec.Pool.t ->
-  ?windows:int list -> ?iw_instructions:int ->
-  ?cache:Fom_cache.Hierarchy.config ->
-  ?predictor:Fom_branch.Predictor.spec ->
-  ?latencies:Fom_isa.Latency.t ->
-  ?grouping:Profile.grouping ->
-  ?dtlb:Fom_cache.Tlb.spec ->
-  params:Fom_model.Params.t ->
-  Fom_trace.Source.t -> n:int -> Iw_curve.t * Profile.t * Fom_model.Inputs.t
-(** {!curve_and_inputs} over any replayable source. The source is
-    packed once ({!Fom_trace.Packed}) and both passes — the IW sweep
-    and the functional profile — replay the packed columns. *)
+    synthetic generation. The source is packed once
+    ({!Fom_trace.Packed}) and both passes — the IW sweep and the
+    functional profile — replay the packed columns. *)
 
 val curve_and_inputs_of_packed :
   ?pool:Fom_exec.Pool.t ->
@@ -75,8 +50,9 @@ val curve_and_inputs_of_packed :
   ?dtlb:Fom_cache.Tlb.spec ->
   params:Fom_model.Params.t ->
   Fom_trace.Packed.t -> n:int -> Iw_curve.t * Profile.t * Fom_model.Inputs.t
-(** {!curve_and_inputs} over an already-packed trace — for callers
-    (e.g. the bench harness) sharing one packing between
+(** Like {!inputs} but over an already-packed trace, and also
+    returning the raw curve and profile — for harnesses that print them
+    (Table 1, Figures 4–5) or share one packing between
     characterization and detailed simulation. The packing must cover
     the profile's [n] instructions ([FOM-I033]) and the IW sweep's
     needs (see {!Iw_curve.measure_packed}). *)

@@ -19,7 +19,7 @@ val measure :
     {!default_windows}, 30_000 instructions per point, unit latencies,
     unbounded issue — the implementation-independent curve.
 
-    Every sweep runs the event-driven {!Iw_sim.ipc_of_packed} kernel
+    Every sweep runs the {!Iw_sim.ipc_of_packed} recurrence kernel
     over a trace packed once ({!Fom_trace.Packed}) and shared by all
     points. [?pool] measures the window points in parallel (one task
     per window) over that same immutable packing, so the points — and

@@ -10,20 +10,28 @@
     simulation, not a detailed one — the distinction the paper leans
     on.
 
-    Two kernels compute the identical measurement. {!ipc_of_source} is
-    the reference: it keeps the window as an array and rescans it
-    every cycle (O(window) per cycle) — kept for its direct
-    correspondence to the paper's description and as the oracle the
-    fast kernel is property-tested against. {!ipc_of_packed} is the
-    production kernel: event-driven over a {!Fom_trace.Packed} trace,
-    scanning only instructions actually woken each cycle. The two are
-    bit-identical on IPC (exact float equality), not merely close. *)
+    On that machine each instruction's issue cycle follows from the
+    instructions older than it, so the kernel is a recurrence over
+    instructions in age order with no cycle loop: an instruction issues
+    at the first cycle, no earlier than its admission to the window and
+    its producers' completions, that still has an issue slot free.
+    Admission is one past the issue time that frees its window entry,
+    found by a floor pointer over per-cycle issue counts (amortised
+    O(1) per instruction). The IPC is bit-identical to a cycle-by-cycle
+    simulation that rescans the window oldest-first every cycle.
+
+    With an {!Fom_obs} sink enabled, every evaluation adds to the
+    counters [iw.points], [iw.cycles] and [iw.instructions], and counts
+    which term bound each instruction's issue cycle:
+    [iw.bound.window] (its admission), [iw.bound.dependence] (a
+    producer's completion, later than admission) or [iw.bound.width]
+    (every earlier cycle was full). The three sum to the [n + window - 1]
+    instructions the run considers. *)
 
 val ring_size : int
-(** Capacity of the completion ring both kernels bound their
-    bookkeeping by; window sizes beyond it are rejected ([FOM-I031])
-    because completion lookups in the reference kernel would silently
-    alias. *)
+(** Largest accepted window ([FOM-I031]). The kernel's per-cycle issue
+    ring holds about [window * (max latency + 1)] slots, so this cap
+    bounds its memory. *)
 
 val ipc :
   ?latencies:Fom_isa.Latency.t -> ?issue_limit:int ->
@@ -31,19 +39,12 @@ val ipc :
 (** [ipc program ~window ~n]: average instructions issued per cycle
     over the first [n] instructions. Default latencies are unit;
     default issue width is unbounded. Packs the first [n + window]
-    instructions and runs {!ipc_of_packed} on them. *)
-
-val ipc_of_source :
-  ?latencies:Fom_isa.Latency.t -> ?issue_limit:int ->
-  Fom_trace.Source.t -> window:int -> n:int -> float
-(** The same measurement over any replayable source (e.g. an imported
-    trace), computed by the reference window-rescanning kernel — the
-    oracle {!ipc_of_packed} is tested against. *)
+    instructions and runs {!ipc_of_packed} on them. A non-positive
+    window, [n] or issue limit is rejected with [FOM-I030]. *)
 
 val ipc_of_packed :
   ?latencies:Fom_isa.Latency.t -> ?issue_limit:int ->
   Fom_trace.Packed.t -> window:int -> n:int -> float
-(** The event-driven kernel: same measurement as {!ipc_of_source} on
-    the same trace, bit-identical IPC. The packed trace must hold at
-    least [n + window] instructions ([FOM-I033]) — the kernel reads
-    flat columns and never wraps. *)
+(** {!ipc} over an already-packed trace, which must hold at least
+    [n + window] instructions ([FOM-I033]); the kernel reads the flat
+    columns in place. *)

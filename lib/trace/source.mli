@@ -5,9 +5,8 @@
     profiler, the IW simulation and the detailed simulator do not read
     sources directly: {!Packed.of_source} packs a source's first [n]
     instructions once into flat columns, and every pass replays those.
-    Only packing, trace export ({!record}, {!save}) and the reference
-    IW kernel ([Fom_analysis.Iw_sim.ipc_of_source]) pull instructions
-    through a thunk.
+    Only packing and trace export ({!record}, {!save}) pull
+    instructions through a thunk.
 
     Sources come from three places: the synthetic generator
     ({!of_program}), a materialized array ({!of_instrs}), or a trace

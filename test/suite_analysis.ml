@@ -191,27 +191,71 @@ let test_iw_sim_agrees_with_machine () =
         (ratio > 0.92 && ratio < 1.08))
     [ 8; 32; 128 ]
 
+(* Unit, default, or a table drawn from [seed] with every class in 1-11. *)
+let latency_table sel seed =
+  match sel with
+  | 0 -> Fom_isa.Latency.unit
+  | 1 -> Fom_isa.Latency.default
+  | _ ->
+      let pick k = 1 + ((seed / (k + 1)) mod 11) in
+      Fom_isa.Latency.make ~alu:(pick 1) ~mul:(pick 2) ~div:(pick 3) ~load:(pick 4)
+        ~store:(pick 5) ~branch:(pick 6) ~jump:(pick 7) ()
+
+let presets = Array.of_list (Fom_workloads.Spec2000.all @ Fom_workloads.Micro.all)
+
+(* The recurrence kernel against the cycle-by-cycle oracle on one
+   source: exact float equality, not closeness. *)
+let kernel_matches_oracle ?issue_limit ~latencies source ~window ~n =
+  let reference = Iw_oracle.ipc_of_source ~latencies ?issue_limit source ~window ~n in
+  let packed = Fom_trace.Packed.of_source source ~n:(n + window) in
+  Float.equal reference (Iw_sim.ipc_of_packed ~latencies ?issue_limit packed ~window ~n)
+
 let prop_packed_kernel_bit_identical =
-  (* The tentpole equivalence claim: the event-driven packed kernel
-     computes *bit-identical* IPC (exact float equality) to the
-     reference window-rescanning kernel, across randomized workloads,
-     stream seeds, window sizes, latency tables and issue limits. *)
+  (* The recurrence computes *bit-identical* IPC to the oracle across
+     Spec2000 and micro presets, stream seeds, windows 1-280, issue
+     limits (none or 1-8) and unit, default and random latency
+     tables. *)
   QCheck.Test.make ~name:"packed kernel IPC bit-identical to reference" ~count:60
-    QCheck.(quad (int_range 0 11) (int_range 1 280) (int_bound 100_000) (int_range 0 4))
-    (fun (workload, window, seed, limit_sel) ->
-      let config = List.nth Fom_workloads.Spec2000.all workload in
-      let source = Fom_trace.Source.of_program ~seed (Fom_trace.Program.generate config) in
-      let latencies =
-        let pick k = 1 + ((seed / (k + 1)) mod 11) in
-        Fom_isa.Latency.make ~alu:(pick 1) ~mul:(pick 2) ~div:(pick 3) ~load:(pick 4)
-          ~store:(pick 5) ~branch:(pick 6) ~jump:(pick 7) ()
+    QCheck.(
+      pair
+        (quad (int_bound (Array.length presets - 1)) (int_range 1 280) (int_bound 100_000)
+           (int_range 0 8))
+        (int_range 0 2))
+    (fun ((preset, window, seed, limit_sel), latency_sel) ->
+      let source =
+        Fom_trace.Source.of_program ~seed (Fom_trace.Program.generate presets.(preset))
       in
-      let issue_limit = match limit_sel with 0 -> None | k -> Some (1 lsl (k - 1)) in
-      let n = 2000 in
-      let reference = Iw_sim.ipc_of_source ~latencies ?issue_limit source ~window ~n in
-      let packed = Fom_trace.Packed.of_source source ~n:(n + window) in
-      let event = Iw_sim.ipc_of_packed ~latencies ?issue_limit packed ~window ~n in
-      Float.equal reference event)
+      let issue_limit = if limit_sel = 0 then None else Some limit_sel in
+      kernel_matches_oracle ?issue_limit ~latencies:(latency_table latency_sel seed) source
+        ~window ~n:2000)
+
+let test_packed_kernel_grid () =
+  (* A fixed grid beside the random draws: three Spec2000 and three
+     micro presets, small/medium/large windows, unbounded/narrow/wide
+     issue, unit and default latencies. *)
+  let micro = Fom_workloads.Micro.[ serial_chain; pointer_chase; independent ] in
+  List.iter
+    (fun (config : Fom_trace.Config.t) ->
+      let name = config.Fom_trace.Config.name in
+      let source = Fom_trace.Source.of_program (Fom_trace.Program.generate config) in
+      List.iter
+        (fun window ->
+          List.iter
+            (fun issue_limit ->
+              List.iter
+                (fun latency_sel ->
+                  Alcotest.(check bool)
+                    (Printf.sprintf "%s W=%d limit=%s latencies=%d" name window
+                       (Option.fold ~none:"none" ~some:string_of_int issue_limit)
+                       latency_sel)
+                    true
+                    (kernel_matches_oracle ?issue_limit
+                       ~latencies:(latency_table latency_sel 0)
+                       source ~window ~n:3000))
+                [ 0; 1 ])
+            [ None; Some 1; Some 4 ])
+        [ 3; 48; 256 ])
+    (List.map Fom_workloads.Spec2000.find [ "gzip"; "mcf"; "vortex" ] @ micro)
 
 let test_packed_round_trip () =
   (* Packed decode must replay instruction-for-instruction what the
@@ -237,22 +281,83 @@ let test_packed_round_trip () =
         (Fom_trace.Packed.instr packed i = ins))
     expect
 
+let expect_code code thunk =
+  match thunk () with
+  | exception Fom_check.Checker.Invalid ds ->
+      Alcotest.(check bool) code true
+        (List.exists (fun d -> d.Fom_check.Diagnostic.code = code) ds)
+  | _ -> Alcotest.fail (Printf.sprintf "expected %s" code)
+
 let test_iw_sim_rejects_window_beyond_ring () =
-  let source = Fom_trace.Source.of_program (Lazy.force gzip) in
-  let expect_code code thunk =
-    match thunk () with
-    | exception Fom_check.Checker.Invalid ds ->
-        Alcotest.(check bool) code true
-          (List.exists (fun d -> d.Fom_check.Diagnostic.code = code) ds)
-    | (_ : float) -> Alcotest.fail (Printf.sprintf "expected %s" code)
+  let packed =
+    Fom_trace.Packed.of_source (Fom_trace.Source.of_program (Lazy.force gzip)) ~n:64
   in
   expect_code "FOM-I031" (fun () ->
-      Iw_sim.ipc_of_source source ~window:(Iw_sim.ring_size + 1) ~n:10);
-  let packed = Fom_trace.Packed.of_source source ~n:64 in
-  expect_code "FOM-I031" (fun () ->
       Iw_sim.ipc_of_packed packed ~window:(Iw_sim.ring_size + 1) ~n:10);
-  (* The packed kernel also refuses traces too short for the run. *)
+  (* The kernel also refuses traces too short for the run. *)
   expect_code "FOM-I033" (fun () -> Iw_sim.ipc_of_packed packed ~window:32 ~n:64)
+
+let test_iw_sim_rejects_non_positive_issue_limit () =
+  (* A zero-slot cycle never issues anything, so the run would never
+     end: every entry point refuses the limit up front. *)
+  let p = Lazy.force gzip in
+  let packed = Fom_trace.Packed.of_source (Fom_trace.Source.of_program p) ~n:200 in
+  List.iter
+    (fun issue_limit ->
+      expect_code "FOM-I030" (fun () -> Iw_sim.ipc ~issue_limit p ~window:8 ~n:100);
+      expect_code "FOM-I030" (fun () ->
+          Iw_sim.ipc_of_packed ~issue_limit packed ~window:8 ~n:100);
+      expect_code "FOM-I030" (fun () ->
+          Iw_curve.measure ~issue_limit ~windows:[ 8 ] ~n:100 p))
+    [ 0; -1 ]
+
+(* The three [iw.bound.*] counters after one IPC evaluation. *)
+let bound_counts ?issue_limit program ~window ~n =
+  Fom_obs.Sink.enable ();
+  Fun.protect ~finally:Fom_obs.Sink.disable (fun () ->
+      ignore (Iw_sim.ipc ?issue_limit program ~window ~n);
+      let counters = (Fom_obs.Metrics.snapshot ()).Fom_obs.Metrics.counters in
+      let get name = Option.value (List.assoc_opt name counters) ~default:0 in
+      (get "iw.bound.window", get "iw.bound.dependence", get "iw.bound.width"))
+
+let share part (w, d, x) = float_of_int part /. float_of_int (w + d + x)
+
+let test_iw_bound_counts () =
+  (* Each considered instruction is bound by exactly one term. *)
+  List.iter
+    (fun (issue_limit, window) ->
+      let w, d, x = bound_counts ?issue_limit (Lazy.force mcf) ~window ~n:5000 in
+      Alcotest.(check int)
+        (Printf.sprintf "W=%d: counts sum to n + W - 1" window)
+        (5000 + window - 1)
+        (w + d + x);
+      if issue_limit = None then Alcotest.(check int) "no width bound" 0 x)
+    [ (None, 1); (None, 64); (Some 2, 64); (Some 3, 256) ];
+  let micro config = Fom_trace.Program.generate config in
+  let ((_, d, _) as counts) =
+    bound_counts (micro Fom_workloads.Micro.serial_chain) ~window:64 ~n:20000
+  in
+  Alcotest.(check bool) "serial chain >= 99% dependence-bound" true (share d counts >= 0.99);
+  let ((_, _, x) as counts) =
+    bound_counts ~issue_limit:2 (micro Fom_workloads.Micro.independent) ~window:64 ~n:20000
+  in
+  Alcotest.(check bool) "independent at width 2 >= 90% width-bound" true
+    (share x counts >= 0.90)
+
+let test_iw_dependence_share_rises () =
+  (* The paper's claim behind the power law: as the window grows,
+     dependences rather than the window bound ever more instructions. *)
+  let shares =
+    List.map
+      (fun window ->
+        let ((_, d, _) as counts) = bound_counts (Lazy.force gzip) ~window ~n:20000 in
+        share d counts)
+      Iw_curve.default_windows
+  in
+  let rec rising = function a :: (b :: _ as rest) -> a < b && rising rest | _ -> true in
+  Alcotest.(check bool)
+    (String.concat " " (List.map (Printf.sprintf "%.3f") shares))
+    true (rising shares)
 
 let test_characterize_assembles_inputs () =
   let inputs = Characterize.inputs ~params:Params.baseline (Lazy.force gzip) ~n:50000 in
@@ -304,8 +409,14 @@ let suite =
         test_profile_group_members_match_misses;
       Alcotest.test_case "iw sim agrees with machine" `Quick test_iw_sim_agrees_with_machine;
       QCheck_alcotest.to_alcotest prop_packed_kernel_bit_identical;
+      Alcotest.test_case "packed kernel grid matches oracle" `Quick test_packed_kernel_grid;
       Alcotest.test_case "packed round trip" `Quick test_packed_round_trip;
       Alcotest.test_case "iw sim ring guards" `Quick test_iw_sim_rejects_window_beyond_ring;
+      Alcotest.test_case "iw sim rejects non-positive issue limit" `Quick
+        test_iw_sim_rejects_non_positive_issue_limit;
+      Alcotest.test_case "iw bound counts" `Quick test_iw_bound_counts;
+      Alcotest.test_case "iw dependence share rises with window" `Quick
+        test_iw_dependence_share_rises;
       Alcotest.test_case "characterize assembles inputs" `Quick test_characterize_assembles_inputs;
       Alcotest.test_case "model tracks simulation" `Slow test_characterize_model_tracks_simulation;
     ] )

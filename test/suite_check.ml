@@ -293,7 +293,7 @@ let test_ring_guard_codes () =
   check_clean "large rob valid" (M.check big);
   Alcotest.(check bool) "ring covers span" true (M.comp_ring_size big > M.inflight_span big);
   (* FOM-I031: the window-limited IW simulator rejects windows beyond
-     its own completion ring rather than aliasing. *)
+     the cap that bounds its per-cycle issue ring. *)
   let program = Fom_trace.Program.generate (List.hd Fom_workloads.Micro.all) in
   expect_invalid "I031 window beyond ring" "FOM-I031" (fun () ->
       ignore (Fom_analysis.Iw_sim.ipc program ~window:(Fom_analysis.Iw_sim.ring_size + 1) ~n:64))

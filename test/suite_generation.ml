@@ -75,6 +75,13 @@ let test_generation_allocation_per_instr () =
           ignore (Profile.run_packed packed ~n));
       per_instr ("Iw_sim.ipc " ^ name) ~bound:1.0 (fun () ->
           ignore (Fom_analysis.Iw_sim.ipc p ~window:32 ~n));
+      (* The recurrence's arrays are large enough to bypass the minor
+         heap, so a run over a pre-built packing allocates ~nothing. *)
+      let packed = Packed.of_source (Source.of_program p) ~n:(n + 256) in
+      per_instr ("Iw_sim.ipc_of_packed W=32 " ^ name) ~bound:0.05 (fun () ->
+          ignore (Fom_analysis.Iw_sim.ipc_of_packed packed ~window:32 ~n));
+      per_instr ("Iw_sim.ipc_of_packed W=256 limit 2 " ^ name) ~bound:0.05 (fun () ->
+          ignore (Fom_analysis.Iw_sim.ipc_of_packed ~issue_limit:2 packed ~window:256 ~n));
       let stream = Stream.create p in
       per_instr ("Stream.next " ^ name) ~bound:40.0 (fun () ->
           for _ = 1 to n do
