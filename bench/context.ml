@@ -141,7 +141,7 @@ let characterization_for ?(grouping = Fom_analysis.Profile.Dependence_aware) ?ca
         (fun () ->
           (* The pool is passed down so the IW-curve points parallelize
              across windows as well as benchmarks; nested maps are safe
-             because a waiting caller drives the deques itself. *)
+             because a waiting caller drives the pool itself. *)
           Fom_analysis.Characterize.curve_and_inputs_of_packed ~pool:t.pool
             ~iw_instructions:t.n_iw ?cache ~grouping ~params (packed t name)
             ~n:t.n_profile))

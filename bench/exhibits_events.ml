@@ -196,7 +196,7 @@ let fig14 ctx =
   let params = { Params.baseline with Params.long_delay = 200 } in
   (* Each benchmark's row needs two sims plus a characterization
      against the Figure 14 hierarchy. Every one of those is its own
-     stealable pool task — three per benchmark, not one — so the
+     pool task — three per benchmark, not one — so the
      slowest benchmark's characterization no longer serializes the two
      sims behind it, and the memo futures guarantee nothing is
      computed twice even where the warm list overlaps other

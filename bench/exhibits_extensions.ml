@@ -10,6 +10,7 @@ module Fu_set = Fom_isa.Fu_set
 module Params = Fom_model.Params
 module Cpi = Fom_model.Cpi
 module Penalties = Fom_model.Penalties
+module Pool = Fom_exec.Pool
 
 (* Data-TLB misses added to the baseline machine. *)
 let tlb ctx =
@@ -18,8 +19,8 @@ let tlb ctx =
   let params = { Params.baseline with Params.dtlb_walk = spec.Tlb.walk_latency } in
   let machine = Config.with_dtlb spec Context.real in
   let rows =
-    List.map
-      (fun name ->
+    Pool.map (Context.pool ctx)
+      ~f:(fun name ->
         let sim = Context.sim ctx ~variant:"real-tlb" ~config:machine name in
         let inputs =
           Fom_analysis.Characterize.inputs ~dtlb:spec ~iw_instructions:ctx.Context.n_iw ~params
@@ -62,8 +63,8 @@ let fu_limits ctx =
       let mix = Fom_analysis.Profile.class_fraction profile in
       Context.note "%s:" name;
       let rows =
-        List.map
-          (fun (label, fu) ->
+        Pool.map (Context.pool ctx)
+          ~f:(fun (label, fu) ->
             let machine = Config.with_fu_limits fu (Config.ideal Config.baseline) in
             let sim = Fom_uarch.Simulate.run machine program ~n:(ctx.Context.n_sim / 2) in
             let bound = Fom_model.Fu_saturation.effective_width fu ~mix ~width:4 in
@@ -93,8 +94,8 @@ let fetch_buffer ctx =
       Context.note "%s (I-cache real, delay 8; everything else ideal):" name;
       let program = Context.program ctx name in
       let rows =
-        List.map
-          (fun buffer ->
+        Pool.map (Context.pool ctx)
+          ~f:(fun buffer ->
             let machine =
               Config.with_fetch_buffer buffer
                 (Config.with_cache Fom_cache.Hierarchy.ideal_except_l1i
@@ -134,8 +135,8 @@ let clustering ctx =
       let _, profile, inputs = Context.characterization ctx name in
       ignore profile;
       let rows =
-        List.map
-          (fun clusters ->
+        Pool.map (Context.pool ctx)
+          ~f:(fun clusters ->
             let machine =
               Config.with_clusters clusters (Config.ideal Config.baseline)
             in

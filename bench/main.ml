@@ -1,17 +1,16 @@
 (* The reproduction harness: regenerates every data-bearing table and
    figure of Karkhanis & Smith, "A First-Order Superscalar Processor
-   Model" (ISCA 2004), plus the ablation benches from DESIGN.md and a
-   Bechamel timing suite.
+   Model" (ISCA 2004), plus the ablation benches from DESIGN.md.
 
    Usage: dune exec bench/main.exe -- [--quick] [--scale X]
-          [--only table1,fig15,...] [--list] [--no-timing]
+          [--only table1,fig15,...] [--list]
           [--jobs N] [--json PATH] [--git-rev REV] [--csv DIR]
           [--cache-dir DIR]
 
-   Exhibits run on a shared Fom_exec.Pool work-stealing domain pool
-   (--jobs, default FOM_JOBS or the machine's core count); --jobs 1
-   reproduces the parallel harness byte-for-byte. --cache-dir persists
-   sims and characterizations across runs (content-digest keys; see
+   Exhibits run on a shared Fom_exec.Pool domain pool (--jobs, default
+   FOM_JOBS or the machine's core count); --jobs 1 reproduces the
+   parallel harness byte-for-byte. --cache-dir persists sims and
+   characterizations across runs (content-digest keys; see
    Fom_exec.Cache), so a rerun that changed nothing recomputes
    nothing. --json records the machine-readable timing baseline
    (schema fom-bench/1, see README); when the pool has more than one
@@ -56,7 +55,6 @@ type options = {
   mutable scale : float;
   mutable only : string list option;
   mutable list_only : bool;
-  mutable timing : bool;
   mutable csv_dir : string option;
   mutable cache_dir : string option;
   mutable jobs : int option;
@@ -73,7 +71,6 @@ let parse_args () =
       scale = 1.0;
       only = None;
       list_only = false;
-      timing = true;
       csv_dir = None;
       cache_dir = None;
       jobs = None;
@@ -93,7 +90,6 @@ let parse_args () =
         Arg.String (fun s -> options.only <- Some (split s)),
         "LIST comma-separated exhibit names" );
       ("--list", Arg.Unit (fun () -> options.list_only <- true), " list exhibits and exit");
-      ("--no-timing", Arg.Unit (fun () -> options.timing <- false), " skip the Bechamel suite");
       ( "--csv",
         Arg.String (fun dir -> options.csv_dir <- Some dir),
         "DIR also write each exhibit's tables as CSV files" );
@@ -390,7 +386,6 @@ let () =
         ~paired:(options.json <> None && jobs > 1)
         ~csv_dir:options.csv_dir ~scale:options.scale selected
     in
-    if options.timing then Timing.run ();
     let total = Unix.gettimeofday () -. started in
     (match options.json with
     | None -> ()

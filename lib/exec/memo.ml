@@ -59,12 +59,13 @@ let publish cell state =
   Mutex.unlock cell.mutex
 
 (* Wait for another domain's in-flight computation. Between checks the
-   waiter helps drain the pool — running its own or stolen tasks — so
-   a blocked demand costs throughput nothing while work is queued; it
-   only sleeps on the cell's condition when the whole pool is idle.
-   Progress does not depend on the helping: the owner can always
-   finish on its own (a nested map's caller drives its own tasks), so
-   a sleeping waiter is woken by the owner's publish at the latest. *)
+   waiter helps drain the pool — running the task on top of the pool's
+   stack — so a blocked demand costs throughput nothing while work is
+   queued; it only sleeps on the cell's condition when the whole pool
+   is idle. Progress does not depend on the helping: the owner can
+   always finish on its own (a nested map's caller drives its own
+   tasks), so a sleeping waiter is woken by the owner's publish at the
+   latest. *)
 let rec await t cell =
   Mutex.lock cell.mutex;
   match cell.state with

@@ -11,11 +11,11 @@
 
     Waiting is productive: a demander blocked on an in-flight key
     repeatedly offers itself to the memo's pool ({!Pool.help}) —
-    running queued or stolen tasks — and only sleeps on the cell's
-    condition variable when the pool has nothing runnable. Correctness
-    never depends on the helping; the owner can always finish on its
-    own, so every waiter is woken by the owner's publish at the
-    latest.
+    running whatever task is on top of the pool's stack — and only
+    sleeps on the cell's condition variable when the pool has nothing
+    runnable. Correctness never depends on the helping; the owner can
+    always finish on its own, so every waiter is woken by the owner's
+    publish at the latest.
 
     A computation that raises is published as failed: the owner's
     exception (with its backtrace) is re-raised by every current and

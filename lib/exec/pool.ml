@@ -2,14 +2,11 @@ module Checker = Fom_check.Checker
 module Diagnostic = Fom_check.Diagnostic
 
 (* Observability (no-ops unless an Fom_obs sink is enabled): scheduler
-   balance counters, a steal-time victim-depth histogram, and a span
-   around every task body so a trace shows which domain ran what. *)
+   counters and a span around every task body so a trace shows which
+   domain ran what. *)
 let m_tasks = Fom_obs.Metrics.counter "pool.tasks"
-let m_steals = Fom_obs.Metrics.counter "pool.steals"
-let m_stolen = Fom_obs.Metrics.counter "pool.stolen_tasks"
 let m_helps = Fom_obs.Metrics.counter "pool.helps"
 let m_idle = Fom_obs.Metrics.counter "pool.idle_waits"
-let h_victim_depth = Fom_obs.Metrics.histogram "pool.steal_victim_depth"
 let g_domains = Fom_obs.Metrics.gauge "pool.domains"
 let g_jobs = Fom_obs.Metrics.gauge "pool.jobs"
 let s_task = Fom_obs.Span.id "pool.task"
@@ -18,66 +15,18 @@ let run_task task =
   Fom_obs.Metrics.incr m_tasks;
   Fom_obs.Span.with_ s_task task
 
-(* Tasks scheduled on the pool are pre-wrapped closures that never
-   raise: every per-task exception is captured into the caller's
-   result array before the closure returns. *)
-
-(* A growable ring-buffer deque of tasks. The owning worker pushes and
-   pops at the back (depth-first: a nested map's subtasks run before
-   the tasks that spawned them), thieves take from the front (the
-   oldest work, which tends to be the largest remaining slice of a
-   batch). All deques are guarded by the pool's single mutex — tasks
-   here are detailed simulations and IW-curve points costing
-   milliseconds to seconds, so lock traffic is noise; the deque
-   structure is about *placement* (locality and steal-half balancing),
-   not lock-freedom. *)
-module Deque = struct
-  type t = {
-    mutable buf : (unit -> unit) array;
-    mutable head : int;  (* index of the front element *)
-    mutable len : int;
-  }
-
-  let nop () = ()
-  let create () = { buf = Array.make 64 nop; head = 0; len = 0 }
-  let length d = d.len
-
-  let grow d =
-    let cap = Array.length d.buf in
-    let buf = Array.make (2 * cap) nop in
-    for i = 0 to d.len - 1 do
-      buf.(i) <- d.buf.((d.head + i) mod cap)
-    done;
-    d.buf <- buf;
-    d.head <- 0
-
-  let push_back d task =
-    if d.len = Array.length d.buf then grow d;
-    let cap = Array.length d.buf in
-    d.buf.((d.head + d.len) mod cap) <- task;
-    d.len <- d.len + 1
-
-  let pop_back d =
-    let cap = Array.length d.buf in
-    let i = (d.head + d.len - 1) mod cap in
-    let task = d.buf.(i) in
-    d.buf.(i) <- nop;
-    d.len <- d.len - 1;
-    task
-
-  let pop_front d =
-    let task = d.buf.(d.head) in
-    d.buf.(d.head) <- nop;
-    d.head <- (d.head + 1) mod Array.length d.buf;
-    d.len <- d.len - 1;
-    task
-end
-
+(* Tasks on the stack are pre-wrapped closures that never raise: every
+   per-task exception is captured into the caller's result array
+   before the closure returns. One stack under one mutex is enough —
+   a task is a detailed simulation or an IW-curve point costing
+   milliseconds to seconds, so lock traffic is noise — and popping the
+   top runs the newest work first, so a nested map's subtasks run
+   before the tasks that spawned them. *)
 type t = {
   jobs : int;  (* advertised parallelism (the --jobs request) *)
-  mutex : Mutex.t;  (* guards deques, slots, stopped *)
-  deques : Deque.t array;  (* one per participating domain *)
-  slots : (int, int) Hashtbl.t;  (* domain id -> deque slot *)
+  domains : int;  (* participating domains, the caller's included *)
+  mutex : Mutex.t;  (* guards tasks and stopped *)
+  tasks : (unit -> unit) Stack.t;
   activity : Condition.t;  (* work arrived, a batch completed, or shutdown *)
   mutable stopped : bool;
   mutable workers : unit Domain.t list;
@@ -147,66 +96,14 @@ let resolve_jobs ?requested () =
           ] )
       else (jobs, oversubscription_warning jobs)
 
-let self_id () = (Domain.self () :> int)
-
-(* The slot (deque index) the current domain owns, if it is a
-   registered participant of this pool. Nested maps and memo helpers
-   always run on registered domains; an unregistered domain (some
-   foreign domain calling into a pool it did not create) simply
-   schedules onto deque 0 and steals rather than owning a deque. *)
-let slot_of_current t = Hashtbl.find_opt t.slots (self_id ())
-
-(* Take one runnable task, preferring the back of the caller's own
-   deque, else stealing from the longest other deque. A thief moves
-   half of the victim's front (oldest first) — one task to run now,
-   the rest onto its own deque where they are in turn stealable — so
-   an imbalanced batch spreads geometrically instead of one task at a
-   time. Caller must hold [t.mutex]. *)
-let take_for t slot =
-  let own =
-    match slot with
-    | Some s when Deque.length t.deques.(s) > 0 -> Some (Deque.pop_back t.deques.(s))
-    | Some _ | None -> None
-  in
-  match own with
-  | Some _ as task -> task
-  | None ->
-      let victim = ref (-1) and best = ref 0 in
-      Array.iteri
-        (fun i d ->
-          let len = Deque.length d in
-          if len > !best then begin
-            victim := i;
-            best := len
-          end)
-        t.deques;
-      if !victim < 0 then None
-      else begin
-        let v = t.deques.(!victim) in
-        let task = Deque.pop_front v in
-        Fom_obs.Metrics.incr m_steals;
-        Fom_obs.Metrics.observe h_victim_depth !best;
-        (match slot with
-        | Some s when s <> !victim ->
-            (* steal-half: the first stolen task runs immediately, the
-               rest land on the thief's deque. *)
-            let half = (!best + 1) / 2 in
-            Fom_obs.Metrics.add m_stolen half;
-            for _ = 2 to half do
-              Deque.push_back t.deques.(s) (Deque.pop_front v)
-            done
-        | Some _ | None -> Fom_obs.Metrics.incr m_stolen);
-        Some task
-      end
-
-let rec worker_loop t slot =
+let rec worker_loop t =
   Mutex.lock t.mutex;
   let rec next () =
-    match take_for t (Some slot) with
+    match Stack.pop_opt t.tasks with
     | Some task ->
         Mutex.unlock t.mutex;
         run_task task;
-        worker_loop t slot
+        worker_loop t
     | None ->
         if t.stopped then Mutex.unlock t.mutex
         else begin
@@ -238,9 +135,9 @@ let create ?jobs ?domains () =
   let t =
     {
       jobs;
+      domains;
       mutex = Mutex.create ();
-      deques = Array.init domains (fun _ -> Deque.create ());
-      slots = Hashtbl.create 8;
+      tasks = Stack.create ();
       activity = Condition.create ();
       stopped = false;
       workers = [];
@@ -248,21 +145,13 @@ let create ?jobs ?domains () =
   in
   Fom_obs.Metrics.set g_domains domains;
   Fom_obs.Metrics.set g_jobs jobs;
-  (* The creating domain is participant 0; only the remaining
-     domains - 1 run as spawned domains. *)
-  Hashtbl.replace t.slots (self_id ()) 0;
-  t.workers <-
-    List.init (domains - 1) (fun i ->
-        Domain.spawn (fun () ->
-            let slot = i + 1 in
-            Mutex.lock t.mutex;
-            Hashtbl.replace t.slots (self_id ()) slot;
-            Mutex.unlock t.mutex;
-            worker_loop t slot));
+  (* The creating domain participates by driving its own maps; only
+     the remaining domains - 1 run as spawned workers. *)
+  t.workers <- List.init (domains - 1) (fun _ -> Domain.spawn (fun () -> worker_loop t));
   t
 
 let jobs t = t.jobs
-let domains t = Array.length t.deques
+let domains t = t.domains
 
 let shutdown t =
   Mutex.lock t.mutex;
@@ -277,12 +166,9 @@ let with_pool ?jobs ?domains f =
   let t = create ?jobs ?domains () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
-(* Run one pending task from anywhere in the pool, if there is one.
-   This is how a domain blocked on something other than the pool (a
-   Memo future, say) stays useful instead of sleeping. *)
 let help t =
   Mutex.lock t.mutex;
-  match take_for t (slot_of_current t) with
+  match Stack.pop_opt t.tasks with
   | Some task ->
       Mutex.unlock t.mutex;
       Fom_obs.Metrics.incr m_helps;
@@ -292,16 +178,21 @@ let help t =
       Mutex.unlock t.mutex;
       false
 
-(* Schedule every task and drive from the calling domain: push the
-   batch onto the caller's own deque, then keep taking tasks — its own
-   first, stolen ones otherwise — until this batch has completed.
-   Running *any* available task (possibly one belonging to a map
-   issued by a task of this very pool) is what makes nested maps
-   deadlock-free: a waiting caller never sleeps while runnable work
-   exists. *)
+(* Push the batch with task 0 on top, then drive from the calling
+   domain until the batch has completed. The driver runs whatever is
+   on top, nested maps included, so a waiting caller never sleeps
+   while work of its own batch is runnable — that is what keeps nested
+   maps deadlock-free, even on one domain.
+
+   The batch floor: the driver pops only while the stack is taller
+   than it was before the push. Nothing is removed from the middle of
+   the stack, so everything above [base] is this batch or work pushed
+   after it. Without the floor, a domain computing a Memo cell could
+   pop an older outer task that demands the same key and fail it with
+   a false re-entrant-demand FOM-E005; the floor also bounds how much
+   work nests on one domain's call stack. *)
 let run_tasks t tasks =
-  let n_tasks = Array.length tasks in
-  let remaining = ref n_tasks in
+  let remaining = ref (Array.length tasks) in
   let wrap task () =
     task ();
     Mutex.lock t.mutex;
@@ -315,23 +206,25 @@ let run_tasks t tasks =
     Checker.ensure ~code:"FOM-E003" ~path:"exec.map" false
       "pool was used after shutdown"
   end;
-  let slot = slot_of_current t in
-  let dest = t.deques.(match slot with Some s -> s | None -> 0) in
-  Array.iter (fun task -> Deque.push_back dest (wrap task)) tasks;
+  let base = Stack.length t.tasks in
+  for index = Array.length tasks - 1 downto 0 do
+    Stack.push (wrap tasks.(index)) t.tasks
+  done;
   Condition.broadcast t.activity;
   let rec drive () =
     if !remaining > 0 then
-      match take_for t slot with
-      | Some task ->
-          Mutex.unlock t.mutex;
-          run_task task;
-          Mutex.lock t.mutex;
-          drive ()
-      | None ->
-          (* Tasks of this batch are still running on other domains
-             (or will complete maps that broadcast [activity]). *)
-          Condition.wait t.activity t.mutex;
-          drive ()
+      if Stack.length t.tasks > base then begin
+        let task = Stack.pop t.tasks in
+        Mutex.unlock t.mutex;
+        run_task task;
+        Mutex.lock t.mutex;
+        drive ()
+      end
+      else begin
+        (* The rest of this batch is running on other domains. *)
+        Condition.wait t.activity t.mutex;
+        drive ()
+      end
   in
   drive ();
   Mutex.unlock t.mutex
@@ -365,28 +258,10 @@ let try_map (type b) t ~(f : _ -> b) items =
   let results : (b, Diagnostic.t list) result array =
     Array.make n (Error [])
   in
-  (if n <= 1 || domains t = 1 then begin
-     (* A single participating domain runs the batch inline: exactly
-        what driving the deque would do, without the scheduling. The
-        shutdown contract still holds. *)
-     Mutex.lock t.mutex;
-     let stopped = t.stopped in
-     Mutex.unlock t.mutex;
-     if stopped then
-       Checker.ensure ~code:"FOM-E003" ~path:"exec.map" false
-         "pool was used after shutdown";
-     for index = 0 to n - 1 do
-       run_task (fun () -> capture ~f ~results items index)
-     done
-   end
-   else
-     (* One task per item — per-(variant, benchmark) sims and
-        per-window IW points are each independently stealable, so one
-        slow benchmark no longer serializes a whole chunk. Results are
-        delivered by index, so task order is preserved no matter which
-        domain ran what: [jobs = 1] stays bit-identical to
-        [jobs = N]. *)
-     run_tasks t (Array.init n (fun index () -> capture ~f ~results items index)));
+  (* Results are delivered by index, so task order is preserved no
+     matter which domain ran what: [jobs = 1] stays bit-identical to
+     [jobs = N]. *)
+  run_tasks t (Array.init n (fun index () -> capture ~f ~results items index));
   Array.to_list results
 
 let map t ~f items =

@@ -1,5 +1,4 @@
-(** Work-stealing domain-pool scheduler for embarrassingly parallel
-    evaluation.
+(** Domain-pool scheduler for embarrassingly parallel evaluation.
 
     The paper's value proposition is that the first-order model is
     orders of magnitude cheaper than detailed simulation; this module
@@ -7,13 +6,13 @@
     owns a fixed set of participating domains and evaluates *immutable
     task descriptors* with {!map}/{!map_reduce}:
 
-    - {b Per-worker deques, steal-half}: each participating domain
-      owns a deque. A batch lands on the submitting domain's deque;
-      the owner works from the back (depth-first, so nested maps stay
-      cache-local), idle domains steal the oldest *half* of the
-      longest deque, so imbalanced batches spread geometrically. Every
-      task — one detailed sim, one IW-curve window — is independently
-      stealable; one slow benchmark no longer serializes a chunk.
+    - {b One shared task stack}: every participating domain pops the
+      top of one stack under one mutex. A batch is pushed with task 0
+      on top, so a single domain runs it in index order, and a nested
+      map's subtasks land above the task that spawned them and run
+      first (depth-first). Every task — one detailed sim, one IW-curve
+      window — is scheduled on its own; one slow benchmark does not
+      serialize a chunk.
     - {b Deterministic ordering}: results are delivered in task order
       regardless of which domain ran which task, and {!map_reduce}
       folds in task order — a [jobs = 1] pool is bit-identical to
@@ -31,11 +30,14 @@
       diagnostics re-rooted under its index); the surviving pool can
       immediately run the next batch.
     - {b Reentrant}: a task may itself call {!map} on the same pool.
-      The caller of a map always drives — running its own tasks and
-      stealing others — while it waits, so nested maps make progress
-      even on a single domain, and {!help} lets a domain blocked on
-      something else (a {!Memo} future) drain the pool instead of
-      sleeping.
+      The caller of a map drives while it waits, popping tasks while
+      the stack is taller than it was before its batch was pushed —
+      its own batch, or work pushed after it, never older work below
+      that {e batch floor}. So nested maps make progress even on a
+      single domain, the domain computing a {!Memo} cell does not
+      start the older outer tasks that demand it, and {!help} lets a domain
+      blocked on something else (a {!Memo} future) drain the pool
+      instead of sleeping.
 
     Diagnostic codes ([FOM-Exxx], "execution"):
     - [FOM-E001] — invalid job or domain count (flag, [FOM_JOBS], or
@@ -48,7 +50,7 @@
 type t
 (** A pool of worker domains. The creating domain participates in
     every {!map}, so a pool running [d] domains spawns [d - 1] and a
-    single-domain pool spawns none and runs everything inline. *)
+    single-domain pool spawns none: its caller runs every task. *)
 
 val recommended_domain_count : unit -> int
 (** The runtime's recommended domain count — the point past which more
@@ -105,9 +107,9 @@ val with_pool : ?jobs:int -> ?domains:int -> (t -> 'a) -> 'a
     down. *)
 
 val help : t -> bool
-(** Run one pending task from anywhere in the pool, if any is queued:
-    the caller's own deque first, else stolen from the longest one.
-    [false] means nothing was runnable. This is how a domain blocked
+(** Run the task on top of the pool's stack, if any is queued, with
+    no batch floor: the caller waits on no batch of its own. [false]
+    means nothing was runnable. This is how a domain blocked
     on something other than the pool (a {!Memo} future) stays useful
     instead of sleeping. *)
 

@@ -1,5 +1,5 @@
-(* Tests for Fom_exec: deterministic ordering and work-stealing
-   jobs-independence (the --jobs 1 reproducibility contract), per-task
+(* Tests for Fom_exec: deterministic ordering and jobs-independence
+   (the --jobs 1 reproducibility contract), the batch floor, per-task
    exception capture as diagnostics, pool survival after failures, the
    explicit per-task seed split through Fom_trace, exactly-once Memo
    futures under concurrent demand, and the on-disk Cache's
@@ -241,22 +241,25 @@ let test_resolve_jobs_env () =
       Alcotest.(check int) "request beats env" 1 jobs;
       Alcotest.(check int) "request beats invalid env" 0 (List.length diags))
 
-(* ---- work stealing ---- *)
+(* ---- scheduling ---- *)
 
-(* A deliberately uneven task cost so steals actually happen: task
-   costs vary by three orders of magnitude within one batch. *)
-let busy x =
-  let rounds = (x mod 7 * 3000) + 10 in
-  let acc = ref x in
+(* [rounds] steps of a cheap recurrence from [seed]: CPU work of a
+   chosen length with a checkable result. *)
+let spin ~seed rounds =
+  let acc = ref seed in
   for _ = 1 to rounds do
     acc := ((!acc * 31) + 1) mod 1_000_003
   done;
   !acc
 
-let test_steal_determinism () =
+(* A deliberately uneven task cost so domains finish out of order:
+   task costs vary by three orders of magnitude within one batch. *)
+let busy x = spin ~seed:x ((x mod 7 * 3000) + 10)
+
+let test_uneven_batch_determinism () =
   (* Bit-identical results across jobs 1/2/4 and across repeated runs
-     at the same job count, on a batch uneven enough to force
-     stealing. *)
+     at the same job count, on a batch uneven enough that every domain
+     takes tasks out of order. *)
   let items = List.init 200 (fun i -> i) in
   let expected = List.map busy items in
   List.iter
@@ -274,7 +277,7 @@ let test_steal_determinism () =
 
 let test_nested_map_deep () =
   (* Three levels of nesting on two real domains: every waiting caller
-     must drive the deques for this to terminate. *)
+     must drive the stack for this to terminate. *)
   Pool.with_pool ~jobs:2 ~domains:2 (fun pool ->
       let got =
         Pool.map pool
@@ -291,6 +294,36 @@ let test_nested_map_deep () =
 let test_help_empty () =
   Pool.with_pool ~jobs:2 ~domains:2 (fun pool ->
       Alcotest.(check bool) "nothing runnable" false (Pool.help pool))
+
+let test_batch_floor () =
+  (* The domain that owns the memo cell computes it with a nested map
+     and drives that map while the other domain is still busy with the
+     slow task 1. If the driver popped the older outer tasks below its
+     batch, one of them would demand "k" on the owning domain and fail
+     with a false re-entrant FOM-E005. The growing spin moves the
+     moment task 1 finishes across the nested map, iteration by
+     iteration. *)
+  Pool.with_pool ~jobs:2 ~domains:2 (fun pool ->
+      for it = 0 to 399 do
+        let memo = Memo.create ~pool () in
+        let results =
+          Pool.try_map pool
+            ~f:(fun i ->
+              if i = 1 then spin ~seed:0 (50_000 + (it * 1000))
+              else
+                Memo.get memo "k" (fun () ->
+                    Pool.map_reduce pool ~f:(fun _ -> spin ~seed:0 200_000) ~reduce:( + ) ~init:0
+                      [ 0; 1; 2; 3 ]))
+            (List.init 8 (fun i -> i))
+        in
+        List.iteri
+          (fun i -> function
+            | Ok _ -> ()
+            | Error ds ->
+                Alcotest.failf "iteration %d, task %d: %s" it i
+                  (String.concat "; " (List.map Diagnostic.to_string ds)))
+          results
+      done)
 
 (* ---- memo futures ---- *)
 
@@ -477,9 +510,10 @@ let suite =
       Alcotest.test_case "try_map partial results" `Quick test_try_map_partial;
       Alcotest.test_case "map_reduce folds in order" `Quick test_map_reduce_order;
       Alcotest.test_case "nested map on one pool" `Quick test_nested_map;
-      Alcotest.test_case "steal determinism" `Quick test_steal_determinism;
+      Alcotest.test_case "uneven batch determinism" `Quick test_uneven_batch_determinism;
       Alcotest.test_case "nested map three deep" `Quick test_nested_map_deep;
-      Alcotest.test_case "help with empty deques" `Quick test_help_empty;
+      Alcotest.test_case "help with empty queue" `Quick test_help_empty;
+      Alcotest.test_case "batch floor" `Quick test_batch_floor;
       Alcotest.test_case "memo exactly once" `Quick test_memo_exactly_once;
       Alcotest.test_case "memo single-key contention" `Quick test_memo_single_key_contention;
       Alcotest.test_case "memo failure cached" `Quick test_memo_failure_cached;
