@@ -244,7 +244,7 @@ let trace_cmd =
   in
   let run config seed n path =
     let program = program_of config seed in
-    Fom_trace.Source.save ~path (Fom_trace.Source.of_program program) ~n;
+    Fom_trace.Trace_file.save ~path (Fom_trace.Source.of_program program) ~n;
     Printf.printf "wrote %d instructions of %s to %s\n" n config.Fom_trace.Config.name path
   in
   let term = Term.(const run $ workload_arg $ seed_arg $ instructions_arg 100_000 $ path_arg) in
@@ -252,7 +252,7 @@ let trace_cmd =
     (Cmd.info "trace"
        ~doc:
          "Export a workload's instruction trace in the text format accepted back by the \
-          analysis tools (see Fom_trace.Source).")
+          analysis tools (see Fom_trace.Trace_file).")
     term
 
 (* fom workloads *)

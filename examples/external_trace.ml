@@ -6,7 +6,7 @@
    temporary file first — stand-in for a trace produced by any other
    tool — then characterizes and models the *file*, exactly as one
    would with a real instruction trace. The text format is documented
-   in [Fom_trace.Source]; anything that can emit
+   in [Fom_trace.Trace_file]; anything that can emit
 
      fom-trace 1
      <class> <pc-hex> <mem-hex|-> <T|N|-> <target-hex|-> <dep>...
@@ -19,7 +19,7 @@ let () =
     else begin
       let path = Filename.temp_file "fom-demo" ".trace" in
       let program = Fom_trace.Program.generate (Fom_workloads.Spec2000.find "gzip") in
-      Fom_trace.Source.save ~path (Fom_trace.Source.of_program program) ~n:100_000;
+      Fom_trace.Trace_file.save ~path (Fom_trace.Source.of_program program) ~n:100_000;
       Printf.printf "exported a 100k-instruction synthetic trace to %s\n" path;
       (path, true)
     end
@@ -27,7 +27,7 @@ let () =
   Fun.protect
     ~finally:(fun () -> if cleanup then Sys.remove path)
     (fun () ->
-      let source = Fom_trace.Source.load ~path in
+      let source = Fom_trace.Trace_file.load ~path in
       Printf.printf "loaded trace: %s\n\n" (Fom_trace.Source.label source);
 
       let params = Fom_model.Params.baseline in

@@ -30,10 +30,8 @@ val measure_source :
   ?pool:Fom_exec.Pool.t -> ?windows:int list -> ?n:int ->
   ?latencies:Fom_isa.Latency.t ->
   ?issue_limit:int -> Fom_trace.Source.t -> t
-(** {!measure} over any replayable source. The source's factory is
-    invoked exactly once (to pack the trace), which also makes
-    parallel measurement safe for non-reentrant
-    {!Fom_trace.Source.of_factory} sources. *)
+(** {!measure} over any replayable source, packed once and shared
+    by every window. *)
 
 val measure_packed :
   ?pool:Fom_exec.Pool.t -> ?windows:int list -> ?n:int ->

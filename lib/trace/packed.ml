@@ -29,13 +29,6 @@ let srcs_word count a b =
       (* Instr.make enforces at most two sources. *)
       Fom_check.Checker.internal_error "instruction with more than two source registers"
 
-let pack_srcs srcs =
-  match srcs with
-  | [] -> srcs_word 0 0 0
-  | [ a ] -> srcs_word 1 (Reg.to_int a) 0
-  | [ a; b ] -> srcs_word 2 (Reg.to_int a) (Reg.to_int b)
-  | _ -> srcs_word (List.length srcs) 0 0
-
 let unpack_srcs word =
   match word land 3 with
   | 0 -> []
@@ -43,13 +36,12 @@ let unpack_srcs word =
   | 2 -> [ Reg.of_int ((word lsr 2) land 0xff); Reg.of_int ((word lsr 10) land 0xff) ]
   | _ -> Fom_check.Checker.internal_error "corrupt packed source-register word"
 
-let ensure ~path cond message = Fom_check.Checker.ensure ~code:"FOM-T130" ~path cond message
-
-(* The column writer: copies the generator's cursor straight into the
-   columns. The generator builds well-formed instructions, so nothing
-   here needs validating and nothing allocates. *)
-let write_stream c deps stream =
-  for i = 0 to c.len - 1 do
+(* Generator rows: step [stream] [count] times into rows [first ..],
+   re-basing its dependences by [rebase]. The generator builds
+   well-formed instructions and its cursor already holds the column
+   encodings, so nothing here needs validating and nothing allocates. *)
+let write_stream c deps stream ~first ~count ~rebase =
+  for i = first to first + count - 1 do
     let cur = Stream.step stream in
     c.tag.(i) <- cur.Stream.tag;
     c.pc.(i) <- cur.Stream.pc;
@@ -60,42 +52,56 @@ let write_stream c deps stream =
         (if nd > 0 then cur.Stream.srcs.(0) else 0)
         (if nd > 1 then cur.Stream.srcs.(1) else 0);
     for k = 0 to nd - 1 do
-      Fom_util.Int_buffer.push deps cur.Stream.deps.(k)
+      Fom_util.Int_buffer.push deps (cur.Stream.deps.(k) + rebase)
     done;
     c.dep_off.(i + 1) <- Fom_util.Int_buffer.length deps;
     c.mem.(i) <- cur.Stream.mem;
     c.ctrl.(i) <- cur.Stream.ctrl
   done
 
-(* The generic path, for every other source: one [Instr.t] per
-   instruction, validated as it is taken apart. *)
-let write_instrs c deps source =
-  let next = Source.fresh source in
+(* A phase schedule: each activation is a fresh stream of its phase's
+   program, numbered from the row it starts at; after the last phase
+   the schedule starts over. Budgets are positive, so this ends. *)
+let write_schedule c deps phases =
+  let row = ref 0 in
+  while !row < c.len do
+    List.iter
+      (fun (program, budget) ->
+        let count = Stdlib.min budget (c.len - !row) in
+        if count > 0 then begin
+          write_stream c deps (Stream.create program) ~first:!row ~count ~rebase:!row;
+          row := !row + count
+        end)
+      phases
+  done
+
+(* A recorded trace, already validated by {!Source.of_instrs}: row [i]
+   is instruction [i mod len], re-based by the completed copies. *)
+let write_recorded c deps instrs =
+  let len = Array.length instrs in
   for i = 0 to c.len - 1 do
-    let ins = next () in
-    ensure ~path:"packed.of_source" (ins.Instr.index = i)
-      "source must replay instructions in dynamic index order";
+    let ins = instrs.(i mod len) in
+    let rebase = i - (i mod len) in
     c.tag.(i) <- Opclass.to_int ins.Instr.opclass;
     c.pc.(i) <- ins.Instr.pc;
     (match ins.Instr.dst with Some d -> c.dst.(i) <- Reg.to_int d | None -> ());
-    c.srcs.(i) <- pack_srcs ins.Instr.srcs;
-    Array.iter (fun d -> Fom_util.Int_buffer.push deps d) ins.Instr.deps;
+    c.srcs.(i) <-
+      (match ins.Instr.srcs with
+      | [] -> srcs_word 0 0 0
+      | [ a ] -> srcs_word 1 (Reg.to_int a) 0
+      | [ a; b ] -> srcs_word 2 (Reg.to_int a) (Reg.to_int b)
+      | srcs -> srcs_word (List.length srcs) 0 0);
+    Array.iter (fun d -> Fom_util.Int_buffer.push deps (d + rebase)) ins.Instr.deps;
     c.dep_off.(i + 1) <- Fom_util.Int_buffer.length deps;
-    (match ins.Instr.mem with
-    | Some addr ->
-        ensure ~path:"packed.of_source" (addr >= 0) "memory addresses must be non-negative";
-        c.mem.(i) <- addr
-    | None -> ());
+    (match ins.Instr.mem with Some addr -> c.mem.(i) <- addr | None -> ());
     match ins.Instr.ctrl with
-    | Some ctrl ->
-        ensure ~path:"packed.of_source" (ctrl.Instr.target >= 0)
-          "control targets must be non-negative";
-        c.ctrl.(i) <- (ctrl.Instr.target lsl 1) lor Bool.to_int ctrl.Instr.taken
+    | Some ctrl -> c.ctrl.(i) <- (ctrl.Instr.target lsl 1) lor Bool.to_int ctrl.Instr.taken
     | None -> ()
   done
 
 let of_source ?label source ~n =
-  ensure ~path:"packed.n" (n > 0) "packed trace length must be positive";
+  Fom_check.Checker.ensure ~code:"FOM-T130" ~path:"packed.n" (n > 0)
+    "packed trace length must be positive";
   let c =
     {
       label = (match label with Some l -> l | None -> Source.label source);
@@ -111,18 +117,18 @@ let of_source ?label source ~n =
     }
   in
   let deps = Fom_util.Int_buffer.create ~capacity:(2 * n) () in
-  (match Source.stream source with
-  | Some stream -> write_stream c deps stream
-  | None -> write_instrs c deps source);
+  (match source.Source.kind with
+  | Source.Generator { program; seed } ->
+      write_stream c deps (Stream.create ?seed program) ~first:0 ~count:n ~rebase:0
+  | Source.Schedule phases -> write_schedule c deps phases
+  | Source.Recorded instrs -> write_recorded c deps instrs);
   { c with dep_val = Fom_util.Int_buffer.contents deps }
 
 (* Decode one instruction. Fields are well-formed (by construction
-   from the generator, validated as packed from any other source), so
-   the record is built directly rather than through [Instr.make] —
-   this runs once per replayed instruction on the simulators' fetch
-   paths. Past the end
-   the trace wraps with re-based indices and dependences, mirroring
-   {!Source.of_instrs}. *)
+   from the generator, validated by {!Source.of_instrs} for a recorded
+   trace), so the record is built directly rather than through
+   [Instr.make]. Past the end the trace wraps with re-based indices
+   and dependences, like a recorded source. *)
 let instr t i =
   Fom_check.Checker.ensure ~code:"FOM-T131" ~path:"packed.instr" (i >= 0)
     "dynamic index must be non-negative";

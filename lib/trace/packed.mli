@@ -5,7 +5,10 @@
     column per field, no per-instruction heap records. The packing is
     immutable after construction, so one packed trace is safely shared
     across an entire window sweep and across {!Fom_exec.Pool} domains
-    without copying.
+    without copying. Packing is the only way a trace reaches the
+    passes that replay it, trace export included, and each
+    {!Source.kind} has exactly one writer into the columns
+    ({!of_source}).
 
     The columns (all indexed by dynamic instruction, except the
     dependence columns which use compressed-sparse-row layout):
@@ -40,11 +43,12 @@ type t = private {
 
 val of_source : ?label:string -> Source.t -> n:int -> t
 (** Materialize the first [n] instructions ([FOM-T130] if [n <= 0]).
-    A generator-backed source ({!Source.of_program}) is packed by
-    stepping its {!Stream} straight into the columns, allocating
-    nothing per instruction; any other source is read one
-    {!Fom_isa.Instr.t} at a time, its fields validated as they are
-    packed. Both paths yield the same columns for the same trace. *)
+    Each {!Source.kind} has one column writer: a generator is stepped
+    straight into the columns through its {!Stream.step} cursor, a
+    phase schedule runs that same writer once per activation with its
+    dependences re-based, and a recorded trace is copied field by
+    field, wrapping past its end. The two generator writers allocate
+    nothing per instruction. *)
 
 val length : t -> int
 (** Number of packed instructions. *)
@@ -55,4 +59,4 @@ val label : t -> string
 val instr : t -> int -> Fom_isa.Instr.t
 (** Decode dynamic instruction [i] ([FOM-T131] if negative). Past the
     end the trace wraps with re-based indices and dependences, exactly
-    like {!Source.of_instrs} replay. *)
+    like a {!Source.Recorded} replay. *)

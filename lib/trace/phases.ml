@@ -1,5 +1,3 @@
-module Instr = Fom_isa.Instr
-
 type phase = { config : Config.t; instructions : int }
 
 let schedule_length phases = List.fold_left (fun acc p -> acc + p.instructions) 0 phases
@@ -17,46 +15,6 @@ let check phases =
 
 let source phases =
   Fom_check.Checker.run_exn (check phases);
-  let programs = List.map (fun p -> (Program.generate p.config, p.instructions)) phases in
-  let label =
-    String.concat "+" (List.map (fun p -> p.config.Config.name) phases)
-  in
-  let fresh () =
-    let remaining = ref [] in
-    let current = ref None in
-    let phase_base = ref 0 in
-    let produced_in_phase = ref 0 in
-    let global = ref 0 in
-    let activate () =
-      (match !remaining with
-      | [] -> remaining := programs
-      | _ -> ());
-      match !remaining with
-      | (program, budget) :: rest ->
-          remaining := rest;
-          let active = (Stream.create program, budget) in
-          current := Some active;
-          phase_base := !global;
-          produced_in_phase := 0;
-          active
-      | [] -> Fom_check.Checker.internal_error "phase schedule became empty"
-    in
-    fun () ->
-      let stream, _ =
-        match !current with
-        | Some ((_, budget) as active) when !produced_in_phase < budget -> active
-        | Some _ | None -> activate ()
-      in
-      let ins = Stream.next stream in
-      incr produced_in_phase;
-      let index = !global in
-      incr global;
-      (* Rebase the phase-local index and dependences to the global
-         numbering. *)
-      {
-        ins with
-        Instr.index;
-        deps = Array.map (fun d -> d + !phase_base) ins.Instr.deps;
-      }
-  in
-  Source.of_factory ~label fresh
+  Source.of_schedule
+    ~label:(String.concat "+" (List.map (fun p -> p.config.Config.name) phases))
+    (List.map (fun p -> (Program.generate p.config, p.instructions)) phases)

@@ -11,7 +11,12 @@
     begins; after the last phase the schedule repeats. Dynamic indices
     are globally sequential and dependences never cross a phase
     boundary (each activation restarts the phase's stream — the
-    regime change is a working-set change, as in real programs). *)
+    regime change is a working-set change, as in real programs).
+
+    A schedule is data: {!source} generates each phase's program once
+    and describes the schedule as a {!Source.Schedule}, which
+    {!Packed.of_source} fills by stepping each activation's stream
+    straight into the columns. *)
 
 type phase = {
   config : Config.t;
@@ -23,9 +28,9 @@ val check : phase list -> Fom_check.Diagnostic.t list
     per-phase instruction budgets. *)
 
 val source : phase list -> Source.t
-(** A replayable source cycling through the schedule. The label joins
-    the phase names. Requires a non-empty schedule (raises
-    {!Fom_check.Checker.Invalid} otherwise). *)
+(** The schedule as a replayable source, cycling through the phases.
+    The label joins the phase names. Raises
+    {!Fom_check.Checker.Invalid} with the {!check} diagnostics. *)
 
 val schedule_length : phase list -> int
 (** Instructions in one full pass of the schedule. *)

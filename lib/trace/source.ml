@@ -1,193 +1,36 @@
 module Instr = Fom_isa.Instr
-module Opclass = Fom_isa.Opclass
-module Reg = Fom_isa.Reg
 
-(* [stream] is set only for generator-backed sources, so that packing
-   can step the generator directly instead of decoding an [Instr.t]
-   per instruction. *)
-type t = {
-  label : string;
-  fresh : unit -> unit -> Instr.t;
-  stream : (unit -> Stream.t) option;
-}
+type kind =
+  | Generator of { program : Program.t; seed : int option }
+  | Schedule of (Program.t * int) list
+  | Recorded of Instr.t array
+
+type t = { label : string; kind : kind }
 
 let label t = t.label
-let fresh t = t.fresh ()
-let stream t = Option.map (fun create -> create ()) t.stream
-let of_factory ~label fresh = { label; fresh; stream = None }
 
 let of_program ?seed program =
-  let create () = Stream.create ?seed program in
-  {
-    label = program.Program.config.Config.name;
-    fresh =
-      (fun () ->
-        let stream = create () in
-        fun () -> Stream.next stream);
-    stream = Some create;
-  }
+  { label = program.Program.config.Config.name; kind = Generator { program; seed } }
+
+let of_schedule ~label phases =
+  Fom_check.Checker.ensure ~code:"FOM-T041" ~path:"source.of_schedule"
+    (phases <> [] && List.for_all (fun (_, budget) -> budget >= 1) phases)
+    "phase schedule must be non-empty, with positive instruction budgets";
+  { label; kind = Schedule phases }
 
 let of_instrs ?(label = "recorded") instrs =
-  let ensure ~path cond message =
-    Fom_check.Checker.ensure ~code:"FOM-T110" ~path cond message
+  let ensure cond message =
+    Fom_check.Checker.ensure ~code:"FOM-T110" ~path:"source.of_instrs" cond message
   in
-  ensure ~path:"source.of_instrs" (Array.length instrs > 0)
-    "recorded trace must be non-empty";
+  ensure (Array.length instrs > 0) "recorded trace must be non-empty";
   Array.iteri
     (fun i (ins : Instr.t) ->
-      ensure ~path:"source.of_instrs" (ins.Instr.index = i)
-        "recorded trace must be in dynamic index order")
+      ensure (ins.Instr.index = i) "recorded trace must be in dynamic index order";
+      ensure
+        (match ins.Instr.mem with Some addr -> addr >= 0 | None -> true)
+        "memory addresses must be non-negative";
+      ensure
+        (match ins.Instr.ctrl with Some c -> c.Instr.target >= 0 | None -> true)
+        "control targets must be non-negative")
     instrs;
-  let len = Array.length instrs in
-  {
-    label;
-    stream = None;
-    fresh =
-      (fun () ->
-        let position = ref 0 in
-        fun () ->
-          let p = !position in
-          incr position;
-          let k = p / len and off = p mod len in
-          if k = 0 then instrs.(off)
-          else
-            (* Wrapped replay: re-base indices and dependences by the
-               number of completed copies. *)
-            let ins = instrs.(off) in
-            {
-              ins with
-              Instr.index = p;
-              deps = Array.map (fun d -> d + (k * len)) ins.Instr.deps;
-            });
-  }
-
-let record t ~n =
-  let next = fresh t in
-  Array.init n (fun _ -> next ())
-
-(* --- text format --- *)
-
-let format_magic = "fom-trace 1"
-
-let class_of_string s =
-  List.find_opt (fun c -> String.equal (Opclass.to_string c) s) Opclass.all
-
-let save ~path t ~n =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (format_magic ^ "\n");
-      let next = fresh t in
-      for _ = 1 to n do
-        let ins = next () in
-        let mem = match ins.Instr.mem with Some a -> Printf.sprintf "%x" a | None -> "-" in
-        let dir, target =
-          match ins.Instr.ctrl with
-          | Some c -> ((if c.Instr.taken then "T" else "N"), Printf.sprintf "%x" c.Instr.target)
-          | None -> ("-", "-")
-        in
-        let deps =
-          ins.Instr.deps |> Array.to_list |> List.map string_of_int |> String.concat " "
-        in
-        Printf.fprintf oc "%s %x %s %s %s%s%s\n"
-          (Opclass.to_string ins.Instr.opclass)
-          ins.Instr.pc mem dir target
-          (if deps = "" then "" else " ")
-          deps
-      done)
-
-(* A parse error names the file and the 1-based line number in the
-   diagnostic path ([file.trace:12]) and quotes the offending line in
-   the message. *)
-let parse_error ~path ~lineno ~code msg =
-  raise
-    (Fom_check.Checker.Invalid
-       [
-         Fom_check.Diagnostic.make ~code
-           ~path:(Printf.sprintf "%s:%d" path lineno)
-           msg;
-       ])
-
-let parse_line ~path ~lineno ~index ~next_dst line =
-  match String.split_on_char ' ' (String.trim line) with
-  | cls_s :: pc_s :: mem_s :: dir_s :: target_s :: dep_fields -> (
-      match class_of_string cls_s with
-      | None ->
-          parse_error ~path ~lineno ~code:"FOM-T103"
-            (Printf.sprintf "unknown instruction class %S in %S" cls_s line)
-      | Some opclass ->
-          let parse_hex what s =
-            match int_of_string_opt ("0x" ^ s) with
-            | Some v -> v
-            | None ->
-                parse_error ~path ~lineno ~code:"FOM-T104"
-                  (Printf.sprintf "bad %s %S in %S" what s line)
-          in
-          let pc = parse_hex "pc" pc_s in
-          let mem = if mem_s = "-" then None else Some (parse_hex "address" mem_s) in
-          let ctrl =
-            match (dir_s, target_s) with
-            | "-", "-" -> None
-            | dir, target ->
-                Some { Instr.target = parse_hex "target" target; taken = dir = "T" }
-          in
-          let deps =
-            dep_fields
-            |> List.filter (fun f -> f <> "")
-            |> List.map (fun f ->
-                   match int_of_string_opt f with
-                   | Some d when d >= 0 && d < index -> d
-                   | Some d ->
-                       parse_error ~path ~lineno ~code:"FOM-T105"
-                         (Printf.sprintf
-                            "dependence %d must name an earlier instruction (this is \
-                             instruction %d) in %S"
-                            d index line)
-                   | None ->
-                       parse_error ~path ~lineno ~code:"FOM-T104"
-                         (Printf.sprintf "bad dependence %S in %S" f line))
-            |> Array.of_list
-          in
-          let dst =
-            match opclass with
-            | Opclass.Alu | Opclass.Mul | Opclass.Div | Opclass.Load ->
-                next_dst := (!next_dst mod (Reg.count - 1)) + 1;
-                Some (Reg.of_int !next_dst)
-            | Opclass.Store | Opclass.Branch | Opclass.Jump -> None
-          in
-          Instr.make ~index ~pc ~opclass ?dst ~deps ?mem ?ctrl ())
-  | _ ->
-      parse_error ~path ~lineno ~code:"FOM-T106"
-        (Printf.sprintf "malformed trace line %S (expected class pc mem dir target deps...)"
-           line)
-
-let load ~path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      (match input_line ic with
-      | magic when String.trim magic = format_magic -> ()
-      | magic ->
-          parse_error ~path ~lineno:1 ~code:"FOM-T101"
-            (Printf.sprintf "not a fom trace (header %S, expected %S)" magic format_magic)
-      | exception End_of_file ->
-          parse_error ~path ~lineno:1 ~code:"FOM-T102" "empty trace file");
-      let next_dst = ref 0 in
-      let instrs = ref [] in
-      let index = ref 0 in
-      let lineno = ref 1 in
-      (try
-         while true do
-           let line = input_line ic in
-           incr lineno;
-           if String.trim line <> "" then begin
-             instrs := parse_line ~path ~lineno:!lineno ~index:!index ~next_dst line :: !instrs;
-             incr index
-           end
-         done
-       with End_of_file -> ());
-      if !instrs = [] then
-        parse_error ~path ~lineno:!lineno ~code:"FOM-T107" "trace file has no instructions";
-      of_instrs ~label:path (Array.of_list (List.rev !instrs)))
+  { label; kind = Recorded instrs }

@@ -218,13 +218,3 @@ let next t =
       (if c.ctrl < 0 then None
        else Some { Instr.target = c.ctrl lsr 1; taken = c.ctrl land 1 = 1 })
     ()
-
-let iter program ~n f =
-  let t = create program in
-  for _ = 1 to n do
-    f (next t)
-  done
-
-let collect program ~n =
-  let t = create program in
-  Array.init n (fun _ -> next t)

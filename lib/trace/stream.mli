@@ -1,7 +1,7 @@
 (** Dynamic instruction streams.
 
-    A stream walks the program's control-flow graph forever, emitting
-    {!Fom_isa.Instr.t} records in program order. All mutable state
+    A stream walks the program's control-flow graph forever, one
+    instruction per {!step}, in program order. All mutable state
     (address generators, branch behaviours, dependence sampling) is
     instantiated at {!create}, so two streams over the same program are
     identical instruction-for-instruction — the detailed simulator, the
@@ -45,10 +45,3 @@ val next : t -> Fom_isa.Instr.t
 (** Emit the next dynamic instruction: one {!step}, decoded through
     {!Fom_isa.Instr.make}. Never fails: the synthetic walk is
     infinite. *)
-
-val iter : Program.t -> n:int -> (Fom_isa.Instr.t -> unit) -> unit
-(** [iter program ~n f] applies [f] to the first [n] instructions of a
-    fresh stream. *)
-
-val collect : Program.t -> n:int -> Fom_isa.Instr.t array
-(** First [n] instructions of a fresh stream, materialized. *)

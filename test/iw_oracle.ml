@@ -2,13 +2,19 @@
    the paper describes it: refill the window to capacity, then scan it
    oldest-first every cycle and issue whatever is ready, up to the
    issue limit. O(window) per cycle; the oracle Iw_sim.ipc_of_packed
-   is tested against. *)
+   is tested against. It decodes the same packing one [Instr.t] at a
+   time, so the packing must hold [n + window] instructions. *)
 
 module Instr = Fom_isa.Instr
 module Latency = Fom_isa.Latency
 
-let ipc_of_source ?(latencies = Latency.unit) ?issue_limit source ~window ~n =
-  let next_instr = Fom_trace.Source.fresh source in
+let ipc_of_packed ?(latencies = Latency.unit) ?issue_limit packed ~window ~n =
+  let fetched = ref 0 in
+  let next_instr () =
+    let ins = Fom_trace.Packed.instr packed !fetched in
+    incr fetched;
+    ins
+  in
   (* Window of unissued instructions in age order. *)
   let win = Array.make window None in
   let count = ref 0 in

@@ -206,8 +206,8 @@ let presets = Array.of_list (Fom_workloads.Spec2000.all @ Fom_workloads.Micro.al
 (* The recurrence kernel against the cycle-by-cycle oracle on one
    source: exact float equality, not closeness. *)
 let kernel_matches_oracle ?issue_limit ~latencies source ~window ~n =
-  let reference = Iw_oracle.ipc_of_source ~latencies ?issue_limit source ~window ~n in
   let packed = Fom_trace.Packed.of_source source ~n:(n + window) in
+  let reference = Iw_oracle.ipc_of_packed ~latencies ?issue_limit packed ~window ~n in
   Float.equal reference (Iw_sim.ipc_of_packed ~latencies ?issue_limit packed ~window ~n)
 
 let prop_packed_kernel_bit_identical =
@@ -269,9 +269,10 @@ let test_packed_round_trip () =
   Alcotest.(check string) "label" (Fom_trace.Source.label source)
     (Fom_trace.Packed.label packed);
   let expect =
-    Fom_trace.Source.record
-      (Fom_trace.Source.of_instrs (Fom_trace.Source.record source ~n:len))
-      ~n:total
+    let stream = Fom_trace.Stream.create (Lazy.force gzip) in
+    let base = Array.init len (fun _ -> Fom_trace.Stream.next stream) in
+    let wrapped = Fom_trace.Packed.of_source (Fom_trace.Source.of_instrs base) ~n:total in
+    Array.init total (Fom_trace.Packed.instr wrapped)
   in
   Array.iteri
     (fun i ins ->

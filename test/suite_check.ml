@@ -201,7 +201,7 @@ let with_trace_file contents f =
 
 let expect_parse_error name code ~line contents =
   with_trace_file contents (fun path ->
-      match Fom_trace.Source.load ~path with
+      match Fom_trace.Trace_file.load ~path with
       | _ -> Alcotest.fail (name ^ ": accepted bad trace")
       | exception C.Invalid [ d ] ->
           Alcotest.(check string) (name ^ " code") code d.D.code;
@@ -219,6 +219,14 @@ let test_parse_codes () =
   expect_parse_error "T105 dep" "FOM-T105" ~line:2 "fom-trace 1\nalu 400000 - - - 7\n";
   expect_parse_error "T106 malformed" "FOM-T106" ~line:2 "fom-trace 1\nalu 400000\n";
   expect_parse_error "T107 no instrs" "FOM-T107" ~line:1 "fom-trace 1\n";
+  (* [7fffffffffffffff] is a valid hex literal that wraps to -1: a
+     negative pc, address or target is rejected where it is read. *)
+  expect_parse_error "T104 negative pc" "FOM-T104" ~line:2
+    "fom-trace 1\nalu 7fffffffffffffff - - -\n";
+  expect_parse_error "T104 negative address" "FOM-T104" ~line:3
+    "fom-trace 1\nalu 400000 - - -\nload 400004 7fffffffffffffff - - 0\n";
+  expect_parse_error "T104 negative target" "FOM-T104" ~line:2
+    "fom-trace 1\nbranch 400000 - T 7fffffffffffffff\n";
   (* Blank lines shift the reported line number, not the index. *)
   expect_parse_error "T105 line 4" "FOM-T105" ~line:4
     "fom-trace 1\nalu 400000 - - -\n\nalu 400004 - - - 9\n"
@@ -229,13 +237,16 @@ let test_of_instrs_codes () =
     Fom_isa.Instr.make ~index:1 ~pc:0x1000 ~opclass:Fom_isa.Opclass.Alu ()
   in
   expect_invalid "T110 order" "FOM-T110" (fun () -> Fom_trace.Source.of_instrs [| i0 |]);
-  (* Packing reads a source in dynamic index order (the simulators
-     index its columns by it): a source that does not number its
-     instructions from 0 is rejected. *)
-  expect_invalid "T130 packing order" "FOM-T130" (fun () ->
-      Fom_trace.Packed.of_source
-        (Fom_trace.Source.of_factory ~label:"misnumbered" (fun () () -> i0))
-        ~n:1)
+  expect_invalid "T110 negative address" "FOM-T110" (fun () ->
+      Fom_trace.Source.of_instrs
+        [| Fom_isa.Instr.make ~index:0 ~pc:0x1000 ~opclass:Fom_isa.Opclass.Load ~mem:(-1) () |]);
+  expect_invalid "T110 negative target" "FOM-T110" (fun () ->
+      Fom_trace.Source.of_instrs
+        [|
+          Fom_isa.Instr.make ~index:0 ~pc:0x1000 ~opclass:Fom_isa.Opclass.Jump
+            ~ctrl:{ Fom_isa.Instr.target = -4; taken = true }
+            ();
+        |])
 
 (* --- instruction structure (FOM-T12x, FOM-U) ------------------------- *)
 

@@ -161,7 +161,10 @@ let test_source_seed_override () =
      reproduces exactly, and differs from the config's default
      stream. *)
   let program = Lazy.force gzip in
-  let record seed = Source.record (Source.of_program ?seed program) ~n:500 in
+  let record seed =
+    let packed = Fom_trace.Packed.of_source (Source.of_program ?seed program) ~n:500 in
+    Array.init 500 (Fom_trace.Packed.instr packed)
+  in
   let a = record (Some 1234) and b = record (Some 1234) in
   Alcotest.(check bool) "explicit seed reproduces" true (a = b);
   let default = record None in

@@ -1,7 +1,8 @@
 (* Trace generation: exact allocation gates for the generator's hot
-   paths, and bit-identity between the column writer, the generic
-   per-instruction packing path and Stream.next. Counting minor words
-   is deterministic on one domain, so every gate is exact. *)
+   paths, and bit-identity between the three column writers
+   (generator, phase schedule, recorded trace) and Stream.next.
+   Counting minor words is deterministic on one domain, so every gate
+   is exact. *)
 
 module Rng = Fom_util.Rng
 module Address_gen = Fom_trace.Address_gen
@@ -11,6 +12,7 @@ module Program = Fom_trace.Program
 module Stream = Fom_trace.Stream
 module Source = Fom_trace.Source
 module Packed = Fom_trace.Packed
+module Phases = Fom_trace.Phases
 module Profile = Fom_analysis.Profile
 
 let words_per_call ~calls f =
@@ -87,7 +89,18 @@ let test_generation_allocation_per_instr () =
           for _ = 1 to n do
             ignore (Stream.next stream)
           done))
-    [ "gzip"; "mcf" ]
+    [ "gzip"; "mcf" ];
+  (* A phase schedule runs the generator's writer once per activation:
+     only the activations' fresh streams allocate. *)
+  let schedule =
+    Phases.source
+      (List.map
+         (fun name ->
+           { Phases.config = Fom_workloads.Spec2000.find name; instructions = 3000 })
+         [ "gzip"; "mcf" ])
+  in
+  per_instr "Packed.of_source gzip+mcf phases" ~bound:3.0 (fun () ->
+      ignore (Packed.of_source schedule ~n))
 
 (* A preset with its dependence, memory and control knobs redrawn:
    covers chase chains, short and long dependence distances, source
@@ -119,23 +132,56 @@ let columns (p : Packed.t) =
   [ p.Packed.tag; p.pc; p.dst; p.srcs; p.dep_off; p.dep_val; p.mem; p.ctrl ]
 
 let prop_column_writer_matches_generic =
-  (* The column writer steps the generator straight into the columns;
-     the generic path packs the same walk one decoded Instr.t at a
-     time. All eight columns must agree. *)
+  (* The generator writer steps the stream straight into the columns;
+     the recorded-trace writer packs the same walk from decoded
+     Instr.t records. All eight columns must agree. *)
   QCheck.Test.make ~name:"column writer matches generic packing" ~count:40
     QCheck.(pair gen_config (int_bound 100_000))
     (fun (config, stream_seed) ->
       let p = Program.generate config in
       let n = 3000 in
       let direct = Packed.of_source (Source.of_program ~seed:stream_seed p) ~n in
-      let generic =
+      let s = Stream.create ~seed:stream_seed p in
+      let recorded =
+        Packed.of_source (Source.of_instrs (Array.init n (fun _ -> Stream.next s))) ~n
+      in
+      columns direct = columns recorded)
+
+let prop_schedule_writer_matches_phases =
+  (* Row [i] of a two-phase schedule is row [i - start] of its phase's
+     own packing, with dependences re-based to the activation's
+     [start]. [n] ends part-way through a third pass, so the rows past
+     [schedule_length] restart the first phase's stream. *)
+  QCheck.Test.make ~name:"schedule writer matches per-phase packings" ~count:30
+    QCheck.(
+      quad gen_config gen_config (pair (int_range 1 700) (int_range 1 700)) small_nat)
+    (fun (c1, c2, (b1, b2), extra) ->
+      let len = b1 + b2 in
+      let n = (2 * len) + 1 + (extra mod (len - 1)) in
+      let packed =
         Packed.of_source
-          (Source.of_factory ~label:"generic" (fun () ->
-               let s = Stream.create ~seed:stream_seed p in
-               fun () -> Stream.next s))
+          (Phases.source
+             [
+               { Phases.config = c1; instructions = b1 };
+               { Phases.config = c2; instructions = b2 };
+             ])
           ~n
       in
-      columns direct = columns generic)
+      let own c b = Packed.of_source (Source.of_program (Program.generate c)) ~n:b in
+      let own1 = own c1 b1 and own2 = own c2 b2 in
+      List.for_all
+        (fun i ->
+          let off = i mod len in
+          let phase, k = if off < b1 then (own1, off) else (own2, off - b1) in
+          let start = i - k in
+          let ins = Packed.instr phase k in
+          Packed.instr packed i
+          = {
+              ins with
+              Fom_isa.Instr.index = i;
+              deps = Array.map (( + ) start) ins.Fom_isa.Instr.deps;
+            })
+        (List.init n Fun.id))
 
 let test_packed_decodes_to_stream () =
   List.iter
@@ -153,10 +199,10 @@ let test_packed_decodes_to_stream () =
 (* Digest of every field of the first [n] generated instructions, in
    the {!Fom_isa.Instr.pp} rendering plus the dependence list. *)
 let stream_digest ?seed p ~n =
-  let next = Source.fresh (Source.of_program ?seed p) in
+  let s = Stream.create ?seed p in
   let b = Buffer.create (64 * n) in
   for _ = 1 to n do
-    let ins = next () in
+    let ins = Stream.next s in
     Buffer.add_string b
       (Format.asprintf "%a <- %s\n" Fom_isa.Instr.pp ins
          (String.concat " " (List.map string_of_int (Array.to_list ins.Fom_isa.Instr.deps))))
@@ -198,4 +244,5 @@ let suite =
       Alcotest.test_case "generated trace unchanged" `Quick test_stream_golden;
       Alcotest.test_case "packed decodes to Stream.next" `Quick test_packed_decodes_to_stream;
       QCheck_alcotest.to_alcotest prop_column_writer_matches_generic;
+      QCheck_alcotest.to_alcotest prop_schedule_writer_matches_phases;
     ] )

@@ -1,7 +1,7 @@
 (* Tests for phased workloads and per-phase model composition. *)
 
 module Phases = Fom_trace.Phases
-module Source = Fom_trace.Source
+module Packed = Fom_trace.Packed
 module Instr = Fom_isa.Instr
 module Cpi = Fom_model.Cpi
 module Phased = Fom_model.Phased
@@ -12,12 +12,16 @@ let schedule =
     { Phases.config = Fom_workloads.Spec2000.find "mcf"; instructions = 2000 };
   ]
 
+let record source ~n =
+  let packed = Packed.of_source source ~n in
+  Array.init n (Packed.instr packed)
+
 let test_schedule_length () =
   Alcotest.(check int) "sum" 5000 (Phases.schedule_length schedule)
 
 let test_indices_sequential_and_deps_valid () =
   let source = Phases.source schedule in
-  let trace = Source.record source ~n:12000 in
+  let trace = record source ~n:12000 in
   Array.iteri
     (fun i (ins : Instr.t) ->
       Alcotest.(check int) "sequential" i ins.Instr.index;
@@ -31,7 +35,7 @@ let test_phases_switch_content () =
      is mcf (which touches its 16 MiB chase region). Distinguish the
      phases by the address footprint of their loads. *)
   let source = Phases.source schedule in
-  let trace = Source.record source ~n:5000 in
+  let trace = record source ~n:5000 in
   let max_addr lo hi =
     Array.fold_left
       (fun acc (ins : Instr.t) ->
@@ -47,8 +51,8 @@ let test_phases_switch_content () =
     (mcf_phase > gzip_phase)
 
 let test_phases_deterministic () =
-  let a = Source.record (Phases.source schedule) ~n:4000 in
-  let b = Source.record (Phases.source schedule) ~n:4000 in
+  let a = record (Phases.source schedule) ~n:4000 in
+  let b = record (Phases.source schedule) ~n:4000 in
   Array.iteri
     (fun i (x : Instr.t) ->
       Alcotest.(check int) "same pc" x.Instr.pc b.(i).Instr.pc;

@@ -1,12 +1,19 @@
-(* Tests for Fom_trace.Source: replayability, wrapping, and the trace
-   file format round-trip. *)
+(* Tests for Fom_trace.Source and Fom_trace.Trace_file: replayability,
+   wrapping, and the trace file format round-trip. *)
 
 module Source = Fom_trace.Source
+module Packed = Fom_trace.Packed
+module Trace_file = Fom_trace.Trace_file
 module Instr = Fom_isa.Instr
 module Opclass = Fom_isa.Opclass
 module Reg = Fom_isa.Reg
 
 let gzip = lazy (Fom_trace.Program.generate (Fom_workloads.Spec2000.find "gzip"))
+
+(* The first [n] instructions, decoded from a packing. *)
+let record source ~n =
+  let packed = Packed.of_source source ~n in
+  Array.init n (Packed.instr packed)
 
 let same_instr (a : Instr.t) (b : Instr.t) =
   a.Instr.index = b.Instr.index && a.Instr.pc = b.Instr.pc
@@ -25,18 +32,18 @@ let check_same label a b =
 
 let test_of_program_replayable () =
   let source = Source.of_program (Lazy.force gzip) in
-  let a = Source.record source ~n:500 in
-  let b = Source.record source ~n:500 in
+  let a = record source ~n:500 in
+  let b = record source ~n:500 in
   check_same "two fresh passes" a b
 
 let test_of_instrs_replay () =
-  let base = Source.record (Source.of_program (Lazy.force gzip)) ~n:300 in
-  let replay = Source.record (Source.of_instrs base) ~n:300 in
+  let base = record (Source.of_program (Lazy.force gzip)) ~n:300 in
+  let replay = record (Source.of_instrs base) ~n:300 in
   check_same "array replay" base replay
 
 let test_of_instrs_wraps_with_rebased_indices () =
-  let base = Source.record (Source.of_program (Lazy.force gzip)) ~n:100 in
-  let wrapped = Source.record (Source.of_instrs base) ~n:350 in
+  let base = record (Source.of_program (Lazy.force gzip)) ~n:100 in
+  let wrapped = record (Source.of_instrs base) ~n:350 in
   Array.iteri
     (fun i (ins : Instr.t) ->
       Alcotest.(check int) "indices stay sequential" i ins.Instr.index;
@@ -54,14 +61,26 @@ let test_file_roundtrip () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       let source = Source.of_program (Lazy.force gzip) in
-      Source.save ~path source ~n:400;
-      let loaded = Source.load ~path in
-      let original = Source.record source ~n:400 in
-      let reread = Source.record loaded ~n:400 in
+      Trace_file.save ~path source ~n:400;
+      let loaded = Trace_file.load ~path in
+      let original = record source ~n:400 in
+      let reread = record loaded ~n:400 in
       (* Register names are re-assigned on load; everything the model
          consumes must round-trip exactly. *)
       check_same "roundtrip" original reread;
       Alcotest.(check string) "label is the path" path (Source.label loaded))
+
+let test_save_golden () =
+  (* Pinned bytes of the exported format: the first 40 gzip
+     instructions, header included (its first lines are
+     [fom-trace 1], [alu 400000 - - -], [branch 400004 - N 400008 0]). *)
+  let path = Filename.temp_file "fom" ".trace" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Trace_file.save ~path (Source.of_program (Lazy.force gzip)) ~n:40;
+      Alcotest.(check string) "digest of the saved file" "9480d7502cda64d5c0ec9eea147e08b6"
+        (Digest.to_hex (Digest.file path)))
 
 let test_file_roundtrip_preserves_model_inputs () =
   let path = Filename.temp_file "fom" ".trace" in
@@ -70,8 +89,8 @@ let test_file_roundtrip_preserves_model_inputs () =
     (fun () ->
       let source = Source.of_program (Lazy.force gzip) in
       let n = 20000 in
-      Source.save ~path source ~n;
-      let loaded = Source.load ~path in
+      Trace_file.save ~path source ~n;
+      let loaded = Trace_file.load ~path in
       let params = Fom_model.Params.baseline in
       let from_program =
         Fom_analysis.Characterize.inputs_of_source ~iw_instructions:5000 ~params source ~n
@@ -94,8 +113,8 @@ let test_simulator_on_loaded_trace () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       let source = Source.of_program (Lazy.force gzip) in
-      Source.save ~path source ~n:20000;
-      let loaded = Source.load ~path in
+      Trace_file.save ~path source ~n:20000;
+      let loaded = Trace_file.load ~path in
       let a = Fom_uarch.Simulate.run_source Fom_uarch.Config.baseline source ~n:20000 in
       let b = Fom_uarch.Simulate.run_source Fom_uarch.Config.baseline loaded ~n:20000 in
       Alcotest.(check int) "same cycles" a.Fom_uarch.Stats.cycles b.Fom_uarch.Stats.cycles)
@@ -108,7 +127,7 @@ let test_load_rejects_garbage () =
       let oc = open_out path in
       output_string oc "not a trace\n";
       close_out oc;
-      match Source.load ~path with
+      match Trace_file.load ~path with
       | _ -> Alcotest.fail "accepted garbage"
       | exception Fom_check.Checker.Invalid [ d ] ->
           Alcotest.(check string) "code" "FOM-T101" d.Fom_check.Diagnostic.code;
@@ -123,7 +142,7 @@ let test_load_rejects_bad_dependence () =
       let oc = open_out path in
       output_string oc "fom-trace 1\nalu 400000 - - - 7\n";
       close_out oc;
-      match Source.load ~path with
+      match Trace_file.load ~path with
       | _ -> Alcotest.fail "accepted forward dependence"
       | exception Fom_check.Checker.Invalid [ d ] ->
           Alcotest.(check string) "code" "FOM-T105" d.Fom_check.Diagnostic.code;
@@ -137,6 +156,7 @@ let suite =
       Alcotest.test_case "array replay" `Quick test_of_instrs_replay;
       Alcotest.test_case "wrapped replay rebases" `Quick test_of_instrs_wraps_with_rebased_indices;
       Alcotest.test_case "file roundtrip" `Quick test_file_roundtrip;
+      Alcotest.test_case "save format unchanged" `Quick test_save_golden;
       Alcotest.test_case "roundtrip preserves model inputs" `Quick
         test_file_roundtrip_preserves_model_inputs;
       Alcotest.test_case "simulator on loaded trace" `Quick test_simulator_on_loaded_trace;

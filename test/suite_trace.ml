@@ -11,6 +11,18 @@ module Instr = Fom_isa.Instr
 module Opclass = Fom_isa.Opclass
 
 let gzip () = Fom_workloads.Spec2000.find "gzip"
+
+(* The first [n] instructions of a fresh stream, one at a time or
+   materialized. *)
+let iter program ~n f =
+  let t = Stream.create program in
+  for _ = 1 to n do
+    f (Stream.next t)
+  done
+
+let collect program ~n =
+  let t = Stream.create program in
+  Array.init n (fun _ -> Stream.next t)
 let region = { Address_gen.base = 0x1000; size = 4096 }
 
 let test_stride_walks_region () =
@@ -72,7 +84,7 @@ let test_expected_taken_rate () =
 let test_program_generation_deterministic () =
   let p1 = Program.generate (gzip ()) and p2 = Program.generate (gzip ()) in
   Alcotest.(check int) "same static count" (Program.static_count p1) (Program.static_count p2);
-  let t1 = Stream.collect p1 ~n:1000 and t2 = Stream.collect p2 ~n:1000 in
+  let t1 = collect p1 ~n:1000 and t2 = collect p2 ~n:1000 in
   Array.iteri
     (fun i (a : Instr.t) ->
       let b = t2.(i) in
@@ -102,12 +114,12 @@ let test_block_of_uid () =
 
 let test_stream_indices_sequential () =
   let p = Program.generate (gzip ()) in
-  let trace = Stream.collect p ~n:500 in
+  let trace = collect p ~n:500 in
   Array.iteri (fun i (ins : Instr.t) -> Alcotest.(check int) "index" i ins.Instr.index) trace
 
 let test_stream_deps_precede () =
   let p = Program.generate (Fom_workloads.Spec2000.find "mcf") in
-  Stream.iter p ~n:20000 (fun ins ->
+  iter p ~n:20000 (fun ins ->
       Array.iter
         (fun d ->
           if not (d >= 0 && d < ins.Instr.index) then
@@ -119,7 +131,7 @@ let test_stream_mix_matches_config () =
   let p = Program.generate config in
   let n = 200000 in
   let loads = ref 0 and branches = ref 0 and stores = ref 0 in
-  Stream.iter p ~n (fun ins ->
+  iter p ~n (fun ins ->
       match ins.Instr.opclass with
       | Opclass.Load -> incr loads
       | Opclass.Store -> incr stores
@@ -133,14 +145,14 @@ let test_stream_mix_matches_config () =
 
 let test_stream_branches_have_ctrl () =
   let p = Program.generate (gzip ()) in
-  Stream.iter p ~n:5000 (fun ins ->
+  iter p ~n:5000 (fun ins ->
       if Instr.is_control ins then
         Alcotest.(check bool) "ctrl present" true (Option.is_some ins.Instr.ctrl)
       else Alcotest.(check bool) "ctrl absent" true (Option.is_none ins.Instr.ctrl))
 
 let test_stream_memory_ops_have_addresses () =
   let p = Program.generate (Fom_workloads.Spec2000.find "mcf") in
-  Stream.iter p ~n:5000 (fun ins ->
+  iter p ~n:5000 (fun ins ->
       Alcotest.(check bool) "mem iff memory op" true
         (Option.is_some ins.Instr.mem = Fom_isa.Opclass.is_memory ins.Instr.opclass))
 
@@ -149,7 +161,7 @@ let test_chase_loads_serialized () =
   let p = Program.generate (Fom_workloads.Spec2000.find "mcf") in
   let last_by_pc = Hashtbl.create 64 in
   let found_chain = ref false in
-  Stream.iter p ~n:50000 (fun ins ->
+  iter p ~n:50000 (fun ins ->
       if Instr.is_load ins then begin
         (match Hashtbl.find_opt last_by_pc ins.Instr.pc with
         | Some prev when Array.exists (fun d -> d = prev) ins.Instr.deps -> found_chain := true
@@ -162,7 +174,7 @@ let test_all_workloads_generate () =
   List.iter
     (fun config ->
       let p = Program.generate config in
-      let trace = Stream.collect p ~n:2000 in
+      let trace = collect p ~n:2000 in
       Alcotest.(check int) "trace length" 2000 (Array.length trace))
     Fom_workloads.Spec2000.all
 
@@ -183,7 +195,7 @@ let test_interleaved_streams_independent () =
      interleaving their consumption must not change what either
      produces. *)
   let p = Program.generate (gzip ()) in
-  let reference = Stream.collect p ~n:400 in
+  let reference = collect p ~n:400 in
   let s1 = Stream.create p and s2 = Stream.create p in
   for i = 0 to 399 do
     let a = Stream.next s1 in
@@ -195,7 +207,7 @@ let test_interleaved_streams_independent () =
 let test_pcs_within_footprint () =
   let p = Program.generate (Fom_workloads.Spec2000.find "vortex") in
   let hi = Program.code_base + Program.footprint_bytes p in
-  Stream.iter p ~n:20000 (fun ins ->
+  iter p ~n:20000 (fun ins ->
       if ins.Instr.pc < Program.code_base || ins.Instr.pc >= hi then
         Alcotest.failf "pc 0x%x outside footprint" ins.Instr.pc)
 
@@ -205,7 +217,7 @@ let test_full_block_coverage_small_program () =
   let p = Program.generate (gzip ()) in
   let blocks = Array.length p.Program.blocks in
   let seen = Array.make blocks false in
-  Stream.iter p ~n:100000 (fun ins ->
+  iter p ~n:100000 (fun ins ->
       seen.(Program.block_of_uid p ((ins.Instr.pc - Program.code_base) / 4)) <- true);
   Array.iteri
     (fun i visited -> if not visited then Alcotest.failf "block %d never visited" i)
@@ -216,7 +228,7 @@ let test_single_chain_chase () =
      immediately preceding chase load, regardless of its pc. *)
   let p = Program.generate Fom_workloads.Micro.pointer_chase in
   let last_chase = ref (-1) in
-  Stream.iter p ~n:20000 (fun ins ->
+  iter p ~n:20000 (fun ins ->
       if Instr.is_load ins then begin
         (if !last_chase >= 0 then
            match ins.Instr.deps with
@@ -234,7 +246,7 @@ let prop_stream_deterministic =
     (fun seed ->
       let config = Fom_workloads.Spec2000.with_seed seed (gzip ()) in
       let p = Program.generate config in
-      let a = Stream.collect p ~n:200 and b = Stream.collect p ~n:200 in
+      let a = collect p ~n:200 and b = collect p ~n:200 in
       Array.for_all2
         (fun (x : Instr.t) (y : Instr.t) ->
           x.Instr.pc = y.Instr.pc && x.Instr.mem = y.Instr.mem && x.Instr.deps = y.Instr.deps)
