@@ -80,6 +80,40 @@ let machine_of width depth window rob =
     rob_size = rob;
   }
 
+(* --metrics and --trace-out: enable the Fom_obs sink before the work
+   and report after it; the command's own output is unchanged. *)
+let metrics_flag =
+  Arg.(
+    value & flag
+    & info [ "metrics" ]
+        ~doc:
+          "Print an observability metrics table (pool, memo, cache and simulator counters) \
+           after the report; the report itself is unchanged.")
+
+let trace_out_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "trace-out" ] ~docv:"FILE"
+        ~doc:
+          "Write a Chrome trace-event JSON of the run to $(docv) (load in Perfetto or \
+           chrome://tracing).")
+
+let enable_observability metrics trace_out =
+  if metrics || trace_out <> None then Fom_obs.Sink.enable ()
+
+let report_observability metrics trace_out =
+  if metrics then begin
+    let header, rows = Fom_obs.Export.metrics_rows () in
+    print_newline ();
+    Fom_util.Table.print ~header rows
+  end;
+  match trace_out with
+  | None -> ()
+  | Some path ->
+      Fom_obs.Export.write_chrome_trace ~path;
+      Printf.printf "wrote Chrome trace to %s (load in Perfetto or chrome://tracing)\n" path
+
 (* fom iw *)
 let iw_cmd =
   let run config seed n =
@@ -168,7 +202,8 @@ let simulate_cmd =
             (`Branch, info [ "ideal-branch" ] ~doc:"Perfect branch prediction.");
           ])
   in
-  let run config seed n width depth window rob ideals =
+  let run config seed n width depth window rob ideals metrics trace_out =
+    enable_observability metrics trace_out;
     let program = program_of config seed in
     let machine = machine_of width depth window rob in
     let cache = machine.Fom_uarch.Config.cache in
@@ -185,12 +220,13 @@ let simulate_cmd =
       else machine
     in
     let stats = Fom_uarch.Simulate.run machine program ~n in
-    Format.printf "%a@." Fom_uarch.Stats.pp stats
+    Format.printf "%a@." Fom_uarch.Stats.pp stats;
+    report_observability metrics trace_out
   in
   let term =
     Term.(
       const run $ workload_arg $ seed_arg $ instructions_arg 100_000 $ width_arg $ depth_arg
-      $ window_arg $ rob_arg $ ideal_flags)
+      $ window_arg $ rob_arg $ ideal_flags $ metrics_flag $ trace_out_arg)
   in
   Cmd.v (Cmd.info "simulate" ~doc:"Run the detailed cycle-level simulator.") term
 
@@ -325,27 +361,10 @@ let check_cmd =
              included), the model parameters and $(b,-n). Corrupt or stale entries are \
              recomputed and surface in the report as FOM-E006/FOM-E007 warnings.")
   in
-  let metrics_flag =
-    Arg.(
-      value & flag
-      & info [ "metrics" ]
-          ~doc:
-            "Print an observability metrics table (pool, memo, cache and simulator \
-             counters) after the report; the report itself is unchanged.")
-  in
-  let trace_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace-out" ] ~docv:"FILE"
-          ~doc:
-            "Write a Chrome trace-event JSON of the run to $(docv) (load in Perfetto or \
-             chrome://tracing).")
-  in
   let run width depth window rob workload deep n jobs cache_dir seed metrics trace_out =
     let module C = Fom_check.Checker in
     let module D = Fom_check.Diagnostic in
-    if metrics || trace_out <> None then Fom_obs.Sink.enable ();
+    enable_observability metrics trace_out;
     let params = params_of width depth window rob in
     let machine = machine_of width depth window rob in
     let workloads = match workload with Some w -> [ w ] | None -> all_workloads in
@@ -430,16 +449,7 @@ let check_cmd =
         Printf.printf "cache: %d hits, %d misses in %s\n" hits misses
           (Option.value cache_dir ~default:"")
     | None -> ());
-    if metrics then begin
-      let header, rows = Fom_obs.Export.metrics_rows () in
-      print_newline ();
-      Fom_util.Table.print ~header rows
-    end;
-    (match trace_out with
-    | None -> ()
-    | Some path ->
-        Fom_obs.Export.write_chrome_trace ~path;
-        Printf.printf "wrote Chrome trace to %s (load in Perfetto or chrome://tracing)\n" path);
+    report_observability metrics trace_out;
     if C.has_errors diags then exit 1
   in
   let term =

@@ -44,8 +44,8 @@ let inputs_of_source ?pool ?windows ?iw_instructions ?cache ?predictor ?latencie
      columns with no further decode of the underlying source. *)
   let iw_instructions = Option.value iw_instructions ~default:30_000 in
   let windows = Option.value windows ~default:Iw_curve.default_windows in
-  let max_window = List.fold_left Stdlib.max 1 windows in
-  let packed = Packed.of_source source ~n:(Stdlib.max n (iw_instructions + max_window)) in
+  let max_window = List.fold_left Int.max 1 windows in
+  let packed = Packed.of_source source ~n:(Int.max n (iw_instructions + max_window)) in
   let _, _, result =
     curve_and_inputs_of_packed ?pool ~windows ~iw_instructions ?cache ?predictor ?latencies
       ?grouping ?dtlb ~params packed ~n

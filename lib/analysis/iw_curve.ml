@@ -43,7 +43,7 @@ let measure_source ?pool ?windows ?(n = 30_000) ?latencies ?issue_limit source =
   (* The kernel fetches up to a window beyond the [n] it issues, so
      the packing carries the largest window of margin — replay is then
      exact for every sweep point, never wrapping. *)
-  let max_window = List.fold_left Stdlib.max 1 windows in
+  let max_window = List.fold_left Int.max 1 windows in
   let packed = Fom_trace.Packed.of_source source ~n:(n + max_window) in
   measure_packed ?pool ~windows ~n ?latencies ?issue_limit packed
 

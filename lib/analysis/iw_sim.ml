@@ -62,7 +62,7 @@ let ipc_of_packed ?(latencies = Latency.unit) ?issue_limit packed ~window ~n =
   let dep_off = packed.Packed.dep_off in
   let dep_val = packed.Packed.dep_val in
   let comp = Array.make count 0 in
-  let span = (window * (Array.fold_left max 1 lat + 1)) + 2 in
+  let span = (window * (Array.fold_left Int.max 1 lat + 1)) + 2 in
   let size =
     let rec grow s = if s >= span then s else grow (2 * s) in
     grow 8

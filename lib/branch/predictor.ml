@@ -17,7 +17,7 @@ let counter_taken table i = Char.code (Bytes.get table i) >= 2
 
 let counter_train table i taken =
   let c = Char.code (Bytes.get table i) in
-  let c = if taken then Stdlib.min 3 (c + 1) else Stdlib.max 0 (c - 1) in
+  let c = if taken then Int.min 3 (c + 1) else Int.max 0 (c - 1) in
   Bytes.set table i (Char.chr c)
 
 type impl =

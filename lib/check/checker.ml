@@ -11,13 +11,13 @@ let fail ?severity ~code ~path message =
 let check ?severity ~code ~path cond message =
   if cond then [] else fail ?severity ~code ~path message
 
-let min_int ~code ~path ~min v =
-  if v >= min then []
-  else fail ~code ~path (Printf.sprintf "must be at least %d, got %d" min v)
+let min_int ~code ~path ~min:bound v =
+  if v >= bound then []
+  else fail ~code ~path (Printf.sprintf "must be at least %d, got %d" bound v)
 
-let min_float ~code ~path ~min v =
-  if Float.is_finite v && v >= min then []
-  else fail ~code ~path (Printf.sprintf "must be at least %g, got %g" min v)
+let min_float ~code ~path ~min:bound v =
+  if Float.is_finite v && v >= bound then []
+  else fail ~code ~path (Printf.sprintf "must be at least %g, got %g" bound v)
 
 let positive_float ~code ~path v =
   if Float.is_finite v && v > 0.0 then []

@@ -57,7 +57,7 @@ let mispred_distance_for_fraction ?(iw = default_iw) ?(window = 48) ?(pipeline_d
   Fom_check.Checker.ensure ~code:"FOM-I030" ~path:"trends.fraction"
     (fraction > 0.0 && fraction < 1.0)
     "target fraction must be strictly between 0 and 1";
-  let window = Stdlib.max window (16 * width * width) in
+  let window = Int.max window (16 * width * width) in
   (* The fraction of near-peak cycles grows monotonically with the
      interval length: binary search for the smallest sufficient
      distance. *)

@@ -130,7 +130,7 @@ let create ?jobs ?domains () =
         Checker.ensure ~code:"FOM-E001" ~path:"exec.domains" (d >= 1)
           "domain count must be at least 1";
         d
-    | None -> Stdlib.max 1 (Stdlib.min jobs (recommended_domain_count ()))
+    | None -> Int.max 1 (Int.min jobs (recommended_domain_count ()))
   in
   let t =
     {

@@ -27,7 +27,7 @@ let thread_name_event ~tid =
 let chrome_trace () =
   let events = Span.events () in
   let t0 =
-    List.fold_left (fun acc (e : Span.event) -> Stdlib.min acc e.Span.ts_ns) max_int events
+    List.fold_left (fun acc (e : Span.event) -> Int.min acc e.Span.ts_ns) max_int events
   in
   let us ts_ns = float_of_int (ts_ns - t0) /. 1000.0 in
   (* Group by domain, preserving each domain's recording order: begin/

@@ -53,7 +53,7 @@ let check t =
   let module C = Fom_check.Checker in
   let root = "workload." ^ t.name in
   let frac sub v = C.fraction ~code:"FOM-T001" ~path:(root ^ "." ^ sub) v in
-  let at_least sub min v = C.min_int ~code:"FOM-T004" ~path:(root ^ "." ^ sub) ~min v in
+  let at_least sub bound v = C.min_int ~code:"FOM-T004" ~path:(root ^ "." ^ sub) ~min:bound v in
   let m = t.mix in
   let d = t.deps in
   let c = t.control in

@@ -67,7 +67,7 @@ let write_schedule c deps phases =
   while !row < c.len do
     List.iter
       (fun (program, budget) ->
-        let count = Stdlib.min budget (c.len - !row) in
+        let count = Int.min budget (c.len - !row) in
         if count > 0 then begin
           write_stream c deps (Stream.create program) ~first:!row ~count ~rebase:!row;
           row := !row + count

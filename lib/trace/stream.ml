@@ -73,7 +73,7 @@ let create ?seed program =
   let max_nsrc = ref 1 in
   Array.iter
     (fun (s : Program.static) ->
-      max_nsrc := Stdlib.max !max_nsrc s.nsrc;
+      max_nsrc := Int.max !max_nsrc s.nsrc;
       (match s.agen_spec with
       | Some (kind, region) ->
           agens.(s.uid) <- Some (Address_gen.create ~seed_rng kind region)
@@ -89,9 +89,9 @@ let create ?seed program =
     short_rate = 1.0 /. deps.Config.short_mean;
     agens;
     behaviors;
-    last_instance = Array.make (Stdlib.max n 1) (-1);
+    last_instance = Array.make (Int.max n 1) (-1);
     chase_chains = config.Config.memory.Config.chase_chains;
-    ring = ring_create (Stdlib.max 64 deps.Config.long_max);
+    ring = ring_create (Int.max 64 deps.Config.long_max);
     stack = Array.make max_call_depth 0;
     stack_depth = 0;
     index = 0;
@@ -123,7 +123,7 @@ let sample_deps t c nsrc =
       if Rng.bernoulli t.rng deps.short_p then 1 + Rng.geometric t.rng t.short_rate
       else 1 + Rng.int t.rng deps.long_max
     in
-    let pos = ring_pos ring (Stdlib.min d ring.count) in
+    let pos = ring_pos ring (Int.min d ring.count) in
     c.deps.(k - 1 - j) <- ring.idx.(pos);
     c.srcs.(k - 1 - j) <- ring.reg.(pos)
   done;

@@ -10,16 +10,21 @@ type kernel = Scan | Event
 
 (* Observability (no-ops unless an Fom_obs sink is enabled). Counters
    accumulate across every machine in the process; [sim.events] counts
-   ready-heap insertions — the event kernel's unit of work. *)
+   ready-set insertions — the event kernel's unit of work — and
+   [sim.skipped_cycles] the idle cycles it jumped over. *)
 let m_runs = Fom_obs.Metrics.counter "sim.runs"
 let m_cycles = Fom_obs.Metrics.counter "sim.cycles"
+let m_skipped = Fom_obs.Metrics.counter "sim.skipped_cycles"
 let m_instructions = Fom_obs.Metrics.counter "sim.instructions"
 let m_events = Fom_obs.Metrics.counter "sim.events"
 let s_run = Fom_obs.Span.id "sim.run"
 
 (* Calendar buckets for the event kernel. Wakeups land at most the
    longest issue latency ahead; waits beyond the ring (a long miss
-   under an extreme memory latency) re-book when their bucket drains. *)
+   under an extreme memory latency) re-book when their bucket drains.
+   A booking made at cycle [c] lands in [c + 1 .. c + calendar_size -
+   1], so at any cycle every pending wakeup lies within the next
+   [calendar_size] buckets. *)
 let calendar_size = 1024
 
 let calendar_mask = calendar_size - 1
@@ -41,7 +46,19 @@ let branch_tag = Opclass.to_int Opclass.Branch
 
    Completion: [comp_time.(slot)] is valid exactly when
    [comp_idx.(slot)] holds the index, i.e. once the instruction has
-   issued; before that its completion time is unknown (infinite). *)
+   issued; before that its completion time is unknown (infinite).
+
+   The event kernel keeps every dispatched, unissued instruction in
+   exactly one of three places: chained on the waiter list of a
+   producer that has not issued, booked in the wakeup calendar for the
+   cycle its operands complete, or in the ready set. The ready set is
+   a bitmap over slots, as a hardware issue queue's ready vector:
+   scanning it cyclically from the ROB head's slot visits ready
+   instructions in age order, so issue picks oldest-first without a
+   heap. When the ready set is empty the machine can only change state
+   at a known future cycle (a completion, a dispatch, a fetch restart
+   or a wakeup), and {!run} jumps there instead of stepping the idle
+   cycles in between. *)
 type t = {
   config : Config.t;
   kernel : kernel;
@@ -75,14 +92,14 @@ type t = {
   cluster_counts : int array;  (* window occupancy per cluster *)
   cluster_issued : int array;  (* issues this cycle per cluster *)
   mutable next_cluster : int;  (* round-robin dispatch steering *)
+  clustered : bool;  (* more than one cluster: a bypass cycle can apply *)
   (* event kernel wakeup structures, keyed by slot *)
   ready_at : int array;  (* earliest-issue lower bound *)
   chain_next : int array;  (* link through waiter and calendar chains *)
   waiter_head : int array;  (* producer slot -> first parked consumer *)
   calendar : int array;  (* bucket -> chain of instructions waking *)
-  heap : int array;  (* min-heap of ready indices = age order *)
-  mutable heap_len : int;
-  stash : int array;  (* ready but budget-blocked this cycle *)
+  ready : int array;  (* ready bitmap: bit [s land 31] of word [s lsr 5] *)
+  mutable ready_count : int;  (* bits set in [ready] *)
   (* memory system *)
   hierarchy : Hierarchy.t;
   predictor : Predictor.t;
@@ -102,7 +119,8 @@ type t = {
   fu_busy : int array;  (* instructions issued this cycle per class *)
   (* bookkeeping *)
   mutable cycle : int;
-  mutable wake_events : int;  (* ready-heap insertions, for sim.events *)
+  mutable wake_events : int;  (* ready-set insertions, for sim.events *)
+  mutable skipped_cycles : int;  (* idle cycles jumped over *)
   (* optional per-cycle recording *)
   mutable recording : bool;
   mutable issued_this_cycle : int;
@@ -162,13 +180,13 @@ let create ?(kernel = Event) config packed =
     cluster_counts = Array.make config.Config.clusters 0;
     cluster_issued = Array.make config.Config.clusters 0;
     next_cluster = 0;
+    clustered = config.Config.clusters > 1;
     ready_at = Array.make (if scan then 1 else ring) 0;
     chain_next = Array.make (if scan then 1 else ring) (-1);
     waiter_head = Array.make (if scan then 1 else ring) (-1);
     calendar = Array.make (if scan then 1 else calendar_size) (-1);
-    heap = Array.make (if scan then 1 else config.Config.window_size) 0;
-    heap_len = 0;
-    stash = Array.make (if scan then 1 else config.Config.window_size) 0;
+    ready = Array.make (if scan then 1 else ring / 32) 0;
+    ready_count = 0;
     hierarchy = Hierarchy.create config.Config.cache;
     predictor = Predictor.create config.Config.predictor;
     dtlb;
@@ -185,6 +203,7 @@ let create ?(kernel = Event) config packed =
     fu_busy = Array.make Opclass.count 0;
     cycle = 0;
     wake_events = 0;
+    skipped_cycles = 0;
     recording = false;
     issued_this_cycle = 0;
     issue_record = Fom_util.Int_buffer.create ();
@@ -283,10 +302,10 @@ let issue_latency t idx =
     let outcome = Hierarchy.access_data t.hierarchy addr in
     let cache_lat = Hierarchy.data_latency t.hierarchy outcome in
     match outcome with
-    | Hierarchy.L1_hit -> walk + Stdlib.max lat cache_lat
+    | Hierarchy.L1_hit -> walk + Int.max lat cache_lat
     | Hierarchy.L2_hit ->
         t.short_load_misses <- t.short_load_misses + 1;
-        walk + Stdlib.max lat cache_lat
+        walk + Int.max lat cache_lat
     | Hierarchy.Memory ->
         t.long_load_misses <- t.long_load_misses + 1;
         push_long_miss t (t.cycle + walk + cache_lat);
@@ -368,47 +387,29 @@ let issue_scan t =
 
 (* --- event kernel --- *)
 
-let heap_push t v =
-  if t.heap_len >= Array.length t.heap then
-    Fom_check.Checker.internal_error "ready-heap overflow";
-  t.wake_events <- t.wake_events + 1;
-  let heap = t.heap in
-  let k = ref t.heap_len in
-  t.heap_len <- t.heap_len + 1;
-  heap.(!k) <- v;
-  let sifting = ref true in
-  while !sifting && !k > 0 do
-    let parent = (!k - 1) / 2 in
-    if heap.(parent) > heap.(!k) then begin
-      let tmp = heap.(parent) in
-      heap.(parent) <- heap.(!k);
-      heap.(!k) <- tmp;
-      k := parent
-    end
-    else sifting := false
-  done
+(* Lowest set bit of a nonzero 32-bit word: isolate it, then a de
+   Bruijn multiply puts a distinct 5-bit pattern in the top bits. *)
+let debruijn = 0x077C_B531
 
-let heap_pop t =
-  let heap = t.heap in
-  let top = heap.(0) in
-  t.heap_len <- t.heap_len - 1;
-  heap.(0) <- heap.(t.heap_len);
-  let k = ref 0 in
-  let sifting = ref true in
-  while !sifting do
-    let l = (2 * !k) + 1 and r = (2 * !k) + 2 in
-    let s = ref !k in
-    if l < t.heap_len && heap.(l) < heap.(!s) then s := l;
-    if r < t.heap_len && heap.(r) < heap.(!s) then s := r;
-    if !s <> !k then begin
-      let tmp = heap.(!s) in
-      heap.(!s) <- heap.(!k);
-      heap.(!k) <- tmp;
-      k := !s
-    end
-    else sifting := false
+let debruijn_position =
+  let table = Array.make 32 0 in
+  for i = 0 to 31 do
+    table.((((1 lsl i) * debruijn) land 0xFFFF_FFFF) lsr 27) <- i
   done;
-  top
+  table
+
+let lowest_bit x = debruijn_position.((((x land -x) * debruijn) land 0xFFFF_FFFF) lsr 27)
+
+let mark_ready t s =
+  let w = s lsr 5 in
+  t.ready.(w) <- t.ready.(w) lor (1 lsl (s land 31));
+  t.ready_count <- t.ready_count + 1;
+  t.wake_events <- t.wake_events + 1
+
+let clear_ready t s =
+  let w = s lsr 5 in
+  t.ready.(w) <- t.ready.(w) land lnot (1 lsl (s land 31));
+  t.ready_count <- t.ready_count - 1
 
 let book_wakeup t idx ~at =
   let s = idx land t.slot_mask in
@@ -422,15 +423,24 @@ let book_wakeup t idx ~at =
 (* Park a dispatched, unissued instruction on the wakeup structures:
    chained on one still-unissued producer (its issue event re-parks
    us), or booked in the calendar for the cycle its last producer's
-   value completes — never before [floor]. The booked cycle is a lower
-   bound, not the exact issue cycle: retirement can waive a
-   cross-cluster bypass and a bypass can push one cycle past it, so
-   [issue_event] re-evaluates [deps_ready] exactly when the
-   instruction surfaces. *)
-let place t idx ~floor =
+   value completes — never before the next cycle. On a clustered
+   machine the booked cycle is a lower bound, not the exact issue
+   cycle: retirement can waive a cross-cluster bypass and a bypass can
+   push one cycle past it, so [issue_event] re-evaluates [deps_ready]
+   exactly when the instruction surfaces. With one cluster there is no
+   bypass: every producer counted has issued, its completion time is
+   final, and the booked cycle is exact.
+
+   With [~mark], an instruction whose operands complete by the next
+   cycle goes straight into the ready set instead of that cycle's
+   bucket. Only dispatch may do so: it runs after this cycle's issue
+   scan, whereas an instruction re-parked during the scan must not
+   become visible to the scan still in progress. *)
+let place t idx ~mark =
   let s = idx land t.slot_mask in
   let k = ref t.dep_off.(idx) in
   let hi = t.dep_off.(idx + 1) in
+  let floor = t.cycle + 1 in
   let at = ref floor in
   let parked = ref false in
   while (not !parked) && !k < hi do
@@ -450,7 +460,7 @@ let place t idx ~floor =
   done;
   if not !parked then begin
     t.ready_at.(s) <- !at;
-    if !at <= t.cycle then heap_push t idx else book_wakeup t idx ~at:!at
+    if mark && !at = floor then mark_ready t s else book_wakeup t idx ~at:!at
   end
 
 let issue_event t =
@@ -459,54 +469,69 @@ let issue_event t =
   let cluster_width = width / clusters in
   let unbounded = t.config.Config.unbounded_issue in
   reset_cycle_budgets t;
-  (* Wake this cycle's calendar bucket into the ready heap. *)
+  (* Wake this cycle's calendar bucket into the ready set. *)
   let bucket = t.cycle land calendar_mask in
   let woken = ref t.calendar.(bucket) in
   t.calendar.(bucket) <- -1;
   while !woken >= 0 do
     let idx = !woken in
-    woken := t.chain_next.(idx land t.slot_mask);
-    let at = t.ready_at.(idx land t.slot_mask) in
-    if at <= t.cycle then heap_push t idx else book_wakeup t idx ~at
+    let s = idx land t.slot_mask in
+    woken := t.chain_next.(s);
+    let at = t.ready_at.(s) in
+    if at <= t.cycle then mark_ready t s else book_wakeup t idx ~at
   done;
-  (* Issue oldest-first up to the width limit. A popped instruction
-     whose exact readiness check fails re-parks (at most one extra
-     wake, for a cross-cluster bypass); one blocked only by a cluster
-     or functional-unit budget stays ready in a stash so younger
-     instructions of other clusters and classes still get their scan
-     turn, exactly as the reference window scan skips over it. *)
+  (* Issue oldest-first up to the width limit, visiting the set bits
+     in slot order from the ROB head's slot: word [hw] from the head's
+     bit up, the other words in turn, then [hw]'s bits below the head.
+     On a clustered machine, a ready instruction whose exact readiness
+     check fails leaves the set and re-parks (at most one extra wake,
+     for a cross-cluster bypass). One blocked only by a cluster or
+     functional-unit budget keeps its bit, so younger instructions of
+     other clusters and classes still get their scan turn, exactly as
+     the reference window scan skips over it. *)
   let issued = ref 0 in
-  let stash_len = ref 0 in
-  let popping = ref true in
-  while !popping && t.heap_len > 0 do
-    if (not unbounded) && !issued >= width then popping := false
-    else begin
-      let idx = heap_pop t in
-      let s = idx land t.slot_mask in
-      if not (deps_ready t idx) then place t idx ~floor:(t.cycle + 1)
+  let head = t.last_retired + 1 in
+  let h = head land t.slot_mask in
+  let words = Array.length t.ready in
+  let hw = h lsr 5 in
+  let below_head = (1 lsl (h land 31)) - 1 in
+  let unvisited = ref t.ready_count in
+  let k = ref 0 in
+  while !unvisited > 0 && !k <= words && (unbounded || !issued < width) do
+    let w = (hw + !k) land (words - 1) in
+    let bits =
+      ref
+        (if !k = 0 then t.ready.(w) land lnot below_head
+         else if !k = words then t.ready.(w) land below_head
+         else t.ready.(w))
+    in
+    while !bits <> 0 && (unbounded || !issued < width) do
+      let s = (w lsl 5) lor lowest_bit !bits in
+      bits := !bits land (!bits - 1);
+      decr unvisited;
+      let idx = head + ((s - h) land t.slot_mask) in
+      if t.clustered && not (deps_ready t idx) then begin
+        clear_ready t s;
+        place t idx ~mark:false
+      end
       else if (unbounded || t.cluster_issued.(t.cluster.(s)) < cluster_width) && fu_available t idx
       then begin
+        clear_ready t s;
         issue_instr t idx ~issued_before:!issued;
         incr issued;
         (* Its value has a completion time now: re-park every consumer
            waiting on this producer (their earliest cycle is past this
-           one, so none re-enters this cycle's heap). *)
+           one, so the calendar holds them). *)
         let waiter = ref t.waiter_head.(s) in
         t.waiter_head.(s) <- -1;
         while !waiter >= 0 do
-          let w = !waiter in
-          waiter := t.chain_next.(w land t.slot_mask);
-          place t w ~floor:(t.cycle + 1)
+          let c = !waiter in
+          waiter := t.chain_next.(c land t.slot_mask);
+          place t c ~mark:false
         done
       end
-      else begin
-        t.stash.(!stash_len) <- idx;
-        incr stash_len
-      end
-    end
-  done;
-  for k = 0 to !stash_len - 1 do
-    heap_push t t.stash.(k)
+    done;
+    incr k
   done;
   t.win_count <- t.win_count - !issued;
   t.issued_this_cycle <- !issued
@@ -550,7 +575,7 @@ let dispatch t =
       | Event ->
           (* Issue runs before dispatch each cycle, so a newly
              dispatched instruction is first eligible next cycle. *)
-          place t idx ~floor:(t.cycle + 1));
+          place t idx ~mark:true);
       t.win_count <- t.win_count + 1;
       decr budget
     end
@@ -626,22 +651,68 @@ let step t =
   t.occupancy_rob_sum <- t.occupancy_rob_sum + (t.last_dispatched - t.last_retired);
   t.cycle <- t.cycle + 1
 
+(* With the ready set empty, nothing happens before the earliest of:
+   the ROB head's completion (retire), the next dispatch, the blocking
+   branch's resolution or the end of a fetch stall, and the first
+   non-empty calendar bucket. Jump to that cycle (at most [limit + 1],
+   where the cycle-limit check fires), accounting the skipped cycles
+   as the steps they replace: same occupancy sums, zero issues. *)
+let skip_idle t ~limit =
+  let next = ref max_int in
+  let head = t.last_retired + 1 in
+  if head <= t.last_dispatched && t.comp_idx.(head land t.slot_mask) = head then
+    next := t.comp_time.(head land t.slot_mask);
+  if
+    t.win_count < t.config.Config.window_size
+    && t.last_dispatched - t.last_retired < t.config.Config.rob_size
+    && t.last_dispatched < t.last_fetched
+  then next := Int.min !next t.pipe_at.((t.last_dispatched + 1) land t.slot_mask);
+  let b = t.blocking_branch in
+  if b >= 0 then begin
+    if t.comp_idx.(b land t.slot_mask) = b then
+      next := Int.min !next t.comp_time.(b land t.slot_mask)
+  end
+  else if t.last_fetched - t.last_dispatched < t.pipe_capacity then
+    next := Int.min !next t.fetch_stall_until;
+  let horizon = Int.min !next (t.cycle + calendar_size) in
+  let c = ref t.cycle in
+  while !c < horizon && t.calendar.(!c land calendar_mask) < 0 do
+    incr c
+  done;
+  if !c < horizon then next := !c;
+  let next = Int.min !next (limit + 1) in
+  if next > t.cycle then begin
+    let k = next - t.cycle in
+    t.occupancy_window_sum <- t.occupancy_window_sum + (k * t.win_count);
+    t.occupancy_rob_sum <- t.occupancy_rob_sum + (k * (t.last_dispatched - t.last_retired));
+    if t.recording then
+      for _ = 1 to k do
+        Fom_util.Int_buffer.push t.issue_record 0
+      done;
+    t.skipped_cycles <- t.skipped_cycles + k;
+    t.cycle <- next
+  end
+
 let run ?cycle_limit t ~n =
   (* The budget is relative to the current cycle so that a machine can
      be resumed with successive [run] calls. *)
   let limit = t.cycle + Option.value cycle_limit ~default:((250 * n) + 100_000) in
   let target = t.last_retired + n in
   let c0 = t.cycle and r0 = t.last_retired and e0 = t.wake_events in
+  let k0 = t.skipped_cycles in
+  let event = match t.kernel with Event -> true | Scan -> false in
   Fom_obs.Span.with_ s_run (fun () ->
       while t.last_retired < target do
         if t.cycle > limit then raise Cycle_limit_exceeded;
-        step t
+        step t;
+        if event && t.ready_count = 0 && t.last_retired < target then skip_idle t ~limit
       done);
   Fom_obs.Metrics.incr m_runs;
   Fom_obs.Metrics.add m_cycles (t.cycle - c0);
+  Fom_obs.Metrics.add m_skipped (t.skipped_cycles - k0);
   Fom_obs.Metrics.add m_instructions (t.last_retired - r0);
   Fom_obs.Metrics.add m_events (t.wake_events - e0);
-  let mean sum = float_of_int sum /. float_of_int (Stdlib.max 1 t.cycle) in
+  let mean sum = float_of_int sum /. float_of_int (Int.max 1 t.cycle) in
   let cache_stats = Hierarchy.stats t.hierarchy in
   {
     Stats.instructions = t.last_retired + 1;

@@ -25,14 +25,17 @@ type t
 
 type kernel =
   | Scan  (** rescan the whole window every cycle — the reference *)
-  | Event  (** wakeup calendar + ready heap — the production kernel *)
+  | Event  (** wakeup calendar + ready bitmap — the production kernel *)
 (** Two implementations of the issue stage compute identical machines.
     [Scan] examines every window entry every cycle, in direct
-    correspondence with the modeled oldest-first scan. [Event] parks
-    each waiting instruction on its blocking producer or in a wakeup
-    calendar and touches only woken instructions each cycle —
-    O(instructions woken) instead of O(window) — and is property-tested
-    to produce statistics identical to [Scan] on every run. *)
+    correspondence with the modeled oldest-first scan, and steps every
+    cycle. [Event] parks each waiting instruction on its blocking
+    producer or in a wakeup calendar, keeps the ready ones as bits of
+    an age-ordered bitmap and touches only those each cycle —
+    O(instructions woken) instead of O(window); when none is ready it
+    jumps straight to the next cycle at which anything can happen. It
+    is tested to produce statistics, issue records and cycle-limit
+    outcomes identical to [Scan]. *)
 
 val create : ?kernel:kernel -> Config.t -> Fom_trace.Packed.t -> t
 (** [create config packed] builds a machine replaying a packed trace

@@ -31,7 +31,7 @@ let percentile a p =
   else
     let rank = p /. 100.0 *. float_of_int (n - 1) in
     let lo = int_of_float (Float.floor rank) in
-    let hi = Stdlib.min (lo + 1) (n - 1) in
+    let hi = Int.min (lo + 1) (n - 1) in
     let frac = rank -. float_of_int lo in
     sorted.(lo) +. (frac *. (sorted.(hi) -. sorted.(lo)))
 

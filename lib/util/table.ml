@@ -23,7 +23,7 @@ let render ?align ~header rows =
     List.mapi
       (fun i h ->
         List.fold_left
-          (fun acc row -> max acc (String.length (List.nth row i)))
+          (fun acc row -> Int.max acc (String.length (List.nth row i)))
           (String.length h) rows)
       header
   in

@@ -176,6 +176,69 @@ let prop_event_kernel_matches_scan =
       let run kernel = Fom_uarch.Simulate.run ~kernel config program ~n in
       run Machine.Scan = run Machine.Event)
 
+(* A fixed grid for the event kernel's less travelled paths, each
+   against the scan kernel: memory latencies past the 1024-cycle
+   wakeup calendar (a long miss re-books from a clamped bucket, across
+   skipped idle cycles); [run_recorded], whose per-cycle issue record
+   must carry a zero for every skipped cycle; and cycle limits just
+   below and at the run's length, where a skip must stop at the limit
+   so that both kernels raise or neither does. *)
+let test_event_matches_scan_grid () =
+  let n = 1000 in
+  let machines =
+    [
+      ("real", Config.baseline);
+      ("dc", Config.with_cache Hierarchy.ideal_except_data ideal);
+      ( "clustered",
+        Config.with_fetch_buffer 16
+          (Config.with_dtlb
+             { Fom_cache.Tlb.entries = 16; page_bits = 13; walk_latency = 30 }
+             (Config.with_fu_limits (Fom_isa.Fu_set.make ~alu:2 ~load:1 ())
+                (Config.with_clusters 2 Config.baseline))) );
+    ]
+  in
+  List.iter
+    (fun name ->
+      let source =
+        Fom_trace.Source.of_program
+          (Fom_trace.Program.generate (Fom_workloads.Spec2000.find name))
+      in
+      List.iter
+        (fun memory ->
+          List.iter
+            (fun (label, machine) ->
+              let cache = machine.Config.cache in
+              let config =
+                Config.with_cache
+                  { cache with Hierarchy.latencies = { cache.Hierarchy.latencies with memory } }
+                  machine
+              in
+              let case = Printf.sprintf "%s/%s/memory %d" name label memory in
+              let packed =
+                Fom_trace.Packed.of_source source ~n:(n + Config.inflight_span config)
+              in
+              let recorded kernel =
+                Machine.run_recorded (Machine.create ~kernel config packed) ~n
+              in
+              let ((scan_stats, _, _) as scan) = recorded Machine.Scan in
+              Alcotest.(check bool) (case ^ ": run_recorded") true (scan = recorded Machine.Event);
+              (* The scan run took [cycles] steps, the last at cycle
+                 [cycles - 1]: under a limit of [cycles - 1] it returns
+                 the same statistics, under [cycles - 2] it raises. *)
+              let cycles = scan_stats.Stats.cycles in
+              let event_outcome cycle_limit =
+                match Machine.run ~cycle_limit (Machine.create config packed) ~n with
+                | stats -> Some stats
+                | exception Machine.Cycle_limit_exceeded -> None
+              in
+              Alcotest.(check bool) (case ^ ": cycle limit met") true
+                (event_outcome (cycles - 1) = Some scan_stats);
+              Alcotest.(check bool) (case ^ ": cycle limit exceeded") true
+                (event_outcome (cycles - 2) = None))
+            machines)
+        [ 200; 1023; 1024; 1500; 3000 ])
+    [ "gzip"; "mcf"; "gcc"; "twolf" ]
+
 (* Packing exactly [n + inflight_span] instructions must be enough for
    a run to [n] retirements: replaying a longer packing of the same
    trace gives identical full statistics, at widths 2, 4 and 8 under
@@ -327,6 +390,8 @@ let suite =
         test_resumable_packed_runs_compose;
       Alcotest.test_case "packed run allocation-free" `Quick test_packed_run_allocation_free;
       QCheck_alcotest.to_alcotest prop_event_kernel_matches_scan;
+      Alcotest.test_case "event matches scan: long latencies, records, limits" `Quick
+        test_event_matches_scan_grid;
       Alcotest.test_case "packing margin covers wide machines" `Quick
         test_packing_margin_wide_machines;
       QCheck_alcotest.to_alcotest prop_packing_length_does_not_change_results;

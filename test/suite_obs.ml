@@ -251,6 +251,23 @@ let test_cache_metrics () =
       Alcotest.(check bool) "bytes written" true (counter_value "cache.bytes_written" > 0);
       Alcotest.(check bool) "bytes read" true (counter_value "cache.bytes_read" > 0))
 
+let test_sim_skipped_cycles () =
+  (* The detailed simulator jumps over cycles in which nothing can
+     happen. On the baseline machine mcf spends most cycles waiting on
+     long misses, which a skip covers; the ideal machine has no misses
+     to wait on, so gzip there skips next to nothing. *)
+  let skipped_share name config =
+    with_sink (fun () ->
+        let program = Fom_trace.Program.generate (Fom_workloads.Spec2000.find name) in
+        let cycles = (Fom_uarch.Simulate.run config program ~n:20_000).Fom_uarch.Stats.cycles in
+        Alcotest.(check int) "sim.cycles" cycles (counter_value "sim.cycles");
+        float_of_int (counter_value "sim.skipped_cycles") /. float_of_int cycles)
+  in
+  let mcf = skipped_share "mcf" Fom_uarch.Config.baseline in
+  Alcotest.(check bool) (Printf.sprintf "mcf/baseline skips %.3f >= 0.5" mcf) true (mcf >= 0.5);
+  let gzip = skipped_share "gzip" (Fom_uarch.Config.ideal Fom_uarch.Config.baseline) in
+  Alcotest.(check bool) (Printf.sprintf "gzip/ideal skips %.3f < 0.05" gzip) true (gzip < 0.05)
+
 let suite =
   ( "obs",
     [
@@ -269,4 +286,5 @@ let suite =
       Alcotest.test_case "pool metrics and spans" `Quick test_pool_metrics;
       Alcotest.test_case "memo metrics" `Quick test_memo_metrics;
       Alcotest.test_case "cache metrics" `Quick test_cache_metrics;
+      Alcotest.test_case "simulator skips idle cycles" `Quick test_sim_skipped_cycles;
     ] )

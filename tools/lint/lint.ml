@@ -14,6 +14,10 @@
                allocates a closure application (about 12 words), so
                hot paths must eta-expand it
                ([let ensure ~path cond msg = ... ~path cond msg])
+     FOM-L007  Stdlib.min / Stdlib.max, qualified or bare: without
+               flambda they call the C polymorphic compare (3-4x the
+               cost of [Int.min]/[Int.max] on ints), so library code
+               names the type's own [Int.min], [Float.max], ...
 
    An allowlist file grants sanctioned exceptions, one per line:
 
@@ -146,6 +150,46 @@ let has_qualified line tok =
 let bare_bans = [ ("assert", "FOM-L001"); ("failwith", "FOM-L002"); ("exit", "FOM-L003") ]
 let qualified_bans = [ "List.hd"; "List.tl"; "Option.get" ]
 
+(* FOM-L007: a use of the polymorphic [min]/[max] as a value. A bare
+   name counts unless it is a label ([~min], [?max]), a field or
+   another module's function ([t.min], [Int.max]), being defined
+   ([let min], [and max]), or a field or label being given a value or
+   type ([min = ...], [max : ...]). Reported under its qualified name,
+   which is also the allowlist construct. *)
+let polymorphic_minmax line =
+  let n = String.length line in
+  let rec skip_blanks k = if k < n && line.[k] = ' ' then skip_blanks (k + 1) else k in
+  (* The identifier ending just before [k], blanks skipped. *)
+  let word_before k =
+    let e = ref (k - 1) in
+    while !e >= 0 && line.[!e] = ' ' do
+      decr e
+    done;
+    let s = ref !e in
+    while !s >= 0 && is_ident_char line.[!s] do
+      decr s
+    done;
+    String.sub line (!s + 1) (!e - !s)
+  in
+  let used k tok =
+    String.sub line k 3 = tok
+    && (k + 3 = n || not (is_ident_char line.[k + 3]))
+    &&
+    if k >= 7 && String.sub line (k - 7) 7 = "Stdlib." then
+      k = 7 || not (is_ident_char line.[k - 8] || line.[k - 8] = '.')
+    else
+      (k = 0 || not (is_ident_char line.[k - 1] || String.contains ".~?`" line.[k - 1]))
+      && (match word_before k with "let" | "and" | "rec" -> false | _ -> true)
+      &&
+      let c = skip_blanks (k + 3) in
+      c >= n || (line.[c] <> ':' && line.[c] <> '=')
+  in
+  List.filter_map
+    (fun tok ->
+      let rec any k = k + 3 <= n && (used k tok || any (k + 1)) in
+      if any 0 then Some ("Stdlib." ^ tok) else None)
+    [ "min"; "max" ]
+
 (* FOM-L006: [let <name> = <Path.>Checker.ensure ...], i.e. no
    parameters between the bound name and [=]. Scans the whole stripped
    source, so a binding split across lines is caught too; returns the
@@ -230,7 +274,12 @@ let scan_file path =
             findings :=
               { file = path; line = lineno; code = "FOM-L004"; construct = tok; text }
               :: !findings)
-        qualified_bans)
+        qualified_bans;
+      List.iter
+        (fun construct ->
+          findings :=
+            { file = path; line = lineno; code = "FOM-L007"; construct; text } :: !findings)
+        (polymorphic_minmax line))
     (String.split_on_char '\n' stripped);
   List.iter
     (fun line ->
