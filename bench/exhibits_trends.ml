@@ -91,20 +91,26 @@ let fig19_sim ctx =
       (Context.packed ctx name)
   in
   let horizon = 20 in
-  let _, issued, resolves = Fom_uarch.Machine.run_recorded machine ~n:ctx.Context.n_sim in
-  (* Average the issue rate over the [horizon] cycles following each
-     resolution (skipping warmup and truncated windows). *)
+  let stats, record = Fom_uarch.Machine.run_recorded machine ~n:ctx.Context.n_sim in
+  let cycles = stats.Fom_uarch.Stats.cycles in
+  (* Per-cycle issue counts (-1: never issued). *)
+  let issued = Array.make cycles 0 in
+  Array.iter (fun c -> if c >= 0 then issued.(c) <- issued.(c) + 1) record.issue;
   let sums = Array.make horizon 0.0 in
   let samples = ref 0 in
-  Array.iter
-    (fun r ->
-      if r > 1000 && r + horizon < Array.length issued then begin
+  (* Average the issue rate over the [horizon] cycles following each
+     resolution — fetch restarts when a mispredicted branch completes —
+     skipping warmup and truncated windows. *)
+  Array.iteri
+    (fun i mispredicted ->
+      let r = record.complete.(i) in
+      if mispredicted && r > 1000 && r + horizon < cycles then begin
         incr samples;
         for k = 0 to horizon - 1 do
           sums.(k) <- sums.(k) +. float_of_int issued.(r + k)
         done
       end)
-    resolves;
+    record.mispredicted;
   let measured = Array.map (fun s -> s /. float_of_int (Stdlib.max 1 !samples)) sums in
   let _, _, inputs = Context.characterization ctx name in
   let iw =

@@ -200,15 +200,18 @@ let run_pass ~jobs ?cache_dir ~paired ~csv_dir ~scale selected =
       let timed, sequential =
         List.fold_left
           (fun (timed, sequential) (name, _, run) ->
-            (* Only the primary pass is traced: replica re-timings would
-               double every span and skew the per-exhibit picture. *)
+            (* Only the primary pass is observed: replica re-timings run
+               with the sink paused, or they would double every span and
+               add their work to every counter. *)
             let traced () = Fom_obs.Span.with_ (Fom_obs.Span.id name) (fun () -> run ctx) in
             let dt = time_segment traced in
             Printf.printf "[%s done in %.1fs]\n%!" name dt;
             match rounds with
             | [] -> ((name, dt) :: timed, sequential)
             | rounds ->
-                let quiet c = time_segment (fun () -> quietly (fun () -> run c)) in
+                let quiet c =
+                  Fom_obs.Sink.paused (fun () -> time_segment (fun () -> quietly (fun () -> run c)))
+                in
                 let par_times, seq_times =
                   List.fold_left
                     (fun (ps, ss) (par, seq) ->

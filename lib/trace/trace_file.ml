@@ -64,9 +64,20 @@ let parse_line ~path ~lineno ~index ~next_dst line =
           let ctrl =
             match (dir_s, target_s) with
             | "-", "-" -> None
-            | dir, target ->
-                Some { Instr.target = parse_hex "target" target; taken = dir = "T" }
+            | ("T" | "N"), target ->
+                Some { Instr.target = parse_hex "target" target; taken = dir_s = "T" }
+            | dir, _ ->
+                parse_error ~path ~lineno ~code:"FOM-T104"
+                  (Printf.sprintf "bad direction %S (expected T, N or -) in %S" dir line)
           in
+          (* Memory operations, and only they, carry an address; control
+             operations, and only they, a direction and target. *)
+          if
+            Opclass.is_memory opclass <> Option.is_some mem
+            || Opclass.is_control opclass <> Option.is_some ctrl
+          then
+            parse_error ~path ~lineno ~code:"FOM-T106"
+              (Printf.sprintf "address or direction fields do not fit class %s in %S" cls_s line);
           let deps =
             dep_fields
             |> List.filter (fun f -> f <> "")

@@ -25,4 +25,7 @@ val load : path:string -> Source.t
     @raise Fom_check.Checker.Invalid on malformed input, with a
     [FOM-T10x] diagnostic whose path is [file:line] (1-based) and
     whose message quotes the offending line. A pc, address or target
-    that does not parse as a non-negative hex number is [FOM-T104]. *)
+    that does not parse as a non-negative hex number, or a direction
+    other than [T], [N] or [-], is [FOM-T104]; an address or a
+    direction the class does not take, or a missing one, is
+    [FOM-T106]. *)

@@ -23,29 +23,19 @@
 
 type t
 
-type kernel =
-  | Scan  (** rescan the whole window every cycle — the reference *)
-  | Event  (** wakeup calendar + ready bitmap — the production kernel *)
-(** Two implementations of the issue stage compute identical machines.
-    [Scan] examines every window entry every cycle, in direct
-    correspondence with the modeled oldest-first scan, and steps every
-    cycle. [Event] parks each waiting instruction on its blocking
-    producer or in a wakeup calendar, keeps the ready ones as bits of
-    an age-ordered bitmap and touches only those each cycle —
-    O(instructions woken) instead of O(window); when none is ready it
-    jumps straight to the next cycle at which anything can happen. It
-    is tested to produce statistics, issue records and cycle-limit
-    outcomes identical to [Scan]. *)
-
-val create : ?kernel:kernel -> Config.t -> Fom_trace.Packed.t -> t
+val create : Config.t -> Fom_trace.Packed.t -> t
 (** [create config packed] builds a machine replaying a packed trace
     from dynamic index 0. Each instruction's fields are read where the
     packing keeps them, by dynamic index; nothing is decoded or
     allocated per instruction. The packing must cover every
     instruction the machine fetches — [n] plus {!Config.inflight_span}
     for a run to [n] retirements — or fetch raises [FOM-T132].
-    [kernel] selects the issue-stage implementation (default
-    [Event]). *)
+
+    The issue stage parks each waiting instruction on its blocking
+    producer or in a wakeup calendar and keeps the ready ones as bits
+    of an age-ordered bitmap, so a cycle costs O(instructions woken),
+    not O(window); when none is ready, {!run} jumps straight to the
+    next cycle at which anything can happen. *)
 
 exception Cycle_limit_exceeded
 (** Raised when the simulation exceeds its cycle budget — a deadlock
@@ -55,8 +45,27 @@ val run : ?cycle_limit:int -> t -> n:int -> Stats.t
 (** Simulate until [n] instructions retire. The default cycle limit is
     [250 * n + 100_000] (an all-miss trace cannot be slower). *)
 
-val run_recorded : ?cycle_limit:int -> t -> n:int -> Stats.t * int array * int array
-(** Like {!run}, additionally recording the per-cycle issue counts and
-    the cycles at which a mispredicted branch resolved (fetch
-    restarts) — the raw material for empirical issue-ramp curves
-    (paper Figure 19) and issue-rate distributions. *)
+type record = {
+  fetch : int array;  (** cycle it entered the front-end pipe *)
+  dispatch : int array;  (** cycle it entered the window and ROB *)
+  issue : int array;
+  complete : int array;  (** set at issue; may lie past the end of the run *)
+  retire : int array;
+  cluster : int array;  (** steered to at dispatch *)
+  mispredicted : bool array;  (** a branch the predictor got wrong *)
+  icache_stall : int array;
+      (** cycles from its I-cache probe until fetch may resume: at least
+          1 on a miss, 0 on a hit or with no probe *)
+}
+(** When each instruction of one run reached each stage, by dynamic
+    index over the whole packing; -1 for a stage not reached (or
+    reached before {!run_recorded} was called). The predictor's and
+    the I-cache's verdicts and the loads' [complete] cycles are the
+    inputs the cycle rules cannot derive; [test/pipeline_check.ml]
+    re-derives every other column from them. *)
+
+val run_recorded : ?cycle_limit:int -> t -> n:int -> Stats.t * record
+(** Like {!run}, also recording the pipeline — e.g. per-cycle issue
+    counts are a histogram of [issue], and fetch restarts after a
+    misprediction at the branch's [complete] cycle (paper Figure 19's
+    issue ramp). *)

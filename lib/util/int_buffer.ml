@@ -22,5 +22,4 @@ let get t i =
     "index out of bounds";
   t.data.(i)
 
-let clear t = t.len <- 0
 let contents t = Array.sub t.data 0 t.len

@@ -20,8 +20,5 @@ val get : t -> int -> int
 (** [get t i] is element [i] (0-based); raises
     {!Fom_check.Checker.Invalid} ([FOM-U003]) out of bounds. *)
 
-val clear : t -> unit
-(** Forget the contents, keeping the backing array. *)
-
 val contents : t -> int array
 (** The elements in push order, as a fresh exactly-sized array. *)

@@ -4,11 +4,11 @@
 
 (* A machine over the first [n + inflight_span] instructions: enough
    for runs totalling [n] retirements. *)
-let machine ?kernel config gen ~n =
+let machine config gen ~n =
   let n = n + Fom_uarch.Config.inflight_span config in
-  Fom_uarch.Machine.create ?kernel config
+  Fom_uarch.Machine.create config
     (Fom_trace.Packed.of_source
        (Fom_trace.Source.of_instrs ~label:"hand-built" (Array.init n gen))
        ~n)
 
-let run ?kernel config gen ~n = Fom_uarch.Machine.run (machine ?kernel config gen ~n) ~n
+let run config gen ~n = Fom_uarch.Machine.run (machine config gen ~n) ~n

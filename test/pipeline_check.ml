@@ -1,0 +1,231 @@
+(* The detailed simulator's cycle rules, re-derived from a run's
+   pipeline record (Machine.run_recorded): the oracle the machine's
+   issue stage — wakeup calendar, ready bitmap, idle-cycle skip — is
+   tested against. It steps every cycle in the machine's order (retire,
+   issue, dispatch, fetch), rescans its whole window oldest-first and
+   keeps no calendar, bitmap or cache. What the cycle rules cannot
+   derive it reads from the record: the predictor's verdicts, the
+   I-cache's stalls and each load's completion cycle, which must be one
+   its latency rules allow. Steering, every other stage cycle, the
+   cycle count, both occupancy means and the mean window occupancy at a
+   mispredicted branch's issue are derived and compared exactly;
+   [check] returns the first disagreement. The record must
+   come from a fresh machine. *)
+
+module Config = Fom_uarch.Config
+module Machine = Fom_uarch.Machine
+module Stats = Fom_uarch.Stats
+module Opclass = Fom_isa.Opclass
+module Packed = Fom_trace.Packed
+module Hierarchy = Fom_cache.Hierarchy
+
+exception Mismatch of string
+
+let fail fmt = Printf.ksprintf (fun m -> raise (Mismatch m)) fmt
+
+let derive (config : Config.t) (p : Packed.t) (r : Machine.record) (stats : Stats.t) =
+  let len = p.Packed.len in
+  let width = config.Config.width and clusters = config.Config.clusters in
+  let load = Opclass.to_int Opclass.Load and branch = Opclass.to_int Opclass.Branch in
+  let latency = Fom_isa.Latency.table config.Config.latencies in
+  let fu_limit =
+    Array.init Opclass.count (fun op ->
+        Fom_isa.Fu_set.of_class config.Config.fu_limits (Opclass.of_int op))
+  in
+  let line_mask =
+    match config.Config.cache.Hierarchy.l1i with
+    | Hierarchy.Real g -> lnot (g.Fom_cache.Geometry.line - 1)
+    | Hierarchy.Ideal -> lnot 127
+  in
+  (* A load completes after the larger of its class latency and its
+     cache level's, or after the memory latency; a dTLB miss adds the
+     walk in front. *)
+  let load_offsets =
+    let l = config.Config.cache.Hierarchy.latencies and lat = latency.(load) in
+    let walk =
+      match config.Config.dtlb with Some s -> s.Fom_cache.Tlb.walk_latency | None -> 0
+    in
+    let cache = [ Int.max lat l.Hierarchy.l1; Int.max lat l.Hierarchy.l2; l.Hierarchy.memory ] in
+    cache @ List.map (fun c -> walk + c) cache
+  in
+  let column init = Array.make len init in
+  let fetch = column (-1) and dispatch = column (-1) and issue = column (-1) in
+  let complete = column (-1) and retire = column (-1) and cluster = column (-1) in
+  let mispredicted = Array.make len false and icache_stall = column 0 in
+  (* The window: dispatched, unissued instructions, oldest first. *)
+  let waiting = Array.make config.Config.window_size 0 and win = ref 0 in
+  let cluster_count = Array.make clusters 0 and next_cluster = ref 0 in
+  let fu_busy = Array.make Opclass.count 0 and cluster_issued = Array.make clusters 0 in
+  let retired = ref 0 and dispatched = ref 0 and fetched = ref 0 in
+  let blocking = ref (-1) and stall_until = ref 0 and last_line = ref (-1) in
+  let window_sum = ref 0 and rob_sum = ref 0 in
+  let window_at_branch_issue = Fom_util.Stats.Acc.create () in
+  let cycle = ref 0 in
+  while !retired < stats.Stats.instructions do
+    let c = !cycle in
+    if c >= stats.Stats.cycles then
+      fail "%d of %d instructions retired by cycle %d, where the run ended" !retired
+        stats.Stats.instructions c;
+    (* Retire: in order, completed only, up to the width. *)
+    let budget = ref width in
+    while
+      !budget > 0 && !retired < !dispatched
+      && complete.(!retired) >= 0
+      && complete.(!retired) <= c
+    do
+      retire.(!retired) <- c;
+      incr retired;
+      decr budget
+    done;
+    (* Issue: oldest first over the whole window, under the width, the
+       per-cluster width and the FU limits. An operand is ready once
+       its producer has retired, or has completed — a cycle later if it
+       was produced in another cluster. *)
+    Array.fill fu_busy 0 Opclass.count 0;
+    Array.fill cluster_issued 0 clusters 0;
+    let ready i =
+      let ok = ref true in
+      for k = p.Packed.dep_off.(i) to p.Packed.dep_off.(i + 1) - 1 do
+        let d = p.Packed.dep_val.(k) in
+        let bypass = if cluster.(d) = cluster.(i) then 0 else 1 in
+        if not (d < !retired || (complete.(d) >= 0 && complete.(d) + bypass <= c)) then
+          ok := false
+      done;
+      !ok
+    in
+    let issued = ref 0 and kept = ref 0 in
+    for k = 0 to !win - 1 do
+      let i = waiting.(k) in
+      let op = p.Packed.tag.(i) and cl = cluster.(i) in
+      if
+        (config.Config.unbounded_issue
+        || (!issued < width && cluster_issued.(cl) < width / clusters))
+        && fu_busy.(op) < fu_limit.(op)
+        && ready i
+      then begin
+        (* Window entries besides itself, less those issued before it
+           this cycle, when the blocking branch issues. *)
+        if i = !blocking then
+          Fom_util.Stats.Acc.add window_at_branch_issue (float_of_int (!win - !issued - 1));
+        issue.(i) <- c;
+        complete.(i) <-
+          (if op <> load then c + latency.(op)
+           else if List.mem (r.Machine.complete.(i) - c) load_offsets then r.Machine.complete.(i)
+           else fail "load %d issued at cycle %d cannot complete at %d" i c r.Machine.complete.(i));
+        fu_busy.(op) <- fu_busy.(op) + 1;
+        cluster_issued.(cl) <- cluster_issued.(cl) + 1;
+        cluster_count.(cl) <- cluster_count.(cl) - 1;
+        incr issued
+      end
+      else begin
+        waiting.(!kept) <- i;
+        incr kept
+      end
+    done;
+    win := !kept;
+    (* Dispatch: in order, up to the width, once through the front-end
+       pipe, while window and ROB have room. Round-robin steering; a
+       full cluster passes its turn. *)
+    let budget = ref width in
+    while
+      !budget > 0
+      && !win < config.Config.window_size
+      && !dispatched - !retired < config.Config.rob_size
+      && !dispatched < !fetched
+      && fetch.(!dispatched) + config.Config.pipeline_depth <= c
+    do
+      let i = !dispatched in
+      while cluster_count.(!next_cluster) >= config.Config.window_size / clusters do
+        next_cluster := (!next_cluster + 1) mod clusters
+      done;
+      cluster.(i) <- !next_cluster;
+      cluster_count.(!next_cluster) <- cluster_count.(!next_cluster) + 1;
+      next_cluster := (!next_cluster + 1) mod clusters;
+      dispatch.(i) <- c;
+      waiting.(!win) <- i;
+      incr win;
+      incr dispatched;
+      decr budget
+    done;
+    (* Fetch: a mispredicted branch blocks it until the branch
+       completes, an I-cache miss until its stall ends; otherwise up to
+       the fetch limit while the pipe has room. A probe happens when
+       the line changes. *)
+    if !blocking >= 0 && complete.(!blocking) >= 0 && complete.(!blocking) <= c then blocking := -1;
+    if !blocking < 0 && c >= !stall_until then begin
+      let limit = if config.Config.fetch_buffer > 0 then 2 * width else width in
+      let pipe_capacity = (width * config.Config.pipeline_depth) + config.Config.fetch_buffer in
+      let count = ref 0 and stop = ref false in
+      while (not !stop) && !count < limit && !fetched - !dispatched < pipe_capacity do
+        let i = !fetched in
+        if i >= len then fail "fetch runs past the %d-instruction packing at cycle %d" len c;
+        let line = p.Packed.pc.(i) land line_mask in
+        if line <> !last_line then begin
+          last_line := line;
+          icache_stall.(i) <- r.Machine.icache_stall.(i);
+          if icache_stall.(i) > 0 then begin
+            stall_until := c + icache_stall.(i);
+            stop := true
+          end
+        end;
+        if not !stop then begin
+          fetch.(i) <- c;
+          incr fetched;
+          incr count;
+          if p.Packed.tag.(i) = branch && r.Machine.mispredicted.(i) then begin
+            mispredicted.(i) <- true;
+            blocking := i;
+            stop := true
+          end
+        end
+      done
+    end;
+    window_sum := !window_sum + !win;
+    rob_sum := !rob_sum + (!dispatched - !retired);
+    incr cycle
+  done;
+  let columns =
+    [
+      ("fetch", fetch, r.Machine.fetch);
+      ("dispatch", dispatch, r.Machine.dispatch);
+      ("issue", issue, r.Machine.issue);
+      ("complete", complete, r.Machine.complete);
+      ("retire", retire, r.Machine.retire);
+      ("cluster", cluster, r.Machine.cluster);
+      ("icache_stall", icache_stall, r.Machine.icache_stall);
+    ]
+  in
+  List.iter
+    (fun (name, derived, recorded) ->
+      Array.iteri
+        (fun i d ->
+          if d <> recorded.(i) then
+            fail "%s of instruction %d: recorded %d, derived %d" name i recorded.(i) d)
+        derived)
+    columns;
+  Array.iteri
+    (fun i m ->
+      if m <> r.Machine.mispredicted.(i) then
+        fail "instruction %d recorded as a misprediction that fetch never saw" i)
+    mispredicted;
+  let mean sum = float_of_int sum /. float_of_int (Int.max 1 !cycle) in
+  let exact name derived recorded =
+    if derived <> recorded then fail "%s: stats %s, derived %s" name recorded derived
+  in
+  exact "cycles" (string_of_int !cycle) (string_of_int stats.Stats.cycles);
+  exact "instructions" (string_of_int !retired) (string_of_int stats.Stats.instructions);
+  exact "mispredictions"
+    (string_of_int (Array.fold_left (fun n m -> if m then n + 1 else n) 0 mispredicted))
+    (string_of_int stats.Stats.branch_mispredictions);
+  exact "window at branch issue"
+    (Printf.sprintf "%h" (Fom_util.Stats.Acc.mean window_at_branch_issue))
+    (Printf.sprintf "%h" stats.Stats.window_at_branch_issue);
+  exact "mean window occupancy" (Printf.sprintf "%h" (mean !window_sum))
+    (Printf.sprintf "%h" stats.Stats.mean_window_occupancy);
+  exact "mean ROB occupancy" (Printf.sprintf "%h" (mean !rob_sum))
+    (Printf.sprintf "%h" stats.Stats.mean_rob_occupancy)
+
+let check config packed record stats =
+  match derive config packed record stats with
+  | () -> Ok ()
+  | exception Mismatch m -> Error m

@@ -227,6 +227,13 @@ let test_parse_codes () =
     "fom-trace 1\nalu 400000 - - -\nload 400004 7fffffffffffffff - - 0\n";
   expect_parse_error "T104 negative target" "FOM-T104" ~line:2
     "fom-trace 1\nbranch 400000 - T 7fffffffffffffff\n";
+  expect_parse_error "T104 direction" "FOM-T104" ~line:2 "fom-trace 1\nbranch 400000 - X 400008\n";
+  (* The fields must fit the class: an address on memory operations
+     only, a direction and target on control operations only. *)
+  expect_parse_error "T106 load without address" "FOM-T106" ~line:2
+    "fom-trace 1\nload 400000 - - -\n";
+  expect_parse_error "T106 alu with direction" "FOM-T106" ~line:2
+    "fom-trace 1\nalu 400000 - T 400008\n";
   (* Blank lines shift the reported line number, not the index. *)
   expect_parse_error "T105 line 4" "FOM-T105" ~line:4
     "fom-trace 1\nalu 400000 - - -\n\nalu 400004 - - - 9\n"

@@ -136,54 +136,70 @@ let test_window_stat_bounded () =
   Alcotest.(check bool) "rob occupancy within size" true
     (stats.Stats.mean_rob_occupancy <= 128.0)
 
-let prop_event_kernel_matches_scan =
-  (* The event-driven issue stage must be indistinguishable from the
-     reference window scan: identical full statistics (cycle counts,
-     miss events, occupancy means — exact float equality) on the same
-     trace, across randomized workloads, machine shapes and feature
-     sets (clusters, FU limits, TLB, fetch buffer, unbounded issue). *)
-  QCheck.Test.make ~name:"event issue kernel matches scan kernel exactly" ~count:40
+(* The randomized machines of the properties below: shape and feature
+   set (clusters, FU limits, TLB and fetch buffer, unbounded issue)
+   drawn independently. *)
+let random_config ~width ~variant ~shape =
+  let base =
+    {
+      Config.baseline with
+      Config.width;
+      pipeline_depth = 3 + (shape mod 4);
+      window_size = [| 16; 32; 48 |].(shape mod 3);
+      rob_size = 96 + (32 * (shape mod 3));
+    }
+  in
+  match variant with
+  | 0 -> Config.ideal base
+  | 1 -> base
+  | 2 -> Config.with_clusters 2 base
+  | 3 -> Config.with_fu_limits (Fom_isa.Fu_set.make ~alu:2 ~load:1 ~mul:1 ()) base
+  | 4 ->
+      Config.with_fetch_buffer 16
+        (Config.with_dtlb { Fom_cache.Tlb.entries = 16; page_bits = 13; walk_latency = 30 } base)
+  | _ -> { (Config.ideal base) with Config.unbounded_issue = true }
+
+(* A recorded run of [config] over [packed] must pass the pipeline
+   checker, and recording must not change the statistics. *)
+let check_recorded ~case config packed ~n =
+  let stats, record = Machine.run_recorded (Machine.create config packed) ~n in
+  (match Pipeline_check.check config packed record stats with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "%s: %s" case e);
+  Alcotest.(check bool) (case ^ ": recording changes nothing") true
+    (stats = Fom_uarch.Simulate.run_packed config packed ~n);
+  stats
+
+let prop_pipeline_record_passes_checker =
+  (* Every stage cycle of every instruction, the cycle count and the
+     occupancy means (exact float equality) re-derived cycle by cycle
+     from the record, across randomized workloads, machine shapes and
+     feature sets. *)
+  QCheck.Test.make ~name:"pipeline record passes the checker" ~count:40
     QCheck.(quad (int_range 0 11) (int_bound 10_000) (int_range 0 5) (int_bound 10_000))
     (fun (workload, seed, variant, shape) ->
       let spec =
         Fom_workloads.Spec2000.with_seed seed
           (List.nth Fom_workloads.Spec2000.all workload)
       in
-      let program = Fom_trace.Program.generate spec in
-      let base =
-        {
-          Config.baseline with
-          Config.width = [| 2; 4; 8 |].(shape mod 3);
-          pipeline_depth = 3 + (shape mod 4);
-          window_size = [| 16; 32; 48 |].(shape mod 3);
-          rob_size = 96 + (32 * (shape mod 3));
-        }
-      in
-      let config =
-        match variant with
-        | 0 -> Config.ideal base
-        | 1 -> base
-        | 2 -> Config.with_clusters 2 base
-        | 3 -> Config.with_fu_limits (Fom_isa.Fu_set.make ~alu:2 ~load:1 ~mul:1 ()) base
-        | 4 ->
-            Config.with_fetch_buffer 16
-              (Config.with_dtlb
-                 { Fom_cache.Tlb.entries = 16; page_bits = 13; walk_latency = 30 }
-                 base)
-        | _ -> { (Config.ideal base) with Config.unbounded_issue = true }
-      in
+      let config = random_config ~width:[| 2; 4; 8 |].(shape mod 3) ~variant ~shape in
       let n = 3000 in
-      let run kernel = Fom_uarch.Simulate.run ~kernel config program ~n in
-      run Machine.Scan = run Machine.Event)
+      let packed =
+        Fom_trace.Packed.of_source
+          (Fom_trace.Source.of_program (Fom_trace.Program.generate spec))
+          ~n:(n + Config.inflight_span config)
+      in
+      let case = Printf.sprintf "workload %d seed %d variant %d shape %d" workload seed variant shape in
+      ignore (check_recorded ~case config packed ~n);
+      true)
 
-(* A fixed grid for the event kernel's less travelled paths, each
-   against the scan kernel: memory latencies past the 1024-cycle
-   wakeup calendar (a long miss re-books from a clamped bucket, across
-   skipped idle cycles); [run_recorded], whose per-cycle issue record
-   must carry a zero for every skipped cycle; and cycle limits just
-   below and at the run's length, where a skip must stop at the limit
-   so that both kernels raise or neither does. *)
-let test_event_matches_scan_grid () =
+(* A fixed grid for the kernel's less travelled paths, each through
+   the checker: memory latencies past the 1024-cycle wakeup calendar
+   (a long miss re-books from a clamped bucket, across skipped idle
+   cycles), and cycle limits just below and at the run's length, where
+   a skip must stop at the limit so that the run raises exactly when
+   stepping every cycle would. *)
+let test_checker_grid () =
   let n = 1000 in
   let machines =
     [
@@ -217,34 +233,30 @@ let test_event_matches_scan_grid () =
               let packed =
                 Fom_trace.Packed.of_source source ~n:(n + Config.inflight_span config)
               in
-              let recorded kernel =
-                Machine.run_recorded (Machine.create ~kernel config packed) ~n
-              in
-              let ((scan_stats, _, _) as scan) = recorded Machine.Scan in
-              Alcotest.(check bool) (case ^ ": run_recorded") true (scan = recorded Machine.Event);
-              (* The scan run took [cycles] steps, the last at cycle
+              let stats = check_recorded ~case config packed ~n in
+              (* The run took [cycles] steps, the last at cycle
                  [cycles - 1]: under a limit of [cycles - 1] it returns
                  the same statistics, under [cycles - 2] it raises. *)
-              let cycles = scan_stats.Stats.cycles in
-              let event_outcome cycle_limit =
+              let cycles = stats.Stats.cycles in
+              let outcome cycle_limit =
                 match Machine.run ~cycle_limit (Machine.create config packed) ~n with
                 | stats -> Some stats
                 | exception Machine.Cycle_limit_exceeded -> None
               in
               Alcotest.(check bool) (case ^ ": cycle limit met") true
-                (event_outcome (cycles - 1) = Some scan_stats);
+                (outcome (cycles - 1) = Some stats);
               Alcotest.(check bool) (case ^ ": cycle limit exceeded") true
-                (event_outcome (cycles - 2) = None))
+                (outcome (cycles - 2) = None))
             machines)
         [ 200; 1023; 1024; 1500; 3000 ])
     [ "gzip"; "mcf"; "gcc"; "twolf" ]
 
 (* Packing exactly [n + inflight_span] instructions must be enough for
    a run to [n] retirements: replaying a longer packing of the same
-   trace gives identical full statistics, at widths 2, 4 and 8 under
-   both kernels. A short span makes the exact packing run dry at fetch
-   ([FOM-T132]) on wide machines, whose last cycle retires up to
-   [width - 1] past the target. *)
+   trace gives identical full statistics, at widths 2, 4 and 8. A short
+   span makes the exact packing run dry at fetch ([FOM-T132]) on wide
+   machines, whose last cycle retires up to [width - 1] past the
+   target. *)
 let packing_length_invariant (workload, seed, variant, shape) =
   let spec =
     Fom_workloads.Spec2000.with_seed seed (List.nth Fom_workloads.Spec2000.all workload)
@@ -254,34 +266,10 @@ let packing_length_invariant (workload, seed, variant, shape) =
   let long = Fom_trace.Packed.of_source source ~n:(n + 8192) in
   List.for_all
     (fun width ->
-      let base =
-        {
-          Config.baseline with
-          Config.width;
-          pipeline_depth = 3 + (shape mod 4);
-          window_size = [| 16; 32; 48 |].(shape mod 3);
-          rob_size = 96 + (32 * (shape mod 3));
-        }
-      in
-      let config =
-        match variant with
-        | 0 -> Config.ideal base
-        | 1 -> base
-        | 2 -> Config.with_clusters 2 base
-        | 3 -> Config.with_fu_limits (Fom_isa.Fu_set.make ~alu:2 ~load:1 ~mul:1 ()) base
-        | 4 ->
-            Config.with_fetch_buffer 16
-              (Config.with_dtlb
-                 { Fom_cache.Tlb.entries = 16; page_bits = 13; walk_latency = 30 }
-                 base)
-        | _ -> { (Config.ideal base) with Config.unbounded_issue = true }
-      in
+      let config = random_config ~width ~variant ~shape in
       let exact = Fom_trace.Packed.of_source source ~n:(n + Config.inflight_span config) in
-      List.for_all
-        (fun kernel ->
-          Fom_uarch.Simulate.run_packed ~kernel config exact ~n
-          = Fom_uarch.Simulate.run_packed ~kernel config long ~n)
-        [ Machine.Event; Machine.Scan ])
+      Fom_uarch.Simulate.run_packed config exact ~n
+      = Fom_uarch.Simulate.run_packed config long ~n)
     [ 2; 4; 8 ]
 
 let prop_packing_length_does_not_change_results =
@@ -312,7 +300,7 @@ let test_resumable_packed_runs_compose () =
   (* The ROB and the front-end pipe are index ranges that must carry
      across a [run] boundary: stopping a packed-fed machine part-way and
      resuming it to the same retirement target gives exactly the full
-     statistics of one uninterrupted run, under both kernels. *)
+     statistics of one uninterrupted run. *)
   let n = 6000 in
   List.iter
     (fun (name, config) ->
@@ -322,14 +310,11 @@ let test_resumable_packed_runs_compose () =
           (Fom_trace.Source.of_program program)
           ~n:(n + Config.inflight_span config)
       in
-      List.iter
-        (fun kernel ->
-          let resumed = Machine.create ~kernel config packed in
-          let first = Machine.run resumed ~n:2500 in
-          let second = Machine.run resumed ~n:(n - first.Stats.instructions) in
-          let full = Machine.run (Machine.create ~kernel config packed) ~n in
-          Alcotest.(check bool) (name ^ ": resumed run equals one run") true (second = full))
-        [ Machine.Event; Machine.Scan ])
+      let resumed = Machine.create config packed in
+      let first = Machine.run resumed ~n:2500 in
+      let second = Machine.run resumed ~n:(n - first.Stats.instructions) in
+      let full = Machine.run (Machine.create config packed) ~n in
+      Alcotest.(check bool) (name ^ ": resumed run equals one run") true (second = full))
     [
       ("gzip", Config.baseline);
       ("mcf", Config.baseline);
@@ -389,9 +374,9 @@ let suite =
       Alcotest.test_case "resumable packed runs compose" `Quick
         test_resumable_packed_runs_compose;
       Alcotest.test_case "packed run allocation-free" `Quick test_packed_run_allocation_free;
-      QCheck_alcotest.to_alcotest prop_event_kernel_matches_scan;
-      Alcotest.test_case "event matches scan: long latencies, records, limits" `Quick
-        test_event_matches_scan_grid;
+      QCheck_alcotest.to_alcotest prop_pipeline_record_passes_checker;
+      Alcotest.test_case "pipeline checker: long latencies, cycle limits" `Quick
+        test_checker_grid;
       Alcotest.test_case "packing margin covers wide machines" `Quick
         test_packing_margin_wide_machines;
       QCheck_alcotest.to_alcotest prop_packing_length_does_not_change_results;

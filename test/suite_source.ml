@@ -149,6 +149,75 @@ let test_load_rejects_bad_dependence () =
           Alcotest.(check string) "path has line 2" (path ^ ":2")
             d.Fom_check.Diagnostic.path)
 
+(* Random byte edits of a saved trace: [load] either accepts the
+   result or rejects it with a diagnostic at [file:line], never with an
+   error from deeper in the library. *)
+type edit = Replace of int * char | Delete of int | Insert of int * char
+
+let apply_edit text = function
+  | Replace (at, c) ->
+      let at = at mod String.length text in
+      String.mapi (fun i x -> if i = at then c else x) text
+  | Delete at ->
+      let at = at mod String.length text in
+      String.sub text 0 at ^ String.sub text (at + 1) (String.length text - at - 1)
+  | Insert (at, c) ->
+      let at = at mod (String.length text + 1) in
+      String.sub text 0 at ^ String.make 1 c ^ String.sub text at (String.length text - at)
+
+let saved_trace =
+  lazy
+    (let path = Filename.temp_file "fom" ".trace" in
+     Fun.protect
+       ~finally:(fun () -> Sys.remove path)
+       (fun () ->
+         Trace_file.save ~path (Source.of_program (Lazy.force gzip)) ~n:30;
+         In_channel.with_open_bin path In_channel.input_all))
+
+let edits =
+  let open QCheck.Gen in
+  (* Mostly bytes the format uses, so edits land on plausible fields. *)
+  let format_byte = oneofl (List.of_seq (String.to_seq "0123456789abcdefTNX- \n")) in
+  let byte = frequency [ (4, format_byte); (1, char) ] in
+  let pos = int_bound 10_000 in
+  list_size (int_range 1 3)
+    (oneof
+       [
+         map2 (fun at c -> Replace (at, c)) pos byte;
+         map (fun at -> Delete at) pos;
+         map2 (fun at c -> Insert (at, c)) pos byte;
+       ])
+
+let prop_load_diagnoses_at_file_line =
+  QCheck.Test.make ~name:"load diagnoses edited traces at file:line" ~count:500
+    (QCheck.make edits
+       ~print:
+         (QCheck.Print.list (function
+           | Replace (at, c) -> Printf.sprintf "replace %d %C" at c
+           | Delete at -> Printf.sprintf "delete %d" at
+           | Insert (at, c) -> Printf.sprintf "insert %d %C" at c)))
+    (fun edits ->
+      let text = List.fold_left apply_edit (Lazy.force saved_trace) edits in
+      let path = Filename.temp_file "fom" ".trace" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          Out_channel.with_open_bin path (fun oc -> output_string oc text);
+          match Trace_file.load ~path with
+          | _ -> true
+          | exception Fom_check.Checker.Invalid (d :: _) -> (
+              let lines = List.length (String.split_on_char '\n' text) in
+              let prefix = path ^ ":" in
+              let p = d.Fom_check.Diagnostic.path in
+              String.starts_with ~prefix p
+              &&
+              match
+                int_of_string_opt
+                  (String.sub p (String.length prefix) (String.length p - String.length prefix))
+              with
+              | Some line -> line >= 1 && line <= lines
+              | None -> false)))
+
 let suite =
   ( "source",
     [
@@ -162,4 +231,5 @@ let suite =
       Alcotest.test_case "simulator on loaded trace" `Quick test_simulator_on_loaded_trace;
       Alcotest.test_case "rejects garbage" `Quick test_load_rejects_garbage;
       Alcotest.test_case "rejects forward dependence" `Quick test_load_rejects_bad_dependence;
+      QCheck_alcotest.to_alcotest prop_load_diagnoses_at_file_line;
     ] )
