@@ -248,9 +248,8 @@ let run_pass ~jobs ?cache_dir ~paired ~csv_dir ~scale selected =
    exhibits. *)
 let baseline_gate_floor = 0.05
 
-let baseline_regressions ~scale ~timed path =
+let baseline_regressions ~scale ~timed doc =
   let module J = Fom_util.Json in
-  let doc = J.of_file ~path in
   let base_scale =
     match Option.bind (J.member "scale" doc) J.number with
     | Some s when s > 0.0 -> s
@@ -357,8 +356,7 @@ let parallel_regressions ~scale ~timed ~sequential =
       | Some _ | None -> None)
     timed
 
-let () =
-  let options = parse_args () in
+let run options =
   if options.list_only then
     List.iter (fun (name, descr, _) -> Printf.printf "%-16s %s\n" name descr) exhibits
   else begin
@@ -379,6 +377,9 @@ let () =
     let jobs, jobs_diags = Fom_exec.Pool.resolve_jobs ?requested:options.jobs () in
     List.iter (fun d -> prerr_endline (Fom_check.Diagnostic.to_string d)) jobs_diags;
     if List.exists Fom_check.Diagnostic.is_error jobs_diags then exit 2;
+    (* Read the baseline before the first exhibit runs: an unreadable
+       or malformed file fails the run now, not after it. *)
+    let baseline = Option.map (fun path -> Fom_util.Json.of_file ~path) options.baseline in
     if options.metrics || options.trace_out <> None then Fom_obs.Sink.enable ();
     Printf.printf
       "First-order superscalar model reproduction harness (scale %.2f, %d exhibits, %d jobs)\n"
@@ -423,10 +424,10 @@ let () =
     | Some path ->
         Fom_obs.Export.write_chrome_trace ~path;
         Printf.printf "wrote Chrome trace to %s (load in Perfetto or chrome://tracing)\n" path);
-    match options.baseline with
+    match baseline with
     | None -> ()
-    | Some path -> (
-        match baseline_regressions ~scale:options.scale ~timed path with
+    | Some doc -> (
+        match baseline_regressions ~scale:options.scale ~timed doc with
         | [] -> ()
         | regressions ->
             List.iter
@@ -436,3 +437,16 @@ let () =
               regressions;
             exit 1)
   end
+
+(* Bad option values and unusable paths end in a report on stderr and
+   exit 2, like the harness's other argument errors. *)
+let () =
+  let options = parse_args () in
+  match run options with
+  | () -> ()
+  | exception Fom_check.Checker.Invalid ds ->
+      Format.eprintf "%a@." Fom_check.Checker.pp_report ds;
+      exit 2
+  | exception Sys_error message ->
+      prerr_endline ("fom-bench: " ^ message);
+      exit 2

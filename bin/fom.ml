@@ -486,8 +486,22 @@ let trends_cmd =
   let term = Term.(const run $ const ()) in
   Cmd.v (Cmd.info "trends" ~doc:"The Section 6 microarchitecture trend studies.") term
 
+(* Bad flag values and unusable paths end in a report on stderr and
+   exit 1, as [fom check] reports its diagnostics, never in cmdliner's
+   uncaught-exception exit. *)
 let () =
   let doc = "the first-order superscalar processor model (Karkhanis & Smith, ISCA 2004)" in
   let info = Cmd.info "fom" ~version:"1.0.0" ~doc in
-  exit (Cmd.eval (Cmd.group info
-       [ iw_cmd; profile_cmd; model_cmd; simulate_cmd; compare_cmd; trends_cmd; workloads_cmd; trace_cmd; check_cmd ]))
+  let cmd =
+    Cmd.group info
+      [ iw_cmd; profile_cmd; model_cmd; simulate_cmd; compare_cmd; trends_cmd; workloads_cmd;
+        trace_cmd; check_cmd ]
+  in
+  match Cmd.eval ~catch:false cmd with
+  | code -> exit code
+  | exception Fom_check.Checker.Invalid ds ->
+      Format.eprintf "%a@." Fom_check.Checker.pp_report ds;
+      exit 1
+  | exception Sys_error message ->
+      prerr_endline ("fom: " ^ message);
+      exit 1

@@ -37,24 +37,17 @@ let measure_packed ?pool ?(windows = default_windows) ?(n = 30_000) ?latencies ?
   in
   { points; fit }
 
-let measure_source ?pool ?windows ?(n = 30_000) ?latencies ?issue_limit source =
+let measure ?pool ?windows ?(n = 30_000) ?latencies ?issue_limit program =
   let windows = match windows with Some w -> w | None -> default_windows in
   check_windows windows;
   (* The kernel fetches up to a window beyond the [n] it issues, so
      the packing carries the largest window of margin — replay is then
      exact for every sweep point, never wrapping. *)
   let max_window = List.fold_left Int.max 1 windows in
-  let packed = Fom_trace.Packed.of_source source ~n:(n + max_window) in
+  let packed =
+    Fom_trace.Packed.of_source (Fom_trace.Source.of_program program) ~n:(n + max_window)
+  in
   measure_packed ?pool ~windows ~n ?latencies ?issue_limit packed
-
-let measure ?pool ?windows ?n ?latencies ?issue_limit program =
-  measure_source ?pool ?windows ?n ?latencies ?issue_limit
-    (Fom_trace.Source.of_program program)
 
 let alpha t = t.fit.Fom_util.Fit.alpha
 let beta t = t.fit.Fom_util.Fit.beta
-
-let log2 x = Float.log x /. Float.log 2.0
-
-let log2_points t =
-  List.map (fun p -> (log2 (float_of_int p.window), log2 p.ipc)) t.points

@@ -26,13 +26,6 @@ val measure :
     therefore the fit — are bit-identical to a sequential measurement;
     a [jobs = 1] pool takes exactly the sequential path. *)
 
-val measure_source :
-  ?pool:Fom_exec.Pool.t -> ?windows:int list -> ?n:int ->
-  ?latencies:Fom_isa.Latency.t ->
-  ?issue_limit:int -> Fom_trace.Source.t -> t
-(** {!measure} over any replayable source, packed once and shared
-    by every window. *)
-
 val measure_packed :
   ?pool:Fom_exec.Pool.t -> ?windows:int list -> ?n:int ->
   ?latencies:Fom_isa.Latency.t ->
@@ -44,6 +37,3 @@ val measure_packed :
 
 val alpha : t -> float
 val beta : t -> float
-
-val log2_points : t -> (float * float) list
-(** [(log2 window, log2 ipc)] pairs, for Figure 4/5-style output. *)

@@ -38,12 +38,9 @@ val predict : t -> pc:int -> taken:bool -> bool
 (** Predicted direction. [taken] is the resolved direction, needed
     only by [Ideal]; real predictors ignore it. No state change. *)
 
-val train : t -> pc:int -> taken:bool -> unit
-(** Update tables and history with the resolved direction. *)
-
 val observe : t -> pc:int -> taken:bool -> bool
-(** [predict] then [train]; returns [true] when the prediction was
-    correct. *)
+(** [predict], then update the tables and history with the resolved
+    direction; returns [true] when the prediction was correct. *)
 
 type stats = { branches : int; mispredictions : int }
 

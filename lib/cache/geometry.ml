@@ -33,13 +33,9 @@ let make ~size ~assoc ~line =
   t
 
 let sets t = t.size / (t.assoc * t.line)
-let lines t = t.size / t.line
 let line_address t addr = addr land lnot (t.line - 1)
 let set_index t addr = addr / t.line land (sets t - 1)
 let tag t addr = addr / t.line / sets t
 
 let l1_baseline = make ~size:4096 ~assoc:4 ~line:128
 let l2_baseline = make ~size:(512 * 1024) ~assoc:4 ~line:128
-
-let pp fmt t =
-  Format.fprintf fmt "%dB/%d-way/%dB-line (%d sets)" t.size t.assoc t.line (sets t)

@@ -22,9 +22,6 @@ val diagnostics : ?path:string -> t -> Fom_check.Diagnostic.t list
 val sets : t -> int
 (** Number of sets. *)
 
-val lines : t -> int
-(** Total number of lines. *)
-
 val line_address : t -> int -> int
 (** Byte address of the enclosing line. *)
 
@@ -39,5 +36,3 @@ val l1_baseline : t
 
 val l2_baseline : t
 (** 512 KiB, 4-way, 128-byte lines (paper baseline unified L2). *)
-
-val pp : Format.formatter -> t -> unit

@@ -145,11 +145,3 @@ let stats t =
     short_misses = t.n_short;
     long_misses = t.n_long;
   }
-
-let reset_stats t =
-  t.n_inst <- 0;
-  t.n_l1i_misses <- 0;
-  t.n_l2i_misses <- 0;
-  t.n_data <- 0;
-  t.n_short <- 0;
-  t.n_long <- 0

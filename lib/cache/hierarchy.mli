@@ -86,4 +86,3 @@ type stats = {
 }
 
 val stats : t -> stats
-val reset_stats : t -> unit

@@ -4,7 +4,6 @@
    set count are powers of two (see {!Geometry.diagnostics}), so the
    set index and tag are shifts and masks computed once at [create]. *)
 type t = {
-  geometry : Geometry.t;
   assoc : int;
   line_shift : int;
   set_mask : int;
@@ -25,7 +24,6 @@ let create geometry =
   let sets = Geometry.sets geometry in
   let n = sets * geometry.Geometry.assoc in
   {
-    geometry;
     assoc = geometry.Geometry.assoc;
     line_shift = log2 geometry.Geometry.line;
     set_mask = sets - 1;
@@ -36,8 +34,6 @@ let create geometry =
     accesses = 0;
     misses = 0;
   }
-
-let geometry t = t.geometry
 
 (* First way of [addr]'s set. *)
 let set_base t addr = ((addr lsr t.line_shift) land t.set_mask) * t.assoc
@@ -56,7 +52,6 @@ let find t addr =
   !slot
 
 let probe t addr = find t addr >= 0
-let resident = probe
 
 let access t addr =
   t.accesses <- t.accesses + 1;
@@ -81,15 +76,9 @@ let access t addr =
 let accesses t = t.accesses
 let misses t = t.misses
 
-let miss_rate t =
-  if t.accesses = 0 then 0.0 else float_of_int t.misses /. float_of_int t.accesses
-
-let reset_stats t =
-  t.accesses <- 0;
-  t.misses <- 0
-
 let clear t =
   Array.fill t.tags 0 (Array.length t.tags) (-1);
   Array.fill t.stamps 0 (Array.length t.stamps) 0;
   t.clock <- 0;
-  reset_stats t
+  t.accesses <- 0;
+  t.misses <- 0

@@ -9,8 +9,6 @@ type t
 val create : Geometry.t -> t
 (** Empty cache. *)
 
-val geometry : t -> Geometry.t
-
 val access : t -> int -> bool
 (** [access t addr] returns [true] on hit. On a miss the line is
     allocated, evicting the set's LRU line; on a hit the line becomes
@@ -19,20 +17,11 @@ val access : t -> int -> bool
 val probe : t -> int -> bool
 (** Like {!access} but with no side effect at all. *)
 
-val resident : t -> int -> bool
-(** Alias of {!probe}, for readability in invariant checks. *)
-
 val accesses : t -> int
 (** Accesses made so far. *)
 
 val misses : t -> int
 (** Misses so far. *)
-
-val miss_rate : t -> float
-(** Misses per access; 0 before any access. *)
-
-val reset_stats : t -> unit
-(** Zero the counters without touching cache contents (for warmup). *)
 
 val clear : t -> unit
 (** Empty the cache and zero the counters. *)

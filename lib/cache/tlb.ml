@@ -1,7 +1,5 @@
 type spec = { entries : int; page_bits : int; walk_latency : int }
 
-let default_spec = { entries = 64; page_bits = 13; walk_latency = 30 }
-
 type t = { spec : spec; cache : Sa_cache.t }
 
 let diagnostics spec =
@@ -25,7 +23,3 @@ let create spec =
 
 let spec t = t.spec
 let access t addr = Sa_cache.access t.cache addr
-let accesses t = Sa_cache.accesses t.cache
-let misses t = Sa_cache.misses t.cache
-let miss_rate t = Sa_cache.miss_rate t.cache
-let reset_stats t = Sa_cache.reset_stats t.cache

@@ -13,9 +13,6 @@ type spec = {
   walk_latency : int;  (** page-table walk delay in cycles *)
 }
 
-val default_spec : spec
-(** 64 entries, 8 KiB pages, 30-cycle walk. *)
-
 val diagnostics : spec -> Fom_check.Diagnostic.t list
 (** [FOM-M011] diagnostics for a malformed spec. *)
 
@@ -27,8 +24,3 @@ val spec : t -> spec
 val access : t -> int -> bool
 (** [access t addr] translates; [false] means a TLB miss (the entry is
     filled, evicting the LRU translation). *)
-
-val accesses : t -> int
-val misses : t -> int
-val miss_rate : t -> float
-val reset_stats : t -> unit

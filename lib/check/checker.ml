@@ -54,8 +54,6 @@ let ensure ?severity ~code ~path cond message =
   if cond then ()
   else raise (Invalid [ Diagnostic.make ?severity ~code ~path message ])
 
-let capture f = try f (); [] with Invalid diags -> diags
-
 let internal_error message =
   raise (Invalid [ Diagnostic.make ~code:"FOM-X001" ~path:"internal" message ])
 

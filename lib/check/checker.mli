@@ -36,9 +36,6 @@ val ok : rule
 val all : rule list -> rule
 (** Concatenation: every violation from every sub-rule. *)
 
-val fail : ?severity:Diagnostic.severity -> code:string -> path:string -> string -> rule
-(** Unconditional diagnostic. *)
-
 val check : ?severity:Diagnostic.severity -> code:string -> path:string -> bool -> string -> rule
 (** [check ~code ~path cond msg] is [ok] when [cond] holds. *)
 
@@ -61,9 +58,6 @@ val sum_to_one :
 (** [sum_to_one ~code ~path parts] checks the labelled fields sum to
     1 within [tol] (default [1e-6]). *)
 
-val errors : rule -> Diagnostic.t list
-val warnings : rule -> Diagnostic.t list
-
 val has_errors : rule -> bool
 
 val run_exn : rule -> unit
@@ -76,17 +70,11 @@ val ensure : ?severity:Diagnostic.severity -> code:string -> path:string -> bool
     paths pass a static message string — nothing allocates when the
     condition holds. *)
 
-val capture : (unit -> unit) -> rule
-(** Run a [validate]-style thunk, turning a raised {!Invalid} into
-    the rule it carried. *)
-
 val internal_error : string -> 'a
 (** Report a violated internal invariant (code [FOM-X001]) — the
     replacement for [assert false] on unreachable paths. *)
 
 val pp_report : Format.formatter -> rule -> unit
 (** Every diagnostic (sorted by severity, then path) one per line,
-    followed by a summary count line. *)
-
-val summary : rule -> string
-(** E.g. ["2 errors, 1 warning"] or ["no diagnostics"]. *)
+    followed by a summary count line, e.g. ["2 errors, 1 warning"] or
+    ["no diagnostics"]. *)

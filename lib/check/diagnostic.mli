@@ -38,9 +38,6 @@ val make : ?severity:severity -> code:string -> path:string -> string -> t
 
 val is_error : t -> bool
 
-val severity_label : severity -> string
-(** ["error"], ["warning"] or ["hint"]. *)
-
 val compare : t -> t -> int
 (** Orders by decreasing severity, then path, then code — the order
     reports are printed in. *)

@@ -13,7 +13,6 @@ type breakdown = {
 }
 
 let total b = b.steady +. b.branch +. b.l1i +. b.l2i +. b.dcache +. b.dtlb
-let ipc b = 1.0 /. total b
 
 let characteristic (params : Params.t) (inputs : Inputs.t) =
   Iw.make ~alpha:inputs.Inputs.alpha ~beta:inputs.Inputs.beta
@@ -58,16 +57,6 @@ let evaluate ?(branch_mode = Measured_burst) ?(dcache_mode = Rob_fill_corrected)
       *. Inputs.dtlb_group_factor inputs;
   }
 
-let stack b =
-  [
-    ("ideal", b.steady);
-    ("L1 I-cache", b.l1i);
-    ("L2 I-cache", b.l2i);
-    ("L2 D-cache", b.dcache);
-    ("branch mispredictions", b.branch);
-    ("D-TLB", b.dtlb);
-  ]
-
 let pp fmt b =
   Format.fprintf fmt
     "@[<v>CPI %.3f (IPC %.3f)@,\
@@ -77,4 +66,4 @@ let pp fmt b =
      \ L2 I$   %.3f@,\
      \ D-cache %.3f@,\
      \ D-TLB   %.3f@]"
-    (total b) (ipc b) b.steady b.branch b.l1i b.l2i b.dcache b.dtlb
+    (total b) (1.0 /. total b) b.steady b.branch b.l1i b.l2i b.dcache b.dtlb

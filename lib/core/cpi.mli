@@ -29,7 +29,6 @@ type breakdown = {
 }
 
 val total : breakdown -> float
-val ipc : breakdown -> float
 
 val evaluate :
   ?branch_mode:branch_mode -> ?dcache_mode:dcache_mode -> Params.t -> Inputs.t -> breakdown
@@ -40,10 +39,5 @@ val characteristic : Params.t -> Inputs.t -> Iw_characteristic.t
 (** The machine-specific IW characteristic the evaluation uses:
     the workload's fitted power law, Little's-law corrected by its
     mean latency, clipped at the machine width. *)
-
-val stack : breakdown -> (string * float) list
-(** Labeled components in the paper's Figure 16 stacking order:
-    ideal, L1 I-cache, L2 I-cache, L2 D-cache, branch, plus the TLB
-    extension term. *)
 
 val pp : Format.formatter -> breakdown -> unit

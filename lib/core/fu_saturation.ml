@@ -24,6 +24,3 @@ let binding_class fu ~mix =
       Opclass.all
   else None
 
-let with_fu_limits fu ~mix (iw : Iw_characteristic.t) =
-  let bound = saturation_ipc fu ~mix in
-  { iw with Iw_characteristic.issue_width = Float.min iw.Iw_characteristic.issue_width bound }

@@ -19,8 +19,3 @@ val effective_width :
 val binding_class :
   Fom_isa.Fu_set.t -> mix:(Fom_isa.Opclass.t -> float) -> Fom_isa.Opclass.t option
 (** The class that limits throughput, when one does. *)
-
-val with_fu_limits :
-  Fom_isa.Fu_set.t -> mix:(Fom_isa.Opclass.t -> float) ->
-  Iw_characteristic.t -> Iw_characteristic.t
-(** Clip a characteristic's issue width at the FU saturation level. *)

@@ -97,4 +97,3 @@ let group_factor dist =
 
 let long_group_factor t = group_factor t.long_miss_groups
 let dtlb_group_factor t = group_factor t.dtlb_groups
-let no_dtlb = (0.0, Fom_util.Distribution.create ())

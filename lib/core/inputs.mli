@@ -54,7 +54,3 @@ val long_group_factor : t -> float
 
 val dtlb_group_factor : t -> float
 (** Overlap factor for TLB misses, same convention. *)
-
-val no_dtlb : float * Fom_util.Distribution.t
-(** Convenience for machines without a TLB: a zero rate and an empty
-    group distribution. *)

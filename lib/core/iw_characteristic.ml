@@ -18,9 +18,6 @@ let make ~alpha ~beta ?(avg_latency = 1.0) ?(issue_width = infinity) () =
        ]);
   { alpha; beta; avg_latency; issue_width }
 
-let of_fit ?avg_latency ?issue_width (fit : Fom_util.Fit.power_law) =
-  make ~alpha:fit.Fom_util.Fit.alpha ~beta:fit.Fom_util.Fit.beta ?avg_latency ?issue_width ()
-
 let square_law = make ~alpha:1.0 ~beta:0.5 ()
 
 let unclipped_rate t w =

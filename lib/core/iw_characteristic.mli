@@ -26,9 +26,6 @@ val make :
 (** Defaults: unit latency, unlimited width. Requires positive
     [alpha], [beta] in (0, 1], [avg_latency >= 1]. *)
 
-val of_fit : ?avg_latency:float -> ?issue_width:float -> Fom_util.Fit.power_law -> t
-(** Adopt a fitted unit-latency power law. *)
-
 val square_law : t
 (** The paper's illustrative average characteristic: alpha 1, beta 0.5
     (used for Figure 8 and Section 6). *)

@@ -6,9 +6,6 @@
     misprediction rate (100 instructions between mispredictions)
     unless overridden. *)
 
-val default_mispred_interval : int
-(** 100: one branch in five, 5% mispredicted. *)
-
 val ipc_vs_depth :
   ?iw:Iw_characteristic.t -> ?window:int -> ?interval:int ->
   widths:int list -> depths:int list -> unit -> (int * (int * float) list) list

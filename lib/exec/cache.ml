@@ -41,8 +41,6 @@ let create ~dir =
     "cache directory could not be created";
   { dir; lock = Mutex.create (); diags = []; hits = 0; misses = 0 }
 
-let dir t = t.dir
-
 (* A key part from any marshalable value: configurations here are
    plain records and variants (no closures), and [Marshal] of an
    immutable value is deterministic, so the bytes canonically describe

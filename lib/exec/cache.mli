@@ -11,7 +11,7 @@
     - the machine / model configuration (cache hierarchy, predictor,
       model parameters),
     - the instruction counts ([n]),
-    - {!code_version} — a constant bumped whenever a code change can
+    - [code_version] — a constant bumped whenever a code change can
       alter results, so every old entry goes stale at once.
 
     Configuration values enter the digest through {!part}: the
@@ -31,15 +31,9 @@
     - [FOM-E006] — cache entry unreadable/unwritable (corrupt file,
       I/O failure, permissions)
     - [FOM-E007] — stale cache entry (written by another
-      {!code_version}) *)
+      [code_version]) *)
 
 type t
-
-val code_version : string
-(** Folded into every digest and entry header. Bump it whenever a
-    change to the simulator, the analysis kernels, or the cached value
-    types can alter results — all previously written entries then
-    simply stop matching. *)
 
 val create : dir:string -> t
 (** Open (creating if needed, like [mkdir -p]) a cache rooted at
@@ -49,15 +43,13 @@ val create : dir:string -> t
     @raise Fom_check.Checker.Invalid with [FOM-E006] if the directory
     cannot be created. *)
 
-val dir : t -> string
-
 val part : 'a -> string
 (** A digest ingredient from any closure-free value: its [Marshal]
     bytes. *)
 
 val digest : string list -> string
 (** The cache key for a result depending on exactly [parts] (order
-    matters): a hex digest of the parts and {!code_version}. Include a
+    matters): a hex digest of the parts and [code_version]. Include a
     distinct leading kind tag (e.g. ["sim"], ["characterization"]) so
     results of different types can never share a key. *)
 

@@ -124,15 +124,3 @@ let get t key compute =
         publish cell (Failed (exn, bt));
         Printexc.raise_with_backtrace exn bt
   end
-
-let find_opt t key =
-  Mutex.lock t.lock;
-  let cell = Hashtbl.find_opt t.table key in
-  Mutex.unlock t.lock;
-  match cell with
-  | None -> None
-  | Some cell -> (
-      Mutex.lock cell.mutex;
-      let state = cell.state in
-      Mutex.unlock cell.mutex;
-      match state with Done v -> Some v | In_flight _ | Failed _ -> None)

@@ -48,10 +48,6 @@ val get : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v
     demander computes, concurrent demanders wait for its result.
     Re-raises the owner's exception if the computation failed. *)
 
-val find_opt : ('k, 'v) t -> 'k -> 'v option
-(** The completed value for [key], if any — [None] while the key is
-    unclaimed, in flight, or failed. Never blocks. *)
-
 val compute_count : ('k, 'v) t -> int
 (** How many computations this table has ever *started* — the
     exactly-once guarantee says this equals the number of distinct

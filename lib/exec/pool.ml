@@ -275,6 +275,3 @@ let map t ~f items =
       | Ok v -> v
       | Error _ -> Checker.internal_error "failed task survived the failure check")
     results
-
-let map_reduce t ~f ~reduce ~init items =
-  List.fold_left reduce init (map t ~f items)

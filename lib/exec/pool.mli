@@ -4,7 +4,7 @@
     orders of magnitude cheaper than detailed simulation; this module
     is how the repository spends that cheapness across cores. A pool
     owns a fixed set of participating domains and evaluates *immutable
-    task descriptors* with {!map}/{!map_reduce}:
+    task descriptors* with {!map}:
 
     - {b One shared task stack}: every participating domain pops the
       top of one stack under one mutex. A batch is pushed with task 0
@@ -14,9 +14,8 @@
       window — is scheduled on its own; one slow benchmark does not
       serialize a chunk.
     - {b Deterministic ordering}: results are delivered in task order
-      regardless of which domain ran which task, and {!map_reduce}
-      folds in task order — a [jobs = 1] pool is bit-identical to
-      [jobs = N], across repeated runs.
+      regardless of which domain ran which task — a [jobs = 1] pool is
+      bit-identical to [jobs = N], across repeated runs.
     - {b Domain capping}: the pool never runs more domains than
       {!recommended_domain_count} — oversubscribed domains only add
       stop-the-world GC synchronization (the classic ~0.5x "speedup"
@@ -57,11 +56,6 @@ val recommended_domain_count : unit -> int
     workers stop helping. On a single-core machine this is [1], and
     harnesses that default through {!resolve_jobs} run sequentially. *)
 
-val default_jobs : unit -> int
-(** The [FOM_JOBS] environment variable if set and non-blank (a
-    positive integer, else a [FOM-E001] diagnostic is raised),
-    otherwise {!recommended_domain_count}. *)
-
 val resolve_jobs : ?requested:int -> unit -> int * Fom_check.Diagnostic.t list
 (** Resolve a harness's worker count; never raises. With no
     [?requested] value this follows [FOM_JOBS], falling back to
@@ -83,7 +77,9 @@ val resolve_jobs : ?requested:int -> unit -> int * Fom_check.Diagnostic.t list
 
 val create : ?jobs:int -> ?domains:int -> unit -> t
 (** [create ~jobs ()] starts a pool advertising [jobs] workers
-    (default {!default_jobs}). Requires [jobs >= 1]. The number of
+    (default: the [FOM_JOBS] environment variable if set and
+    non-blank, which must then be a positive integer, else
+    {!recommended_domain_count}). Requires [jobs >= 1]. The number of
     domains actually run is [min jobs (recommended_domain_count ())]
     unless [?domains] overrides it — results never depend on either
     count.
@@ -113,21 +109,11 @@ val help : t -> bool
     on something other than the pool (a {!Memo} future) stays useful
     instead of sleeping. *)
 
-val try_map :
-  t -> f:('a -> 'b) -> 'a list -> ('b, Fom_check.Diagnostic.t list) result list
-(** [try_map pool ~f tasks] evaluates [f] over every task and returns
-    one result per task, in task order. A raising task yields [Error]:
-    its {!Fom_check.Checker.Invalid} diagnostics re-rooted under
-    [exec.task[i]], or a single [FOM-E002] diagnostic for any other
-    exception. All tasks run to completion even when some fail. *)
-
 val map : t -> f:('a -> 'b) -> 'a list -> 'b list
-(** Like {!try_map} but returns the plain results.
-    @raise Fom_check.Checker.Invalid with every failed task's
-    diagnostics if any task raised. *)
-
-val map_reduce :
-  t -> f:('a -> 'b) -> reduce:('acc -> 'b -> 'acc) -> init:'acc -> 'a list -> 'acc
-(** [map_reduce pool ~f ~reduce ~init tasks] maps in parallel and
-    folds the results sequentially in task order, so the reduction is
-    deterministic even when [reduce] is not commutative. *)
+(** [map pool ~f tasks] evaluates [f] over every task and returns the
+    results in task order. All tasks run to completion even when some
+    fail.
+    @raise Fom_check.Checker.Invalid if any task raised, with every
+    failed task's diagnostics: its own {!Fom_check.Checker.Invalid}
+    diagnostics re-rooted under [exec.task[i]], or a single [FOM-E002]
+    diagnostic for any other exception. *)

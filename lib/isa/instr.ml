@@ -38,21 +38,6 @@ let make ~index ~pc ~opclass ?dst ?(srcs = []) ?(deps = [||]) ?mem ?ctrl () =
     "control operations, and only they, carry direction info";
   { index; pc; opclass; dst; srcs; deps; mem; ctrl }
 
-let mem_exn t =
-  match t.mem with
-  | Some addr -> addr
-  | None -> Fom_check.Checker.internal_error "instruction carries no memory address"
-
-let ctrl_exn t =
-  match t.ctrl with
-  | Some c -> c
-  | None -> Fom_check.Checker.internal_error "instruction carries no control info"
-
-let is_load t = Opclass.equal t.opclass Opclass.Load
-let is_store t = Opclass.equal t.opclass Opclass.Store
-let is_branch t = Opclass.equal t.opclass Opclass.Branch
-let is_control t = Opclass.is_control t.opclass
-
 let pp fmt t =
   Format.fprintf fmt "#%d pc=0x%x %a" t.index t.pc Opclass.pp t.opclass;
   Option.iter (fun d -> Format.fprintf fmt " %a<-" Reg.pp d) t.dst;

@@ -37,22 +37,5 @@ val make :
     {!Fom_check.Checker.Invalid} with a [FOM-T120] diagnostic on
     violation. *)
 
-val mem_exn : t -> int
-(** The effective address of a memory operation. Raises the internal
-    [FOM-X001] diagnostic when called on a non-memory instruction —
-    for consumers that have already matched on the opclass. *)
-
-val ctrl_exn : t -> ctrl
-(** The control record of a branch or jump; same convention as
-    {!mem_exn}. *)
-
-val is_load : t -> bool
-val is_store : t -> bool
-val is_branch : t -> bool
-(** Conditional branches only. *)
-
-val is_control : t -> bool
-(** Branches and jumps. *)
-
 val pp : Format.formatter -> t -> unit
 (** One-line rendering for debugging. *)

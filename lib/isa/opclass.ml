@@ -34,4 +34,3 @@ let to_string = function
   | Jump -> "jump"
 
 let pp fmt t = Format.pp_print_string fmt (to_string t)
-let equal a b = a = b

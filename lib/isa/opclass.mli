@@ -38,5 +38,3 @@ val is_control : t -> bool
 val to_string : t -> string
 
 val pp : Format.formatter -> t -> unit
-
-val equal : t -> t -> bool

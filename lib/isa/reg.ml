@@ -12,4 +12,3 @@ let to_int r = r
 let zero_reg = 0
 let is_zero r = r = 0
 let pp fmt r = Format.fprintf fmt "r%d" r
-let equal = Int.equal

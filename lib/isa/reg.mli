@@ -26,5 +26,3 @@ val is_zero : t -> bool
 
 val pp : Format.formatter -> t -> unit
 (** Prints as [r<i>]. *)
-
-val equal : t -> t -> bool

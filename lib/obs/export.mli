@@ -1,6 +1,6 @@
 (** Exporters: Chrome trace-event JSON and metrics snapshots.
 
-    {!chrome_trace} renders the recorded spans in the Chrome
+    {!write_chrome_trace} writes the recorded spans in the Chrome
     trace-event format — an object with a ["traceEvents"] array of
     ["B"]/["E"] duration events — loadable in Perfetto
     ({:https://ui.perfetto.dev}) or [chrome://tracing]. One trace
@@ -13,10 +13,8 @@
     Like {!Span.events}, call these only after parallel sections have
     completed. *)
 
-val chrome_trace : unit -> Fom_util.Json.t
-
 val write_chrome_trace : path:string -> unit
-(** [chrome_trace] serialized through {!Fom_util.Json.write_file}. *)
+(** The trace, written through {!Fom_util.Json.write_file}. *)
 
 val metrics_json : unit -> Fom_util.Json.t
 (** The {!Metrics.snapshot} plus span-buffer statistics as a JSON

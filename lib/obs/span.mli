@@ -28,12 +28,6 @@ val id : string -> id
 (** Intern [name]. Idempotent; takes the intern lock, so call it once
     per site, not per event. *)
 
-val enter : id -> unit
-(** Record a begin event on the calling domain. *)
-
-val leave : id -> unit
-(** Record an end event on the calling domain. *)
-
 val with_ : id -> (unit -> 'a) -> 'a
 (** [with_ id f] runs [f] inside a span: begin, run, end — the end is
     recorded even when [f] raises. When the sink is disabled this is

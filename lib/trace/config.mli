@@ -86,9 +86,6 @@ val validate : t -> unit
 (** Raise {!Fom_check.Checker.Invalid} with everything {!check}
     reports at error severity; called by {!Program.generate}. *)
 
-val alu_frac : t -> float
-(** The ALU remainder of the mix. *)
-
 val mean_block_len : t -> float
 (** Mean instructions per basic block, terminator included. *)
 

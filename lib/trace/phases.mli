@@ -23,14 +23,12 @@ type phase = {
   instructions : int;  (** phase length per activation (> 0) *)
 }
 
-val check : phase list -> Fom_check.Diagnostic.t list
-(** [FOM-T040]/[FOM-T041] diagnostics: non-empty schedule, positive
-    per-phase instruction budgets. *)
-
 val source : phase list -> Source.t
 (** The schedule as a replayable source, cycling through the phases.
     The label joins the phase names. Raises
-    {!Fom_check.Checker.Invalid} with the {!check} diagnostics. *)
+    {!Fom_check.Checker.Invalid} with [FOM-T040] for an empty schedule
+    and [FOM-T041] for a phase whose instruction budget is not
+    positive. *)
 
 val schedule_length : phase list -> int
 (** Instructions in one full pass of the schedule. *)

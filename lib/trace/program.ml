@@ -234,6 +234,3 @@ let block_of_uid t uid =
   in
   search 0 (Array.length t.blocks - 1)
 
-let terminator t b =
-  let blk = t.blocks.(b) in
-  t.statics.(blk.first + blk.len - 1)

@@ -54,5 +54,3 @@ val footprint_bytes : t -> int
 val block_of_uid : t -> int -> int
 (** Enclosing block id of a static instruction. *)
 
-val terminator : t -> int -> static
-(** [terminator t b] is the control instruction closing block [b]. *)

@@ -108,7 +108,7 @@ let parse_line ~path ~lineno ~index ~next_dst line =
         (Printf.sprintf "malformed trace line %S (expected class pc mem dir target deps...)"
            line)
 
-let load ~path =
+let parse_file ~path =
   let ic = open_in path in
   Fun.protect
     ~finally:(fun () -> close_in ic)
@@ -137,3 +137,12 @@ let load ~path =
       if !instrs = [] then
         parse_error ~path ~lineno:!lineno ~code:"FOM-T107" "trace file has no instructions";
       Source.of_instrs ~label:path (Array.of_list (List.rev !instrs)))
+
+(* A missing file, a directory or a failed read is FOM-T100 on the
+   path; parse errors are already diagnostics. *)
+let load ~path =
+  try parse_file ~path
+  with Sys_error message ->
+    raise
+      (Fom_check.Checker.Invalid
+         [ Fom_check.Diagnostic.make ~code:"FOM-T100" ~path ("cannot read trace file: " ^ message) ])

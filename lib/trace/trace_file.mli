@@ -28,4 +28,5 @@ val load : path:string -> Source.t
     that does not parse as a non-negative hex number, or a direction
     other than [T], [N] or [-], is [FOM-T104]; an address or a
     direction the class does not take, or a missing one, is
-    [FOM-T106]. *)
+    [FOM-T106]. A file that cannot be read (missing, a directory) is
+    [FOM-T100], with the path as the diagnostic path. *)

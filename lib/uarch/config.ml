@@ -111,7 +111,6 @@ let ideal ?width ?window_size t =
 let with_cache cache t = { t with cache }
 let with_predictor predictor t = { t with predictor }
 let with_depth pipeline_depth t = { t with pipeline_depth }
-let with_width width t = { t with width }
 let with_fu_limits fu_limits t = { t with fu_limits }
 let with_dtlb spec t = { t with dtlb = Some spec }
 let with_fetch_buffer fetch_buffer t = { t with fetch_buffer }

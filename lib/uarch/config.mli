@@ -38,12 +38,12 @@ val check : t -> Fom_check.Diagnostic.t list
 (** All diagnostics for the configuration: structural sanity
     ([FOM-M001]..[FOM-M008] — positive sizes, window <= ROB, clusters
     dividing width and window; [FOM-I032] — the in-flight span must
-    fit the largest supported completion ring, see {!comp_ring_bits})
+    fit the largest supported completion ring, see {!comp_ring_size})
     plus the component checks (latencies, functional units, predictor,
     cache hierarchy, optional TLB). Empty list = valid. *)
 
 val max_comp_ring_bits : int
-(** Upper bound on {!comp_ring_bits}: configurations whose in-flight
+(** log2 of the largest completion ring: configurations whose in-flight
     span needs more are rejected by {!check} with [FOM-I032] instead
     of silently aliasing completion lookups. *)
 
@@ -55,14 +55,11 @@ val inflight_span : t -> int
     from a fresh machine fetches fewer than [n + inflight_span]
     instructions, which is how long a packing it replays must be. *)
 
-val comp_ring_bits : t -> int
-(** log2 size of the completion-tracking ring {!Machine} allocates for
+val comp_ring_size : t -> int
+(** Size of the completion-tracking ring {!Machine} allocates for
     this configuration — the smallest power of two strictly above
     {!inflight_span}, so in-flight instructions always map to distinct
     slots. *)
-
-val comp_ring_size : t -> int
-(** [1 lsl comp_ring_bits t]. *)
 
 val validate : t -> unit
 (** @raise Fom_check.Checker.Invalid if {!check} reports any error. *)
@@ -74,7 +71,6 @@ val ideal : ?width:int -> ?window_size:int -> t -> t
 val with_cache : Fom_cache.Hierarchy.config -> t -> t
 val with_predictor : Fom_branch.Predictor.spec -> t -> t
 val with_depth : int -> t -> t
-val with_width : int -> t -> t
 val with_fu_limits : Fom_isa.Fu_set.t -> t -> t
 val with_dtlb : Fom_cache.Tlb.spec -> t -> t
 val with_fetch_buffer : int -> t -> t

@@ -45,7 +45,7 @@ let branch_tag = Opclass.to_int Opclass.Branch
    are looked up by its dynamic index in the packing's columns, never
    copied. In-flight machine state lives in int columns keyed by slot
    = [index land slot_mask], sized per configuration
-   ({!Config.comp_ring_bits}) so that everything in flight — the ROB
+   ({!Config.comp_ring_size}) so that everything in flight — the ROB
    and the front-end pipe — maps to distinct slots. Nothing is
    allocated per instruction or per cycle.
 

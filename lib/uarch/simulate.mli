@@ -14,16 +14,3 @@ val run_packed : Config.t -> Fom_trace.Packed.t -> n:int -> Stats.t
     every instruction the machine fetches: [n] plus the in-flight span
     ({!Config.inflight_span}), which bounds how far fetch runs ahead of
     retirement, including the last cycle's retire overshoot. *)
-
-type event_penalty = {
-  events : int;  (** miss-events of the isolated kind *)
-  penalty_per_event : float;  (** measured cycles per event *)
-}
-
-val isolate :
-  base:Config.t -> faulty:Config.t -> events:(Stats.t -> int) ->
-  Fom_trace.Program.t -> n:int -> event_penalty
-(** The paper's differencing methodology (Figures 9, 11, 14): simulate
-    the same trace under [faulty] (one real structure) and [base]
-    (everything ideal), and attribute the cycle difference to the
-    miss-events counted by [events] in the faulty run. *)

@@ -24,9 +24,6 @@ let cpi t =
 let per_instruction count t =
   if t.instructions = 0 then 0.0 else float_of_int count /. float_of_int t.instructions
 
-let mispredictions_per_instruction t = per_instruction t.branch_mispredictions t
-let long_misses_per_instruction t = per_instruction t.long_data_misses t
-
 let pp fmt t =
   Format.fprintf fmt
     "@[<v>instructions      %d@,\
@@ -45,9 +42,9 @@ let pp fmt t =
      mean window occupancy   %.2f@,\
      mean rob occupancy      %.2f@]"
     t.instructions t.cycles (ipc t) t.branch_mispredictions
-    (mispredictions_per_instruction t)
+    (per_instruction t.branch_mispredictions t)
     t.l1i_misses t.l2i_misses t.short_data_misses t.long_data_misses
-    (long_misses_per_instruction t)
+    (per_instruction t.long_data_misses t)
     t.dtlb_misses
     t.mispredictions_under_long_miss t.imisses_under_long_miss
     t.window_at_branch_issue t.rob_ahead_of_long_miss t.mean_window_occupancy

@@ -31,8 +31,5 @@ type t = {
 val ipc : t -> float
 val cpi : t -> float
 
-val mispredictions_per_instruction : t -> float
-val long_misses_per_instruction : t -> float
-
 val pp : Format.formatter -> t -> unit
 (** Multi-line human-readable dump. *)

@@ -8,11 +8,8 @@ let escape s =
 
 let line fields = String.concat "," (List.map escape fields) ^ "\n"
 
-let render ~header rows =
-  String.concat "" (line header :: List.map line rows)
-
 let write_file ~path ~header rows =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (render ~header rows))
+    (fun () -> List.iter (fun fields -> output_string oc (line fields)) (header :: rows))

@@ -3,14 +3,6 @@
     RFC-4180-style quoting: fields containing commas, quotes or
     newlines are quoted, with embedded quotes doubled. *)
 
-val escape : string -> string
-(** Quote one field if needed. *)
-
-val line : string list -> string
-(** One CSV record, newline-terminated. *)
-
-val render : header:string list -> string list list -> string
-(** Header plus rows. *)
-
 val write_file : path:string -> header:string list -> string list list -> unit
-(** {!render} to a file, creating or truncating it. *)
+(** Header plus rows, one newline-terminated record each, to a file,
+    creating or truncating it. *)

@@ -15,9 +15,6 @@ let add t k = add_many t k 1
 let total t = t.total
 let count t k = Option.value (Hashtbl.find_opt t.counts k) ~default:0
 
-let probability t k =
-  if t.total = 0 then 0.0 else float_of_int (count t k) /. float_of_int t.total
-
 let support t =
   Hashtbl.fold (fun k _ acc -> k :: acc) t.counts [] |> List.sort compare
 

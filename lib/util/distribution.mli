@@ -12,18 +12,8 @@ val create : unit -> t
 val add : t -> int -> unit
 (** [add t k] records one observation of outcome [k]. Requires [k >= 0]. *)
 
-val add_many : t -> int -> int -> unit
-(** [add_many t k n] records [n] observations of [k]. *)
-
 val total : t -> int
 (** Number of recorded observations. *)
-
-val count : t -> int -> int
-(** Observations of a given outcome. *)
-
-val probability : t -> int -> float
-(** [probability t k] is the empirical frequency of [k]; 0 when the
-    distribution is empty. *)
 
 val support : t -> int list
 (** Outcomes with non-zero count, in increasing order. *)

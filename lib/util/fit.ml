@@ -34,5 +34,4 @@ let power_law points =
   let l = line logged in
   { alpha = Float.pow 2.0 l.intercept; beta = l.slope; r2 = l.r2 }
 
-let eval_line l x = (l.slope *. x) +. l.intercept
 let eval_power_law p x = p.alpha *. Float.pow x p.beta

@@ -19,8 +19,5 @@ val power_law : (float * float) array -> power_law
 (** [power_law points] fits on log2/log2 axes, exactly as the paper does.
     All coordinates must be positive. *)
 
-val eval_line : line -> float -> float
-(** Evaluate a fitted line. *)
-
 val eval_power_law : power_law -> float -> float
 (** Evaluate a fitted power law. *)

@@ -17,9 +17,4 @@ let push t v =
   t.data.(t.len) <- v;
   t.len <- t.len + 1
 
-let get t i =
-  Fom_check.Checker.ensure ~code:"FOM-U003" ~path:"int_buffer.get" (i >= 0 && i < t.len)
-    "index out of bounds";
-  t.data.(i)
-
 let contents t = Array.sub t.data 0 t.len

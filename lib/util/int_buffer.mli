@@ -16,9 +16,5 @@ val length : t -> int
 val push : t -> int -> unit
 (** Append, growing the backing array by doubling when full. *)
 
-val get : t -> int -> int
-(** [get t i] is element [i] (0-based); raises
-    {!Fom_check.Checker.Invalid} ([FOM-U003]) out of bounds. *)
-
 val contents : t -> int array
 (** The elements in push order, as a fresh exactly-sized array. *)

@@ -240,7 +240,12 @@ let of_string s =
   v
 
 let of_file ~path =
-  of_string (In_channel.with_open_bin path In_channel.input_all)
+  match In_channel.with_open_bin path In_channel.input_all with
+  | contents -> of_string contents
+  | exception Sys_error message ->
+      raise
+        (Fom_check.Checker.Invalid
+           [ Fom_check.Diagnostic.make ~code:"FOM-U005" ~path ("cannot read JSON file: " ^ message) ])
 
 let member key = function Obj fields -> List.assoc_opt key fields | _ -> None
 let number = function Int i -> Some (float_of_int i) | Float x -> Some x | _ -> None

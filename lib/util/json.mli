@@ -33,7 +33,9 @@ val of_string : string -> t
     (whose path carries the byte offset) on malformed input. *)
 
 val of_file : path:string -> t
-(** {!of_string} over a whole file. *)
+(** {!of_string} over a whole file.
+    @raise Fom_check.Checker.Invalid with a [FOM-U005] diagnostic on
+    the path when the file cannot be read. *)
 
 val member : string -> t -> t option
 (** [member key v] is the field [key] of an [Obj] ([None] for a

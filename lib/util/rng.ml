@@ -58,15 +58,6 @@ let geometric t p =
     let u = if u <= 0.0 then 1e-18 else u in
     int_of_float (Float.log u /. Float.log (1.0 -. p))
 
-let exponential t mean =
-  let u = float t 1.0 in
-  let u = if u <= 0.0 then 1e-18 else u in
-  -.mean *. Float.log u
-
-let pick t a =
-  ensure ~path:"rng.pick" (Array.length a > 0) "cannot pick from an empty array";
-  a.(int t (Array.length a))
-
 (* Loops keep the sum and the running prefix unboxed, where
    [Array.fold_left ( +. )] would box every partial sum. Both sums run
    left to right, which fixes the draws. *)

@@ -53,13 +53,6 @@ val geometric : t -> float -> int
     of a Bernoulli([p]) process; support starts at 0. Requires
     [0 < p <= 1]. *)
 
-val exponential : t -> float -> float
-(** [exponential t mean] draws from an exponential distribution with the
-    given mean. *)
-
-val pick : t -> 'a array -> 'a
-(** Uniform choice from a non-empty array. *)
-
 val categorical : t -> float array -> int
 (** [categorical t weights] draws an index with probability proportional
     to its (non-negative) weight. Requires a positive total weight. *)

@@ -3,51 +3,15 @@
 val mean : float array -> float
 (** Arithmetic mean; 0 on an empty array. *)
 
-val variance : float array -> float
-(** Population variance; 0 on arrays shorter than 2. *)
-
-val stddev : float array -> float
-(** Population standard deviation. *)
-
-val min : float array -> float
-(** Smallest sample. Requires a non-empty array. *)
-
 val max : float array -> float
 (** Largest sample. Requires a non-empty array. *)
 
-val sum : float array -> float
-(** Sum of samples. *)
-
-val percentile : float array -> float -> float
-(** [percentile a p] for [p] in [0,100], by linear interpolation on the
-    sorted samples. Requires a non-empty array. *)
-
-val weighted_mean : (float * float) array -> float
-(** [weighted_mean pairs] where each pair is (value, weight). 0 when the
-    total weight is 0. *)
-
-val geometric_mean : float array -> float
-(** Geometric mean of positive samples; 0 on an empty array. *)
-
-val mean_abs_error : float array -> float array -> float
-(** [mean_abs_error reference candidate] is the mean of
-    |candidate - reference| / |reference| over pairs with a non-zero
-    reference. Arrays must have equal length. *)
-
-val max_abs_error : float array -> float array -> float
-(** Worst-case relative error, same convention as {!mean_abs_error}. *)
-
 module Acc : sig
-  (** Streaming accumulator: count, mean, variance, min, max in O(1)
-      memory (Welford's algorithm). *)
+  (** Streaming mean in O(1) memory; an update allocates nothing. *)
 
   type t
 
   val create : unit -> t
   val add : t -> float -> unit
-  val count : t -> int
   val mean : t -> float
-  val variance : t -> float
-  val min : t -> float
-  val max : t -> float
 end

@@ -54,15 +54,6 @@ let print ?align ~header rows = print_string (render ?align ~header rows)
 
 let float_cell ?(decimals = 3) x = Printf.sprintf "%.*f" decimals x
 
-let series ~title ~x_label ~y_labels points =
-  let header = x_label :: y_labels in
-  let rows =
-    List.map
-      (fun (x, ys) -> float_cell ~decimals:2 x :: List.map float_cell ys)
-      points
-  in
-  title ^ "\n" ^ render ~header rows
-
 let heading s =
   let bar = String.make (String.length s) '=' in
   "\n" ^ s ^ "\n" ^ bar ^ "\n"

@@ -1,8 +1,7 @@
-(** Plain-text table and series rendering for the experiment harness.
+(** Plain-text table rendering for the experiment harness.
 
     The bench executable prints each reproduced table/figure as an
-    aligned text table (for tables and bar charts) or as an x/y series
-    listing (for curves), so the output can be compared line-by-line
+    aligned text table, so the output can be compared line-by-line
     with the paper's exhibits. *)
 
 type align = Left | Right
@@ -18,12 +17,6 @@ val print : ?align:align list -> header:string list -> string list list -> unit
 
 val float_cell : ?decimals:int -> float -> string
 (** Format a float with a fixed number of decimals (default 3). *)
-
-val series :
-  title:string -> x_label:string -> y_labels:string list ->
-  (float * float list) list -> string
-(** [series ~title ~x_label ~y_labels points] renders a multi-column
-    curve: one row per x value, one column per named series. *)
 
 val heading : string -> string
 (** Render a section heading with an underline, for harness output. *)

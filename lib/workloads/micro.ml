@@ -88,5 +88,3 @@ let loopy =
   { c with Config.control = { c.Config.control with Config.loop_trip_mean = 64.0 } }
 
 let all = [ serial_chain; independent; pointer_chase; streaming; branchy; loopy ]
-
-let find name = List.find (fun (c : Config.t) -> String.equal c.Config.name name) all

@@ -5,28 +5,17 @@
     form, which makes them useful both as unit-test fixtures and as
     probes when studying one mechanism in isolation:
 
-    - {!serial_chain}: every value-producing instruction depends on
+    - [serial-chain]: every value-producing instruction depends on
       its predecessor — IPC is 1 at any window size (unit latency).
-    - {!independent}: no register dependences — the window-limited
+    - [independent]: no register dependences — the window-limited
       issue rate equals the window (unbounded width) or the width.
-    - {!pointer_chase}: one dependent load chain over a
+    - [pointer-chase]: one dependent load chain over a
       memory-exceeding region — serialized long misses, the worst
       case for the paper's overlap assumption.
-    - {!streaming}: sequential walks over memory-exceeding regions —
+    - [streaming]: sequential walks over memory-exceeding regions —
       independent, regularly spaced long misses, the best case.
-    - {!branchy}: dense, unlearnable branches — misprediction-bound.
-    - {!loopy}: tiny, perfectly predictable loop nest — near-ideal. *)
-
-val serial_chain : Fom_trace.Config.t
-val independent : Fom_trace.Config.t
-val pointer_chase : Fom_trace.Config.t
-val streaming : Fom_trace.Config.t
-val branchy : Fom_trace.Config.t
-val loopy : Fom_trace.Config.t
+    - [branchy]: dense, unlearnable branches — misprediction-bound.
+    - [loopy]: tiny, perfectly predictable loop nest — near-ideal. *)
 
 val all : Fom_trace.Config.t list
 (** Every micro-workload, in the order above. *)
-
-val find : string -> Fom_trace.Config.t
-(** Look up by name.
-    @raise Not_found for unknown names. *)

@@ -12,6 +12,8 @@ module Hierarchy = Fom_cache.Hierarchy
 module Predictor = Fom_branch.Predictor
 
 let program name = Fom_trace.Program.generate (Fom_workloads.Spec2000.find name)
+let micro_preset name =
+  List.find (fun c -> c.Fom_trace.Config.name = name) Fom_workloads.Micro.all
 let gzip = lazy (program "gzip")
 let mcf = lazy (program "mcf")
 let vpr = lazy (program "vpr")
@@ -233,7 +235,7 @@ let test_packed_kernel_grid () =
   (* A fixed grid beside the random draws: three Spec2000 and three
      micro presets, small/medium/large windows, unbounded/narrow/wide
      issue, unit and default latencies. *)
-  let micro = Fom_workloads.Micro.[ serial_chain; pointer_chase; independent ] in
+  let micro = List.map micro_preset [ "serial-chain"; "pointer-chase"; "independent" ] in
   List.iter
     (fun (config : Fom_trace.Config.t) ->
       let name = config.Fom_trace.Config.name in
@@ -334,13 +336,13 @@ let test_iw_bound_counts () =
         (w + d + x);
       if issue_limit = None then Alcotest.(check int) "no width bound" 0 x)
     [ (None, 1); (None, 64); (Some 2, 64); (Some 3, 256) ];
-  let micro config = Fom_trace.Program.generate config in
+  let micro name = Fom_trace.Program.generate (micro_preset name) in
   let ((_, d, _) as counts) =
-    bound_counts (micro Fom_workloads.Micro.serial_chain) ~window:64 ~n:20000
+    bound_counts (micro "serial-chain") ~window:64 ~n:20000
   in
   Alcotest.(check bool) "serial chain >= 99% dependence-bound" true (share d counts >= 0.99);
   let ((_, _, x) as counts) =
-    bound_counts ~issue_limit:2 (micro Fom_workloads.Micro.independent) ~window:64 ~n:20000
+    bound_counts ~issue_limit:2 (micro "independent") ~window:64 ~n:20000
   in
   Alcotest.(check bool) "independent at width 2 >= 90% width-bound" true
     (share x counts >= 0.90)

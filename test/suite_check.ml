@@ -40,29 +40,26 @@ let test_severities () =
   let rule =
     C.all
       [
-        C.fail ~code:"E1" ~path:"p" "an error";
-        C.fail ~severity:D.Warning ~code:"W1" ~path:"p" "a warning";
-        C.fail ~severity:D.Hint ~code:"H1" ~path:"p" "a hint";
+        C.check ~code:"E1" ~path:"p" false "an error";
+        C.check ~severity:D.Warning ~code:"W1" ~path:"p" false "a warning";
+        C.check ~severity:D.Hint ~code:"H1" ~path:"p" false "a hint";
       ]
   in
   Alcotest.(check int) "three diagnostics" 3 (List.length rule);
-  Alcotest.(check int) "one error" 1 (List.length (C.errors rule));
-  Alcotest.(check int) "one warning" 1 (List.length (C.warnings rule));
   Alcotest.(check bool) "has_errors" true (C.has_errors rule);
-  Alcotest.(check string) "summary" "1 error, 1 warning, 1 hint" (C.summary rule);
+  Alcotest.(check bool)
+    "summary counts each severity" true
+    (String.ends_with ~suffix:"\n1 error, 1 warning, 1 hint" (Format.asprintf "%a" C.pp_report rule));
   (* run_exn carries only the errors. *)
   (match C.run_exn rule with
   | () -> Alcotest.fail "run_exn accepted errors"
   | exception C.Invalid ds ->
       Alcotest.(check (list string)) "errors only" [ "E1" ] (List.map (fun d -> d.D.code) ds));
-  C.run_exn (C.fail ~severity:D.Warning ~code:"W1" ~path:"p" "warnings do not raise")
+  C.run_exn (C.check ~severity:D.Warning ~code:"W1" ~path:"p" false "warnings do not raise")
 
 let test_ensure_and_capture () =
   C.ensure ~code:"X" ~path:"p" true "fine";
   expect_invalid "ensure" "X" (fun () -> C.ensure ~code:"X" ~path:"p" false "bad");
-  check_clean "capture of clean thunk" (C.capture (fun () -> ()));
-  check_code "capture" "X"
-    (C.capture (fun () -> C.ensure ~code:"X" ~path:"p" false "bad"));
   expect_invalid "internal_error" "FOM-X001" (fun () -> C.internal_error "broken invariant")
 
 (* --- model parameters (FOM-P) ---------------------------------------- *)
@@ -183,9 +180,9 @@ let test_address_gen_codes () =
 
 let test_phases_codes () =
   let module P = Fom_trace.Phases in
-  check_code "T040" "FOM-T040" (P.check []);
-  check_code "T041" "FOM-T041" (P.check [ { P.config = gzip; instructions = 0 } ]);
-  check_clean "valid schedule" (P.check [ { P.config = gzip; instructions = 100 } ])
+  expect_invalid "T040" "FOM-T040" (fun () -> P.source []);
+  expect_invalid "T041" "FOM-T041" (fun () -> P.source [ { P.config = gzip; instructions = 0 } ]);
+  ignore (P.source [ { P.config = gzip; instructions = 100 } ])
 
 (* --- trace files (FOM-T1xx) ------------------------------------------ *)
 
@@ -264,20 +261,15 @@ let test_instr_codes () =
       Fom_isa.Instr.make ~index:0 ~pc:0 ~opclass:Fom_isa.Opclass.Load ());
   expect_invalid "T120 forward dep" "FOM-T120" (fun () ->
       Fom_isa.Instr.make ~index:3 ~pc:0 ~opclass:Fom_isa.Opclass.Alu ~deps:[| 3 |] ());
-  expect_invalid "T121 reg" "FOM-T121" (fun () -> Fom_isa.Reg.of_int (-2));
-  let alu = Fom_isa.Instr.make ~index:0 ~pc:0 ~opclass:Fom_isa.Opclass.Alu () in
-  expect_invalid "mem_exn internal" "FOM-X001" (fun () -> Fom_isa.Instr.mem_exn alu);
-  expect_invalid "ctrl_exn internal" "FOM-X001" (fun () -> Fom_isa.Instr.ctrl_exn alu)
+  expect_invalid "T121 reg" "FOM-T121" (fun () -> Fom_isa.Reg.of_int (-2))
 
 let test_util_codes () =
   expect_invalid "U001 rng" "FOM-U001" (fun () ->
       Fom_util.Rng.int (Fom_util.Rng.create 1) 0);
   expect_invalid "U001 distribution" "FOM-U001" (fun () ->
-      Fom_util.Distribution.add_many (Fom_util.Distribution.create ()) (-1) 2);
+      Fom_util.Distribution.add (Fom_util.Distribution.create ()) (-1));
   expect_invalid "U002 int_buffer" "FOM-U002" (fun () ->
       Fom_util.Int_buffer.create ~capacity:0 ());
-  expect_invalid "U003 int_buffer get" "FOM-U003" (fun () ->
-      Fom_util.Int_buffer.get (Fom_util.Int_buffer.create ()) 0);
   expect_invalid "U004 json" "FOM-U004" (fun () ->
       Fom_util.Json.of_string "{\"unterminated\": [1, 2")
 
@@ -320,7 +312,7 @@ let test_component_codes () =
   expect_invalid "M010 geometry" "FOM-M010" (fun () ->
       Fom_cache.Geometry.make ~size:100 ~assoc:3 ~line:7);
   check_code "M011 tlb" "FOM-M011"
-    (Fom_cache.Tlb.diagnostics { Fom_cache.Tlb.default_spec with Fom_cache.Tlb.entries = 3 });
+    (Fom_cache.Tlb.diagnostics { Fom_cache.Tlb.entries = 3; page_bits = 13; walk_latency = 30 });
   expect_invalid "M012 latency" "FOM-M012" (fun () -> Fom_isa.Latency.make ~alu:0 ());
   expect_invalid "M013 fu_set" "FOM-M013" (fun () -> Fom_isa.Fu_set.make ~mul:0 ());
   check_code "M014 predictor" "FOM-M014"
@@ -353,8 +345,8 @@ let test_report () =
   let rule =
     C.all
       [
-        C.fail ~code:"FOM-P001" ~path:"params.width" "width must be at least 1";
-        C.fail ~severity:D.Warning ~code:"FOM-I006" ~path:"inputs.l2i" "suspicious";
+        C.check ~code:"FOM-P001" ~path:"params.width" false "width must be at least 1";
+        C.check ~severity:D.Warning ~code:"FOM-I006" ~path:"inputs.l2i" false "suspicious";
       ]
   in
   let report = Format.asprintf "%a" C.pp_report rule in

@@ -92,25 +92,8 @@ let test_task_diagnostics_rerooted () =
             [ "exec.task[1].params.width"; "exec.task[3].params.width" ]
             (List.map (fun (d : Diagnostic.t) -> d.Diagnostic.path) ds))
 
-let test_try_map_partial () =
-  Pool.with_pool ~jobs:3 (fun pool ->
-      let results =
-        Pool.try_map pool ~f:(fun x -> if x < 0 then failwith "neg" else x) [ 1; -1; 2 ]
-      in
-      match results with
-      | [ Ok 1; Error [ d ]; Ok 2 ] ->
-          Alcotest.(check string) "code" "FOM-E002" d.Diagnostic.code
-      | _ -> Alcotest.fail "unexpected result shape")
-
-let test_map_reduce_order () =
-  (* The reduction is a fold in task order, so a non-commutative
-     reduce gives the sequential answer. *)
-  Pool.with_pool ~jobs:4 (fun pool ->
-      let items = List.init 26 (fun i -> String.make 1 (Char.chr (Char.code 'a' + i))) in
-      let got =
-        Pool.map_reduce pool ~f:String.uppercase_ascii ~reduce:( ^ ) ~init:"" items
-      in
-      Alcotest.(check string) "concatenation in order" "ABCDEFGHIJKLMNOPQRSTUVWXYZ" got)
+(* The sum of [f] over [items], mapped on [pool]. *)
+let map_sum pool ~f items = List.fold_left ( + ) 0 (Pool.map pool ~f items)
 
 let test_nested_map () =
   (* A task may map on the same pool; the waiting caller helps drain
@@ -118,7 +101,7 @@ let test_nested_map () =
   Pool.with_pool ~jobs:2 (fun pool ->
       let got =
         Pool.map pool
-          ~f:(fun row -> Pool.map_reduce pool ~f:(fun x -> row * x) ~reduce:( + ) ~init:0 [ 1; 2; 3 ])
+          ~f:(fun row -> map_sum pool ~f:(fun x -> row * x) [ 1; 2; 3 ])
           [ 1; 2 ]
       in
       Alcotest.(check (list int)) "nested" [ 6; 12 ] got)
@@ -135,7 +118,7 @@ let test_shutdown_rejects_use () =
   | exception Checker.Invalid _ -> Alcotest.fail "expected one diagnostic"
 
 let test_default_jobs_positive () =
-  Alcotest.(check bool) "at least one" true (Pool.default_jobs () >= 1)
+  Alcotest.(check bool) "at least one" true (Pool.with_pool Pool.jobs >= 1)
 
 let test_split_seeds_deterministic () =
   let a = Rng.split_seeds (Rng.create 42) 8 in
@@ -176,7 +159,7 @@ let test_resolve_jobs () =
      never a warning — on a single-core machine this is the sequential
      default the harnesses rely on. *)
   let jobs, warnings = Pool.resolve_jobs () in
-  Alcotest.(check int) "default" (Pool.default_jobs ()) jobs;
+  Alcotest.(check int) "default" (Pool.with_pool Pool.jobs) jobs;
   Alcotest.(check int) "no warning by default" 0 (List.length warnings);
   (* An explicit in-budget request passes through silently. *)
   let jobs, warnings = Pool.resolve_jobs ~requested:1 () in
@@ -285,10 +268,7 @@ let test_nested_map_deep () =
       let got =
         Pool.map pool
           ~f:(fun a ->
-            Pool.map_reduce pool
-              ~f:(fun b ->
-                Pool.map_reduce pool ~f:(fun c -> a * b * c) ~reduce:( + ) ~init:0 [ 1; 2 ])
-              ~reduce:( + ) ~init:0 [ 1; 2; 3 ])
+            map_sum pool ~f:(fun b -> map_sum pool ~f:(fun c -> a * b * c) [ 1; 2 ]) [ 1; 2; 3 ])
           [ 1; 2 ]
       in
       (* sum over b in 1..3, c in 1..2 of a*b*c = a * 6 * 3 = 18a *)
@@ -309,23 +289,19 @@ let test_batch_floor () =
   Pool.with_pool ~jobs:2 ~domains:2 (fun pool ->
       for it = 0 to 399 do
         let memo = Memo.create ~pool () in
-        let results =
-          Pool.try_map pool
+        match
+          Pool.map pool
             ~f:(fun i ->
               if i = 1 then spin ~seed:0 (50_000 + (it * 1000))
               else
                 Memo.get memo "k" (fun () ->
-                    Pool.map_reduce pool ~f:(fun _ -> spin ~seed:0 200_000) ~reduce:( + ) ~init:0
-                      [ 0; 1; 2; 3 ]))
+                    map_sum pool ~f:(fun _ -> spin ~seed:0 200_000) [ 0; 1; 2; 3 ]))
             (List.init 8 (fun i -> i))
-        in
-        List.iteri
-          (fun i -> function
-            | Ok _ -> ()
-            | Error ds ->
-                Alcotest.failf "iteration %d, task %d: %s" it i
-                  (String.concat "; " (List.map Diagnostic.to_string ds)))
-          results
+        with
+        | _ -> ()
+        | exception Checker.Invalid ds ->
+            Alcotest.failf "iteration %d: %s" it
+              (String.concat "; " (List.map Diagnostic.to_string ds))
       done)
 
 (* ---- memo futures ---- *)
@@ -400,12 +376,6 @@ let test_memo_reentrant_detected () =
   | exception Checker.Invalid (d :: _) ->
       Alcotest.(check string) "re-entrant demand flagged" "FOM-E005" d.Diagnostic.code
   | exception Checker.Invalid [] -> Alcotest.fail "empty diagnostics"
-
-let test_memo_find_opt () =
-  let memo = Memo.create () in
-  Alcotest.(check (option int)) "absent" None (Memo.find_opt memo "k");
-  Alcotest.(check int) "computes" 9 (Memo.get memo "k" (fun () -> 9));
-  Alcotest.(check (option int)) "present" (Some 9) (Memo.find_opt memo "k")
 
 (* ---- on-disk cache ---- *)
 
@@ -510,8 +480,6 @@ let suite =
       Alcotest.test_case "jobs-invariant IW curve" `Quick test_jobs_invariance_iw_curve;
       Alcotest.test_case "exception becomes diagnostic" `Quick test_exception_becomes_diagnostic;
       Alcotest.test_case "task diagnostics rerooted" `Quick test_task_diagnostics_rerooted;
-      Alcotest.test_case "try_map partial results" `Quick test_try_map_partial;
-      Alcotest.test_case "map_reduce folds in order" `Quick test_map_reduce_order;
       Alcotest.test_case "nested map on one pool" `Quick test_nested_map;
       Alcotest.test_case "uneven batch determinism" `Quick test_uneven_batch_determinism;
       Alcotest.test_case "nested map three deep" `Quick test_nested_map_deep;
@@ -521,7 +489,6 @@ let suite =
       Alcotest.test_case "memo single-key contention" `Quick test_memo_single_key_contention;
       Alcotest.test_case "memo failure cached" `Quick test_memo_failure_cached;
       Alcotest.test_case "memo re-entrant demand" `Quick test_memo_reentrant_detected;
-      Alcotest.test_case "memo find_opt" `Quick test_memo_find_opt;
       Alcotest.test_case "cache roundtrip" `Quick test_cache_roundtrip;
       Alcotest.test_case "cache corrupt entry" `Quick test_cache_corrupt_entry;
       Alcotest.test_case "cache stale entry" `Quick test_cache_stale_entry;

@@ -228,7 +228,7 @@ let test_stream_golden () =
       ( Fom_workloads.Spec2000.find "mcf",
         "1793c22d5c86fa4ca8bb40a0c6548341",
         "83841d453303e6dd589e39761c1acd08" );
-      ( Fom_workloads.Micro.pointer_chase,
+      ( List.find (fun c -> c.Config.name = "pointer-chase") Fom_workloads.Micro.all,
         "066150831f4385c4467f3c8fe6df104d",
         "a7ea5bffd8762cb4f8d28a9c749253a3" );
     ]

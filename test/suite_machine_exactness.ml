@@ -320,8 +320,9 @@ let test_resumable_packed_runs_compose () =
       ("mcf", Config.baseline);
       ( "gcc",
         Config.with_fetch_buffer 16
-          (Config.with_dtlb Fom_cache.Tlb.default_spec (Config.with_clusters 2 Config.baseline))
-      );
+          (Config.with_dtlb
+             { Fom_cache.Tlb.entries = 64; page_bits = 13; walk_latency = 30 }
+             (Config.with_clusters 2 Config.baseline)) );
     ]
 
 let test_packed_run_allocation_free () =

@@ -163,9 +163,7 @@ let test_cpi_composition () =
   let inputs = inputs_stub () in
   let b = Cpi.evaluate Params.baseline inputs in
   Alcotest.(check (float 1e-9)) "components add" (Cpi.total b)
-    (b.Cpi.steady +. b.Cpi.branch +. b.Cpi.l1i +. b.Cpi.l2i +. b.Cpi.dcache);
-  Alcotest.(check (float 1e-9)) "ipc inverse" 1.0 (Cpi.total b *. Cpi.ipc b);
-  Alcotest.(check int) "stack has 6 parts" 6 (List.length (Cpi.stack b))
+    (b.Cpi.steady +. b.Cpi.branch +. b.Cpi.l1i +. b.Cpi.l2i +. b.Cpi.dcache)
 
 let test_cpi_monotone_in_rates () =
   let low = Cpi.evaluate Params.baseline (inputs_stub ~mispred:0.001 ()) in

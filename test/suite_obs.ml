@@ -134,9 +134,16 @@ let test_chrome_trace_balances () =
       let a = Span.id "test.trace_a" in
       let b = Span.id "test.trace_b" in
       Span.with_ a (fun () -> Span.with_ b ignore);
-      Span.enter a;
-      (* left open on purpose: the exporter must close it *)
-      let doc = Json.of_string (Json.to_string (Export.chrome_trace ())) in
+      let path = Filename.temp_file "fom" ".json" in
+      let doc =
+        Fun.protect
+          ~finally:(fun () -> Sys.remove path)
+          (fun () ->
+            (* [a] is still open when the trace is written: the
+               exporter must close it *)
+            Span.with_ a (fun () -> Export.write_chrome_trace ~path);
+            Json.of_file ~path)
+      in
       let events =
         match Json.member "traceEvents" doc with
         | Some (Json.List l) -> l

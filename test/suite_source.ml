@@ -17,7 +17,7 @@ let record source ~n =
 
 let same_instr (a : Instr.t) (b : Instr.t) =
   a.Instr.index = b.Instr.index && a.Instr.pc = b.Instr.pc
-  && Opclass.equal a.Instr.opclass b.Instr.opclass
+  && a.Instr.opclass = b.Instr.opclass
   && a.Instr.deps = b.Instr.deps && a.Instr.mem = b.Instr.mem
   &&
   match (a.Instr.ctrl, b.Instr.ctrl) with
@@ -149,6 +149,19 @@ let test_load_rejects_bad_dependence () =
           Alcotest.(check string) "path has line 2" (path ^ ":2")
             d.Fom_check.Diagnostic.path)
 
+let test_load_unreadable () =
+  (* A missing file and a directory: a FOM-T100 diagnostic on the
+     path, not a Sys_error. *)
+  let dir = Filename.get_temp_dir_name () in
+  List.iter
+    (fun path ->
+      match Trace_file.load ~path with
+      | _ -> Alcotest.fail ("loaded " ^ path)
+      | exception Fom_check.Checker.Invalid [ d ] ->
+          Alcotest.(check string) "code" "FOM-T100" d.Fom_check.Diagnostic.code;
+          Alcotest.(check string) "path" path d.Fom_check.Diagnostic.path)
+    [ Filename.concat dir "fom-no-such-file.trace"; dir ]
+
 (* Random byte edits of a saved trace: [load] either accepts the
    result or rejects it with a diagnostic at [file:line], never with an
    error from deeper in the library. *)
@@ -231,5 +244,6 @@ let suite =
       Alcotest.test_case "simulator on loaded trace" `Quick test_simulator_on_loaded_trace;
       Alcotest.test_case "rejects garbage" `Quick test_load_rejects_garbage;
       Alcotest.test_case "rejects forward dependence" `Quick test_load_rejects_bad_dependence;
+      Alcotest.test_case "unreadable file" `Quick test_load_unreadable;
       QCheck_alcotest.to_alcotest prop_load_diagnoses_at_file_line;
     ] )

@@ -51,7 +51,7 @@ let test_ideal_no_events () =
 let test_ipc_bounded_by_width () =
   List.iter
     (fun width ->
-      let config = Config.with_width width ideal_config in
+      let config = { ideal_config with Config.width } in
       let stats = Simulate.run config (Lazy.force gzip_program) ~n:20000 in
       Alcotest.(check bool)
         (Printf.sprintf "ipc <= width %d" width)
@@ -62,7 +62,7 @@ let test_ipc_bounded_by_width () =
 let test_wider_is_not_slower () =
   let run width =
     Stats.ipc
-      (Simulate.run (Config.with_width width ideal_config) (Lazy.force gzip_program) ~n:20000)
+      (Simulate.run ({ ideal_config with Config.width }) (Lazy.force gzip_program) ~n:20000)
   in
   Alcotest.(check bool) "width 4 >= width 2" true (run 4 >= run 2 -. 0.01);
   Alcotest.(check bool) "width 2 >= width 1" true (run 2 >= run 1 -. 0.01)
@@ -184,17 +184,6 @@ let test_determinism () =
   Alcotest.(check int) "same mispredictions" a.Stats.branch_mispredictions
     b.Stats.branch_mispredictions
 
-let test_isolate_helper () =
-  let program = Lazy.force gzip_program in
-  let faulty = Config.with_predictor Predictor.default_spec ideal_config in
-  let result =
-    Simulate.isolate ~base:ideal_config ~faulty
-      ~events:(fun s -> s.Stats.branch_mispredictions)
-      program ~n:30000
-  in
-  Alcotest.(check bool) "events counted" true (result.Simulate.events > 0);
-  Alcotest.(check bool) "positive penalty" true (result.Simulate.penalty_per_event > 0.0)
-
 let test_unbounded_issue_not_slower () =
   let bounded = Simulate.run ideal_config (Lazy.force gzip_program) ~n:20000 in
   let unbounded =
@@ -226,6 +215,5 @@ let suite =
       Alcotest.test_case "far apart misses add" `Quick test_far_apart_misses_add;
       Alcotest.test_case "tiny rob still progresses" `Quick test_rob_never_overflows;
       Alcotest.test_case "determinism" `Quick test_determinism;
-      Alcotest.test_case "isolate helper" `Quick test_isolate_helper;
       Alcotest.test_case "unbounded issue not slower" `Quick test_unbounded_issue_not_slower;
     ] )

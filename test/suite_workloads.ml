@@ -9,6 +9,7 @@ module Iw_curve = Fom_analysis.Iw_curve
 module Profile = Fom_analysis.Profile
 
 let program config = Fom_trace.Program.generate config
+let micro name = List.find (fun c -> c.Config.name = name) Micro.all
 
 let per_ki profile count =
   1000.0 *. float_of_int count /. float_of_int profile.Profile.instructions
@@ -121,14 +122,14 @@ let test_serial_chain_ipc_one () =
   (* The producer chain issues one per cycle; control instructions
      (10% of the mix) produce no values and ride alongside, so the
      ceiling is 1 / (1 - control fraction) ~ 1.11. *)
-  let ipc = Iw_sim.ipc (program Micro.serial_chain) ~window:64 ~n:10000 in
+  let ipc = Iw_sim.ipc (program (micro "serial-chain")) ~window:64 ~n:10000 in
   Alcotest.(check bool) (Printf.sprintf "serial ipc %.2f in [1.0, 1.12]" ipc) true
     (ipc >= 0.99 && ipc <= 1.12)
 
 let test_independent_scales_with_window () =
   (* Without dependences the window-limited issue rate is essentially
      the window itself (instant refill, unit latency). *)
-  let p = program Micro.independent in
+  let p = program (micro "independent") in
   List.iter
     (fun window ->
       let ipc = Iw_sim.ipc p ~window ~n:20000 in
@@ -139,7 +140,7 @@ let test_independent_scales_with_window () =
     [ 4; 16; 64 ]
 
 let test_pointer_chase_serialized_misses () =
-  let profile = Profile.run (program Micro.pointer_chase) ~n:50000 in
+  let profile = Profile.run (program (micro "pointer-chase")) ~n:50000 in
   Alcotest.(check bool) "many long misses" true (per_ki profile profile.Profile.long_misses > 50.0);
   (* One serialized chain (chase_chains = 1): dependence-aware
      grouping must break the dense miss sequence into near-isolated
@@ -150,10 +151,10 @@ let test_pointer_chase_serialized_misses () =
     true (mean_group < 2.5)
 
 let test_streaming_overlapped_misses () =
-  let profile = Profile.run (program Micro.streaming) ~n:50000 in
+  let profile = Profile.run (program (micro "streaming")) ~n:50000 in
   Alcotest.(check bool) "long misses occur" true (per_ki profile profile.Profile.long_misses > 5.0);
   let mean_group = Fom_util.Distribution.mean profile.Profile.long_miss_groups in
-  let chase_profile = Profile.run (program Micro.pointer_chase) ~n:50000 in
+  let chase_profile = Profile.run (program (micro "pointer-chase")) ~n:50000 in
   let chase_group = Fom_util.Distribution.mean chase_profile.Profile.long_miss_groups in
   Alcotest.(check bool)
     (Printf.sprintf "streams group more than chases (%.1f vs %.1f)" mean_group chase_group)
@@ -161,13 +162,13 @@ let test_streaming_overlapped_misses () =
     (mean_group > chase_group)
 
 let test_branchy_misprediction_bound () =
-  let profile = Profile.run (program Micro.branchy) ~n:50000 in
+  let profile = Profile.run (program (micro "branchy")) ~n:50000 in
   Alcotest.(check bool) "high misprediction rate" true
     (per_ki profile profile.Profile.mispredictions > 30.0)
 
 let test_loopy_nearly_ideal () =
   let stats =
-    Fom_uarch.Simulate.run Fom_uarch.Config.baseline (program Micro.loopy) ~n:50000
+    Fom_uarch.Simulate.run Fom_uarch.Config.baseline (program (micro "loopy")) ~n:50000
   in
   Alcotest.(check bool) "near width" true (Fom_uarch.Stats.ipc stats > 3.0)
 
@@ -191,10 +192,10 @@ let test_micro_model_tracks_sim () =
          leader-anchored grouping truncates (misses pipeline through
          the ROB continuously); the first-order model overestimates
          there, as the paper's own overlap discussion anticipates. *)
-      (Micro.streaming, 0.6);
-      (Micro.branchy, 0.25);
-      (Micro.loopy, 0.15);
-      (Micro.pointer_chase, 0.5);
+      (micro "streaming", 0.6);
+      (micro "branchy", 0.25);
+      (micro "loopy", 0.15);
+      (micro "pointer-chase", 0.5);
     ]
 
 (* Randomized end-to-end property: for arbitrary (valid) workload

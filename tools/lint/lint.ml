@@ -1,7 +1,7 @@
 (* Source lint for the fom libraries.
 
-   Scans .ml files for constructs banned from library code and reports
-   them as FOM-L diagnostics:
+   Scans the .ml and .mli files under each DIR for constructs banned
+   from library code and reports them as FOM-L diagnostics:
 
      FOM-L001  assert       input validation must go through Fom_check
      FOM-L002  failwith     errors must be structured diagnostics
@@ -18,14 +18,29 @@
                flambda they call the C polymorphic compare (3-4x the
                cost of [Int.min]/[Int.max] on ints), so library code
                names the type's own [Int.min], [Float.max], ...
+     FOM-L008  a [val] in an .mli under DIR that no .ml outside its
+               own module references. Callers are the .ml files under
+               lib/, bin/, bench/, examples/, perfbench/ and tools/,
+               relative to where the lint runs; test/ does not count.
+               A reference is the val's name qualified by its module's
+               name or an alias of it ([Stats.mean], [module M =
+               Fom_uarch.Config] then [M.create]), or a bare name
+               inside a local open ([M.( ... )], [M.[ ... ]]). A val of
+               a nested signature is qualified by its inner module's
+               name. Modules that share a name share their references,
+               so the rule can miss a dead export but never flags a
+               live one. The report says whether the val is used
+               inside its module at all.
 
    An allowlist file grants sanctioned exceptions, one per line:
 
      <relative-path> <construct>     # rationale
 
-   where <construct> is the banned token (e.g. [assert]). Unused
-   allowlist entries are reported as warnings so the list cannot rot.
-   Exit status is 1 if any non-allowlisted finding remains. *)
+   where <construct> is the banned token (e.g. [assert]), or for
+   FOM-L008 the val's name in its .mli ([Acc.mean] for a val of the
+   inner module [Acc]). Unused allowlist entries are reported as
+   warnings so the list cannot rot. Exit status is 1 if any
+   non-allowlisted finding remains. *)
 
 let usage () =
   prerr_endline "usage: lint --allowlist FILE DIR...";
@@ -251,11 +266,14 @@ let partial_ensures stripped =
   in
   List.map line_of (search 0 [])
 
-let scan_file path =
+let read_file path =
   let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let src = really_input_string ic len in
+  let src = really_input_string ic (in_channel_length ic) in
   close_in ic;
+  src
+
+let scan_file path =
+  let src = read_file path in
   let stripped = strip src in
   let raw_lines = Array.of_list (String.split_on_char '\n' src) in
   let findings = ref [] in
@@ -292,17 +310,165 @@ let scan_file path =
 
 (* --- filesystem walk ------------------------------------------------- *)
 
-let rec walk dir acc =
+(* The files under [dir] whose names end in [suffix]. *)
+let rec walk suffix dir acc =
   Array.fold_left
     (fun acc entry ->
       let path = Filename.concat dir entry in
-      if Sys.is_directory path then walk path acc
-      else if Filename.check_suffix entry ".ml" then path :: acc
+      if Sys.is_directory path then walk suffix path acc
+      else if Filename.check_suffix entry suffix then path :: acc
       else acc)
     acc
     (let entries = Sys.readdir dir in
      Array.sort compare entries;
      entries)
+
+(* --- FOM-L008: exports without callers ------------------------------- *)
+
+(* Directories, relative to where the lint runs, whose .ml files count
+   as callers of a library export. test/ is left out: an export that
+   only tests use is surface that no caller needs. *)
+let caller_dirs = [ "lib"; "bin"; "bench"; "examples"; "perfbench"; "tools" ]
+
+(* A stripped source as identifiers and single punctuation characters. *)
+let tokens src =
+  let n = String.length src in
+  let rec go k acc =
+    if k >= n then List.rev acc
+    else if is_ident_char src.[k] then begin
+      let e = ref k in
+      while !e < n && is_ident_char src.[!e] do
+        incr e
+      done;
+      go !e (String.sub src k (!e - k) :: acc)
+    end
+    else if String.contains " \t\r\n" src.[k] then go (k + 1) acc
+    else go (k + 1) (String.make 1 src.[k] :: acc)
+  in
+  go 0 []
+
+let is_module w = w <> "" && w.[0] >= 'A' && w.[0] <= 'Z'
+let is_value w = w <> "" && ((w.[0] >= 'a' && w.[0] <= 'z') || w.[0] = '_')
+
+(* A val of a library interface. [qualifier] is the module name a
+   caller writes before [name]; [construct] names the val in the
+   allowlist: [name], or [M.name] for a val of an inner module [M]. *)
+type export = {
+  mli : string;
+  line : int;
+  qualifier : string;
+  name : string;
+  construct : string;
+  text : string;
+}
+
+(* The vals [mli] declares, inside [module M : sig ... end] too (one
+   level of nesting). *)
+let exports mli =
+  let src = read_file mli in
+  let raw_lines = Array.of_list (String.split_on_char '\n' src) in
+  let file_module = String.capitalize_ascii (Filename.remove_extension (Filename.basename mli)) in
+  let inner = ref None in
+  List.concat
+    (List.mapi
+       (fun idx line ->
+         match tokens line with
+         | "module" :: m :: ":" :: "sig" :: _ ->
+             inner := Some m;
+             []
+         | "end" :: _ ->
+             inner := None;
+             []
+         | "val" :: name :: _ ->
+             let qualifier, construct =
+               match !inner with Some m -> (m, m ^ "." ^ name) | None -> (file_module, name)
+             in
+             [ { mli; line = idx + 1; qualifier; name; construct; text = raw_lines.(idx) } ]
+         | _ -> [])
+       (String.split_on_char '\n' (strip src)))
+
+(* [module X = P.M] and [let module X = P.M in], anywhere: X is an
+   alias of M. *)
+let rec aliases acc = function
+  | "module" :: x :: "=" :: m :: rest when is_module x && is_module m ->
+      let rec last m = function "." :: m' :: rest when is_module m' -> last m' rest | _ -> m in
+      aliases ((x, last m rest) :: acc) rest
+  | _ :: rest -> aliases acc rest
+  | [] -> acc
+
+(* Every (qualifier, name) a caller's tokens reference: [Q.name], and
+   each bare name inside a local open [Q.( ... )] or [Q.[ ... ]]. *)
+let rec references acc = function
+  | q :: "." :: v :: rest when is_module q && is_value v -> references ((q, v) :: acc) (v :: rest)
+  | q :: "." :: (("(" | "[") :: body as rest) when is_module q ->
+      let rec opened depth prev acc = function
+        | [] -> acc
+        | tok :: body ->
+            let depth =
+              match tok with "(" | "[" | "{" -> depth + 1 | ")" | "]" | "}" -> depth - 1 | _ -> depth
+            in
+            if depth = 0 then acc
+            else
+              let acc = if is_value tok && prev <> "." then (q, tok) :: acc else acc in
+              opened depth tok acc body
+      in
+      references (opened 1 "" acc body) rest
+  | _ :: rest -> references acc rest
+  | [] -> acc
+
+(* Whether [name] occurs in [ml]'s tokens other than where it is bound
+   or selected from another value. *)
+let used_within ml name =
+  let rec scan prev = function
+    | [] -> false
+    | tok :: rest ->
+        (tok = name
+        && not (List.mem prev [ "let"; "and"; "rec"; "mutable"; "."; "~"; "?"; "val" ]))
+        || scan tok rest
+  in
+  Sys.file_exists ml && scan "" (tokens (strip (read_file ml)))
+
+(* FOM-L008 findings for the vals of the .mli files under [roots]. A
+   reference counts from any caller .ml but the val's own module's; it
+   counts for every module of its qualifier's name and for the target
+   of every alias of that name, across all callers, so two modules
+   sharing a name can hide a dead export but never flag a live one. *)
+let unused_exports roots =
+  let callers =
+    List.concat_map
+      (fun dir -> if Sys.file_exists dir then List.sort compare (walk ".ml" dir []) else [])
+      caller_dirs
+  in
+  let sources = List.map (fun file -> (file, tokens (strip (read_file file)))) callers in
+  let alias_of = List.fold_left (fun acc (_, toks) -> aliases acc toks) [] sources in
+  let referenced = Hashtbl.create 1024 in
+  List.iter
+    (fun (file, toks) ->
+      List.iter
+        (fun (q, v) ->
+          List.iter
+            (fun m -> Hashtbl.add referenced (m, v) file)
+            (q :: List.filter_map (fun (x, m) -> if x = q then Some m else None) alias_of))
+        (references [] toks))
+    sources;
+  List.concat_map
+    (fun root ->
+      List.concat_map
+        (fun mli ->
+          let own = Filename.remove_extension mli ^ ".ml" in
+          List.filter_map
+            (fun e ->
+              if List.exists (fun f -> f <> own) (Hashtbl.find_all referenced (e.qualifier, e.name))
+              then None
+              else
+                let why =
+                  if used_within own e.name then "is used only inside its module"
+                  else "has no reference at all"
+                in
+                Some (e, why))
+            (exports mli))
+        (List.sort compare (walk ".mli" root [])))
+    roots
 
 (* --- allowlist ------------------------------------------------------- *)
 
@@ -361,7 +527,7 @@ let () =
     in
     find 0 allowlist
   in
-  let files = List.concat_map (fun root -> List.sort compare (walk root [])) (List.rev !roots) in
+  let files = List.concat_map (fun root -> List.sort compare (walk ".ml" root [])) (List.rev !roots) in
   let errors = ref 0 in
   List.iter
     (fun file ->
@@ -380,6 +546,14 @@ let () =
           end)
         (scan_file file))
     files;
+  List.iter
+    (fun (e, why) ->
+      if not (allowed e.mli e.construct) then begin
+        Printf.printf "error[FOM-L008] %s:%d: export %s %s (test/ does not count)\n  %s\n"
+          e.mli e.line e.construct why (String.trim e.text);
+        incr errors
+      end)
+    (unused_exports (List.rev !roots));
   List.iteri
     (fun k (file, construct) ->
       if not used.(k) then
