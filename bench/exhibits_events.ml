@@ -124,8 +124,9 @@ let fig9 ctx =
         let _, _, inputs = Context.characterization ctx name in
         let iw = Cpi.characteristic Params.baseline inputs in
         let model5 =
-          Penalties.branch_misprediction iw Params.baseline
-            ~burst:(Inputs.mispred_burst_mean inputs)
+          Penalties.branch_misprediction
+            (Penalties.transients iw Params.baseline)
+            Params.baseline ~burst:(Inputs.mispred_burst_mean inputs)
         in
         [
           name;

@@ -112,7 +112,9 @@ let fetch_buffer ctx =
             let params = { Params.baseline with Params.fetch_buffer = buffer } in
             let _, _, inputs = Context.characterization ctx name in
             let iw = Cpi.characteristic params inputs in
-            let model_penalty = Penalties.icache_miss iw params ~delay:8 in
+            let model_penalty =
+              Penalties.icache_miss (Penalties.transients iw params) params ~delay:8
+            in
             [
               string_of_int buffer;
               Table.float_cell ~decimals:1 sim_penalty;

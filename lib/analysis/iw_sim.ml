@@ -58,7 +58,7 @@ let ipc_of_packed ?(latencies = Latency.unit) ?issue_limit packed ~window ~n =
   (* The run ends in the cycle its [n]-th issue lands in; instruction
      [n + window - 1] would only be admitted the cycle after. *)
   let count = n + window - 1 in
-  let tag = packed.Packed.tag in
+  let op = packed.Packed.op in
   let dep_off = packed.Packed.dep_off in
   let dep_val = packed.Packed.dep_val in
   let comp = Array.make count 0 in
@@ -94,7 +94,7 @@ let ipc_of_packed ?(latencies = Latency.unit) ?issue_limit packed ~window ~n =
     if t > !floor + size then Fom_check.Checker.internal_error "issue ring overflow";
     let s = t land mask in
     cnt.(s) <- cnt.(s) + 1;
-    comp.(i) <- t + lat.(tag.(i));
+    comp.(i) <- t + lat.(op.(i) land 7);
     if t > e then incr by_width else if e > admit then incr by_dependence else incr by_window
   done;
   while !below < n do

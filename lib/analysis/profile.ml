@@ -132,9 +132,9 @@ let run_packed ?(cache = Hierarchy.baseline) ?(predictor = Predictor.default_spe
     | Hierarchy.Real g -> Fom_cache.Geometry.line_address g pc
     | Hierarchy.Ideal -> pc land lnot 127
   in
-  let { Packed.tag; pc; dep_off; dep_val; mem; ctrl; _ } = packed in
+  let { Packed.op; pc; dep_off; dep_val; ea; _ } = packed in
   for i = 0 to n - 1 do
-    let cls = tag.(i) in
+    let cls = op.(i) land 7 in
     counts.(cls) <- counts.(cls) + 1;
     let line = line_of pc.(i) in
     if line <> !last_line then begin
@@ -151,7 +151,7 @@ let run_packed ?(cache = Hierarchy.baseline) ?(predictor = Predictor.default_spe
     let tlb_marked = ref false in
     (match Opclass.of_int cls with
     | Opclass.Load -> (
-        let addr = mem.(i) in
+        let addr = ea.(i) in
         (match tlb with
         | Some tlb when not (Fom_cache.Tlb.access tlb addr) ->
             incr dtlb_misses;
@@ -183,12 +183,12 @@ let run_packed ?(cache = Hierarchy.baseline) ?(predictor = Predictor.default_spe
             latency_sum := !latency_sum +. base_latency)
     | Opclass.Store ->
         (* Store misses fill the TLB but are not miss-events. *)
-        (match tlb with Some tlb -> ignore (Fom_cache.Tlb.access tlb mem.(i)) | None -> ());
-        ignore (Hierarchy.access_data hierarchy mem.(i));
+        (match tlb with Some tlb -> ignore (Fom_cache.Tlb.access tlb ea.(i)) | None -> ());
+        ignore (Hierarchy.access_data hierarchy ea.(i));
         latency_sum := !latency_sum +. base_latency
     | Opclass.Branch ->
         incr branches;
-        let taken = ctrl.(i) land 1 = 1 in
+        let taken = ea.(i) land 1 = 1 in
         if not (Predictor.observe pred ~pc:pc.(i) ~taken) then begin
           incr mispredictions;
           ignore (grouper_add bursts i)

@@ -30,10 +30,12 @@ let evaluate ?(branch_mode = Measured_burst) ?(dcache_mode = Rob_fill_corrected)
     | Paper_delay -> 0.0
   in
   let steady = 1.0 /. Iw.steady_state_ipc iw ~window:params.Params.window_size in
+  let transients = Penalties.transients iw params in
   let branch_penalty =
     match branch_mode with
     | Measured_burst ->
-        Penalties.branch_misprediction iw params ~burst:(Inputs.mispred_burst_mean inputs)
+        Penalties.branch_misprediction transients params
+          ~burst:(Inputs.mispred_burst_mean inputs)
     | Paper_constant -> Penalties.branch_misprediction_paper params
   in
   {
@@ -41,10 +43,10 @@ let evaluate ?(branch_mode = Measured_burst) ?(dcache_mode = Rob_fill_corrected)
     branch = inputs.Inputs.mispredictions_per_instr *. branch_penalty;
     l1i =
       inputs.Inputs.l1i_misses_per_instr
-      *. Penalties.icache_miss iw params ~delay:params.Params.short_delay;
+      *. Penalties.icache_miss transients params ~delay:params.Params.short_delay;
     l2i =
       inputs.Inputs.l2i_misses_per_instr
-      *. Penalties.icache_miss iw params ~delay:params.Params.long_delay;
+      *. Penalties.icache_miss transients params ~delay:params.Params.long_delay;
     dcache =
       inputs.Inputs.long_misses_per_instr
       *. Penalties.dcache_long_miss ~rob_fill params

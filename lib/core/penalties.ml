@@ -1,27 +1,27 @@
 module Iw = Iw_characteristic
 
-let drain_plus_ramp iw (params : Params.t) =
+type transients = { drain : float; ramp : float }
+
+let transients iw (params : Params.t) =
   let window = params.Params.window_size in
   let drain = Transient.drain iw ~window in
   let ramp = Transient.ramp_up iw ~window in
-  (drain.Transient.penalty, ramp.Transient.penalty)
+  { drain = drain.Transient.penalty; ramp = ramp.Transient.penalty }
 
 let ensure ~path cond message = Fom_check.Checker.ensure ~code:"FOM-I030" ~path cond message
 
-let branch_misprediction iw params ~burst =
+let branch_misprediction { drain; ramp } params ~burst =
   ensure ~path:"penalties.burst" (burst >= 1.0) "burst size must be at least 1";
-  let drain, ramp = drain_plus_ramp iw params in
   float_of_int params.Params.pipeline_depth +. ((drain +. ramp) /. burst)
 
 let branch_misprediction_paper (params : Params.t) =
   let iw =
     Iw.make ~alpha:1.0 ~beta:0.5 ~issue_width:(float_of_int params.Params.width) ()
   in
-  let drain, ramp = drain_plus_ramp iw params in
+  let { drain; ramp } = transients iw params in
   float_of_int params.Params.pipeline_depth +. ((drain +. ramp) /. 2.0)
 
-let icache_miss iw (params : Params.t) ~delay =
-  let drain, ramp = drain_plus_ramp iw params in
+let icache_miss { drain; ramp } (params : Params.t) ~delay =
   (* A fetch buffer keeps dispatch fed for buffer/width cycles of the
      fill delay (Section 7, extension 2). *)
   let covered = float_of_int params.Params.fetch_buffer /. float_of_int params.Params.width in

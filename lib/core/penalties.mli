@@ -3,8 +3,16 @@
     All penalties are in cycles per miss-event and are built from the
     {!Transient} engine on a machine-specific {!Iw_characteristic}. *)
 
-val branch_misprediction :
-  Iw_characteristic.t -> Params.t -> burst:float -> float
+type transients = {
+  drain : float;  (** {!Transient.drain}'s penalty *)
+  ramp : float;  (** {!Transient.ramp_up}'s penalty *)
+}
+
+val transients : Iw_characteristic.t -> Params.t -> transients
+(** Both transient penalties at the machine's window size, which the
+    branch and I-cache penalties share. *)
+
+val branch_misprediction : transients -> Params.t -> burst:float -> float
 (** Equations 2–3: [pipeline_depth + (window_drain + ramp_up) / n],
     where [n] is the mean misprediction burst size ([n = 1] gives the
     isolated penalty, the upper bound). The penalty exceeds the
@@ -16,7 +24,7 @@ val branch_misprediction_paper : Params.t -> float
     square-law characteristic — 7.5 cycles for the five-stage
     baseline. *)
 
-val icache_miss : Iw_characteristic.t -> Params.t -> delay:int -> float
+val icache_miss : transients -> Params.t -> delay:int -> float
 (** Equations 4–5 with [n = 1]: [delay + ramp_up - window_drain]. The
     drain and ramp-up offset, so the penalty is approximately the fill
     [delay] and independent of the front-end depth — the paper's

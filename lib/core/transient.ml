@@ -4,18 +4,30 @@ type result = { cycles : float; instructions : float; penalty : float }
 
 let max_transient_cycles = 10_000
 
+(* {!Iw.issue_rate}, repeated so that no step allocates: a call into
+   another module boxes its float argument and result. The loops keep
+   their float accumulators in local refs, which stay unboxed. *)
+let[@inline] issue_rate (iw : Iw.t) w =
+  if w <= 0.0 then 0.0
+  else
+    Float.min w
+      (Float.min iw.Iw.issue_width (iw.Iw.alpha *. Float.pow w iw.Iw.beta /. iw.Iw.avg_latency))
+
 let drain iw ~window =
   let steady = Iw.steady_state_ipc iw ~window in
-  let rec loop w cycles issued =
-    if w <= 1.0 || cycles >= max_transient_cycles then (cycles, issued)
-    else
-      let rate = Iw.issue_rate iw w in
-      if rate <= 0.0 then (cycles, issued)
-      else loop (w -. rate) (cycles + 1) (issued +. rate)
-  in
-  let cycles, instructions = loop (Iw.steady_state_occupancy iw ~window) 0 0.0 in
-  let cycles = float_of_int cycles in
-  { cycles; instructions; penalty = cycles -. (instructions /. steady) }
+  let w = ref (Iw.steady_state_occupancy iw ~window) in
+  let cycles = ref 0 and issued = ref 0.0 and stalled = ref false in
+  while not (!stalled || !w <= 1.0 || !cycles >= max_transient_cycles) do
+    let rate = issue_rate iw !w in
+    if rate <= 0.0 then stalled := true
+    else begin
+      w := !w -. rate;
+      incr cycles;
+      issued := !issued +. rate
+    end
+  done;
+  let cycles = float_of_int !cycles in
+  { cycles; instructions = !issued; penalty = cycles -. (!issued /. steady) }
 
 let ensure ~path cond message = Fom_check.Checker.ensure ~code:"FOM-I030" ~path cond message
 
@@ -25,16 +37,16 @@ let ramp_up ?(epsilon = 0.1) iw ~window =
   let steady = Iw.steady_state_ipc iw ~window in
   let target = (1.0 -. epsilon) *. steady in
   let cap = float_of_int window in
-  let rec loop w cycles issued =
-    let rate = Iw.issue_rate iw w in
-    if rate >= target || cycles >= max_transient_cycles then (cycles, issued)
-    else
-      let w = Float.min cap (w +. iw.Iw.issue_width -. rate) in
-      loop w (cycles + 1) (issued +. rate)
-  in
-  let cycles, instructions = loop 0.0 0 0.0 in
-  let cycles = float_of_int cycles in
-  { cycles; instructions; penalty = cycles -. (instructions /. steady) }
+  let w = ref 0.0 and cycles = ref 0 and issued = ref 0.0 in
+  let rate = ref (issue_rate iw 0.0) in
+  while not (!rate >= target || !cycles >= max_transient_cycles) do
+    w := Float.min cap (!w +. iw.Iw.issue_width -. !rate);
+    incr cycles;
+    issued := !issued +. !rate;
+    rate := issue_rate iw !w
+  done;
+  let cycles = float_of_int !cycles in
+  { cycles; instructions = !issued; penalty = cycles -. (!issued /. steady) }
 
 type interval = {
   total_cycles : float;

@@ -38,4 +38,3 @@ let next t =
   | Random | Chase ->
       t.region.base + align8 (Fom_util.Rng.int t.rng t.region.size)
 
-let is_chase t = match t.kind with Chase -> true | Stride _ | Random -> false

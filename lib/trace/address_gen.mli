@@ -36,5 +36,3 @@ val region : t -> region
 
 val next : t -> int
 (** Next effective address, 8-byte aligned, within the region. *)
-
-val is_chase : t -> bool

@@ -5,14 +5,11 @@ module Reg = Fom_isa.Reg
 type t = {
   label : string;
   len : int;
-  tag : int array;
+  op : int array;
   pc : int array;
-  dst : int array;
-  srcs : int array;
+  ea : int array;
   dep_off : int array;
   dep_val : int array;
-  mem : int array;
-  ctrl : int array;
 }
 
 let label t = t.label
@@ -36,6 +33,25 @@ let unpack_srcs word =
   | 2 -> [ Reg.of_int ((word lsr 2) land 0xff); Reg.of_int ((word lsr 10) land 0xff) ]
   | _ -> Fom_check.Checker.internal_error "corrupt packed source-register word"
 
+(* The class tag (< 8) in bits 0-2, the destination register plus one
+   (0 for none, at most 32) in bits 3-8, the source word above. *)
+let op_word ~tag ~dst srcs = tag lor ((dst + 1) lsl 3) lor (srcs lsl 9)
+
+(* Row [i]'s producers: the first [nd] of [src], re-based by [rebase].
+   The dependence array doubles when full. *)
+let[@inline] write_deps c deps i src nd ~rebase =
+  let used = c.dep_off.(i) in
+  if used + nd > Array.length !deps then begin
+    let grown = Array.make (2 * (used + nd)) 0 in
+    Array.blit !deps 0 grown 0 used;
+    deps := grown
+  end;
+  let dep_val = !deps in
+  for k = 0 to nd - 1 do
+    dep_val.(used + k) <- src.(k) + rebase
+  done;
+  c.dep_off.(i + 1) <- used + nd
+
 (* Generator rows: step [stream] [count] times into rows [first ..],
    re-basing its dependences by [rebase]. The generator builds
    well-formed instructions and its cursor already holds the column
@@ -43,20 +59,15 @@ let unpack_srcs word =
 let write_stream c deps stream ~first ~count ~rebase =
   for i = first to first + count - 1 do
     let cur = Stream.step stream in
-    c.tag.(i) <- cur.Stream.tag;
-    c.pc.(i) <- cur.Stream.pc;
-    c.dst.(i) <- cur.Stream.dst;
     let nd = cur.Stream.ndeps in
-    c.srcs.(i) <-
-      srcs_word nd
-        (if nd > 0 then cur.Stream.srcs.(0) else 0)
-        (if nd > 1 then cur.Stream.srcs.(1) else 0);
-    for k = 0 to nd - 1 do
-      Fom_util.Int_buffer.push deps (cur.Stream.deps.(k) + rebase)
-    done;
-    c.dep_off.(i + 1) <- Fom_util.Int_buffer.length deps;
-    c.mem.(i) <- cur.Stream.mem;
-    c.ctrl.(i) <- cur.Stream.ctrl
+    c.op.(i) <-
+      op_word ~tag:cur.Stream.tag ~dst:cur.Stream.dst
+        (srcs_word nd
+           (if nd > 0 then cur.Stream.srcs.(0) else 0)
+           (if nd > 1 then cur.Stream.srcs.(1) else 0));
+    c.pc.(i) <- cur.Stream.pc;
+    c.ea.(i) <- cur.Stream.ea;
+    write_deps c deps i cur.Stream.deps nd ~rebase
   done
 
 (* A phase schedule: each activation is a fresh stream of its phase's
@@ -82,21 +93,21 @@ let write_recorded c deps instrs =
   for i = 0 to c.len - 1 do
     let ins = instrs.(i mod len) in
     let rebase = i - (i mod len) in
-    c.tag.(i) <- Opclass.to_int ins.Instr.opclass;
+    c.op.(i) <-
+      op_word ~tag:(Opclass.to_int ins.Instr.opclass)
+        ~dst:(match ins.Instr.dst with Some d -> Reg.to_int d | None -> -1)
+        (match ins.Instr.srcs with
+        | [] -> srcs_word 0 0 0
+        | [ a ] -> srcs_word 1 (Reg.to_int a) 0
+        | [ a; b ] -> srcs_word 2 (Reg.to_int a) (Reg.to_int b)
+        | srcs -> srcs_word (List.length srcs) 0 0);
     c.pc.(i) <- ins.Instr.pc;
-    (match ins.Instr.dst with Some d -> c.dst.(i) <- Reg.to_int d | None -> ());
-    c.srcs.(i) <-
-      (match ins.Instr.srcs with
-      | [] -> srcs_word 0 0 0
-      | [ a ] -> srcs_word 1 (Reg.to_int a) 0
-      | [ a; b ] -> srcs_word 2 (Reg.to_int a) (Reg.to_int b)
-      | srcs -> srcs_word (List.length srcs) 0 0);
-    Array.iter (fun d -> Fom_util.Int_buffer.push deps (d + rebase)) ins.Instr.deps;
-    c.dep_off.(i + 1) <- Fom_util.Int_buffer.length deps;
-    (match ins.Instr.mem with Some addr -> c.mem.(i) <- addr | None -> ());
-    match ins.Instr.ctrl with
-    | Some ctrl -> c.ctrl.(i) <- (ctrl.Instr.target lsl 1) lor Bool.to_int ctrl.Instr.taken
-    | None -> ()
+    c.ea.(i) <-
+      (match (ins.Instr.mem, ins.Instr.ctrl) with
+      | Some addr, _ -> addr
+      | None, Some ctrl -> (ctrl.Instr.target lsl 1) lor Bool.to_int ctrl.Instr.taken
+      | None, None -> -1);
+    write_deps c deps i ins.Instr.deps (Array.length ins.Instr.deps) ~rebase
   done
 
 let of_source ?label source ~n =
@@ -106,23 +117,21 @@ let of_source ?label source ~n =
     {
       label = (match label with Some l -> l | None -> Source.label source);
       len = n;
-      tag = Array.make n 0;
+      op = Array.make n 0;
       pc = Array.make n 0;
-      dst = Array.make n (-1);
-      srcs = Array.make n 0;
+      ea = Array.make n 0;
       dep_off = Array.make (n + 1) 0;
       dep_val = [||];
-      mem = Array.make n (-1);
-      ctrl = Array.make n (-1);
     }
   in
-  let deps = Fom_util.Int_buffer.create ~capacity:(2 * n) () in
+  (* The presets average 0.08 to 1.29 dependences per instruction. *)
+  let deps = ref (Array.make (n + (n / 2)) 0) in
   (match source.Source.kind with
   | Source.Generator { program; seed } ->
       write_stream c deps (Stream.create ?seed program) ~first:0 ~count:n ~rebase:0
   | Source.Schedule phases -> write_schedule c deps phases
   | Source.Recorded instrs -> write_recorded c deps instrs);
-  { c with dep_val = Fom_util.Int_buffer.contents deps }
+  { c with dep_val = !deps }
 
 (* Decode one instruction. Fields are well-formed (by construction
    from the generator, validated by {!Source.of_instrs} for a recorded
@@ -135,15 +144,19 @@ let instr t i =
   let off = i mod t.len in
   let rebase = i - off in
   let lo = t.dep_off.(off) and hi = t.dep_off.(off + 1) in
+  let word = t.op.(off) and ea = t.ea.(off) in
+  let opclass = Opclass.of_int (word land 7) in
+  let dst = ((word lsr 3) land 63) - 1 in
   {
     Instr.index = i;
     pc = t.pc.(off);
-    opclass = Opclass.of_int t.tag.(off);
-    dst = (if t.dst.(off) < 0 then None else Some (Reg.of_int t.dst.(off)));
-    srcs = unpack_srcs t.srcs.(off);
+    opclass;
+    dst = (if dst < 0 then None else Some (Reg.of_int dst));
+    srcs = unpack_srcs (word lsr 9);
     deps = Array.init (hi - lo) (fun k -> t.dep_val.(lo + k) + rebase);
-    mem = (if t.mem.(off) < 0 then None else Some t.mem.(off));
+    mem = (if Opclass.is_memory opclass then Some ea else None);
     ctrl =
-      (if t.ctrl.(off) < 0 then None
-       else Some { Instr.target = t.ctrl.(off) lsr 1; taken = t.ctrl.(off) land 1 = 1 });
+      (if Opclass.is_control opclass then
+         Some { Instr.target = ea lsr 1; taken = ea land 1 = 1 }
+       else None);
   }

@@ -13,17 +13,18 @@
     The columns (all indexed by dynamic instruction, except the
     dependence columns which use compressed-sparse-row layout):
 
-    - [tag]: operation class as {!Fom_isa.Opclass.to_int};
+    - [op]: {!Fom_isa.Opclass.to_int} in bits 0-2 (kernels read
+      [op land 7]), the destination's {!Fom_isa.Reg.to_int} plus one
+      (0 for none) in bits 3-8, then the source registers (2 bits of
+      count, 8 bits per register);
     - [pc]: instruction address;
-    - [dst]: destination register as {!Fom_isa.Reg.to_int}, or [-1];
-    - [srcs]: source registers packed into one word (bits 0-1 the
-      count, then 8 bits per register);
+    - [ea]: a load's or store's effective address, a branch's or
+      jump's [(target lsl 1) lor taken], else [-1] (only memory
+      operations carry an address, only control ones a direction);
     - [dep_off]/[dep_val]: instruction [i]'s true producers are
       [dep_val.(dep_off.(i)) .. dep_val.(dep_off.(i+1) - 1)], in
-      instruction-field order;
-    - [mem]: effective address, or [-1];
-    - [ctrl]: [-1] for non-control instructions, else
-      [(target lsl 1) lor taken].
+      instruction-field order; [dep_val] is not trimmed, so entries
+      from [dep_off.(len)] on are unused capacity.
 
     The record is exposed so simulation kernels can index the columns
     directly; treat every array as read-only. *)
@@ -31,14 +32,11 @@
 type t = private {
   label : string;
   len : int;
-  tag : int array;
+  op : int array;
   pc : int array;
-  dst : int array;
-  srcs : int array;
+  ea : int array;
   dep_off : int array;
   dep_val : int array;
-  mem : int array;
-  ctrl : int array;
 }
 
 val of_source : ?label:string -> Source.t -> n:int -> t

@@ -27,6 +27,10 @@ let of_instrs ?(label = "recorded") instrs =
     (fun i (ins : Instr.t) ->
       ensure (ins.Instr.index = i) "recorded trace must be in dynamic index order";
       ensure
+        (Fom_isa.Opclass.is_memory ins.Instr.opclass = Option.is_some ins.Instr.mem
+        && Fom_isa.Opclass.is_control ins.Instr.opclass = Option.is_some ins.Instr.ctrl)
+        "memory operations alone carry an address, control operations alone a direction";
+      ensure
         (match ins.Instr.mem with Some addr -> addr >= 0 | None -> true)
         "memory addresses must be non-negative";
       ensure

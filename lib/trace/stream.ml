@@ -35,14 +35,13 @@ type cursor = {
   mutable ndeps : int;
   deps : int array;
   srcs : int array;
-  mutable mem : int;
-  mutable ctrl : int;
+  mutable ea : int;
 }
 
 type t = {
   program : Program.t;
   rng : Rng.t;  (* dependence-distance sampling *)
-  short_rate : float;  (* geometric success probability of short distances *)
+  short_log : float;  (* [Float.log (1 - p)], p the short distances' success probability *)
   agens : Address_gen.t option array;  (* per static uid *)
   behaviors : Branch_behavior.t option array;
   last_instance : int array;  (* last dynamic index per chase chain *)
@@ -86,7 +85,7 @@ let create ?seed program =
   {
     program;
     rng = Rng.split seed_rng;
-    short_rate = 1.0 /. deps.Config.short_mean;
+    short_log = Float.log (1.0 -. (1.0 /. deps.Config.short_mean));
     agens;
     behaviors;
     last_instance = Array.make (Int.max n 1) (-1);
@@ -106,8 +105,7 @@ let create ?seed program =
         ndeps = 0;
         deps = Array.make !max_nsrc 0;
         srcs = Array.make !max_nsrc 0;
-        mem = -1;
-        ctrl = -1;
+        ea = -1;
       };
   }
 
@@ -120,7 +118,7 @@ let sample_deps t c nsrc =
   let k = if ring.count = 0 then 0 else nsrc in
   for j = 0 to k - 1 do
     let d =
-      if Rng.bernoulli t.rng deps.short_p then 1 + Rng.geometric t.rng t.short_rate
+      if Rng.bernoulli t.rng deps.short_p then 1 + Rng.geometric_log t.rng t.short_log
       else 1 + Rng.int t.rng deps.long_max
     in
     let pos = ring_pos ring (Int.min d ring.count) in
@@ -141,7 +139,7 @@ let step t =
   c.pc <- s.pc;
   c.tag <- Opclass.to_int s.opclass;
   c.dst <- (match s.dst with Some d -> Reg.to_int d | None -> -1);
-  c.mem <-
+  c.ea <-
     (match s.agen_spec with
     | None -> -1
     | Some _ -> (
@@ -162,45 +160,44 @@ let step t =
   end
   else sample_deps t c s.nsrc;
   if s.chase then t.last_instance.(chain) <- index;
-  c.ctrl <-
-    (match s.opclass with
-    | Opclass.Jump ->
-        (* Call: remember where to resume once the callee region
-           completes; at the depth cap the call is elided and the walk
-           falls through. *)
-        let succ =
-          if t.stack_depth < max_call_depth then begin
-            t.stack.(t.stack_depth) <- blk.fall_succ;
-            t.stack_depth <- t.stack_depth + 1;
-            blk.taken_succ
-          end
-          else blk.fall_succ
-        in
-        let target_blk = program.Program.blocks.(succ) in
-        t.block <- succ;
-        (program.Program.statics.(target_blk.first).pc lsl 1) lor 1
-    | Opclass.Branch ->
-        let taken =
-          match t.behaviors.(s.uid) with
-          | Some b -> Branch_behavior.next b
-          | None ->
-              Fom_check.Checker.internal_error
-                "branch static has no behavior generator"
-        in
-        let is_loop_exit = (not taken) && blk.taken_succ <= t.block in
-        let succ =
-          if taken then blk.taken_succ
-          else if is_loop_exit && t.stack_depth > 0 then begin
-            (* Region completed: return to the pending caller. *)
-            t.stack_depth <- t.stack_depth - 1;
-            t.stack.(t.stack_depth)
-          end
-          else blk.fall_succ
-        in
-        let target_blk = program.Program.blocks.(blk.taken_succ) in
-        t.block <- succ;
-        (program.Program.statics.(target_blk.first).pc lsl 1) lor Bool.to_int taken
-    | Opclass.Alu | Opclass.Mul | Opclass.Div | Opclass.Load | Opclass.Store -> -1);
+  (match s.opclass with
+  | Opclass.Jump ->
+      (* Call: remember where to resume once the callee region
+         completes; at the depth cap the call is elided and the walk
+         falls through. *)
+      let succ =
+        if t.stack_depth < max_call_depth then begin
+          t.stack.(t.stack_depth) <- blk.fall_succ;
+          t.stack_depth <- t.stack_depth + 1;
+          blk.taken_succ
+        end
+        else blk.fall_succ
+      in
+      let target_blk = program.Program.blocks.(succ) in
+      t.block <- succ;
+      c.ea <- (program.Program.statics.(target_blk.first).pc lsl 1) lor 1
+  | Opclass.Branch ->
+      let taken =
+        match t.behaviors.(s.uid) with
+        | Some b -> Branch_behavior.next b
+        | None ->
+            Fom_check.Checker.internal_error
+              "branch static has no behavior generator"
+      in
+      let is_loop_exit = (not taken) && blk.taken_succ <= t.block in
+      let succ =
+        if taken then blk.taken_succ
+        else if is_loop_exit && t.stack_depth > 0 then begin
+          (* Region completed: return to the pending caller. *)
+          t.stack_depth <- t.stack_depth - 1;
+          t.stack.(t.stack_depth)
+        end
+        else blk.fall_succ
+      in
+      let target_blk = program.Program.blocks.(blk.taken_succ) in
+      t.block <- succ;
+      c.ea <- (program.Program.statics.(target_blk.first).pc lsl 1) lor Bool.to_int taken
+  | Opclass.Alu | Opclass.Mul | Opclass.Div | Opclass.Load | Opclass.Store -> ());
   if c.dst >= 0 then ring_push t.ring index c.dst;
   c
 
@@ -210,11 +207,13 @@ let next t =
   for k = c.ndeps - 1 downto 0 do
     srcs := Reg.of_int c.srcs.(k) :: !srcs
   done;
-  Instr.make ~index:c.index ~pc:c.pc ~opclass:(Opclass.of_int c.tag)
+  let opclass = Opclass.of_int c.tag in
+  Instr.make ~index:c.index ~pc:c.pc ~opclass
     ?dst:(if c.dst < 0 then None else Some (Reg.of_int c.dst))
     ~srcs:!srcs ~deps:(Array.sub c.deps 0 c.ndeps)
-    ?mem:(if c.mem < 0 then None else Some c.mem)
+    ?mem:(if Opclass.is_memory opclass then Some c.ea else None)
     ?ctrl:
-      (if c.ctrl < 0 then None
-       else Some { Instr.target = c.ctrl lsr 1; taken = c.ctrl land 1 = 1 })
+      (if Opclass.is_control opclass then
+         Some { Instr.target = c.ea lsr 1; taken = c.ea land 1 = 1 }
+       else None)
     ()

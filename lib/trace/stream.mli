@@ -18,9 +18,9 @@ val create : ?seed:int -> Program.t -> t
     each task an explicit {!Fom_util.Rng.split_seeds}-derived stream
     that is independent of task execution order. *)
 
-(** The instruction the last {!step} produced, as plain ints. Fields
-    use the {!Packed} column encodings, so a column writer copies them
-    straight across. *)
+(** The instruction the last {!step} produced, as plain ints in the
+    {!Packed} encodings: a column writer copies [pc] and [ea] straight
+    across and folds [tag], [dst] and [srcs] into one [op] word. *)
 type cursor = private {
   mutable index : int;  (** dynamic index *)
   mutable pc : int;
@@ -32,8 +32,7 @@ type cursor = private {
           {!Fom_isa.Instr.t} field order: the most recently sampled
           one first *)
   srcs : int array;  (** the producers' destination registers, same order *)
-  mutable mem : int;  (** effective address, or [-1] *)
-  mutable ctrl : int;  (** [-1], or [(target lsl 1) lor taken] *)
+  mutable ea : int;  (** the {!Packed} [ea] column's value *)
 }
 
 val step : t -> cursor

@@ -72,10 +72,9 @@ type t = {
   config : Config.t;
   (* the packed trace's columns, by dynamic index (see {!Packed}) *)
   len : int;
-  tag : int array;
+  op : int array;  (* class tag in bits 0-2 *)
   pc : int array;
-  mem : int array;
-  ctrl : int array;
+  ea : int array;  (* address of a load or store, [(target lsl 1) lor taken] of a branch *)
   dep_off : int array;
   dep_val : int array;
   (* per-slot machine state *)
@@ -150,10 +149,9 @@ let create config packed =
   {
     config;
     len = packed.Packed.len;
-    tag = packed.Packed.tag;
+    op = packed.Packed.op;
     pc = packed.Packed.pc;
-    mem = packed.Packed.mem;
-    ctrl = packed.Packed.ctrl;
+    ea = packed.Packed.ea;
     dep_off = packed.Packed.dep_off;
     dep_val = packed.Packed.dep_val;
     slot_mask = ring - 1;
@@ -289,10 +287,10 @@ let translate t addr ~count =
       end
 
 let issue_latency t idx =
-  let op = t.tag.(idx) in
+  let op = t.op.(idx) land 7 in
   let lat = t.latency.(op) in
   if op = load_tag then begin
-    let addr = t.mem.(idx) in
+    let addr = t.ea.(idx) in
     let walk = translate t addr ~count:true in
     let outcome = Hierarchy.access_data t.hierarchy addr in
     let cache_lat = Hierarchy.data_latency t.hierarchy outcome in
@@ -314,7 +312,7 @@ let issue_latency t idx =
     (* Stores update the TLB and cache for residency but never block:
        a write buffer absorbs them (the paper models data-cache
        penalties through loads only). *)
-    let addr = t.mem.(idx) in
+    let addr = t.ea.(idx) in
     ignore (translate t addr ~count:false);
     ignore (Hierarchy.access_data t.hierarchy addr);
     lat
@@ -325,7 +323,7 @@ let issue_latency t idx =
    [issued_before] is how many issued earlier this cycle. *)
 let issue_instr t idx ~issued_before =
   let s = idx land t.slot_mask in
-  let op = t.tag.(idx) and c = t.cluster.(s) in
+  let op = t.op.(idx) land 7 and c = t.cluster.(s) in
   if not t.fu_unbounded then t.fu_busy.(op) <- t.fu_busy.(op) + 1;
   t.cluster_issued.(c) <- t.cluster_issued.(c) + 1;
   t.cluster_counts.(c) <- t.cluster_counts.(c) - 1;
@@ -471,7 +469,7 @@ let issue t =
       end
       else if
         (unbounded || t.cluster_issued.(t.cluster.(s)) < cluster_width)
-        && (t.fu_unbounded || t.fu_busy.(t.tag.(idx)) < t.fu_limit.(t.tag.(idx)))
+        && (t.fu_unbounded || t.fu_busy.(t.op.(idx) land 7) < t.fu_limit.(t.op.(idx) land 7))
       then begin
         clear_ready t s;
         issue_instr t idx ~issued_before:!issued;
@@ -582,8 +580,8 @@ let fetch t =
         t.last_fetched <- idx;
         (match t.record with Some r -> r.fetch.(idx) <- t.cycle | None -> ());
         incr fetched;
-        if t.tag.(idx) = branch_tag then begin
-          let taken = t.ctrl.(idx) >= 0 && t.ctrl.(idx) land 1 = 1 in
+        if t.op.(idx) land 7 = branch_tag then begin
+          let taken = t.ea.(idx) land 1 = 1 in
           let correct = Predictor.observe t.predictor ~pc ~taken in
           if not correct then begin
             t.mispredictions <- t.mispredictions + 1;

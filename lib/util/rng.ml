@@ -24,16 +24,11 @@ let[@inline] next t =
 
 let bits64 t = next t
 let split t = of_state (next t)
-let copy = Bytes.copy
 
 (* Top 62 bits as a non-negative OCaml int. *)
 let[@inline] bits62 t = Int64.to_int (Int64.shift_right_logical (next t) 2)
 
 let ensure ~path cond message = Fom_check.Checker.ensure ~code:"FOM-U001" ~path cond message
-
-let split_n t n =
-  ensure ~path:"rng.split_n" (n >= 0) "stream count must be non-negative";
-  Array.init n (fun _ -> split t)
 
 let split_seeds t n =
   ensure ~path:"rng.split_seeds" (n >= 0) "seed count must be non-negative";
@@ -50,13 +45,19 @@ let[@inline] float t x =
 let bool t = Int64.logand (next t) 1L <> 0L
 let bernoulli t p = float t 1.0 < p
 
-let geometric t p =
-  ensure ~path:"rng.geometric" (p > 0.0 && p <= 1.0) "success probability must be within (0, 1]";
-  if p >= 1.0 then 0
+(* The one geometric body; [p = 1] makes [log_q] infinite, and that
+   draw is 0 without consuming the generator. It stays in this module,
+   where [float] inlines: a caller elsewhere gets the uniform boxed. *)
+let[@inline] geometric_log t log_q =
+  if log_q = Float.neg_infinity then 0
   else
     let u = float t 1.0 in
     let u = if u <= 0.0 then 1e-18 else u in
-    int_of_float (Float.log u /. Float.log (1.0 -. p))
+    int_of_float (Float.log u /. log_q)
+
+let geometric t p =
+  ensure ~path:"rng.geometric" (p > 0.0 && p <= 1.0) "success probability must be within (0, 1]";
+  geometric_log t (Float.log (1.0 -. p))
 
 (* Loops keep the sum and the running prefix unboxed, where
    [Array.fold_left ( +. )] would box every partial sum. Both sums run

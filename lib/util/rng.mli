@@ -17,21 +17,15 @@ val split : t -> t
     Used to give each static instruction / address generator its own
     stream so that adding instructions does not perturb unrelated draws. *)
 
-val copy : t -> t
-(** [copy t] duplicates the current state without advancing it. *)
-
-val split_n : t -> int -> t array
-(** [split_n t n] derives [n] independent generators from [t] in one
-    step, advancing [t] by [n] draws. The split is performed *before*
-    any parallel work begins, so handing stream [i] to task [i] gives
-    every task the same draws no matter which domain runs it or in
-    what order — the seed-discipline that keeps {!Fom_exec.Pool} runs
-    bit-identical to sequential ones. Requires [n >= 0]. *)
-
 val split_seeds : t -> int -> int array
-(** [split_seeds t n] is {!split_n} flattened to plain non-negative
-    integer seeds, for APIs that take a seed rather than a generator
-    (workload configs, [Fom_trace.Source.of_program ~seed]). *)
+(** [split_seeds t n] derives [n] independent non-negative integer
+    seeds from [t] in one step, advancing [t] by [n] draws, for APIs
+    that take a seed rather than a generator (workload configs,
+    [Fom_trace.Source.of_program ~seed]). The split is performed
+    *before* any parallel work begins, so handing seed [i] to task [i]
+    gives every task the same draws no matter which domain runs it or
+    in what order — the seed-discipline that keeps {!Fom_exec.Pool}
+    runs bit-identical to sequential ones. Requires [n >= 0]. *)
 
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
@@ -52,6 +46,10 @@ val geometric : t -> float -> int
 (** [geometric t p] draws the number of failures before the first success
     of a Bernoulli([p]) process; support starts at 0. Requires
     [0 < p <= 1]. *)
+
+val geometric_log : t -> float -> int
+(** [geometric_log t (Float.log (1. -. p))] is [geometric t p], with
+    the constant log taken once by the caller instead of per draw. *)
 
 val categorical : t -> float array -> int
 (** [categorical t weights] draws an index with probability proportional

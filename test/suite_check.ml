@@ -250,7 +250,13 @@ let test_of_instrs_codes () =
           Fom_isa.Instr.make ~index:0 ~pc:0x1000 ~opclass:Fom_isa.Opclass.Jump
             ~ctrl:{ Fom_isa.Instr.target = -4; taken = true }
             ();
-        |])
+        |]);
+  (* A record built without Instr.make: an address on an ALU op. *)
+  expect_invalid "T110 address on a non-memory op" "FOM-T110" (fun () ->
+      Fom_trace.Source.of_instrs [| { i0 with Fom_isa.Instr.index = 0; mem = Some 8 } |]);
+  expect_invalid "T110 branch without direction" "FOM-T110" (fun () ->
+      Fom_trace.Source.of_instrs
+        [| { i0 with Fom_isa.Instr.index = 0; opclass = Fom_isa.Opclass.Branch } |])
 
 (* --- instruction structure (FOM-T12x, FOM-U) ------------------------- *)
 
@@ -268,8 +274,6 @@ let test_util_codes () =
       Fom_util.Rng.int (Fom_util.Rng.create 1) 0);
   expect_invalid "U001 distribution" "FOM-U001" (fun () ->
       Fom_util.Distribution.add (Fom_util.Distribution.create ()) (-1));
-  expect_invalid "U002 int_buffer" "FOM-U002" (fun () ->
-      Fom_util.Int_buffer.create ~capacity:0 ());
   expect_invalid "U004 json" "FOM-U004" (fun () ->
       Fom_util.Json.of_string "{\"unterminated\": [1, 2")
 

@@ -130,15 +130,6 @@ let test_split_seeds_deterministic () =
   Alcotest.(check int) "seeds distinct" 8 (List.length distinct);
   Array.iter (fun s -> Alcotest.(check bool) "non-negative" true (s >= 0)) a
 
-let test_split_n_matches_split () =
-  let a = Rng.create 7 and b = Rng.create 7 in
-  let streams = Rng.split_n a 3 in
-  let manual = Array.init 3 (fun _ -> Rng.split b) in
-  Array.iteri
-    (fun i s ->
-      Alcotest.(check int64) "same stream" (Rng.bits64 manual.(i)) (Rng.bits64 s))
-    streams
-
 let test_source_seed_override () =
   (* The per-task seed split through lib/trace: an explicit seed
      reproduces exactly, and differs from the config's default
@@ -499,7 +490,6 @@ let suite =
       Alcotest.test_case "resolve_jobs" `Quick test_resolve_jobs;
       Alcotest.test_case "resolve_jobs FOM_JOBS validation" `Quick test_resolve_jobs_env;
       Alcotest.test_case "split_seeds deterministic" `Quick test_split_seeds_deterministic;
-      Alcotest.test_case "split_n matches split" `Quick test_split_n_matches_split;
       Alcotest.test_case "source seed override" `Quick test_source_seed_override;
       QCheck_alcotest.to_alcotest prop_map_agrees_with_list_map;
     ] )

@@ -131,9 +131,10 @@ let test_fetch_buffer_hides_imiss () =
 
 let test_fetch_buffer_model_reduces_penalty () =
   let square4 = Iw.make ~alpha:1.0 ~beta:0.5 ~issue_width:4.0 () in
-  let plain = Penalties.icache_miss square4 Params.baseline ~delay:8 in
+  let transients = Penalties.transients square4 Params.baseline in
+  let plain = Penalties.icache_miss transients Params.baseline ~delay:8 in
   let buffered =
-    Penalties.icache_miss square4 { Params.baseline with Params.fetch_buffer = 16 } ~delay:8
+    Penalties.icache_miss transients { Params.baseline with Params.fetch_buffer = 16 } ~delay:8
   in
   Alcotest.(check (float 1e-9)) "covers buffer/width cycles" (plain -. 4.0) buffered
 

@@ -12,6 +12,13 @@ module Distribution = Fom_util.Distribution
 
 let square4 = Iw.make ~alpha:1.0 ~beta:0.5 ~issue_width:4.0 ()
 
+(* Penalties on [square4] at [params]' window size. *)
+let branch_penalty params ~burst =
+  Penalties.branch_misprediction (Penalties.transients square4 params) params ~burst
+
+let icache_penalty params ~delay =
+  Penalties.icache_miss (Penalties.transients square4 params) params ~delay
+
 let inputs_stub ?(mispred = 0.005) ?(l1i = 0.001) ?(l2i = 0.0002) ?(long = 0.002)
     ?(groups = Distribution.of_list [ (1, 10) ]) ?(alpha = 1.2) ?(beta = 0.6)
     ?(latency = 1.3) () =
@@ -104,13 +111,13 @@ let test_interval_short_is_slow () =
 let test_branch_penalty_exceeds_depth () =
   (* Paper observation 1: the misprediction penalty exceeds the
      front-end depth. *)
-  let penalty = Penalties.branch_misprediction square4 Params.baseline ~burst:1.0 in
+  let penalty = branch_penalty Params.baseline ~burst:1.0 in
   Alcotest.(check bool) "exceeds depth" true (penalty > 5.0);
   Alcotest.(check bool) "within 2x depth + slack" true (penalty < 12.0)
 
 let test_branch_penalty_burst_reduces () =
-  let isolated = Penalties.branch_misprediction square4 Params.baseline ~burst:1.0 in
-  let bursty = Penalties.branch_misprediction square4 Params.baseline ~burst:4.0 in
+  let isolated = branch_penalty Params.baseline ~burst:1.0 in
+  let bursty = branch_penalty Params.baseline ~burst:4.0 in
   Alcotest.(check bool) "bursts cheaper" true (bursty < isolated);
   Alcotest.(check bool) "floor is the depth" true (bursty > 5.0)
 
@@ -124,10 +131,10 @@ let test_paper_constant_near_7_5 () =
 let test_icache_penalty_near_delay () =
   (* Paper observation 2: drain and ramp-up offset, penalty about the
      miss delay and independent of the front-end depth. *)
-  let p5 = Penalties.icache_miss square4 Params.baseline ~delay:8 in
+  let p5 = icache_penalty Params.baseline ~delay:8 in
   Alcotest.(check bool) "near delay" true (Float.abs (p5 -. 8.0) < 2.5);
   let deep = { Params.baseline with Params.pipeline_depth = 9 } in
-  let p9 = Penalties.icache_miss square4 deep ~delay:8 in
+  let p9 = icache_penalty deep ~delay:8 in
   Alcotest.(check (float 1e-9)) "independent of depth" p5 p9
 
 let test_dcache_penalty_group_scaling () =
@@ -183,6 +190,41 @@ let test_cpi_modes_differ () =
   let paper = Cpi.evaluate ~dcache_mode:Cpi.Paper_delay Params.baseline inputs in
   Alcotest.(check bool) "correction lowers dcache" true (corrected.Cpi.dcache <= paper.Cpi.dcache)
 
+(* Minor words per call; exact on one domain in native code. *)
+let words_per_call f =
+  let calls = 100 in
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  (Gc.minor_words () -. before) /. float_of_int calls
+
+(* Transient runs of [short_steps] and [long_steps] steps allocate
+   the same words: nothing per step. *)
+let check_step_free label (short_steps, short) (long_steps, long) =
+  let steps f = int_of_float (f ()).Transient.cycles in
+  Alcotest.(check (pair int int)) (label ^ " steps") (short_steps, long_steps)
+    (steps short, steps long);
+  Alcotest.(check (float 0.0)) (label ^ ": words independent of steps")
+    (words_per_call short) (words_per_call long)
+
+let test_evaluate_allocation () =
+  (* The transients step on unboxed locals, and evaluate takes them
+     once for the branch and both I-cache penalties. *)
+  let iw width = Iw.make ~alpha:1.0 ~beta:0.5 ~issue_width:width () in
+  check_step_free "drain"
+    (13, fun () -> Transient.drain (iw 1000.0) ~window:64)
+    (124, fun () -> Transient.drain (iw 1000.0) ~window:4096);
+  check_step_free "ramp-up"
+    (22, fun () -> Transient.ramp_up (iw 8.0) ~window:64)
+    (179, fun () -> Transient.ramp_up (iw 64.0) ~window:4096);
+  let inputs = inputs_stub () in
+  let words = words_per_call (fun () -> Cpi.evaluate Params.baseline inputs) in
+  (* 789 today, nearly all of it input validation; taking the two
+     transients once per penalty again would add 62. *)
+  Alcotest.(check bool) (Printf.sprintf "evaluate: %.0f words per call <= 800" words) true
+    (words <= 800.0)
+
 let test_trends_depth_erodes_width_advantage () =
   let rows = Trends.ipc_vs_depth ~widths:[ 2; 8 ] ~depths:[ 1; 80 ] () in
   let ipc w d = List.assoc d (List.assoc w rows) in
@@ -235,8 +277,8 @@ let prop_branch_penalty_decreasing_in_burst =
   QCheck.Test.make ~name:"branch penalty decreases with burst size" ~count:50
     QCheck.(float_range 1.0 16.0)
     (fun burst ->
-      let a = Penalties.branch_misprediction square4 Params.baseline ~burst in
-      let b = Penalties.branch_misprediction square4 Params.baseline ~burst:(burst +. 1.0) in
+      let a = branch_penalty Params.baseline ~burst in
+      let b = branch_penalty Params.baseline ~burst:(burst +. 1.0) in
       b <= a +. 1e-9)
 
 let prop_icache_penalty_decreases_with_buffer =
@@ -244,8 +286,8 @@ let prop_icache_penalty_decreases_with_buffer =
     QCheck.(int_range 0 64)
     (fun buffer ->
       let params = { Params.baseline with Params.fetch_buffer = buffer } in
-      let with_buffer = Penalties.icache_miss square4 params ~delay:8 in
-      let without = Penalties.icache_miss square4 Params.baseline ~delay:8 in
+      let with_buffer = icache_penalty params ~delay:8 in
+      let without = icache_penalty Params.baseline ~delay:8 in
       with_buffer <= without +. 1e-9 && with_buffer >= 0.0)
 
 let prop_dcache_penalty_monotone =
@@ -327,6 +369,7 @@ let suite =
       Alcotest.test_case "cpi monotone in rates" `Quick test_cpi_monotone_in_rates;
       Alcotest.test_case "cpi zero events" `Quick test_cpi_zero_events_is_steady;
       Alcotest.test_case "cpi dcache modes" `Quick test_cpi_modes_differ;
+      Alcotest.test_case "evaluate words per call" `Quick test_evaluate_allocation;
       Alcotest.test_case "depth erodes width advantage" `Quick
         test_trends_depth_erodes_width_advantage;
       Alcotest.test_case "optimal depth matches paper" `Quick

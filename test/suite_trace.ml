@@ -45,12 +45,6 @@ let test_random_in_region () =
     Alcotest.(check int) "aligned" 0 (a land 7)
   done
 
-let test_chase_flag () =
-  let g = Address_gen.create Address_gen.Chase region in
-  Alcotest.(check bool) "chase" true (Address_gen.is_chase g);
-  let g = Address_gen.create Address_gen.Random region in
-  Alcotest.(check bool) "not chase" false (Address_gen.is_chase g)
-
 let test_loop_behavior () =
   let b = Branch_behavior.create (Branch_behavior.Loop 4) in
   let outcomes = List.init 8 (fun _ -> Branch_behavior.next b) in
@@ -261,7 +255,6 @@ let suite =
       Alcotest.test_case "stride walks region" `Quick test_stride_walks_region;
       Alcotest.test_case "stride wraps" `Quick test_stride_wraps;
       Alcotest.test_case "random in region" `Quick test_random_in_region;
-      Alcotest.test_case "chase flag" `Quick test_chase_flag;
       Alcotest.test_case "loop behaviour" `Quick test_loop_behavior;
       Alcotest.test_case "pattern behaviour" `Quick test_pattern_behavior;
       Alcotest.test_case "biased rate" `Quick test_biased_behavior_rate;

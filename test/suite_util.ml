@@ -27,12 +27,6 @@ let test_rng_split_independent () =
   let y = Rng.bits64 parent in
   Alcotest.(check bool) "split streams differ" true (x <> y)
 
-let test_rng_copy () =
-  let a = Rng.create 9 in
-  ignore (Rng.bits64 a);
-  let b = Rng.copy a in
-  Alcotest.(check int64) "copy resumes identically" (Rng.bits64 a) (Rng.bits64 b)
-
 let test_rng_golden () =
   (* SplitMix64 reference outputs: every trace and workload in the
      repository descends from these streams. *)
@@ -279,7 +273,6 @@ let suite =
       Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
       Alcotest.test_case "rng seed sensitivity" `Quick test_rng_seed_sensitivity;
       Alcotest.test_case "rng split independent" `Quick test_rng_split_independent;
-      Alcotest.test_case "rng copy" `Quick test_rng_copy;
       Alcotest.test_case "rng golden outputs" `Quick test_rng_golden;
       Alcotest.test_case "rng int range" `Quick test_rng_int_range;
       Alcotest.test_case "rng float range" `Quick test_rng_float_range;
