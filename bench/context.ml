@@ -7,9 +7,9 @@
    demander of a key computes, concurrent demanders wait for that one
    result (helping drain the pool while they do) — each sim and each
    characterization runs exactly once per process regardless of
-   --jobs. With --cache-dir, results additionally persist across
-   processes through Fom_exec.Cache, keyed by a content digest of the
-   workload + machine configuration and instruction counts. *)
+   --jobs. Nothing persists across processes: a full rerun takes
+   seconds, and recomputing is the only way to be sure a result
+   matches the code that printed it. *)
 
 module Config = Fom_uarch.Config
 module Stats = Fom_uarch.Stats
@@ -18,7 +18,6 @@ module Predictor = Fom_branch.Predictor
 module Params = Fom_model.Params
 module Pool = Fom_exec.Pool
 module Memo = Fom_exec.Memo
-module Cache = Fom_exec.Cache
 
 type t = {
   n_sim : int;  (** instructions per detailed simulation *)
@@ -26,15 +25,14 @@ type t = {
   n_iw : int;  (** instructions per IW-curve point *)
   csv_dir : string option;  (** where to mirror tables as CSV files *)
   pool : Pool.t;  (** worker domains shared by every exhibit *)
-  disk : Cache.t option;  (** optional cross-process result cache *)
-  programs : (string * (Fom_trace.Config.t * Fom_trace.Program.t)) list;
+  programs : (string * Fom_trace.Program.t) list;
   packs : (string, Fom_trace.Packed.t) Memo.t;
   sims : (string, Stats.t) Memo.t;
   inputs :
     (string, Fom_analysis.Iw_curve.t * Fom_analysis.Profile.t * Fom_model.Inputs.t) Memo.t;
 }
 
-let create ?csv_dir ?cache_dir ?jobs ~scale () =
+let create ?csv_dir ?jobs ~scale () =
   Fom_check.Checker.ensure ~code:"FOM-I030" ~path:"bench.scale" (scale > 0.0)
     "scale factor must be positive";
   (match csv_dir with
@@ -48,11 +46,9 @@ let create ?csv_dir ?cache_dir ?jobs ~scale () =
     n_iw = s 30_000;
     csv_dir;
     pool;
-    disk = Option.map (fun dir -> Cache.create ~dir) cache_dir;
     programs =
       List.map
-        (fun config ->
-          (config.Fom_trace.Config.name, (config, Fom_trace.Program.generate config)))
+        (fun config -> (config.Fom_trace.Config.name, Fom_trace.Program.generate config))
         Fom_workloads.Spec2000.all;
     packs = Memo.create ~pool ();
     sims = Memo.create ~pool ();
@@ -64,21 +60,7 @@ let pool t = t.pool
 let jobs t = Pool.jobs t.pool
 
 let names t = List.map fst t.programs
-let program t name = snd (List.assoc name t.programs)
-let workload_config t name = fst (List.assoc name t.programs)
-
-let disk_stats t = Option.map Cache.stats t.disk
-
-let disk_diagnostics t =
-  match t.disk with Some cache -> Cache.drain_diagnostics cache | None -> []
-
-(* Persist through the on-disk cache when one is configured. [parts]
-   must capture everything the result depends on (the kind tag keeps
-   result types apart). *)
-let on_disk t ~kind ~parts compute =
-  match t.disk with
-  | None -> compute ()
-  | Some cache -> Cache.get cache ~key:(Cache.digest (kind :: parts)) compute
+let program t name = List.assoc name t.programs
 
 (* Machine variants used across exhibits. *)
 let ideal = Config.ideal Config.baseline
@@ -92,9 +74,7 @@ let fig14_machine = Config.with_cache Hierarchy.fig14 ideal
    and the characterization passes. The margin past the longest pass
    covers the machine's fetch-ahead (the in-flight span of every
    machine variant the exhibits build, a few hundred instructions) and
-   the IW sweep's window overhang. Packing is cheap relative to what
-   replays it, so it is memoized in-process but never written to
-   disk. *)
+   the IW sweep's window overhang. *)
 let packed_margin = 8192
 
 let packed t name =
@@ -107,20 +87,12 @@ let packed t name =
 let sim t ~variant ~config name =
   let key = Printf.sprintf "%s/%s/%d" variant name t.n_sim in
   Memo.get t.sims key (fun () ->
-      on_disk t ~kind:"sim"
-        ~parts:
-          [
-            Cache.part (workload_config t name);
-            Cache.part config;
-            string_of_int t.n_sim;
-          ]
-        (fun () -> Fom_uarch.Simulate.run_packed config (packed t name) ~n:t.n_sim))
+      Fom_uarch.Simulate.run_packed config (packed t name) ~n:t.n_sim)
 
 (* Characterize [name] under an optional non-baseline cache hierarchy
    and model parameters (Figure 14 profiles against its own 128K-L1D /
-   200-cycle machine). [tag] keys the in-process memo; the on-disk
-   digest is content-based, so two tags describing identical
-   configurations share a disk entry. *)
+   200-cycle machine). [tag] keys the memo, so two tags describing
+   identical configurations each compute their own result. *)
 let characterization_for ?(grouping = Fom_analysis.Profile.Dependence_aware) ?cache ~tag
     ~params t name =
   let key =
@@ -130,21 +102,11 @@ let characterization_for ?(grouping = Fom_analysis.Profile.Dependence_aware) ?ca
       | Fom_analysis.Profile.Paper_naive -> "naive")
   in
   Memo.get t.inputs key (fun () ->
-      on_disk t ~kind:"characterization"
-        ~parts:
-          [
-            Cache.part (workload_config t name);
-            Cache.part (grouping, cache, params);
-            string_of_int t.n_profile;
-            string_of_int t.n_iw;
-          ]
-        (fun () ->
-          (* The pool is passed down so the IW-curve points parallelize
-             across windows as well as benchmarks; nested maps are safe
-             because a waiting caller drives the pool itself. *)
-          Fom_analysis.Characterize.curve_and_inputs_of_packed ~pool:t.pool
-            ~iw_instructions:t.n_iw ?cache ~grouping ~params (packed t name)
-            ~n:t.n_profile))
+      (* The pool is passed down so the IW-curve points parallelize
+         across windows as well as benchmarks; nested maps are safe
+         because a waiting caller drives the pool itself. *)
+      Fom_analysis.Characterize.curve_and_inputs_of_packed ~pool:t.pool
+        ~iw_instructions:t.n_iw ?cache ~grouping ~params (packed t name) ~n:t.n_profile)
 
 let characterization ?grouping t name =
   characterization_for ?grouping ~tag:"base" ~params:Params.baseline t name

@@ -5,18 +5,15 @@
    Usage: dune exec bench/main.exe -- [--quick] [--scale X]
           [--only table1,fig15,...] [--list]
           [--jobs N] [--json PATH] [--git-rev REV] [--csv DIR]
-          [--cache-dir DIR]
 
    Exhibits run on a shared Fom_exec.Pool domain pool (--jobs, default
    FOM_JOBS or the machine's core count); --jobs 1 reproduces the
-   parallel harness byte-for-byte. --cache-dir persists sims and
-   characterizations across runs (content-digest keys; see
-   Fom_exec.Cache), so a rerun that changed nothing recomputes
-   nothing. --json records the machine-readable timing baseline
-   (schema fom-bench/1, see README); when the pool has more than one
-   worker the harness re-times each exhibit back-to-back on a
-   single-worker context — quietly, with its own in-process memos and
-   *without* the disk cache — so the file carries measured speedups,
+   parallel harness byte-for-byte. Every run recomputes every result
+   (a full run takes seconds). --json records the machine-readable
+   timing baseline (schema fom-bench/1, see README); when the pool has
+   more than one worker the harness re-times each exhibit back-to-back
+   on a single-worker context — quietly, with its own in-process
+   memos — so the file carries measured speedups,
    not estimates, and flags any exhibit that parallelism made slower
    (speedup < 1 above the noise floor) instead of silently recording a
    regression. *)
@@ -56,7 +53,6 @@ type options = {
   mutable only : string list option;
   mutable list_only : bool;
   mutable csv_dir : string option;
-  mutable cache_dir : string option;
   mutable jobs : int option;
   mutable json : string option;
   mutable baseline : string option;
@@ -72,7 +68,6 @@ let parse_args () =
       only = None;
       list_only = false;
       csv_dir = None;
-      cache_dir = None;
       jobs = None;
       json = None;
       baseline = None;
@@ -93,11 +88,6 @@ let parse_args () =
       ( "--csv",
         Arg.String (fun dir -> options.csv_dir <- Some dir),
         "DIR also write each exhibit's tables as CSV files" );
-      ( "--cache-dir",
-        Arg.String (fun dir -> options.cache_dir <- Some dir),
-        "DIR persist sims and characterizations across runs, keyed by a content digest \
-         of the workload + machine configuration, instruction counts and code version \
-         (corrupt or stale entries are recomputed with a FOM-E warning)" );
       ( "--jobs",
         Arg.Int (fun j -> options.jobs <- Some j),
         "N worker domains (default: FOM_JOBS or the core count); 1 = sequential" );
@@ -142,9 +132,8 @@ let quietly f =
     f
 
 (* Run the selected exhibits against a fresh context, returning
-   (name, wall seconds) per exhibit, the matching single-worker
-   timings when [paired] is set, and the disk-cache hit/miss stats
-   when --cache-dir was active.
+   (name, wall seconds) per exhibit and the matching single-worker
+   timings when [paired] is set.
 
    [paired] is the --json path on a parallel run: each exhibit is
    timed in [paired_rounds] alternating (parallel, single-worker)
@@ -162,16 +151,14 @@ let quietly f =
    from landing on one side only).
 
    Every replica keeps its own in-process memos (sharing across
-   exhibits accumulates exactly as in a real run), only the primary
-   context writes CSVs, and no replica sees the disk cache: the
-   replica timings must stay true compute costs, or every speedup
-   derived from them would be fiction. *)
+   exhibits accumulates exactly as in a real run), and only the
+   primary context writes CSVs. *)
 let paired_rounds = 3
 
-let run_pass ~jobs ?cache_dir ~paired ~csv_dir ~scale selected =
-  let ctx = Context.create ?csv_dir ?cache_dir ~jobs ~scale () in
+let run_pass ~jobs ~paired ~csv_dir ~scale selected =
+  let ctx = Context.create ?csv_dir ~jobs ~scale () in
   (* Round 0's parallel segment is the primary context itself (None);
-     every other slot is a fresh, quiet, cache-free replica. *)
+     every other slot is a fresh, quiet replica. *)
   let rounds =
     if paired then
       List.init paired_rounds (fun i ->
@@ -226,15 +213,7 @@ let run_pass ~jobs ?cache_dir ~paired ~csv_dir ~scale selected =
                   (name, best seq_times) :: sequential ))
           ([], []) selected
       in
-      List.iter
-        (fun d -> prerr_endline (Fom_check.Diagnostic.to_string d))
-        (Context.disk_diagnostics ctx);
-      (match Context.disk_stats ctx with
-      | Some (hits, misses) ->
-          Printf.printf "[cache] %d hits, %d misses in %s\n%!" hits misses
-            (Option.value cache_dir ~default:"")
-      | None -> ());
-      (List.rev timed, List.rev sequential, Context.disk_stats ctx))
+      (List.rev timed, List.rev sequential))
 
 (* The CI regression gate: every measured exhibit that also appears in
    the committed baseline must stay within 2x of the baseline's
@@ -283,7 +262,7 @@ let baseline_regressions ~scale ~timed doc =
       | Some _ | None -> None)
     timed
 
-let json_report ~options ~jobs ~timed ~sequential ~cache_stats ~total_seconds =
+let json_report ~options ~jobs ~timed ~sequential ~total_seconds =
   let module J = Fom_util.Json in
   let exhibit (name, seconds) =
     let base =
@@ -305,15 +284,6 @@ let json_report ~options ~jobs ~timed ~sequential ~cache_stats ~total_seconds =
     in
     J.Obj (base @ speedup)
   in
-  let cache =
-    match cache_stats with
-    | Some (hits, misses) ->
-        (* A warm disk cache means the timed pass measured lookups,
-           not kernels; consumers comparing wall times should check
-           this field. *)
-        [ ("cache_hits", J.Int hits); ("cache_misses", J.Int misses) ]
-    | None -> []
-  in
   (* Optional "metrics" block (schema documented in README): present
      only when an observability sink was enabled for the run. *)
   let metrics =
@@ -326,12 +296,9 @@ let json_report ~options ~jobs ~timed ~sequential ~cache_stats ~total_seconds =
        ("scale", J.Float options.scale);
        ("jobs", J.Int jobs);
        ("recommended_domains", J.Int (Domain.recommended_domain_count ()));
+       ("exhibits", J.List (List.map exhibit timed));
+       ("total_seconds", J.Float total_seconds);
      ]
-    @ cache
-    @ [
-        ("exhibits", J.List (List.map exhibit timed));
-        ("total_seconds", J.Float total_seconds);
-      ]
     @ metrics)
 
 (* The honest-speedup report: every exhibit whose sequential time is
@@ -340,8 +307,7 @@ let json_report ~options ~jobs ~timed ~sequential ~cache_stats ~total_seconds =
    someone might read. Two noise guards: the absolute floor (below it
    the ratio measures the timer), and a 5% jitter band (back-to-back
    timings of identical work routinely differ by a few percent even on
-   an idle machine). Suppressed when the timed pass ran against a warm
-   disk cache (the ratio then measures lookups, not the scheduler). *)
+   an idle machine). *)
 let jitter_band = 0.95
 
 let parallel_regressions ~scale ~timed ~sequential =
@@ -385,30 +351,23 @@ let run options =
       "First-order superscalar model reproduction harness (scale %.2f, %d exhibits, %d jobs)\n"
       options.scale (List.length selected) jobs;
     let started = Unix.gettimeofday () in
-    let timed, sequential, cache_stats =
-      run_pass ~jobs ?cache_dir:options.cache_dir
-        ~paired:(options.json <> None && jobs > 1)
-        ~csv_dir:options.csv_dir ~scale:options.scale selected
+    let timed, sequential =
+      run_pass ~jobs ~paired:(options.json <> None && jobs > 1) ~csv_dir:options.csv_dir
+        ~scale:options.scale selected
     in
     let total = Unix.gettimeofday () -. started in
     (match options.json with
     | None -> ()
     | Some path ->
-        let cache_warm = match cache_stats with Some (hits, _) -> hits > 0 | None -> false in
-        if cache_warm then
-          Printf.eprintf
-            "note: timed pass hit the disk cache; speedup_vs_jobs1 measures lookups, not \
-             the scheduler\n"
-        else
-          List.iter
-            (fun (name, seq, par) ->
-              Printf.eprintf
-                "WARNING: exhibit %s is slower in parallel (%.2fs at %d jobs vs %.2fs \
-                 sequential, speedup %.2fx)\n"
-                name par jobs seq (seq /. par))
-            (parallel_regressions ~scale:options.scale ~timed ~sequential);
+        List.iter
+          (fun (name, seq, par) ->
+            Printf.eprintf
+              "WARNING: exhibit %s is slower in parallel (%.2fs at %d jobs vs %.2fs \
+               sequential, speedup %.2fx)\n"
+              name par jobs seq (seq /. par))
+          (parallel_regressions ~scale:options.scale ~timed ~sequential);
         Fom_util.Json.write_file ~path
-          (json_report ~options ~jobs ~timed ~sequential ~cache_stats ~total_seconds:total);
+          (json_report ~options ~jobs ~timed ~sequential ~total_seconds:total);
         Printf.printf "wrote timing baseline to %s\n" path);
     Printf.printf "\nTotal harness time: %.1fs\n" total;
     (* Observability output comes after every exhibit line so the

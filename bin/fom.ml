@@ -87,7 +87,7 @@ let metrics_flag =
     value & flag
     & info [ "metrics" ]
         ~doc:
-          "Print an observability metrics table (pool, memo, cache and simulator counters) \
+          "Print an observability metrics table (pool, memo, simulator and IW counters) \
            after the report; the report itself is unchanged.")
 
 let trace_out_arg =
@@ -350,18 +350,7 @@ let check_cmd =
              core count). The sweep is deterministic: $(b,--jobs 1) reports exactly what a \
              parallel run reports.")
   in
-  let cache_dir_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "cache-dir" ] ~docv:"DIR"
-          ~doc:
-            "Persist the deep sweep's characterizations across runs in $(docv), keyed by a \
-             content digest of the effective workload configuration (derived seed \
-             included), the model parameters and $(b,-n). Corrupt or stale entries are \
-             recomputed and surface in the report as FOM-E006/FOM-E007 warnings.")
-  in
-  let run width depth window rob workload deep n jobs cache_dir seed metrics trace_out =
+  let run width depth window rob workload deep n jobs seed metrics trace_out =
     let module C = Fom_check.Checker in
     let module D = Fom_check.Diagnostic in
     enable_observability metrics trace_out;
@@ -384,36 +373,11 @@ let check_cmd =
           Fom_util.Rng.split_seeds (Fom_util.Rng.create root) (List.length workloads))
         seed
     in
-    let cache =
-      if deep then Option.map (fun dir -> Fom_exec.Cache.create ~dir) cache_dir else None
-    in
     let deep_diags (index, config) =
       let prefix = "workload." ^ config.Fom_trace.Config.name in
-      (* The effective configuration (derived seed folded in) is what
-         the digest must describe, so recompute it here rather than
-         inside Program.generate. *)
-      let config =
-        match Option.map (fun a -> a.(index)) task_seeds with
-        | Some s -> Fom_workloads.Spec2000.with_seed s config
-        | None -> config
-      in
       match
-        let compute () =
-          Fom_analysis.Characterize.inputs ~params (Fom_trace.Program.generate config) ~n
-        in
-        match cache with
-        | None -> compute ()
-        | Some c ->
-            Fom_exec.Cache.get c
-              ~key:
-                (Fom_exec.Cache.digest
-                   [
-                     "check-inputs";
-                     Fom_exec.Cache.part config;
-                     Fom_exec.Cache.part params;
-                     string_of_int n;
-                   ])
-              compute
+        let program = program_of config (Option.map (fun a -> a.(index)) task_seeds) in
+        Fom_analysis.Characterize.inputs ~params program ~n
       with
       | inputs -> reroot prefix (Fom_model.Inputs.check inputs)
       | exception C.Invalid ds -> reroot prefix ds
@@ -430,32 +394,22 @@ let check_cmd =
               Fom_exec.Pool.map pool ~f:deep_diags
                 (List.mapi (fun index config -> (index, config)) workloads)) )
     in
-    let cache_diags =
-      match cache with Some c -> Fom_exec.Cache.drain_diagnostics c | None -> []
-    in
     let diags =
       C.all
         (Fom_model.Params.check params
         :: Fom_uarch.Config.check machine
         :: jobs_diags
-        :: cache_diags
         :: List.map Fom_trace.Config.check workloads
         @ deep_results)
     in
     Format.printf "%a@." C.pp_report diags;
-    (match cache with
-    | Some c ->
-        let hits, misses = Fom_exec.Cache.stats c in
-        Printf.printf "cache: %d hits, %d misses in %s\n" hits misses
-          (Option.value cache_dir ~default:"")
-    | None -> ());
     report_observability metrics trace_out;
     if C.has_errors diags then exit 1
   in
   let term =
     Term.(
       const run $ width_arg $ depth_arg $ window_arg $ rob_arg $ workload_opt $ deep_flag
-      $ instructions_arg 20_000 $ jobs_arg $ cache_dir_arg $ seed_arg $ metrics_flag
+      $ instructions_arg 20_000 $ jobs_arg $ seed_arg $ metrics_flag
       $ trace_out_arg)
   in
   Cmd.v

@@ -8,8 +8,6 @@ type spec =
 
 let default_spec = Gshare 13
 
-type stats = { branches : int; mispredictions : int }
-
 (* Two-bit saturating counters, one per byte, initialized weakly
    taken. *)
 let fresh_counters bits = Bytes.make (1 lsl bits) '\002'
@@ -34,9 +32,7 @@ type impl =
       mutable history : int;
     }
 
-(* Counters are mutable fields so that [observe] allocates nothing;
-   {!stats} builds the record when asked. *)
-type t = { spec : spec; impl : impl; mutable branches : int; mutable mispredictions : int }
+type t = { spec : spec; impl : impl }
 
 let diagnostics spec =
   let module C = Fom_check.Checker in
@@ -82,10 +78,12 @@ let create spec =
             history = 0;
           }
   in
-  { spec; impl; branches = 0; mispredictions = 0 }
+  { spec; impl }
 
 let spec t = t.spec
 
+(* The predicted direction. [taken] is the resolved direction, needed
+   only by [Ideal]; real predictors ignore it. No state change. *)
 let predict t ~pc ~taken =
   match t.impl with
   | I_ideal -> taken
@@ -128,15 +126,4 @@ let train t ~pc ~taken =
 let observe t ~pc ~taken =
   let correct = predict t ~pc ~taken = taken in
   train t ~pc ~taken;
-  t.branches <- t.branches + 1;
-  if not correct then t.mispredictions <- t.mispredictions + 1;
   correct
-
-let stats t : stats = { branches = t.branches; mispredictions = t.mispredictions }
-
-let misprediction_rate t =
-  if t.branches = 0 then 0.0 else float_of_int t.mispredictions /. float_of_int t.branches
-
-let reset_stats t =
-  t.branches <- 0;
-  t.mispredictions <- 0

@@ -34,18 +34,8 @@ type t
 val create : spec -> t
 val spec : t -> spec
 
-val predict : t -> pc:int -> taken:bool -> bool
-(** Predicted direction. [taken] is the resolved direction, needed
-    only by [Ideal]; real predictors ignore it. No state change. *)
-
 val observe : t -> pc:int -> taken:bool -> bool
-(** [predict], then update the tables and history with the resolved
-    direction; returns [true] when the prediction was correct. *)
-
-type stats = { branches : int; mispredictions : int }
-
-val stats : t -> stats
-val misprediction_rate : t -> float
-(** Mispredictions per conditional branch; 0 before any branch. *)
-
-val reset_stats : t -> unit
+(** Predict the direction of the branch at [pc], then update the
+    tables and history with the resolved direction [taken]; returns
+    [true] when the prediction was correct. The predictor keeps no
+    counts: callers tally the results. *)

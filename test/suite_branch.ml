@@ -4,11 +4,14 @@
 module Predictor = Fom_branch.Predictor
 module Rng = Fom_util.Rng
 
-let run_stream p outcomes =
+(* (correct, wrong) results of [observe] over [outcomes]. *)
+let tally p outcomes =
   List.fold_left
-    (fun wrong (pc, taken) ->
-      if Predictor.observe p ~pc ~taken then wrong else wrong + 1)
-    0 outcomes
+    (fun (right, wrong) (pc, taken) ->
+      if Predictor.observe p ~pc ~taken then (right + 1, wrong) else (right, wrong + 1))
+    (0, 0) outcomes
+
+let run_stream p outcomes = snd (tally p outcomes)
 
 let test_ideal_never_wrong () =
   let p = Predictor.create Predictor.Ideal in
@@ -19,8 +22,7 @@ let test_ideal_never_wrong () =
 let test_always_taken () =
   let p = Predictor.create Predictor.Always_taken in
   let outcomes = [ (0x10, true); (0x10, false); (0x10, true) ] in
-  Alcotest.(check int) "one wrong" 1 (run_stream p outcomes);
-  Alcotest.(check int) "3 branches" 3 (Predictor.stats p).Predictor.branches
+  Alcotest.(check (pair int int)) "two right, one wrong" (2, 1) (tally p outcomes)
 
 let test_bimodal_learns_bias () =
   let p = Predictor.create (Predictor.Bimodal 10) in
@@ -60,24 +62,6 @@ let test_gshare_loop_misses_once_per_trip () =
   let per_trip = float_of_int wrong /. (10000.0 /. float_of_int trip) in
   Alcotest.(check bool) "about one miss per trip" true (per_trip < 3.0)
 
-let test_misprediction_rate_accessor () =
-  let p = Predictor.create Predictor.Always_taken in
-  Alcotest.(check (float 1e-9)) "empty rate" 0.0 (Predictor.misprediction_rate p);
-  ignore (Predictor.observe p ~pc:0 ~taken:false);
-  Alcotest.(check (float 1e-9)) "one of one" 1.0 (Predictor.misprediction_rate p)
-
-let test_reset_stats () =
-  let p = Predictor.create (Predictor.Gshare 10) in
-  ignore (Predictor.observe p ~pc:0 ~taken:true);
-  Predictor.reset_stats p;
-  Alcotest.(check int) "reset" 0 (Predictor.stats p).Predictor.branches
-
-let test_predict_is_pure () =
-  let p = Predictor.create (Predictor.Gshare 10) in
-  let a = Predictor.predict p ~pc:0x40 ~taken:true in
-  let b = Predictor.predict p ~pc:0x40 ~taken:true in
-  Alcotest.(check bool) "no state change" true (a = b)
-
 let test_spec_accessor () =
   let p = Predictor.create Predictor.default_spec in
   Alcotest.(check bool) "default is gshare 13" true (Predictor.spec p = Predictor.Gshare 13)
@@ -86,9 +70,11 @@ let prop_observe_counts =
   QCheck.Test.make ~name:"stats count every observation" ~count:50
     QCheck.(list (pair (int_range 0 4096) bool))
     (fun outcomes ->
-      let p = Predictor.create (Predictor.Gshare 8) in
-      List.iter (fun (pc, taken) -> ignore (Predictor.observe p ~pc ~taken)) outcomes;
-      (Predictor.stats p).Predictor.branches = List.length outcomes)
+      (* Every observation yields one result, and a fresh predictor fed
+         the same stream yields the same tally. *)
+      let right, wrong = tally (Predictor.create (Predictor.Gshare 8)) outcomes in
+      right + wrong = List.length outcomes
+      && (right, wrong) = tally (Predictor.create (Predictor.Gshare 8)) outcomes)
 
 let prop_ideal_perfect =
   QCheck.Test.make ~name:"ideal predictor is always right" ~count:50
@@ -107,9 +93,6 @@ let suite =
       Alcotest.test_case "gshare chaotic near half" `Quick test_gshare_chaotic_near_half;
       Alcotest.test_case "gshare loop misses once per trip" `Quick
         test_gshare_loop_misses_once_per_trip;
-      Alcotest.test_case "misprediction rate" `Quick test_misprediction_rate_accessor;
-      Alcotest.test_case "reset stats" `Quick test_reset_stats;
-      Alcotest.test_case "predict is pure" `Quick test_predict_is_pure;
       Alcotest.test_case "default spec" `Quick test_spec_accessor;
       QCheck_alcotest.to_alcotest prop_observe_counts;
       QCheck_alcotest.to_alcotest prop_ideal_perfect;

@@ -2,8 +2,7 @@
    (the --jobs 1 reproducibility contract), the batch floor, per-task
    exception capture as diagnostics, pool survival after failures, the
    explicit per-task seed split through Fom_trace, exactly-once Memo
-   futures under concurrent demand, and the on-disk Cache's
-   corrupt/stale handling.
+   futures under concurrent demand.
 
    Concurrency tests pass [~domains] to the pool to force true
    multi-domain execution: without it a single-core machine caps the
@@ -11,7 +10,6 @@
 
 module Pool = Fom_exec.Pool
 module Memo = Fom_exec.Memo
-module Cache = Fom_exec.Cache
 module Checker = Fom_check.Checker
 module Diagnostic = Fom_check.Diagnostic
 module Rng = Fom_util.Rng
@@ -368,93 +366,6 @@ let test_memo_reentrant_detected () =
       Alcotest.(check string) "re-entrant demand flagged" "FOM-E005" d.Diagnostic.code
   | exception Checker.Invalid [] -> Alcotest.fail "empty diagnostics"
 
-(* ---- on-disk cache ---- *)
-
-let with_cache_dir f =
-  let dir = Filename.temp_file "fom-cache" ".d" in
-  Sys.remove dir;
-  Fun.protect
-    ~finally:(fun () ->
-      if Sys.file_exists dir then begin
-        Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-        Sys.rmdir dir
-      end)
-    (fun () -> f dir)
-
-let test_cache_roundtrip () =
-  with_cache_dir (fun dir ->
-      let key = Cache.digest [ "test"; Cache.part (1, "x"); "5" ] in
-      let computed = ref 0 in
-      let compute () =
-        incr computed;
-        [ 1.5; 2.5 ]
-      in
-      let cache = Cache.create ~dir in
-      Alcotest.(check (list (float 0.0))) "computed" [ 1.5; 2.5 ] (Cache.get cache ~key compute);
-      Alcotest.(check (pair int int)) "one miss" (0, 1) (Cache.stats cache);
-      (* A fresh handle on the same directory — a separate process —
-         hits the persisted entry. *)
-      let cache2 = Cache.create ~dir in
-      Alcotest.(check (list (float 0.0))) "hit" [ 1.5; 2.5 ] (Cache.get cache2 ~key compute);
-      Alcotest.(check (pair int int)) "one hit" (1, 0) (Cache.stats cache2);
-      Alcotest.(check int) "computed exactly once across runs" 1 !computed;
-      Alcotest.(check int) "clean runs report nothing" 0
-        (List.length (Cache.drain_diagnostics cache2)))
-
-let test_cache_corrupt_entry () =
-  with_cache_dir (fun dir ->
-      let cache = Cache.create ~dir in
-      let key = Cache.digest [ "test"; "corrupt" ] in
-      let oc = open_out_bin (Cache.entry_path cache ~key) in
-      output_string oc "this is not a marshaled entry";
-      close_out oc;
-      Alcotest.(check int) "recomputed" 7 (Cache.get cache ~key (fun () -> 7));
-      (match Cache.drain_diagnostics cache with
-      | [ d ] ->
-          Alcotest.(check string) "corrupt flagged" "FOM-E006" d.Diagnostic.code;
-          Alcotest.(check bool) "warning, not error" true
-            (d.Diagnostic.severity = Diagnostic.Warning)
-      | ds -> Alcotest.fail (Printf.sprintf "expected one FOM-E006, got %d" (List.length ds)));
-      (* The damaged file was deleted and replaced by the recomputed
-         entry, so the next demand is a clean hit. *)
-      Alcotest.(check int) "clean hit after repair" 7 (Cache.get cache ~key (fun () -> 8));
-      Alcotest.(check int) "no further diagnostics" 0
-        (List.length (Cache.drain_diagnostics cache)))
-
-let test_cache_stale_entry () =
-  with_cache_dir (fun dir ->
-      let cache = Cache.create ~dir in
-      let key = Cache.digest [ "test"; "stale" ] in
-      (* Forge an entry written by "another code version": a valid
-         marshaled (header, value) pair whose header cannot match. *)
-      let oc = open_out_bin (Cache.entry_path cache ~key) in
-      Marshal.to_channel oc ("fom-cache/0:obsolete:" ^ key, 999) [];
-      close_out oc;
-      Alcotest.(check int) "stale entry recomputed, not trusted" 7
-        (Cache.get cache ~key (fun () -> 7));
-      match Cache.drain_diagnostics cache with
-      | [ d ] -> Alcotest.(check string) "stale flagged" "FOM-E007" d.Diagnostic.code
-      | ds -> Alcotest.fail (Printf.sprintf "expected one FOM-E007, got %d" (List.length ds)))
-
-let test_cache_digest_separates () =
-  let base = [ "sim"; Cache.part (1, 2); "100" ] in
-  Alcotest.(check string) "stable" (Cache.digest base) (Cache.digest base);
-  Alcotest.(check bool) "parts change the key" true
-    (Cache.digest base <> Cache.digest [ "sim"; Cache.part (1, 3); "100" ]);
-  Alcotest.(check bool) "kind tag changes the key" true
-    (Cache.digest base <> Cache.digest [ "characterization"; Cache.part (1, 2); "100" ])
-
-let test_cache_dir_not_creatable () =
-  let file = Filename.temp_file "fom-cache" ".file" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove file)
-    (fun () ->
-      match Cache.create ~dir:file with
-      | _ -> Alcotest.fail "expected Invalid"
-      | exception Checker.Invalid (d :: _) ->
-          Alcotest.(check string) "E006" "FOM-E006" d.Diagnostic.code
-      | exception Checker.Invalid [] -> Alcotest.fail "empty diagnostics")
-
 let prop_map_agrees_with_list_map =
   QCheck.Test.make ~name:"pool map agrees with List.map and preserves order" ~count:50
     QCheck.(list small_int)
@@ -480,11 +391,6 @@ let suite =
       Alcotest.test_case "memo single-key contention" `Quick test_memo_single_key_contention;
       Alcotest.test_case "memo failure cached" `Quick test_memo_failure_cached;
       Alcotest.test_case "memo re-entrant demand" `Quick test_memo_reentrant_detected;
-      Alcotest.test_case "cache roundtrip" `Quick test_cache_roundtrip;
-      Alcotest.test_case "cache corrupt entry" `Quick test_cache_corrupt_entry;
-      Alcotest.test_case "cache stale entry" `Quick test_cache_stale_entry;
-      Alcotest.test_case "cache digest separates" `Quick test_cache_digest_separates;
-      Alcotest.test_case "cache dir not creatable" `Quick test_cache_dir_not_creatable;
       Alcotest.test_case "shutdown rejects use" `Quick test_shutdown_rejects_use;
       Alcotest.test_case "default jobs positive" `Quick test_default_jobs_positive;
       Alcotest.test_case "resolve_jobs" `Quick test_resolve_jobs;

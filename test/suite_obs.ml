@@ -17,7 +17,6 @@ module Export = Fom_obs.Export
 module Json = Fom_util.Json
 module Pool = Fom_exec.Pool
 module Memo = Fom_exec.Memo
-module Cache = Fom_exec.Cache
 module Iw_curve = Fom_analysis.Iw_curve
 
 let with_sink ?span_capacity f =
@@ -245,19 +244,6 @@ let test_memo_metrics () =
       Alcotest.(check int) "one compute" 1 (counter_value "memo.computes");
       Alcotest.(check int) "one join" 1 (counter_value "memo.joins"))
 
-let test_cache_metrics () =
-  with_sink (fun () ->
-      let dir = Filename.temp_file "fom_obs_cache" "" in
-      Sys.remove dir;
-      let cache = Cache.create ~dir in
-      let key = Cache.digest [ "obs-test" ] in
-      Alcotest.(check int) "miss computes" 5 (Cache.get cache ~key (fun () -> 5));
-      Alcotest.(check int) "hit reads" 5 (Cache.get cache ~key (fun () -> 6));
-      Alcotest.(check int) "one hit" 1 (counter_value "cache.hits");
-      Alcotest.(check int) "one miss" 1 (counter_value "cache.misses");
-      Alcotest.(check bool) "bytes written" true (counter_value "cache.bytes_written" > 0);
-      Alcotest.(check bool) "bytes read" true (counter_value "cache.bytes_read" > 0))
-
 let test_sim_skipped_cycles () =
   (* The detailed simulator jumps over cycles in which nothing can
      happen. On the baseline machine mcf spends most cycles waiting on
@@ -292,6 +278,5 @@ let suite =
         test_determinism_with_sink;
       Alcotest.test_case "pool metrics and spans" `Quick test_pool_metrics;
       Alcotest.test_case "memo metrics" `Quick test_memo_metrics;
-      Alcotest.test_case "cache metrics" `Quick test_cache_metrics;
       Alcotest.test_case "simulator skips idle cycles" `Quick test_sim_skipped_cycles;
     ] )

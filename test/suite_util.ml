@@ -216,6 +216,68 @@ let test_json_unreadable_file () =
       Alcotest.(check string) "code" "FOM-U005" d.Fom_check.Diagnostic.code;
       Alcotest.(check string) "path" path d.Fom_check.Diagnostic.path
 
+(* Arbitrary strings and damaged copies of a real fom-bench/1
+   document: [Json.of_string] either parses the input or rejects it
+   with FOM-U004 diagnostics, never with another exception. *)
+let bench_document =
+  let module J = Fom_util.Json in
+  let exhibit name seconds speedup =
+    J.Obj
+      [
+        ("name", J.String name);
+        ("seconds", J.Float seconds);
+        ("seconds_jobs1", J.Float (seconds *. speedup));
+        ("speedup_vs_jobs1", J.Float speedup);
+      ]
+  in
+  J.to_string
+    (J.Obj
+       [
+         ("schema", J.String "fom-bench/1");
+         ("git_rev", J.String "a\"quoted\\rev\n\t\001");
+         ("scale", J.Float 0.2);
+         ("jobs", J.Int 2);
+         ("recommended_domains", J.Int (-1));
+         ( "exhibits",
+           J.List [ exhibit "fig2" 1.25e-3 1.9; exhibit "ext-phases" 0.333 0.97 ] );
+         ("total_seconds", J.Float 12.5);
+         ( "metrics",
+           J.Obj
+             [
+               ("counters", J.List [ J.List [ J.String "sim.cycles"; J.Int 123456789 ] ]);
+               ("flags", J.List [ J.Bool true; J.Bool false; J.Null; J.List [] ]);
+               ("empty", J.Obj []);
+             ] );
+       ])
+
+let json_inputs =
+  let open QCheck.Gen in
+  let doc = bench_document in
+  let len = String.length doc in
+  (* Mostly bytes the grammar uses, so edits land on plausible tokens. *)
+  let json_byte = oneofl (List.of_seq (String.to_seq "{}[]\",:\\/0123456789.eE+-tfnlrsu ")) in
+  let byte = frequency [ (4, json_byte); (1, char) ] in
+  oneof
+    [
+      string_size ~gen:byte (int_range 0 64);
+      map (fun at -> String.sub doc 0 at) (int_bound len);
+      map2
+        (fun at c -> String.mapi (fun i x -> if i = at then c else x) doc)
+        (int_bound (len - 1)) byte;
+    ]
+
+let prop_json_of_string_rejects_with_u004 =
+  QCheck.Test.make ~name:"json of_string parses or reports FOM-U004" ~count:1000
+    (QCheck.make json_inputs ~print:(Printf.sprintf "%S"))
+    (fun text ->
+      match Fom_util.Json.of_string text with
+      | _ -> true
+      | exception Fom_check.Checker.Invalid ds ->
+          ds <> []
+          && List.for_all
+               (fun d -> String.equal d.Fom_check.Diagnostic.code "FOM-U004")
+               ds)
+
 let prop_csv_field_count_preserved =
   QCheck.Test.make ~name:"csv rows keep their field count" ~count:100
     QCheck.(list_of_size (Gen.int_range 1 5) (string_gen_of_size (Gen.int_range 0 10) Gen.printable))
@@ -296,5 +358,6 @@ let suite =
       Alcotest.test_case "json parse roundtrip" `Quick test_json_roundtrip;
       Alcotest.test_case "json unreadable file" `Quick test_json_unreadable_file;
       QCheck_alcotest.to_alcotest prop_csv_field_count_preserved;
+      QCheck_alcotest.to_alcotest prop_json_of_string_rejects_with_u004;
     ]
     @ qcheck_cases )
