@@ -1,7 +1,16 @@
-(* Shared state for the experiment harness: workload programs, scale
-   settings, the domain pool, and memoized simulation/characterization
-   results so that exhibits sharing a configuration (e.g. the
-   all-ideal baseline) pay for it once.
+(* Shared state for the experiment harness: scale settings, the domain
+   pool, one packed trace per benchmark, and memoized simulation and
+   characterization results.
+
+   Results are memoized by what determines them, not by a name the
+   caller makes up: a simulation by its machine configuration, the
+   benchmark and the instruction count; a characterization by its
+   grouping, cache hierarchy, data TLB, model parameters and the
+   benchmark. The differencing exhibits (Figures 2, 9, 11, 14) keep
+   returning to the same few machines — the all-ideal baseline, one
+   structure real — and each of those machines is simulated once per
+   benchmark however many exhibits ask for it, and under whatever
+   construction ([Config.with_depth 5 bp_only] is [bp_only]).
 
    Memoization is through Fom_exec.Memo future cells: the first
    demander of a key computes, concurrent demanders wait for that one
@@ -16,6 +25,7 @@ module Stats = Fom_uarch.Stats
 module Hierarchy = Fom_cache.Hierarchy
 module Predictor = Fom_branch.Predictor
 module Params = Fom_model.Params
+module Profile = Fom_analysis.Profile
 module Pool = Fom_exec.Pool
 module Memo = Fom_exec.Memo
 
@@ -25,20 +35,32 @@ type t = {
   n_iw : int;  (** instructions per IW-curve point *)
   csv_dir : string option;  (** where to mirror tables as CSV files *)
   pool : Pool.t;  (** worker domains shared by every exhibit *)
-  programs : (string * Fom_trace.Program.t) list;
   packs : (string, Fom_trace.Packed.t) Memo.t;
-  sims : (string, Stats.t) Memo.t;
+  sims : (Config.t * string * int, Stats.t) Memo.t;
   inputs :
-    (string, Fom_analysis.Iw_curve.t * Fom_analysis.Profile.t * Fom_model.Inputs.t) Memo.t;
+    ( Profile.grouping * Hierarchy.config * Fom_cache.Tlb.spec option * Params.t * string,
+      Fom_analysis.Iw_curve.t * Profile.t * Fom_model.Inputs.t )
+    Memo.t;
 }
 
+(* Every instruction count is the scale times a full-scale count; the
+   smallest is the IW runs' and the ext-* sims run at half of n_sim. A
+   scale that rounds one of them to nothing, or overflows the largest,
+   is rejected before any exhibit runs. *)
 let create ?csv_dir ?jobs ~scale () =
-  Fom_check.Checker.ensure ~code:"FOM-I030" ~path:"bench.scale" (scale > 0.0)
-    "scale factor must be positive";
+  let scaled x = float_of_int x *. scale in
+  let s x = int_of_float (scaled x) in
+  Fom_check.Checker.ensure ~code:"FOM-I030" ~path:"bench.scale"
+    (Float.is_finite scale
+    && scaled 200_000 < float_of_int max_int
+    && s 30_000 >= 1
+    && s 200_000 / 2 >= 1)
+    (Printf.sprintf
+       "scale factor %g must be finite and give every run between 1 and max_int instructions"
+       scale);
   (match csv_dir with
   | Some dir when not (Sys.file_exists dir) -> Sys.mkdir dir 0o755
   | Some _ | None -> ());
-  let s x = int_of_float (float_of_int x *. scale) in
   let pool = Pool.create ?jobs () in
   {
     n_sim = s 200_000;
@@ -46,10 +68,6 @@ let create ?csv_dir ?jobs ~scale () =
     n_iw = s 30_000;
     csv_dir;
     pool;
-    programs =
-      List.map
-        (fun config -> (config.Fom_trace.Config.name, Fom_trace.Program.generate config))
-        Fom_workloads.Spec2000.all;
     packs = Memo.create ~pool ();
     sims = Memo.create ~pool ();
     inputs = Memo.create ~pool ();
@@ -59,8 +77,7 @@ let shutdown t = Pool.shutdown t.pool
 let pool t = t.pool
 let jobs t = Pool.jobs t.pool
 
-let names t = List.map fst t.programs
-let program t name = List.assoc name t.programs
+let names = List.map (fun config -> config.Fom_trace.Config.name) Fom_workloads.Spec2000.all
 
 (* Machine variants used across exhibits. *)
 let ideal = Config.ideal Config.baseline
@@ -70,11 +87,11 @@ let icache_only = Config.with_cache Hierarchy.ideal_except_l1i ideal
 let dcache_only = Config.with_cache Hierarchy.ideal_except_data ideal
 let fig14_machine = Config.with_cache Hierarchy.fig14 ideal
 
-(* One packed trace per benchmark, shared by every simulation variant
-   and the characterization passes. The margin past the longest pass
-   covers the machine's fetch-ahead (the in-flight span of every
-   machine variant the exhibits build, a few hundred instructions) and
-   the IW sweep's window overhang. *)
+(* One packed trace per benchmark, shared by every simulation, every
+   characterization and every IW measurement. The margin past the
+   longest pass covers the machine's fetch-ahead (the in-flight span of
+   every machine variant the exhibits build, a few hundred
+   instructions) and the IW sweep's window overhang. *)
 let packed_margin = 8192
 
 let packed t name =
@@ -82,34 +99,28 @@ let packed t name =
       let n =
         Stdlib.max (Stdlib.max t.n_sim t.n_profile) (t.n_iw + 512) + packed_margin
       in
-      Fom_trace.Packed.of_source (Fom_trace.Source.of_program (program t name)) ~n)
+      let program = Fom_trace.Program.generate (Fom_workloads.Spec2000.find name) in
+      Fom_trace.Packed.of_source (Fom_trace.Source.of_program program) ~n)
 
-let sim t ~variant ~config name =
-  let key = Printf.sprintf "%s/%s/%d" variant name t.n_sim in
-  Memo.get t.sims key (fun () ->
-      Fom_uarch.Simulate.run_packed config (packed t name) ~n:t.n_sim)
+(* [?n] defaults to n_sim; the extension exhibits run at n_sim / 2. *)
+let sim ?n t config name =
+  let n = Option.value n ~default:t.n_sim in
+  Memo.get t.sims (config, name, n) (fun () ->
+      Fom_uarch.Simulate.run_packed config (packed t name) ~n)
 
-(* Characterize [name] under an optional non-baseline cache hierarchy
-   and model parameters (Figure 14 profiles against its own 128K-L1D /
-   200-cycle machine). [tag] keys the memo, so two tags describing
-   identical configurations each compute their own result. *)
-let characterization_for ?(grouping = Fom_analysis.Profile.Dependence_aware) ?cache ~tag
-    ~params t name =
-  let key =
-    Printf.sprintf "%s/%s/%s" tag name
-      (match grouping with
-      | Fom_analysis.Profile.Dependence_aware -> "aware"
-      | Fom_analysis.Profile.Paper_naive -> "naive")
-  in
-  Memo.get t.inputs key (fun () ->
+(* Characterize [name] under an optional non-baseline cache hierarchy,
+   data TLB and model parameters (Figure 14 profiles against its own
+   128K-L1D / 200-cycle machine, ext-tlb with a TLB). The defaults are
+   spelled out so that passing one explicitly keys the same result. *)
+let characterization ?(grouping = Profile.Dependence_aware) ?(cache = Hierarchy.baseline)
+    ?dtlb ?(params = Params.baseline) t name =
+  Memo.get t.inputs (grouping, cache, dtlb, params, name) (fun () ->
       (* The pool is passed down so the IW-curve points parallelize
          across windows as well as benchmarks; nested maps are safe
          because a waiting caller drives the pool itself. *)
       Fom_analysis.Characterize.curve_and_inputs_of_packed ~pool:t.pool
-        ~iw_instructions:t.n_iw ?cache ~grouping ~params (packed t name) ~n:t.n_profile)
-
-let characterization ?grouping t name =
-  characterization_for ?grouping ~tag:"base" ~params:Params.baseline t name
+        ~iw_instructions:t.n_iw ~cache ~grouping ?dtlb ~params (packed t name)
+        ~n:t.n_profile)
 
 (* Run independent thunks on the pool; exhibits use this to warm the
    memo caches in parallel before printing rows in their fixed
@@ -118,8 +129,7 @@ let characterization ?grouping t name =
 let parallel t thunks = ignore (Pool.map t.pool ~f:(fun thunk -> thunk ()) thunks)
 
 let warm_sims t specs =
-  parallel t
-    (List.map (fun (variant, config, name) () -> ignore (sim t ~variant ~config name)) specs)
+  parallel t (List.map (fun (config, name) () -> ignore (sim t config name)) specs)
 
 let warm_characterizations ?grouping t names =
   parallel t (List.map (fun name () -> ignore (characterization ?grouping t name)) names)

@@ -20,7 +20,7 @@ let model_variants ctx =
   let rows =
     List.map
       (fun name ->
-        let sim = Stats.cpi (Context.sim ctx ~variant:"real" ~config:Context.real name) in
+        let sim = Stats.cpi (Context.sim ctx Context.real name) in
         let _, _, aware = Context.characterization ctx name in
         let _, _, naive = Context.characterization ~grouping:Profile.Paper_naive ctx name in
         let refined = Cpi.total (Cpi.evaluate Params.baseline aware) in
@@ -34,10 +34,10 @@ let model_variants ctx =
         let errs = [| pct refined sim; pct with_naive sim; pct with_const sim; pct with_delay sim |] in
         Array.iteri (fun i e -> sums.(i) <- sums.(i) +. Float.abs e) errs;
         name :: List.map (fun e -> Table.float_cell ~decimals:1 e) (Array.to_list errs))
-      (Context.names ctx)
+      Context.names
   in
   Context.table ctx ~name:"ablation-model" ~header rows;
-  let n = float_of_int (List.length (Context.names ctx)) in
+  let n = float_of_int (List.length Context.names) in
   Context.note
     "mean |err|: refined %.1f%%, paper-naive grouping %.1f%%, 7.5-cycle branch %.1f%%, no rob-fill %.1f%%"
     (sums.(0) /. n) (sums.(1) /. n) (sums.(2) /. n) (sums.(3) /. n)
@@ -45,7 +45,7 @@ let model_variants ctx =
 (* Sensitivity of the power-law fit to the measured window range. *)
 let fit_windows ctx =
   Context.heading "Ablation: power-law fit vs window range (gzip)";
-  let program = Context.program ctx "gzip" in
+  let packed = Context.packed ctx "gzip" in
   let ranges =
     [
       ("4..32", [ 4; 8; 16; 32 ]);
@@ -56,7 +56,7 @@ let fit_windows ctx =
   let rows =
     List.map
       (fun (label, windows) ->
-        let curve = Fom_analysis.Iw_curve.measure ~windows ~n:ctx.Context.n_iw program in
+        let curve = Fom_analysis.Iw_curve.measure_packed ~windows ~n:ctx.Context.n_iw packed in
         [
           label;
           Table.float_cell ~decimals:2 (Fom_analysis.Iw_curve.alpha curve);
@@ -75,12 +75,12 @@ let littles_law ctx =
   let rows =
     List.map
       (fun name ->
-        let program = Context.program ctx name in
+        let packed = Context.packed ctx name in
         let _, profile, _ = Context.characterization ctx name in
         let window = 64 in
-        let unit = Fom_analysis.Iw_sim.ipc program ~window ~n:ctx.Context.n_iw in
+        let unit = Fom_analysis.Iw_sim.ipc_of_packed packed ~window ~n:ctx.Context.n_iw in
         let real =
-          Fom_analysis.Iw_sim.ipc ~latencies:Fom_isa.Latency.default program ~window
+          Fom_analysis.Iw_sim.ipc_of_packed ~latencies:Fom_isa.Latency.default packed ~window
             ~n:ctx.Context.n_iw
         in
         (* The idealized simulation has perfect caches, so compare

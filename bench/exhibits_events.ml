@@ -19,24 +19,24 @@ let fig2 ctx =
     (List.concat_map
        (fun name ->
          [
-           ("ideal", Context.ideal, name);
-           ("real", Context.real, name);
-           ("bp-only", Context.bp_only, name);
-           ("ic-only", Context.icache_only, name);
-           ("dc-only", Context.dcache_only, name);
+           (Context.ideal, name);
+           (Context.real, name);
+           (Context.bp_only, name);
+           (Context.icache_only, name);
+           (Context.dcache_only, name);
          ])
-       (Context.names ctx));
+       Context.names);
   Context.heading "Figure 2: independence of miss-event penalties (IPC)";
   let header = [ "benchmark"; "combined"; "independent"; "err%"; "compensated"; "err%" ] in
   let ind_errs = ref [] and comp_errs = ref [] in
   let rows =
     List.map
       (fun name ->
-        let ideal = Context.sim ctx ~variant:"ideal" ~config:Context.ideal name in
-        let real = Context.sim ctx ~variant:"real" ~config:Context.real name in
-        let bp = Context.sim ctx ~variant:"bp-only" ~config:Context.bp_only name in
-        let ic = Context.sim ctx ~variant:"ic-only" ~config:Context.icache_only name in
-        let dc = Context.sim ctx ~variant:"dc-only" ~config:Context.dcache_only name in
+        let ideal = Context.sim ctx Context.ideal name in
+        let real = Context.sim ctx Context.real name in
+        let bp = Context.sim ctx Context.bp_only name in
+        let ic = Context.sim ctx Context.icache_only name in
+        let dc = Context.sim ctx Context.dcache_only name in
         let cycles (s : Stats.t) = float_of_int s.Stats.cycles in
         let bp_penalty = cycles bp -. cycles ideal in
         let ic_penalty = cycles ic -. cycles ideal in
@@ -71,7 +71,7 @@ let fig2 ctx =
           Table.float_cell comp_ipc;
           Table.float_cell ~decimals:1 (err comp_ipc);
         ])
-      (Context.names ctx)
+      Context.names
   in
   Context.table ctx ~name:"fig2" ~header rows;
   let mean l = Fom_util.Stats.mean (Array.of_list l) in
@@ -93,26 +93,16 @@ let fig9 ctx =
          (fun () -> ignore (Context.characterization ctx name))
          :: List.concat_map
               (fun depth ->
-                let variant tag = Printf.sprintf "%s-d%d" tag depth in
-                [
-                  (fun () ->
-                    ignore
-                      (Context.sim ctx ~variant:(variant "bp-only")
-                         ~config:(Config.with_depth depth Context.bp_only) name));
-                  (fun () ->
-                    ignore
-                      (Context.sim ctx ~variant:(variant "ideal")
-                         ~config:(Config.with_depth depth Context.ideal) name));
-                ])
+                List.map
+                  (fun config () ->
+                    ignore (Context.sim ctx (Config.with_depth depth config) name))
+                  [ Context.bp_only; Context.ideal ])
               [ 5; 9 ])
-       (Context.names ctx));
+       Context.names);
   Context.heading "Figure 9: penalty per branch misprediction, 5 vs 9 front-end stages";
   let penalty name depth =
-    let bp = Config.with_depth depth Context.bp_only in
-    let ideal = Config.with_depth depth Context.ideal in
-    let variant tag = Printf.sprintf "%s-d%d" tag depth in
-    let with_bp = Context.sim ctx ~variant:(variant "bp-only") ~config:bp name in
-    let base = Context.sim ctx ~variant:(variant "ideal") ~config:ideal name in
+    let with_bp = Context.sim ctx (Config.with_depth depth Context.bp_only) name in
+    let base = Context.sim ctx (Config.with_depth depth Context.ideal) name in
     let events = with_bp.Stats.branch_mispredictions in
     if events = 0 then 0.0
     else float_of_int (with_bp.Stats.cycles - base.Stats.cycles) /. float_of_int events
@@ -134,7 +124,7 @@ let fig9 ctx =
           Table.float_cell ~decimals:1 p9;
           Table.float_cell ~decimals:1 model5;
         ])
-      (Context.names ctx)
+      Context.names
   in
   Context.table ctx ~name:"fig9"
     ~header:[ "benchmark"; "sim depth 5"; "sim depth 9"; "model depth 5" ] rows;
@@ -148,26 +138,15 @@ let fig11 ctx =
        (fun name ->
          List.concat_map
            (fun depth ->
-             let variant tag = Printf.sprintf "%s-d%d" tag depth in
-             [
-               (fun () ->
-                 ignore
-                   (Context.sim ctx ~variant:(variant "ic-only")
-                      ~config:(Config.with_depth depth Context.icache_only) name));
-               (fun () ->
-                 ignore
-                   (Context.sim ctx ~variant:(variant "ideal")
-                      ~config:(Config.with_depth depth Context.ideal) name));
-             ])
+             List.map
+               (fun config () -> ignore (Context.sim ctx (Config.with_depth depth config) name))
+               [ Context.icache_only; Context.ideal ])
            [ 5; 9 ])
-       (Context.names ctx));
+       Context.names);
   Context.heading "Figure 11: penalty per L1 I-cache miss, 5 vs 9 front-end stages (delay 8)";
   let penalty name depth =
-    let ic = Config.with_depth depth Context.icache_only in
-    let ideal = Config.with_depth depth Context.ideal in
-    let variant tag = Printf.sprintf "%s-d%d" tag depth in
-    let with_ic = Context.sim ctx ~variant:(variant "ic-only") ~config:ic name in
-    let base = Context.sim ctx ~variant:(variant "ideal") ~config:ideal name in
+    let with_ic = Context.sim ctx (Config.with_depth depth Context.icache_only) name in
+    let base = Context.sim ctx (Config.with_depth depth Context.ideal) name in
     let events = with_ic.Stats.l1i_misses + with_ic.Stats.l2i_misses in
     if events < 20 then None
     else Some (float_of_int (with_ic.Stats.cycles - base.Stats.cycles) /. float_of_int events)
@@ -182,7 +161,7 @@ let fig11 ctx =
         | _ ->
             skipped := name :: !skipped;
             None)
-      (Context.names ctx)
+      Context.names
   in
   Context.table ctx ~name:"fig11" ~header:[ "benchmark"; "sim depth 5"; "sim depth 9" ] rows;
   if !skipped <> [] then
@@ -206,23 +185,20 @@ let fig14 ctx =
     (List.concat_map
        (fun name ->
          [
-           (fun () ->
-             ignore (Context.sim ctx ~variant:"fig14" ~config:Context.fig14_machine name));
-           (fun () -> ignore (Context.sim ctx ~variant:"ideal" ~config:Context.ideal name));
+           (fun () -> ignore (Context.sim ctx Context.fig14_machine name));
+           (fun () -> ignore (Context.sim ctx Context.ideal name));
            (fun () ->
              (* Model inputs for this hierarchy: profile with the
                 Figure 14 cache so long misses and their grouping
                 match. *)
-             ignore
-               (Context.characterization_for ctx ~tag:"fig14"
-                  ~cache:Fom_cache.Hierarchy.fig14 ~params name));
+             ignore (Context.characterization ~cache:Fom_cache.Hierarchy.fig14 ~params ctx name));
          ])
-       (Context.names ctx));
+       Context.names);
   let rows =
     List.filter_map
       (fun name ->
-        let faulty = Context.sim ctx ~variant:"fig14" ~config:Context.fig14_machine name in
-        let base = Context.sim ctx ~variant:"ideal" ~config:Context.ideal name in
+        let faulty = Context.sim ctx Context.fig14_machine name in
+        let base = Context.sim ctx Context.ideal name in
         let events = faulty.Stats.long_data_misses in
         if events < 20 then None
         else
@@ -230,8 +206,7 @@ let fig14 ctx =
             float_of_int (faulty.Stats.cycles - base.Stats.cycles) /. float_of_int events
           in
           let _, _, inputs =
-            Context.characterization_for ctx ~tag:"fig14" ~cache:Fom_cache.Hierarchy.fig14
-              ~params name
+            Context.characterization ~cache:Fom_cache.Hierarchy.fig14 ~params ctx name
           in
           let factor = Inputs.long_group_factor inputs in
           let iw = Cpi.characteristic params inputs in
@@ -246,7 +221,7 @@ let fig14 ctx =
               Table.float_cell ~decimals:1 paper_model;
               Table.float_cell ~decimals:2 factor;
             ])
-      (Context.names ctx)
+      Context.names
   in
   Context.table ctx ~name:"fig14"
     ~header:[ "benchmark"; "simulation"; "model"; "model (paper eq.8)"; "group factor" ]

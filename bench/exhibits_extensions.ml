@@ -21,11 +21,8 @@ let tlb ctx =
   let rows =
     Pool.map (Context.pool ctx)
       ~f:(fun name ->
-        let sim = Context.sim ctx ~variant:"real-tlb" ~config:machine name in
-        let inputs =
-          Fom_analysis.Characterize.inputs ~dtlb:spec ~iw_instructions:ctx.Context.n_iw ~params
-            (Context.program ctx name) ~n:ctx.Context.n_profile
-        in
+        let sim = Context.sim ctx machine name in
+        let _, _, inputs = Context.characterization ~dtlb:spec ~params ctx name in
         let b = Cpi.evaluate params inputs in
         let err = 100.0 *. (Cpi.total b -. Stats.cpi sim) /. Stats.cpi sim in
         [
@@ -58,15 +55,14 @@ let fu_limits ctx =
   in
   List.iter
     (fun name ->
-      let program = Context.program ctx name in
       let _, profile, _ = Context.characterization ctx name in
       let mix = Fom_analysis.Profile.class_fraction profile in
       Context.note "%s:" name;
       let rows =
         Pool.map (Context.pool ctx)
           ~f:(fun (label, fu) ->
-            let machine = Config.with_fu_limits fu (Config.ideal Config.baseline) in
-            let sim = Fom_uarch.Simulate.run machine program ~n:(ctx.Context.n_sim / 2) in
+            let machine = Config.with_fu_limits fu Context.ideal in
+            let sim = Context.sim ~n:(ctx.Context.n_sim / 2) ctx machine name in
             let bound = Fom_model.Fu_saturation.effective_width fu ~mix ~width:4 in
             let binding =
               match Fom_model.Fu_saturation.binding_class fu ~mix with
@@ -92,18 +88,14 @@ let fetch_buffer ctx =
   List.iter
     (fun name ->
       Context.note "%s (I-cache real, delay 8; everything else ideal):" name;
-      let program = Context.program ctx name in
       let rows =
         Pool.map (Context.pool ctx)
           ~f:(fun buffer ->
-            let machine =
-              Config.with_fetch_buffer buffer
-                (Config.with_cache Fom_cache.Hierarchy.ideal_except_l1i
-                   (Config.ideal Config.baseline))
+            let n = ctx.Context.n_sim / 2 in
+            let faulty =
+              Context.sim ~n ctx (Config.with_fetch_buffer buffer Context.icache_only) name
             in
-            let base = Config.ideal Config.baseline in
-            let faulty = Fom_uarch.Simulate.run machine program ~n:(ctx.Context.n_sim / 2) in
-            let ideal = Fom_uarch.Simulate.run base program ~n:(ctx.Context.n_sim / 2) in
+            let ideal = Context.sim ~n ctx Context.ideal name in
             let events = faulty.Stats.l1i_misses + faulty.Stats.l2i_misses in
             let sim_penalty =
               if events = 0 then 0.0
@@ -133,16 +125,15 @@ let clustering ctx =
   List.iter
     (fun name ->
       Context.note "%s (everything ideal; window 48, width 4):" name;
-      let program = Context.program ctx name in
-      let _, profile, inputs = Context.characterization ctx name in
-      ignore profile;
+      let _, _, inputs = Context.characterization ctx name in
       let rows =
         Pool.map (Context.pool ctx)
           ~f:(fun clusters ->
-            let machine =
-              Config.with_clusters clusters (Config.ideal Config.baseline)
+            let sim =
+              Context.sim ~n:(ctx.Context.n_sim / 2) ctx
+                (Config.with_clusters clusters Context.ideal)
+                name
             in
-            let sim = Fom_uarch.Simulate.run machine program ~n:(ctx.Context.n_sim / 2) in
             let iw =
               Fom_model.Clustering.effective_characteristic ~clusters
                 (Cpi.characteristic Params.baseline inputs)

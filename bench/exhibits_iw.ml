@@ -13,13 +13,13 @@ let log2 x = Float.log x /. Float.log 2.0
    (1.7 / 0.3 / 2.2); all twelve are printed, the paper's three
    first. *)
 let table1 ctx =
-  Context.warm_characterizations ctx (Context.names ctx);
+  Context.warm_characterizations ctx Context.names;
   Context.heading "Table 1: Power-law parameters (alpha, beta) and average latency";
   Context.note
     "Paper values for its SPECint binaries: gzip 1.3/0.5/1.5, vortex 1.2/0.7/1.6, vpr 1.7/0.3/2.2.";
   let ordered =
     [ "gzip"; "vortex"; "vpr" ]
-    @ List.filter (fun n -> not (List.mem n [ "gzip"; "vortex"; "vpr" ])) (Context.names ctx)
+    @ List.filter (fun n -> not (List.mem n [ "gzip"; "vortex"; "vpr" ])) Context.names
   in
   let rows =
     List.map
@@ -39,9 +39,15 @@ let table1 ctx =
 (* Figure 4: log-log IW curves for all benchmarks, unit latency,
    unbounded issue. *)
 let fig4 ctx =
-  Context.warm_characterizations ctx (Context.names ctx);
+  Context.warm_characterizations ctx Context.names;
   Context.heading "Figure 4: IW curves, log2(issue rate) vs log2(window), unit latency";
-  let curves = List.map (fun name -> (name, let c, _, _ = Context.characterization ctx name in c)) (Context.names ctx) in
+  let curves =
+    List.map
+      (fun name ->
+        let c, _, _ = Context.characterization ctx name in
+        (name, c))
+      Context.names
+  in
   let windows = Iw_curve.default_windows in
   let header = "log2(W)" :: List.map fst curves in
   let rows =
@@ -85,7 +91,7 @@ let fig5 ctx =
 (* Figure 6: limiting the issue width makes the curves saturate. *)
 let fig6 ctx =
   Context.heading "Figure 6: IW characteristic with limited issue width (gcc)";
-  let program = Context.program ctx "gcc" in
+  let packed = Context.packed ctx "gcc" in
   let windows = Iw_curve.default_windows in
   let limits = [ None; Some 8; Some 4; Some 2 ] in
   let label = function None -> "unlimited" | Some k -> Printf.sprintf "width %d" k in
@@ -95,7 +101,7 @@ let fig6 ctx =
   let ipcs =
     Fom_exec.Pool.map (Context.pool ctx)
       ~f:(fun (issue_limit, window) ->
-        Fom_analysis.Iw_sim.ipc ?issue_limit program ~window ~n:ctx.Context.n_iw)
+        Fom_analysis.Iw_sim.ipc_of_packed ?issue_limit packed ~window ~n:ctx.Context.n_iw)
       tasks
   in
   let per_limit = List.length windows in

@@ -14,16 +14,16 @@ let fig15 ctx =
     (List.concat_map
        (fun name ->
          [
-           (fun () -> ignore (Context.sim ctx ~variant:"real" ~config:Context.real name));
+           (fun () -> ignore (Context.sim ctx Context.real name));
            (fun () -> ignore (Context.characterization ctx name));
          ])
-       (Context.names ctx));
+       Context.names);
   Context.heading "Figure 15: first-order model vs detailed simulation (CPI)";
   let errs = ref [] and paper_errs = ref [] in
   let rows =
     List.map
       (fun name ->
-        let sim = Stats.cpi (Context.sim ctx ~variant:"real" ~config:Context.real name) in
+        let sim = Stats.cpi (Context.sim ctx Context.real name) in
         let _, _, inputs = Context.characterization ctx name in
         let model = Cpi.total (Cpi.evaluate Params.baseline inputs) in
         let paper_mode =
@@ -43,7 +43,7 @@ let fig15 ctx =
           Table.float_cell paper_mode;
           Table.float_cell ~decimals:1 paper_err;
         ])
-      (Context.names ctx)
+      Context.names
   in
   Context.table ctx ~name:"fig15"
     ~header:[ "benchmark"; "sim CPI"; "model CPI"; "err%"; "paper-mode CPI"; "err%" ]
@@ -57,7 +57,7 @@ let fig15 ctx =
 
 (* Figure 16: the stacked CPI decomposition. *)
 let fig16 ctx =
-  Context.warm_characterizations ctx (Context.names ctx);
+  Context.warm_characterizations ctx Context.names;
   Context.heading "Figure 16: CPI stack (model components)";
   let header = [ "benchmark"; "ideal"; "L1 I$"; "L2 I$"; "L2 D$"; "branch"; "total" ] in
   let rows =
@@ -74,7 +74,7 @@ let fig16 ctx =
           Table.float_cell b.Cpi.branch;
           Table.float_cell (Cpi.total b);
         ])
-      (Context.names ctx)
+      Context.names
   in
   Context.table ctx ~name:"fig16" ~header rows;
   List.iter

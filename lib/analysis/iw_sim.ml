@@ -109,8 +109,3 @@ let ipc_of_packed ?(latencies = Latency.unit) ?issue_limit packed ~window ~n =
   Fom_obs.Metrics.add m_dependence !by_dependence;
   Fom_obs.Metrics.add m_width !by_width;
   float_of_int !below /. float_of_int cycles
-
-let ipc ?latencies ?issue_limit program ~window ~n =
-  check_shape ?issue_limit ~window ~n ();
-  let packed = Packed.of_source (Fom_trace.Source.of_program program) ~n:(n + window) in
-  ipc_of_packed ?latencies ?issue_limit packed ~window ~n

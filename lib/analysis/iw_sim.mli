@@ -33,18 +33,12 @@ val ring_size : int
     ring holds about [window * (max latency + 1)] slots, so this cap
     bounds its memory. *)
 
-val ipc :
-  ?latencies:Fom_isa.Latency.t -> ?issue_limit:int ->
-  Fom_trace.Program.t -> window:int -> n:int -> float
-(** [ipc program ~window ~n]: average instructions issued per cycle
-    over the first [n] instructions. Default latencies are unit;
-    default issue width is unbounded. Packs the first [n + window]
-    instructions and runs {!ipc_of_packed} on them. A non-positive
-    window, [n] or issue limit is rejected with [FOM-I030]. *)
-
 val ipc_of_packed :
   ?latencies:Fom_isa.Latency.t -> ?issue_limit:int ->
   Fom_trace.Packed.t -> window:int -> n:int -> float
-(** {!ipc} over an already-packed trace, which must hold at least
-    [n + window] instructions ([FOM-I033]); the kernel reads the flat
-    columns in place. *)
+(** [ipc_of_packed packed ~window ~n]: average instructions issued per
+    cycle over the first [n] instructions of the packed trace, which
+    must hold at least [n + window] of them ([FOM-I033]); the kernel
+    reads the flat columns in place. Default latencies are unit;
+    default issue width is unbounded. A non-positive window, [n] or
+    issue limit is rejected with [FOM-I030]. *)

@@ -25,12 +25,6 @@ val sets : t -> int
 val line_address : t -> int -> int
 (** Byte address of the enclosing line. *)
 
-val set_index : t -> int -> int
-(** Set an address maps to. *)
-
-val tag : t -> int -> int
-(** Tag bits of an address. *)
-
 val l1_baseline : t
 (** 4 KiB, 4-way, 128-byte lines (paper baseline L1I and L1D). *)
 

@@ -9,6 +9,4 @@ let of_int i =
   i
 
 let to_int r = r
-let zero_reg = 0
-let is_zero r = r = 0
 let pp fmt r = Format.fprintf fmt "r%d" r

@@ -17,12 +17,5 @@ val of_int : int -> t
 val to_int : t -> int
 (** Raw index. *)
 
-val zero_reg : t
-(** Register 0, conventionally the hard-wired zero: writes to it create
-    no dependence and readers of it are always ready. *)
-
-val is_zero : t -> bool
-(** Whether this is {!zero_reg}. *)
-
 val pp : Format.formatter -> t -> unit
 (** Prints as [r<i>]. *)

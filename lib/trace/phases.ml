@@ -1,7 +1,5 @@
 type phase = { config : Config.t; instructions : int }
 
-let schedule_length phases = List.fold_left (fun acc p -> acc + p.instructions) 0 phases
-
 let check phases =
   let module C = Fom_check.Checker in
   C.all

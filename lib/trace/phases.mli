@@ -29,6 +29,3 @@ val source : phase list -> Source.t
     {!Fom_check.Checker.Invalid} with [FOM-T040] for an empty schedule
     and [FOM-T041] for a phase whose instruction budget is not
     positive. *)
-
-val schedule_length : phase list -> int
-(** Instructions in one full pass of the schedule. *)

@@ -19,24 +19,31 @@ let mcf = lazy (program "mcf")
 let vpr = lazy (program "vpr")
 let vortex = lazy (program "vortex")
 
+(* The IW kernel over an exact [n + window] packing of [program]. *)
+let iw_ipc ?latencies ?issue_limit program ~window ~n =
+  let packed =
+    Fom_trace.Packed.of_source (Fom_trace.Source.of_program program) ~n:(n + window)
+  in
+  Iw_sim.ipc_of_packed ?latencies ?issue_limit packed ~window ~n
+
 let test_iw_sim_monotone_in_window () =
   let p = Lazy.force gzip in
-  let i4 = Iw_sim.ipc p ~window:4 ~n:20000 in
-  let i32 = Iw_sim.ipc p ~window:32 ~n:20000 in
-  let i256 = Iw_sim.ipc p ~window:256 ~n:20000 in
+  let i4 = iw_ipc p ~window:4 ~n:20000 in
+  let i32 = iw_ipc p ~window:32 ~n:20000 in
+  let i256 = iw_ipc p ~window:256 ~n:20000 in
   Alcotest.(check bool) "4 < 32" true (i4 < i32);
   Alcotest.(check bool) "32 < 256" true (i32 < i256)
 
 let test_iw_sim_window_one () =
   (* A one-entry window is strictly in-order scalar issue: IPC 1 under
      unit latency. *)
-  let ipc = Iw_sim.ipc (Lazy.force gzip) ~window:1 ~n:5000 in
+  let ipc = iw_ipc (Lazy.force gzip) ~window:1 ~n:5000 in
   Alcotest.(check (float 0.01)) "ipc 1" 1.0 ipc
 
 let test_iw_sim_issue_limit_caps () =
   let p = Lazy.force gzip in
-  let unlimited = Iw_sim.ipc p ~window:128 ~n:20000 in
-  let limited = Iw_sim.ipc p ~window:128 ~n:20000 ~issue_limit:2 in
+  let unlimited = iw_ipc p ~window:128 ~n:20000 in
+  let limited = iw_ipc p ~window:128 ~n:20000 ~issue_limit:2 in
   Alcotest.(check bool) "capped at 2" true (limited <= 2.0 +. 1e-9);
   Alcotest.(check bool) "unlimited higher" true (unlimited > limited)
 
@@ -44,9 +51,9 @@ let test_iw_sim_latency_littles_law () =
   (* Doubling every latency should roughly halve the issue rate at a
      fixed window (the paper's Little's-law argument). *)
   let p = Lazy.force gzip in
-  let unit = Iw_sim.ipc p ~window:64 ~n:20000 in
+  let unit = iw_ipc p ~window:64 ~n:20000 in
   let doubled =
-    Iw_sim.ipc p ~window:64 ~n:20000
+    iw_ipc p ~window:64 ~n:20000
       ~latencies:(Fom_isa.Latency.make ~alu:2 ~mul:2 ~div:2 ~load:2 ~store:2 ~branch:2 ~jump:2 ())
   in
   (* Little's law is a first-order approximation; allow 15% slack. *)
@@ -173,7 +180,7 @@ let test_iw_sim_agrees_with_machine () =
   let p = Lazy.force gzip in
   List.iter
     (fun window ->
-      let lean = Iw_sim.ipc p ~window ~n:20000 in
+      let lean = iw_ipc p ~window ~n:20000 in
       let config =
         {
           (Fom_uarch.Config.ideal Fom_uarch.Config.baseline) with
@@ -230,6 +237,41 @@ let prop_packed_kernel_bit_identical =
       let issue_limit = if limit_sel = 0 then None else Some limit_sel in
       kernel_matches_oracle ?issue_limit ~latencies:(latency_table latency_sel seed) source
         ~window ~n:2000)
+
+(* Inputs as plain data: the three distributions through their
+   (size, count) lists, so that equal contents compare equal. *)
+let inputs_data (i : Inputs.t) =
+  let empty = Distribution.create () in
+  ( { i with Inputs.mispred_bursts = empty; long_miss_groups = empty; dtlb_groups = empty },
+    List.map Distribution.to_list [ i.mispred_bursts; i.long_miss_groups; i.dtlb_groups ] )
+
+let prop_results_independent_of_packing_length =
+  (* A harness shares one packing, longer than any single pass needs,
+     across every analysis of a benchmark. Characterization (with a
+     data TLB) and the IW kernel must not see the extra instructions:
+     the results on an exact packing and on one 8192 longer are
+     equal. *)
+  QCheck.Test.make ~name:"analysis results do not depend on packing length" ~count:12
+    QCheck.(
+      triple
+        (int_bound (List.length Fom_workloads.Spec2000.all - 1))
+        (int_bound 100_000) (int_range 1 256))
+    (fun (preset, seed, window) ->
+      let config = { (List.nth Fom_workloads.Spec2000.all preset) with Fom_trace.Config.seed } in
+      let program = Fom_trace.Program.generate config in
+      let n = 3000 and iw_instructions = 2000 in
+      let dtlb = { Fom_cache.Tlb.entries = 16; page_bits = 12; walk_latency = 30 } in
+      let longer =
+        Fom_trace.Packed.of_source (Fom_trace.Source.of_program program) ~n:(n + window + 8192)
+      in
+      let exact = Characterize.inputs ~dtlb ~iw_instructions ~params:Params.baseline program ~n in
+      let _, _, shared =
+        Fom_exec.Pool.with_pool ~jobs:2 (fun pool ->
+            Characterize.curve_and_inputs_of_packed ~pool ~dtlb ~iw_instructions
+              ~params:Params.baseline longer ~n)
+      in
+      compare (inputs_data exact) (inputs_data shared) = 0
+      && Float.equal (iw_ipc program ~window ~n) (Iw_sim.ipc_of_packed longer ~window ~n))
 
 let test_packed_kernel_grid () =
   (* A fixed grid beside the random draws: three Spec2000 and three
@@ -307,7 +349,6 @@ let test_iw_sim_rejects_non_positive_issue_limit () =
   let packed = Fom_trace.Packed.of_source (Fom_trace.Source.of_program p) ~n:200 in
   List.iter
     (fun issue_limit ->
-      expect_code "FOM-I030" (fun () -> Iw_sim.ipc ~issue_limit p ~window:8 ~n:100);
       expect_code "FOM-I030" (fun () ->
           Iw_sim.ipc_of_packed ~issue_limit packed ~window:8 ~n:100);
       expect_code "FOM-I030" (fun () ->
@@ -318,7 +359,7 @@ let test_iw_sim_rejects_non_positive_issue_limit () =
 let bound_counts ?issue_limit program ~window ~n =
   Fom_obs.Sink.enable ();
   Fun.protect ~finally:Fom_obs.Sink.disable (fun () ->
-      ignore (Iw_sim.ipc ?issue_limit program ~window ~n);
+      ignore (iw_ipc ?issue_limit program ~window ~n);
       let counters = (Fom_obs.Metrics.snapshot ()).Fom_obs.Metrics.counters in
       let get name = Option.value (List.assoc_opt name counters) ~default:0 in
       (get "iw.bound.window", get "iw.bound.dependence", get "iw.bound.width"))
@@ -412,6 +453,7 @@ let suite =
         test_profile_group_members_match_misses;
       Alcotest.test_case "iw sim agrees with machine" `Quick test_iw_sim_agrees_with_machine;
       QCheck_alcotest.to_alcotest prop_packed_kernel_bit_identical;
+      QCheck_alcotest.to_alcotest prop_results_independent_of_packing_length;
       Alcotest.test_case "packed kernel grid matches oracle" `Quick test_packed_kernel_grid;
       Alcotest.test_case "packed round trip" `Quick test_packed_round_trip;
       Alcotest.test_case "iw sim ring guards" `Quick test_iw_sim_rejects_window_beyond_ring;

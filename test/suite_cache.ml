@@ -12,17 +12,7 @@ let test_geometry_baseline () =
   Alcotest.(check int) "l2 sets" 1024 (Geometry.sets Geometry.l2_baseline)
 
 let test_geometry_mapping () =
-  Alcotest.(check int) "line address" 0x40 (Geometry.line_address small 0x7f);
-  Alcotest.(check int) "set wraps" (Geometry.set_index small 0x0)
-    (Geometry.set_index small (8 * 64));
-  Alcotest.(check bool) "different sets" true
-    (Geometry.set_index small 0x0 <> Geometry.set_index small 64)
-
-let test_geometry_tag_disambiguates () =
-  (* Same set, different tags. *)
-  let a = 0x0 and b = 8 * 64 in
-  Alcotest.(check int) "same set" (Geometry.set_index small a) (Geometry.set_index small b);
-  Alcotest.(check bool) "different tag" true (Geometry.tag small a <> Geometry.tag small b)
+  Alcotest.(check int) "line address" 0x40 (Geometry.line_address small 0x7f)
 
 let test_cache_cold_miss_then_hit () =
   let c = Sa_cache.create small in
@@ -171,10 +161,8 @@ let prop_geometry_mapping_sane =
       let geometry =
         [| Geometry.l1_baseline; Geometry.l2_baseline; Geometry.make ~size:1024 ~assoc:2 ~line:64 |].(g)
       in
-      let set = Geometry.set_index geometry addr in
       let line = Geometry.line_address geometry addr in
-      set >= 0 && set < Geometry.sets geometry && line <= addr
-      && addr - line < geometry.Geometry.line)
+      Geometry.sets geometry > 0 && line <= addr && addr - line < geometry.Geometry.line)
 
 let prop_lru_bounded_misses =
   QCheck.Test.make ~name:"misses never exceed accesses" ~count:50
@@ -198,7 +186,6 @@ let suite =
     [
       Alcotest.test_case "geometry baseline" `Quick test_geometry_baseline;
       Alcotest.test_case "geometry mapping" `Quick test_geometry_mapping;
-      Alcotest.test_case "geometry tags" `Quick test_geometry_tag_disambiguates;
       Alcotest.test_case "cold miss then hit" `Quick test_cache_cold_miss_then_hit;
       Alcotest.test_case "lru eviction" `Quick test_cache_lru_eviction;
       Alcotest.test_case "probe has no side effect" `Quick test_cache_probe_no_side_effect;

@@ -308,9 +308,16 @@ let test_ring_guard_codes () =
   Alcotest.(check bool) "ring covers span" true (M.comp_ring_size big > M.inflight_span big);
   (* FOM-I031: the window-limited IW simulator rejects windows beyond
      the cap that bounds its per-cycle issue ring. *)
-  let program = Fom_trace.Program.generate (List.hd Fom_workloads.Micro.all) in
+  let packed =
+    Fom_trace.Packed.of_source
+      (Fom_trace.Source.of_program
+         (Fom_trace.Program.generate (List.hd Fom_workloads.Micro.all)))
+      ~n:64
+  in
   expect_invalid "I031 window beyond ring" "FOM-I031" (fun () ->
-      ignore (Fom_analysis.Iw_sim.ipc program ~window:(Fom_analysis.Iw_sim.ring_size + 1) ~n:64))
+      ignore
+        (Fom_analysis.Iw_sim.ipc_of_packed packed ~window:(Fom_analysis.Iw_sim.ring_size + 1)
+           ~n:64))
 
 let test_component_codes () =
   expect_invalid "M010 geometry" "FOM-M010" (fun () ->

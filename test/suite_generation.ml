@@ -77,8 +77,6 @@ let test_generation_allocation_per_instr () =
       let packed = Packed.of_source (Source.of_program p) ~n in
       per_instr ("Profile.run_packed " ^ name) ~bound:1.0 (fun () ->
           ignore (Profile.run_packed packed ~n));
-      per_instr ("Iw_sim.ipc " ^ name) ~bound:1.0 (fun () ->
-          ignore (Fom_analysis.Iw_sim.ipc p ~window:32 ~n));
       (* The recurrence's arrays are large enough to bypass the minor
          heap, so a run over a pre-built packing allocates ~nothing. *)
       let packed = Packed.of_source (Source.of_program p) ~n:(n + 256) in
@@ -152,7 +150,7 @@ let prop_schedule_writer_matches_phases =
   (* Row [i] of a two-phase schedule is row [i - start] of its phase's
      own packing, with dependences re-based to the activation's
      [start]. [n] ends part-way through a third pass, so the rows past
-     [schedule_length] restart the first phase's stream. *)
+     one full pass restart the first phase's stream. *)
   QCheck.Test.make ~name:"schedule writer matches per-phase packings" ~count:30
     QCheck.(
       quad gen_config gen_config (pair (int_range 1 700) (int_range 1 700)) small_nat)

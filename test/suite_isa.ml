@@ -11,10 +11,6 @@ let test_reg_roundtrip () =
     Alcotest.(check int) "roundtrip" i (Reg.to_int (Reg.of_int i))
   done
 
-let test_reg_zero () =
-  Alcotest.(check bool) "r0 is zero" true (Reg.is_zero Reg.zero_reg);
-  Alcotest.(check bool) "r1 is not zero" false (Reg.is_zero (Reg.of_int 1))
-
 let test_opclass_predicates () =
   Alcotest.(check bool) "load is memory" true (Opclass.is_memory Opclass.Load);
   Alcotest.(check bool) "store is memory" true (Opclass.is_memory Opclass.Store);
@@ -84,7 +80,6 @@ let suite =
   ( "isa",
     [
       Alcotest.test_case "reg roundtrip" `Quick test_reg_roundtrip;
-      Alcotest.test_case "reg zero" `Quick test_reg_zero;
       Alcotest.test_case "opclass predicates" `Quick test_opclass_predicates;
       Alcotest.test_case "opclass distinct names" `Quick test_opclass_all_distinct;
       Alcotest.test_case "latency defaults" `Quick test_latency_default;

@@ -16,9 +16,6 @@ let record source ~n =
   let packed = Packed.of_source source ~n in
   Array.init n (Packed.instr packed)
 
-let test_schedule_length () =
-  Alcotest.(check int) "sum" 5000 (Phases.schedule_length schedule)
-
 let test_indices_sequential_and_deps_valid () =
   let source = Phases.source schedule in
   let trace = record source ~n:12000 in
@@ -81,7 +78,6 @@ let test_combine_single_identity () =
 let suite =
   ( "phases",
     [
-      Alcotest.test_case "schedule length" `Quick test_schedule_length;
       Alcotest.test_case "indices sequential, deps valid" `Quick
         test_indices_sequential_and_deps_valid;
       Alcotest.test_case "phases switch content" `Quick test_phases_switch_content;

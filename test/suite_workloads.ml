@@ -11,6 +11,11 @@ module Profile = Fom_analysis.Profile
 let program config = Fom_trace.Program.generate config
 let micro name = List.find (fun c -> c.Config.name = name) Micro.all
 
+(* The IW kernel over an exact [n + window] packing of [p]. *)
+let iw_ipc p ~window ~n =
+  let packed = Fom_trace.Packed.of_source (Fom_trace.Source.of_program p) ~n:(n + window) in
+  Iw_sim.ipc_of_packed packed ~window ~n
+
 let per_ki profile count =
   1000.0 *. float_of_int count /. float_of_int profile.Profile.instructions
 
@@ -122,7 +127,7 @@ let test_serial_chain_ipc_one () =
   (* The producer chain issues one per cycle; control instructions
      (10% of the mix) produce no values and ride alongside, so the
      ceiling is 1 / (1 - control fraction) ~ 1.11. *)
-  let ipc = Iw_sim.ipc (program (micro "serial-chain")) ~window:64 ~n:10000 in
+  let ipc = iw_ipc (program (micro "serial-chain")) ~window:64 ~n:10000 in
   Alcotest.(check bool) (Printf.sprintf "serial ipc %.2f in [1.0, 1.12]" ipc) true
     (ipc >= 0.99 && ipc <= 1.12)
 
@@ -132,7 +137,7 @@ let test_independent_scales_with_window () =
   let p = program (micro "independent") in
   List.iter
     (fun window ->
-      let ipc = Iw_sim.ipc p ~window ~n:20000 in
+      let ipc = iw_ipc p ~window ~n:20000 in
       Alcotest.(check bool)
         (Printf.sprintf "window %d: ipc %.1f near window" window ipc)
         true
