@@ -10,13 +10,9 @@
    FOM_JOBS or the machine's core count); --jobs 1 reproduces the
    parallel harness byte-for-byte. Every run recomputes every result
    (a full run takes seconds). --json records the machine-readable
-   timing baseline (schema fom-bench/1, see README); when the pool has
-   more than one worker the harness re-times each exhibit back-to-back
-   on a single-worker context — quietly, with its own in-process
-   memos — so the file carries measured speedups,
-   not estimates, and flags any exhibit that parallelism made slower
-   (speedup < 1 above the noise floor) instead of silently recording a
-   regression. *)
+   timing report (schema fom-bench/1, see README): each exhibit's wall
+   time in the pass that ran, at whatever --jobs it ran with. A speedup
+   is measured from separate --jobs 1 and --jobs N reports (README). *)
 
 let exhibits : (string * string * (Context.t -> unit)) list =
   [
@@ -115,105 +111,26 @@ let parse_args () =
     "fom reproduction harness";
   options
 
-(* Run [f] with stdout redirected to /dev/null — the JSON baseline's
-   sequential replay re-prints every exhibit, and only the wall times
-   are wanted. *)
-let quietly f =
-  flush stdout;
-  let saved = Unix.dup Unix.stdout in
-  let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
-  Unix.dup2 devnull Unix.stdout;
-  Fun.protect
-    ~finally:(fun () ->
-      flush stdout;
-      Unix.dup2 saved Unix.stdout;
-      Unix.close saved;
-      Unix.close devnull)
-    f
+(* Seconds elapsed since [t0], a {!Fom_obs.Clock.now_ns} reading: the
+   monotonic clock never steps, so neither do the exhibit times the
+   baseline gate divides. *)
+let seconds_since t0 = float_of_int (Fom_obs.Clock.now_ns () - t0) *. 1e-9
 
 (* Run the selected exhibits against a fresh context, returning
-   (name, wall seconds) per exhibit and the matching single-worker
-   timings when [paired] is set.
-
-   [paired] is the --json path on a parallel run: each exhibit is
-   timed in [paired_rounds] alternating (parallel, single-worker)
-   segments over independent replica contexts, and the reported
-   parallel and sequential times are the min of each side. Two
-   monolithic passes measurably do not compare like with like — the
-   second pass's early exhibits absorb the major-GC debt of the first
-   pass's dead context (hundreds of MB of packed traces and memoized
-   results) and its late exhibits ride an oversized warm heap, skewing
-   per-exhibit "speedups" tens of percent in both directions. Even
-   back-to-back single timings jitter by tens of percent on a shared
-   machine; interleaving replicas of each side and taking the min is
-   the standard defence (the min of repeated wall times estimates the
-   undisturbed cost, and alternation keeps slow-varying machine load
-   from landing on one side only).
-
-   Every replica keeps its own in-process memos (sharing across
-   exhibits accumulates exactly as in a real run), and only the
-   primary context writes CSVs. *)
-let paired_rounds = 3
-
-let run_pass ~jobs ~paired ~csv_dir ~scale selected =
+   (name, wall seconds) per exhibit. *)
+let run_pass ~jobs ~csv_dir ~scale selected =
   let ctx = Context.create ?csv_dir ~jobs ~scale () in
-  (* Round 0's parallel segment is the primary context itself (None);
-     every other slot is a fresh, quiet replica. *)
-  let rounds =
-    if paired then
-      List.init paired_rounds (fun i ->
-          ( (if i = 0 then None else Some (Context.create ~jobs ~scale ())),
-            Context.create ~jobs:1 ~scale () ))
-    else []
-  in
   Fun.protect
-    ~finally:(fun () ->
-      Context.shutdown ctx;
-      List.iter
-        (fun (par, seq) ->
-          Option.iter Context.shutdown par;
-          Context.shutdown seq)
-        rounds)
+    ~finally:(fun () -> Context.shutdown ctx)
     (fun () ->
-      (* When paired, collect the previous segment's garbage *outside*
-         the timed window: otherwise each segment's wall time includes
-         major-GC work for allocations another context made. *)
-      let time_segment run =
-        if paired then Gc.full_major ();
-        let t0 = Unix.gettimeofday () in
-        run ();
-        Unix.gettimeofday () -. t0
-      in
-      let timed, sequential =
-        List.fold_left
-          (fun (timed, sequential) (name, _, run) ->
-            (* Only the primary pass is observed: replica re-timings run
-               with the sink paused, or they would double every span and
-               add their work to every counter. *)
-            let traced () = Fom_obs.Span.with_ (Fom_obs.Span.id name) (fun () -> run ctx) in
-            let dt = time_segment traced in
-            Printf.printf "[%s done in %.1fs]\n%!" name dt;
-            match rounds with
-            | [] -> ((name, dt) :: timed, sequential)
-            | rounds ->
-                let quiet c =
-                  Fom_obs.Sink.paused (fun () -> time_segment (fun () -> quietly (fun () -> run c)))
-                in
-                let par_times, seq_times =
-                  List.fold_left
-                    (fun (ps, ss) (par, seq) ->
-                      let p =
-                        match par with None -> dt | Some c -> quiet c
-                      in
-                      (p :: ps, quiet seq :: ss))
-                    ([], []) rounds
-                in
-                let best = List.fold_left Float.min infinity in
-                ( (name, best par_times) :: timed,
-                  (name, best seq_times) :: sequential ))
-          ([], []) selected
-      in
-      (List.rev timed, List.rev sequential))
+      List.map
+        (fun (name, _, run) ->
+          let t0 = Fom_obs.Clock.now_ns () in
+          Fom_obs.Span.with_ (Fom_obs.Span.id name) (fun () -> run ctx);
+          let dt = seconds_since t0 in
+          Printf.printf "[%s done in %.1fs]\n%!" name dt;
+          (name, dt))
+        selected)
 
 (* The CI regression gate: every measured exhibit that also appears in
    the committed baseline must stay within 2x of the baseline's
@@ -241,6 +158,9 @@ let baseline_regressions ~scale ~timed doc =
           (fun item ->
             match J.member "name" item with
             | Some (J.String n) when String.equal n name -> (
+                (* Reports written at jobs > 1 before the bench stopped
+                   re-timing on one worker (the committed baseline is
+                   one) carry that single-worker time here. *)
                 match J.member "seconds_jobs1" item with
                 | Some v -> J.number v
                 | None -> Option.bind (J.member "seconds" item) J.number)
@@ -262,28 +182,9 @@ let baseline_regressions ~scale ~timed doc =
       | Some _ | None -> None)
     timed
 
-let json_report ~options ~jobs ~timed ~sequential ~total_seconds =
+let json_report ~options ~jobs ~timed ~total_seconds =
   let module J = Fom_util.Json in
-  let exhibit (name, seconds) =
-    let base =
-      [ ("name", J.String name); ("seconds", J.Float seconds) ]
-    in
-    let speedup =
-      match List.assoc_opt name sequential with
-      | Some seq when seconds > 0.0 ->
-          [
-            ("seconds_jobs1", J.Float seq);
-            ("speedup_vs_jobs1", J.Float (seq /. seconds));
-            (* Fraction of the advertised workers actually converted
-               into speedup: 1.0 is perfect scaling, below 1/jobs is a
-               parallel regression (also flagged by a warning line). *)
-            ("parallel_efficiency", J.Float (seq /. seconds /. float_of_int jobs));
-          ]
-      | Some seq -> [ ("seconds_jobs1", J.Float seq) ]
-      | None -> []
-    in
-    J.Obj (base @ speedup)
-  in
+  let exhibit (name, seconds) = J.Obj [ ("name", J.String name); ("seconds", J.Float seconds) ] in
   (* Optional "metrics" block (schema documented in README): present
      only when an observability sink was enabled for the run. *)
   let metrics =
@@ -300,27 +201,6 @@ let json_report ~options ~jobs ~timed ~sequential ~total_seconds =
        ("total_seconds", J.Float total_seconds);
      ]
     @ metrics)
-
-(* The honest-speedup report: every exhibit whose sequential time is
-   above the noise floor and that the parallel pass made *slower* gets
-   a warning line — a regression must be visible, not a JSON field
-   someone might read. Two noise guards: the absolute floor (below it
-   the ratio measures the timer), and a 5% jitter band (back-to-back
-   timings of identical work routinely differ by a few percent even on
-   an idle machine). *)
-let jitter_band = 0.95
-
-let parallel_regressions ~scale ~timed ~sequential =
-  List.filter_map
-    (fun (name, seconds) ->
-      match List.assoc_opt name sequential with
-      | Some seq
-        when seconds > 0.0
-             && seq /. scale >= baseline_gate_floor
-             && seq /. seconds < jitter_band ->
-          Some (name, seq, seconds)
-      | Some _ | None -> None)
-    timed
 
 let run options =
   if options.list_only then
@@ -350,24 +230,14 @@ let run options =
     Printf.printf
       "First-order superscalar model reproduction harness (scale %.2f, %d exhibits, %d jobs)\n"
       options.scale (List.length selected) jobs;
-    let started = Unix.gettimeofday () in
-    let timed, sequential =
-      run_pass ~jobs ~paired:(options.json <> None && jobs > 1) ~csv_dir:options.csv_dir
-        ~scale:options.scale selected
-    in
-    let total = Unix.gettimeofday () -. started in
+    let started = Fom_obs.Clock.now_ns () in
+    let timed = run_pass ~jobs ~csv_dir:options.csv_dir ~scale:options.scale selected in
+    let total = seconds_since started in
     (match options.json with
     | None -> ()
     | Some path ->
-        List.iter
-          (fun (name, seq, par) ->
-            Printf.eprintf
-              "WARNING: exhibit %s is slower in parallel (%.2fs at %d jobs vs %.2fs \
-               sequential, speedup %.2fx)\n"
-              name par jobs seq (seq /. par))
-          (parallel_regressions ~scale:options.scale ~timed ~sequential);
         Fom_util.Json.write_file ~path
-          (json_report ~options ~jobs ~timed ~sequential ~total_seconds:total);
+          (json_report ~options ~jobs ~timed ~total_seconds:total);
         Printf.printf "wrote timing baseline to %s\n" path);
     Printf.printf "\nTotal harness time: %.1fs\n" total;
     (* Observability output comes after every exhibit line so the

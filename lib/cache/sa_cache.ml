@@ -75,10 +75,3 @@ let access t addr =
 
 let accesses t = t.accesses
 let misses t = t.misses
-
-let clear t =
-  Array.fill t.tags 0 (Array.length t.tags) (-1);
-  Array.fill t.stamps 0 (Array.length t.stamps) 0;
-  t.clock <- 0;
-  t.accesses <- 0;
-  t.misses <- 0

@@ -22,6 +22,3 @@ val accesses : t -> int
 
 val misses : t -> int
 (** Misses so far. *)
-
-val clear : t -> unit
-(** Empty the cache and zero the counters. *)

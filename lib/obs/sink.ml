@@ -6,7 +6,3 @@ let enable ?(span_capacity = 1 lsl 16) () =
 
 let disable () = Atomic.set Gate.enabled false
 let enabled () = Gate.is_on ()
-
-let paused f =
-  let was_on = Atomic.exchange Gate.enabled false in
-  Fun.protect ~finally:(fun () -> Atomic.set Gate.enabled was_on) f

@@ -23,9 +23,4 @@ val disable : unit -> unit
 (** Close the gate. Recorded data stays readable through
     {!Span.events} / {!Metrics.snapshot} / {!Export}. *)
 
-val paused : (unit -> 'a) -> 'a
-(** [paused f] runs [f] with the gate closed, then restores it: work
-    that should not be observed (a harness re-timing what it already
-    recorded) adds nothing, and what was recorded before stays. *)
-
 val enabled : unit -> bool

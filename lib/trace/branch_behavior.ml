@@ -35,10 +35,3 @@ let next t =
       let out = a.(t.step) in
       t.step <- (t.step + 1) mod Array.length a;
       out
-
-let expected_taken_rate = function
-  | Biased p | Chaotic p -> p
-  | Loop trip -> float_of_int (trip - 1) /. float_of_int trip
-  | Pattern a ->
-      let taken = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 a in
-      float_of_int taken /. float_of_int (Array.length a)

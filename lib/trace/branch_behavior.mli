@@ -31,6 +31,3 @@ val kind : t -> kind
 
 val next : t -> bool
 (** Next resolved direction. *)
-
-val expected_taken_rate : kind -> float
-(** Long-run fraction of taken outcomes, for calibration and tests. *)

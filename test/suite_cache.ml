@@ -78,13 +78,6 @@ let test_cache_miss_rate_monotone_in_size () =
   let small_rate = run 4096 and big_rate = run 32768 in
   Alcotest.(check bool) "bigger cache misses less" true (big_rate < small_rate)
 
-let test_cache_clear () =
-  let c = Sa_cache.create small in
-  ignore (Sa_cache.access c 0x0);
-  Sa_cache.clear c;
-  Alcotest.(check int) "stats reset" 0 (Sa_cache.accesses c);
-  Alcotest.(check bool) "contents gone" false (Sa_cache.probe c 0x0)
-
 let test_hierarchy_classification () =
   let h = Hierarchy.create Hierarchy.baseline in
   (* Cold: L1 miss and L2 miss -> Memory; second touch -> L1 hit. *)
@@ -192,7 +185,6 @@ let suite =
       Alcotest.test_case "working set fits" `Quick test_cache_working_set_fits;
       Alcotest.test_case "thrashing set" `Quick test_cache_thrashing_set;
       Alcotest.test_case "miss rate monotone in size" `Quick test_cache_miss_rate_monotone_in_size;
-      Alcotest.test_case "clear" `Quick test_cache_clear;
       Alcotest.test_case "hierarchy classification" `Quick test_hierarchy_classification;
       Alcotest.test_case "hierarchy short miss" `Quick test_hierarchy_short_miss;
       Alcotest.test_case "hierarchy ideal" `Quick test_hierarchy_ideal;

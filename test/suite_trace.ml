@@ -68,13 +68,6 @@ let test_biased_behavior_rate () =
   done;
   Alcotest.(check (float 0.02)) "rate" 0.9 (float_of_int !taken /. float_of_int n)
 
-let test_expected_taken_rate () =
-  Alcotest.(check (float 1e-9)) "loop 4" 0.75
-    (Branch_behavior.expected_taken_rate (Branch_behavior.Loop 4));
-  Alcotest.(check (float 1e-9)) "pattern" (2.0 /. 3.0)
-    (Branch_behavior.expected_taken_rate
-       (Branch_behavior.Pattern [| true; true; false |]))
-
 let test_program_generation_deterministic () =
   let p1 = Program.generate (gzip ()) and p2 = Program.generate (gzip ()) in
   Alcotest.(check int) "same static count" (Program.static_count p1) (Program.static_count p2);
@@ -258,7 +251,6 @@ let suite =
       Alcotest.test_case "loop behaviour" `Quick test_loop_behavior;
       Alcotest.test_case "pattern behaviour" `Quick test_pattern_behavior;
       Alcotest.test_case "biased rate" `Quick test_biased_behavior_rate;
-      Alcotest.test_case "expected taken rate" `Quick test_expected_taken_rate;
       Alcotest.test_case "program deterministic" `Quick test_program_generation_deterministic;
       Alcotest.test_case "program structure" `Quick test_program_structure;
       Alcotest.test_case "block of uid" `Quick test_block_of_uid;
