@@ -352,17 +352,10 @@ let check_cmd =
   in
   let run width depth window rob workload deep n jobs seed metrics trace_out =
     let module C = Fom_check.Checker in
-    let module D = Fom_check.Diagnostic in
     enable_observability metrics trace_out;
     let params = params_of width depth window rob in
     let machine = machine_of width depth window rob in
     let workloads = match workload with Some w -> [ w ] | None -> all_workloads in
-    let reroot prefix =
-      List.map (fun d ->
-          D.make ~severity:d.D.severity ~code:d.D.code
-            ~path:(prefix ^ "." ^ d.D.path)
-            d.D.message)
-    in
     (* With --seed, each workload characterizes under its own derived
        seed: the root generator is split into per-task seeds *before*
        the parallel fan-out, so the report is independent of worker
@@ -374,13 +367,13 @@ let check_cmd =
         seed
     in
     let deep_diags (index, config) =
-      let prefix = "workload." ^ config.Fom_trace.Config.name in
+      let prefix = "workload." ^ config.Fom_trace.Config.name ^ "." in
       match
         let program = program_of config (Option.map (fun a -> a.(index)) task_seeds) in
         Fom_analysis.Characterize.inputs ~params program ~n
       with
-      | inputs -> reroot prefix (Fom_model.Inputs.check inputs)
-      | exception C.Invalid ds -> reroot prefix ds
+      | inputs -> C.within prefix (Fom_model.Inputs.check inputs)
+      | exception C.Invalid ds -> C.within prefix ds
     in
     (* The deep sweep defaults to the machine's recommended domain
        count (sequential on a single core); an explicit --jobs beyond

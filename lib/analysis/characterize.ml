@@ -25,10 +25,13 @@ let assemble ~name ~n curve (profile : Profile.t) =
 
 let curve_and_inputs_of_packed ?pool ?windows ?iw_instructions ?cache ?predictor ?latencies
     ?grouping ?dtlb ~(params : Params.t) packed ~n =
-  Fom_check.Checker.ensure ~code:"FOM-I033" ~path:"characterize.trace"
-    (Packed.length packed >= n)
-    (Printf.sprintf "packed trace of %d instructions is shorter than the %d-instruction \
-                     profile" (Packed.length packed) n);
+  if Packed.length packed < n then
+    Fom_check.Checker.(
+      run_exn
+        (fail ~code:"FOM-I033" ~path:"characterize.trace"
+           (Printf.sprintf
+              "packed trace of %d instructions is shorter than the %d-instruction profile"
+              (Packed.length packed) n)));
   let curve = Iw_curve.measure_packed ?pool ?windows ?n:iw_instructions packed in
   let profile =
     Profile.run_packed ?cache ?predictor ?latencies ?grouping ?dtlb

@@ -22,11 +22,14 @@ let check_shape ?issue_limit ~window ~n () =
   Option.iter
     (fun limit -> ensure ~path:"iw_sim.issue_limit" (limit >= 1) "issue limit must be positive")
     issue_limit;
-  Fom_check.Checker.ensure ~code:"FOM-I031" ~path:"iw_sim.window" (window <= ring_size)
-    (Printf.sprintf
-       "window of %d exceeds the %d-entry cap; the per-cycle issue ring grows with window \
-        x (max latency + 1)"
-       window ring_size)
+  if window > ring_size then
+    Fom_check.Checker.(
+      run_exn
+        (fail ~code:"FOM-I031" ~path:"iw_sim.window"
+           (Printf.sprintf
+              "window of %d exceeds the %d-entry cap; the per-cycle issue ring grows with \
+               window x (max latency + 1)"
+              window ring_size)))
 
 (* The idealized machine as a max-plus recurrence over instructions in
    age order, with no cycle loop.
@@ -49,10 +52,13 @@ let check_shape ?issue_limit ~window ~n () =
    in-window instructions. *)
 let ipc_of_packed ?(latencies = Latency.unit) ?issue_limit packed ~window ~n =
   check_shape ?issue_limit ~window ~n ();
-  Fom_check.Checker.ensure ~code:"FOM-I033" ~path:"iw_sim.trace"
-    (Packed.length packed >= n + window)
-    (Printf.sprintf "packed trace of %d instructions is shorter than run length %d plus \
-                     window %d" (Packed.length packed) n window);
+  if Packed.length packed < n + window then
+    Fom_check.Checker.(
+      run_exn
+        (fail ~code:"FOM-I033" ~path:"iw_sim.trace"
+           (Printf.sprintf
+              "packed trace of %d instructions is shorter than run length %d plus window %d"
+              (Packed.length packed) n window)));
   let lat = Latency.table latencies in
   let limit = Option.value issue_limit ~default:max_int in
   (* The run ends in the cycle its [n]-th issue lands in; instruction

@@ -39,9 +39,10 @@ let diagnostics spec =
   match spec with
   | Ideal | Always_taken -> C.ok
   | Bimodal bits | Gshare bits | Local bits | Tournament bits ->
-      C.check ~code:"FOM-M014" ~path:"predictor.bits"
-        (bits >= 1 && bits <= 28)
-        (Printf.sprintf "table size log2 must be within [1, 28], got %d" bits)
+      if bits >= 1 && bits <= 28 then C.ok
+      else
+        C.fail ~code:"FOM-M014" ~path:"predictor.bits"
+          (Printf.sprintf "table size log2 must be within [1, 28], got %d" bits)
 
 let check_bits bits =
   Fom_check.Checker.ensure ~code:"FOM-M014" ~path:"predictor.bits"

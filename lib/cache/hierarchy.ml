@@ -55,24 +55,22 @@ type t = {
 
 let diagnostics (config : config) =
   let module C = Fom_check.Checker in
-  let level path = function Ideal -> C.ok | Real g -> Geometry.diagnostics ~path g in
-  C.all
-    [
-      level "cache.l1i" config.l1i;
-      level "cache.l1d" config.l1d;
-      (match config.l2 with
-      | Ideal_l2 | No_l2 -> C.ok
-      | Real_l2 g -> Geometry.diagnostics ~path:"cache.l2" g);
-      C.min_int ~code:"FOM-M015" ~path:"cache.latencies.l1" ~min:0 config.latencies.l1;
-      C.check ~code:"FOM-M015" ~path:"cache.latencies.l2"
-        (config.latencies.l2 >= config.latencies.l1)
-        (Printf.sprintf "L2 latency (%d) must not be below L1 latency (%d)"
-           config.latencies.l2 config.latencies.l1);
-      C.check ~code:"FOM-M015" ~path:"cache.latencies.memory"
-        (config.latencies.memory >= config.latencies.l2)
-        (Printf.sprintf "memory latency (%d) must not be below L2 latency (%d)"
-           config.latencies.memory config.latencies.l2);
-    ]
+  let l = config.latencies in
+  (match config.l1i with Ideal -> C.ok | Real g -> Geometry.diagnostics ~path:"cache.l1i" g)
+  @ (match config.l1d with Ideal -> C.ok | Real g -> Geometry.diagnostics ~path:"cache.l1d" g)
+  @ (match config.l2 with
+    | Ideal_l2 | No_l2 -> C.ok
+    | Real_l2 g -> Geometry.diagnostics ~path:"cache.l2" g)
+  @ C.min_int ~code:"FOM-M015" ~path:"cache.latencies.l1" ~min:0 l.l1
+  @ (if l.l2 >= l.l1 then C.ok
+     else
+       C.fail ~code:"FOM-M015" ~path:"cache.latencies.l2"
+         (Printf.sprintf "L2 latency (%d) must not be below L1 latency (%d)" l.l2 l.l1))
+  @
+  if l.memory >= l.l2 then C.ok
+  else
+    C.fail ~code:"FOM-M015" ~path:"cache.latencies.memory"
+      (Printf.sprintf "memory latency (%d) must not be below L2 latency (%d)" l.memory l.l2)
 
 let create (config : config) =
   Fom_check.Checker.run_exn (diagnostics config);

@@ -4,14 +4,12 @@ type t = { spec : spec; cache : Sa_cache.t }
 
 let diagnostics spec =
   let module C = Fom_check.Checker in
-  C.all
-    [
-      C.check ~code:"FOM-M011" ~path:"dtlb.entries"
-        (spec.entries > 0 && spec.entries land (spec.entries - 1) = 0)
-        (Printf.sprintf "entry count must be a positive power of two, got %d" spec.entries);
-      C.min_int ~code:"FOM-M011" ~path:"dtlb.page_bits" ~min:6 spec.page_bits;
-      C.min_int ~code:"FOM-M011" ~path:"dtlb.walk_latency" ~min:1 spec.walk_latency;
-    ]
+  (if spec.entries > 0 && spec.entries land (spec.entries - 1) = 0 then C.ok
+   else
+     C.fail ~code:"FOM-M011" ~path:"dtlb.entries"
+       (Printf.sprintf "entry count must be a positive power of two, got %d" spec.entries))
+  @ C.min_int ~code:"FOM-M011" ~path:"dtlb.page_bits" ~min:6 spec.page_bits
+  @ C.min_int ~code:"FOM-M011" ~path:"dtlb.walk_latency" ~min:1 spec.walk_latency
 
 let create spec =
   Fom_check.Checker.run_exn (diagnostics spec);

@@ -40,6 +40,11 @@ let sum_to_one ?(tol = 1e-6) ~code ~path parts =
          (String.concat " + " (List.map fst parts))
          total)
 
+let within prefix = function
+  | [] -> []
+  | rule ->
+      List.map (fun (d : Diagnostic.t) -> { d with Diagnostic.path = prefix ^ d.Diagnostic.path }) rule
+
 let errors rule = List.filter Diagnostic.is_error rule
 
 let warnings rule =

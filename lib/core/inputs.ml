@@ -16,71 +16,58 @@ type t = {
   dtlb_groups : Fom_util.Distribution.t;
 }
 
+(* Outcomes are never negative (Distribution.add rejects them), so
+   group sizes are at least 1 exactly when no group has size 0. *)
+let group_consistency ~path rate dist =
+  let module C = Fom_check.Checker in
+  let module D = Fom_util.Distribution in
+  let observed = D.total dist > 0 in
+  C.check ~severity:Fom_check.Diagnostic.Warning ~code:"FOM-I008" ~path
+    (not (rate > 0.0 && not observed))
+    "event rate is positive but the group distribution is empty (overlap factor defaults \
+     to 1)"
+  @ C.check ~severity:Fom_check.Diagnostic.Warning ~code:"FOM-I008" ~path
+      (not (rate = 0.0 && observed))
+      "group distribution is non-empty but the event rate is zero"
+  @ C.check ~code:"FOM-I009" ~path (D.count dist 0 = 0) "group sizes must be at least 1"
+
 (* A rate of events per instruction is a probability; the paper's
    eq. 1 decomposition is meaningless outside [0, 1]. *)
 let check t =
   let module C = Fom_check.Checker in
-  let module D = Fom_util.Distribution in
-  let rate name v = C.fraction ~code:"FOM-I005" ~path:("inputs." ^ name) v in
-  let group_consistency name rate dist =
-    let observed = D.total dist > 0 in
-    C.all
-      [
-        C.check ~severity:Fom_check.Diagnostic.Warning ~code:"FOM-I008"
-          ~path:("inputs." ^ name)
-          (not (rate > 0.0 && not observed))
-          "event rate is positive but the group distribution is empty (overlap factor \
-           defaults to 1)";
-        C.check ~severity:Fom_check.Diagnostic.Warning ~code:"FOM-I008"
-          ~path:("inputs." ^ name)
-          (not (rate = 0.0 && observed))
-          "group distribution is non-empty but the event rate is zero";
-        C.check ~code:"FOM-I009" ~path:("inputs." ^ name)
-          (List.for_all (fun k -> k >= 1) (D.support dist))
-          "group sizes must be at least 1";
-      ]
-  in
-  C.all
-    [
-      C.min_int ~code:"FOM-I001" ~path:"inputs.instructions" ~min:1 t.instructions;
-      C.positive_float ~code:"FOM-I002" ~path:"inputs.alpha" t.alpha;
-      C.positive_fraction ~code:"FOM-I003" ~path:"inputs.beta" t.beta;
-      C.min_float ~code:"FOM-I004" ~path:"inputs.avg_latency" ~min:1.0 t.avg_latency;
-      rate "mispredictions_per_instr" t.mispredictions_per_instr;
-      rate "l1i_misses_per_instr" t.l1i_misses_per_instr;
-      rate "l2i_misses_per_instr" t.l2i_misses_per_instr;
-      rate "short_misses_per_instr" t.short_misses_per_instr;
-      rate "long_misses_per_instr" t.long_misses_per_instr;
-      rate "dtlb_misses_per_instr" t.dtlb_misses_per_instr;
-      (* Not a hard invariant of the representation (the counts are
-         disjoint, not nested), but a violation almost always means the
-         characterization ran on a broken hierarchy. *)
-      C.check ~severity:Fom_check.Diagnostic.Warning ~code:"FOM-I006"
-        ~path:"inputs.l2i_misses_per_instr"
-        (t.l2i_misses_per_instr <= t.l1i_misses_per_instr +. 1e-12)
-        (Printf.sprintf
-           "memory-served instruction miss rate (%g) is usually at most the L2-served rate \
-            (%g)"
-           t.l2i_misses_per_instr t.l1i_misses_per_instr);
-      C.check ~code:"FOM-I007" ~path:"inputs.fit_r2"
-        (Float.is_finite t.fit_r2 && t.fit_r2 > 0.0 && t.fit_r2 <= 1.0 +. 1e-9)
-        (Printf.sprintf "fit r-squared must be within (0, 1], got %g" t.fit_r2);
-      C.check ~code:"FOM-I010" ~path:"inputs.l1i_misses_per_instr"
-        (t.l1i_misses_per_instr +. t.l2i_misses_per_instr <= 1.0 +. 1e-9)
-        "combined instruction miss rates exceed one per instruction";
-      C.check ~code:"FOM-I010" ~path:"inputs.short_misses_per_instr"
-        (t.short_misses_per_instr +. t.long_misses_per_instr <= 1.0 +. 1e-9)
-        "combined data miss rates exceed one per instruction";
-      C.check ~severity:Fom_check.Diagnostic.Hint ~code:"FOM-I011" ~path:"inputs.fit_r2"
-        (not (t.fit_r2 > 0.0 && t.fit_r2 < 0.5))
-        (Printf.sprintf
-           "power-law fit explains only r2 = %g of the IW curve; the model's eq. 1 rests \
-            on this fit"
-           t.fit_r2);
-      group_consistency "mispred_bursts" t.mispredictions_per_instr t.mispred_bursts;
-      group_consistency "long_miss_groups" t.long_misses_per_instr t.long_miss_groups;
-      group_consistency "dtlb_groups" t.dtlb_misses_per_instr t.dtlb_groups;
-    ]
+  let rate path v = C.fraction ~code:"FOM-I005" ~path v in
+  C.min_int ~code:"FOM-I001" ~path:"inputs.instructions" ~min:1 t.instructions
+  @ C.positive_float ~code:"FOM-I002" ~path:"inputs.alpha" t.alpha
+  @ C.positive_fraction ~code:"FOM-I003" ~path:"inputs.beta" t.beta
+  @ C.min_float ~code:"FOM-I004" ~path:"inputs.avg_latency" ~min:1.0 t.avg_latency
+  @ rate "inputs.mispredictions_per_instr" t.mispredictions_per_instr
+  @ rate "inputs.l1i_misses_per_instr" t.l1i_misses_per_instr
+  @ rate "inputs.l2i_misses_per_instr" t.l2i_misses_per_instr
+  @ rate "inputs.short_misses_per_instr" t.short_misses_per_instr
+  @ rate "inputs.long_misses_per_instr" t.long_misses_per_instr
+  @ rate "inputs.dtlb_misses_per_instr" t.dtlb_misses_per_instr
+  @ (if Float.is_finite t.fit_r2 && t.fit_r2 > 0.0 && t.fit_r2 <= 1.0 +. 1e-9 then C.ok
+     else
+       C.fail ~code:"FOM-I007" ~path:"inputs.fit_r2"
+         (Printf.sprintf "fit r-squared must be within (0, 1], got %g" t.fit_r2))
+  @ C.check ~code:"FOM-I010" ~path:"inputs.l1i_misses_per_instr"
+      (t.l1i_misses_per_instr +. t.l2i_misses_per_instr <= 1.0 +. 1e-9)
+      "combined instruction miss rates exceed one per instruction"
+  @ C.check ~code:"FOM-I010" ~path:"inputs.short_misses_per_instr"
+      (t.short_misses_per_instr +. t.long_misses_per_instr <= 1.0 +. 1e-9)
+      "combined data miss rates exceed one per instruction"
+  @ (if not (t.fit_r2 > 0.0 && t.fit_r2 < 0.5) then C.ok
+     else
+       C.fail ~severity:Fom_check.Diagnostic.Hint ~code:"FOM-I011" ~path:"inputs.fit_r2"
+         (Printf.sprintf
+            "power-law fit explains only r2 = %g of the IW curve; the model's eq. 1 rests on \
+             this fit"
+            t.fit_r2))
+  @ group_consistency ~path:"inputs.mispred_bursts" t.mispredictions_per_instr
+      t.mispred_bursts
+  @ group_consistency ~path:"inputs.long_miss_groups" t.long_misses_per_instr
+      t.long_miss_groups
+  @ group_consistency ~path:"inputs.dtlb_groups" t.dtlb_misses_per_instr t.dtlb_groups
 
 let validate t = Fom_check.Checker.run_exn (check t)
 

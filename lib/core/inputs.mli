@@ -36,9 +36,9 @@ type t = {
 
 val check : t -> Fom_check.Diagnostic.t list
 (** Collect every [FOM-Ixxx] violation: rate ranges, the power-law
-    shape ([alpha > 0], [beta], [fit_r2] in (0, 1]]), miss-rate
-    orderings (warnings), and consistency between each event rate and
-    its group-size distribution. *)
+    shape ([alpha > 0], [beta], [fit_r2] in (0, 1]]), combined miss
+    rates, and consistency between each event rate and its group-size
+    distribution. Valid inputs allocate nothing. *)
 
 val validate : t -> unit
 (** Raise {!Fom_check.Checker.Invalid} with everything {!check}

@@ -8,14 +8,11 @@ type t = {
 let make ~alpha ~beta ?(avg_latency = 1.0) ?(issue_width = infinity) () =
   let module C = Fom_check.Checker in
   C.run_exn
-    (C.all
-       [
-         C.positive_float ~code:"FOM-I002" ~path:"iw.alpha" alpha;
-         C.positive_fraction ~code:"FOM-I003" ~path:"iw.beta" beta;
-         C.min_float ~code:"FOM-I004" ~path:"iw.avg_latency" ~min:1.0 avg_latency;
-         C.check ~code:"FOM-I002" ~path:"iw.issue_width" (issue_width > 0.0)
-           "issue width must be positive";
-       ]);
+    (C.positive_float ~code:"FOM-I002" ~path:"iw.alpha" alpha
+    @ C.positive_fraction ~code:"FOM-I003" ~path:"iw.beta" beta
+    @ C.min_float ~code:"FOM-I004" ~path:"iw.avg_latency" ~min:1.0 avg_latency
+    @ C.check ~code:"FOM-I002" ~path:"iw.issue_width" (issue_width > 0.0)
+        "issue width must be positive");
   { alpha; beta; avg_latency; issue_width }
 
 let square_law = make ~alpha:1.0 ~beta:0.5 ()

@@ -21,17 +21,14 @@ let unbounded =
 
 let diagnostics t =
   let module C = Fom_check.Checker in
-  let field name v = C.min_int ~code:"FOM-M013" ~path:("fu_limits." ^ name) ~min:1 v in
-  C.all
-    [
-      field "alu" t.alu;
-      field "mul" t.mul;
-      field "div" t.div;
-      field "load" t.load;
-      field "store" t.store;
-      field "branch" t.branch;
-      field "jump" t.jump;
-    ]
+  let field path v = C.min_int ~code:"FOM-M013" ~path ~min:1 v in
+  field "fu_limits.alu" t.alu
+  @ field "fu_limits.mul" t.mul
+  @ field "fu_limits.div" t.div
+  @ field "fu_limits.load" t.load
+  @ field "fu_limits.store" t.store
+  @ field "fu_limits.branch" t.branch
+  @ field "fu_limits.jump" t.jump
 
 let make ?(alu = max_int) ?(mul = max_int) ?(div = max_int) ?(load = max_int)
     ?(store = max_int) ?(branch = max_int) ?(jump = max_int) () =

@@ -2,17 +2,14 @@ type t = { alu : int; mul : int; div : int; load : int; store : int; branch : in
 
 let diagnostics t =
   let module C = Fom_check.Checker in
-  let field name v = C.min_int ~code:"FOM-M012" ~path:("latency." ^ name) ~min:1 v in
-  C.all
-    [
-      field "alu" t.alu;
-      field "mul" t.mul;
-      field "div" t.div;
-      field "load" t.load;
-      field "store" t.store;
-      field "branch" t.branch;
-      field "jump" t.jump;
-    ]
+  let field path v = C.min_int ~code:"FOM-M012" ~path ~min:1 v in
+  field "latency.alu" t.alu
+  @ field "latency.mul" t.mul
+  @ field "latency.div" t.div
+  @ field "latency.load" t.load
+  @ field "latency.store" t.store
+  @ field "latency.branch" t.branch
+  @ field "latency.jump" t.jump
 
 let check t =
   Fom_check.Checker.run_exn (diagnostics t);

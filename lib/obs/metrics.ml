@@ -33,9 +33,11 @@ let register name make =
   metric
 
 let kind_clash name found =
-  Fom_check.Checker.ensure ~code:"FOM-O001" ~path:("obs.metric." ^ name) false
-    (Printf.sprintf "metric %S is already registered as a %s" name (kind_label found));
-  Fom_check.Checker.internal_error "unreachable after ensure false"
+  Fom_check.Checker.(
+    run_exn
+      (fail ~code:"FOM-O001" ~path:("obs.metric." ^ name)
+         (Printf.sprintf "metric %S is already registered as a %s" name (kind_label found))));
+  Fom_check.Checker.internal_error "unreachable after a failed rule"
 
 let counter name =
   match register name (fun () -> Counter { c_name = name; c_cell = Atomic.make 0 }) with

@@ -2,13 +2,15 @@ type phase = { config : Config.t; instructions : int }
 
 let check phases =
   let module C = Fom_check.Checker in
-  C.all
-    (C.check ~code:"FOM-T040" ~path:"phases" (phases <> []) "phase schedule must be non-empty"
-    :: List.mapi
+  C.check ~code:"FOM-T040" ~path:"phases" (phases <> []) "phase schedule must be non-empty"
+  @ C.all
+      (List.mapi
          (fun i p ->
-           C.min_int ~code:"FOM-T041"
-             ~path:(Printf.sprintf "phases[%d].instructions" i)
-             ~min:1 p.instructions)
+           if p.instructions >= 1 then C.ok
+           else
+             C.fail ~code:"FOM-T041"
+               ~path:(Printf.sprintf "phases[%d].instructions" i)
+               (Printf.sprintf "must be at least 1, got %d" p.instructions))
          phases)
 
 let source phases =

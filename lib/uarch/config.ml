@@ -52,50 +52,38 @@ let comp_ring_size t = 1 lsl comp_ring_bits t
 
 let check t =
   let module C = Fom_check.Checker in
-  let structural =
-    C.all
-      [
-        C.min_int ~code:"FOM-M001" ~path:"machine.width" ~min:1 t.width;
-        C.min_int ~code:"FOM-M002" ~path:"machine.pipeline_depth" ~min:1 t.pipeline_depth;
-        C.min_int ~code:"FOM-M003" ~path:"machine.window_size" ~min:1 t.window_size;
-        C.check ~code:"FOM-M004" ~path:"machine.window_size"
-          (t.rob_size >= t.window_size)
-          (Printf.sprintf "window_size (%d) must not exceed rob_size (%d)" t.window_size
-             t.rob_size);
-        C.min_int ~code:"FOM-M005" ~path:"machine.fetch_buffer" ~min:0 t.fetch_buffer;
-        C.check ~code:"FOM-I032" ~path:"machine.rob_size"
-          (inflight_span t < 1 lsl max_comp_ring_bits)
-          (Printf.sprintf
-             "in-flight span of %d (rob_size + width * pipeline_depth + fetch_buffer + width) \
-              exceeds the largest supported completion ring (2^%d entries); completion \
-              lookups would silently alias"
-             (inflight_span t) max_comp_ring_bits);
-        C.min_int ~code:"FOM-M006" ~path:"machine.clusters" ~min:1 t.clusters;
-        (if t.clusters >= 1 then
-           C.all
-             [
-               C.check ~code:"FOM-M007" ~path:"machine.clusters"
-                 (t.width mod t.clusters = 0)
-                 (Printf.sprintf "clusters (%d) must divide width (%d)" t.clusters t.width);
-               C.check ~code:"FOM-M008" ~path:"machine.clusters"
-                 (t.window_size mod t.clusters = 0)
-                 (Printf.sprintf "clusters (%d) must divide window_size (%d)" t.clusters
-                    t.window_size);
-             ]
-         else C.ok);
-      ]
-  in
-  let components =
-    C.all
-      [
-        Fom_isa.Latency.diagnostics t.latencies;
-        Fom_isa.Fu_set.diagnostics t.fu_limits;
-        Fom_branch.Predictor.diagnostics t.predictor;
-        Fom_cache.Hierarchy.diagnostics t.cache;
-        (match t.dtlb with Some spec -> Fom_cache.Tlb.diagnostics spec | None -> C.ok);
-      ]
-  in
-  C.all [ structural; components ]
+  C.min_int ~code:"FOM-M001" ~path:"machine.width" ~min:1 t.width
+  @ C.min_int ~code:"FOM-M002" ~path:"machine.pipeline_depth" ~min:1 t.pipeline_depth
+  @ C.min_int ~code:"FOM-M003" ~path:"machine.window_size" ~min:1 t.window_size
+  @ (if t.rob_size >= t.window_size then C.ok
+     else
+       C.fail ~code:"FOM-M004" ~path:"machine.window_size"
+         (Printf.sprintf "window_size (%d) must not exceed rob_size (%d)" t.window_size
+            t.rob_size))
+  @ C.min_int ~code:"FOM-M005" ~path:"machine.fetch_buffer" ~min:0 t.fetch_buffer
+  @ (if inflight_span t < 1 lsl max_comp_ring_bits then C.ok
+     else
+       C.fail ~code:"FOM-I032" ~path:"machine.rob_size"
+         (Printf.sprintf
+            "in-flight span of %d (rob_size + width * pipeline_depth + fetch_buffer + width) \
+             exceeds the largest supported completion ring (2^%d entries); completion \
+             lookups would silently alias"
+            (inflight_span t) max_comp_ring_bits))
+  @ C.min_int ~code:"FOM-M006" ~path:"machine.clusters" ~min:1 t.clusters
+  @ (if t.clusters < 1 || t.width mod t.clusters = 0 then C.ok
+     else
+       C.fail ~code:"FOM-M007" ~path:"machine.clusters"
+         (Printf.sprintf "clusters (%d) must divide width (%d)" t.clusters t.width))
+  @ (if t.clusters < 1 || t.window_size mod t.clusters = 0 then C.ok
+     else
+       C.fail ~code:"FOM-M008" ~path:"machine.clusters"
+         (Printf.sprintf "clusters (%d) must divide window_size (%d)" t.clusters
+            t.window_size))
+  @ Fom_isa.Latency.diagnostics t.latencies
+  @ Fom_isa.Fu_set.diagnostics t.fu_limits
+  @ Fom_branch.Predictor.diagnostics t.predictor
+  @ Fom_cache.Hierarchy.diagnostics t.cache
+  @ match t.dtlb with Some spec -> Fom_cache.Tlb.diagnostics spec | None -> C.ok
 
 let validate t = Fom_check.Checker.run_exn (check t)
 

@@ -15,15 +15,12 @@ val add : t -> int -> unit
 val total : t -> int
 (** Number of recorded observations. *)
 
-val support : t -> int list
-(** Outcomes with non-zero count, in increasing order. *)
+val count : t -> int -> int
+(** [count t k] is how many observations of outcome [k] were
+    recorded. *)
 
 val mean : t -> float
-(** Empirical mean outcome. *)
-
-val expect : t -> (int -> float) -> float
-(** [expect t f] is the empirical expectation of [f]. In the paper's
-    eq. 8 this is used with [f i = 1 / i] over miss-group sizes. *)
+(** Empirical mean outcome; 0.0 for an empty distribution. *)
 
 val of_list : (int * int) list -> t
 (** Build from (outcome, count) pairs. *)

@@ -117,8 +117,6 @@ let test_inputs_codes () =
   check_code "I003" "FOM-I003" (I.check { i with I.beta = 1.5 });
   check_code "I004" "FOM-I004" (I.check { i with I.avg_latency = 0.5 });
   check_code "I005" "FOM-I005" (I.check { i with I.mispredictions_per_instr = -0.1 });
-  check_code "I006" "FOM-I006"
-    (I.check { i with I.l1i_misses_per_instr = 0.001; l2i_misses_per_instr = 0.002 });
   check_code "I007" "FOM-I007" (I.check { i with I.fit_r2 = 0.0 });
   check_code "I008" "FOM-I008"
     (I.check { i with I.long_miss_groups = Fom_util.Distribution.create () });
@@ -126,12 +124,7 @@ let test_inputs_codes () =
     (I.check { i with I.long_miss_groups = Fom_util.Distribution.of_list [ (0, 3) ] });
   check_code "I010" "FOM-I010"
     (I.check { i with I.short_misses_per_instr = 0.6; long_misses_per_instr = 0.6 });
-  check_code "I011" "FOM-I011" (I.check { i with I.fit_r2 = 0.3 });
-  (* I006/I008/I011 are advisory, not errors. *)
-  Alcotest.(check bool)
-    "I006 is a warning" false
-    (C.has_errors
-       (I.check { i with I.l1i_misses_per_instr = 0.001; l2i_misses_per_instr = 0.002 }))
+  check_code "I011" "FOM-I011" (I.check { i with I.fit_r2 = 0.3 })
 
 (* --- workload configs (FOM-T) ---------------------------------------- *)
 
@@ -350,6 +343,42 @@ let test_baselines_clean () =
         (Fom_trace.Config.check config))
     (Fom_workloads.Spec2000.all @ Fom_workloads.Micro.all)
 
+(* A passing rule allocates nothing, so validating a valid value costs
+   no minor words (exact on one domain in native code). *)
+let test_valid_values_allocate_nothing () =
+  let zero name f =
+    let before = Gc.minor_words () in
+    for _ = 1 to 100 do
+      ignore (Sys.opaque_identity (f ()))
+    done;
+    Alcotest.(check (float 0.0)) (name ^ " minor words") 0.0 (Gc.minor_words () -. before)
+  in
+  zero "Params.validate" (fun () -> Fom_model.Params.validate p);
+  zero "Inputs.validate" (fun () -> Fom_model.Inputs.validate good_inputs);
+  zero "Config.validate" (fun () -> Fom_uarch.Config.validate m);
+  zero "Hierarchy.diagnostics" (fun () ->
+      Fom_cache.Hierarchy.diagnostics Fom_cache.Hierarchy.baseline)
+
+(* Paths built only on failure read the same as joined ones. *)
+let test_failure_paths () =
+  let paths rule = List.map (fun d -> d.D.path) rule in
+  check_code "fail" "X" (C.fail ~code:"X" ~path:"p" "bad");
+  check_clean "within a passing rule" (C.within "cache" C.ok);
+  Alcotest.(check (list string))
+    "within" [ "cache.l1i.size" ]
+    (paths (C.within "cache.l1i" (C.min_int ~code:"X" ~path:".size" ~min:1 0)));
+  let bad_line = Fom_cache.Geometry.{ size = 4096; assoc = 4; line = 96 } in
+  Alcotest.(check (list string))
+    "geometry under a level" [ "cache.l1d.line"; "cache.l1d.size"; "cache.l1d.size" ]
+    (paths
+       (Fom_cache.Hierarchy.diagnostics
+          { Fom_cache.Hierarchy.baseline with Fom_cache.Hierarchy.l1d = Real bad_line }));
+  Alcotest.(check (list string))
+    "workload" [ "workload.gzip.mix.load" ]
+    (paths
+       (Fom_trace.Config.check
+          { gzip with Fom_trace.Config.mix = { gzip.Fom_trace.Config.mix with load = -0.1 } }))
+
 (* --- report rendering ------------------------------------------------ *)
 
 let test_report () =
@@ -357,7 +386,8 @@ let test_report () =
     C.all
       [
         C.check ~code:"FOM-P001" ~path:"params.width" false "width must be at least 1";
-        C.check ~severity:D.Warning ~code:"FOM-I006" ~path:"inputs.l2i" false "suspicious";
+        C.check ~severity:D.Warning ~code:"FOM-I008" ~path:"inputs.dtlb_groups" false
+          "suspicious";
       ]
   in
   let report = Format.asprintf "%a" C.pp_report rule in
@@ -391,5 +421,8 @@ let suite =
       Alcotest.test_case "ring guard codes" `Quick test_ring_guard_codes;
       Alcotest.test_case "component codes" `Quick test_component_codes;
       Alcotest.test_case "baselines clean" `Quick test_baselines_clean;
+      Alcotest.test_case "valid values allocate nothing" `Quick
+        test_valid_values_allocate_nothing;
+      Alcotest.test_case "failure paths" `Quick test_failure_paths;
       Alcotest.test_case "report rendering" `Quick test_report;
     ] )

@@ -220,10 +220,11 @@ let test_evaluate_allocation () =
     (179, fun () -> Transient.ramp_up (iw 64.0) ~window:4096);
   let inputs = inputs_stub () in
   let words = words_per_call (fun () -> Cpi.evaluate Params.baseline inputs) in
-  (* 789 today, nearly all of it input validation; taking the two
-     transients once per penalty again would add 62. *)
-  Alcotest.(check bool) (Printf.sprintf "evaluate: %.0f words per call <= 800" words) true
-    (words <= 800.0)
+  (* 87 today: validation allocates nothing on valid inputs, and the
+     rest is the characteristic, the transients and the result. Taking
+     the two transients once per penalty again would add 62. *)
+  Alcotest.(check bool) (Printf.sprintf "evaluate: %.0f words per call <= 90" words) true
+    (words <= 90.0)
 
 let test_trends_depth_erodes_width_advantage () =
   let rows = Trends.ipc_vs_depth ~widths:[ 2; 8 ] ~depths:[ 1; 80 ] () in

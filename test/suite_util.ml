@@ -128,16 +128,14 @@ let test_distribution_basic () =
   let d = Distribution.of_list [ (1, 3); (2, 1) ] in
   Alcotest.(check int) "total" 4 (Distribution.total d);
   check_float "mean" 1.25 (Distribution.mean d);
-  Alcotest.(check (list int)) "support" [ 1; 2 ] (Distribution.support d)
-
-let test_distribution_expect () =
-  (* The eq. 8 overlap factor: sum f(i)/i. *)
-  let d = Distribution.of_list [ (1, 1); (2, 1) ] in
-  check_float "overlap factor" 0.75 (Distribution.expect d (fun i -> 1.0 /. float_of_int i))
+  Alcotest.(check int) "count" 3 (Distribution.count d 1);
+  Alcotest.(check int) "count of an unseen outcome" 0 (Distribution.count d 7);
+  Alcotest.(check (list (pair int int))) "to_list" [ (1, 3); (2, 1) ] (Distribution.to_list d)
 
 let test_distribution_empty () =
   let d = Distribution.create () in
-  check_float "empty expect" 0.0 (Distribution.expect d float_of_int)
+  check_float "empty mean" 0.0 (Distribution.mean d);
+  Alcotest.(check (list (pair int int))) "empty to_list" [] (Distribution.to_list d)
 
 let test_table_render () =
   let s = Table.render ~header:[ "a"; "bb" ] [ [ "x"; "1" ]; [ "yy"; "22" ] ] in
@@ -321,12 +319,27 @@ let prop_distribution_probabilities_sum =
       in
       Float.abs (total -. 1.0) < 1e-9)
 
+(* The running integer sum gives the same float as summing each
+   outcome's exact product in floats, as the mean was once computed. *)
+let prop_distribution_mean_exact =
+  QCheck.Test.make ~name:"distribution mean equals the float sum of products" ~count:100
+    QCheck.(list_of_size (Gen.int_range 1 20) (pair (int_range 0 1000) (int_range 1 100_000)))
+    (fun pairs ->
+      let d = Distribution.of_list pairs in
+      let sum =
+        List.fold_left
+          (fun acc (k, c) -> acc +. (float_of_int c *. float_of_int k))
+          0.0 (Distribution.to_list d)
+      in
+      Distribution.mean d = sum /. float_of_int (Distribution.total d))
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_rng_int_bounds;
       prop_fit_power_law_roundtrip;
       prop_distribution_probabilities_sum;
+      prop_distribution_mean_exact;
     ]
 
 let suite =
@@ -348,7 +361,6 @@ let suite =
       Alcotest.test_case "fit power law" `Quick test_fit_power_law_recovers;
       Alcotest.test_case "fit eval" `Quick test_fit_eval;
       Alcotest.test_case "distribution basics" `Quick test_distribution_basic;
-      Alcotest.test_case "distribution expectation" `Quick test_distribution_expect;
       Alcotest.test_case "distribution empty" `Quick test_distribution_empty;
       Alcotest.test_case "table render" `Quick test_table_render;
       Alcotest.test_case "table float cell" `Quick test_table_float_cell;

@@ -11,6 +11,11 @@ let leave () = exit 1
 let first l = List.hd l
 let ensure = Fom_check.Checker.ensure ~code:"FOM-X999"
 let worst a b = max a b
+let named v = Fom_check.Checker.min_int ~code:"FOM-X999" ~path:("widget." ^ "v") ~min:1 v
+
+let named_on_failure v =
+  if v >= 1 then Fom_check.Checker.ok
+  else Fom_check.Checker.fail ~code:"FOM-X999" ~path:"widget.v" (Printf.sprintf "got %d" v)
 
 module Inner = struct
   let counted = 0

@@ -14,6 +14,12 @@
                allocates a closure application (about 12 words), so
                hot paths must eta-expand it
                ([let ensure ~path cond msg = ... ~path cond msg])
+     FOM-L009  a Printf.sprintf or ^ written directly in an argument
+               of a Checker rule combinator (check, min_int, ...,
+               within, ensure): arguments are evaluated before the
+               rule runs, so that message or path is built even when
+               the rule passes. Build it under Checker.fail in the
+               failing branch, or give the path's prefix to within
      FOM-L007  Stdlib.min / Stdlib.max, qualified or bare: without
                flambda they call the C polymorphic compare (3-4x the
                cost of [Int.min]/[Int.max] on ints), so library code
@@ -266,6 +272,97 @@ let partial_ensures stripped =
   in
   List.map line_of (search 0 [])
 
+(* A stripped source as identifiers and single punctuation characters,
+   each with its line. *)
+let located_tokens src =
+  let n = String.length src in
+  let rec go k line acc =
+    if k >= n then List.rev acc
+    else if is_ident_char src.[k] then begin
+      let e = ref k in
+      while !e < n && is_ident_char src.[!e] do
+        incr e
+      done;
+      go !e line ((String.sub src k (!e - k), line) :: acc)
+    end
+    else if src.[k] = '\n' then go (k + 1) (line + 1) acc
+    else if String.contains " \t\r" src.[k] then go (k + 1) line acc
+    else go (k + 1) line ((String.make 1 src.[k], line) :: acc)
+  in
+  go 0 1 []
+
+let tokens src = List.map fst (located_tokens src)
+
+let is_module w = w <> "" && w.[0] >= 'A' && w.[0] <= 'Z'
+let is_value w = w <> "" && ((w.[0] >= 'a' && w.[0] <= 'z') || w.[0] = '_')
+
+(* [module X = P.M] and [let module X = P.M in], anywhere: X is an
+   alias of M. *)
+let rec aliases acc = function
+  | "module" :: x :: "=" :: m :: rest when is_module x && is_module m ->
+      let rec last m = function "." :: m' :: rest when is_module m' -> last m' rest | _ -> m in
+      aliases ((x, last m rest) :: acc) rest
+  | _ :: rest -> aliases acc rest
+  | [] -> acc
+
+(* The Checker combinators FOM-L009 checks ([fail] runs only on a
+   failing branch), and the keywords that end an application. *)
+let eager_combinators =
+  [ "check"; "min_int"; "min_float"; "positive_float"; "fraction"; "positive_fraction";
+    "sum_to_one"; "within"; "ensure" ]
+
+let ends_application =
+  [ "in"; "then"; "else"; "with"; "and"; "let"; "do"; "done"; "end"; "when"; "match"; "if";
+    "fun"; "function"; "begin"; "to"; "downto"; "or"; "mod"; "land"; "lor"; "lxor"; "lsl";
+    "lsr"; "asr" ]
+
+(* FOM-L009: a [Printf.sprintf] or [^] directly inside a parenthesised
+   argument of a Checker combinator that evaluates its arguments
+   whether or not the rule passes. The combinator is [Checker.name] or
+   [C.name] for any alias [C] of [Checker]; its application runs until
+   a closing bracket, an infix operator or a keyword at its own depth.
+   Only the top level of each argument counts, so a formatted message
+   under [fail] in a branch nested inside a [within] argument is not
+   flagged. Returns the line of each offending combinator. *)
+let eager_arguments stripped =
+  let toks = Array.of_list (located_tokens stripped) in
+  let n = Array.length toks in
+  let tok k = if k >= 0 && k < n then fst toks.(k) else "" in
+  let checkers =
+    "Checker"
+    :: List.filter_map
+         (fun (x, m) -> if m = "Checker" then Some x else None)
+         (aliases [] (Array.to_list (Array.map fst toks)))
+  in
+  (* Whether the application whose arguments start at [k] has an eager
+     argument. *)
+  let rec eager k depth =
+    if k >= n then false
+    else
+      let t = tok k in
+      match t with
+      | "(" | "[" | "{" -> eager (k + 1) (depth + 1)
+      | ")" | "]" | "}" -> depth > 0 && eager (k + 1) (depth - 1)
+      | ("^" | "sprintf" | "asprintf") when depth = 1 -> true
+      | _ when depth > 0 -> eager (k + 1) depth
+      | "~" | "?" | "." | "\"" | "'" | "!" -> eager (k + 1) depth
+      | ":" when tok (k - 2) = "~" || tok (k - 2) = "?" -> eager (k + 1) depth
+      | _ when List.mem t ends_application -> false
+      | _ when is_ident_char t.[0] -> eager (k + 1) depth
+      | _ -> false
+  in
+  let rec scan k acc =
+    if k + 2 >= n then List.rev acc
+    else if
+      List.mem (tok k) checkers
+      && tok (k + 1) = "."
+      && List.mem (tok (k + 2)) eager_combinators
+      && eager (k + 3) 0
+    then scan (k + 3) (snd toks.(k) :: acc)
+    else scan (k + 1) acc
+  in
+  scan 0 []
+
 let read_file path =
   let ic = open_in_bin path in
   let src = really_input_string ic (in_channel_length ic) in
@@ -306,6 +403,13 @@ let scan_file path =
           text = raw_lines.(line - 1) }
         :: !findings)
     (partial_ensures stripped);
+  List.iter
+    (fun line ->
+      findings :=
+        { file = path; line; code = "FOM-L009"; construct = "eager-argument";
+          text = raw_lines.(line - 1) }
+        :: !findings)
+    (eager_arguments stripped);
   List.rev !findings
 
 (* --- filesystem walk ------------------------------------------------- *)
@@ -329,26 +433,6 @@ let rec walk suffix dir acc =
    as callers of a library export. test/ is left out: an export that
    only tests use is surface that no caller needs. *)
 let caller_dirs = [ "lib"; "bin"; "bench"; "examples"; "perfbench"; "tools" ]
-
-(* A stripped source as identifiers and single punctuation characters. *)
-let tokens src =
-  let n = String.length src in
-  let rec go k acc =
-    if k >= n then List.rev acc
-    else if is_ident_char src.[k] then begin
-      let e = ref k in
-      while !e < n && is_ident_char src.[!e] do
-        incr e
-      done;
-      go !e (String.sub src k (!e - k) :: acc)
-    end
-    else if String.contains " \t\r\n" src.[k] then go (k + 1) acc
-    else go (k + 1) (String.make 1 src.[k] :: acc)
-  in
-  go 0 []
-
-let is_module w = w <> "" && w.[0] >= 'A' && w.[0] <= 'Z'
-let is_value w = w <> "" && ((w.[0] >= 'a' && w.[0] <= 'z') || w.[0] = '_')
 
 (* A val of a library interface. [qualifier] is the module name a
    caller writes before [name]; [construct] names the val in the
@@ -386,15 +470,6 @@ let exports mli =
              [ { mli; line = idx + 1; qualifier; name; construct; text = raw_lines.(idx) } ]
          | _ -> [])
        (String.split_on_char '\n' (strip src)))
-
-(* [module X = P.M] and [let module X = P.M in], anywhere: X is an
-   alias of M. *)
-let rec aliases acc = function
-  | "module" :: x :: "=" :: m :: rest when is_module x && is_module m ->
-      let rec last m = function "." :: m' :: rest when is_module m' -> last m' rest | _ -> m in
-      aliases ((x, last m rest) :: acc) rest
-  | _ :: rest -> aliases acc rest
-  | [] -> acc
 
 (* Every (qualifier, name) a caller's tokens reference: [Q.name], and
    each bare name inside a local open [Q.( ... )] or [Q.[ ... ]]. *)
