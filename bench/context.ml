@@ -75,7 +75,6 @@ let create ?csv_dir ?jobs ~scale () =
 
 let shutdown t = Pool.shutdown t.pool
 let pool t = t.pool
-let jobs t = Pool.jobs t.pool
 
 let names = List.map (fun config -> config.Fom_trace.Config.name) Fom_workloads.Spec2000.all
 

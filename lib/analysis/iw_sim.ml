@@ -100,7 +100,7 @@ let ipc_of_packed ?(latencies = Latency.unit) ?issue_limit packed ~window ~n =
     if t > !floor + size then Fom_check.Checker.internal_error "issue ring overflow";
     let s = t land mask in
     cnt.(s) <- cnt.(s) + 1;
-    comp.(i) <- t + lat.(op.(i) land 7);
+    comp.(i) <- t + lat.(op.(i));
     if t > e then incr by_width else if e > admit then incr by_dependence else incr by_window
   done;
   while !below < n do

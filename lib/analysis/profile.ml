@@ -134,7 +134,7 @@ let run_packed ?(cache = Hierarchy.baseline) ?(predictor = Predictor.default_spe
   in
   let { Packed.op; pc; dep_off; dep_val; ea; _ } = packed in
   for i = 0 to n - 1 do
-    let cls = op.(i) land 7 in
+    let cls = op.(i) in
     counts.(cls) <- counts.(cls) + 1;
     let line = line_of pc.(i) in
     if line <> !last_line then begin

@@ -4,8 +4,6 @@ type t = {
   index : int;
   pc : int;
   opclass : Opclass.t;
-  dst : Reg.t option;
-  srcs : Reg.t list;
   deps : int array;
   mem : int option;
   ctrl : ctrl option;
@@ -25,9 +23,8 @@ let deps_precede deps index =
   done;
   !ok
 
-let make ~index ~pc ~opclass ?dst ?(srcs = []) ?(deps = [||]) ?mem ?ctrl () =
+let make ~index ~pc ~opclass ?(deps = [||]) ?mem ?ctrl () =
   ensure ~path:"instr.index" (index >= 0) "dynamic index must be non-negative";
-  ensure ~path:"instr.srcs" (List.length srcs <= 2) "at most two source registers";
   ensure ~path:"instr.deps" (deps_precede deps index)
     "dependences must name earlier instructions";
   ensure ~path:"instr.mem"
@@ -36,12 +33,10 @@ let make ~index ~pc ~opclass ?dst ?(srcs = []) ?(deps = [||]) ?mem ?ctrl () =
   ensure ~path:"instr.ctrl"
     (Opclass.is_control opclass = Option.is_some ctrl)
     "control operations, and only they, carry direction info";
-  { index; pc; opclass; dst; srcs; deps; mem; ctrl }
+  { index; pc; opclass; deps; mem; ctrl }
 
 let pp fmt t =
   Format.fprintf fmt "#%d pc=0x%x %a" t.index t.pc Opclass.pp t.opclass;
-  Option.iter (fun d -> Format.fprintf fmt " %a<-" Reg.pp d) t.dst;
-  List.iter (fun s -> Format.fprintf fmt " %a" Reg.pp s) t.srcs;
   Option.iter (fun a -> Format.fprintf fmt " [0x%x]" a) t.mem;
   Option.iter
     (fun c -> Format.fprintf fmt " %s->0x%x" (if c.taken then "T" else "N") c.target)

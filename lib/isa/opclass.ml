@@ -23,6 +23,7 @@ let of_int = function
   | _ -> Fom_check.Checker.internal_error "operation-class tag out of range"
 let is_memory = function Load | Store -> true | Alu | Mul | Div | Branch | Jump -> false
 let is_control = function Branch | Jump -> true | Alu | Mul | Div | Load | Store -> false
+let has_result = function Alu | Mul | Div | Load -> true | Store | Branch | Jump -> false
 
 let to_string = function
   | Alu -> "alu"

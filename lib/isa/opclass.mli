@@ -35,6 +35,10 @@ val is_memory : t -> bool
 val is_control : t -> bool
 (** Branches and jumps. *)
 
+val has_result : t -> bool
+(** Produces a value later instructions can depend on: ALU, multiply,
+    divide and load. *)
+
 val to_string : t -> string
 
 val pp : Format.formatter -> t -> unit

@@ -3,7 +3,7 @@
     A [Config.t] fully determines a synthetic program and its dynamic
     trace (given the seed). The fields are exactly the first-order
     program statistics the paper's model consumes: instruction mix,
-    register dependence-distance profile (which sets the IW power-law
+    dependence-distance profile (which sets the IW power-law
     alpha/beta), branch-behaviour mixture (which sets the gShare
     misprediction rate), and memory working-set profile (which sets the
     cache miss rates and long-miss clustering). The 12 SPECint2000-like

@@ -1,6 +1,5 @@
 module Instr = Fom_isa.Instr
 module Opclass = Fom_isa.Opclass
-module Reg = Fom_isa.Reg
 
 type t = {
   label : string;
@@ -14,28 +13,6 @@ type t = {
 
 let label t = t.label
 let length t = t.len
-
-(* Source registers pack into one word: bits 0-1 the count, then one
-   {!Reg.to_int} (< 32, so 8 bits are plenty) per slot. *)
-let srcs_word count a b =
-  match count with
-  | 0 -> 0
-  | 1 -> 1 lor (a lsl 2)
-  | 2 -> 2 lor (a lsl 2) lor (b lsl 10)
-  | _ ->
-      (* Instr.make enforces at most two sources. *)
-      Fom_check.Checker.internal_error "instruction with more than two source registers"
-
-let unpack_srcs word =
-  match word land 3 with
-  | 0 -> []
-  | 1 -> [ Reg.of_int ((word lsr 2) land 0xff) ]
-  | 2 -> [ Reg.of_int ((word lsr 2) land 0xff); Reg.of_int ((word lsr 10) land 0xff) ]
-  | _ -> Fom_check.Checker.internal_error "corrupt packed source-register word"
-
-(* The class tag (< 8) in bits 0-2, the destination register plus one
-   (0 for none, at most 32) in bits 3-8, the source word above. *)
-let op_word ~tag ~dst srcs = tag lor ((dst + 1) lsl 3) lor (srcs lsl 9)
 
 (* Row [i]'s producers: the first [nd] of [src], re-based by [rebase].
    The dependence array doubles when full. *)
@@ -59,15 +36,10 @@ let[@inline] write_deps c deps i src nd ~rebase =
 let write_stream c deps stream ~first ~count ~rebase =
   for i = first to first + count - 1 do
     let cur = Stream.step stream in
-    let nd = cur.Stream.ndeps in
-    c.op.(i) <-
-      op_word ~tag:cur.Stream.tag ~dst:cur.Stream.dst
-        (srcs_word nd
-           (if nd > 0 then cur.Stream.srcs.(0) else 0)
-           (if nd > 1 then cur.Stream.srcs.(1) else 0));
+    c.op.(i) <- cur.Stream.tag;
     c.pc.(i) <- cur.Stream.pc;
     c.ea.(i) <- cur.Stream.ea;
-    write_deps c deps i cur.Stream.deps nd ~rebase
+    write_deps c deps i cur.Stream.deps cur.Stream.ndeps ~rebase
   done
 
 (* A phase schedule: each activation is a fresh stream of its phase's
@@ -93,14 +65,7 @@ let write_recorded c deps instrs =
   for i = 0 to c.len - 1 do
     let ins = instrs.(i mod len) in
     let rebase = i - (i mod len) in
-    c.op.(i) <-
-      op_word ~tag:(Opclass.to_int ins.Instr.opclass)
-        ~dst:(match ins.Instr.dst with Some d -> Reg.to_int d | None -> -1)
-        (match ins.Instr.srcs with
-        | [] -> srcs_word 0 0 0
-        | [ a ] -> srcs_word 1 (Reg.to_int a) 0
-        | [ a; b ] -> srcs_word 2 (Reg.to_int a) (Reg.to_int b)
-        | srcs -> srcs_word (List.length srcs) 0 0);
+    c.op.(i) <- Opclass.to_int ins.Instr.opclass;
     c.pc.(i) <- ins.Instr.pc;
     c.ea.(i) <-
       (match (ins.Instr.mem, ins.Instr.ctrl) with
@@ -144,15 +109,11 @@ let instr t i =
   let off = i mod t.len in
   let rebase = i - off in
   let lo = t.dep_off.(off) and hi = t.dep_off.(off + 1) in
-  let word = t.op.(off) and ea = t.ea.(off) in
-  let opclass = Opclass.of_int (word land 7) in
-  let dst = ((word lsr 3) land 63) - 1 in
+  let opclass = Opclass.of_int t.op.(off) and ea = t.ea.(off) in
   {
     Instr.index = i;
     pc = t.pc.(off);
     opclass;
-    dst = (if dst < 0 then None else Some (Reg.of_int dst));
-    srcs = unpack_srcs (word lsr 9);
     deps = Array.init (hi - lo) (fun k -> t.dep_val.(lo + k) + rebase);
     mem = (if Opclass.is_memory opclass then Some ea else None);
     ctrl =

@@ -13,10 +13,7 @@
     The columns (all indexed by dynamic instruction, except the
     dependence columns which use compressed-sparse-row layout):
 
-    - [op]: {!Fom_isa.Opclass.to_int} in bits 0-2 (kernels read
-      [op land 7]), the destination's {!Fom_isa.Reg.to_int} plus one
-      (0 for none) in bits 3-8, then the source registers (2 bits of
-      count, 8 bits per register);
+    - [op]: the {!Fom_isa.Opclass.to_int} tag;
     - [pc]: instruction address;
     - [ea]: a load's or store's effective address, a branch's or
       jump's [(target lsl 1) lor taken], else [-1] (only memory

@@ -1,12 +1,10 @@
 module Rng = Fom_util.Rng
 module Opclass = Fom_isa.Opclass
-module Reg = Fom_isa.Reg
 
 type static = {
   uid : int;
   pc : int;
   opclass : Opclass.t;
-  dst : Reg.t option;
   nsrc : int;
   agen_spec : (Address_gen.kind * Address_gen.region) option;
   behavior_spec : Branch_behavior.kind option;
@@ -73,27 +71,12 @@ let generate config =
   let chase_region = allocate alloc mem.chase_region in
   let statics = ref [] in
   let n_statics = ref 0 in
-  let next_dst = ref 0 in
-  let fresh_dst () =
-    (* Round-robin over r1..r31; r0 stays the hard-wired zero. *)
-    next_dst := (!next_dst mod (Reg.count - 1)) + 1;
-    Some (Reg.of_int !next_dst)
-  in
-  let emit ~opclass ~dst ~nsrc ~agen_spec ~behavior_spec ~chase =
+  let emit ~opclass ~nsrc ~agen_spec ~behavior_spec ~chase =
     let uid = !n_statics in
     incr n_statics;
-    let s =
-      { uid; pc = code_base + (4 * uid); opclass; dst; nsrc; agen_spec; behavior_spec; chase }
-    in
-    statics := s :: !statics;
-    uid
-  in
-  let plain ~opclass ~nsrc =
-    let dst = match opclass with
-      | Opclass.Alu | Opclass.Mul | Opclass.Div -> fresh_dst ()
-      | Opclass.Load | Opclass.Store | Opclass.Branch | Opclass.Jump -> None
-    in
-    ignore (emit ~opclass ~dst ~nsrc ~agen_spec:None ~behavior_spec:None ~chase:false)
+    statics :=
+      { uid; pc = code_base + (4 * uid); opclass; nsrc; agen_spec; behavior_spec; chase }
+      :: !statics
   in
   let emit_load () =
     let u = Rng.float rng 1.0 in
@@ -104,14 +87,12 @@ let generate config =
         (Address_gen.Stride { stride = mem.stream_stride }, allocate alloc mem.stream_region, false)
       else (Address_gen.Chase, chase_region, true)
     in
-    ignore
-      (emit ~opclass:Opclass.Load ~dst:(fresh_dst ()) ~nsrc:1
-         ~agen_spec:(Some (kind, region)) ~behavior_spec:None ~chase)
+    emit ~opclass:Opclass.Load ~nsrc:1 ~agen_spec:(Some (kind, region)) ~behavior_spec:None
+      ~chase
   in
   let emit_store () =
-    ignore
-      (emit ~opclass:Opclass.Store ~dst:None ~nsrc:2
-         ~agen_spec:(Some (Address_gen.Random, local_region)) ~behavior_spec:None ~chase:false)
+    emit ~opclass:Opclass.Store ~nsrc:2
+      ~agen_spec:(Some (Address_gen.Random, local_region)) ~behavior_spec:None ~chase:false
   in
   (* Body classes: the mix renormalized without control instructions.
      Classes are drawn by largest-remainder quota rather than
@@ -143,7 +124,8 @@ let generate config =
     | Opclass.Load -> emit_load ()
     | Opclass.Store -> emit_store ()
     | (Opclass.Alu | Opclass.Mul | Opclass.Div) as opclass ->
-        plain ~opclass ~nsrc:(sample_nsrc rng config.Config.deps.nsrc_weights)
+        emit ~opclass ~nsrc:(sample_nsrc rng config.Config.deps.nsrc_weights) ~agen_spec:None
+          ~behavior_spec:None ~chase:false
     | Opclass.Branch | Opclass.Jump ->
         Fom_check.Checker.internal_error "control class drawn as a body instruction"
   in
@@ -200,9 +182,7 @@ let generate config =
           let other = Rng.int rng (ctrl.regions - 1) in
           region_entry (if other >= r then other + 1 else other)
         in
-        ignore
-          (emit ~opclass:Opclass.Jump ~dst:None ~nsrc:0 ~agen_spec:None
-             ~behavior_spec:None ~chase:false);
+        emit ~opclass:Opclass.Jump ~nsrc:0 ~agen_spec:None ~behavior_spec:None ~chase:false;
         blocks := { first; len = body + 1; taken_succ = target; fall_succ = id + 1 } :: !blocks
       end
       else begin
@@ -210,9 +190,8 @@ let generate config =
           if last_in_region then Branch_behavior.Loop (sample_trip rng ctrl.loop_trip_mean)
           else sample_behavior rng ctrl
         in
-        ignore
-          (emit ~opclass:Opclass.Branch ~dst:None ~nsrc:1 ~agen_spec:None
-             ~behavior_spec:(Some behavior) ~chase:false);
+        emit ~opclass:Opclass.Branch ~nsrc:1 ~agen_spec:None ~behavior_spec:(Some behavior)
+          ~chase:false;
         blocks := { first; len = body + 1; taken_succ; fall_succ } :: !blocks
       end
     done

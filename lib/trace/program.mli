@@ -17,8 +17,7 @@ type static = {
   uid : int;  (** index into the flat static-instruction array *)
   pc : int;  (** byte address ([code_base + 4 * uid]) *)
   opclass : Fom_isa.Opclass.t;
-  dst : Fom_isa.Reg.t option;
-  nsrc : int;  (** register sources to sample per dynamic instance *)
+  nsrc : int;  (** dependences to sample per dynamic instance *)
   agen_spec : (Address_gen.kind * Address_gen.region) option;
   behavior_spec : Branch_behavior.kind option;
   chase : bool;  (** serialized on its own previous dynamic instance *)

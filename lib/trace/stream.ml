@@ -1,24 +1,20 @@
 module Rng = Fom_util.Rng
 module Instr = Fom_isa.Instr
 module Opclass = Fom_isa.Opclass
-module Reg = Fom_isa.Reg
 
-(* Ring buffer of recent value-producing instructions: (dynamic index,
-   destination register). Dependence distances are sampled in this
+(* Ring buffer of the dynamic indices of recent value-producing
+   instructions. Dependence distances are sampled in this
    producers-back space. *)
 type ring = {
   idx : int array;
-  reg : int array;
   mutable head : int;
   mutable count : int;
 }
 
-let ring_create capacity =
-  { idx = Array.make capacity (-1); reg = Array.make capacity 0; head = 0; count = 0 }
+let ring_create capacity = { idx = Array.make capacity (-1); head = 0; count = 0 }
 
-let ring_push r index reg =
+let ring_push r index =
   r.idx.(r.head) <- index;
-  r.reg.(r.head) <- reg;
   r.head <- (r.head + 1) mod Array.length r.idx;
   if r.count < Array.length r.idx then r.count <- r.count + 1
 
@@ -31,10 +27,8 @@ type cursor = {
   mutable index : int;
   mutable pc : int;
   mutable tag : int;
-  mutable dst : int;
   mutable ndeps : int;
   deps : int array;
-  srcs : int array;
   mutable ea : int;
 }
 
@@ -101,17 +95,15 @@ let create ?seed program =
         index = -1;
         pc = 0;
         tag = 0;
-        dst = -1;
         ndeps = 0;
         deps = Array.make !max_nsrc 0;
-        srcs = Array.make !max_nsrc 0;
         ea = -1;
       };
   }
 
 (* Sample [nsrc] producers into the cursor. [Instr.t] lists the most
-   recently sampled dependence (and its register) first, so sample [j]
-   lands in slot [k - 1 - j]. An empty ring yields no dependences. *)
+   recently sampled dependence first, so sample [j] lands in slot
+   [k - 1 - j]. An empty ring yields no dependences. *)
 let sample_deps t c nsrc =
   let ring = t.ring in
   let deps = t.program.Program.config.Config.deps in
@@ -121,9 +113,7 @@ let sample_deps t c nsrc =
       if Rng.bernoulli t.rng deps.short_p then 1 + Rng.geometric_log t.rng t.short_log
       else 1 + Rng.int t.rng deps.long_max
     in
-    let pos = ring_pos ring (Int.min d ring.count) in
-    c.deps.(k - 1 - j) <- ring.idx.(pos);
-    c.srcs.(k - 1 - j) <- ring.reg.(pos)
+    c.deps.(k - 1 - j) <- ring.idx.(ring_pos ring (Int.min d ring.count))
   done;
   c.ndeps <- k
 
@@ -138,7 +128,6 @@ let step t =
   c.index <- index;
   c.pc <- s.pc;
   c.tag <- Opclass.to_int s.opclass;
-  c.dst <- (match s.dst with Some d -> Reg.to_int d | None -> -1);
   c.ea <-
     (match s.agen_spec with
     | None -> -1
@@ -150,13 +139,9 @@ let step t =
               "static with an address-generator spec has no generator"));
   let chain = if t.chase_chains > 0 then s.uid mod t.chase_chains else s.uid in
   if s.chase && t.last_instance.(chain) >= 0 then begin
-    (* Pointer chase: serialized on the previous load of its chain;
-       the source register is that load's result. *)
-    if c.dst < 0 then
-      Fom_check.Checker.internal_error "chase load has no destination register";
+    (* Pointer chase: serialized on the previous load of its chain. *)
     c.ndeps <- 1;
-    c.deps.(0) <- t.last_instance.(chain);
-    c.srcs.(0) <- c.dst
+    c.deps.(0) <- t.last_instance.(chain)
   end
   else sample_deps t c s.nsrc;
   if s.chase then t.last_instance.(chain) <- index;
@@ -198,19 +183,13 @@ let step t =
       t.block <- succ;
       c.ea <- (program.Program.statics.(target_blk.first).pc lsl 1) lor Bool.to_int taken
   | Opclass.Alu | Opclass.Mul | Opclass.Div | Opclass.Load | Opclass.Store -> ());
-  if c.dst >= 0 then ring_push t.ring index c.dst;
+  if Opclass.has_result s.opclass then ring_push t.ring index;
   c
 
 let next t =
   let c = step t in
-  let srcs = ref [] in
-  for k = c.ndeps - 1 downto 0 do
-    srcs := Reg.of_int c.srcs.(k) :: !srcs
-  done;
   let opclass = Opclass.of_int c.tag in
-  Instr.make ~index:c.index ~pc:c.pc ~opclass
-    ?dst:(if c.dst < 0 then None else Some (Reg.of_int c.dst))
-    ~srcs:!srcs ~deps:(Array.sub c.deps 0 c.ndeps)
+  Instr.make ~index:c.index ~pc:c.pc ~opclass ~deps:(Array.sub c.deps 0 c.ndeps)
     ?mem:(if Opclass.is_memory opclass then Some c.ea else None)
     ?ctrl:
       (if Opclass.is_control opclass then

@@ -19,19 +19,17 @@ val create : ?seed:int -> Program.t -> t
     that is independent of task execution order. *)
 
 (** The instruction the last {!step} produced, as plain ints in the
-    {!Packed} encodings: a column writer copies [pc] and [ea] straight
-    across and folds [tag], [dst] and [srcs] into one [op] word. *)
+    {!Packed} encodings: a column writer copies [tag], [pc] and [ea]
+    straight across. *)
 type cursor = private {
   mutable index : int;  (** dynamic index *)
   mutable pc : int;
   mutable tag : int;  (** {!Fom_isa.Opclass.to_int} *)
-  mutable dst : int;  (** {!Fom_isa.Reg.to_int}, or [-1] *)
   mutable ndeps : int;
   deps : int array;
       (** the first [ndeps] entries are the true producers, in
           {!Fom_isa.Instr.t} field order: the most recently sampled
           one first *)
-  srcs : int array;  (** the producers' destination registers, same order *)
   mutable ea : int;  (** the {!Packed} [ea] column's value *)
 }
 

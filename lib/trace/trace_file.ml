@@ -1,6 +1,5 @@
 module Instr = Fom_isa.Instr
 module Opclass = Fom_isa.Opclass
-module Reg = Fom_isa.Reg
 
 let format_magic = "fom-trace 1"
 
@@ -44,7 +43,7 @@ let parse_error ~path ~lineno ~code msg =
            msg;
        ])
 
-let parse_line ~path ~lineno ~index ~next_dst line =
+let parse_line ~path ~lineno ~index line =
   match String.split_on_char ' ' (String.trim line) with
   | cls_s :: pc_s :: mem_s :: dir_s :: target_s :: dep_fields -> (
       match class_of_string cls_s with
@@ -95,14 +94,7 @@ let parse_line ~path ~lineno ~index ~next_dst line =
                          (Printf.sprintf "bad dependence %S in %S" f line))
             |> Array.of_list
           in
-          let dst =
-            match opclass with
-            | Opclass.Alu | Opclass.Mul | Opclass.Div | Opclass.Load ->
-                next_dst := (!next_dst mod (Reg.count - 1)) + 1;
-                Some (Reg.of_int !next_dst)
-            | Opclass.Store | Opclass.Branch | Opclass.Jump -> None
-          in
-          Instr.make ~index ~pc ~opclass ?dst ~deps ?mem ?ctrl ())
+          Instr.make ~index ~pc ~opclass ~deps ?mem ?ctrl ())
   | _ ->
       parse_error ~path ~lineno ~code:"FOM-T106"
         (Printf.sprintf "malformed trace line %S (expected class pc mem dir target deps...)"
@@ -120,7 +112,6 @@ let parse_file ~path =
             (Printf.sprintf "not a fom trace (header %S, expected %S)" magic format_magic)
       | exception End_of_file ->
           parse_error ~path ~lineno:1 ~code:"FOM-T102" "empty trace file");
-      let next_dst = ref 0 in
       let instrs = ref [] in
       let index = ref 0 in
       let lineno = ref 1 in
@@ -129,7 +120,7 @@ let parse_file ~path =
            let line = input_line ic in
            incr lineno;
            if String.trim line <> "" then begin
-             instrs := parse_line ~path ~lineno:!lineno ~index:!index ~next_dst line :: !instrs;
+             instrs := parse_line ~path ~lineno:!lineno ~index:!index line :: !instrs;
              incr index
            end
          done

@@ -11,9 +11,9 @@
 
     where [<class>] is an {!Fom_isa.Opclass.to_string} name, [<dir>]
     is [T]/[N] for control instructions and [-] otherwise, and each
-    [<dep>] is the dynamic index of a true producer. Destination
-    registers are assigned round-robin on load (only dependence
-    structure matters to the model). *)
+    [<dep>] is the dynamic index of a true producer. The format
+    carries no register names: dependences are the only operand
+    information. *)
 
 val save : path:string -> Source.t -> n:int -> unit
 (** Write the first [n] instructions ([n > 0]), decoded from the

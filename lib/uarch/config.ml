@@ -3,7 +3,6 @@ type t = {
   pipeline_depth : int;
   window_size : int;
   rob_size : int;
-  unbounded_issue : bool;
   latencies : Fom_isa.Latency.t;
   cache : Fom_cache.Hierarchy.config;
   predictor : Fom_branch.Predictor.spec;
@@ -19,7 +18,6 @@ let baseline =
     pipeline_depth = 5;
     window_size = 48;
     rob_size = 128;
-    unbounded_issue = false;
     latencies = Fom_isa.Latency.default;
     cache = Fom_cache.Hierarchy.baseline;
     predictor = Fom_branch.Predictor.default_spec;

@@ -12,7 +12,6 @@ type t = {
   pipeline_depth : int;  (** front-end stages between fetch and dispatch *)
   window_size : int;  (** issue window entries *)
   rob_size : int;  (** reorder buffer entries *)
-  unbounded_issue : bool;  (** ignore [width] at issue (IW measurements) *)
   latencies : Fom_isa.Latency.t;
   cache : Fom_cache.Hierarchy.config;
   predictor : Fom_branch.Predictor.spec;

@@ -72,7 +72,7 @@ type t = {
   config : Config.t;
   (* the packed trace's columns, by dynamic index (see {!Packed}) *)
   len : int;
-  op : int array;  (* class tag in bits 0-2 *)
+  op : int array;  (* class tag *)
   pc : int array;
   ea : int array;  (* address of a load or store, [(target lsl 1) lor taken] of a branch *)
   dep_off : int array;
@@ -287,7 +287,7 @@ let translate t addr ~count =
       end
 
 let issue_latency t idx =
-  let op = t.op.(idx) land 7 in
+  let op = t.op.(idx) in
   let lat = t.latency.(op) in
   if op = load_tag then begin
     let addr = t.ea.(idx) in
@@ -323,7 +323,7 @@ let issue_latency t idx =
    [issued_before] is how many issued earlier this cycle. *)
 let issue_instr t idx ~issued_before =
   let s = idx land t.slot_mask in
-  let op = t.op.(idx) land 7 and c = t.cluster.(s) in
+  let op = t.op.(idx) and c = t.cluster.(s) in
   if not t.fu_unbounded then t.fu_busy.(op) <- t.fu_busy.(op) + 1;
   t.cluster_issued.(c) <- t.cluster_issued.(c) + 1;
   t.cluster_counts.(c) <- t.cluster_counts.(c) - 1;
@@ -417,7 +417,6 @@ let issue t =
   let width = t.config.Config.width in
   let clusters = t.config.Config.clusters in
   let cluster_width = width / clusters in
-  let unbounded = t.config.Config.unbounded_issue in
   (* Zero the per-cycle issue counts (the FU counts are only kept when
      some class is limited). *)
   if not t.fu_unbounded then Array.fill t.fu_busy 0 Opclass.count 0;
@@ -450,7 +449,7 @@ let issue t =
   let below_head = (1 lsl (h land 31)) - 1 in
   let unvisited = ref t.ready_count in
   let k = ref 0 in
-  while !unvisited > 0 && !k <= words && (unbounded || !issued < width) do
+  while !unvisited > 0 && !k <= words && !issued < width do
     let w = (hw + !k) land (words - 1) in
     let bits =
       ref
@@ -458,7 +457,7 @@ let issue t =
          else if !k = words then t.ready.(w) land below_head
          else t.ready.(w))
     in
-    while !bits <> 0 && (unbounded || !issued < width) do
+    while !bits <> 0 && !issued < width do
       let s = (w lsl 5) lor lowest_bit !bits in
       bits := !bits land (!bits - 1);
       decr unvisited;
@@ -468,8 +467,8 @@ let issue t =
         place t idx ~mark:false
       end
       else if
-        (unbounded || t.cluster_issued.(t.cluster.(s)) < cluster_width)
-        && (t.fu_unbounded || t.fu_busy.(t.op.(idx) land 7) < t.fu_limit.(t.op.(idx) land 7))
+        t.cluster_issued.(t.cluster.(s)) < cluster_width
+        && (t.fu_unbounded || t.fu_busy.(t.op.(idx)) < t.fu_limit.(t.op.(idx)))
       then begin
         clear_ready t s;
         issue_instr t idx ~issued_before:!issued;
@@ -580,7 +579,7 @@ let fetch t =
         t.last_fetched <- idx;
         (match t.record with Some r -> r.fetch.(idx) <- t.cycle | None -> ());
         incr fetched;
-        if t.op.(idx) land 7 = branch_tag then begin
+        if t.op.(idx) = branch_tag then begin
           let taken = t.ea.(idx) land 1 = 1 in
           let correct = Predictor.observe t.predictor ~pc ~taken in
           if not correct then begin

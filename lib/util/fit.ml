@@ -17,7 +17,10 @@ let line points =
   ensure ~path:"fit.line" (!sxx > 0.0) "x values must not all coincide";
   let slope = !sxy /. !sxx in
   let intercept = my -. (slope *. mx) in
-  let r2 = if !syy = 0.0 then 1.0 else !sxy *. !sxy /. (!sxx *. !syy) in
+  (* Flatness is decided on the ys themselves: the rounded mean of
+     equal ys can differ from them, leaving [syy > 0] with [sxy = 0]. *)
+  let flat = Array.for_all (fun y -> y = ys.(0)) ys in
+  let r2 = if flat then 1.0 else !sxy *. !sxy /. (!sxx *. !syy) in
   { slope; intercept; r2 }
 
 type power_law = { alpha : float; beta : float; r2 : float }

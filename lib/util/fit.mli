@@ -4,20 +4,14 @@
     by fitting a line on a log2-log2 scale (Section 3, Table 1,
     Figure 5). *)
 
-type line = { slope : float; intercept : float; r2 : float }
-(** A fitted line [y = slope * x + intercept] with its coefficient of
-    determination. *)
-
-val line : (float * float) array -> line
-(** Ordinary least squares on (x, y) points. Requires at least two points
-    with distinct x. *)
-
 type power_law = { alpha : float; beta : float; r2 : float }
 (** A fitted power law [y = alpha * x^beta]. *)
 
 val power_law : (float * float) array -> power_law
-(** [power_law points] fits on log2/log2 axes, exactly as the paper does.
-    All coordinates must be positive. *)
+(** [power_law points] fits on log2/log2 axes, exactly as the paper does,
+    by ordinary least squares. Requires at least two points with distinct
+    x, and all coordinates positive. [r2] is 1 when every y is equal:
+    a flat curve is fitted exactly by [beta = 0]. *)
 
 val eval_power_law : power_law -> float -> float
 (** Evaluate a fitted power law. *)

@@ -96,10 +96,10 @@ let derive (config : Config.t) (p : Packed.t) (r : Machine.record) (stats : Stat
     let issued = ref 0 and kept = ref 0 in
     for k = 0 to !win - 1 do
       let i = waiting.(k) in
-      let op = p.Packed.op.(i) land 7 and cl = cluster.(i) in
+      let op = p.Packed.op.(i) and cl = cluster.(i) in
       if
-        (config.Config.unbounded_issue
-        || (!issued < width && cluster_issued.(cl) < width / clusters))
+        !issued < width
+        && cluster_issued.(cl) < width / clusters
         && fu_busy.(op) < fu_limit.(op)
         && ready i
       then begin
@@ -172,7 +172,7 @@ let derive (config : Config.t) (p : Packed.t) (r : Machine.record) (stats : Stat
           fetch.(i) <- c;
           incr fetched;
           incr count;
-          if p.Packed.op.(i) land 7 = branch && r.Machine.mispredicted.(i) then begin
+          if p.Packed.op.(i) = branch && r.Machine.mispredicted.(i) then begin
             mispredicted.(i) <- true;
             blocking := i;
             stop := true

@@ -175,8 +175,8 @@ let test_iw_sim_agrees_with_machine () =
   (* Two independent implementations of the idealized window-limited
      machine: the lean dataflow simulation and the full cycle-level
      simulator configured to the same idealization (unit latencies,
-     unbounded issue, instant-ish front end, huge ROB). Their IPCs
-     must agree closely. *)
+     an issue width no window reaches, instant-ish front end, huge
+     ROB). Their IPCs must agree closely. *)
   let p = Lazy.force gzip in
   List.iter
     (fun window ->
@@ -188,7 +188,6 @@ let test_iw_sim_agrees_with_machine () =
           pipeline_depth = 1;
           window_size = window;
           rob_size = 65536;
-          unbounded_issue = true;
           latencies = Fom_isa.Latency.unit;
         }
       in

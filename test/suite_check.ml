@@ -251,7 +251,7 @@ let test_of_instrs_codes () =
       Fom_trace.Source.of_instrs
         [| { i0 with Fom_isa.Instr.index = 0; opclass = Fom_isa.Opclass.Branch } |])
 
-(* --- instruction structure (FOM-T12x, FOM-U) ------------------------- *)
+(* --- instruction structure (FOM-T120, FOM-U) ------------------------- *)
 
 let test_instr_codes () =
   expect_invalid "T120 index" "FOM-T120" (fun () ->
@@ -259,8 +259,7 @@ let test_instr_codes () =
   expect_invalid "T120 load without mem" "FOM-T120" (fun () ->
       Fom_isa.Instr.make ~index:0 ~pc:0 ~opclass:Fom_isa.Opclass.Load ());
   expect_invalid "T120 forward dep" "FOM-T120" (fun () ->
-      Fom_isa.Instr.make ~index:3 ~pc:0 ~opclass:Fom_isa.Opclass.Alu ~deps:[| 3 |] ());
-  expect_invalid "T121 reg" "FOM-T121" (fun () -> Fom_isa.Reg.of_int (-2))
+      Fom_isa.Instr.make ~index:3 ~pc:0 ~opclass:Fom_isa.Opclass.Alu ~deps:[| 3 |] ())
 
 let test_util_codes () =
   expect_invalid "U001 rng" "FOM-U001" (fun () ->

@@ -1,15 +1,9 @@
-(* Tests for Fom_isa: registers, operation classes, latencies,
-   instruction construction. *)
+(* Tests for Fom_isa: operation classes, latencies, instruction
+   construction. *)
 
-module Reg = Fom_isa.Reg
 module Opclass = Fom_isa.Opclass
 module Latency = Fom_isa.Latency
 module Instr = Fom_isa.Instr
-
-let test_reg_roundtrip () =
-  for i = 0 to Reg.count - 1 do
-    Alcotest.(check int) "roundtrip" i (Reg.to_int (Reg.of_int i))
-  done
 
 let test_opclass_predicates () =
   Alcotest.(check bool) "load is memory" true (Opclass.is_memory Opclass.Load);
@@ -17,7 +11,10 @@ let test_opclass_predicates () =
   Alcotest.(check bool) "alu not memory" false (Opclass.is_memory Opclass.Alu);
   Alcotest.(check bool) "branch is control" true (Opclass.is_control Opclass.Branch);
   Alcotest.(check bool) "jump is control" true (Opclass.is_control Opclass.Jump);
-  Alcotest.(check bool) "mul not control" false (Opclass.is_control Opclass.Mul)
+  Alcotest.(check bool) "mul not control" false (Opclass.is_control Opclass.Mul);
+  Alcotest.(check (list string))
+    "result producers" [ "alu"; "mul"; "div"; "load" ]
+    (List.map Opclass.to_string (List.filter Opclass.has_result Opclass.all))
 
 let test_opclass_all_distinct () =
   let names = List.map Opclass.to_string Opclass.all in
@@ -45,18 +42,14 @@ let test_latency_average () =
 
 let test_instr_make_alu () =
   let i =
-    Instr.make ~index:5 ~pc:0x400010 ~opclass:Opclass.Alu ~dst:(Reg.of_int 3)
-      ~srcs:[ Reg.of_int 1 ] ~deps:[| 2 |] ()
+    Instr.make ~index:5 ~pc:0x400010 ~opclass:Opclass.Alu ~deps:[| 2 |] ()
   in
   Alcotest.(check int) "index" 5 i.Instr.index;
   Alcotest.(check bool) "not load" false (i.Instr.opclass = Opclass.Load);
   Alcotest.(check bool) "not control" false (Opclass.is_control i.Instr.opclass)
 
 let test_instr_make_load () =
-  let i =
-    Instr.make ~index:1 ~pc:0x400000 ~opclass:Opclass.Load ~dst:(Reg.of_int 2)
-      ~mem:0x1000 ()
-  in
+  let i = Instr.make ~index:1 ~pc:0x400000 ~opclass:Opclass.Load ~mem:0x1000 () in
   Alcotest.(check bool) "is load" true (i.Instr.opclass = Opclass.Load);
   Alcotest.(check (option int)) "mem" (Some 0x1000) i.Instr.mem
 
@@ -69,9 +62,7 @@ let test_instr_make_branch () =
   Alcotest.(check bool) "is control" true (Opclass.is_control i.Instr.opclass)
 
 let test_instr_pp () =
-  let i =
-    Instr.make ~index:0 ~pc:0x400000 ~opclass:Opclass.Load ~dst:(Reg.of_int 7) ~mem:0x2000 ()
-  in
+  let i = Instr.make ~index:0 ~pc:0x400000 ~opclass:Opclass.Load ~mem:0x2000 () in
   let s = Format.asprintf "%a" Instr.pp i in
   Alcotest.(check bool) "mentions load" true
     (String.length s > 0 && String.index_opt s 'l' <> None)
@@ -79,7 +70,6 @@ let test_instr_pp () =
 let suite =
   ( "isa",
     [
-      Alcotest.test_case "reg roundtrip" `Quick test_reg_roundtrip;
       Alcotest.test_case "opclass predicates" `Quick test_opclass_predicates;
       Alcotest.test_case "opclass distinct names" `Quick test_opclass_all_distinct;
       Alcotest.test_case "latency defaults" `Quick test_latency_default;

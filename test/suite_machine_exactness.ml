@@ -6,7 +6,6 @@ module Machine = Fom_uarch.Machine
 module Stats = Fom_uarch.Stats
 module Instr = Fom_isa.Instr
 module Opclass = Fom_isa.Opclass
-module Reg = Fom_isa.Reg
 module Hierarchy = Fom_cache.Hierarchy
 module Predictor = Fom_branch.Predictor
 
@@ -14,7 +13,7 @@ let ideal = Config.ideal Config.baseline
 
 let alu ?pc ?(deps = [||]) index =
   let pc = Option.value pc ~default:(0x400000 + (4 * index)) in
-  Instr.make ~index ~pc ~opclass:Opclass.Alu ~dst:(Reg.of_int ((index mod 31) + 1)) ~deps ()
+  Instr.make ~index ~pc ~opclass:Opclass.Alu ~deps ()
 
 let run_cycles config gen ~n = (Hand_trace.run config gen ~n).Stats.cycles
 
@@ -44,7 +43,7 @@ let test_serial_chain_exact () =
 let test_mul_chain_exact () =
   (* A multiply chain pays the 3-cycle latency per link. *)
   let gen index =
-    Instr.make ~index ~pc:0x400000 ~opclass:Opclass.Mul ~dst:(Reg.of_int 1)
+    Instr.make ~index ~pc:0x400000 ~opclass:Opclass.Mul
       ~deps:(if index = 0 then [||] else [| index - 1 |])
       ()
   in
@@ -97,8 +96,7 @@ let test_long_miss_blocks_retirement () =
      instruction: nothing retires during the memory wait. *)
   let gen index =
     if index = 0 then
-      Instr.make ~index ~pc:0x400000 ~opclass:Opclass.Load ~dst:(Reg.of_int 1)
-        ~mem:0xA000000 ()
+      Instr.make ~index ~pc:0x400000 ~opclass:Opclass.Load ~mem:0xA000000 ()
     else alu index
   in
   let config = Config.with_cache Hierarchy.fig14 ideal in
@@ -117,7 +115,6 @@ let test_store_misses_do_not_block () =
   let gen kind index =
     if index mod 10 = 0 then
       Instr.make ~index ~pc:0x400000 ~opclass:kind
-        ?dst:(if kind = Opclass.Load then Some (Reg.of_int 1) else None)
         ~mem:(0xA000000 + (index * 0x100000))
         ()
     else alu index
@@ -137,8 +134,9 @@ let test_window_stat_bounded () =
     (stats.Stats.mean_rob_occupancy <= 128.0)
 
 (* The randomized machines of the properties below: shape and feature
-   set (clusters, FU limits, TLB and fetch buffer, unbounded issue)
-   drawn independently. *)
+   set (clusters, FU limits, TLB and fetch buffer, a wide ideal machine
+   whose window rather than its width binds issue) drawn
+   independently. *)
 let random_config ~width ~variant ~shape =
   let base =
     {
@@ -157,7 +155,7 @@ let random_config ~width ~variant ~shape =
   | 4 ->
       Config.with_fetch_buffer 16
         (Config.with_dtlb { Fom_cache.Tlb.entries = 16; page_bits = 13; walk_latency = 30 } base)
-  | _ -> { (Config.ideal base) with Config.unbounded_issue = true }
+  | _ -> Config.ideal ~width:16 base
 
 (* A recorded run of [config] over [packed] must pass the pipeline
    checker, and recording must not change the statistics. *)

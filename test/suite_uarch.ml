@@ -8,20 +8,18 @@ module Hierarchy = Fom_cache.Hierarchy
 module Predictor = Fom_branch.Predictor
 module Instr = Fom_isa.Instr
 module Opclass = Fom_isa.Opclass
-module Reg = Fom_isa.Reg
 
 let gzip_program = lazy (Fom_trace.Program.generate (Fom_workloads.Spec2000.find "gzip"))
 let mcf_program = lazy (Fom_trace.Program.generate (Fom_workloads.Spec2000.find "mcf"))
 
 let alu ~index ?(deps = [||]) () =
-  Instr.make ~index ~pc:(0x400000 + (4 * index)) ~opclass:Opclass.Alu
-    ~dst:(Reg.of_int ((index mod 31) + 1)) ~deps ()
+  Instr.make ~index ~pc:(0x400000 + (4 * index)) ~opclass:Opclass.Alu ~deps ()
 
 let ideal_config = Config.ideal Config.baseline
 
 let test_empty_chain_throughput () =
   (* Independent ALU instructions retire at full width. *)
-  let filler index = Instr.make ~index ~pc:0x400000 ~opclass:Opclass.Alu ~dst:(Reg.of_int 1) () in
+  let filler index = Instr.make ~index ~pc:0x400000 ~opclass:Opclass.Alu () in
   let stats = Hand_trace.run ideal_config filler ~n:10000 in
   Alcotest.(check bool) "ipc near width" true (Stats.ipc stats > 3.5)
 
@@ -35,7 +33,7 @@ let test_serial_chain_throughput () =
 let test_latency_respected () =
   (* A chain of div (latency 12) instructions: IPC about 1/12. *)
   let chain index =
-    Instr.make ~index ~pc:0x400000 ~opclass:Opclass.Div ~dst:(Reg.of_int 1)
+    Instr.make ~index ~pc:0x400000 ~opclass:Opclass.Div
       ~deps:(if index = 0 then [||] else [| index - 1 |])
       ()
   in
@@ -115,7 +113,7 @@ let test_isolated_long_miss_penalty () =
   let mem_latency = 200 in
   let make_trace ~miss index =
     if miss && index = 1000 then
-      Instr.make ~index ~pc:0x400000 ~opclass:Opclass.Load ~dst:(Reg.of_int 1) ~mem:0xDEAD000 ()
+      Instr.make ~index ~pc:0x400000 ~opclass:Opclass.Load ~mem:0xDEAD000 ()
     else alu ~index ()
   in
   let config = Config.with_cache Hierarchy.fig14 ideal_config in
@@ -131,7 +129,7 @@ let test_overlapping_long_misses_share_penalty () =
      about one isolated penalty in total (paper eq. 7). *)
   let make_trace ~misses index =
     if List.mem index misses then
-      Instr.make ~index ~pc:0x400000 ~opclass:Opclass.Load ~dst:(Reg.of_int 1)
+      Instr.make ~index ~pc:0x400000 ~opclass:Opclass.Load
         ~mem:(0xDEAD000 + (index * 0x100000))
         ()
     else alu ~index ()
@@ -149,7 +147,7 @@ let test_overlapping_long_misses_share_penalty () =
 let test_far_apart_misses_add () =
   let make_trace ~misses index =
     if List.mem index misses then
-      Instr.make ~index ~pc:0x400000 ~opclass:Opclass.Load ~dst:(Reg.of_int 1)
+      Instr.make ~index ~pc:0x400000 ~opclass:Opclass.Load
         ~mem:(0xDEAD000 + (index * 0x100000))
         ()
     else alu ~index ()
@@ -184,15 +182,6 @@ let test_determinism () =
   Alcotest.(check int) "same mispredictions" a.Stats.branch_mispredictions
     b.Stats.branch_mispredictions
 
-let test_unbounded_issue_not_slower () =
-  let bounded = Simulate.run ideal_config (Lazy.force gzip_program) ~n:20000 in
-  let unbounded =
-    Simulate.run { ideal_config with Config.unbounded_issue = true }
-      (Lazy.force gzip_program) ~n:20000
-  in
-  Alcotest.(check bool) "unbounded at least as fast" true
-    (unbounded.Stats.cycles <= bounded.Stats.cycles)
-
 let suite =
   ( "uarch",
     [
@@ -215,5 +204,4 @@ let suite =
       Alcotest.test_case "far apart misses add" `Quick test_far_apart_misses_add;
       Alcotest.test_case "tiny rob still progresses" `Quick test_rob_never_overflows;
       Alcotest.test_case "determinism" `Quick test_determinism;
-      Alcotest.test_case "unbounded issue not slower" `Quick test_unbounded_issue_not_slower;
     ] )
