@@ -32,7 +32,6 @@ let make ~size ~assoc ~line =
   t
 
 let sets t = t.size / (t.assoc * t.line)
-let line_address t addr = addr land lnot (t.line - 1)
 
 let l1_baseline = make ~size:4096 ~assoc:4 ~line:128
 let l2_baseline = make ~size:(512 * 1024) ~assoc:4 ~line:128

@@ -22,9 +22,6 @@ val diagnostics : ?path:string -> t -> Fom_check.Diagnostic.t list
 val sets : t -> int
 (** Number of sets. *)
 
-val line_address : t -> int -> int
-(** Byte address of the enclosing line. *)
-
 val l1_baseline : t
 (** 4 KiB, 4-way, 128-byte lines (paper baseline L1I and L1D). *)
 

@@ -21,6 +21,9 @@ let all_ideal = { baseline with l1i = Ideal; l1d = Ideal }
 let ideal_except_l1i = { baseline with l1d = Ideal; l2 = Ideal_l2 }
 let ideal_except_data = { baseline with l1i = Ideal }
 
+let inst_line_mask config =
+  match config.l1i with Real g -> lnot (g.Geometry.line - 1) | Ideal -> lnot 127
+
 let fig14 =
   {
     l1i = Ideal;

@@ -54,6 +54,11 @@ val fig14 : config
 (** Figure 14's setup: a 128 KiB L1D with no L2 (every miss is long,
     200 cycles); instruction side ideal. *)
 
+val inst_line_mask : config -> int
+(** [pc land inst_line_mask config] is the address of the L1I line
+    holding [pc]; an ideal L1I counts 128-byte lines, the baseline's.
+    A fetch probes the L1I once per change of line. *)
+
 val diagnostics : config -> Fom_check.Diagnostic.t list
 (** [FOM-M010]/[FOM-M015] diagnostics: geometry of each real level and
     the L1 <= L2 <= memory latency ordering. *)

@@ -67,7 +67,15 @@ let branch_tag = Opclass.to_int Opclass.Branch
    heap. When the ready set is empty the machine can only change state
    at a known future cycle (a completion, a dispatch, a fetch restart
    or a wakeup), and {!run} jumps there instead of stepping the idle
-   cycles in between. *)
+   cycles in between.
+
+   A step pays only for the structures that can bind: with one cluster
+   there is no steering, no per-cluster budget or count and no bypass
+   re-check, and with unbounded functional units no per-class count.
+   The per-instruction helpers are [@inline]: every register is
+   caller-saved in OCaml's native code, so an out-of-line helper in the
+   issue scan spills and reloads the scan's live values around each
+   call. *)
 type t = {
   config : Config.t;
   (* the packed trace's columns, by dynamic index (see {!Packed}) *)
@@ -92,12 +100,14 @@ type t = {
   mutable fetch_stall_until : int;
   mutable blocking_branch : int;  (* unresolved mispredicted branch; -1 for none *)
   mutable last_line : int;
-  l1i_line_mask : int;
+  l1i_line_mask : int;  (* {!Hierarchy.inst_line_mask} *)
   mutable win_count : int;  (* window occupancy: dispatched, unissued *)
   cluster_counts : int array;  (* window occupancy per cluster *)
   cluster_issued : int array;  (* issues this cycle per cluster *)
   mutable next_cluster : int;  (* round-robin dispatch steering *)
-  clustered : bool;  (* more than one cluster: a bypass cycle can apply *)
+  clustered : bool;
+      (* more than one cluster: a bypass cycle can apply, and the
+         per-cluster window and issue budgets can bind *)
   (* wakeup structures, keyed by slot *)
   ready_at : int array;  (* earliest-issue lower bound *)
   chain_next : int array;  (* link through waiter and calendar chains *)
@@ -110,6 +120,10 @@ type t = {
   predictor : Predictor.t;
   dtlb : Fom_cache.Tlb.t option;
   walk_latency : int;
+  (* load-use latency by outcome ({!Hierarchy.data_latency}) *)
+  l1_latency : int;
+  l2_latency : int;
+  memory_latency : int;
   (* Completion cycles of outstanding long misses, a FIFO ring that
      grows by doubling. Only expired entries at the front leave it, and
      with a dTLB walk completion times are not monotone, so an expired
@@ -121,7 +135,7 @@ type t = {
   latency : int array;  (* by class tag *)
   fu_limit : int array;  (* by class tag; max_int when unbounded *)
   fu_unbounded : bool;
-  fu_busy : int array;  (* instructions issued this cycle per class *)
+  fu_busy : int array;  (* instructions issued this cycle per class; empty when unbounded *)
   (* bookkeeping *)
   mutable cycle : int;
   mutable wake_events : int;  (* ready-set insertions, for sim.events *)
@@ -145,7 +159,9 @@ let create config packed =
   let ring = Config.comp_ring_size config in
   let by_class f = Array.init Opclass.count (fun tag -> f (Opclass.of_int tag)) in
   let fu_limit = by_class (Fom_isa.Fu_set.of_class config.Config.fu_limits) in
+  let fu_unbounded = Array.for_all (fun l -> l = max_int) fu_limit in
   let dtlb = Option.map Fom_cache.Tlb.create config.Config.dtlb in
+  let hierarchy = Hierarchy.create config.Config.cache in
   {
     config;
     len = packed.Packed.len;
@@ -167,10 +183,7 @@ let create config packed =
     fetch_stall_until = 0;
     blocking_branch = -1;
     last_line = -1;
-    l1i_line_mask =
-      (match config.Config.cache.Hierarchy.l1i with
-      | Hierarchy.Real g -> lnot (g.Fom_cache.Geometry.line - 1)
-      | Hierarchy.Ideal -> lnot 127);
+    l1i_line_mask = Hierarchy.inst_line_mask config.Config.cache;
     win_count = 0;
     cluster_counts = Array.make config.Config.clusters 0;
     cluster_issued = Array.make config.Config.clusters 0;
@@ -182,20 +195,23 @@ let create config packed =
     calendar = Array.make calendar_size (-1);
     ready = Array.make (ring / 32) 0;
     ready_count = 0;
-    hierarchy = Hierarchy.create config.Config.cache;
+    hierarchy;
     predictor = Predictor.create config.Config.predictor;
     dtlb;
     walk_latency =
       (match dtlb with
       | Some d -> (Fom_cache.Tlb.spec d).Fom_cache.Tlb.walk_latency
       | None -> 0);
+    l1_latency = Hierarchy.data_latency hierarchy Hierarchy.L1_hit;
+    l2_latency = Hierarchy.data_latency hierarchy Hierarchy.L2_hit;
+    memory_latency = Hierarchy.data_latency hierarchy Hierarchy.Memory;
     long_miss = Array.make 64 0;
     long_miss_head = 0;
     long_miss_len = 0;
     latency = Latency.table config.Config.latencies;
     fu_limit;
-    fu_unbounded = Array.for_all (fun l -> l = max_int) fu_limit;
-    fu_busy = Array.make Opclass.count 0;
+    fu_unbounded;
+    fu_busy = (if fu_unbounded then [||] else Array.make Opclass.count 0);
     cycle = 0;
     wake_events = 0;
     skipped_cycles = 0;
@@ -212,13 +228,13 @@ let create config packed =
     occupancy_rob_sum = 0;
   }
 
-let completed t idx =
+let[@inline] completed t idx =
   let s = idx land t.slot_mask in
   t.comp_idx.(s) = idx && t.comp_time.(s) <= t.cycle
 
 (* A value produced in another cluster needs one extra bypass cycle
    (ancient producers are long past any bypass network). *)
-let dep_complete t ~cluster d =
+let[@inline] dep_complete t ~cluster d =
   d <= t.last_retired
   ||
   let s = d land t.slot_mask in
@@ -227,7 +243,7 @@ let dep_complete t ~cluster d =
   let bypass = if t.cluster.(s) = cluster then 0 else 1 in
   t.comp_time.(s) + bypass <= t.cycle
 
-let deps_ready t idx =
+let[@inline] deps_ready t idx =
   let cluster = t.cluster.(idx land t.slot_mask) in
   let k = ref t.dep_off.(idx) in
   let hi = t.dep_off.(idx + 1) in
@@ -238,14 +254,14 @@ let deps_ready t idx =
 
 (* Pop expired long misses off the front. Doing so at any cycle pops a
    prefix of what a later call would, so callers may drain early. *)
-let drain_long_misses t =
+let[@inline] drain_long_misses t =
   let mask = Array.length t.long_miss - 1 in
   while t.long_miss_len > 0 && t.long_miss.(t.long_miss_head) <= t.cycle do
     t.long_miss_head <- (t.long_miss_head + 1) land mask;
     t.long_miss_len <- t.long_miss_len - 1
   done
 
-let long_misses_outstanding t =
+let[@inline] long_misses_outstanding t =
   drain_long_misses t;
   t.long_miss_len
 
@@ -276,7 +292,7 @@ let retire t =
    front (the walk precedes the cache access). Store misses fill the
    TLB but are not counted as miss-events: the write buffer hides
    them, mirroring the treatment of store cache misses. *)
-let translate t addr ~count =
+let[@inline] translate t addr ~count =
   match t.dtlb with
   | None -> 0
   | Some dtlb ->
@@ -286,27 +302,25 @@ let translate t addr ~count =
         t.walk_latency
       end
 
-let issue_latency t idx =
+let[@inline] issue_latency t idx =
   let op = t.op.(idx) in
   let lat = t.latency.(op) in
   if op = load_tag then begin
     let addr = t.ea.(idx) in
     let walk = translate t addr ~count:true in
-    let outcome = Hierarchy.access_data t.hierarchy addr in
-    let cache_lat = Hierarchy.data_latency t.hierarchy outcome in
-    match outcome with
-    | Hierarchy.L1_hit -> walk + Int.max lat cache_lat
+    match Hierarchy.access_data t.hierarchy addr with
+    | Hierarchy.L1_hit -> walk + Int.max lat t.l1_latency
     | Hierarchy.L2_hit ->
         t.short_load_misses <- t.short_load_misses + 1;
-        walk + Int.max lat cache_lat
+        walk + Int.max lat t.l2_latency
     | Hierarchy.Memory ->
         t.long_load_misses <- t.long_load_misses + 1;
-        push_long_miss t (t.cycle + walk + cache_lat);
+        push_long_miss t (t.cycle + walk + t.memory_latency);
         (* Entries in the ROB ahead of this load: an index
            difference, the ROB being an index range. *)
         Fom_util.Stats.Acc.add t.rob_ahead_of_long_miss
           (float_of_int (idx - (t.last_retired + 1)));
-        walk + cache_lat
+        walk + t.memory_latency
   end
   else if op = store_tag then begin
     (* Stores update the TLB and cache for residency but never block:
@@ -321,12 +335,14 @@ let issue_latency t idx =
 
 (* The bookkeeping when instruction [idx] issues this cycle;
    [issued_before] is how many issued earlier this cycle. *)
-let issue_instr t idx ~issued_before =
+let[@inline] issue_instr t idx ~issued_before =
   let s = idx land t.slot_mask in
   let op = t.op.(idx) and c = t.cluster.(s) in
   if not t.fu_unbounded then t.fu_busy.(op) <- t.fu_busy.(op) + 1;
-  t.cluster_issued.(c) <- t.cluster_issued.(c) + 1;
-  t.cluster_counts.(c) <- t.cluster_counts.(c) - 1;
+  if t.clustered then begin
+    t.cluster_issued.(c) <- t.cluster_issued.(c) + 1;
+    t.cluster_counts.(c) <- t.cluster_counts.(c) - 1
+  end;
   let complete = t.cycle + issue_latency t idx in
   t.comp_idx.(s) <- idx;
   t.comp_time.(s) <- complete;
@@ -348,20 +364,20 @@ let debruijn_position =
   done;
   table
 
-let lowest_bit x = debruijn_position.((((x land -x) * debruijn) land 0xFFFF_FFFF) lsr 27)
+let[@inline] lowest_bit x = debruijn_position.((((x land -x) * debruijn) land 0xFFFF_FFFF) lsr 27)
 
-let mark_ready t s =
+let[@inline] mark_ready t s =
   let w = s lsr 5 in
   t.ready.(w) <- t.ready.(w) lor (1 lsl (s land 31));
   t.ready_count <- t.ready_count + 1;
   t.wake_events <- t.wake_events + 1
 
-let clear_ready t s =
+let[@inline] clear_ready t s =
   let w = s lsr 5 in
   t.ready.(w) <- t.ready.(w) land lnot (1 lsl (s land 31));
   t.ready_count <- t.ready_count - 1
 
-let book_wakeup t idx ~at =
+let[@inline] book_wakeup t idx ~at =
   let s = idx land t.slot_mask in
   (* Waits past the calendar horizon re-book when the clamped bucket
      drains ([ready_at] keeps the true cycle). *)
@@ -386,7 +402,7 @@ let book_wakeup t idx ~at =
    bucket. Only dispatch may do so: it runs after this cycle's issue
    scan, whereas an instruction re-parked during the scan must not
    become visible to the scan still in progress. *)
-let place t idx ~mark =
+let[@inline] place t idx ~mark =
   let s = idx land t.slot_mask in
   let k = ref t.dep_off.(idx) in
   let hi = t.dep_off.(idx + 1) in
@@ -416,11 +432,13 @@ let place t idx ~mark =
 let issue t =
   let width = t.config.Config.width in
   let clusters = t.config.Config.clusters in
-  let cluster_width = width / clusters in
-  (* Zero the per-cycle issue counts (the FU counts are only kept when
-     some class is limited). *)
+  let cluster_width = if t.clustered then width / clusters else width in
+  (* Zero the per-cycle issue counts. The FU counts are only kept when
+     some class is limited, the cluster counts only on a clustered
+     machine: one cluster's budget is the width, which the scan below
+     never exceeds. *)
   if not t.fu_unbounded then Array.fill t.fu_busy 0 Opclass.count 0;
-  Array.fill t.cluster_issued 0 clusters 0;
+  if t.clustered then Array.fill t.cluster_issued 0 clusters 0;
   (* Wake this cycle's calendar bucket into the ready set. *)
   let bucket = t.cycle land calendar_mask in
   let woken = ref t.calendar.(bucket) in
@@ -467,7 +485,7 @@ let issue t =
         place t idx ~mark:false
       end
       else if
-        t.cluster_issued.(t.cluster.(s)) < cluster_width
+        ((not t.clustered) || t.cluster_issued.(t.cluster.(s)) < cluster_width)
         && (t.fu_unbounded || t.fu_busy.(t.op.(idx)) < t.fu_limit.(t.op.(idx)))
       then begin
         clear_ready t s;
@@ -489,8 +507,10 @@ let issue t =
   done;
   t.win_count <- t.win_count - !issued
 
-(* Round-robin steering; a full cluster passes its turn. The window
-   space guard in [dispatch] ensures at least one cluster has room. *)
+(* Round-robin steering on a clustered machine (with one cluster every
+   instruction goes to cluster 0): a full cluster passes its turn, and
+   the chosen one counts the instruction. The window space guard in
+   [dispatch] ensures at least one cluster has room. *)
 let steer t =
   let clusters = t.config.Config.clusters in
   let capacity = t.config.Config.window_size / clusters in
@@ -503,6 +523,7 @@ let steer t =
     incr tries
   done;
   t.next_cluster <- (if !c + 1 = clusters then 0 else !c + 1);
+  t.cluster_counts.(!c) <- t.cluster_counts.(!c) + 1;
   !c
 
 let dispatch t =
@@ -518,9 +539,8 @@ let dispatch t =
     let s = idx land t.slot_mask in
     if t.pipe_at.(s) <= t.cycle then begin
       t.last_dispatched <- idx;
-      let c = steer t in
+      let c = if t.clustered then steer t else 0 in
       t.cluster.(s) <- c;
-      t.cluster_counts.(c) <- t.cluster_counts.(c) + 1;
       (match t.record with
       | Some r -> r.dispatch.(idx) <- t.cycle; r.cluster.(idx) <- c
       | None -> ());
@@ -549,8 +569,10 @@ let fetch t =
       && t.last_fetched - t.last_dispatched < t.pipe_capacity
     do
       let idx = t.last_fetched + 1 in
-      Fom_check.Checker.ensure ~code:"FOM-T132" ~path:"machine.trace" (idx < t.len)
-        "packed trace exhausted before the run retired its target";
+      if idx >= t.len then
+        Fom_check.Checker.run_exn
+          (Fom_check.Checker.fail ~code:"FOM-T132" ~path:"machine.trace"
+             "packed trace exhausted before the run retired its target");
       let pc = t.pc.(idx) in
       let line = pc land t.l1i_line_mask in
       let icache_ok =

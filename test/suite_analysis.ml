@@ -171,6 +171,65 @@ let test_profile_group_members_match_misses () =
   in
   Alcotest.(check int) "every miss in exactly one group" prof.Profile.long_misses members
 
+(* Digest of every field of [Profile.run_packed] over one packing, at
+   the baseline and Figure 14 caches, without and with a 64-entry dTLB
+   and under both groupings: the float mean latency by its bits, the
+   distributions by their (size, count) lists. *)
+let profile_digest packed ~n =
+  let b = Buffer.create 4096 in
+  let dist d =
+    String.concat " "
+      (List.map (fun (size, count) -> Printf.sprintf "%d:%d" size count) (Distribution.to_list d))
+  in
+  List.iter
+    (fun cache ->
+      List.iter
+        (fun dtlb ->
+          List.iter
+            (fun grouping ->
+              let p = Profile.run_packed ~cache ?dtlb ~grouping packed ~n in
+              Buffer.add_string b
+                (Printf.sprintf "%d %Ld [%s] %d %d %d %d %d %d %d | %s | %s | %s\n"
+                   p.Profile.instructions
+                   (Int64.bits_of_float p.Profile.avg_latency)
+                   (String.concat " " (List.map (fun (_, c) -> string_of_int c) p.Profile.class_counts))
+                   p.Profile.branches p.Profile.mispredictions p.Profile.l1i_misses
+                   p.Profile.l2i_misses p.Profile.short_misses p.Profile.long_misses
+                   p.Profile.dtlb_misses (dist p.Profile.mispred_bursts)
+                   (dist p.Profile.long_miss_groups) (dist p.Profile.dtlb_groups)))
+            [ Profile.Dependence_aware; Profile.Paper_naive ])
+        [ None; Some { Fom_cache.Tlb.entries = 64; page_bits = 13; walk_latency = 30 } ])
+    [ Hierarchy.baseline; Hierarchy.fig14 ];
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_profile_golden () =
+  (* Pinned digests: the model's inputs descend from these profiles,
+     so the profile loop must not move any field by a single bit. *)
+  let n = 20_000 in
+  List.iter2
+    (fun config expected ->
+      let packed =
+        Fom_trace.Packed.of_source
+          (Fom_trace.Source.of_program (Fom_trace.Program.generate config))
+          ~n
+      in
+      Alcotest.(check string) config.Fom_trace.Config.name expected (profile_digest packed ~n))
+    Fom_workloads.Spec2000.all
+    [
+      "3e48f256d7d21cf933c310f9251cea0f";
+      "00b77df846171de42806cd565388809d";
+      "5ab2b62a1428aa39cb6456783cc602c2";
+      "b64a440286cb96493db2cd82d0450661";
+      "154998673f9092c720f20ac6368688a0";
+      "426a44968fde80b548f6bba3e3e5ba61";
+      "ad3cec8027f8fa03a20026907f5e6968";
+      "98e19bf93b9fefaade977bcedb4034b7";
+      "f08f254edb6574907a79f159a15980ac";
+      "948e082326b1896897e50ee39e9df3d9";
+      "326af3c546c403497bcbf592b73fb75a";
+      "cc9b74ea4dee63dee567c2a68820d06a";
+    ]
+
 let test_iw_sim_agrees_with_machine () =
   (* Two independent implementations of the idealized window-limited
      machine: the lean dataflow simulation and the full cycle-level
@@ -450,6 +509,7 @@ let suite =
       Alcotest.test_case "profile grouping modes" `Quick test_profile_grouping_modes;
       Alcotest.test_case "group members match misses" `Quick
         test_profile_group_members_match_misses;
+      Alcotest.test_case "profile unchanged" `Quick test_profile_golden;
       Alcotest.test_case "iw sim agrees with machine" `Quick test_iw_sim_agrees_with_machine;
       QCheck_alcotest.to_alcotest prop_packed_kernel_bit_identical;
       QCheck_alcotest.to_alcotest prop_results_independent_of_packing_length;

@@ -12,7 +12,9 @@ let test_geometry_baseline () =
   Alcotest.(check int) "l2 sets" 1024 (Geometry.sets Geometry.l2_baseline)
 
 let test_geometry_mapping () =
-  Alcotest.(check int) "line address" 0x40 (Geometry.line_address small 0x7f)
+  let line_mask l1i = Hierarchy.inst_line_mask { Hierarchy.baseline with Hierarchy.l1i } in
+  Alcotest.(check int) "line address" 0x40 (0x7f land line_mask (Hierarchy.Real small));
+  Alcotest.(check int) "ideal l1i lines" 0x100 (0x17f land line_mask Hierarchy.Ideal)
 
 let test_cache_cold_miss_then_hit () =
   let c = Sa_cache.create small in
@@ -154,7 +156,9 @@ let prop_geometry_mapping_sane =
       let geometry =
         [| Geometry.l1_baseline; Geometry.l2_baseline; Geometry.make ~size:1024 ~assoc:2 ~line:64 |].(g)
       in
-      let line = Geometry.line_address geometry addr in
+      let line =
+        addr land Hierarchy.inst_line_mask { Hierarchy.baseline with l1i = Real geometry }
+      in
       Geometry.sets geometry > 0 && line <= addr && addr - line < geometry.Geometry.line)
 
 let prop_lru_bounded_misses =

@@ -285,6 +285,24 @@ let test_packing_margin_wide_machines () =
         true (packing_length_invariant case))
     [ (3, 316, 1, 11); (4, 541, 1, 2); (5, 655, 0, 2); (10, 7148, 0, 8) ]
 
+let test_short_packing_raises_t132 () =
+  (* A packing with none of the [Config.inflight_span] fetch-ahead
+     margin: a width-8 machine fetches past its last instruction
+     before retiring the target, and the run reports the exhausted
+     trace rather than reading past it. *)
+  let config = Config.ideal ~width:8 Config.baseline in
+  let n = 2000 in
+  let source =
+    Fom_trace.Source.of_program (Fom_trace.Program.generate (Fom_workloads.Spec2000.find "gzip"))
+  in
+  let short = Fom_trace.Packed.of_source source ~n in
+  match Machine.run (Machine.create config short) ~n with
+  | _ -> Alcotest.fail "expected FOM-T132"
+  | exception Fom_check.Checker.Invalid [ d ] ->
+      Alcotest.(check string) "code" "FOM-T132" d.Fom_check.Diagnostic.code;
+      Alcotest.(check string) "path" "machine.trace" d.Fom_check.Diagnostic.path
+  | exception Fom_check.Checker.Invalid _ -> Alcotest.fail "expected one diagnostic"
+
 let test_resumable_runs_compose () =
   (* Two runs of n/2 equal one run of n on the same machine. *)
   let m1 = Hand_trace.machine ideal alu ~n:1000 in
@@ -376,6 +394,7 @@ let suite =
       QCheck_alcotest.to_alcotest prop_pipeline_record_passes_checker;
       Alcotest.test_case "pipeline checker: long latencies, cycle limits" `Quick
         test_checker_grid;
+      Alcotest.test_case "short packing raises FOM-T132" `Quick test_short_packing_raises_t132;
       Alcotest.test_case "packing margin covers wide machines" `Quick
         test_packing_margin_wide_machines;
       QCheck_alcotest.to_alcotest prop_packing_length_does_not_change_results;
