@@ -25,6 +25,7 @@ let assemble ~name ~n curve (profile : Profile.t) =
 
 let curve_and_inputs_of_packed ?pool ?windows ?iw_instructions ?cache ?predictor ?latencies
     ?grouping ?dtlb ~(params : Params.t) packed ~n =
+  Params.validate params;
   if Packed.length packed < n then
     Fom_check.Checker.(
       run_exn
@@ -41,6 +42,9 @@ let curve_and_inputs_of_packed ?pool ?windows ?iw_instructions ?cache ?predictor
 
 let inputs_of_source ?pool ?windows ?iw_instructions ?cache ?predictor ?latencies ?grouping
     ?dtlb ~params source ~n =
+  (* The machine is checked before any work: the model would reject
+     it only after the whole characterization. *)
+  Params.validate params;
   (* Pack the trace once, sized for whichever pass reads furthest: the
      profile's [n] or the IW sweep's instructions plus its largest
      window of fetch-ahead. Both passes then replay the same flat

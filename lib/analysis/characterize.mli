@@ -19,9 +19,10 @@ val inputs :
 (** [inputs ~params program ~n] profiles [n] instructions and measures
     the IW curve (default windows and 30k instructions per point).
     [params] supplies the burst window (issue window size) and the
-    group window (ROB size). Cache, predictor and latencies default to
+    group window (ROB size); it is validated ({!Fom_model.Params.validate})
+    before any packing or profiling. Cache, predictor and latencies default to
     the paper's baseline. [?pool] parallelizes the IW-curve points
-    (see {!Iw_curve.measure}); results are bit-identical to the
+    (see {!Iw_curve.measure_packed}); results are bit-identical to the
     sequential path. *)
 
 val inputs_of_source :

@@ -231,7 +231,4 @@ let class_fraction t cls =
 
 let per_instr t count = float_of_int count /. float_of_int t.instructions
 
-let run ?cache ?predictor ?latencies ?burst_window ?group_window ?grouping ?dtlb program ~n =
-  run_packed ?cache ?predictor ?latencies ?burst_window ?group_window ?grouping ?dtlb
-    (Packed.of_source (Fom_trace.Source.of_program program) ~n)
-    ~n
+let run program ~n = run_packed (Packed.of_source (Fom_trace.Source.of_program program) ~n) ~n

@@ -43,20 +43,6 @@ type t = {
       (** TLB-miss group sizes (leader-anchored, ROB window) *)
 }
 
-val run :
-  ?cache:Fom_cache.Hierarchy.config ->
-  ?predictor:Fom_branch.Predictor.spec ->
-  ?latencies:Fom_isa.Latency.t ->
-  ?burst_window:int ->
-  ?group_window:int ->
-  ?grouping:grouping ->
-  ?dtlb:Fom_cache.Tlb.spec ->
-  Fom_trace.Program.t -> n:int -> t
-(** Profile [n] instructions. Defaults: the paper's baseline cache
-    hierarchy and 8K gShare, default latencies, burst window 48 (the
-    issue-window size), group window 128 (the ROB size), and
-    {!Dependence_aware} grouping. *)
-
 val run_packed :
   ?cache:Fom_cache.Hierarchy.config ->
   ?predictor:Fom_branch.Predictor.spec ->
@@ -66,10 +52,16 @@ val run_packed :
   ?grouping:grouping ->
   ?dtlb:Fom_cache.Tlb.spec ->
   Fom_trace.Packed.t -> n:int -> t
-(** {!run} over the first [n] instructions of a packed trace, read
+(** Profile the first [n] instructions of a packed trace, read
     straight from its columns ([FOM-I030] unless
-    [0 < n <= Packed.length]). {!run} packs the program and calls
-    this. *)
+    [0 < n <= Packed.length]). Defaults: the paper's baseline cache
+    hierarchy and 8K gShare, default latencies, burst window 48 (the
+    issue-window size), group window 128 (the ROB size), and
+    {!Dependence_aware} grouping. *)
+
+val run : Fom_trace.Program.t -> n:int -> t
+(** {!run_packed} with every default over the first [n] instructions
+    of the program, packed. *)
 
 val class_fraction : t -> Fom_isa.Opclass.t -> float
 

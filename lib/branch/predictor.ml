@@ -3,8 +3,6 @@ type spec =
   | Always_taken
   | Bimodal of int
   | Gshare of int
-  | Local of int
-  | Tournament of int
 
 let default_spec = Gshare 13
 
@@ -23,14 +21,6 @@ type impl =
   | I_always_taken
   | I_bimodal of { table : Bytes.t; mask : int }
   | I_gshare of { table : Bytes.t; mask : int; mutable history : int }
-  | I_local of { histories : int array; table : Bytes.t; mask : int }
-  | I_tournament of {
-      bimodal : Bytes.t;
-      gshare : Bytes.t;
-      chooser : Bytes.t;
-      mask : int;
-      mutable history : int;
-    }
 
 type t = { spec : spec; impl : impl }
 
@@ -38,7 +28,7 @@ let diagnostics spec =
   let module C = Fom_check.Checker in
   match spec with
   | Ideal | Always_taken -> C.ok
-  | Bimodal bits | Gshare bits | Local bits | Tournament bits ->
+  | Bimodal bits | Gshare bits ->
       if bits >= 1 && bits <= 28 then C.ok
       else
         C.fail ~code:"FOM-M014" ~path:"predictor.bits"
@@ -60,24 +50,6 @@ let create spec =
     | Gshare bits ->
         check_bits bits;
         I_gshare { table = fresh_counters bits; mask = (1 lsl bits) - 1; history = 0 }
-    | Local bits ->
-        check_bits bits;
-        I_local
-          {
-            histories = Array.make (1 lsl bits) 0;
-            table = fresh_counters bits;
-            mask = (1 lsl bits) - 1;
-          }
-    | Tournament bits ->
-        check_bits bits;
-        I_tournament
-          {
-            bimodal = fresh_counters bits;
-            gshare = fresh_counters bits;
-            chooser = fresh_counters bits;
-            mask = (1 lsl bits) - 1;
-            history = 0;
-          }
   in
   { spec; impl }
 
@@ -91,14 +63,6 @@ let predict t ~pc ~taken =
   | I_always_taken -> true
   | I_bimodal b -> counter_taken b.table (pc lsr 2 land b.mask)
   | I_gshare g -> counter_taken g.table ((pc lsr 2) lxor g.history land g.mask)
-  | I_local l ->
-      let history = l.histories.(pc lsr 2 land l.mask) in
-      counter_taken l.table (history land l.mask)
-  | I_tournament tn ->
-      let slot = pc lsr 2 land tn.mask in
-      if counter_taken tn.chooser slot then
-        counter_taken tn.gshare ((pc lsr 2) lxor tn.history land tn.mask)
-      else counter_taken tn.bimodal slot
 
 let train t ~pc ~taken =
   match t.impl with
@@ -107,22 +71,6 @@ let train t ~pc ~taken =
   | I_gshare g ->
       counter_train g.table ((pc lsr 2) lxor g.history land g.mask) taken;
       g.history <- ((g.history lsl 1) lor (if taken then 1 else 0)) land g.mask
-  | I_local l ->
-      let hslot = pc lsr 2 land l.mask in
-      let history = l.histories.(hslot) in
-      counter_train l.table (history land l.mask) taken;
-      l.histories.(hslot) <- ((history lsl 1) lor (if taken then 1 else 0)) land l.mask
-  | I_tournament tn ->
-      let slot = pc lsr 2 land tn.mask in
-      let gslot = (pc lsr 2) lxor tn.history land tn.mask in
-      let bimodal_right = counter_taken tn.bimodal slot = taken in
-      let gshare_right = counter_taken tn.gshare gslot = taken in
-      (* The chooser moves toward the component that was right when
-         they disagree. *)
-      if bimodal_right <> gshare_right then counter_train tn.chooser slot gshare_right;
-      counter_train tn.bimodal slot taken;
-      counter_train tn.gshare gslot taken;
-      tn.history <- ((tn.history lsl 1) lor (if taken then 1 else 0)) land tn.mask
 
 let observe t ~pc ~taken =
   let correct = predict t ~pc ~taken = taken in

@@ -16,12 +16,6 @@ type spec =
   | Always_taken
   | Bimodal of int  (** log2 of the two-bit counter table size *)
   | Gshare of int  (** log2 of table size; history length matches *)
-  | Local of int
-      (** two-level local (PAg): per-branch history registers indexing
-          a shared two-bit counter table of 2^n entries *)
-  | Tournament of int
-      (** McFarling-style hybrid: bimodal and gShare components of
-          2^n entries with a two-bit chooser table *)
 
 val default_spec : spec
 (** The paper's 8K-entry gShare: [Gshare 13]. *)

@@ -31,9 +31,9 @@ let positive_fraction ~code ~path v =
   if Float.is_finite v && v > 0.0 && v <= 1.0 then []
   else fail ~code ~path (Printf.sprintf "must be within (0, 1], got %g" v)
 
-let sum_to_one ?(tol = 1e-6) ~code ~path parts =
+let sum_to_one ~code ~path parts =
   let total = List.fold_left (fun acc (_, v) -> acc +. v) 0.0 parts in
-  if Float.is_finite total && Float.abs (total -. 1.0) <= tol then []
+  if Float.is_finite total && Float.abs (total -. 1.0) <= 1e-6 then []
   else
     fail ~code ~path
       (Printf.sprintf "%s must sum to 1, got %g"

@@ -73,10 +73,9 @@ val positive_fraction : code:string -> path:string -> float -> rule
 (** Finite and within [(0, 1]] (e.g. the IW exponent beta, a fit
     r-squared). *)
 
-val sum_to_one :
-  ?tol:float -> code:string -> path:string -> (string * float) list -> rule
+val sum_to_one : code:string -> path:string -> (string * float) list -> rule
 (** [sum_to_one ~code ~path parts] checks the labelled fields sum to
-    1 within [tol] (default [1e-6]). *)
+    1 within [1e-6]. *)
 
 val within : string -> rule -> rule
 (** [within prefix rule] prepends [prefix] to the path of each of

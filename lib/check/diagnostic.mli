@@ -19,8 +19,7 @@
     - [FOM-Lxxx] — source lint findings ([tools/lint])
     - [FOM-Exxx] — parallel execution ([Fom_exec]: worker counts,
       task failures, pool lifecycle)
-    - [FOM-Oxxx] — observability ([Fom_obs]: metric registry, span
-      buffers)
+    - [FOM-Oxxx] — observability ([Fom_obs]: span buffers)
     - [FOM-X001] — internal invariant violation (a bug, not bad input) *)
 
 type severity = Error | Warning | Hint

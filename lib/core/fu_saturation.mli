@@ -8,13 +8,11 @@
     width (paper: "we can generate a lower saturation level than the
     maximum issue width"). *)
 
-val saturation_ipc : Fom_isa.Fu_set.t -> mix:(Fom_isa.Opclass.t -> float) -> float
-(** Smallest [count_c / mix_c] over classes with positive mix;
-    [infinity] for an unbounded set. *)
-
 val effective_width :
   Fom_isa.Fu_set.t -> mix:(Fom_isa.Opclass.t -> float) -> width:int -> float
-(** [min (width, saturation_ipc)]. *)
+(** [width], or the smallest [count_c / mix_c] over classes with
+    positive mix when that is lower (never lower for an unbounded
+    set). *)
 
 val binding_class :
   Fom_isa.Fu_set.t -> mix:(Fom_isa.Opclass.t -> float) -> Fom_isa.Opclass.t option

@@ -35,13 +35,6 @@ val issue_rate : t -> float -> float
     instructions in the window — [min (issue_width, alpha * w^beta /
     avg_latency, w)] (never more than the occupancy). *)
 
-val unclipped_rate : t -> float -> float
-(** The power law with latency correction but no width clipping. *)
-
-val occupancy_for_rate : t -> float -> float
-(** Inverse of {!unclipped_rate}: the occupancy at which the unlimited
-    curve reaches the given rate. *)
-
 val steady_state_ipc : t -> window:int -> float
 (** Sustained issue rate with the window kept full: [issue_rate t
     window]. This is the background performance level of the paper's

@@ -31,7 +31,11 @@ let drain iw ~window =
 
 let ensure ~path cond message = Fom_check.Checker.ensure ~code:"FOM-I030" ~path cond message
 
-let ramp_up ?(epsilon = 0.1) iw ~window =
+(* The relative distance from the steady rate at which the ramp-up's
+   asymptotic tail is cut off. *)
+let epsilon = 0.1
+
+let ramp_up iw ~window =
   ensure ~path:"transient.ramp_up" (Float.is_finite iw.Iw.issue_width)
     "ramp-up needs a finite issue width";
   let steady = Iw.steady_state_ipc iw ~window in

@@ -26,12 +26,12 @@ val drain : Iw_characteristic.t -> window:int -> result
     instruction remains (the paper assumes the mispredicted branch is
     then the oldest and issues). *)
 
-val ramp_up : ?epsilon:float -> Iw_characteristic.t -> window:int -> result
+val ramp_up : Iw_characteristic.t -> window:int -> result
 (** Refill from empty at the machine's dispatch width (the
     characteristic's [issue_width]; a finite width is required) until
-    issue reaches within [epsilon] (default 0.1, relative) of the
-    steady-state rate. The asymptotic tail is cut off at [epsilon],
-    matching the paper's graphical reading of Figure 8. *)
+    issue reaches within 10% of the steady-state rate. The asymptotic
+    tail is cut off there, matching the paper's graphical reading of
+    Figure 8. *)
 
 type interval = {
   total_cycles : float;  (** pipeline fill plus issue time *)

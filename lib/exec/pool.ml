@@ -7,8 +7,6 @@ module Diagnostic = Fom_check.Diagnostic
 let m_tasks = Fom_obs.Metrics.counter "pool.tasks"
 let m_helps = Fom_obs.Metrics.counter "pool.helps"
 let m_idle = Fom_obs.Metrics.counter "pool.idle_waits"
-let g_domains = Fom_obs.Metrics.gauge "pool.domains"
-let g_jobs = Fom_obs.Metrics.gauge "pool.jobs"
 let s_task = Fom_obs.Span.id "pool.task"
 
 let run_task task =
@@ -23,7 +21,6 @@ let run_task task =
    top runs the newest work first, so a nested map's subtasks run
    before the tasks that spawned them. *)
 type t = {
-  jobs : int;  (* advertised parallelism (the --jobs request) *)
   domains : int;  (* participating domains, the caller's included *)
   mutex : Mutex.t;  (* guards tasks and stopped *)
   tasks : (unit -> unit) Stack.t;
@@ -121,9 +118,8 @@ let create ?jobs ?domains () =
   (* Run at most the recommended number of domains: extra domains on a
      saturated machine only add stop-the-world GC synchronization and
      timeslice thrash (the classic ~0.5x "speedup" of oversubscribed
-     OCaml 5 pools). The advertised [jobs] is preserved — callers gate
-     parallel code paths on it — while [?domains] lets tests force
-     true multi-domain execution even on a single-core machine. *)
+     OCaml 5 pools). [?domains] lets tests force true multi-domain
+     execution even on a single-core machine. *)
   let domains =
     match domains with
     | Some d ->
@@ -134,7 +130,6 @@ let create ?jobs ?domains () =
   in
   let t =
     {
-      jobs;
       domains;
       mutex = Mutex.create ();
       tasks = Stack.create ();
@@ -143,14 +138,11 @@ let create ?jobs ?domains () =
       workers = [];
     }
   in
-  Fom_obs.Metrics.set g_domains domains;
-  Fom_obs.Metrics.set g_jobs jobs;
   (* The creating domain participates by driving its own maps; only
      the remaining domains - 1 run as spawned workers. *)
   t.workers <- List.init (domains - 1) (fun _ -> Domain.spawn (fun () -> worker_loop t));
   t
 
-let jobs t = t.jobs
 let domains t = t.domains
 
 let shutdown t =
@@ -259,8 +251,8 @@ let try_map (type b) t ~(f : _ -> b) items =
     Array.make n (Error [])
   in
   (* Results are delivered by index, so task order is preserved no
-     matter which domain ran what: [jobs = 1] stays bit-identical to
-     [jobs = N]. *)
+     matter which domain ran what: one domain stays bit-identical to
+     [N]. *)
   run_tasks t (Array.init n (fun index () -> capture ~f ~results items index));
   Array.to_list results
 

@@ -14,15 +14,14 @@
       window — is scheduled on its own; one slow benchmark does not
       serialize a chunk.
     - {b Deterministic ordering}: results are delivered in task order
-      regardless of which domain ran which task — a [jobs = 1] pool is
-      bit-identical to [jobs = N], across repeated runs.
+      regardless of which domain ran which task — a one-domain pool is
+      bit-identical to an [N]-domain one, across repeated runs.
     - {b Domain capping}: the pool never runs more domains than
       {!recommended_domain_count} — oversubscribed domains only add
       stop-the-world GC synchronization (the classic ~0.5x "speedup"
-      of an oversubscribed OCaml 5 pool). The advertised {!jobs} count
-      is preserved for callers that gate parallel paths on it;
-      {!create}'s [?domains] overrides the cap (tests use it to force
-      true multi-domain execution on single-core machines).
+      of an oversubscribed OCaml 5 pool). {!create}'s [?domains]
+      overrides the cap (tests use it to force true multi-domain
+      execution on single-core machines).
     - {b Exception capture}: a task that raises does not tear down the
       pool. Failures are collected per task and surfaced as
       {!Fom_check} diagnostics ([FOM-E002], or the task's own
@@ -76,7 +75,7 @@ val resolve_jobs : ?requested:int -> unit -> int * Fom_check.Diagnostic.t list
       fails to help. *)
 
 val create : ?jobs:int -> ?domains:int -> unit -> t
-(** [create ~jobs ()] starts a pool advertising [jobs] workers
+(** [create ~jobs ()] starts a pool for a request of [jobs] workers
     (default: the [FOM_JOBS] environment variable if set and
     non-blank, which must then be a positive integer, else
     {!recommended_domain_count}). Requires [jobs >= 1]. The number of
@@ -85,14 +84,10 @@ val create : ?jobs:int -> ?domains:int -> unit -> t
     count.
     @raise Fom_check.Checker.Invalid with [FOM-E001] otherwise. *)
 
-val jobs : t -> int
-(** The pool's advertised worker count (the [--jobs] request,
-    including the calling domain). *)
-
 val domains : t -> int
-(** The number of domains actually participating (including the
-    calling domain): [min (jobs t) (recommended_domain_count ())]
-    unless [create ?domains] overrode the cap. *)
+(** The number of domains participating (including the calling
+    domain): [min jobs (recommended_domain_count ())] unless
+    [create ?domains] overrode the cap. *)
 
 val shutdown : t -> unit
 (** Drain outstanding work, join the worker domains and mark the pool

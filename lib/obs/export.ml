@@ -72,25 +72,11 @@ let chrome_trace () =
 
 let write_chrome_trace ~path = Json.write_file ~path (chrome_trace ())
 
-let hist_json (h : Metrics.hist_snapshot) =
-  Json.Obj
-    [
-      ("count", Json.Int h.Metrics.count);
-      ("sum", Json.Int h.Metrics.sum);
-      ( "buckets",
-        Json.List
-          (List.map
-             (fun (le, count) -> Json.Obj [ ("le", Json.Int le); ("count", Json.Int count) ])
-             h.Metrics.buckets) );
-    ]
-
 let metrics_json () =
   let s = Metrics.snapshot () in
   Json.Obj
     [
       ("counters", Json.Obj (List.map (fun (n, v) -> (n, Json.Int v)) s.Metrics.counters));
-      ("gauges", Json.Obj (List.map (fun (n, v) -> (n, Json.Int v)) s.Metrics.gauges));
-      ("histograms", Json.Obj (List.map (fun (n, h) -> (n, hist_json h)) s.Metrics.histograms));
       ( "spans",
         Json.Obj
           [
@@ -102,21 +88,6 @@ let metrics_json () =
 let metrics_rows () =
   let s = Metrics.snapshot () in
   let counter_rows = List.map (fun (n, v) -> [ n; "counter"; string_of_int v ]) s.Metrics.counters in
-  let gauge_rows = List.map (fun (n, v) -> [ n; "gauge"; string_of_int v ]) s.Metrics.gauges in
-  let hist_rows =
-    List.map
-      (fun (n, (h : Metrics.hist_snapshot)) ->
-        let mean =
-          if h.Metrics.count = 0 then 0.0
-          else float_of_int h.Metrics.sum /. float_of_int h.Metrics.count
-        in
-        [
-          n;
-          "histogram";
-          Printf.sprintf "count %d, sum %d, mean %.1f" h.Metrics.count h.Metrics.sum mean;
-        ])
-      s.Metrics.histograms
-  in
   let span_rows =
     [
       [ "spans.events"; "counter"; string_of_int (List.length (Span.events ())) ];
@@ -124,4 +95,4 @@ let metrics_rows () =
     ]
   in
   ( [ "metric"; "kind"; "value" ],
-    List.sort compare (counter_rows @ gauge_rows @ hist_rows @ span_rows) )
+    List.sort compare (counter_rows @ span_rows) )

@@ -18,9 +18,8 @@ val write_chrome_trace : path:string -> unit
 
 val metrics_json : unit -> Fom_util.Json.t
 (** The {!Metrics.snapshot} plus span-buffer statistics as a JSON
-    object: [{"counters": {...}, "gauges": {...}, "histograms":
-    {name: {"count", "sum", "buckets": [{"le", "count"}]}}, "spans":
-    {"events", "dropped"}}]. Deterministically ordered by name. *)
+    object: [{"counters": {...}, "spans": {"events", "dropped"}}].
+    Deterministically ordered by name. *)
 
 val metrics_rows : unit -> string list * string list list
 (** [(header, rows)] for {!Fom_util.Table.print}: one row per metric,

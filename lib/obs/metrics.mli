@@ -1,6 +1,6 @@
-(** Named counters, gauges, and histograms.
+(** Named counters.
 
-    Metrics are registered once by name — typically at module
+    Counters are registered once by name — typically at module
     initialization of the instrumented library — and updated from any
     domain through atomic cells, so recording never takes a lock. All
     updates are gated on the global sink ({!Sink.enable}): with the
@@ -8,52 +8,25 @@
     no cross-domain cache-line traffic happens at all.
 
     Registration is idempotent: asking for ["pool.tasks"] twice
-    returns the same counter. Asking for a name already registered as
-    a different kind raises a [FOM-O001] diagnostic — metric names are
-    a global namespace (see the README glossary).
+    returns the same counter. Metric names are a global namespace (see
+    the README glossary).
 
-    {!snapshot} returns every registered metric sorted by name, so
+    {!snapshot} returns every registered counter sorted by name, so
     exports are deterministic regardless of registration or update
     order. *)
 
 type counter
-type gauge
-type histogram
 
 val counter : string -> counter
 (** Register (or look up) a monotonically increasing counter. *)
 
-val gauge : string -> gauge
-(** Register (or look up) a last-value-wins gauge. *)
-
-val histogram : string -> histogram
-(** Register (or look up) a histogram of non-negative integer values
-    bucketed by powers of two: bucket [i] counts values [v] with
-    [2^(i-1) <= v < 2^i] (bucket 0 counts zeros; negative values clamp
-    to zero). *)
-
 val add : counter -> int -> unit
 val incr : counter -> unit
-val set : gauge -> int -> unit
-val observe : histogram -> int -> unit
 
-type hist_snapshot = {
-  count : int;  (** total observations *)
-  sum : int;  (** sum of observed values *)
-  buckets : (int * int) list;
-      (** non-empty buckets as [(inclusive upper bound, count)],
-          ascending *)
-}
-
-type snapshot = {
-  counters : (string * int) list;
-  gauges : (string * int) list;
-  histograms : (string * hist_snapshot) list;
-}
-(** All lists sorted by metric name. *)
+type snapshot = { counters : (string * int) list  (** sorted by name *) }
 
 val snapshot : unit -> snapshot
 
 val reset : unit -> unit
-(** Zero every registered metric (registrations are kept). Called by
+(** Zero every registered counter (registrations are kept). Called by
     {!Sink.enable} so each enabled session starts from scratch. *)

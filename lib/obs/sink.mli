@@ -1,7 +1,7 @@
 (** The observability sink: off by default, explicitly enabled.
 
     The default sink is a no-op: every instrumentation site — span
-    begins/ends, counter bumps, histogram observations — checks one
+    begins/ends and counter bumps — checks one
     atomic flag and does nothing else, so instrumented code paths stay
     allocation-free and results (stdout, CSV, JSON numbers) are
     bit-identical whether or not observability is on. Harnesses enable
@@ -9,7 +9,6 @@
     [--trace-out]).
 
     Diagnostic codes ([FOM-Oxxx], "observability"):
-    - [FOM-O001] — a metric name registered twice with different kinds
     - [FOM-O002] — non-positive span buffer capacity *)
 
 val enable : ?span_capacity:int -> unit -> unit

@@ -75,12 +75,12 @@ let write_recorded c deps instrs =
     write_deps c deps i ins.Instr.deps (Array.length ins.Instr.deps) ~rebase
   done
 
-let of_source ?label source ~n =
+let of_source source ~n =
   Fom_check.Checker.ensure ~code:"FOM-T130" ~path:"packed.n" (n > 0)
     "packed trace length must be positive";
   let c =
     {
-      label = (match label with Some l -> l | None -> Source.label source);
+      label = Source.label source;
       len = n;
       op = Array.make n 0;
       pc = Array.make n 0;

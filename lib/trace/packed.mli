@@ -36,7 +36,7 @@ type t = private {
   dep_val : int array;
 }
 
-val of_source : ?label:string -> Source.t -> n:int -> t
+val of_source : Source.t -> n:int -> t
 (** Materialize the first [n] instructions ([FOM-T130] if [n <= 0]).
     Each {!Source.kind} has one column writer: a generator is stepped
     straight into the columns through its {!Stream.step} cursor, a

@@ -85,14 +85,8 @@ let check t =
 
 let validate t = Fom_check.Checker.run_exn (check t)
 
-let ideal ?width ?window_size t =
-  {
-    t with
-    width = Option.value width ~default:t.width;
-    window_size = Option.value window_size ~default:t.window_size;
-    cache = Fom_cache.Hierarchy.all_ideal;
-    predictor = Fom_branch.Predictor.Ideal;
-  }
+let ideal t =
+  { t with cache = Fom_cache.Hierarchy.all_ideal; predictor = Fom_branch.Predictor.Ideal }
 
 let with_cache cache t = { t with cache }
 let with_predictor predictor t = { t with predictor }

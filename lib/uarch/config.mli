@@ -63,9 +63,9 @@ val comp_ring_size : t -> int
 val validate : t -> unit
 (** @raise Fom_check.Checker.Invalid if {!check} reports any error. *)
 
-val ideal : ?width:int -> ?window_size:int -> t -> t
+val ideal : t -> t
 (** Idealize a configuration: perfect caches and branch prediction,
-    keeping sizes from the base (with optional overrides). *)
+    keeping sizes from the base. *)
 
 val with_cache : Fom_cache.Hierarchy.config -> t -> t
 val with_predictor : Fom_branch.Predictor.spec -> t -> t

@@ -664,10 +664,28 @@ let skip_idle t ~limit =
     t.cycle <- next
   end
 
+(* The most cycles that can pass between two consecutive retirements
+   (or between the start of a run and its first). Once instruction [k]
+   retires, [k + 1] is the oldest in flight: every older producer has
+   completed and every older branch has resolved, the ROB and window
+   hold nothing older, and oldest-first issue gives it the first issue
+   slot and functional unit of its cluster. In the worst case it has
+   not been fetched: an I-cache fill from memory, the front-end pipe,
+   a dTLB walk, then the slowest execution (a load from memory or the
+   longest class latency). The remaining cycles are one each for
+   fetch, dispatch, issue and retire, and a cross-cluster bypass. *)
+let retire_gap t =
+  let slowest = Array.fold_left Int.max t.memory_latency t.latency in
+  t.memory_latency + t.config.Config.pipeline_depth + t.walk_latency + slowest + 5
+
 let run ?cycle_limit t ~n =
+  if n < 1 then
+    Fom_check.Checker.run_exn
+      (Fom_check.Checker.fail ~code:"FOM-I030" ~path:"machine.n"
+         (Printf.sprintf "a run must retire at least one instruction, got n = %d" n));
   (* The budget is relative to the current cycle so that a machine can
      be resumed with successive [run] calls. *)
-  let limit = t.cycle + Option.value cycle_limit ~default:((250 * n) + 100_000) in
+  let limit = t.cycle + Option.value cycle_limit ~default:(n * retire_gap t) in
   let target = t.last_retired + n in
   let c0 = t.cycle and r0 = t.last_retired and e0 = t.wake_events in
   let k0 = t.skipped_cycles in
@@ -701,7 +719,7 @@ let run ?cycle_limit t ~n =
     mean_rob_occupancy = mean t.occupancy_rob_sum;
   }
 
-let run_recorded ?cycle_limit t ~n =
+let run_recorded t ~n =
   let column init = Array.make t.len init in
   let r =
     {
@@ -716,5 +734,5 @@ let run_recorded ?cycle_limit t ~n =
     }
   in
   t.record <- Some r;
-  let stats = Fun.protect ~finally:(fun () -> t.record <- None) (fun () -> run ?cycle_limit t ~n) in
+  let stats = Fun.protect ~finally:(fun () -> t.record <- None) (fun () -> run t ~n) in
   (stats, r)

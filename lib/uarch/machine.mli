@@ -42,8 +42,11 @@ exception Cycle_limit_exceeded
     guard; it should never fire for well-formed traces. *)
 
 val run : ?cycle_limit:int -> t -> n:int -> Stats.t
-(** Simulate until [n] instructions retire. The default cycle limit is
-    [250 * n + 100_000] (an all-miss trace cannot be slower). *)
+(** Simulate until [n] instructions retire ([FOM-I030] unless
+    [n >= 1]). The default cycle limit is [n] times the most cycles
+    the configuration can spend between two retirements: an I-cache
+    fill from memory, the front-end depth, a dTLB walk, the slowest
+    execution and a few cycles of stage overhead. *)
 
 type record = {
   fetch : int array;  (** cycle it entered the front-end pipe *)
@@ -64,7 +67,7 @@ type record = {
     inputs the cycle rules cannot derive; [test/pipeline_check.ml]
     re-derives every other column from them. *)
 
-val run_recorded : ?cycle_limit:int -> t -> n:int -> Stats.t * record
+val run_recorded : t -> n:int -> Stats.t * record
 (** Like {!run}, also recording the pipeline — e.g. per-cycle issue
     counts are a histogram of [issue], and fetch restarts after a
     misprediction at the branch's [complete] cycle (paper Figure 19's

@@ -1,24 +1,18 @@
-type align = Left | Right
-
-let pad align width s =
+(* The first column is left-aligned, the rest right-aligned. *)
+let pad ~left width s =
   let n = String.length s in
   if n >= width then s
   else
     let fill = String.make (width - n) ' ' in
-    match align with Left -> s ^ fill | Right -> fill ^ s
+    if left then s ^ fill else fill ^ s
 
-let render ?align ~header rows =
+let render ~header rows =
   let ncols = List.length header in
   let normalize row =
     let n = List.length row in
     if n >= ncols then row else row @ List.init (ncols - n) (fun _ -> "")
   in
   let rows = List.map normalize rows in
-  let aligns =
-    match align with
-    | Some a when List.length a = ncols -> a
-    | _ -> List.mapi (fun i _ -> if i = 0 then Left else Right) header
-  in
   let widths =
     List.mapi
       (fun i h ->
@@ -30,7 +24,7 @@ let render ?align ~header rows =
   let render_row cells =
     let padded =
       List.mapi
-        (fun i cell -> pad (List.nth aligns i) (List.nth widths i) cell)
+        (fun i cell -> pad ~left:(i = 0) (List.nth widths i) cell)
         cells
     in
     "  " ^ String.concat "  " padded
@@ -50,7 +44,7 @@ let render ?align ~header rows =
     rows;
   Buffer.contents buf
 
-let print ?align ~header rows = print_string (render ?align ~header rows)
+let print ~header rows = print_string (render ~header rows)
 
 let float_cell ?(decimals = 3) x = Printf.sprintf "%.*f" decimals x
 

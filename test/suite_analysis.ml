@@ -14,6 +14,9 @@ module Predictor = Fom_branch.Predictor
 let program name = Fom_trace.Program.generate (Fom_workloads.Spec2000.find name)
 let micro_preset name =
   List.find (fun c -> c.Fom_trace.Config.name = name) Fom_workloads.Micro.all
+let pack program ~n =
+  Fom_trace.Packed.of_source (Fom_trace.Source.of_program program) ~n
+
 let gzip = lazy (program "gzip")
 let mcf = lazy (program "mcf")
 let vpr = lazy (program "vpr")
@@ -83,7 +86,9 @@ let test_iw_curve_benchmark_ordering () =
   Alcotest.(check bool) "vpr below vortex" true (beta_of vpr < beta_of vortex)
 
 let test_iw_curve_points_sorted () =
-  let curve = Iw_curve.measure ~n:5000 ~windows:[ 16; 4; 64 ] (Lazy.force gzip) in
+  let curve =
+    Iw_curve.measure_packed ~n:5000 ~windows:[ 16; 4; 64 ] (pack (Lazy.force gzip) ~n:(5000 + 64))
+  in
   let windows = List.map (fun pt -> pt.Iw_curve.window) curve.Iw_curve.points in
   Alcotest.(check (list int)) "sorted unique" [ 4; 16; 64 ] windows
 
@@ -101,13 +106,15 @@ let test_profile_avg_latency_bounds () =
   Alcotest.(check bool) "below max class latency" true (prof.Profile.avg_latency < 12.0)
 
 let test_profile_ideal_cache_no_misses () =
-  let prof = Profile.run ~cache:Hierarchy.all_ideal (Lazy.force mcf) ~n:30000 in
+  let packed = pack (Lazy.force mcf) ~n:30000 in
+  let prof = Profile.run_packed ~cache:Hierarchy.all_ideal packed ~n:30000 in
   Alcotest.(check int) "no long misses" 0 prof.Profile.long_misses;
   Alcotest.(check int) "no short misses" 0 prof.Profile.short_misses;
   Alcotest.(check int) "no l1i misses" 0 prof.Profile.l1i_misses
 
 let test_profile_ideal_predictor_no_mispredictions () =
-  let prof = Profile.run ~predictor:Predictor.Ideal (Lazy.force gzip) ~n:30000 in
+  let packed = pack (Lazy.force gzip) ~n:30000 in
+  let prof = Profile.run_packed ~predictor:Predictor.Ideal packed ~n:30000 in
   Alcotest.(check int) "none" 0 prof.Profile.mispredictions
 
 let test_profile_matches_machine_events () =
@@ -152,8 +159,9 @@ let test_stats_pp_smoke () =
 
 let test_profile_grouping_modes () =
   let p = Lazy.force mcf in
-  let aware = Profile.run ~grouping:Profile.Dependence_aware p ~n:50000 in
-  let naive = Profile.run ~grouping:Profile.Paper_naive p ~n:50000 in
+  let packed = pack p ~n:50000 in
+  let aware = Profile.run_packed ~grouping:Profile.Dependence_aware packed ~n:50000 in
+  let naive = Profile.run_packed ~grouping:Profile.Paper_naive packed ~n:50000 in
   Alcotest.(check int) "same misses" aware.Profile.long_misses naive.Profile.long_misses;
   (* Chains split dependence-aware groups, so there are at least as
      many groups (i.e. smaller mean size). *)
@@ -410,7 +418,7 @@ let test_iw_sim_rejects_non_positive_issue_limit () =
       expect_code "FOM-I030" (fun () ->
           Iw_sim.ipc_of_packed ~issue_limit packed ~window:8 ~n:100);
       expect_code "FOM-I030" (fun () ->
-          Iw_curve.measure ~issue_limit ~windows:[ 8 ] ~n:100 p))
+          Iw_curve.measure_packed ~issue_limit ~windows:[ 8 ] ~n:100 packed))
     [ 0; -1 ]
 
 (* The three [iw.bound.*] counters after one IPC evaluation. *)

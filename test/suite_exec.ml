@@ -36,7 +36,8 @@ let test_jobs_invariance_iw_curve () =
      float equality. *)
   let program = Lazy.force gzip in
   let windows = [ 4; 16; 64 ] in
-  let measure pool = Iw_curve.measure ?pool ~windows ~n:4000 program in
+  let packed = Fom_trace.Packed.of_source (Source.of_program program) ~n:(4000 + 64) in
+  let measure pool = Iw_curve.measure_packed ?pool ~windows ~n:4000 packed in
   let sequential = measure None in
   let check_points (parallel : Iw_curve.t) =
     List.iter2
@@ -116,7 +117,7 @@ let test_shutdown_rejects_use () =
   | exception Checker.Invalid _ -> Alcotest.fail "expected one diagnostic"
 
 let test_default_jobs_positive () =
-  Alcotest.(check bool) "at least one" true (Pool.with_pool Pool.jobs >= 1)
+  Alcotest.(check bool) "at least one" true (Pool.with_pool Pool.domains >= 1)
 
 let test_split_seeds_deterministic () =
   let a = Rng.split_seeds (Rng.create 42) 8 in
@@ -148,7 +149,7 @@ let test_resolve_jobs () =
      never a warning — on a single-core machine this is the sequential
      default the harnesses rely on. *)
   let jobs, warnings = Pool.resolve_jobs () in
-  Alcotest.(check int) "default" (Pool.with_pool Pool.jobs) jobs;
+  Alcotest.(check int) "default" (Pool.with_pool Pool.domains) jobs;
   Alcotest.(check int) "no warning by default" 0 (List.length warnings);
   (* An explicit in-budget request passes through silently. *)
   let jobs, warnings = Pool.resolve_jobs ~requested:1 () in

@@ -80,7 +80,7 @@ let mix_of profile cls = Fom_analysis.Profile.class_fraction profile cls
 let test_fu_saturation_math () =
   let fu = Fu_set.make ~load:1 () in
   let mix = function Opclass.Load -> 0.25 | _ -> 0.15 in
-  Alcotest.(check (float 1e-9)) "bound 4" 4.0 (Fu_saturation.saturation_ipc fu ~mix);
+  Alcotest.(check (float 1e-9)) "bound 4" 4.0 (Fu_saturation.effective_width fu ~mix ~width:100);
   Alcotest.(check (float 1e-9)) "effective width clipped" 4.0
     (Fu_saturation.effective_width fu ~mix ~width:8);
   Alcotest.(check bool) "binding class is load" true
@@ -88,9 +88,10 @@ let test_fu_saturation_math () =
 
 let test_fu_unbounded_is_infinite () =
   let mix = fun _ -> 0.1 in
-  Alcotest.(check bool) "infinite" true
-    (Float.is_integer (Fu_saturation.saturation_ipc Fu_set.unbounded ~mix) = false
-    || Fu_saturation.saturation_ipc Fu_set.unbounded ~mix = infinity)
+  Alcotest.(check (float 0.0)) "the width binds" 1000.0
+    (Fu_saturation.effective_width Fu_set.unbounded ~mix ~width:1000);
+  Alcotest.(check bool) "no binding class" true
+    (Fu_saturation.binding_class Fu_set.unbounded ~mix = None)
 
 let test_fu_limits_slow_machine () =
   let p = Lazy.force gzip in
@@ -107,7 +108,11 @@ let test_fu_limits_model_tracks_sim () =
   let fu = Fu_set.make ~load:1 ~store:1 () in
   let machine = Config.with_fu_limits fu ideal in
   let sim_ipc = Stats.ipc (Simulate.run machine p ~n) in
-  let profile = Fom_analysis.Profile.run ~cache:Fom_cache.Hierarchy.all_ideal p ~n in
+  let profile =
+    Fom_analysis.Profile.run_packed ~cache:Fom_cache.Hierarchy.all_ideal
+      (Fom_trace.Packed.of_source (Fom_trace.Source.of_program p) ~n)
+      ~n
+  in
   let bound = Fu_saturation.effective_width fu ~mix:(mix_of profile) ~width:4 in
   Alcotest.(check bool)
     (Printf.sprintf "sim %.2f <= bound %.2f" sim_ipc bound)
@@ -160,69 +165,16 @@ let test_clusters_degrade_monotonically () =
   Alcotest.(check bool) "4 clusters visibly slower" true (i4 < i1 -. 0.1)
 
 let test_clustering_model_latency () =
-  let penalty = Fom_model.Clustering.latency_penalty ~clusters:4 () in
-  Alcotest.(check (float 1e-9)) "3/4 of a bypass cycle" 0.75 penalty;
-  Alcotest.(check (float 1e-9)) "unified is free"
-    0.0
-    (Fom_model.Clustering.latency_penalty ~clusters:1 ());
   let base = Iw.make ~alpha:1.0 ~beta:0.5 ~issue_width:4.0 () in
+  let shift clusters =
+    (Fom_model.Clustering.effective_characteristic ~clusters base).Iw.avg_latency
+    -. base.Iw.avg_latency
+  in
+  Alcotest.(check (float 1e-9)) "3/4 of a bypass cycle" 0.75 (shift 4);
+  Alcotest.(check (float 1e-9)) "unified is free" 0.0 (shift 1);
   let clustered = Fom_model.Clustering.effective_characteristic ~clusters:2 base in
   Alcotest.(check bool) "steady ipc drops when unsaturated" true
     (Iw.steady_state_ipc clustered ~window:8 < Iw.steady_state_ipc base ~window:8)
-
-(* --- extra predictors --- *)
-
-let run_predictor spec outcomes =
-  let p = Predictor.create spec in
-  List.fold_left
-    (fun wrong (pc, taken) -> if Predictor.observe p ~pc ~taken then wrong else wrong + 1)
-    0 outcomes
-
-let test_local_learns_per_branch_pattern () =
-  (* Two interleaved branches with different short patterns: local
-     history separates them; gshare's global history sees an
-     interleaving. *)
-  let outcomes =
-    List.concat
-      (List.init 2000 (fun i ->
-           [ (0x100, i mod 3 <> 2); (0x200, i mod 4 <> 3) ]))
-  in
-  let local_wrong = run_predictor (Predictor.Local 12) outcomes in
-  Alcotest.(check bool)
-    (Printf.sprintf "local learns interleaved patterns (%d wrong)" local_wrong)
-    true
-    (local_wrong < 300)
-
-let test_tournament_beats_components () =
-  (* A mixture of biased branches (bimodal-friendly) and one periodic
-     branch (gshare-friendly): the tournament should be within, or
-     better than, the best single component. *)
-  let rng = Fom_util.Rng.create 77 in
-  let outcomes =
-    List.concat
-      (List.init 4000 (fun i ->
-           [
-             (0x40, Fom_util.Rng.bernoulli rng 0.95);
-             (0x80, i mod 3 <> 2);
-           ]))
-  in
-  let bimodal = run_predictor (Predictor.Bimodal 13) outcomes in
-  let gshare = run_predictor (Predictor.Gshare 13) outcomes in
-  let tournament = run_predictor (Predictor.Tournament 13) outcomes in
-  let best = min bimodal gshare in
-  Alcotest.(check bool)
-    (Printf.sprintf "tournament %d near best component %d" tournament best)
-    true
-    (tournament <= best + (best / 4) + 50)
-
-let test_new_predictors_in_machine () =
-  List.iter
-    (fun spec ->
-      let config = Config.with_predictor spec Config.baseline in
-      let stats = Simulate.run config (Lazy.force gzip) ~n:20000 in
-      Alcotest.(check bool) "completes with sane ipc" true
-        (Stats.ipc stats > 0.1 && Stats.ipc stats <= 4.0))
-    [ Predictor.Local 12; Predictor.Tournament 12 ]
 
 let suite =
   ( "extensions",
@@ -241,7 +193,4 @@ let suite =
       Alcotest.test_case "clustering model latency" `Quick test_clustering_model_latency;
       Alcotest.test_case "fetch buffer hides imiss" `Quick test_fetch_buffer_hides_imiss;
       Alcotest.test_case "fetch buffer model" `Quick test_fetch_buffer_model_reduces_penalty;
-      Alcotest.test_case "local predictor" `Quick test_local_learns_per_branch_pattern;
-      Alcotest.test_case "tournament predictor" `Quick test_tournament_beats_components;
-      Alcotest.test_case "new predictors in machine" `Quick test_new_predictors_in_machine;
     ] )

@@ -155,7 +155,7 @@ let random_config ~width ~variant ~shape =
   | 4 ->
       Config.with_fetch_buffer 16
         (Config.with_dtlb { Fom_cache.Tlb.entries = 16; page_bits = 13; walk_latency = 30 } base)
-  | _ -> Config.ideal ~width:16 base
+  | _ -> { (Config.ideal base) with width = 16 }
 
 (* A recorded run of [config] over [packed] must pass the pipeline
    checker, and recording must not change the statistics. *)
@@ -290,7 +290,7 @@ let test_short_packing_raises_t132 () =
      margin: a width-8 machine fetches past its last instruction
      before retiring the target, and the run reports the exhausted
      trace rather than reading past it. *)
-  let config = Config.ideal ~width:8 Config.baseline in
+  let config = { (Config.ideal Config.baseline) with width = 8 } in
   let n = 2000 in
   let source =
     Fom_trace.Source.of_program (Fom_trace.Program.generate (Fom_workloads.Spec2000.find "gzip"))

@@ -60,10 +60,11 @@ let test_littles_law () =
     (Iw.issue_rate slow 16.0)
 
 let test_occupancy_inverse () =
-  let iw = Iw.make ~alpha:1.3 ~beta:0.55 ~avg_latency:1.4 () in
-  let w = 37.0 in
-  let rate = Iw.unclipped_rate iw w in
-  Alcotest.(check (float 1e-6)) "roundtrip" w (Iw.occupancy_for_rate iw rate)
+  (* A width the unclipped curve reaches at occupancy 37: the steady
+     state of a larger window sits exactly there. *)
+  let issue_width = 1.3 *. Float.pow 37.0 0.55 /. 1.4 in
+  let iw = Iw.make ~alpha:1.3 ~beta:0.55 ~avg_latency:1.4 ~issue_width () in
+  Alcotest.(check (float 1e-6)) "roundtrip" 37.0 (Iw.steady_state_occupancy iw ~window:64)
 
 let test_steady_state () =
   (* Square law, width 4: saturates when sqrt(48) > 4, occupancy 16. *)
@@ -324,12 +325,10 @@ let prop_fu_saturation_monotone =
         | Fom_isa.Opclass.Load -> 0.25
         | _ -> 0.05
       in
-      let small = Fom_model.Fu_saturation.saturation_ipc (Fom_isa.Fu_set.make ~alu ~load ()) ~mix in
-      let bigger =
-        Fom_model.Fu_saturation.saturation_ipc
-          (Fom_isa.Fu_set.make ~alu:(alu + 1) ~load:(load + 1) ())
-          ~mix
-      in
+      (* A width above every bound, so the units bind. *)
+      let saturation fu = Fom_model.Fu_saturation.effective_width fu ~mix ~width:1000 in
+      let small = saturation (Fom_isa.Fu_set.make ~alu ~load ()) in
+      let bigger = saturation (Fom_isa.Fu_set.make ~alu:(alu + 1) ~load:(load + 1) ()) in
       bigger >= small -. 1e-9)
 
 let prop_cpi_positive =

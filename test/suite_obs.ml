@@ -1,5 +1,5 @@
 (* Tests for Fom_obs: span nesting through the per-domain ring
-   buffers, histogram bucketing, the no-op default sink, the Chrome
+   buffers, the no-op default sink, the Chrome
    trace exporter's structural guarantees (balanced, parseable by the
    repository's own JSON reader), a Json roundtrip property for the
    exporter's serializer, and the end-to-end determinism contract —
@@ -89,31 +89,6 @@ let test_span_capacity_drops () =
       Alcotest.(check bool)
         "buffer bounded" true
         (List.length (Span.events ()) <= 4))
-
-let test_histogram_buckets () =
-  with_sink (fun () ->
-      let h = Metrics.histogram "test.hist" in
-      List.iter (Metrics.observe h) [ 0; 1; 1; 2; 3; 7; 8; 1000; -5 ];
-      let snap = List.assoc "test.hist" (Metrics.snapshot ()).Metrics.histograms in
-      Alcotest.(check int) "count" 9 snap.Metrics.count;
-      Alcotest.(check int) "sum" (0 + 1 + 1 + 2 + 3 + 7 + 8 + 1000 + 0) snap.Metrics.sum;
-      (* Power-of-two buckets by inclusive upper bound: zeros (and the
-         clamped negative) land in le=0, 1s in le=1, 2..3 in le=3,
-         4..7 in le=7, 8..15 in le=15, 1000 in le=1023. *)
-      Alcotest.(check (list (pair int int)))
-        "buckets"
-        [ (0, 2); (1, 2); (3, 2); (7, 1); (15, 1); (1023, 1) ]
-        snap.Metrics.buckets)
-
-let test_metric_kind_clash () =
-  let name = "test.clash" in
-  ignore (Metrics.counter name);
-  match Metrics.gauge name with
-  | _ -> Alcotest.fail "expected FOM-O001"
-  | exception Fom_check.Checker.Invalid ds ->
-      Alcotest.(check string)
-        "code" "FOM-O001"
-        (match ds with d :: _ -> d.Fom_check.Diagnostic.code | [] -> "")
 
 let test_disabled_is_noop () =
   Sink.disable ();
@@ -212,7 +187,10 @@ let test_determinism_with_sink () =
      computed value. Compare an IW characterization — points and
      power-law fit — bit for bit across sink states. *)
   let program = Fom_trace.Program.generate (Fom_workloads.Spec2000.find "gzip") in
-  let measure () = Iw_curve.measure ~windows:[ 4; 16; 64 ] ~n:4000 program in
+  let packed =
+    Fom_trace.Packed.of_source (Fom_trace.Source.of_program program) ~n:(4000 + 64)
+  in
+  let measure () = Iw_curve.measure_packed ~windows:[ 4; 16; 64 ] ~n:4000 packed in
   Sink.disable ();
   let quiet = measure () in
   let observed = with_sink measure in
@@ -268,8 +246,6 @@ let suite =
       Alcotest.test_case "span end recorded on raise" `Quick test_span_end_on_raise;
       Alcotest.test_case "span buffer overflow drops, not crashes" `Quick
         test_span_capacity_drops;
-      Alcotest.test_case "histogram power-of-two buckets" `Quick test_histogram_buckets;
-      Alcotest.test_case "metric kind clash is FOM-O001" `Quick test_metric_kind_clash;
       Alcotest.test_case "disabled sink records nothing" `Quick test_disabled_is_noop;
       Alcotest.test_case "chrome trace parses and balances" `Quick test_chrome_trace_balances;
       QCheck_alcotest.to_alcotest prop_json_roundtrip_exact;

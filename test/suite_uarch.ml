@@ -182,6 +182,38 @@ let test_determinism () =
   Alcotest.(check int) "same mispredictions" a.Stats.branch_mispredictions
     b.Stats.branch_mispredictions
 
+let test_long_memory_within_budget () =
+  (* A dependent load chain that misses to memory on nearly every
+     load spends thousands of cycles per instruction at a 3000-cycle
+     memory latency. The default cycle budget comes from the
+     configuration's worst case per retirement, so the run completes
+     instead of raising Cycle_limit_exceeded. *)
+  let chase =
+    Fom_trace.Program.generate
+      (List.find
+         (fun c -> c.Fom_trace.Config.name = "pointer-chase")
+         Fom_workloads.Micro.all)
+  in
+  let cache = Config.baseline.Config.cache in
+  let config =
+    Config.with_cache
+      { cache with Hierarchy.latencies = { cache.Hierarchy.latencies with memory = 3000 } }
+      Config.baseline
+  in
+  let stats = Simulate.run config chase ~n:20000 in
+  Alcotest.(check bool)
+    (Printf.sprintf "cpi %.1f above the old fixed 250 per instruction" (Stats.cpi stats))
+    true
+    (Stats.cpi stats > 250.0)
+
+let test_run_rejects_empty_run () =
+  match Simulate.run Config.baseline (Lazy.force gzip_program) ~n:0 with
+  | _ -> Alcotest.fail "expected FOM-I030"
+  | exception Fom_check.Checker.Invalid [ d ] ->
+      Alcotest.(check string) "code" "FOM-I030" d.Fom_check.Diagnostic.code;
+      Alcotest.(check string) "path" "machine.n" d.Fom_check.Diagnostic.path
+  | exception Fom_check.Checker.Invalid _ -> Alcotest.fail "expected one diagnostic"
+
 let suite =
   ( "uarch",
     [
@@ -204,4 +236,7 @@ let suite =
       Alcotest.test_case "far apart misses add" `Quick test_far_apart_misses_add;
       Alcotest.test_case "tiny rob still progresses" `Quick test_rob_never_overflows;
       Alcotest.test_case "determinism" `Quick test_determinism;
+      Alcotest.test_case "long memory latency within the cycle budget" `Quick
+        test_long_memory_within_budget;
+      Alcotest.test_case "empty run is FOM-I030" `Quick test_run_rejects_empty_run;
     ] )

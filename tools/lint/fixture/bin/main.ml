@@ -1,4 +1,5 @@
 module W = Widget
 
 let () =
-  ignore (Widget.used 1 + W.aliased 2 + Widget.(opened 3) + Widget.Inner.counted)
+  ignore (Widget.used 1 + W.aliased 2 + Widget.(opened 3) + Widget.Inner.counted);
+  ignore (Widget.tuned ~depth:3 ())

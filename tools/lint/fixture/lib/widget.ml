@@ -21,3 +21,5 @@ module Inner = struct
   let counted = 0
   let dead = 0
 end
+
+let tuned ?(knob = 1) ?(depth = 2) () = knob + depth

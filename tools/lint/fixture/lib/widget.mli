@@ -12,3 +12,6 @@ module Inner : sig
   val counted : int
   val dead : int
 end
+
+(* FOM-L010: no caller sets ?knob; bin/ sets ?depth. *)
+val tuned : ?knob:int -> ?depth:int -> unit -> int

@@ -26,8 +26,9 @@
                names the type's own [Int.min], [Float.max], ...
      FOM-L008  a [val] in an .mli under DIR that no .ml outside its
                own module references. Callers are the .ml files under
-               lib/, bin/, bench/, examples/, perfbench/ and tools/,
-               relative to where the lint runs; test/ does not count.
+               lib/, bin/, bench/, examples/, perfbench/ and tools/
+               (but not tools/lint/fixture/), relative to where the
+               lint runs; test/ does not count.
                A reference is the val's name qualified by its module's
                name or an alias of it ([Stats.mean], [module M =
                Fom_uarch.Config] then [M.create]), or a bare name
@@ -37,6 +38,14 @@
                so the rule can miss a dead export but never flags a
                live one. The report says whether the val is used
                inside its module at all.
+     FOM-L010  an optional parameter [?l] of a [val] in an .mli under
+               DIR that no caller sets: no .ml of FOM-L008's callers
+               outside the val's own module passes [~l] or [?l].
+               test/ does not count, so a setting that only tests
+               turn is reported; its default should be a constant.
+               This is a token approximation, not a type check: a
+               [~l] or [?l] passed to any other function, in any
+               caller, hides the finding.
 
    An allowlist file grants sanctioned exceptions, one per line:
 
@@ -44,7 +53,8 @@
 
    where <construct> is the banned token (e.g. [assert]), or for
    FOM-L008 the val's name in its .mli ([Acc.mean] for a val of the
-   inner module [Acc]). Unused allowlist entries are reported as
+   inner module [Acc]), and for FOM-L010 that name and the label
+   ([make?mul]). Unused allowlist entries are reported as
    warnings so the list cannot rot. Exit status is 1 if any
    non-allowlisted finding remains. *)
 
@@ -431,8 +441,11 @@ let rec walk suffix dir acc =
 
 (* Directories, relative to where the lint runs, whose .ml files count
    as callers of a library export. test/ is left out: an export that
-   only tests use is surface that no caller needs. *)
+   only tests use is surface that no caller needs. So is the lint's
+   own fixture tree under tools/, whose labels would hide FOM-L010
+   findings. *)
 let caller_dirs = [ "lib"; "bin"; "bench"; "examples"; "perfbench"; "tools" ]
+let fixture_dir = Filename.concat "tools" (Filename.concat "lint" "fixture")
 
 (* A val of a library interface. [qualifier] is the module name a
    caller writes before [name]; [construct] names the val in the
@@ -503,16 +516,16 @@ let used_within ml name =
   in
   Sys.file_exists ml && scan "" (tokens (strip (read_file ml)))
 
-(* FOM-L008 findings for the vals of the .mli files under [roots]. A
-   reference counts from any caller .ml but the val's own module's; it
-   counts for every module of its qualifier's name and for the target
-   of every alias of that name, across all callers, so two modules
-   sharing a name can hide a dead export but never flag a live one. *)
-let unused_exports roots =
+(* The caller .ml files with their tokens, and a table from each
+   (module, name) they reference to the files that reference it. A
+   reference counts for every module of its qualifier's name and for
+   the target of every alias of that name, across all callers. *)
+let caller_references () =
   let callers =
     List.concat_map
       (fun dir -> if Sys.file_exists dir then List.sort compare (walk ".ml" dir []) else [])
       caller_dirs
+    |> List.filter (fun file -> not (String.starts_with ~prefix:fixture_dir file))
   in
   let sources = List.map (fun file -> (file, tokens (strip (read_file file)))) callers in
   let alias_of = List.fold_left (fun acc (_, toks) -> aliases acc toks) [] sources in
@@ -526,6 +539,13 @@ let unused_exports roots =
             (q :: List.filter_map (fun (x, m) -> if x = q then Some m else None) alias_of))
         (references [] toks))
     sources;
+  (sources, referenced)
+
+(* FOM-L008 findings for the vals of the .mli files under [roots]. A
+   reference counts from any caller .ml but the val's own module's, so
+   two modules sharing a name can hide a dead export but never flag a
+   live one. *)
+let unused_exports roots referenced =
   List.concat_map
     (fun root ->
       List.concat_map
@@ -542,6 +562,58 @@ let unused_exports roots =
                 in
                 Some (e, why))
             (exports mli))
+        (List.sort compare (walk ".mli" root [])))
+    roots
+
+(* --- FOM-L010: optional parameters without callers -------------------- *)
+
+(* The optional labels of the vals [mli] declares, as
+   [(export, label, line)]: each [?l :] between a [val] and the next
+   signature item. *)
+let optional_labels mli =
+  let vals = exports mli in
+  let rec go current acc = function
+    | [] -> List.rev acc
+    | ("val", line) :: ((name, _) :: _ as rest) ->
+        go (List.find_opt (fun e -> e.line = line && e.name = name) vals) acc rest
+    | (("type" | "module" | "end" | "exception" | "external" | "include"), _) :: rest ->
+        go None acc rest
+    | ("?", line) :: (label, _) :: (":", _) :: rest when is_value label -> (
+        match current with
+        | Some e -> go current ((e, label, line) :: acc) rest
+        | None -> go current acc rest)
+    | _ :: rest -> go current acc rest
+  in
+  go None [] (located_tokens (strip (read_file mli)))
+
+(* FOM-L010 findings for the .mli files under [roots]: an optional
+   label is set when some caller .ml other than the val's own module
+   passes [~label] or [?label] anywhere. *)
+let unset_options roots sources =
+  let passed = Hashtbl.create 1024 in
+  List.iter
+    (fun (file, toks) ->
+      let rec scan = function
+        | ("~" | "?") :: label :: rest ->
+            Hashtbl.replace passed (file, label) ();
+            scan rest
+        | _ :: rest -> scan rest
+        | [] -> ()
+      in
+      scan toks)
+    sources;
+  List.concat_map
+    (fun root ->
+      List.concat_map
+        (fun mli ->
+          let own = Filename.remove_extension mli ^ ".ml" in
+          let raw_lines = Array.of_list (String.split_on_char '\n' (read_file mli)) in
+          List.filter_map
+            (fun (e, label, line) ->
+              let sets (file, _) = file <> own && Hashtbl.mem passed (file, label) in
+              if List.exists sets sources then None
+              else Some (e, label, line, raw_lines.(line - 1)))
+            (optional_labels mli))
         (List.sort compare (walk ".mli" root [])))
     roots
 
@@ -621,6 +693,7 @@ let () =
           end)
         (scan_file file))
     files;
+  let callers = caller_references () in
   List.iter
     (fun (e, why) ->
       if not (allowed e.mli e.construct) then begin
@@ -628,7 +701,16 @@ let () =
           e.mli e.line e.construct why (String.trim e.text);
         incr errors
       end)
-    (unused_exports (List.rev !roots));
+    (unused_exports (List.rev !roots) (snd callers));
+  List.iter
+    (fun (e, label, line, text) ->
+      if not (allowed e.mli (e.construct ^ "?" ^ label)) then begin
+        Printf.printf
+          "error[FOM-L010] %s:%d: optional ?%s of %s is set by no caller (test/ does not count)\n  %s\n"
+          e.mli line label e.construct (String.trim text);
+        incr errors
+      end)
+    (unset_options (List.rev !roots) (fst callers));
   List.iteri
     (fun k (file, construct) ->
       if not used.(k) then
