@@ -32,10 +32,22 @@ let workload_arg =
     & opt workload_conv (Fom_workloads.Spec2000.find "gzip")
     & info [ "w"; "workload" ] ~docv:"NAME" ~doc:(Printf.sprintf "Workload: %s." workload_names))
 
+(* Every subcommand takes its count through here, so a count below 1
+   ends in the same one diagnostic everywhere, before any work. *)
 let instructions_arg default =
-  Arg.(
-    value & opt int default
-    & info [ "n"; "instructions" ] ~docv:"N" ~doc:"Instructions to analyze/simulate.")
+  let at_least_one n =
+    if n < 1 then
+      raise
+        (Fom_check.Checker.Invalid
+           (Fom_check.Checker.fail ~code:"FOM-I030" ~path:"cli.instructions"
+              (Printf.sprintf "-n must be at least 1, got %d" n)));
+    n
+  in
+  Term.(
+    const at_least_one
+    $ Arg.(
+        value & opt int default
+        & info [ "n"; "instructions" ] ~docv:"N" ~doc:"Instructions to analyze/simulate."))
 
 let seed_arg =
   Arg.(

@@ -78,19 +78,30 @@ let write_recorded c deps instrs =
 let of_source source ~n =
   Fom_check.Checker.ensure ~code:"FOM-T130" ~path:"packed.n" (n > 0)
     "packed trace length must be positive";
+  (* A length the heap cannot hold is the caller's input too: report it
+     rather than end the process. *)
+  let column len =
+    match Array.make len 0 with
+    | a -> a
+    | exception (Out_of_memory | Invalid_argument _) ->
+        raise
+          (Fom_check.Checker.Invalid
+             (Fom_check.Checker.fail ~code:"FOM-T130" ~path:"packed.n"
+                (Printf.sprintf "cannot allocate a packed trace of %d instructions" n)))
+  in
   let c =
     {
       label = Source.label source;
       len = n;
-      op = Array.make n 0;
-      pc = Array.make n 0;
-      ea = Array.make n 0;
-      dep_off = Array.make (n + 1) 0;
+      op = column n;
+      pc = column n;
+      ea = column n;
+      dep_off = column (n + 1);
       dep_val = [||];
     }
   in
   (* The presets average 0.08 to 1.29 dependences per instruction. *)
-  let deps = ref (Array.make (n + (n / 2)) 0) in
+  let deps = ref (column (n + (n / 2))) in
   (match source.Source.kind with
   | Source.Generator { program; seed } ->
       write_stream c deps (Stream.create ?seed program) ~first:0 ~count:n ~rebase:0

@@ -37,7 +37,8 @@ type t = private {
 }
 
 val of_source : Source.t -> n:int -> t
-(** Materialize the first [n] instructions ([FOM-T130] if [n <= 0]).
+(** Materialize the first [n] instructions ([FOM-T130] if [n <= 0]
+    or if the columns for [n] rows cannot be allocated).
     Each {!Source.kind} has one column writer: a generator is stepped
     straight into the columns through its {!Stream.step} cursor, a
     phase schedule runs that same writer once per activation with its

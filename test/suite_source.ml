@@ -218,6 +218,24 @@ let prop_load_diagnoses_at_file_line =
               | Some line -> line >= 1 && line <= lines
               | None -> false)))
 
+let test_pack_beyond_the_heap () =
+  (* A packing no heap can hold ends in one FOM-T130 that names the
+     length. Columns of 2^50 rows fail to allocate at once, so nothing
+     is committed first. *)
+  let n = 1 lsl 50 in
+  match Packed.of_source (Source.of_program (Lazy.force gzip)) ~n with
+  | _ -> Alcotest.fail "expected FOM-T130"
+  | exception Fom_check.Checker.Invalid [ d ] ->
+      Alcotest.(check string) "code" "FOM-T130" d.Fom_check.Diagnostic.code;
+      Alcotest.(check string) "path" "packed.n" d.Fom_check.Diagnostic.path;
+      let length = string_of_int n and message = d.Fom_check.Diagnostic.message in
+      let rec names k =
+        k + String.length length <= String.length message
+        && (String.sub message k (String.length length) = length || names (k + 1))
+      in
+      Alcotest.(check bool) ("names the length: " ^ message) true (names 0)
+  | exception Fom_check.Checker.Invalid _ -> Alcotest.fail "expected one diagnostic"
+
 let suite =
   ( "source",
     [
@@ -232,5 +250,6 @@ let suite =
       Alcotest.test_case "rejects garbage" `Quick test_load_rejects_garbage;
       Alcotest.test_case "rejects forward dependence" `Quick test_load_rejects_bad_dependence;
       Alcotest.test_case "unreadable file" `Quick test_load_unreadable;
+      Alcotest.test_case "packing beyond the heap is FOM-T130" `Quick test_pack_beyond_the_heap;
       QCheck_alcotest.to_alcotest prop_load_diagnoses_at_file_line;
     ] )

@@ -214,6 +214,61 @@ let test_run_rejects_empty_run () =
       Alcotest.(check string) "path" "machine.n" d.Fom_check.Diagnostic.path
   | exception Fom_check.Checker.Invalid _ -> Alcotest.fail "expected one diagnostic"
 
+(* Pinned digests of every machine's results, recorded before the
+   age-order kernel replaced the event kernel on the machines whose
+   timing cannot depend on issue order: per preset, the marshalled
+   [Stats.t] of six machines (the five Figure 2 machines and the
+   I-cache machine with a 16-entry fetch buffer, so both kernels), and
+   the pipeline records of the branch-predictor and I-cache machines.
+   Values are digested by content, floats by their bits, as perfbench
+   digests them. *)
+let test_machine_golden () =
+  let n = 20_000 in
+  let ideal = Config.ideal Config.baseline in
+  let ic = Config.with_cache Hierarchy.ideal_except_l1i ideal in
+  let bp = Config.with_predictor Predictor.default_spec ideal in
+  let machines =
+    [
+      ideal;
+      bp;
+      ic;
+      Config.with_cache Hierarchy.ideal_except_data ideal;
+      Config.baseline;
+      Config.with_fetch_buffer 16 ic;
+    ]
+  in
+  let digest v = Digest.to_hex (Digest.string (Marshal.to_string v [ Marshal.No_sharing ])) in
+  List.iter2
+    (fun config (stats_expected, record_expected) ->
+      let packed =
+        Fom_trace.Packed.of_source
+          (Fom_trace.Source.of_program (Fom_trace.Program.generate config))
+          ~n:(n + 8192)
+      in
+      let name = config.Fom_trace.Config.name in
+      Alcotest.(check string) (name ^ " stats") stats_expected
+        (digest (List.map (fun m -> Simulate.run_packed m packed ~n) machines));
+      Alcotest.(check string) (name ^ " records") record_expected
+        (digest
+           (List.map
+              (fun m -> Fom_uarch.Machine.run_recorded (Fom_uarch.Machine.create m packed) ~n)
+              [ bp; ic ])))
+    Fom_workloads.Spec2000.all
+    [
+      ("66adfe03ece892828ab720402c7d4b22", "e5af9c163670b93da8c4885c17bc84fe"); (* bzip2 *)
+      ("fb4933f17adae23098013dfa478b9934", "59f6b080074d4b45e569e6817135e0cf"); (* crafty *)
+      ("a0929f204dfeb4009e152b46c4fac17a", "f12d4bccadd6bb0429d97ab2844b6880"); (* eon *)
+      ("9ea9bb7243440538a626f2793c65a842", "d95437730bf8cf92baf8836e1295d2cb"); (* gap *)
+      ("d78c95da4b762184e0a0b08be84247e0", "176294d1e7fe3298ae27eb4028e366c0"); (* gcc *)
+      ("ca78913a862936c38834525827bcbb87", "e436848fb5b62a46f5541f8860f888de"); (* gzip *)
+      ("6cfc49775b2266320e940058b1163a18", "4466eb88fa68648128aab95efa8fbbc4"); (* mcf *)
+      ("d5e90f0063fc6ffd239a026e53882435", "b3617e36d36c1f8c016c11e27bfb1250"); (* parser *)
+      ("0590b1d9529c4347121dd0667943c598", "b7a17547608ae570c1fad526072bd1d1"); (* perlbmk *)
+      ("6702995905479b6738ff0bbec37a6339", "cf4e34d6c5c133ce20ea5ac707c9b9a6"); (* twolf *)
+      ("c56e0a0776d61deca344ddf179fa29f2", "376787635ed5054806356e258a2946cd"); (* vortex *)
+      ("99dbdeeee298bfbd059fefd4e5c8e005", "9b3d3ef7dce8054533b40de7e461cf28"); (* vpr *)
+    ]
+
 let suite =
   ( "uarch",
     [
@@ -239,4 +294,5 @@ let suite =
       Alcotest.test_case "long memory latency within the cycle budget" `Quick
         test_long_memory_within_budget;
       Alcotest.test_case "empty run is FOM-I030" `Quick test_run_rejects_empty_run;
+      Alcotest.test_case "machine results unchanged" `Quick test_machine_golden;
     ] )
