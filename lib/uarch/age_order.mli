@@ -1,0 +1,41 @@
+(** The detailed simulator's age-order kernel, for machines whose
+    timing cannot depend on issue order: an ideal L1D, no dTLB, one
+    cluster and unbounded functional units. It computes each
+    instruction's fetch, dispatch, issue, completion and retirement
+    cycles from older instructions alone, in one pass in program order,
+    and gives exactly the event kernel's statistics and record.
+    {!Machine} selects it; the types below are the ones it exports. *)
+
+exception Cycle_limit_exceeded
+
+type record = {
+  fetch : int array;
+  dispatch : int array;
+  issue : int array;
+  complete : int array;
+  retire : int array;
+  cluster : int array;
+  mispredicted : bool array;
+  icache_stall : int array;
+}
+(** {!Machine.record}. *)
+
+type t
+
+val create : Config.t -> Fom_trace.Packed.t -> t
+(** A machine at cycle 0 over a packed trace; the configuration is
+    valid and order-free. Allocates every ring here, sized from the
+    configuration. *)
+
+val cycle : t -> int
+(** The cycle the last run ended at (0 before any). *)
+
+val retired : t -> int
+(** Instructions retired so far. *)
+
+val run : t -> n:int -> limit:int -> record:record option -> Stats.t
+(** {!Machine.run} for [n >= 1] further retirements: raises
+    [Cycle_limit_exceeded] if the last of them retires after cycle
+    [limit], and [FOM-T132] when fetch would run past the packing
+    before the run ends. With a record, fills in the stage cycles of
+    this run's events. *)

@@ -4,9 +4,9 @@ module Hierarchy = Fom_cache.Hierarchy
 module Predictor = Fom_branch.Predictor
 module Packed = Fom_trace.Packed
 
-exception Cycle_limit_exceeded
+exception Cycle_limit_exceeded = Age_order.Cycle_limit_exceeded
 
-type record = {
+type record = Age_order.record = {
   fetch : int array;
   dispatch : int array;
   issue : int array;
@@ -19,8 +19,9 @@ type record = {
 
 (* Observability (no-ops unless an Fom_obs sink is enabled). Counters
    accumulate across every machine in the process; [sim.events] counts
-   ready-set insertions — the kernel's unit of work — and
-   [sim.skipped_cycles] the idle cycles it jumped over. *)
+   the event kernel's ready-set insertions — its unit of work — and
+   [sim.skipped_cycles] the idle cycles it jumped over. The age-order
+   kernel makes neither. *)
 let m_runs = Fom_obs.Metrics.counter "sim.runs"
 let m_cycles = Fom_obs.Metrics.counter "sim.cycles"
 let m_skipped = Fom_obs.Metrics.counter "sim.skipped_cycles"
@@ -41,7 +42,10 @@ let load_tag = Opclass.to_int Opclass.Load
 let store_tag = Opclass.to_int Opclass.Store
 let branch_tag = Opclass.to_int Opclass.Branch
 
-(* The trace is a packed one, read in place: an instruction's fields
+(* The event kernel, for every machine the age-order kernel does not
+   take (see {!create}).
+
+   The trace is a packed one, read in place: an instruction's fields
    are looked up by its dynamic index in the packing's columns, never
    copied. In-flight machine state lives in int columns keyed by slot
    = [index land slot_mask], sized per configuration
@@ -76,7 +80,7 @@ let branch_tag = Opclass.to_int Opclass.Branch
    caller-saved in OCaml's native code, so an out-of-line helper in the
    issue scan spills and reloads the scan's live values around each
    call. *)
-type t = {
+type event = {
   config : Config.t;
   (* the packed trace's columns, by dynamic index (see {!Packed}) *)
   len : int;
@@ -154,8 +158,7 @@ type t = {
   mutable occupancy_rob_sum : int;
 }
 
-let create config packed =
-  Config.validate config;
+let create_event config packed =
   let ring = Config.comp_ring_size config in
   let by_class f = Array.init Opclass.count (fun tag -> f (Opclass.of_int tag)) in
   let fu_limit = by_class (Fom_isa.Fu_set.of_class config.Config.fu_limits) in
@@ -664,41 +667,15 @@ let skip_idle t ~limit =
     t.cycle <- next
   end
 
-(* The most cycles that can pass between two consecutive retirements
-   (or between the start of a run and its first). Once instruction [k]
-   retires, [k + 1] is the oldest in flight: every older producer has
-   completed and every older branch has resolved, the ROB and window
-   hold nothing older, and oldest-first issue gives it the first issue
-   slot and functional unit of its cluster. In the worst case it has
-   not been fetched: an I-cache fill from memory, the front-end pipe,
-   a dTLB walk, then the slowest execution (a load from memory or the
-   longest class latency). The remaining cycles are one each for
-   fetch, dispatch, issue and retire, and a cross-cluster bypass. *)
-let retire_gap t =
-  let slowest = Array.fold_left Int.max t.memory_latency t.latency in
-  t.memory_latency + t.config.Config.pipeline_depth + t.walk_latency + slowest + 5
-
-let run ?cycle_limit t ~n =
-  if n < 1 then
-    Fom_check.Checker.run_exn
-      (Fom_check.Checker.fail ~code:"FOM-I030" ~path:"machine.n"
-         (Printf.sprintf "a run must retire at least one instruction, got n = %d" n));
-  (* The budget is relative to the current cycle so that a machine can
-     be resumed with successive [run] calls. *)
-  let limit = t.cycle + Option.value cycle_limit ~default:(n * retire_gap t) in
+let run_event t ~n ~limit =
   let target = t.last_retired + n in
-  let c0 = t.cycle and r0 = t.last_retired and e0 = t.wake_events in
-  let k0 = t.skipped_cycles in
-  Fom_obs.Span.with_ s_run (fun () ->
-      while t.last_retired < target do
-        if t.cycle > limit then raise Cycle_limit_exceeded;
-        step t;
-        if t.ready_count = 0 && t.last_retired < target then skip_idle t ~limit
-      done);
-  Fom_obs.Metrics.incr m_runs;
-  Fom_obs.Metrics.add m_cycles (t.cycle - c0);
+  let e0 = t.wake_events and k0 = t.skipped_cycles in
+  while t.last_retired < target do
+    if t.cycle > limit then raise Cycle_limit_exceeded;
+    step t;
+    if t.ready_count = 0 && t.last_retired < target then skip_idle t ~limit
+  done;
   Fom_obs.Metrics.add m_skipped (t.skipped_cycles - k0);
-  Fom_obs.Metrics.add m_instructions (t.last_retired - r0);
   Fom_obs.Metrics.add m_events (t.wake_events - e0);
   let mean sum = float_of_int sum /. float_of_int (Int.max 1 t.cycle) in
   let cache_stats = Hierarchy.stats t.hierarchy in
@@ -719,6 +696,86 @@ let run ?cycle_limit t ~n =
     mean_rob_occupancy = mean t.occupancy_rob_sum;
   }
 
+(* Two kernels behind one interface. A machine whose timing cannot
+   depend on issue order — an ideal L1D, so every load takes its hit
+   latency, and no dTLB — with one cluster and unbounded functional
+   units runs on the age-order recurrence ({!Age_order}), which
+   computes each instruction's stage cycles from older ones with no
+   cycle loop. Every other machine runs on the event kernel above: a
+   real L1D or a dTLB gives a load a latency that depends on the order
+   of the accesses before it, and the recurrence keeps no per-cluster
+   or per-class issue budgets. *)
+type kernel = Event of event | Age_order of Age_order.t
+
+type t = {
+  len : int;  (* the packing's, for {!run_recorded}'s columns *)
+  retire_gap : int;
+  kernel : kernel;
+}
+
+let order_free (config : Config.t) =
+  let rec unbounded tag =
+    tag = Opclass.count
+    || Fom_isa.Fu_set.of_class config.Config.fu_limits (Opclass.of_int tag) = max_int
+       && unbounded (tag + 1)
+  in
+  (match config.Config.cache.Hierarchy.l1d with Hierarchy.Ideal -> true | Hierarchy.Real _ -> false)
+  && Option.is_none config.Config.dtlb
+  && config.Config.clusters = 1
+  && unbounded 0
+
+(* The most cycles that can pass between two consecutive retirements
+   (or between the start of a run and its first). Once instruction [k]
+   retires, [k + 1] is the oldest in flight: every older producer has
+   completed and every older branch has resolved, the ROB and window
+   hold nothing older, and oldest-first issue gives it the first issue
+   slot and functional unit of its cluster. In the worst case it has
+   not been fetched: an I-cache fill from memory, the front-end pipe,
+   a dTLB walk, then the slowest execution (a load from memory or the
+   longest class latency). The remaining cycles are one each for
+   fetch, dispatch, issue and retire, and a cross-cluster bypass. *)
+let retire_gap (config : Config.t) =
+  let memory = config.Config.cache.Hierarchy.latencies.Hierarchy.memory in
+  let walk = match config.Config.dtlb with Some s -> s.Fom_cache.Tlb.walk_latency | None -> 0 in
+  let slowest = Array.fold_left Int.max memory (Latency.table config.Config.latencies) in
+  memory + config.Config.pipeline_depth + walk + slowest + 5
+
+let create config packed =
+  Config.validate config;
+  {
+    len = packed.Packed.len;
+    retire_gap = retire_gap config;
+    kernel =
+      (if order_free config then Age_order (Age_order.create config packed)
+       else Event (create_event config packed));
+  }
+
+let run_with ?cycle_limit t ~n ~record =
+  if n < 1 then
+    Fom_check.Checker.run_exn
+      (Fom_check.Checker.fail ~code:"FOM-I030" ~path:"machine.n"
+         (Printf.sprintf "a run must retire at least one instruction, got n = %d" n));
+  let c0 = match t.kernel with Event e -> e.cycle | Age_order a -> Age_order.cycle a in
+  let r0 = match t.kernel with Event e -> e.last_retired + 1 | Age_order a -> Age_order.retired a in
+  (* The budget is relative to the current cycle so that a machine can
+     be resumed with successive [run] calls. *)
+  let limit = c0 + Option.value cycle_limit ~default:(n * t.retire_gap) in
+  let stats =
+    Fom_obs.Span.with_ s_run (fun () ->
+        match t.kernel with
+        | Age_order a -> Age_order.run a ~n ~limit ~record
+        | Event e when Option.is_none record -> run_event e ~n ~limit
+        | Event e ->
+            e.record <- record;
+            Fun.protect ~finally:(fun () -> e.record <- None) (fun () -> run_event e ~n ~limit))
+  in
+  Fom_obs.Metrics.incr m_runs;
+  Fom_obs.Metrics.add m_cycles (stats.Stats.cycles - c0);
+  Fom_obs.Metrics.add m_instructions (stats.Stats.instructions - r0);
+  stats
+
+let run ?cycle_limit t ~n = run_with ?cycle_limit t ~n ~record:None
+
 let run_recorded t ~n =
   let column init = Array.make t.len init in
   let r =
@@ -733,6 +790,4 @@ let run_recorded t ~n =
       icache_stall = column 0;
     }
   in
-  t.record <- Some r;
-  let stats = Fun.protect ~finally:(fun () -> t.record <- None) (fun () -> run t ~n) in
-  (stats, r)
+  (run_with t ~n ~record:(Some r), r)

@@ -19,7 +19,28 @@
 
     The trace enters as a {!Fom_trace.Packed.t}: pack first, then
     replay. The paper's five Figure 2 configurations are obtained
-    purely by idealizing caches/predictor in the {!Config.t}. *)
+    purely by idealizing caches/predictor in the {!Config.t}.
+
+    Two kernels implement these rules, and {!create} picks one from the
+    configuration; both give the same statistics and record bit for
+    bit.
+    - The age-order kernel runs every machine whose timing cannot
+      depend on issue order: an ideal L1D, no dTLB, one cluster and
+      unbounded functional units (the ideal, branch-predictor and
+      I-cache machines of Figure 2, with or without a fetch buffer).
+      A load then always takes its hit latency and an issue slot goes
+      to the oldest ready instructions whatever younger ones do, so an
+      instruction's fetch, dispatch, issue, completion and retirement
+      cycles follow from older instructions alone. It computes them in
+      one pass in program order, with no cycle loop.
+    - The event kernel runs every other machine. A real L1D or a dTLB
+      gives a load a latency that depends on which accesses went
+      before it in issue order, so a load's completion is known only
+      once every load that issues before it has. The age-order kernel
+      also leaves clusters and FU limits to it: it keeps no per-cluster
+      or per-class issue budgets. The event kernel steps the cycles,
+      waking instructions from a calendar into an age-ordered ready
+      bitmap and jumping over idle cycles. *)
 
 type t
 
@@ -31,11 +52,15 @@ val create : Config.t -> Fom_trace.Packed.t -> t
     instruction the machine fetches — [n] plus {!Config.inflight_span}
     for a run to [n] retirements — or fetch raises [FOM-T132].
 
-    The issue stage parks each waiting instruction on its blocking
-    producer or in a wakeup calendar and keeps the ready ones as bits
-    of an age-ordered bitmap, so a cycle costs O(instructions woken),
-    not O(window); when none is ready, {!run} jumps straight to the
-    next cycle at which anything can happen. *)
+    Picks the kernel: the age-order one when the L1D is ideal, there
+    is no dTLB, one cluster and every functional unit is unbounded;
+    the event kernel otherwise. On the event kernel the issue stage
+    parks each waiting instruction on its blocking producer or in a
+    wakeup calendar and keeps the ready ones as bits of an age-ordered
+    bitmap, so a cycle costs O(instructions woken), not O(window); when
+    none is ready, {!run} jumps straight to the next cycle at which
+    anything can happen. The age-order kernel costs O(1) amortised per
+    instruction plus O(1) per cycle the run spans. *)
 
 exception Cycle_limit_exceeded
 (** Raised when the simulation exceeds its cycle budget — a deadlock

@@ -8,7 +8,8 @@
    I-cache's stalls and each load's completion cycle, which must be one
    its latency rules allow. Steering, every other stage cycle, the
    cycle count, both occupancy means and the mean window occupancy at a
-   mispredicted branch's issue are derived and compared exactly;
+   mispredicted branch's issue are derived and compared exactly, and
+   the recorded stalls must number the I-cache misses counted;
    [check] returns the first disagreement. The record must
    come from a fresh machine. *)
 
@@ -217,6 +218,11 @@ let derive (config : Config.t) (p : Packed.t) (r : Machine.record) (stats : Stat
   exact "mispredictions"
     (string_of_int (Array.fold_left (fun n m -> if m then n + 1 else n) 0 mispredicted))
     (string_of_int stats.Stats.branch_mispredictions);
+  (* Every I-cache miss the statistics count stalled a probe the record
+     holds, even a fill of zero cycles. *)
+  exact "I-cache misses"
+    (string_of_int (Array.fold_left (fun n s -> if s > 0 then n + 1 else n) 0 icache_stall))
+    (string_of_int (stats.Stats.l1i_misses + stats.Stats.l2i_misses));
   exact "window at branch issue"
     (Printf.sprintf "%h" (Fom_util.Stats.Acc.mean window_at_branch_issue))
     (Printf.sprintf "%h" stats.Stats.window_at_branch_issue);
