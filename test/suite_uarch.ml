@@ -214,29 +214,12 @@ let test_run_rejects_empty_run () =
       Alcotest.(check string) "path" "machine.n" d.Fom_check.Diagnostic.path
   | exception Fom_check.Checker.Invalid _ -> Alcotest.fail "expected one diagnostic"
 
-(* Pinned digests of every machine's results, recorded before the
-   age-order kernel replaced the event kernel on the machines whose
-   timing cannot depend on issue order: per preset, the marshalled
-   [Stats.t] of six machines (the five Figure 2 machines and the
-   I-cache machine with a 16-entry fetch buffer, so both kernels), and
-   the pipeline records of the branch-predictor and I-cache machines.
-   Values are digested by content, floats by their bits, as perfbench
-   digests them. *)
-let test_machine_golden () =
+(* Digests of machine results per preset: the marshalled [Stats.t] of
+   [machines] and the pipeline records of [recorded], each run to 20k
+   retirements. Values are digested by content, floats by their bits,
+   as perfbench digests them. *)
+let check_golden ~machines ~recorded expected =
   let n = 20_000 in
-  let ideal = Config.ideal Config.baseline in
-  let ic = Config.with_cache Hierarchy.ideal_except_l1i ideal in
-  let bp = Config.with_predictor Predictor.default_spec ideal in
-  let machines =
-    [
-      ideal;
-      bp;
-      ic;
-      Config.with_cache Hierarchy.ideal_except_data ideal;
-      Config.baseline;
-      Config.with_fetch_buffer 16 ic;
-    ]
-  in
   let digest v = Digest.to_hex (Digest.string (Marshal.to_string v [ Marshal.No_sharing ])) in
   List.iter2
     (fun config (stats_expected, record_expected) ->
@@ -252,8 +235,29 @@ let test_machine_golden () =
         (digest
            (List.map
               (fun m -> Fom_uarch.Machine.run_recorded (Fom_uarch.Machine.create m packed) ~n)
-              [ bp; ic ])))
-    Fom_workloads.Spec2000.all
+              recorded)))
+    Fom_workloads.Spec2000.all expected
+
+(* Pinned before the age-order kernel replaced the event kernel on the
+   machines whose timing cannot depend on issue order: per preset, six
+   machines' statistics (the five Figure 2 machines and the I-cache
+   machine with a 16-entry fetch buffer, so both kernels), and the
+   records of the branch-predictor and I-cache machines. *)
+let test_machine_golden () =
+  let ideal = Config.ideal Config.baseline in
+  let ic = Config.with_cache Hierarchy.ideal_except_l1i ideal in
+  let bp = Config.with_predictor Predictor.default_spec ideal in
+  check_golden
+    ~machines:
+      [
+        ideal;
+        bp;
+        ic;
+        Config.with_cache Hierarchy.ideal_except_data ideal;
+        Config.baseline;
+        Config.with_fetch_buffer 16 ic;
+      ]
+    ~recorded:[ bp; ic ]
     [
       ("66adfe03ece892828ab720402c7d4b22", "e5af9c163670b93da8c4885c17bc84fe"); (* bzip2 *)
       ("fb4933f17adae23098013dfa478b9934", "59f6b080074d4b45e569e6817135e0cf"); (* crafty *)
@@ -267,6 +271,40 @@ let test_machine_golden () =
       ("6702995905479b6738ff0bbec37a6339", "cf4e34d6c5c133ce20ea5ac707c9b9a6"); (* twolf *)
       ("c56e0a0776d61deca344ddf179fa29f2", "376787635ed5054806356e258a2946cd"); (* vortex *)
       ("99dbdeeee298bfbd059fefd4e5c8e005", "9b3d3ef7dce8054533b40de7e461cf28"); (* vpr *)
+    ]
+
+(* Pinned before issue budgets moved to the age-order kernel: per
+   preset, the statistics of the three bounded FU sets of the ext-fu
+   exhibit and of 2 and 4 clusters, all over an ideal data side, and
+   the records of an FU-limited and the 2-cluster machine. *)
+let test_budget_golden () =
+  let ideal = Config.ideal Config.baseline in
+  let fu set = Config.with_fu_limits set ideal in
+  let limited = fu (Fom_isa.Fu_set.make ~alu:2 ~load:1 ()) in
+  let two = Config.with_clusters 2 ideal in
+  check_golden
+    ~machines:
+      [
+        fu (Fom_isa.Fu_set.make ~alu:1 ());
+        limited;
+        fu (Fom_isa.Fu_set.make ~alu:1 ~load:1 ~store:1 ());
+        two;
+        Config.with_clusters 4 ideal;
+      ]
+    ~recorded:[ limited; two ]
+    [
+      ("e95b103178713eb5b5a58109bad8da89", "f75163c2deaa1ca4d33d17f1f4834eee"); (* bzip2 *)
+      ("8e070dc6c549f145e6b9b236171580ed", "479f38d22fab37b54fec16196d7655a8"); (* crafty *)
+      ("ae0c4dcb41528ec3c019eff051f6813d", "512dc6129453375162dbc87a711312c3"); (* eon *)
+      ("ec1e998012fcbbc8f83f02ae65d7d0c6", "bdce423cc096d260254d159c6371dd91"); (* gap *)
+      ("1614fb79f90ea2631a85d78e7da1d760", "27d071fb2465604d99ecea12364bfa11"); (* gcc *)
+      ("8e6ddf47aada4ca922ad05af11ca25bf", "e12609e1952bd7ddcf17e7ba16e58797"); (* gzip *)
+      ("eac715c3db20b2cddc5c2b3a65f158f5", "b88bbe1663bfa883d7cdc68e1e33086d"); (* mcf *)
+      ("bc2a95ce0693f9cd7bf8cc7bee5a8d1f", "f3b5064858f4d6c726596a4b88f280fd"); (* parser *)
+      ("8292a7f8436b03d79e3767bf6522d5d8", "4c7723dcd2460546871b9a06db7af146"); (* perlbmk *)
+      ("a3bdb619e321495a73cde448de3cb394", "76bd3b29b8ed4348bdc4c676bc551f02"); (* twolf *)
+      ("f3b2495456099854e11aa81b8cd81853", "f7b0677823c6737d6b3ed553e181b7af"); (* vortex *)
+      ("8ac0725e05731d7b3fad8e8de461928b", "39b8aa69f7126053f628fb8a530ee7c0"); (* vpr *)
     ]
 
 let suite =
@@ -295,4 +333,5 @@ let suite =
         test_long_memory_within_budget;
       Alcotest.test_case "empty run is FOM-I030" `Quick test_run_rejects_empty_run;
       Alcotest.test_case "machine results unchanged" `Quick test_machine_golden;
+      Alcotest.test_case "FU-limited and clustered results unchanged" `Quick test_budget_golden;
     ] )
