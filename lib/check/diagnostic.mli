@@ -14,7 +14,8 @@
     - [FOM-Txxx] — trace and workload configuration
       ({!Fom_trace}: configs, behaviours, phases, trace files)
     - [FOM-Mxxx] — machine description ({!Fom_uarch.Config}, caches,
-      predictor, latencies, functional units)
+      predictor, latencies, functional units; [FOM-M009]: clusters and
+      FU limits need an ideal L1D and no dTLB)
     - [FOM-Uxxx] — utility-function domain errors ({!Fom_util})
     - [FOM-Lxxx] — source lint findings ([tools/lint])
     - [FOM-Exxx] — parallel execution ([Fom_exec]: worker counts,

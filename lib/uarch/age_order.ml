@@ -21,10 +21,10 @@ let load_tag = Opclass.to_int Opclass.Load
 
 (* The event kernel's machine as a recurrence over instructions in
    program order, for configurations whose timing cannot depend on
-   issue order: an ideal L1D (every load takes its hit latency), no
-   dTLB, one cluster and unbounded functional units. Then nothing an
-   instruction does at issue feeds back into a latency, and each of its
-   stage cycles follows from older instructions alone:
+   issue order: an ideal L1D (every load takes its hit latency) and no
+   dTLB. Then nothing an instruction does at issue feeds back into a
+   latency, and each of its stage cycles follows from older
+   instructions alone:
 
    - fetch is attempted at [a], the first cycle at or after the older
      instruction's fetch with fetch slots left ([F(i - limit) + 1]),
@@ -35,11 +35,18 @@ let load_tag = Opclass.to_int Opclass.Load
    - dispatch is the first cycle at or after [F + depth], the older
      dispatch, [D(i - width) + 1], [R(i - rob)] (retire running before
      dispatch) and the window floor: the cycle by which
-     [i - window + 1] older instructions have issued.
+     [i - window + 1] older instructions have issued. [i] goes to the
+     next cluster in turn with window room then (a full one passes its
+     turn; the floor leaves room in one).
    - issue is the first cycle at or after [D + 1] and every producer's
-     completion with fewer than [width] older issues; younger
-     instructions never take an older one's slot, so the counts it sees
-     are final (the IW kernel's argument, {!Fom_analysis.Iw_sim}).
+     value, with fewer than [width / clusters] older issues from its
+     cluster and, for a class with limited units, fewer older issues
+     of its class than units. A value produced in another cluster
+     arrives a bypass cycle after its completion, or when its producer
+     retires if that is sooner: [min(R(p), C(p) + 1)]. Younger
+     instructions never take an older one's slot or unit, so the
+     counts it sees are final (the IW kernel's argument,
+     {!Fom_analysis.Iw_sim}).
    - completion is issue plus the class latency, and retirement the
      first cycle at or after completion, the older retirement and
      [R(i - width) + 1].
@@ -63,13 +70,20 @@ let load_tag = Opclass.to_int Opclass.Load
    {!Config.inflight_span}, so no live slot is overwritten; {!run}
    checks the second.
 
-   Issue counts per cycle live in a second ring, as in the IW kernel:
-   cycles at or below [base] are folded into [below] (issues so far at
-   or before [base]), and [base] moves up to each dispatch cycle. Every
-   later issue lands above it. Issue times above a dispatch cycle stay
-   within [window * slowest latency] of it, as each is reached from the
-   window's by a chain of at most [window] in-window instructions, so
-   that ring holds the next power of two past it; the kernel checks the
+   Issue counts per cycle live in rings, as in the IW kernel. Ring 0
+   counts every issue: cycles at or below [base] are folded into
+   [below] (issues so far at or before [base]), and [base] moves up to
+   each dispatch cycle; every later issue lands above it. One cluster's
+   budget is ring 0. More clusters have a ring each and count their
+   [pending] issues above [base], their window entries at a steering;
+   each class with limited units has a ring. [base] clears every ring
+   it passes. The oldest instruction still waiting is first for its
+   cluster's slots and its class's units, so it issues at most
+   [slowest latency + bypass] cycles after an older issue (latencies
+   are at least 1, which covers a cycle's wait on a slot or a unit;
+   the bypass is 1 with clusters). An issue time thus stays within
+   [window] such steps of the dispatch above which it lands; the rings
+   hold the next power of two past that, and the kernel checks the
    bound on every issue. Nothing is allocated per instruction or per
    cycle. *)
 type t = {
@@ -88,6 +102,7 @@ type t = {
   pipe_capacity : int;
   fetch_limit : int;
   latency : int array;  (* by class tag; a load's is its L1 hit's *)
+  unit_limit : int array;  (* units by class tag; max_int when unbounded *)
   (* front end; an ideal L1I or predictor is never consulted: it never
      misses, and it is never wrong *)
   hierarchy : Hierarchy.t;
@@ -104,14 +119,22 @@ type t = {
   complete_at : int array;
   retire_at : int array;
   stall_at : int array;  (* cycles from the I-cache probe to the fetch; 0 for none *)
+  cluster_at : int array;
   branch_window : int array;
       (* a mispredicted branch's window_at_branch_issue sample; -1 for
          every other instruction *)
-  (* issue counts per cycle above [base] *)
+  (* issue counts per cycle above [base]: ring [k] covers slots
+     [k lsl issued_bits ..]; ring 0, then clusters' rings, then limited
+     classes' *)
   issued : int array;
+  issued_bits : int;
   issued_mask : int;
+  cluster_ring : int array;  (* by cluster: its budget ring's first slot *)
+  unit_ring : int array;  (* by class tag: its ring's first slot; -1 when unbounded *)
   mutable base : int;
   mutable below : int;
+  pending : int array;  (* by cluster, with more than one: its issues above [base] *)
+  mutable next_cluster : int;  (* round-robin steering *)
   (* progress *)
   mutable last_computed : int;
   mutable last_retired : int;
@@ -129,12 +152,28 @@ let create (config : Config.t) packed =
   let latency = Fom_isa.Latency.table config.Config.latencies in
   latency.(load_tag) <-
     Int.max latency.(load_tag) (Hierarchy.data_latency hierarchy Hierarchy.L1_hit);
-  let issued_size =
-    let span = (config.Config.window_size * Array.fold_left Int.max 1 latency) + 2 in
-    let rec grow s = if s >= span then s else grow (2 * s) in
-    grow 8
+  let width = config.Config.width and clusters = config.Config.clusters in
+  let issued_bits =
+    let bypass = if clusters > 1 then 1 else 0 in
+    let span = (config.Config.window_size * (Array.fold_left Int.max 1 latency + bypass)) + 2 in
+    let rec grow b = if 1 lsl b >= span then b else grow (b + 1) in
+    grow 3
   in
-  let width = config.Config.width in
+  (* One cluster's budget is ring 0's: every issue is its own. *)
+  let pending = if clusters = 1 then [||] else Array.make clusters 0 in
+  let cluster_ring =
+    if clusters = 1 then [| 0 |] else Array.init clusters (fun k -> (k + 1) lsl issued_bits)
+  in
+  let unit_ring = Array.make Opclass.count (-1) and rings = ref (1 + Array.length pending) in
+  let unit_limit =
+    Array.init Opclass.count (fun tag ->
+        let limit = Fom_isa.Fu_set.of_class config.Config.fu_limits (Opclass.of_int tag) in
+        if limit < max_int then begin
+          unit_ring.(tag) <- !rings lsl issued_bits;
+          incr rings
+        end;
+        limit)
+  in
   {
     len = packed.Packed.len;
     op = packed.Packed.op;
@@ -149,6 +188,7 @@ let create (config : Config.t) packed =
     pipe_capacity = (width * config.Config.pipeline_depth) + config.Config.fetch_buffer;
     fetch_limit = (if config.Config.fetch_buffer > 0 then 2 * width else width);
     latency;
+    unit_limit;
     hierarchy;
     predictor = Predictor.create config.Config.predictor;
     l1i_ideal =
@@ -168,11 +208,17 @@ let create (config : Config.t) packed =
     complete_at = Array.make ring (-1);
     retire_at = Array.make ring (-1);
     stall_at = Array.make ring 0;
+    cluster_at = Array.make ring 0;
     branch_window = Array.make ring (-1);
-    issued = Array.make issued_size 0;
-    issued_mask = issued_size - 1;
+    issued = Array.make (!rings lsl issued_bits) 0;
+    issued_bits;
+    issued_mask = (1 lsl issued_bits) - 1;
+    cluster_ring;
+    unit_ring;
     base = -1;
     below = 0;
+    pending;
+    next_cluster = 0;
     last_computed = -1;
     last_retired = -1;
     cycle = 0;
@@ -199,7 +245,7 @@ let record_events t rc i ~from ~until =
   end;
   if d >= from && d < until then begin
     rc.dispatch.(i) <- d;
-    rc.cluster.(i) <- 0
+    rc.cluster.(i) <- t.cluster_at.(s)
   end;
   if u >= from && u < until then begin
     rc.issue.(i) <- u;
@@ -239,20 +285,25 @@ let[@inline] check_row t i a ~limit =
    at most [last] and fetch reaches the instruction before [until]. The
    previous instruction's fetch, dispatch and retirement cycles, the
    cycle fetch may resume after it (its completion if it is a
-   mispredicted branch, else -1) and the window floor are carried in
-   locals. With [~settled], every event of an instruction falls in this
-   run and is accounted here as {!settle} would. *)
+   mispredicted branch, else -1), the window floor and the steering
+   turn are carried in locals. With [~settled], every event of an
+   instruction falls in this run and is accounted here as {!settle}
+   would. *)
 let advance t ~last ~until ~limit ~settled record =
-  let mask = t.mask and imask = t.issued_mask in
+  let mask = t.mask and imask = t.issued_mask and bits = t.issued_bits in
   let width = t.width and window = t.window and rob = t.rob in
+  let clusters = Array.length t.cluster_ring in
+  let cluster_width = width / clusters and cluster_window = window / clusters in
   let fetch_at = t.fetch_at and dispatch_at = t.dispatch_at in
   let complete_at = t.complete_at and retire_at = t.retire_at in
+  let cluster_at = t.cluster_at and pending = t.pending in
   let issued = t.issued and dep_off = t.dep_off and dep_val = t.dep_val in
   let prev = t.last_computed land mask in
   let f_prev = ref fetch_at.(prev) and d_prev = ref dispatch_at.(prev) in
   let r_prev = ref retire_at.(prev) in
   let resume = ref (if t.branch_window.(prev) >= 0 then complete_at.(prev) else -1) in
   let base = ref t.base and below = ref t.below in
+  let turn = ref t.next_cluster in
   let next = ref (t.last_computed + 1) in
   let go = ref true in
   while !go do
@@ -295,11 +346,29 @@ let advance t ~last ~until ~limit ~settled record =
         incr base;
         let c = !base land imask in
         below := !below + issued.(c);
-        issued.(c) <- 0
+        issued.(c) <- 0;
+        for k = 0 to Array.length pending - 1 do
+          let slot = t.cluster_ring.(k) lor c in
+          pending.(k) <- pending.(k) - issued.(slot);
+          issued.(slot) <- 0
+        done;
+        for k = 1 + Array.length pending to (Array.length issued lsr bits) - 1 do
+          issued.((k lsl bits) lor c) <- 0
+        done
       done;
       let d = !base in
       dispatch_at.(s) <- d;
       d_prev := d;
+      (* Steering. While the window holds fewer than a cluster's share,
+         no cluster is full. *)
+      let cl = ref !turn in
+      if i - !below >= cluster_window then
+        while pending.(!cl) >= cluster_window do
+          cl := if !cl + 1 = clusters then 0 else !cl + 1
+        done;
+      let cl = !cl in
+      turn := if cl + 1 = clusters then 0 else cl + 1;
+      cluster_at.(s) <- cl;
       (* Issue. A producer [rob] or more instructions older retired by
          this dispatch, so its value is ready. *)
       let e = ref (d + 1) in
@@ -307,14 +376,31 @@ let advance t ~last ~until ~limit ~settled record =
       for k = dep_off.(i) to dep_off.(i + 1) - 1 do
         let p = dep_val.(k) in
         if p > oldest then begin
-          let c = complete_at.(p land mask) in
+          let ps = p land mask in
+          let c =
+            if cluster_at.(ps) = cl then complete_at.(ps)
+            else Int.min (complete_at.(ps) + 1) retire_at.(ps)
+          in
           if c > !e then e := c
         end
       done;
+      let own = t.cluster_ring.(cl) in
       let u = ref !e in
-      while issued.(!u land imask) >= width do
+      while issued.(own lor (!u land imask)) >= cluster_width do
         incr u
       done;
+      (* A class with limited units also waits for a free one. *)
+      let unit = t.unit_ring.(op) in
+      if unit >= 0 then begin
+        let units = t.unit_limit.(op) in
+        while
+          issued.(unit lor (!u land imask)) >= units
+          || issued.(own lor (!u land imask)) >= cluster_width
+        do
+          incr u
+        done;
+        issued.(unit lor (!u land imask)) <- issued.(unit lor (!u land imask)) + 1
+      end;
       let u = !u in
       if u > d + imask then Fom_check.Checker.internal_error "age-order issue ring overflow";
       (* A mispredicted branch is the one fetch waits on, so nothing
@@ -332,6 +418,10 @@ let advance t ~last ~until ~limit ~settled record =
       in
       t.branch_window.(s) <- sample;
       issued.(u land imask) <- issued.(u land imask) + 1;
+      if own > 0 then begin
+        issued.(own lor (u land imask)) <- issued.(own lor (u land imask)) + 1;
+        pending.(cl) <- pending.(cl) + 1
+      end;
       t.issue_at.(s) <- u;
       (* Completion and retirement. *)
       let c = u + t.latency.(op) in
@@ -356,6 +446,7 @@ let advance t ~last ~until ~limit ~settled record =
   done;
   t.base <- !base;
   t.below <- !below;
+  t.next_cluster <- !turn;
   t.last_computed <- !next - 1
 
 let run t ~n ~limit ~record =

@@ -1,9 +1,9 @@
 (** The detailed simulator's age-order kernel, for machines whose
-    timing cannot depend on issue order: an ideal L1D, no dTLB, one
-    cluster and unbounded functional units. It computes each
-    instruction's fetch, dispatch, issue, completion and retirement
-    cycles from older instructions alone, in one pass in program order,
-    and gives exactly the event kernel's statistics and record.
+    timing cannot depend on issue order: an ideal L1D and no dTLB, with
+    any clusters and functional units. It computes each instruction's
+    fetch, dispatch, issue, completion and retirement cycles from older
+    instructions alone, in one pass in program order, and gives exactly
+    the event kernel's statistics and record.
     {!Machine} selects it; the types below are the ones it exports. *)
 
 exception Cycle_limit_exceeded

@@ -48,6 +48,11 @@ let comp_ring_bits t =
 
 let comp_ring_size t = 1 lsl comp_ring_bits t
 
+let ideal_data_side t =
+  t.cache.Fom_cache.Hierarchy.l1d = Fom_cache.Hierarchy.Ideal && Option.is_none t.dtlb
+
+let budgets_need_ideal_data = "clusters and FU limits need an ideal L1D and no dTLB"
+
 let check t =
   let module C = Fom_check.Checker in
   C.min_int ~code:"FOM-M001" ~path:"machine.width" ~min:1 t.width
@@ -77,6 +82,10 @@ let check t =
        C.fail ~code:"FOM-M008" ~path:"machine.clusters"
          (Printf.sprintf "clusters (%d) must divide window_size (%d)" t.clusters
             t.window_size))
+  @ (if t.clusters <= 1 || ideal_data_side t then C.ok
+     else C.fail ~code:"FOM-M009" ~path:"machine.clusters" budgets_need_ideal_data)
+  @ (if t.fu_limits = Fom_isa.Fu_set.unbounded || ideal_data_side t then C.ok
+     else C.fail ~code:"FOM-M009" ~path:"machine.fu_limits" budgets_need_ideal_data)
   @ Fom_isa.Latency.diagnostics t.latencies
   @ Fom_isa.Fu_set.diagnostics t.fu_limits
   @ Fom_branch.Predictor.diagnostics t.predictor

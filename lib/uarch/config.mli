@@ -16,7 +16,8 @@ type t = {
   cache : Fom_cache.Hierarchy.config;
   predictor : Fom_branch.Predictor.spec;
   (* Section 7 extensions — all disabled on the paper's baseline. *)
-  fu_limits : Fom_isa.Fu_set.t;  (** per-class functional-unit counts *)
+  fu_limits : Fom_isa.Fu_set.t;
+      (** per-class functional-unit counts; limits need {!ideal_data_side} *)
   dtlb : Fom_cache.Tlb.spec option;  (** data TLB; [None] = perfect *)
   fetch_buffer : int;  (** extra fetch-buffer entries past the pipe *)
   clusters : int;
@@ -25,7 +26,7 @@ type t = {
           [window_size/clusters] entries, and consuming a value
           produced in another cluster costs one bypass cycle. 1 =
           the paper's unified window. Must divide both the width and
-          the window size. *)
+          the window size; more than one needs {!ideal_data_side}. *)
 }
 
 val baseline : t
@@ -35,11 +36,16 @@ val baseline : t
 
 val check : t -> Fom_check.Diagnostic.t list
 (** All diagnostics for the configuration: structural sanity
-    ([FOM-M001]..[FOM-M008] — positive sizes, window <= ROB, clusters
-    dividing width and window; [FOM-I032] — the in-flight span must
+    ([FOM-M001]..[FOM-M009] — positive sizes, window <= ROB, clusters
+    dividing width and window, clusters and FU limits only over an
+    ideal L1D with no dTLB; [FOM-I032] — the in-flight span must
     fit the largest supported completion ring, see {!comp_ring_size})
     plus the component checks (latencies, functional units, predictor,
     cache hierarchy, optional TLB). Empty list = valid. *)
+
+val ideal_data_side : t -> bool
+(** An ideal L1D and no dTLB: no latency depends on issue order, so
+    {!Machine.create} runs the machine on its age-order kernel. *)
 
 val max_comp_ring_bits : int
 (** log2 of the largest completion ring: configurations whose in-flight

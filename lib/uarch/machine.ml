@@ -73,9 +73,6 @@ let branch_tag = Opclass.to_int Opclass.Branch
    or a wakeup), and {!run} jumps there instead of stepping the idle
    cycles in between.
 
-   A step pays only for the structures that can bind: with one cluster
-   there is no steering, no per-cluster budget or count and no bypass
-   re-check, and with unbounded functional units no per-class count.
    The per-instruction helpers are [@inline]: every register is
    caller-saved in OCaml's native code, so an out-of-line helper in the
    issue scan spills and reloads the scan's live values around each
@@ -91,7 +88,6 @@ type event = {
   dep_val : int array;
   (* per-slot machine state *)
   slot_mask : int;
-  cluster : int array;  (* assigned at dispatch *)
   pipe_at : int array;  (* cycle a fetched instruction may dispatch *)
   comp_idx : int array;
   comp_time : int array;
@@ -106,12 +102,6 @@ type event = {
   mutable last_line : int;
   l1i_line_mask : int;  (* {!Hierarchy.inst_line_mask} *)
   mutable win_count : int;  (* window occupancy: dispatched, unissued *)
-  cluster_counts : int array;  (* window occupancy per cluster *)
-  cluster_issued : int array;  (* issues this cycle per cluster *)
-  mutable next_cluster : int;  (* round-robin dispatch steering *)
-  clustered : bool;
-      (* more than one cluster: a bypass cycle can apply, and the
-         per-cluster window and issue budgets can bind *)
   (* wakeup structures, keyed by slot *)
   ready_at : int array;  (* earliest-issue lower bound *)
   chain_next : int array;  (* link through waiter and calendar chains *)
@@ -135,11 +125,7 @@ type event = {
   mutable long_miss : int array;
   mutable long_miss_head : int;
   mutable long_miss_len : int;
-  (* per-class tables and per-cycle structural state *)
   latency : int array;  (* by class tag *)
-  fu_limit : int array;  (* by class tag; max_int when unbounded *)
-  fu_unbounded : bool;
-  fu_busy : int array;  (* instructions issued this cycle per class; empty when unbounded *)
   (* bookkeeping *)
   mutable cycle : int;
   mutable wake_events : int;  (* ready-set insertions, for sim.events *)
@@ -160,9 +146,6 @@ type event = {
 
 let create_event config packed =
   let ring = Config.comp_ring_size config in
-  let by_class f = Array.init Opclass.count (fun tag -> f (Opclass.of_int tag)) in
-  let fu_limit = by_class (Fom_isa.Fu_set.of_class config.Config.fu_limits) in
-  let fu_unbounded = Array.for_all (fun l -> l = max_int) fu_limit in
   let dtlb = Option.map Fom_cache.Tlb.create config.Config.dtlb in
   let hierarchy = Hierarchy.create config.Config.cache in
   {
@@ -174,7 +157,6 @@ let create_event config packed =
     dep_off = packed.Packed.dep_off;
     dep_val = packed.Packed.dep_val;
     slot_mask = ring - 1;
-    cluster = Array.make ring 0;
     pipe_at = Array.make ring 0;
     comp_idx = Array.make ring (-1);
     comp_time = Array.make ring 0;
@@ -188,10 +170,6 @@ let create_event config packed =
     last_line = -1;
     l1i_line_mask = Hierarchy.inst_line_mask config.Config.cache;
     win_count = 0;
-    cluster_counts = Array.make config.Config.clusters 0;
-    cluster_issued = Array.make config.Config.clusters 0;
-    next_cluster = 0;
-    clustered = config.Config.clusters > 1;
     ready_at = Array.make ring 0;
     chain_next = Array.make ring (-1);
     waiter_head = Array.make ring (-1);
@@ -212,9 +190,6 @@ let create_event config packed =
     long_miss_head = 0;
     long_miss_len = 0;
     latency = Latency.table config.Config.latencies;
-    fu_limit;
-    fu_unbounded;
-    fu_busy = (if fu_unbounded then [||] else Array.make Opclass.count 0);
     cycle = 0;
     wake_events = 0;
     skipped_cycles = 0;
@@ -234,26 +209,6 @@ let create_event config packed =
 let[@inline] completed t idx =
   let s = idx land t.slot_mask in
   t.comp_idx.(s) = idx && t.comp_time.(s) <= t.cycle
-
-(* A value produced in another cluster needs one extra bypass cycle
-   (ancient producers are long past any bypass network). *)
-let[@inline] dep_complete t ~cluster d =
-  d <= t.last_retired
-  ||
-  let s = d land t.slot_mask in
-  t.comp_idx.(s) = d
-  &&
-  let bypass = if t.cluster.(s) = cluster then 0 else 1 in
-  t.comp_time.(s) + bypass <= t.cycle
-
-let[@inline] deps_ready t idx =
-  let cluster = t.cluster.(idx land t.slot_mask) in
-  let k = ref t.dep_off.(idx) in
-  let hi = t.dep_off.(idx + 1) in
-  while !k < hi && dep_complete t ~cluster t.dep_val.(!k) do
-    incr k
-  done;
-  !k >= hi
 
 (* Pop expired long misses off the front. Doing so at any cycle pops a
    prefix of what a later call would, so callers may drain early. *)
@@ -340,12 +295,6 @@ let[@inline] issue_latency t idx =
    [issued_before] is how many issued earlier this cycle. *)
 let[@inline] issue_instr t idx ~issued_before =
   let s = idx land t.slot_mask in
-  let op = t.op.(idx) and c = t.cluster.(s) in
-  if not t.fu_unbounded then t.fu_busy.(op) <- t.fu_busy.(op) + 1;
-  if t.clustered then begin
-    t.cluster_issued.(c) <- t.cluster_issued.(c) + 1;
-    t.cluster_counts.(c) <- t.cluster_counts.(c) - 1
-  end;
   let complete = t.cycle + issue_latency t idx in
   t.comp_idx.(s) <- idx;
   t.comp_time.(s) <- complete;
@@ -392,13 +341,9 @@ let[@inline] book_wakeup t idx ~at =
 (* Park a dispatched, unissued instruction on the wakeup structures:
    chained on one still-unissued producer (its issue event re-parks
    us), or booked in the calendar for the cycle its last producer's
-   value completes — never before the next cycle. On a clustered
-   machine the booked cycle is a lower bound, not the exact issue
-   cycle: retirement can waive a cross-cluster bypass and a bypass can
-   push one cycle past it, so [issue_event] re-evaluates [deps_ready]
-   exactly when the instruction surfaces. With one cluster there is no
-   bypass: every producer counted has issued, its completion time is
-   final, and the booked cycle is exact.
+   value completes — never before the next cycle. Every producer
+   counted has issued, so its completion time is final and the booked
+   cycle is exact.
 
    With [~mark], an instruction whose operands complete by the next
    cycle goes straight into the ready set instead of that cycle's
@@ -434,14 +379,6 @@ let[@inline] place t idx ~mark =
 
 let issue t =
   let width = t.config.Config.width in
-  let clusters = t.config.Config.clusters in
-  let cluster_width = if t.clustered then width / clusters else width in
-  (* Zero the per-cycle issue counts. The FU counts are only kept when
-     some class is limited, the cluster counts only on a clustered
-     machine: one cluster's budget is the width, which the scan below
-     never exceeds. *)
-  if not t.fu_unbounded then Array.fill t.fu_busy 0 Opclass.count 0;
-  if t.clustered then Array.fill t.cluster_issued 0 clusters 0;
   (* Wake this cycle's calendar bucket into the ready set. *)
   let bucket = t.cycle land calendar_mask in
   let woken = ref t.calendar.(bucket) in
@@ -455,22 +392,15 @@ let issue t =
   done;
   (* Issue oldest-first up to the width limit, visiting the set bits
      in slot order from the ROB head's slot: word [hw] from the head's
-     bit up, the other words in turn, then [hw]'s bits below the head.
-     On a clustered machine, a ready instruction whose exact readiness
-     check fails leaves the set and re-parks (at most one extra wake,
-     for a cross-cluster bypass). One blocked only by a cluster or
-     functional-unit budget keeps its bit, so younger instructions of
-     other clusters and classes still get their scan turn, as an
-     oldest-first scan of the whole window would skip over it. *)
+     bit up, the other words in turn, then [hw]'s bits below the head. *)
   let issued = ref 0 in
   let head = t.last_retired + 1 in
   let h = head land t.slot_mask in
   let words = Array.length t.ready in
   let hw = h lsr 5 in
   let below_head = (1 lsl (h land 31)) - 1 in
-  let unvisited = ref t.ready_count in
   let k = ref 0 in
-  while !unvisited > 0 && !k <= words && !issued < width do
+  while t.ready_count > 0 && !k <= words && !issued < width do
     let w = (hw + !k) land (words - 1) in
     let bits =
       ref
@@ -481,53 +411,24 @@ let issue t =
     while !bits <> 0 && !issued < width do
       let s = (w lsl 5) lor lowest_bit !bits in
       bits := !bits land (!bits - 1);
-      decr unvisited;
       let idx = head + ((s - h) land t.slot_mask) in
-      if t.clustered && not (deps_ready t idx) then begin
-        clear_ready t s;
-        place t idx ~mark:false
-      end
-      else if
-        ((not t.clustered) || t.cluster_issued.(t.cluster.(s)) < cluster_width)
-        && (t.fu_unbounded || t.fu_busy.(t.op.(idx)) < t.fu_limit.(t.op.(idx)))
-      then begin
-        clear_ready t s;
-        issue_instr t idx ~issued_before:!issued;
-        incr issued;
-        (* Its value has a completion time now: re-park every consumer
-           waiting on this producer (their earliest cycle is past this
-           one, so the calendar holds them). *)
-        let waiter = ref t.waiter_head.(s) in
-        t.waiter_head.(s) <- -1;
-        while !waiter >= 0 do
-          let c = !waiter in
-          waiter := t.chain_next.(c land t.slot_mask);
-          place t c ~mark:false
-        done
-      end
+      clear_ready t s;
+      issue_instr t idx ~issued_before:!issued;
+      incr issued;
+      (* Its value has a completion time now: re-park every consumer
+         waiting on this producer (their earliest cycle is past this
+         one, so the calendar holds them). *)
+      let waiter = ref t.waiter_head.(s) in
+      t.waiter_head.(s) <- -1;
+      while !waiter >= 0 do
+        let c = !waiter in
+        waiter := t.chain_next.(c land t.slot_mask);
+        place t c ~mark:false
+      done
     done;
     incr k
   done;
   t.win_count <- t.win_count - !issued
-
-(* Round-robin steering on a clustered machine (with one cluster every
-   instruction goes to cluster 0): a full cluster passes its turn, and
-   the chosen one counts the instruction. The window space guard in
-   [dispatch] ensures at least one cluster has room. *)
-let steer t =
-  let clusters = t.config.Config.clusters in
-  let capacity = t.config.Config.window_size / clusters in
-  let c = ref t.next_cluster in
-  let tries = ref 1 in
-  while t.cluster_counts.(!c) >= capacity do
-    if !tries = clusters then
-      Fom_check.Checker.internal_error "no cluster has window space at dispatch";
-    c := if !c + 1 = clusters then 0 else !c + 1;
-    incr tries
-  done;
-  t.next_cluster <- (if !c + 1 = clusters then 0 else !c + 1);
-  t.cluster_counts.(!c) <- t.cluster_counts.(!c) + 1;
-  !c
 
 let dispatch t =
   let budget = ref t.config.Config.width in
@@ -542,10 +443,8 @@ let dispatch t =
     let s = idx land t.slot_mask in
     if t.pipe_at.(s) <= t.cycle then begin
       t.last_dispatched <- idx;
-      let c = if t.clustered then steer t else 0 in
-      t.cluster.(s) <- c;
       (match t.record with
-      | Some r -> r.dispatch.(idx) <- t.cycle; r.cluster.(idx) <- c
+      | Some r -> r.dispatch.(idx) <- t.cycle; r.cluster.(idx) <- 0
       | None -> ());
       (* Issue runs before dispatch each cycle, so a newly dispatched
          instruction is first eligible next cycle. *)
@@ -698,13 +597,14 @@ let run_event t ~n ~limit =
 
 (* Two kernels behind one interface. A machine whose timing cannot
    depend on issue order — an ideal L1D, so every load takes its hit
-   latency, and no dTLB — with one cluster and unbounded functional
-   units runs on the age-order recurrence ({!Age_order}), which
-   computes each instruction's stage cycles from older ones with no
-   cycle loop. Every other machine runs on the event kernel above: a
-   real L1D or a dTLB gives a load a latency that depends on the order
-   of the accesses before it, and the recurrence keeps no per-cluster
-   or per-class issue budgets. *)
+   latency, and no dTLB — runs on the age-order recurrence
+   ({!Age_order}), which computes each instruction's stage cycles from
+   older ones with no cycle loop, whatever its clusters and units.
+   Every other machine runs on the event kernel above: a real L1D or a
+   dTLB gives a load a latency that depends on the order of the
+   accesses before it. {!Config.check} keeps clusters and FU limits
+   off those machines ([FOM-M009]), so the event kernel has one
+   cluster and unbounded units. *)
 type kernel = Event of event | Age_order of Age_order.t
 
 type t = {
@@ -712,17 +612,6 @@ type t = {
   retire_gap : int;
   kernel : kernel;
 }
-
-let order_free (config : Config.t) =
-  let rec unbounded tag =
-    tag = Opclass.count
-    || Fom_isa.Fu_set.of_class config.Config.fu_limits (Opclass.of_int tag) = max_int
-       && unbounded (tag + 1)
-  in
-  (match config.Config.cache.Hierarchy.l1d with Hierarchy.Ideal -> true | Hierarchy.Real _ -> false)
-  && Option.is_none config.Config.dtlb
-  && config.Config.clusters = 1
-  && unbounded 0
 
 (* The most cycles that can pass between two consecutive retirements
    (or between the start of a run and its first). Once instruction [k]
@@ -746,7 +635,7 @@ let create config packed =
     len = packed.Packed.len;
     retire_gap = retire_gap config;
     kernel =
-      (if order_free config then Age_order (Age_order.create config packed)
+      (if Config.ideal_data_side config then Age_order (Age_order.create config packed)
        else Event (create_event config packed));
   }
 

@@ -25,22 +25,23 @@
     configuration; both give the same statistics and record bit for
     bit.
     - The age-order kernel runs every machine whose timing cannot
-      depend on issue order: an ideal L1D, no dTLB, one cluster and
-      unbounded functional units (the ideal, branch-predictor and
-      I-cache machines of Figure 2, with or without a fetch buffer).
-      A load then always takes its hit latency and an issue slot goes
-      to the oldest ready instructions whatever younger ones do, so an
-      instruction's fetch, dispatch, issue, completion and retirement
-      cycles follow from older instructions alone. It computes them in
-      one pass in program order, with no cycle loop.
+      depend on issue order: {!Config.ideal_data_side} (the ideal,
+      branch-predictor and I-cache machines of Figure 2, with or
+      without a fetch buffer, and every clustered or FU-limited one).
+      A load then always takes its hit latency, steering is in
+      dispatch order, and an issue slot, a cluster's share of the
+      width and a unit go to the oldest ready instructions whatever
+      younger ones do, so an instruction's fetch, dispatch, issue,
+      completion and retirement cycles follow from older instructions
+      alone. It computes them in one pass in program order.
     - The event kernel runs every other machine. A real L1D or a dTLB
       gives a load a latency that depends on which accesses went
       before it in issue order, so a load's completion is known only
-      once every load that issues before it has. The age-order kernel
-      also leaves clusters and FU limits to it: it keeps no per-cluster
-      or per-class issue budgets. The event kernel steps the cycles,
-      waking instructions from a calendar into an age-ordered ready
-      bitmap and jumping over idle cycles. *)
+      once every load that issues before it has. It has one cluster
+      and unbounded units ({!Config.check} rejects the others with
+      [FOM-M009]) and steps the cycles, waking instructions from a
+      calendar into an age-ordered ready bitmap and jumping over idle
+      cycles. *)
 
 type t
 
@@ -52,9 +53,10 @@ val create : Config.t -> Fom_trace.Packed.t -> t
     instruction the machine fetches — [n] plus {!Config.inflight_span}
     for a run to [n] retirements — or fetch raises [FOM-T132].
 
-    Picks the kernel: the age-order one when the L1D is ideal, there
-    is no dTLB, one cluster and every functional unit is unbounded;
-    the event kernel otherwise. On the event kernel the issue stage
+    Picks the kernel from the data side alone: the age-order one when
+    the L1D is ideal and there is no dTLB, whatever the clusters and
+    units, since their budgets read only older instructions; the event
+    kernel otherwise. On the event kernel the issue stage
     parks each waiting instruction on its blocking producer or in a
     wakeup calendar and keeps the ready ones as bits of an age-ordered
     bitmap, so a cycle costs O(instructions woken), not O(window); when

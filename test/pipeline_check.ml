@@ -1,17 +1,18 @@
-(* The detailed simulator's cycle rules, re-derived from a run's
-   pipeline record (Machine.run_recorded): the oracle the machine's
-   issue stage — wakeup calendar, ready bitmap, idle-cycle skip — is
-   tested against. It steps every cycle in the machine's order (retire,
-   issue, dispatch, fetch), rescans its whole window oldest-first and
-   keeps no calendar, bitmap or cache. What the cycle rules cannot
-   derive it reads from the record: the predictor's verdicts, the
-   I-cache's stalls and each load's completion cycle, which must be one
-   its latency rules allow. Steering, every other stage cycle, the
-   cycle count, both occupancy means and the mean window occupancy at a
-   mispredicted branch's issue are derived and compared exactly, and
-   the recorded stalls must number the I-cache misses counted;
-   [check] returns the first disagreement. The record must
-   come from a fresh machine. *)
+(* The detailed simulator's cycle rules, re-derived for a run and
+   compared with its pipeline record (Machine.run_recorded): the oracle
+   both kernels are tested against. It steps every cycle in the
+   machine's order (retire, issue, dispatch, fetch) and rescans its
+   whole window oldest-first, with no calendar, bitmap or recurrence.
+   A fresh predictor, cache hierarchy and dTLB are replayed in that
+   derived order: data accesses as loads and stores issue, oldest
+   first within a cycle, and I-cache probes and branch predictions as
+   fetch reaches them. The I-side shares the L2 with the data side, so
+   the two must interleave in cycle order, and a load's latency depends
+   on every access before it. So every stage cycle, steering, each
+   load's latency, the predictor's and the I-cache's verdicts, the
+   cycle count, every miss count, the misses under a long miss and
+   every mean are derived and compared exactly; [check] returns the
+   first disagreement. The record must come from a fresh machine. *)
 
 module Config = Fom_uarch.Config
 module Machine = Fom_uarch.Machine
@@ -27,7 +28,8 @@ let fail fmt = Printf.ksprintf (fun m -> raise (Mismatch m)) fmt
 let derive (config : Config.t) (p : Packed.t) (r : Machine.record) (stats : Stats.t) =
   let len = p.Packed.len in
   let width = config.Config.width and clusters = config.Config.clusters in
-  let load = Opclass.to_int Opclass.Load and branch = Opclass.to_int Opclass.Branch in
+  let load = Opclass.to_int Opclass.Load and store = Opclass.to_int Opclass.Store in
+  let branch = Opclass.to_int Opclass.Branch in
   let latency = Fom_isa.Latency.table config.Config.latencies in
   let fu_limit =
     Array.init Opclass.count (fun op ->
@@ -38,16 +40,51 @@ let derive (config : Config.t) (p : Packed.t) (r : Machine.record) (stats : Stat
     | Hierarchy.Real g -> lnot (g.Fom_cache.Geometry.line - 1)
     | Hierarchy.Ideal -> lnot 127
   in
+  let retired = ref 0 and dispatched = ref 0 and fetched = ref 0 in
+  let hierarchy = Hierarchy.create config.Config.cache in
+  let predictor = Fom_branch.Predictor.create config.Config.predictor in
+  let dtlb = Option.map Fom_cache.Tlb.create config.Config.dtlb in
+  let short_misses = ref 0 and long_misses = ref 0 and dtlb_misses = ref 0 in
+  let mispredictions_under_long = ref 0 and imisses_under_long = ref 0 in
+  let rob_ahead_of_long_miss = Fom_util.Stats.Acc.create () in
+  (* The latest completion of a long miss so far: one is outstanding at
+     cycle [c] exactly when it lies past [c]. *)
+  let long_until = ref (-1) in
+  (* A dTLB miss fills the entry and adds the walk in front of the
+     cache access; only a load's counts. *)
+  let walk ~count addr =
+    match dtlb with
+    | Some tlb when not (Fom_cache.Tlb.access tlb addr) ->
+        if count then incr dtlb_misses;
+        (Fom_cache.Tlb.spec tlb).Fom_cache.Tlb.walk_latency
+    | Some _ | None -> 0
+  in
   (* A load completes after the larger of its class latency and its
-     cache level's, or after the memory latency; a dTLB miss adds the
-     walk in front. *)
-  let load_offsets =
-    let l = config.Config.cache.Hierarchy.latencies and lat = latency.(load) in
-    let walk =
-      match config.Config.dtlb with Some s -> s.Fom_cache.Tlb.walk_latency | None -> 0
-    in
-    let cache = [ Int.max lat l.Hierarchy.l1; Int.max lat l.Hierarchy.l2; l.Hierarchy.memory ] in
-    cache @ List.map (fun c -> walk + c) cache
+     cache level's, or after the memory latency, behind its walk. A
+     store touches the dTLB and the caches but never waits. *)
+  let execute i c =
+    let op = p.Packed.op.(i) and addr = p.Packed.ea.(i) in
+    let l = config.Config.cache.Hierarchy.latencies in
+    if op = load then begin
+      let walk = walk ~count:true addr in
+      match Hierarchy.access_data hierarchy addr with
+      | Hierarchy.L1_hit -> walk + Int.max latency.(op) l.Hierarchy.l1
+      | Hierarchy.L2_hit ->
+          incr short_misses;
+          walk + Int.max latency.(op) l.Hierarchy.l2
+      | Hierarchy.Memory ->
+          incr long_misses;
+          long_until := Int.max !long_until (c + walk + l.Hierarchy.memory);
+          Fom_util.Stats.Acc.add rob_ahead_of_long_miss (float_of_int (i - !retired));
+          walk + l.Hierarchy.memory
+    end
+    else begin
+      if op = store then begin
+        ignore (walk ~count:false addr);
+        ignore (Hierarchy.access_data hierarchy addr)
+      end;
+      latency.(op)
+    end
   in
   let column init = Array.make len init in
   let fetch = column (-1) and dispatch = column (-1) and issue = column (-1) in
@@ -57,7 +94,6 @@ let derive (config : Config.t) (p : Packed.t) (r : Machine.record) (stats : Stat
   let waiting = Array.make config.Config.window_size 0 and win = ref 0 in
   let cluster_count = Array.make clusters 0 and next_cluster = ref 0 in
   let fu_busy = Array.make Opclass.count 0 and cluster_issued = Array.make clusters 0 in
-  let retired = ref 0 and dispatched = ref 0 and fetched = ref 0 in
   let blocking = ref (-1) and stall_until = ref 0 and last_line = ref (-1) in
   let window_sum = ref 0 and rob_sum = ref 0 in
   let window_at_branch_issue = Fom_util.Stats.Acc.create () in
@@ -109,10 +145,10 @@ let derive (config : Config.t) (p : Packed.t) (r : Machine.record) (stats : Stat
         if i = !blocking then
           Fom_util.Stats.Acc.add window_at_branch_issue (float_of_int (!win - !issued - 1));
         issue.(i) <- c;
-        complete.(i) <-
-          (if op <> load then c + latency.(op)
-           else if List.mem (r.Machine.complete.(i) - c) load_offsets then r.Machine.complete.(i)
-           else fail "load %d issued at cycle %d cannot complete at %d" i c r.Machine.complete.(i));
+        complete.(i) <- c + execute i c;
+        if op = load && complete.(i) <> r.Machine.complete.(i) then
+          fail "load %d issued at cycle %d: replay completes it at %d, record at %d" i c
+            complete.(i) r.Machine.complete.(i);
         fu_busy.(op) <- fu_busy.(op) + 1;
         cluster_issued.(cl) <- cluster_issued.(cl) + 1;
         cluster_count.(cl) <- cluster_count.(cl) - 1;
@@ -151,7 +187,7 @@ let derive (config : Config.t) (p : Packed.t) (r : Machine.record) (stats : Stat
     (* Fetch: a mispredicted branch blocks it until the branch
        completes, an I-cache miss until its stall ends; otherwise up to
        the fetch limit while the pipe has room. A probe happens when
-       the line changes. *)
+       the line changes; a miss stalls at least the rest of the cycle. *)
     if !blocking >= 0 && complete.(!blocking) >= 0 && complete.(!blocking) <= c then blocking := -1;
     if !blocking < 0 && c >= !stall_until then begin
       let limit = if config.Config.fetch_buffer > 0 then 2 * width else width in
@@ -160,20 +196,28 @@ let derive (config : Config.t) (p : Packed.t) (r : Machine.record) (stats : Stat
       while (not !stop) && !count < limit && !fetched - !dispatched < pipe_capacity do
         let i = !fetched in
         if i >= len then fail "fetch runs past the %d-instruction packing at cycle %d" len c;
-        let line = p.Packed.pc.(i) land line_mask in
-        if line <> !last_line then begin
-          last_line := line;
-          icache_stall.(i) <- r.Machine.icache_stall.(i);
-          if icache_stall.(i) > 0 then begin
-            stall_until := c + icache_stall.(i);
-            stop := true
-          end
+        let pc = p.Packed.pc.(i) in
+        if pc land line_mask <> !last_line then begin
+          last_line := pc land line_mask;
+          match Hierarchy.access_inst hierarchy pc with
+          | Hierarchy.L1_hit -> ()
+          | outcome ->
+              if !long_until > c then incr imisses_under_long;
+              icache_stall.(i) <- Int.max 1 (Hierarchy.inst_stall hierarchy outcome);
+              stall_until := c + icache_stall.(i);
+              stop := true
         end;
         if not !stop then begin
           fetch.(i) <- c;
           incr fetched;
           incr count;
-          if p.Packed.op.(i) = branch && r.Machine.mispredicted.(i) then begin
+          if
+            p.Packed.op.(i) = branch
+            && not
+                 (Fom_branch.Predictor.observe predictor ~pc
+                    ~taken:(p.Packed.ea.(i) land 1 = 1))
+          then begin
+            if !long_until > c then incr mispredictions_under_long;
             mispredicted.(i) <- true;
             blocking := i;
             stop := true
@@ -207,7 +251,8 @@ let derive (config : Config.t) (p : Packed.t) (r : Machine.record) (stats : Stat
   Array.iteri
     (fun i m ->
       if m <> r.Machine.mispredicted.(i) then
-        fail "instruction %d recorded as a misprediction that fetch never saw" i)
+        fail "misprediction of instruction %d: recorded %b, derived %b" i
+          r.Machine.mispredicted.(i) m)
     mispredicted;
   let mean sum = float_of_int sum /. float_of_int (Int.max 1 !cycle) in
   let exact name derived recorded =
@@ -218,11 +263,20 @@ let derive (config : Config.t) (p : Packed.t) (r : Machine.record) (stats : Stat
   exact "mispredictions"
     (string_of_int (Array.fold_left (fun n m -> if m then n + 1 else n) 0 mispredicted))
     (string_of_int stats.Stats.branch_mispredictions);
-  (* Every I-cache miss the statistics count stalled a probe the record
-     holds, even a fill of zero cycles. *)
-  exact "I-cache misses"
-    (string_of_int (Array.fold_left (fun n s -> if s > 0 then n + 1 else n) 0 icache_stall))
-    (string_of_int (stats.Stats.l1i_misses + stats.Stats.l2i_misses));
+  let count name derived recorded = exact name (string_of_int derived) (string_of_int recorded) in
+  let caches = Hierarchy.stats hierarchy in
+  count "L1I misses" (caches.Hierarchy.l1i_misses - caches.Hierarchy.l2i_misses)
+    stats.Stats.l1i_misses;
+  count "L2I misses" caches.Hierarchy.l2i_misses stats.Stats.l2i_misses;
+  count "short data misses" !short_misses stats.Stats.short_data_misses;
+  count "long data misses" !long_misses stats.Stats.long_data_misses;
+  count "dTLB misses" !dtlb_misses stats.Stats.dtlb_misses;
+  count "mispredictions under a long miss" !mispredictions_under_long
+    stats.Stats.mispredictions_under_long_miss;
+  count "I-misses under a long miss" !imisses_under_long stats.Stats.imisses_under_long_miss;
+  exact "ROB ahead of a long miss"
+    (Printf.sprintf "%h" (Fom_util.Stats.Acc.mean rob_ahead_of_long_miss))
+    (Printf.sprintf "%h" stats.Stats.rob_ahead_of_long_miss);
   exact "window at branch issue"
     (Printf.sprintf "%h" (Fom_util.Stats.Acc.mean window_at_branch_issue))
     (Printf.sprintf "%h" stats.Stats.window_at_branch_issue);

@@ -283,7 +283,25 @@ let test_machine_codes () =
   check_code "M005" "FOM-M005" (M.check { m with M.fetch_buffer = -1 });
   check_code "M006" "FOM-M006" (M.check { m with M.clusters = 0 });
   check_code "M007" "FOM-M007" (M.check { m with M.clusters = 3 });
-  check_code "M008" "FOM-M008" (M.check { m with M.window_size = 47; clusters = 2 })
+  check_code "M008" "FOM-M008" (M.check { m with M.window_size = 47; clusters = 2 });
+  (* FOM-M009: clusters and FU limits only over an ideal L1D with no
+     dTLB, whatever the front end. *)
+  let dtlb = { Fom_cache.Tlb.entries = 16; page_bits = 13; walk_latency = 30 } in
+  let ideal_l1d =
+    M.with_cache { m.M.cache with Fom_cache.Hierarchy.l1d = Fom_cache.Hierarchy.Ideal } m
+  in
+  let fu = Fom_isa.Fu_set.make ~alu:2 ~load:1 () in
+  let rejects name path config =
+    Alcotest.(check (list (pair string string)))
+      (name ^ " reports FOM-M009") [ ("FOM-M009", path) ]
+      (List.map (fun d -> (d.D.code, d.D.path)) (M.check config))
+  in
+  rejects "clusters, real L1D" "machine.clusters" (M.with_clusters 2 m);
+  rejects "clusters, dTLB" "machine.clusters" (M.with_dtlb dtlb (M.with_clusters 2 ideal_l1d));
+  rejects "FU limits, real L1D" "machine.fu_limits" (M.with_fu_limits fu m);
+  rejects "FU limits, dTLB" "machine.fu_limits" (M.with_dtlb dtlb (M.with_fu_limits fu ideal_l1d));
+  check_clean "clusters and FU limits, real L1I and gshare, ideal L1D"
+    (M.check (M.with_fu_limits fu (M.with_clusters 2 ideal_l1d)))
 
 (* --- ring-capacity guards (FOM-I03x) --------------------------------- *)
 

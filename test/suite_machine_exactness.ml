@@ -134,13 +134,15 @@ let test_window_stat_bounded () =
     (stats.Stats.mean_rob_occupancy <= 128.0)
 
 (* The randomized machines of the properties below: shape and feature
-   set drawn independently. Variants 1 to 4 (real caches, clusters, FU
-   limits, a dTLB) run on the event kernel; 0 and 5 to 8 have an ideal
-   data side, one cluster and unbounded units, so they run on the
-   age-order kernel: an ideal machine, a wide ideal one whose window
-   rather than its width binds issue, a gshare predictor on ideal
-   caches, a real L1I over a real L2, and a fetch buffer behind a real
-   L1I and predictor. *)
+   set drawn independently. Variants 1 (real caches) and 4 (a dTLB and
+   a fetch buffer) run on the event kernel. The others have an ideal
+   L1D and no dTLB, so they run on the age-order kernel: an ideal
+   machine, 2 clusters behind gshare and a real L1I over a real L2, FU
+   limits with a fetch buffer on the same front end, a wide ideal
+   machine whose window rather than its width binds issue, a gshare
+   predictor on ideal caches, a real L1I over a real L2, and a fetch
+   buffer behind a real L1I and predictor. Clusters and FU limits need
+   the ideal L1D ([FOM-M009]). *)
 let random_config ~width ~variant ~shape =
   let base =
     {
@@ -151,17 +153,20 @@ let random_config ~width ~variant ~shape =
       rob_size = 96 + (32 * (shape mod 3));
     }
   in
+  let ideal_data = Config.with_cache { base.Config.cache with Hierarchy.l1d = Hierarchy.Ideal } base in
   match variant with
   | 0 -> Config.ideal base
   | 1 -> base
-  | 2 -> Config.with_clusters 2 base
-  | 3 -> Config.with_fu_limits (Fom_isa.Fu_set.make ~alu:2 ~load:1 ~mul:1 ()) base
+  | 2 -> Config.with_clusters 2 ideal_data
+  | 3 ->
+      Config.with_fetch_buffer 16
+        (Config.with_fu_limits (Fom_isa.Fu_set.make ~alu:2 ~load:1 ~mul:1 ()) ideal_data)
   | 4 ->
       Config.with_fetch_buffer 16
         (Config.with_dtlb { Fom_cache.Tlb.entries = 16; page_bits = 13; walk_latency = 30 } base)
   | 5 -> { (Config.ideal base) with width = 16 }
   | 6 -> Config.with_predictor Predictor.default_spec (Config.ideal base)
-  | 7 -> Config.with_cache { base.Config.cache with Hierarchy.l1d = Hierarchy.Ideal } base
+  | 7 -> ideal_data
   | _ -> Config.with_fetch_buffer 16 (Config.with_cache Hierarchy.ideal_except_l1i base)
 
 (* A recorded run of [config] over [packed] must pass the pipeline
@@ -203,9 +208,11 @@ let prop_pipeline_record_passes_checker =
    (a long miss re-books from a clamped bucket, across skipped idle
    cycles), and cycle limits just below and at the run's length, where
    a skip must stop at the limit so that the run raises exactly when
-   stepping every cycle would. The last machine runs on the age-order
-   kernel: a real L1I whose misses the L2 fills in zero cycles, which
-   still ends the fetch cycle. *)
+   stepping every cycle would. The last two machines run on the
+   age-order kernel: clusters and FU limits behind a real L1I and a
+   fetch buffer, whose I-misses reach memory, and a real L1I whose
+   misses the L2 fills in zero cycles, which still ends the fetch
+   cycle. *)
 let test_checker_grid () =
   let n = 1000 in
   let machines =
@@ -214,10 +221,11 @@ let test_checker_grid () =
       ("dc", Config.with_cache Hierarchy.ideal_except_data ideal);
       ( "clustered",
         Config.with_fetch_buffer 16
-          (Config.with_dtlb
-             { Fom_cache.Tlb.entries = 16; page_bits = 13; walk_latency = 30 }
-             (Config.with_fu_limits (Fom_isa.Fu_set.make ~alu:2 ~load:1 ())
-                (Config.with_clusters 2 Config.baseline))) );
+          (Config.with_fu_limits (Fom_isa.Fu_set.make ~alu:2 ~load:1 ())
+             (Config.with_clusters 2
+                (Config.with_cache
+                   { Hierarchy.baseline with Hierarchy.l1d = Hierarchy.Ideal }
+                   Config.baseline))) );
       ( "zero-cycle fills",
         Config.with_cache
           {
@@ -354,7 +362,14 @@ let test_resumable_packed_runs_compose () =
         Config.with_fetch_buffer 16
           (Config.with_dtlb
              { Fom_cache.Tlb.entries = 64; page_bits = 13; walk_latency = 30 }
-             (Config.with_clusters 2 Config.baseline)) );
+             Config.baseline) );
+      ( "vpr",
+        Config.with_fetch_buffer 16
+          (Config.with_fu_limits (Fom_isa.Fu_set.make ~alu:2 ~load:1 ())
+             (Config.with_clusters 2
+                (Config.with_cache
+                   { Hierarchy.baseline with Hierarchy.l1d = Hierarchy.Ideal }
+                   Config.baseline))) );
     ]
 
 let test_packed_run_allocation_free () =
