@@ -18,7 +18,15 @@
    characterization runs exactly once per process regardless of
    --jobs. Nothing persists across processes: a full rerun takes
    seconds, and recomputing is the only way to be sure a result
-   matches the code that printed it. *)
+   matches the code that printed it.
+
+   Below these memos, the characterizations of one benchmark share
+   more than the packing: Characterize keeps, per packing, the IW
+   curve and one cache and predictor replay per memory system, so
+   the exhibits that characterize one benchmark under several ROB
+   sizes, groupings or parameters run one IW sweep and one replay per
+   cache hierarchy and dTLB. That sharing lives as long as the
+   packing, which [packed] keeps for the whole run. *)
 
 module Config = Fom_uarch.Config
 module Stats = Fom_uarch.Stats

@@ -1,6 +1,7 @@
 module Inputs = Fom_model.Inputs
 module Params = Fom_model.Params
 module Packed = Fom_trace.Packed
+module Memo = Fom_exec.Memo
 
 let assemble ~name ~n curve (profile : Profile.t) =
   {
@@ -23,6 +24,66 @@ let assemble ~name ~n curve (profile : Profile.t) =
     dtlb_groups = profile.Profile.dtlb_groups;
   }
 
+(* What every characterization of one packing shares, whatever its
+   window, ROB, width or depth: the IW curve, keyed by its windows and
+   instruction count, and the functional replay, keyed by the cache
+   hierarchy, the predictor, the dTLB and the instruction count (the
+   optional arguments as passed). Memo cells compute each once, and a
+   demander that finds one in flight helps the pool until it lands. *)
+type shared = {
+  curves : (int list option * int option, Iw_curve.t) Memo.t;
+  replays :
+    ( Fom_cache.Hierarchy.config option
+      * Fom_branch.Predictor.spec option
+      * Fom_cache.Tlb.spec option
+      * int,
+      Profile.replay )
+    Memo.t;
+}
+
+(* One [shared] per packing and pool: a waiter helps the pool its
+   cell was created with, and a pool that has shut down runs nothing. *)
+type entry = (Fom_exec.Pool.t option * shared) list ref
+
+(* The packing last characterized under each label and length, held
+   weakly: an ephemeron, so its entry lives only as long as the packing
+   and the table keeps no packing alive.
+
+   Reading an ephemeron's key keeps what it points to alive through
+   the collection in progress, and the lookup must read the key to
+   compare it with the probe. So the key is the packing's [op] column,
+   a flat int array no other packing shares, not the record, which
+   would keep every column alive; and there is one slot per label and
+   length, not a table of every packing. A table would read each
+   dead packing of a label on every lookup of that label (fresh
+   packings of one trace share it), and a caller that packs afresh
+   for every characterization would free none. A slot holding another
+   packing is replaced at once, so a column is read at most once after
+   its packing is dropped. *)
+let lock = Mutex.create ()
+let slots : (string * int, (int array, entry) Ephemeron.K1.t) Hashtbl.t = Hashtbl.create 16
+
+let shared pool (packed : Packed.t) =
+  Mutex.protect lock (fun () ->
+      let key = (Packed.label packed, Packed.length packed) in
+      let entry =
+        match
+          Option.bind (Hashtbl.find_opt slots key) (fun slot ->
+              Ephemeron.K1.query slot packed.Packed.op)
+        with
+        | Some entry -> entry
+        | None ->
+            let entry = ref [] in
+            Hashtbl.replace slots key (Ephemeron.K1.make packed.Packed.op entry);
+            entry
+      in
+      match List.find_opt (fun (p, _) -> Option.equal ( == ) p pool) !entry with
+      | Some (_, shared) -> shared
+      | None ->
+          let shared = { curves = Memo.create ?pool (); replays = Memo.create ?pool () } in
+          entry := (pool, shared) :: !entry;
+          shared)
+
 let curve_and_inputs_of_packed ?pool ?windows ?iw_instructions ?cache ?predictor ?latencies
     ?grouping ?dtlb ~(params : Params.t) packed ~n =
   Params.validate params;
@@ -33,10 +94,18 @@ let curve_and_inputs_of_packed ?pool ?windows ?iw_instructions ?cache ?predictor
            (Printf.sprintf
               "packed trace of %d instructions is shorter than the %d-instruction profile"
               (Packed.length packed) n)));
-  let curve = Iw_curve.measure_packed ?pool ?windows ?n:iw_instructions packed in
+  let shared = shared pool packed in
+  let curve =
+    Memo.get shared.curves (windows, iw_instructions) (fun () ->
+        Iw_curve.measure_packed ?pool ?windows ?n:iw_instructions packed)
+  in
+  let replay =
+    Memo.get shared.replays (cache, predictor, dtlb, n) (fun () ->
+        Profile.replay ?cache ?predictor ?dtlb packed ~n)
+  in
   let profile =
-    Profile.run_packed ?cache ?predictor ?latencies ?grouping ?dtlb
-      ~burst_window:params.Params.window_size ~group_window:params.Params.rob_size packed ~n
+    Profile.group ?latencies ?grouping ~burst_window:params.Params.window_size
+      ~group_window:params.Params.rob_size packed replay
   in
   (curve, profile, assemble ~name:(Packed.label packed) ~n curve profile)
 

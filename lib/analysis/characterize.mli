@@ -4,7 +4,11 @@
     5): the idealized IW curve gives alpha/beta; the functional
     profile gives the mean latency, the miss-event rates, the
     misprediction bursts, and the long-miss group distribution for the
-    machine's ROB size. No detailed simulation is involved. *)
+    machine's ROB size. No detailed simulation is involved. The
+    curve depends on the trace alone, and the cache and predictor
+    replay on the trace and the memory system alone, so
+    characterizations of one packing share them
+    ({!curve_and_inputs_of_packed}). *)
 
 val inputs :
   ?pool:Fom_exec.Pool.t ->
@@ -56,4 +60,15 @@ val curve_and_inputs_of_packed :
     (Table 1, Figures 4–5) or share one packing between
     characterization and detailed simulation. The packing must cover
     the profile's [n] instructions ([FOM-I033]) and the IW sweep's
-    needs (see {!Iw_curve.measure_packed}). *)
+    needs (see {!Iw_curve.measure_packed}).
+
+    Characterizations of one packing share their work: the IW curve,
+    keyed by [windows] and [iw_instructions], and the functional
+    replay ({!Profile.replay}), keyed by [cache], [predictor], [dtlb]
+    and [n], each as passed. Only the grouping ({!Profile.group}) and
+    the assembly run per call, so a sweep over windows, ROBs, widths
+    and depths pays for one IW sweep and one replay per memory
+    system. Concurrent calls compute a shared result once, and a
+    caller waiting on one helps [pool]; results under another pool are
+    computed again. The shared results are held, by the packing's
+    physical identity, only as long as the packing lives. *)

@@ -23,206 +23,230 @@ type t = {
 
 type grouping = Dependence_aware | Paper_naive
 
-(* Tracks runs of events, emitting run lengths into a distribution.
-   [Leader]-anchored runs admit a new event only within [window]
-   instructions of the run's first event (a follower overlaps the
-   leader's outstanding miss only while the leader pins the ROB);
-   [Previous]-anchored runs chain on consecutive distances (the
-   paper's reading). [split] forces a new run regardless. *)
-type anchor = Leader | Previous
+(* Ascending instruction indices of one kind of miss-event: the first
+   [len] entries of [data]. The first push allocates 1024 entries, past
+   the minor heap's largest block: a replay is kept as long as its
+   packing, so its arrays would be promoted anyway. *)
+type events = { mutable data : int array; mutable len : int }
 
-type grouper = {
-  dist : Distribution.t;
-  window : int;
-  anchor : anchor;
-  mutable leader_index : int;
-  mutable last_index : int;
-  mutable run : int;
-}
+let events () = { data = [||]; len = 0 }
 
-let grouper ?(anchor = Previous) window =
-  {
-    dist = Distribution.create ();
-    window;
-    anchor;
-    leader_index = min_int / 2;
-    last_index = min_int / 2;
-    run = 0;
-  }
-
-(* Returns [true] when the event started a new run. *)
-let[@inline] grouper_add ?(split = false) g index =
-  let reference = match g.anchor with Leader -> g.leader_index | Previous -> g.last_index in
-  let extends = (not split) && g.run > 0 && index - reference <= g.window in
-  if extends then g.run <- g.run + 1
-  else begin
-    if g.run > 0 then Distribution.add g.dist g.run;
-    g.run <- 1;
-    g.leader_index <- index
+let[@inline] push e index =
+  if e.len = Array.length e.data then begin
+    let bigger = Array.make (Int.max 1024 (2 * e.len)) 0 in
+    Array.blit e.data 0 bigger 0 e.len;
+    e.data <- bigger
   end;
-  g.last_index <- index;
-  not extends
+  e.data.(e.len) <- index;
+  e.len <- e.len + 1
 
-let grouper_flush g = if g.run > 0 then Distribution.add g.dist g.run
+type replay = {
+  length : int;
+  counts : int array;  (* per opclass tag *)
+  branches : int;
+  mispredicted : events;
+  l1i_misses : int;
+  l2i_misses : int;
+  short_misses : int;
+  long_loads : events;  (* loads served by memory *)
+  dtlb_loads : events;  (* loads that missed the dTLB *)
+  l2_latency : int;
+}
+let load_tag = Opclass.to_int Opclass.Load
+let store_tag = Opclass.to_int Opclass.Store
+let branch_tag = Opclass.to_int Opclass.Branch
 
-(* Transitive-dependence taint over a ring of recent instructions:
-   an instruction is tainted by the open miss group when any of its
-   producers is a group member or itself tainted. A tainted long miss
-   cannot overlap the group — its address waits for the group's data. *)
+(* Observability (a no-op unless an Fom_obs sink is enabled). *)
+let s_replay = Fom_obs.Span.id "analysis.profile"
+
+let replay ?(cache = Hierarchy.baseline) ?(predictor = Predictor.default_spec) ?dtlb
+    (packed : Packed.t) ~n =
+  Fom_check.Checker.ensure ~code:"FOM-I030" ~path:"profile.n" (n > 0)
+    "profiled instruction count must be positive";
+  Fom_check.Checker.ensure ~code:"FOM-I030" ~path:"profile.n" (n <= Packed.length packed)
+    "profiled instruction count exceeds the packed trace";
+  Fom_obs.Span.with_ s_replay (fun () ->
+      let hierarchy = Hierarchy.create cache in
+      let pred = Predictor.create predictor in
+      let tlb = Option.map Fom_cache.Tlb.create dtlb in
+      let counts = Array.make Opclass.count 0 in
+      let branches = ref 0 in
+      let short_misses = ref 0 in
+      let mispredicted = events () and long_loads = events () and dtlb_loads = events () in
+      let last_line = ref (-1) in
+      let line_mask = Hierarchy.inst_line_mask cache in
+      let { Packed.op; pc; ea; _ } = packed in
+      for i = 0 to n - 1 do
+        let cls = op.(i) in
+        counts.(cls) <- counts.(cls) + 1;
+        let line = pc.(i) land line_mask in
+        if line <> !last_line then begin
+          last_line := line;
+          ignore (Hierarchy.access_inst hierarchy pc.(i))
+        end;
+        if cls = load_tag then begin
+          let addr = ea.(i) in
+          (match tlb with
+          | Some tlb when not (Fom_cache.Tlb.access tlb addr) -> push dtlb_loads i
+          | Some _ | None -> ());
+          match Hierarchy.access_data hierarchy addr with
+          | Hierarchy.L1_hit -> ()
+          | Hierarchy.L2_hit -> incr short_misses
+          | Hierarchy.Memory -> push long_loads i
+        end
+        else if cls = store_tag then begin
+          (* Store misses fill the TLB but are not miss-events. *)
+          (match tlb with Some tlb -> ignore (Fom_cache.Tlb.access tlb ea.(i)) | None -> ());
+          ignore (Hierarchy.access_data hierarchy ea.(i))
+        end
+        else if cls = branch_tag then begin
+          incr branches;
+          let taken = ea.(i) land 1 = 1 in
+          if not (Predictor.observe pred ~pc:pc.(i) ~taken) then push mispredicted i
+        end
+      done;
+      let stats = Hierarchy.stats hierarchy in
+      {
+        length = n;
+        counts;
+        branches = !branches;
+        mispredicted;
+        l1i_misses = stats.Hierarchy.l1i_misses - stats.Hierarchy.l2i_misses;
+        l2i_misses = stats.Hierarchy.l2i_misses;
+        short_misses = !short_misses;
+        long_loads;
+        dtlb_loads;
+        l2_latency = Hierarchy.data_latency hierarchy Hierarchy.L2_hit;
+      })
+
+(* Runs of ascending event indices in which each event lies within
+   [window] instructions of the previous one: misprediction bursts and
+   the paper's long-miss groups. *)
+let chained_runs ~window { data = events; len = count } =
+  let dist = Distribution.create () in
+  if count > 0 then begin
+    let run = ref 1 in
+    for k = 1 to count - 1 do
+      if events.(k) - events.(k - 1) <= window then incr run
+      else begin
+        Distribution.add dist !run;
+        run := 1
+      end
+    done;
+    Distribution.add dist !run
+  end;
+  dist
+
+(* The taint ring holds the next power of two above the window, at
+   most 2^14 entries. A window below that never wraps it; a wider one
+   wraps it as the one-pass profile's fixed 2^14-entry ring did
+   (test/profile_oracle.ml), so the groups match it for every ROB. *)
 let taint_bits = 14
-let taint_size = 1 lsl taint_bits
-let taint_mask = taint_size - 1
 
-type taint = { idx : int array; group : int array }
+let ring_size window =
+  let rec grow size = if size > window || size >= 1 lsl taint_bits then size else grow (2 * size) in
+  grow 1
 
-let taint_create size = { idx = Array.make size (-1); group = Array.make size (-1) }
-
-(* [deps.(lo) .. deps.(hi - 1)] is one instruction's slice of a
-   packed trace's dependence column. A loop rather than a recursion so
-   that it inlines into the per-instruction loop, as do [taint_mark]
-   and [grouper_add]: no call spills that loop's live values. *)
-let[@inline] tainted_by taint ~group_id deps lo hi =
-  let k = ref lo in
+(* Whether instruction [i] depends on an entry of [marked] at or above
+   [leader]. A loop, so that it inlines into the scan. *)
+let[@inline] tainted marked dep_off dep_val ~leader i =
+  let mask = Array.length marked - 1 in
+  let hi = dep_off.(i + 1) in
+  let k = ref dep_off.(i) in
   while
     !k < hi
     &&
-    let d = deps.(!k) in
-    let slot = d land taint_mask in
-    not (taint.idx.(slot) = d && taint.group.(slot) = group_id)
+    let d = dep_val.(!k) in
+    not (d >= leader && marked.(d land mask) = d)
   do
     incr k
   done;
   !k < hi
 
-let[@inline] taint_mark taint ~group_id index =
-  let slot = index land taint_mask in
-  taint.idx.(slot) <- index;
-  taint.group.(slot) <- group_id
+(* Leader-anchored groups of ascending event indices: an event joins
+   the open group when it lies within [window] instructions of the
+   group's first event, its leader (it can enter the ROB while the
+   leader's miss is outstanding). With [taint], an event that depends
+   transitively on a group member cannot overlap the group, since its
+   address waits for the group's data: it leads a new group instead.
 
-let load_tag = Opclass.to_int Opclass.Load
-let store_tag = Opclass.to_int Opclass.Store
-let branch_tag = Opclass.to_int Opclass.Branch
-
-let run_packed ?(cache = Hierarchy.baseline) ?(predictor = Predictor.default_spec)
-    ?(latencies = Latency.default) ?(burst_window = 48) ?(group_window = 128)
-    ?(grouping = Dependence_aware) ?dtlb (packed : Packed.t) ~n =
-  Fom_check.Checker.ensure ~code:"FOM-I030" ~path:"profile.n" (n > 0)
-    "profiled instruction count must be positive";
-  Fom_check.Checker.ensure ~code:"FOM-I030" ~path:"profile.n" (n <= Packed.length packed)
-    "profiled instruction count exceeds the packed trace";
-  let hierarchy = Hierarchy.create cache in
-  let pred = Predictor.create predictor in
-  let counts = Array.make Opclass.count 0 in
-  let latency_of = Latency.table latencies in
-  let l2_latency = Hierarchy.data_latency hierarchy Hierarchy.L2_hit in
-  let latency_sum = ref 0 in
-  let branches = ref 0 in
-  let mispredictions = ref 0 in
-  let bursts = grouper burst_window in
-  let groups =
-    match grouping with
-    | Dependence_aware -> grouper ~anchor:Leader group_window
-    | Paper_naive -> grouper ~anchor:Previous group_window
-  in
-  let aware = grouping = Dependence_aware in
-  let taint = taint_create taint_size in
-  let group_id = ref 0 in
-  let tlb = Option.map Fom_cache.Tlb.create dtlb in
-  let dtlb_misses = ref 0 in
-  let tlb_groups = grouper ~anchor:Leader group_window in
-  (* TLB misses get their own dependence taint: a walk whose address
-     depends on an in-group walk serializes, exactly like long data
-     misses. Only dependence-aware grouping with a dTLB reads it. *)
-  let tlb_aware = aware && Option.is_some tlb in
-  let tlb_taint = taint_create (if tlb_aware then taint_size else 0) in
-  let tlb_group_id = ref 0 in
-  let short_misses = ref 0 in
-  let long_misses = ref 0 in
-  let last_line = ref (-1) in
-  let line_mask = Hierarchy.inst_line_mask cache in
-  let { Packed.op; pc; dep_off; dep_val; ea; _ } = packed in
-  for i = 0 to n - 1 do
-    let cls = op.(i) in
-    counts.(cls) <- counts.(cls) + 1;
-    let line = pc.(i) land line_mask in
-    if line <> !last_line then begin
-      last_line := line;
-      ignore (Hierarchy.access_inst hierarchy pc.(i))
-    end;
-    let lo = dep_off.(i) and hi = dep_off.(i + 1) in
-    let is_tainted = aware && tainted_by taint ~group_id:!group_id dep_val lo hi in
-    let base_latency = latency_of.(cls) in
-    let marked_as_miss = ref false in
-    let tlb_tainted = tlb_aware && tainted_by tlb_taint ~group_id:!tlb_group_id dep_val lo hi in
-    let tlb_marked = ref false in
-    if cls = load_tag then begin
-      let addr = ea.(i) in
-      (match tlb with
-      | Some tlb when not (Fom_cache.Tlb.access tlb addr) ->
-          incr dtlb_misses;
-          if grouper_add ~split:tlb_tainted tlb_groups i then incr tlb_group_id;
-          if aware then begin
-            taint_mark tlb_taint ~group_id:!tlb_group_id i;
-            tlb_marked := true
-          end
-      | Some _ | None -> ());
-      match Hierarchy.access_data hierarchy addr with
-      | Hierarchy.L1_hit -> latency_sum := !latency_sum + base_latency
-      | Hierarchy.L2_hit ->
-          incr short_misses;
-          (* Short misses behave like a long-latency functional
-             unit: they lengthen the mean latency (paper 4.3). *)
-          latency_sum := !latency_sum + l2_latency
-      | Hierarchy.Memory ->
-          incr long_misses;
-          (* A miss that depends on the open group serializes after
-             it and starts a new group. *)
-          if grouper_add ~split:is_tainted groups i then incr group_id;
-          if aware then begin
-            taint_mark taint ~group_id:!group_id i;
-            marked_as_miss := true
-          end;
-          (* Long misses are modeled separately; they contribute
-             their base latency here. *)
-          latency_sum := !latency_sum + base_latency
-    end
-    else begin
-      if cls = store_tag then begin
-        (* Store misses fill the TLB but are not miss-events. *)
-        (match tlb with Some tlb -> ignore (Fom_cache.Tlb.access tlb ea.(i)) | None -> ());
-        ignore (Hierarchy.access_data hierarchy ea.(i))
-      end
-      else if cls = branch_tag then begin
-        incr branches;
-        let taken = ea.(i) land 1 = 1 in
-        if not (Predictor.observe pred ~pc:pc.(i) ~taken) then begin
-          incr mispredictions;
-          ignore (grouper_add bursts i)
+   Only an event within [window] of a leader can split its group, so
+   the dependences are scanned only from each leader up to its group's
+   last candidate event. The ring [marked] holds each scanned
+   instruction that is a member or depends on one, by its index; an
+   entry at or above the current leader was written by the current
+   scan, so the check needs no group tag. *)
+let leader_groups ~taint (packed : Packed.t) ~window { data = events; len = count } =
+  let dist = Distribution.create () in
+  (* One event forms one group: no ring to fill. *)
+  let taint = taint && count > 1 in
+  let marked = Array.make (if taint then ring_size window else 0) (-1) in
+  let mask = Array.length marked - 1 in
+  let { Packed.dep_off; dep_val; _ } = packed in
+  let k = ref 0 in
+  while !k < count do
+    let leader = events.(!k) in
+    let run = ref 1 in
+    incr k;
+    if taint then begin
+      marked.(leader land mask) <- leader;
+      let scanned = ref (leader + 1) in
+      let split = ref false in
+      while (not !split) && !k < count && events.(!k) - leader <= window do
+        let event = events.(!k) in
+        for i = !scanned to event - 1 do
+          if tainted marked dep_off dep_val ~leader i then marked.(i land mask) <- i
+        done;
+        if tainted marked dep_off dep_val ~leader event then split := true
+        else begin
+          marked.(event land mask) <- event;
+          incr run;
+          incr k;
+          scanned := event + 1
         end
-      end;
-      latency_sum := !latency_sum + base_latency
-    end;
-    if is_tainted && not !marked_as_miss then taint_mark taint ~group_id:!group_id i;
-    if tlb_tainted && not !tlb_marked then taint_mark tlb_taint ~group_id:!tlb_group_id i
+      done
+    end
+    else
+      while !k < count && events.(!k) - leader <= window do
+        incr run;
+        incr k
+      done;
+    Distribution.add dist !run
   done;
-  grouper_flush bursts;
-  grouper_flush groups;
-  grouper_flush tlb_groups;
-  let cache_stats = Hierarchy.stats hierarchy in
+  dist
+
+let group ?(latencies = Latency.default) ?(grouping = Dependence_aware) ~burst_window
+    ~group_window (packed : Packed.t) r =
+  Fom_check.Checker.ensure ~code:"FOM-I030" ~path:"profile.n" (r.length <= Packed.length packed)
+    "the replay covers more instructions than the packed trace";
+  let latency_of = Latency.table latencies in
+  (* Every instruction contributes its class latency, except that a
+     short miss lengthens its load to the L2 latency: short misses
+     behave like a long-latency functional unit (paper 4.3). Long
+     misses are modeled separately and keep their base latency. *)
+  let latency_sum = ref (r.short_misses * (r.l2_latency - latency_of.(load_tag))) in
+  Array.iteri (fun cls count -> latency_sum := !latency_sum + (count * latency_of.(cls))) r.counts;
+  let aware = grouping = Dependence_aware in
+  let long_miss_groups =
+    if aware then leader_groups ~taint:true packed ~window:group_window r.long_loads
+    else chained_runs ~window:group_window r.long_loads
+  in
   {
-    instructions = n;
-    class_counts = List.mapi (fun k cls -> (cls, counts.(k))) Opclass.all;
-    avg_latency = float_of_int !latency_sum /. float_of_int n;
-    branches = !branches;
-    mispredictions = !mispredictions;
-    mispred_bursts = bursts.dist;
-    l1i_misses = cache_stats.Hierarchy.l1i_misses - cache_stats.Hierarchy.l2i_misses;
-    l2i_misses = cache_stats.Hierarchy.l2i_misses;
-    short_misses = !short_misses;
-    long_misses = !long_misses;
-    long_miss_groups = groups.dist;
-    dtlb_misses = !dtlb_misses;
-    dtlb_groups = tlb_groups.dist;
+    instructions = r.length;
+    class_counts = List.mapi (fun k cls -> (cls, r.counts.(k))) Opclass.all;
+    avg_latency = float_of_int !latency_sum /. float_of_int r.length;
+    branches = r.branches;
+    mispredictions = r.mispredicted.len;
+    mispred_bursts = chained_runs ~window:burst_window r.mispredicted;
+    l1i_misses = r.l1i_misses;
+    l2i_misses = r.l2i_misses;
+    short_misses = r.short_misses;
+    long_misses = r.long_loads.len;
+    long_miss_groups;
+    dtlb_misses = r.dtlb_loads.len;
+    (* A walk whose address depends on an in-group walk serializes,
+       exactly like a long data miss. *)
+    dtlb_groups = leader_groups ~taint:aware packed ~window:group_window r.dtlb_loads;
   }
 
 let class_fraction t cls =
@@ -231,4 +255,8 @@ let class_fraction t cls =
 
 let per_instr t count = float_of_int count /. float_of_int t.instructions
 
-let run program ~n = run_packed (Packed.of_source (Fom_trace.Source.of_program program) ~n) ~n
+let run program ~n =
+  let packed = Packed.of_source (Fom_trace.Source.of_program program) ~n in
+  let params = Fom_model.Params.baseline in
+  group ~burst_window:params.Fom_model.Params.window_size
+    ~group_window:params.Fom_model.Params.rob_size packed (replay packed ~n)

@@ -1,10 +1,13 @@
 (** Functional (timing-free) trace profiling.
 
-    One pass over the trace drives the caches and the branch predictor
-    functionally and collects every rate and distribution the model
-    needs — the paper's "simple trace-driven simulations of caches and
-    branch predictors" (Section 5, step 5). No cycle-level machinery
-    is involved. *)
+    Every rate and distribution the model needs, from the paper's
+    "simple trace-driven simulations of caches and branch predictors"
+    (Section 5, step 5), in two stages. {!replay} is one pass over the
+    trace that drives the caches, the predictor and the dTLB
+    functionally and keeps where the miss-events fell; {!group} turns
+    one replay into the profile of one machine: its mean latency,
+    misprediction bursts and miss groups. No cycle-level machinery is
+    involved. *)
 
 type grouping =
   | Dependence_aware
@@ -43,25 +46,44 @@ type t = {
       (** TLB-miss group sizes (leader-anchored, ROB window) *)
 }
 
-val run_packed :
+type replay
+(** One functional replay of a packed trace: the class counts, the
+    miss counts and the ascending indices of the mispredicted branches,
+    the long-miss loads and the dTLB-miss loads. It depends on the
+    trace, the cache hierarchy, the predictor, the dTLB and [n] alone,
+    so one replay serves every machine that shares them, whatever its
+    issue window, ROB or latencies. *)
+
+val replay :
   ?cache:Fom_cache.Hierarchy.config ->
   ?predictor:Fom_branch.Predictor.spec ->
-  ?latencies:Fom_isa.Latency.t ->
-  ?burst_window:int ->
-  ?group_window:int ->
-  ?grouping:grouping ->
   ?dtlb:Fom_cache.Tlb.spec ->
-  Fom_trace.Packed.t -> n:int -> t
-(** Profile the first [n] instructions of a packed trace, read
-    straight from its columns ([FOM-I030] unless
-    [0 < n <= Packed.length]). Defaults: the paper's baseline cache
-    hierarchy and 8K gShare, default latencies, burst window 48 (the
-    issue-window size), group window 128 (the ROB size), and
-    {!Dependence_aware} grouping. *)
+  Fom_trace.Packed.t -> n:int -> replay
+(** Drive the caches, the predictor and the dTLB over the first [n]
+    instructions of a packed trace, read straight from its columns
+    ([FOM-I030] unless [0 < n <= Packed.length]), in one pass under
+    the [analysis.profile] span. Defaults: the paper's baseline cache
+    hierarchy and 8K gShare, no dTLB. *)
+
+val group :
+  ?latencies:Fom_isa.Latency.t ->
+  ?grouping:grouping ->
+  burst_window:int -> group_window:int ->
+  Fom_trace.Packed.t -> replay -> t
+(** The profile of one machine from a replay of this packing
+    ([FOM-I030] if the packing is shorter than the replay): the mean
+    latency under [latencies] (default {!Fom_isa.Latency.default}),
+    the misprediction bursts within [burst_window] (the issue-window
+    size), and the long-miss and dTLB-miss groups within
+    [group_window] (the ROB size) under [grouping] (default
+    {!Dependence_aware}). Dependences are read only within
+    [group_window] after each group leader, since no other instruction
+    can split a group, so this costs a fraction of the replay. *)
 
 val run : Fom_trace.Program.t -> n:int -> t
-(** {!run_packed} with every default over the first [n] instructions
-    of the program, packed. *)
+(** {!replay} and {!group} with every default over the first [n]
+    instructions of the program, packed, for the baseline machine's
+    issue window and ROB ({!Fom_model.Params.baseline}). *)
 
 val class_fraction : t -> Fom_isa.Opclass.t -> float
 

@@ -17,6 +17,13 @@ let micro_preset name =
 let pack program ~n =
   Fom_trace.Packed.of_source (Fom_trace.Source.of_program program) ~n
 
+(* The library's profile of the first [n] instructions of [packed]
+   for the baseline machine's issue window (48) and ROB (128): its
+   replay, then its grouping. *)
+let profile ?cache ?predictor ?dtlb ?grouping packed ~n =
+  Profile.group ?grouping ~burst_window:48 ~group_window:128 packed
+    (Profile.replay ?cache ?predictor ?dtlb packed ~n)
+
 let gzip = lazy (program "gzip")
 let mcf = lazy (program "mcf")
 let vpr = lazy (program "vpr")
@@ -107,14 +114,14 @@ let test_profile_avg_latency_bounds () =
 
 let test_profile_ideal_cache_no_misses () =
   let packed = pack (Lazy.force mcf) ~n:30000 in
-  let prof = Profile.run_packed ~cache:Hierarchy.all_ideal packed ~n:30000 in
+  let prof = profile ~cache:Hierarchy.all_ideal packed ~n:30000 in
   Alcotest.(check int) "no long misses" 0 prof.Profile.long_misses;
   Alcotest.(check int) "no short misses" 0 prof.Profile.short_misses;
   Alcotest.(check int) "no l1i misses" 0 prof.Profile.l1i_misses
 
 let test_profile_ideal_predictor_no_mispredictions () =
   let packed = pack (Lazy.force gzip) ~n:30000 in
-  let prof = Profile.run_packed ~predictor:Predictor.Ideal packed ~n:30000 in
+  let prof = profile ~predictor:Predictor.Ideal packed ~n:30000 in
   Alcotest.(check int) "none" 0 prof.Profile.mispredictions
 
 let test_profile_matches_machine_events () =
@@ -160,8 +167,8 @@ let test_stats_pp_smoke () =
 let test_profile_grouping_modes () =
   let p = Lazy.force mcf in
   let packed = pack p ~n:50000 in
-  let aware = Profile.run_packed ~grouping:Profile.Dependence_aware packed ~n:50000 in
-  let naive = Profile.run_packed ~grouping:Profile.Paper_naive packed ~n:50000 in
+  let aware = profile ~grouping:Profile.Dependence_aware packed ~n:50000 in
+  let naive = profile ~grouping:Profile.Paper_naive packed ~n:50000 in
   Alcotest.(check int) "same misses" aware.Profile.long_misses naive.Profile.long_misses;
   (* Chains split dependence-aware groups, so there are at least as
      many groups (i.e. smaller mean size). *)
@@ -179,7 +186,7 @@ let test_profile_group_members_match_misses () =
   in
   Alcotest.(check int) "every miss in exactly one group" prof.Profile.long_misses members
 
-(* Digest of every field of [Profile.run_packed] over one packing, at
+(* Digest of every field of the two-stage profile over one packing, at
    the baseline and Figure 14 caches, without and with a 64-entry dTLB
    and under both groupings: the float mean latency by its bits, the
    distributions by their (size, count) lists. *)
@@ -195,7 +202,7 @@ let profile_digest packed ~n =
         (fun dtlb ->
           List.iter
             (fun grouping ->
-              let p = Profile.run_packed ~cache ?dtlb ~grouping packed ~n in
+              let p = profile ~cache ?dtlb ~grouping packed ~n in
               Buffer.add_string b
                 (Printf.sprintf "%d %Ld [%s] %d %d %d %d %d %d %d | %s | %s | %s\n"
                    p.Profile.instructions
@@ -338,6 +345,132 @@ let prop_results_independent_of_packing_length =
       in
       compare (inputs_data exact) (inputs_data shared) = 0
       && Float.equal (iw_ipc program ~window ~n) (Iw_sim.ipc_of_packed longer ~window ~n))
+
+(* A profile as plain data: the mean latency by its bits, the
+   distributions by their (size, count) lists. *)
+let profile_data (p : Profile.t) =
+  let d = Distribution.to_list in
+  ( ( p.Profile.instructions,
+      p.Profile.class_counts,
+      Int64.bits_of_float p.Profile.avg_latency,
+      p.Profile.branches,
+      p.Profile.mispredictions,
+      d p.Profile.mispred_bursts ),
+    (p.Profile.l1i_misses, p.Profile.l2i_misses, p.Profile.short_misses, p.Profile.long_misses),
+    (d p.Profile.long_miss_groups, p.Profile.dtlb_misses, d p.Profile.dtlb_groups) )
+
+let prop_two_stage_profile_matches_oracle =
+  (* The replay and grouping stages derive every field the one-pass
+     oracle does, bit for bit: Spec2000 and micro presets with random
+     stream seeds; baseline, Figure 14, ideal-except-data and all-ideal
+     caches; three predictors; no dTLB or an 8-entry one; both
+     groupings; burst and group windows 1-512 (taint scans from a
+     leader up to its whole window); unit, default and random latency
+     tables; 1-5000 instructions. *)
+  let caches =
+    [| Hierarchy.baseline; Hierarchy.fig14; Hierarchy.ideal_except_data; Hierarchy.all_ideal |]
+  in
+  let predictors = [| Predictor.default_spec; Predictor.Bimodal 10; Predictor.Always_taken |] in
+  QCheck.Test.make ~name:"two-stage profile equals the one-pass oracle" ~count:60
+    QCheck.(
+      pair
+        (quad (int_bound (Array.length presets - 1)) (int_bound 100_000) (int_range 1 5000)
+           (int_bound 1_000_000))
+        (pair (int_range 1 512) (int_range 1 512)))
+    (fun ((preset, seed, n, draw), (burst_window, group_window)) ->
+      let source =
+        Fom_trace.Source.of_program ~seed (Fom_trace.Program.generate presets.(preset))
+      in
+      let packed = Fom_trace.Packed.of_source source ~n in
+      let cache = caches.(draw mod 4) and predictor = predictors.(draw / 4 mod 3) in
+      let dtlb =
+        if draw / 12 mod 2 = 0 then None
+        else Some { Fom_cache.Tlb.entries = 8; page_bits = 12; walk_latency = 30 }
+      in
+      let grouping = if draw / 24 mod 2 = 0 then Profile.Dependence_aware else Profile.Paper_naive in
+      let latencies = latency_table (draw / 48 mod 3) seed in
+      let oracle =
+        Profile_oracle.run_packed ~cache ~predictor ~latencies ~burst_window ~group_window
+          ~grouping ?dtlb packed ~n
+      in
+      let staged =
+        Profile.group ~latencies ~grouping ~burst_window ~group_window packed
+          (Profile.replay ~cache ~predictor ?dtlb packed ~n)
+      in
+      profile_data oracle = profile_data staged)
+
+(* perfbench's design-sweep machine points: two memory systems, four
+   window and ROB sizes. *)
+let sweep_points =
+  List.concat_map
+    (fun cache ->
+      List.map
+        (fun (window_size, rob_size) ->
+          (cache, { Params.baseline with Params.window_size; rob_size }))
+        [ (32, 64); (48, 128); (64, 128); (128, 256) ])
+    [ None; Some Hierarchy.fig14 ]
+
+let iw_points () =
+  Option.value (List.assoc_opt "iw.points" (Fom_obs.Metrics.snapshot ()).Fom_obs.Metrics.counters)
+    ~default:0
+
+let test_characterize_once_per_packing () =
+  (* One packing characterized at every design-sweep point, shuffled
+     and concurrently on two domains, gives each point's result over a
+     packing of its own while running one IW sweep in all. The shared
+     results live only as long as the packing, and outlive the pool
+     they were computed on. *)
+  let n = 4000 and iw_instructions = 2000 in
+  let program = Lazy.force mcf in
+  let fresh () = pack program ~n:(n + 256) in
+  let characterize ?pool ?(iw_instructions = iw_instructions) (cache, params) packed =
+    let _, _, inputs =
+      Characterize.curve_and_inputs_of_packed ?pool ~iw_instructions ?cache ~params packed ~n
+    in
+    inputs_data inputs
+  in
+  let expected = List.map (fun point -> characterize point (fresh ())) sweep_points in
+  let shuffled =
+    let rng = Random.State.make [| 27 |] in
+    List.map (fun point -> (Random.State.bits rng, point)) (List.combine sweep_points expected)
+    |> List.sort compare |> List.map snd
+  in
+  let finalised = Atomic.make false in
+  let[@inline never] characterize_and_drop () =
+    let packed = fresh () in
+    Gc.finalise (fun _ -> Atomic.set finalised true) packed;
+    Fom_obs.Sink.enable ();
+    let points =
+      Fun.protect ~finally:Fom_obs.Sink.disable (fun () ->
+          let before = iw_points () in
+          Fom_exec.Pool.with_pool ~jobs:2 ~domains:2 (fun pool ->
+              List.iter2
+                (fun (_, expected) result ->
+                  Alcotest.(check bool) "shared packing, concurrent" true (expected = result))
+                shuffled
+                (Fom_exec.Pool.map pool
+                   ~f:(fun (point, _) -> characterize ~pool point packed)
+                   shuffled));
+          iw_points () - before)
+    in
+    Alcotest.(check int) "one IW sweep for the packing" (List.length Iw_curve.default_windows)
+      points;
+    (* A new pool reads the shared results and computes what is new:
+       an IW sweep of another length and a replay of another cache. *)
+    let point = (Some Hierarchy.ideal_except_data, Params.baseline) in
+    let expected_new = characterize ~iw_instructions:1500 point (fresh ()) in
+    Fom_exec.Pool.with_pool ~jobs:2 ~domains:2 (fun pool ->
+        List.iter2
+          (fun point expected ->
+            Alcotest.(check bool) "under a new pool" true
+              (expected = characterize ~pool point packed))
+          sweep_points expected;
+        Alcotest.(check bool) "computed under a new pool" true
+          (expected_new = characterize ~pool ~iw_instructions:1500 point packed))
+  in
+  characterize_and_drop ();
+  Gc.full_major ();
+  Alcotest.(check bool) "the dropped packing is collected" true (Atomic.get finalised)
 
 let test_packed_kernel_grid () =
   (* A fixed grid beside the random draws: three Spec2000 and three
@@ -521,6 +654,9 @@ let suite =
       Alcotest.test_case "iw sim agrees with machine" `Quick test_iw_sim_agrees_with_machine;
       QCheck_alcotest.to_alcotest prop_packed_kernel_bit_identical;
       QCheck_alcotest.to_alcotest prop_results_independent_of_packing_length;
+      QCheck_alcotest.to_alcotest prop_two_stage_profile_matches_oracle;
+      Alcotest.test_case "characterize once per packing" `Quick
+        test_characterize_once_per_packing;
       Alcotest.test_case "packed kernel grid matches oracle" `Quick test_packed_kernel_grid;
       Alcotest.test_case "packed round trip" `Quick test_packed_round_trip;
       Alcotest.test_case "iw sim ring guards" `Quick test_iw_sim_rejects_window_beyond_ring;

@@ -109,9 +109,9 @@ let test_fu_limits_model_tracks_sim () =
   let machine = Config.with_fu_limits fu ideal in
   let sim_ipc = Stats.ipc (Simulate.run machine p ~n) in
   let profile =
-    Fom_analysis.Profile.run_packed ~cache:Fom_cache.Hierarchy.all_ideal
-      (Fom_trace.Packed.of_source (Fom_trace.Source.of_program p) ~n)
-      ~n
+    let packed = Fom_trace.Packed.of_source (Fom_trace.Source.of_program p) ~n in
+    Fom_analysis.Profile.group ~burst_window:48 ~group_window:128 packed
+      (Fom_analysis.Profile.replay ~cache:Fom_cache.Hierarchy.all_ideal packed ~n)
   in
   let bound = Fu_saturation.effective_width fu ~mix:(mix_of profile) ~width:4 in
   Alcotest.(check bool)

@@ -75,8 +75,9 @@ let test_generation_allocation_per_instr () =
       per_instr ("Packed.of_source " ^ name) ~bound:0.5 (fun () ->
           ignore (Packed.of_source (Source.of_program p) ~n));
       let packed = Packed.of_source (Source.of_program p) ~n in
-      per_instr ("Profile.run_packed " ^ name) ~bound:1.0 (fun () ->
-          ignore (Profile.run_packed packed ~n));
+      per_instr ("Profile.replay and group " ^ name) ~bound:1.0 (fun () ->
+          ignore
+            (Profile.group ~burst_window:48 ~group_window:128 packed (Profile.replay packed ~n)));
       (* The recurrence's arrays are large enough to bypass the minor
          heap, so a run over a pre-built packing allocates ~nothing. *)
       let packed = Packed.of_source (Source.of_program p) ~n:(n + 256) in
