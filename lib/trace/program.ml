@@ -22,6 +22,7 @@ type t = {
   config : Config.t;
   statics : static array;
   blocks : block array;
+  distances : Rng.distances;
 }
 
 let code_base = 0x400000
@@ -198,7 +199,11 @@ let generate config =
   done;
   let blocks = Array.of_list (List.rev !blocks) in
   assert (Array.length blocks = n_blocks);
-  { config; statics = Array.of_list (List.rev !statics); blocks }
+  let deps = config.Config.deps in
+  let distances =
+    Rng.distances ~short_p:deps.short_p ~p:(1.0 /. deps.short_mean) ~long_max:deps.long_max
+  in
+  { config; statics = Array.of_list (List.rev !statics); blocks; distances }
 
 let entry _t = 0
 let static_count t = Array.length t.statics

@@ -34,6 +34,8 @@ type t = private {
   config : Config.t;
   statics : static array;
   blocks : block array;
+  distances : Fom_util.Rng.distances;
+      (** the dependence-distance law of [config.deps], tabulated once *)
 }
 
 val generate : Config.t -> t

@@ -35,7 +35,6 @@ type cursor = {
 type t = {
   program : Program.t;
   rng : Rng.t;  (* dependence-distance sampling *)
-  short_log : float;  (* [Float.log (1 - p)], p the short distances' success probability *)
   agens : Address_gen.t option array;  (* per static uid *)
   behaviors : Branch_behavior.t option array;
   last_instance : int array;  (* last dynamic index per chase chain *)
@@ -79,7 +78,6 @@ let create ?seed program =
   {
     program;
     rng = Rng.split seed_rng;
-    short_log = Float.log (1.0 -. (1.0 /. deps.Config.short_mean));
     agens;
     behaviors;
     last_instance = Array.make (Int.max n 1) (-1);
@@ -106,13 +104,10 @@ let create ?seed program =
    [k - 1 - j]. An empty ring yields no dependences. *)
 let sample_deps t c nsrc =
   let ring = t.ring in
-  let deps = t.program.Program.config.Config.deps in
+  let distances = t.program.Program.distances in
   let k = if ring.count = 0 then 0 else nsrc in
   for j = 0 to k - 1 do
-    let d =
-      if Rng.bernoulli t.rng deps.short_p then 1 + Rng.geometric_log t.rng t.short_log
-      else 1 + Rng.int t.rng deps.long_max
-    in
+    let d = Rng.distance t.rng distances in
     c.deps.(k - 1 - j) <- ring.idx.(ring_pos ring (Int.min d ring.count))
   done;
   c.ndeps <- k

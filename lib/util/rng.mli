@@ -47,9 +47,20 @@ val geometric : t -> float -> int
     of a Bernoulli([p]) process; support starts at 0. Requires
     [0 < p <= 1]. *)
 
-val geometric_log : t -> float -> int
-(** [geometric_log t (Float.log (1. -. p))] is [geometric t p], with
-    the constant log taken once by the caller instead of per draw. *)
+type distances
+(** A distance law: with probability [short_p] a short distance
+    [1 + geometric p], else a long one uniform on [1, long_max]. *)
+
+val distances : short_p:float -> p:float -> long_max:int -> distances
+(** [distances ~short_p ~p ~long_max] tabulates the law once, about
+    500 logs. Requires [0 < p <= 1] and [long_max > 0]. *)
+
+val distance : t -> distances -> int
+(** [distance t d] draws from [d]. It equals
+    [if bernoulli t short_p then 1 + geometric t p else 1 + int t long_max]
+    output for output, consuming the same generator outputs in the
+    same order; most short draws read the table instead of taking a
+    log. *)
 
 val categorical : t -> float array -> int
 (** [categorical t weights] draws an index with probability proportional

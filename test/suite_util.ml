@@ -91,6 +91,213 @@ let test_rng_categorical () =
   done;
   check_close 0.02 "weight 2 bin" 0.5 (float_of_int counts.(1) /. float_of_int n)
 
+(* SplitMix64 run backwards, to hand a draw a chosen uniform: the
+   output mix is a bijection (xor-shifts and odd multipliers), so a
+   state exists for every output. *)
+let gamma = 0x9E3779B97F4A7C15L
+
+let inverse_odd c =
+  (* Newton's iteration doubles the correct low bits: 3, 6, ..., 96. *)
+  let inv = ref c in
+  for _ = 1 to 5 do
+    inv := Int64.(mul !inv (sub 2L (mul c !inv)))
+  done;
+  !inv
+
+let unxorshift y s =
+  let x = ref y in
+  for _ = 1 to 3 do
+    x := Int64.(logxor y (shift_right_logical !x s))
+  done;
+  !x
+
+let unmix z =
+  let z = unxorshift z 31 in
+  let z = Int64.mul z (inverse_odd 0x94D049BB133111EBL) in
+  let z = unxorshift z 27 in
+  let z = Int64.mul z (inverse_odd 0xBF58476D1CE4E5B9L) in
+  unxorshift z 30
+
+(* A generator whose [nth] output carries [m] in its top 53 bits.
+   Seeds are 63-bit, so the 11 low bits, which no uniform reads, pick
+   a state that fits. *)
+let generator_with ~nth m =
+  let rec from low =
+    if low >= 2048 then Alcotest.failf "no 63-bit state yields %d" m
+    else
+      let out = Int64.(logor (shift_left (of_int m) 11) (of_int low)) in
+      let state = Int64.(sub (unmix out) (mul (of_int nth) gamma)) in
+      if Int64.of_int (Int64.to_int state) = state then begin
+        let seed = Int64.to_int state in
+        let twin = Rng.create seed in
+        for _ = 2 to nth do
+          ignore (Rng.bits64 twin)
+        done;
+        if Rng.bits64 twin <> out then Alcotest.failf "SplitMix64 inverted wrongly at %d" m;
+        Rng.create seed
+      end
+      else from (low + 1)
+  in
+  from 0
+
+(* The log draw the table stands for, written out from the uniform's
+   53 bits with [Int64.to_float]. *)
+let log_draw log_q m =
+  let u = Int64.to_float (Int64.of_int m) /. 9007199254740992.0 in
+  let u = if u <= 0.0 then 1e-18 else u in
+  int_of_float (Float.log u /. log_q)
+
+let top53 = 1 lsl 53
+let short_table p = Rng.distances ~short_p:1.0 ~p ~long_max:1
+let bucket_span = 1 lsl 45
+
+(* The short distance that [Rng.distance] draws from uniform [m]
+   under [d = short_table p], always short: the first output goes to
+   the short/long choice. It spends two outputs, or
+   only the choice's when [p = 1]. *)
+let table_draw p d m =
+  let r = generator_with ~nth:2 m in
+  let draw = Rng.distance r d - 1 in
+  let twin = generator_with ~nth:2 m in
+  for _ = 1 to if p = 1.0 then 1 else 2 do
+    ignore (Rng.bits64 twin)
+  done;
+  if Rng.bits64 r <> Rng.bits64 twin then
+    Alcotest.failf "p=%h: a short draw spent other outputs" p;
+  draw
+
+(* Checks [table_draw] against [log_draw] at [m +/- 0..4] for each
+   [m] and returns how many points lay in buckets whose two ends draw
+   the same count (answered by the table) and in the rest (which
+   must take the log). *)
+let check_table_near p ms =
+  let log_q = Float.log (1.0 -. p) in
+  let d = short_table p in
+  let same_ends = ref 0 and split_ends = ref 0 in
+  List.iter
+    (fun m ->
+      for delta = -4 to 4 do
+        let m = m + delta in
+        if m >= 0 && m < top53 then begin
+          let want = log_draw log_q m in
+          let got = table_draw p d m in
+          if got <> want then
+            Alcotest.failf "p=%h u=%d*2^-53: table draws %d, the log %d" p m got want;
+          let b = m / bucket_span in
+          if b > 0 && log_draw log_q (b * bucket_span) = log_draw log_q (((b + 1) * bucket_span) - 1)
+          then incr same_ends
+          else incr split_ends
+        end
+      done)
+    ms;
+  (!same_ends, !split_ends)
+
+(* Both ends of every bucket, and the uniforms nearest every [q^j]
+   boundary the log draw crosses above [u = 2^-53]. *)
+let check_table p =
+  let ends =
+    List.concat (List.init 256 (fun b -> [ b * bucket_span; ((b + 1) * bucket_span) - 1 ]))
+  in
+  let q = 1.0 -. p in
+  let rec boundaries j acc =
+    let m = Float.pow q (float_of_int j) *. 9007199254740992.0 in
+    if j > 2000 || not (m >= 1.0) then acc else boundaries (j + 1) (int_of_float m :: acc)
+  in
+  check_table_near p (ends @ List.sort_uniq compare (boundaries 1 []))
+
+(* Every preset's short distances, serial-chain's [p = 1] among them. *)
+let test_rng_distance_table () =
+  let short_means =
+    List.sort_uniq compare
+      (List.map
+         (fun c -> c.Fom_trace.Config.deps.short_mean)
+         (Fom_workloads.Spec2000.all @ Fom_workloads.Micro.all))
+  in
+  List.iter
+    (fun mean ->
+      let same, split = check_table (1.0 /. mean) in
+      if mean > 1.0 then begin
+        Alcotest.(check bool) (Printf.sprintf "mean %g: table answers" mean) true (same > 0);
+        Alcotest.(check bool) (Printf.sprintf "mean %g: log answers" mean) true (split > 0)
+      end)
+    short_means;
+  (* The choice is short exactly below [short_p]: with [p = 1] a short
+     draw is 1, a long one almost surely more. *)
+  List.iter
+    (fun short_p ->
+      let d = Rng.distances ~short_p ~p:1.0 ~long_max:(1 lsl 40) in
+      let at = int_of_float (short_p *. 9007199254740992.0) in
+      for m = Int.max 0 (at - 3) to Int.min (top53 - 1) (at + 3) do
+        let short = Int64.to_float (Int64.of_int m) /. 9007199254740992.0 < short_p in
+        if short <> (Rng.distance (generator_with ~nth:1 m) d = 1) then
+          Alcotest.failf "short_p=%h u=%d*2^-53: the choice disagrees with bernoulli" short_p m
+      done)
+    (List.sort_uniq compare
+       (0.1 +. 0x1p-50 :: List.map
+          (fun c -> c.Fom_trace.Config.deps.short_p)
+          (Fom_workloads.Spec2000.all @ Fom_workloads.Micro.all)))
+
+let gen_p =
+  (* Success probabilities in (0, 1]: uniform, near 0 and near 1. *)
+  QCheck.(
+    map
+      (fun (kind, x) ->
+        match kind mod 3 with
+        | 0 -> Float.max 1e-12 x
+        | 1 -> Float.max 1e-300 (x *. 1e-9)
+        | _ -> 1.0 -. (x *. 1e-9))
+      (pair small_nat (float_bound_inclusive 1.0)))
+
+let prop_distance_table_ends =
+  QCheck.Test.make ~name:"table geometric equals the log at bucket ends and boundaries"
+    ~count:10 gen_p (fun p ->
+      ignore (check_table p);
+      true)
+
+let prop_distance_table_random =
+  QCheck.Test.make ~name:"table geometric equals the log at random uniforms" ~count:200
+    QCheck.(pair gen_p (list_of_size (Gen.return 50) (int_bound (top53 - 1))))
+    (fun (p, ms) ->
+      let log_q = Float.log (1.0 -. p) and d = short_table p in
+      List.for_all (fun m -> table_draw p d m = log_draw log_q m) ms)
+
+let prop_distance_matches_three_draws =
+  (* One [Rng.distance] spends what [bernoulli short_p], then
+     [geometric p] or [int long_max] spent, output for output: each
+     written out here from [bits64]. *)
+  QCheck.Test.make ~name:"distance equals bernoulli, then geometric or int" ~count:200
+    QCheck.(quad small_nat (float_bound_inclusive 1.0) gen_p (int_range 1 1000))
+    (fun (seed, short_p, p, long_max) ->
+      let short_p = match seed mod 5 with 0 -> 0.0 | 1 -> 1.0 | _ -> short_p in
+      let d = Rng.distances ~short_p ~p ~long_max in
+      let log_q = Float.log (1.0 -. p) in
+      let r = Rng.create seed and twin = Rng.create seed in
+      let bits53 x = Int64.to_int (Int64.shift_right_logical x 11) in
+      let uniform x = Int64.to_float (Int64.shift_right_logical x 11) /. 9007199254740992.0 in
+      List.for_all
+        (fun _ ->
+          let want =
+            if uniform (Rng.bits64 twin) < short_p then
+              if p = 1.0 then 1 else 1 + log_draw log_q (bits53 (Rng.bits64 twin))
+            else 1 + (Int64.to_int (Int64.shift_right_logical (Rng.bits64 twin) 2) mod long_max)
+          in
+          Rng.distance r d = want)
+        (List.init 200 Fun.id))
+
+let prop_uniform_draws =
+  (* [float] and [bernoulli] convert without [Int64.to_float]; the
+     doubles must be the ones it gives. *)
+  QCheck.Test.make ~name:"float and bernoulli match Int64.to_float" ~count:200
+    QCheck.(triple small_nat (float_range (-0.5) 1.5) (float_range 0.0 1e6))
+    (fun (seed, p, x) ->
+      let r = Rng.create seed and twin = Rng.create seed in
+      let u () =
+        Int64.to_float (Int64.shift_right_logical (Rng.bits64 twin) 11) /. 9007199254740992.0
+      in
+      List.for_all
+        (fun _ -> Rng.bernoulli r p = (u () < p) && Rng.float r x = u () *. x)
+        (List.init 100 Fun.id))
+
 let test_stats_basics () =
   let a = [| 1.0; 2.0; 3.0; 4.0 |] in
   check_float "mean" 2.5 (Stats.mean a);
@@ -348,6 +555,10 @@ let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_rng_int_bounds;
+      prop_distance_table_ends;
+      prop_distance_table_random;
+      prop_distance_matches_three_draws;
+      prop_uniform_draws;
       prop_fit_power_law_roundtrip;
       prop_distribution_probabilities_sum;
       prop_distribution_mean_exact;
@@ -365,6 +576,7 @@ let suite =
       Alcotest.test_case "rng bernoulli mean" `Quick test_rng_bernoulli_mean;
       Alcotest.test_case "rng geometric mean" `Quick test_rng_geometric_mean;
       Alcotest.test_case "rng categorical" `Quick test_rng_categorical;
+      Alcotest.test_case "rng distance table equals the log" `Quick test_rng_distance_table;
       Alcotest.test_case "stats basics" `Quick test_stats_basics;
       Alcotest.test_case "stats empty" `Quick test_stats_empty;
       Alcotest.test_case "stats streaming accumulator" `Quick test_stats_acc_matches_batch;
