@@ -249,6 +249,8 @@ let compare_cmd =
   in
   let run config seed n width depth window rob all =
     let params = params_of width depth window rob in
+    (* A bad machine gets the model's diagnostics, before any work. *)
+    Fom_model.Params.validate params;
     let machine = machine_of width depth window rob in
     let configs = if all then Fom_workloads.Spec2000.all else [ config ] in
     let errs = ref [] in
@@ -256,9 +258,11 @@ let compare_cmd =
       List.map
         (fun config ->
           let program = program_of config seed in
+          (* The simulation packs the longer trace, which the
+             characterization then reuses. *)
+          let sim = Fom_uarch.Stats.cpi (Fom_uarch.Simulate.run machine program ~n) in
           let inputs = Fom_analysis.Characterize.inputs ~params program ~n in
           let model = Fom_model.Cpi.total (Fom_model.Cpi.evaluate params inputs) in
-          let sim = Fom_uarch.Stats.cpi (Fom_uarch.Simulate.run machine program ~n) in
           let err = 100.0 *. (model -. sim) /. sim in
           errs := Float.abs err :: !errs;
           [

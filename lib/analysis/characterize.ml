@@ -55,11 +55,14 @@ type entry = (Fom_exec.Pool.t option * shared) list ref
    a flat int array no other packing shares, not the record, which
    would keep every column alive; and there is one slot per label and
    length, not a table of every packing. A table would read each
-   dead packing of a label on every lookup of that label (fresh
-   packings of one trace share it), and a caller that packs afresh
-   for every characterization would free none. A slot holding another
-   packing is replaced at once, so a column is read at most once after
-   its packing is dropped. *)
+   dead packing of a label on every lookup of that label (packings of
+   one trace share it), and so keep alive every packing a caller made
+   and dropped. A slot holding another packing is replaced at once, so
+   a column is read at most once after its packing is dropped.
+   Program-fed characterizations ({!inputs_of_source}) take their
+   packing from {!Packed.at_least}, which hands a domain's
+   characterizations of one program the same packing while it lives,
+   so they too meet their shared results here. *)
 let lock = Mutex.create ()
 let slots : (string * int, (int array, entry) Ephemeron.K1.t) Hashtbl.t = Hashtbl.create 16
 
@@ -114,14 +117,15 @@ let inputs_of_source ?pool ?windows ?iw_instructions ?cache ?predictor ?latencie
   (* The machine is checked before any work: the model would reject
      it only after the whole characterization. *)
   Params.validate params;
-  (* Pack the trace once, sized for whichever pass reads furthest: the
-     profile's [n] or the IW sweep's instructions plus its largest
-     window of fetch-ahead. Both passes then replay the same flat
-     columns with no further decode of the underlying source. *)
+  (* One packing covers whichever pass reads furthest: the profile's
+     [n] or the IW sweep's instructions plus its largest window of
+     fetch-ahead (a longer packing of the source is reused). Both
+     passes then replay the same flat columns with no further decode
+     of the underlying source. *)
   let iw_instructions = Option.value iw_instructions ~default:30_000 in
   let windows = Option.value windows ~default:Iw_curve.default_windows in
   let max_window = List.fold_left Int.max 1 windows in
-  let packed = Packed.of_source source ~n:(Int.max n (iw_instructions + max_window)) in
+  let packed = Packed.at_least source ~n:(Int.max n (iw_instructions + max_window)) in
   let _, _, result =
     curve_and_inputs_of_packed ?pool ~windows ~iw_instructions ?cache ?predictor ?latencies
       ?grouping ?dtlb ~params packed ~n

@@ -27,7 +27,7 @@ val inputs :
     before any packing or profiling. Cache, predictor and latencies default to
     the paper's baseline. [?pool] parallelizes the IW-curve points
     (see {!Iw_curve.measure_packed}); results are bit-identical to the
-    sequential path. *)
+    sequential path. The program is packed as by {!inputs_of_source}. *)
 
 val inputs_of_source :
   ?pool:Fom_exec.Pool.t ->
@@ -41,9 +41,14 @@ val inputs_of_source :
   Fom_trace.Source.t -> n:int -> Fom_model.Inputs.t
 (** {!inputs} over any replayable source — the bring-your-own-trace
     path: characterize an imported trace and model it without any
-    synthetic generation. The source is packed once
-    ({!Fom_trace.Packed}) and both passes — the IW sweep and the
-    functional profile — replay the packed columns. *)
+    synthetic generation. One packing, of at least the profile's [n]
+    and the IW sweep's instructions plus its largest window, serves
+    both passes. It comes from {!Fom_trace.Packed.at_least}, so
+    characterizations of one program or schedule at several machine
+    points on a domain reuse one packing, and with it the IW curve and
+    replay shared per packing ({!curve_and_inputs_of_packed}). Every
+    pass reads only the rows it needs, so a longer packing gives the
+    same inputs. *)
 
 val curve_and_inputs_of_packed :
   ?pool:Fom_exec.Pool.t ->

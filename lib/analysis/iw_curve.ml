@@ -37,7 +37,7 @@ let measure ?(n = 30_000) program =
      exact for every sweep point, never wrapping. *)
   let max_window = List.fold_left Int.max 1 default_windows in
   let packed =
-    Fom_trace.Packed.of_source (Fom_trace.Source.of_program program) ~n:(n + max_window)
+    Fom_trace.Packed.at_least (Fom_trace.Source.of_program program) ~n:(n + max_window)
   in
   measure_packed ~n packed
 

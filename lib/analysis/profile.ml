@@ -256,7 +256,7 @@ let class_fraction t cls =
 let per_instr t count = float_of_int count /. float_of_int t.instructions
 
 let run program ~n =
-  let packed = Packed.of_source (Fom_trace.Source.of_program program) ~n in
+  let packed = Packed.at_least (Fom_trace.Source.of_program program) ~n in
   let params = Fom_model.Params.baseline in
   group ~burst_window:params.Fom_model.Params.window_size
     ~group_window:params.Fom_model.Params.rob_size packed (replay packed ~n)

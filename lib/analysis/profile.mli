@@ -82,8 +82,10 @@ val group :
 
 val run : Fom_trace.Program.t -> n:int -> t
 (** {!replay} and {!group} with every default over the first [n]
-    instructions of the program, packed, for the baseline machine's
-    issue window and ROB ({!Fom_model.Params.baseline}). *)
+    instructions of the program, for the baseline machine's issue
+    window and ROB ({!Fom_model.Params.baseline}). The program is
+    packed by {!Fom_trace.Packed.at_least}: the calling domain's last
+    packing of it is reused when it holds [n] rows. *)
 
 val class_fraction : t -> Fom_isa.Opclass.t -> float
 

@@ -109,6 +109,44 @@ let of_source source ~n =
   | Source.Recorded instrs -> write_recorded c deps instrs);
   { c with dep_val = !deps }
 
+(* Whether a packing of [a] serves [b]: a generator over the physically
+   same program and an equal seed, or a schedule of the same programs
+   and budgets, under one label. A recorded trace's array belongs to
+   its caller and is mutable, so it never matches. *)
+let same_source (a : Source.t) (b : Source.t) =
+  String.equal a.Source.label b.Source.label
+  &&
+  match (a.Source.kind, b.Source.kind) with
+  | Source.Generator { program = p; seed = s }, Source.Generator { program = q; seed = t } ->
+      p == q && Option.equal Int.equal s t
+  | Source.Schedule a, Source.Schedule b ->
+      List.equal (fun (p, budget) (q, budget') -> p == q && budget = budget') a b
+  | _ -> false
+
+(* The calling domain's last packing from {!at_least} and its source.
+   The packing is held weakly, so the slot keeps none alive. The source
+   is compared first: reading a weak pointer during a major cycle keeps
+   what it points to alive through that cycle. *)
+let last : (Source.t * t Weak.t) option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+
+let at_least source ~n =
+  (* A non-positive [n] reuses nothing: {!of_source} rejects it. *)
+  let reused =
+    match Domain.DLS.get last with
+    | Some (from, slot) when n > 0 && same_source from source -> (
+        match Weak.get slot 0 with Some packed when packed.len >= n -> Some packed | _ -> None)
+    | _ -> None
+  in
+  match (reused, source.Source.kind) with
+  | Some packed, _ -> packed
+  | None, Source.Recorded _ -> of_source source ~n
+  | None, (Source.Generator _ | Source.Schedule _) ->
+      let packed = of_source source ~n in
+      let slot = Weak.create 1 in
+      Weak.set slot 0 (Some packed);
+      Domain.DLS.set last (Some (source, slot));
+      packed
+
 (* Decode one instruction. Fields are well-formed (by construction
    from the generator, validated by {!Source.of_instrs} for a recorded
    trace), so the record is built directly rather than through

@@ -46,6 +46,26 @@ val of_source : Source.t -> n:int -> t
     field, wrapping past its end. The two generator writers allocate
     nothing per instruction. *)
 
+val at_least : Source.t -> n:int -> t
+(** A packing of at least [n] rows of the source, for callers that
+    hand the library a program or source rather than a packing
+    ([Simulate.run], [Characterize.inputs], [Profile.run] and
+    [Iw_curve.measure], and their source variants).
+    It returns the calling domain's most recent packing from this
+    function when that packing is of the same source, is still in
+    memory and holds at least [n] rows: a generator over the
+    physically same {!Program.t} with an equal seed, or a schedule of
+    the physically same programs with the same budgets, under the same
+    label. Otherwise it packs exactly [n] rows with {!of_source} and
+    remembers them. A recorded source always packs afresh: its array
+    belongs to the caller and is mutable.
+
+    The slot holds its packing weakly, so it keeps no packing alive
+    (it keeps the source), and a sweep of machines over one program
+    packs it once (again only when a longer packing is asked for). A consumer that reads only its
+    first [n] rows gets the same result from any longer packing of the
+    source. [FOM-T130] as {!of_source}. *)
+
 val length : t -> int
 (** Number of packed instructions. *)
 

@@ -119,7 +119,8 @@ type t = {
   complete_at : int array;
   retire_at : int array;
   stall_at : int array;  (* cycles from the I-cache probe to the fetch; 0 for none *)
-  cluster_at : int array;
+  clustered : bool;  (* more than one cluster: steering and bypass *)
+  cluster_at : int array;  (* by slot, when clustered *)
   branch_window : int array;
       (* a mispredicted branch's window_at_branch_issue sample; -1 for
          every other instruction *)
@@ -208,7 +209,8 @@ let create (config : Config.t) packed =
     complete_at = Array.make ring (-1);
     retire_at = Array.make ring (-1);
     stall_at = Array.make ring 0;
-    cluster_at = Array.make ring 0;
+    clustered = clusters > 1;
+    cluster_at = Array.make (if clusters > 1 then ring else 0) 0;
     branch_window = Array.make ring (-1);
     issued = Array.make (!rings lsl issued_bits) 0;
     issued_bits;
@@ -245,7 +247,7 @@ let record_events t rc i ~from ~until =
   end;
   if d >= from && d < until then begin
     rc.dispatch.(i) <- d;
-    rc.cluster.(i) <- t.cluster_at.(s)
+    rc.cluster.(i) <- (if t.clustered then t.cluster_at.(s) else 0)
   end;
   if u >= from && u < until then begin
     rc.issue.(i) <- u;
@@ -298,6 +300,9 @@ let advance t ~last ~until ~limit ~settled record =
   let complete_at = t.complete_at and retire_at = t.retire_at in
   let cluster_at = t.cluster_at and pending = t.pending in
   let issued = t.issued and dep_off = t.dep_off and dep_val = t.dep_val in
+  (* One cluster with unbounded units has ring 0 alone: no steering,
+     bypass, cluster ring or unit to look at. *)
+  let clustered = t.clustered and rings = Array.length issued lsr bits in
   let prev = t.last_computed land mask in
   let f_prev = ref fetch_at.(prev) and d_prev = ref dispatch_at.(prev) in
   let r_prev = ref retire_at.(prev) in
@@ -347,28 +352,36 @@ let advance t ~last ~until ~limit ~settled record =
         let c = !base land imask in
         below := !below + issued.(c);
         issued.(c) <- 0;
-        for k = 0 to Array.length pending - 1 do
-          let slot = t.cluster_ring.(k) lor c in
-          pending.(k) <- pending.(k) - issued.(slot);
-          issued.(slot) <- 0
-        done;
-        for k = 1 + Array.length pending to (Array.length issued lsr bits) - 1 do
-          issued.((k lsl bits) lor c) <- 0
-        done
+        if rings > 1 then begin
+          for k = 0 to Array.length pending - 1 do
+            let slot = t.cluster_ring.(k) lor c in
+            pending.(k) <- pending.(k) - issued.(slot);
+            issued.(slot) <- 0
+          done;
+          for k = 1 + Array.length pending to rings - 1 do
+            issued.((k lsl bits) lor c) <- 0
+          done
+        end
       done;
       let d = !base in
       dispatch_at.(s) <- d;
       d_prev := d;
       (* Steering. While the window holds fewer than a cluster's share,
          no cluster is full. *)
-      let cl = ref !turn in
-      if i - !below >= cluster_window then
-        while pending.(!cl) >= cluster_window do
-          cl := if !cl + 1 = clusters then 0 else !cl + 1
-        done;
-      let cl = !cl in
-      turn := if cl + 1 = clusters then 0 else cl + 1;
-      cluster_at.(s) <- cl;
+      let cl =
+        if clustered then begin
+          let cl = ref !turn in
+          if i - !below >= cluster_window then
+            while pending.(!cl) >= cluster_window do
+              cl := if !cl + 1 = clusters then 0 else !cl + 1
+            done;
+          let cl = !cl in
+          turn := if cl + 1 = clusters then 0 else cl + 1;
+          cluster_at.(s) <- cl;
+          cl
+        end
+        else 0
+      in
       (* Issue. A producer [rob] or more instructions older retired by
          this dispatch, so its value is ready. *)
       let e = ref (d + 1) in
@@ -378,8 +391,9 @@ let advance t ~last ~until ~limit ~settled record =
         if p > oldest then begin
           let ps = p land mask in
           let c =
-            if cluster_at.(ps) = cl then complete_at.(ps)
-            else Int.min (complete_at.(ps) + 1) retire_at.(ps)
+            if clustered && cluster_at.(ps) <> cl then
+              Int.min (complete_at.(ps) + 1) retire_at.(ps)
+            else complete_at.(ps)
           in
           if c > !e then e := c
         end
@@ -390,7 +404,7 @@ let advance t ~last ~until ~limit ~settled record =
         incr u
       done;
       (* A class with limited units also waits for a free one. *)
-      let unit = t.unit_ring.(op) in
+      let unit = if rings > 1 then t.unit_ring.(op) else -1 in
       if unit >= 0 then begin
         let units = t.unit_limit.(op) in
         while
@@ -418,7 +432,7 @@ let advance t ~last ~until ~limit ~settled record =
       in
       t.branch_window.(s) <- sample;
       issued.(u land imask) <- issued.(u land imask) + 1;
-      if own > 0 then begin
+      if clustered then begin
         issued.(own lor (u land imask)) <- issued.(own lor (u land imask)) + 1;
         pending.(cl) <- pending.(cl) + 1
       end;

@@ -1,12 +1,17 @@
 (** Convenience drivers over {!Machine}. *)
 
 val run : Config.t -> Fom_trace.Program.t -> n:int -> Stats.t
-(** Simulate [n] instructions of a fresh stream over the program. *)
+(** Simulate [n] instructions of a fresh stream over the program (see
+    {!run_source}). *)
 
 val run_source : Config.t -> Fom_trace.Source.t -> n:int -> Stats.t
-(** {!run} over any replayable source (e.g. an imported trace): packs
-    the first [n + ]{!Config.inflight_span}[ config] instructions, then
-    replays them with {!run_packed}. *)
+(** {!run} over any replayable source (e.g. an imported trace): takes a
+    packing of at least [n + ]{!Config.inflight_span}[ config]
+    instructions from {!Fom_trace.Packed.at_least} and replays it with
+    {!run_packed}. A sweep of machines over one program or schedule
+    thus packs it once, and again only for a longer in-flight span; the
+    machine reads no row past its span, so the statistics equal those
+    over an exact-length packing. *)
 
 val run_packed : Config.t -> Fom_trace.Packed.t -> n:int -> Stats.t
 (** {!run} over an existing packing (see {!Machine.create}), so one

@@ -472,6 +472,79 @@ let test_characterize_once_per_packing () =
   Gc.full_major ();
   Alcotest.(check bool) "the dropped packing is collected" true (Atomic.get finalised)
 
+let test_thunk_feed_equals_packed_feed () =
+  (* The program-fed entry points equal the same calls over a fresh
+     exact-length packing, whether they pack afresh or reuse a longer
+     packing of the same source: the first characterization packs, the
+     second, the profile and the shorter curve reuse it, the longer
+     curve packs again, and the last profile reuses that. *)
+  let n = 3000 and iw_instructions = 1500 in
+  let margin = List.fold_left Int.max 1 Iw_curve.default_windows in
+  let exact source ~n = Fom_trace.Packed.of_source source ~n in
+  let params rob_size = { Params.baseline with Params.rob_size } in
+  let characterized source rob =
+    let packed = exact source ~n:(Int.max n (iw_instructions + margin)) in
+    let _, _, inputs =
+      Characterize.curve_and_inputs_of_packed ~iw_instructions ~params:(params rob) packed ~n
+    in
+    inputs_data inputs
+  in
+  let check what expected got = Alcotest.(check bool) what true (compare expected got = 0) in
+  List.iter
+    (fun name ->
+      let program = program name in
+      let source = Fom_trace.Source.of_program program in
+      List.iter
+        (fun rob ->
+          check "Characterize.inputs" (characterized source rob)
+            (inputs_data (Characterize.inputs ~iw_instructions ~params:(params rob) program ~n)))
+        [ 128; 64 ];
+      check "Profile.run" (profile_data (profile (exact source ~n) ~n))
+        (profile_data (Profile.run program ~n));
+      List.iter
+        (fun points ->
+          check "Iw_curve.measure"
+            (Iw_curve.measure_packed ~n:points (exact source ~n:(points + margin)))
+            (Iw_curve.measure ~n:points program))
+        [ 2000; 4000 ];
+      check "Profile.run after a longer packing" (profile_data (profile (exact source ~n) ~n))
+        (profile_data (Profile.run program ~n)))
+    [ "gzip"; "mcf" ];
+  let schedule =
+    Fom_trace.Phases.source
+      [
+        { Fom_trace.Phases.config = Fom_workloads.Spec2000.find "gzip"; instructions = 1200 };
+        { Fom_trace.Phases.config = Fom_workloads.Spec2000.find "mcf"; instructions = 800 };
+      ]
+  in
+  List.iter
+    (fun rob ->
+      check "Characterize.inputs_of_source" (characterized schedule rob)
+        (inputs_data
+           (Characterize.inputs_of_source ~iw_instructions ~params:(params rob) schedule ~n)))
+    [ 128; 64 ]
+
+let test_thunk_characterizations_share_a_sweep () =
+  (* Two program-fed characterizations of one program at different ROB
+     sizes share one packing, so they run one IW sweep between them. A
+     freshly generated program has no packing yet. *)
+  let program = program "vpr" in
+  let characterize rob_size =
+    ignore
+      (Characterize.inputs ~iw_instructions:1500
+         ~params:{ Params.baseline with Params.rob_size }
+         program ~n:3000)
+  in
+  Fom_obs.Sink.enable ();
+  let points =
+    Fun.protect ~finally:Fom_obs.Sink.disable (fun () ->
+        let before = iw_points () in
+        characterize 128;
+        characterize 64;
+        iw_points () - before)
+  in
+  Alcotest.(check int) "one IW sweep" (List.length Iw_curve.default_windows) points
+
 let test_packed_kernel_grid () =
   (* A fixed grid beside the random draws: three Spec2000 and three
      micro presets, small/medium/large windows, unbounded/narrow/wide
@@ -657,6 +730,10 @@ let suite =
       QCheck_alcotest.to_alcotest prop_two_stage_profile_matches_oracle;
       Alcotest.test_case "characterize once per packing" `Quick
         test_characterize_once_per_packing;
+      Alcotest.test_case "thunk feed equals the packed feed" `Quick
+        test_thunk_feed_equals_packed_feed;
+      Alcotest.test_case "thunk characterizations share a sweep" `Quick
+        test_thunk_characterizations_share_a_sweep;
       Alcotest.test_case "packed kernel grid matches oracle" `Quick test_packed_kernel_grid;
       Alcotest.test_case "packed round trip" `Quick test_packed_round_trip;
       Alcotest.test_case "iw sim ring guards" `Quick test_iw_sim_rejects_window_beyond_ring;

@@ -236,6 +236,69 @@ let test_pack_beyond_the_heap () =
       Alcotest.(check bool) ("names the length: " ^ message) true (names 0)
   | exception Fom_check.Checker.Invalid _ -> Alcotest.fail "expected one diagnostic"
 
+let test_at_least_reuse_is_by_identity () =
+  (* [Packed.at_least] hands back the domain's last packing only for a
+     source over the physically same programs with the same seed or
+     budgets and label, long enough; anything else packs afresh, a
+     recorded trace always. The slot keeps no packing alive. *)
+  let gzip_config = Fom_workloads.Spec2000.find "gzip" in
+  let program = Fom_trace.Program.generate gzip_config in
+  let mcf = Fom_trace.Program.generate (Fom_workloads.Spec2000.find "mcf") in
+  let schedule ?(label = "gzip+mcf") budget =
+    Source.of_schedule ~label [ (program, 700); (mcf, budget) ]
+  in
+  let n = 2000 in
+  let check what expected got = Alcotest.(check bool) what expected got in
+  List.iter
+    (fun (base, same, others) ->
+      let first = Packed.at_least base ~n in
+      check "exact length" true (Packed.length first = n);
+      List.iter (fun (what, source) -> check what true (Packed.at_least source ~n == first)) same;
+      check "fewer rows reuse" true (Packed.at_least base ~n:(n - 1) == first);
+      let longer = Packed.at_least base ~n:(n + 1) in
+      check "more rows pack afresh" true (longer != first && Packed.length longer = n + 1);
+      check "then serve fewer rows" true (Packed.at_least base ~n == longer);
+      List.iter
+        (fun (what, source) ->
+          let last = Packed.at_least base ~n in
+          check what true (Packed.at_least source ~n != last))
+        others)
+    [
+      ( Source.of_program program,
+        [ ("a new source of the same program", Source.of_program program) ],
+        [
+          ( "a regenerated equal program",
+            Source.of_program (Fom_trace.Program.generate gzip_config) );
+          ("another seed", Source.of_program ~seed:7 program);
+        ] );
+      ( Source.of_program ~seed:7 program,
+        [ ("an equal seed", Source.of_program ~seed:7 program) ],
+        [
+          ("no seed", Source.of_program program);
+          ("a third seed", Source.of_program ~seed:8 program);
+        ] );
+      ( schedule 500,
+        [ ("a new schedule of the same programs", schedule 500) ],
+        [
+          ("other budgets", schedule 600);
+          ("another label", schedule ~label:"other" 500);
+          ( "a regenerated phase program",
+            Source.of_schedule ~label:"gzip+mcf"
+              [ (Fom_trace.Program.generate gzip_config, 700); (mcf, 500) ] );
+        ] );
+    ];
+  let recorded = Source.of_instrs (record (Source.of_program program) ~n:300) in
+  check "a recorded trace packs afresh" true
+    (Packed.at_least recorded ~n:300 != Packed.at_least recorded ~n:300);
+  let finalised = Atomic.make false in
+  let[@inline never] pack_and_drop () =
+    let packed = Packed.at_least (Source.of_program mcf) ~n:5000 in
+    Gc.finalise (fun _ -> Atomic.set finalised true) packed
+  in
+  pack_and_drop ();
+  Gc.full_major ();
+  check "the dropped packing is collected" true (Atomic.get finalised)
+
 let suite =
   ( "source",
     [
@@ -251,5 +314,7 @@ let suite =
       Alcotest.test_case "rejects forward dependence" `Quick test_load_rejects_bad_dependence;
       Alcotest.test_case "unreadable file" `Quick test_load_unreadable;
       Alcotest.test_case "packing beyond the heap is FOM-T130" `Quick test_pack_beyond_the_heap;
+      Alcotest.test_case "at_least reuse is by identity" `Quick
+        test_at_least_reuse_is_by_identity;
       QCheck_alcotest.to_alcotest prop_load_diagnoses_at_file_line;
     ] )

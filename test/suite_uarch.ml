@@ -307,6 +307,49 @@ let test_budget_golden () =
       ("8ac0725e05731d7b3fad8e8de461928b", "39b8aa69f7126053f628fb8a530ee7c0"); (* vpr *)
     ]
 
+let test_thunk_feed_equals_packed_feed () =
+  (* A fetch-buffer sweep that grows the in-flight span and then
+     shrinks it, over the thunk feed: each run equals the same run over
+     a fresh exact-length packing. The growing runs pack afresh, the
+     shrinking ones reuse the longest packing, which the domain's slot
+     still holds at the end. *)
+  let n = 4000 in
+  let machines =
+    List.map
+      (fun entries -> Config.with_fetch_buffer entries Config.baseline)
+      [ 0; 16; 64; 16; 0 ]
+    @ [ Config.with_fetch_buffer 16 ideal_config ]
+  in
+  let longest = List.fold_left (fun m c -> Int.max m (Config.inflight_span c)) 0 machines in
+  let schedule =
+    Fom_trace.Phases.source
+      [
+        { Fom_trace.Phases.config = Fom_workloads.Spec2000.find "gzip"; instructions = 1500 };
+        { Fom_trace.Phases.config = Fom_workloads.Spec2000.find "mcf"; instructions = 1000 };
+      ]
+  in
+  (* Freshly generated programs, so no earlier packing of them exists. *)
+  let program name = Fom_trace.Program.generate (Fom_workloads.Spec2000.find name) in
+  let gzip = program "gzip" and mcf = program "mcf" in
+  List.iter
+    (fun (name, source, simulate) ->
+      List.iter
+        (fun config ->
+          let exact =
+            Simulate.run_packed config
+              (Fom_trace.Packed.of_source source ~n:(n + Config.inflight_span config))
+              ~n
+          in
+          Alcotest.(check bool) name true (exact = simulate config ~n))
+        machines;
+      Alcotest.(check int) (name ^ ": the slot holds the longest packing") (n + longest)
+        (Fom_trace.Packed.length (Fom_trace.Packed.at_least source ~n:1)))
+    [
+      ("gzip", Fom_trace.Source.of_program gzip, fun config ~n -> Simulate.run config gzip ~n);
+      ("mcf", Fom_trace.Source.of_program mcf, fun config ~n -> Simulate.run config mcf ~n);
+      ("gzip-mcf", schedule, fun config ~n -> Simulate.run_source config schedule ~n);
+    ]
+
 let suite =
   ( "uarch",
     [
@@ -334,4 +377,6 @@ let suite =
       Alcotest.test_case "empty run is FOM-I030" `Quick test_run_rejects_empty_run;
       Alcotest.test_case "machine results unchanged" `Quick test_machine_golden;
       Alcotest.test_case "FU-limited and clustered results unchanged" `Quick test_budget_golden;
+      Alcotest.test_case "thunk feed equals the packed feed" `Quick
+        test_thunk_feed_equals_packed_feed;
     ] )
