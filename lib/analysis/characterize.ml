@@ -41,51 +41,20 @@ type shared = {
     Memo.t;
 }
 
-(* One [shared] per packing and pool: a waiter helps the pool its
-   cell was created with, and a pool that has shut down runs nothing. *)
-type entry = (Fom_exec.Pool.t option * shared) list ref
+type Packed.cached += Shared of Fom_exec.Pool.t option * shared
 
-(* The packing last characterized under each label and length, held
-   weakly: an ephemeron, so its entry lives only as long as the packing
-   and the table keeps no packing alive.
-
-   Reading an ephemeron's key keeps what it points to alive through
-   the collection in progress, and the lookup must read the key to
-   compare it with the probe. So the key is the packing's [op] column,
-   a flat int array no other packing shares, not the record, which
-   would keep every column alive; and there is one slot per label and
-   length, not a table of every packing. A table would read each
-   dead packing of a label on every lookup of that label (packings of
-   one trace share it), and so keep alive every packing a caller made
-   and dropped. A slot holding another packing is replaced at once, so
-   a column is read at most once after its packing is dropped.
-   Program-fed characterizations ({!inputs_of_source}) take their
-   packing from {!Packed.at_least}, which hands a domain's
-   characterizations of one program the same packing while it lives,
-   so they too meet their shared results here. *)
-let lock = Mutex.create ()
-let slots : (string * int, (int array, entry) Ephemeron.K1.t) Hashtbl.t = Hashtbl.create 16
-
-let shared pool (packed : Packed.t) =
-  Mutex.protect lock (fun () ->
-      let key = (Packed.label packed, Packed.length packed) in
-      let entry =
-        match
-          Option.bind (Hashtbl.find_opt slots key) (fun slot ->
-              Ephemeron.K1.query slot packed.Packed.op)
-        with
-        | Some entry -> entry
-        | None ->
-            let entry = ref [] in
-            Hashtbl.replace slots key (Ephemeron.K1.make packed.Packed.op entry);
-            entry
-      in
-      match List.find_opt (fun (p, _) -> Option.equal ( == ) p pool) !entry with
-      | Some (_, shared) -> shared
-      | None ->
-          let shared = { curves = Memo.create ?pool (); replays = Memo.create ?pool () } in
-          entry := (pool, shared) :: !entry;
-          shared)
+(* One [shared] per pool, on the packing's cache, so the results die
+   with the packing: a waiter helps the pool its cell was made with,
+   and a pool that has shut down runs nothing. *)
+let rec shared pool (packed : Packed.t) =
+  let cached = Atomic.get packed.Packed.cached in
+  let mine = function Shared (p, s) when Option.equal ( == ) p pool -> Some s | _ -> None in
+  match List.find_map mine cached with
+  | Some s -> s
+  | None ->
+      let s = { curves = Memo.create ?pool (); replays = Memo.create ?pool () } in
+      if Atomic.compare_and_set packed.Packed.cached cached (Shared (pool, s) :: cached) then s
+      else shared pool packed
 
 let curve_and_inputs_of_packed ?pool ?windows ?iw_instructions ?cache ?predictor ?latencies
     ?grouping ?dtlb ~(params : Params.t) packed ~n =

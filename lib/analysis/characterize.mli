@@ -75,5 +75,5 @@ val curve_and_inputs_of_packed :
     and depths pays for one IW sweep and one replay per memory
     system. Concurrent calls compute a shared result once, and a
     caller waiting on one helps [pool]; results under another pool are
-    computed again. The shared results are held, by the packing's
-    physical identity, only as long as the packing lives. *)
+    computed again. The shared results are kept in the packing's
+    [cached] field, so they live exactly as long as the packing. *)

@@ -1,6 +1,8 @@
 module Instr = Fom_isa.Instr
 module Opclass = Fom_isa.Opclass
 
+type cached = ..
+
 type t = {
   label : string;
   len : int;
@@ -9,6 +11,7 @@ type t = {
   ea : int array;
   dep_off : int array;
   dep_val : int array;
+  cached : cached list Atomic.t;
 }
 
 let label t = t.label
@@ -75,7 +78,7 @@ let write_recorded c deps instrs =
     write_deps c deps i ins.Instr.deps (Array.length ins.Instr.deps) ~rebase
   done
 
-let of_source source ~n =
+let pack source ~n =
   Fom_check.Checker.ensure ~code:"FOM-T130" ~path:"packed.n" (n > 0)
     "packed trace length must be positive";
   (* A length the heap cannot hold is the caller's input too: report it
@@ -98,6 +101,7 @@ let of_source source ~n =
       ea = column n;
       dep_off = column (n + 1);
       dep_val = [||];
+      cached = Atomic.make [];
     }
   in
   (* The presets average 0.08 to 1.29 dependences per instruction. *)
@@ -108,6 +112,10 @@ let of_source source ~n =
   | Source.Schedule phases -> write_schedule c deps phases
   | Source.Recorded instrs -> write_recorded c deps instrs);
   { c with dep_val = !deps }
+
+(* Every packing, explicit or through {!at_least}, runs in this span. *)
+let s_pack = Fom_obs.Span.id "trace.pack"
+let of_source source ~n = Fom_obs.Span.with_ s_pack (fun () -> pack source ~n)
 
 (* Whether a packing of [a] serves [b]: a generator over the physically
    same program and an equal seed, or a schedule of the same programs

@@ -24,7 +24,15 @@
       from [dep_off.(len)] on are unused capacity.
 
     The record is exposed so simulation kernels can index the columns
-    directly; treat every array as read-only. *)
+    directly; treat every array as read-only.
+
+    [cached] is a cache of results derived from the columns, extended
+    by the library that derives them ([type cached += ...]), so they
+    live exactly as long as the packing. It is the one mutable part;
+    the columns stay read-only. Never compare packings structurally
+    or marshal them: the cache may hold locks and closures. *)
+
+type cached = ..
 
 type t = private {
   label : string;
@@ -34,6 +42,7 @@ type t = private {
   ea : int array;
   dep_off : int array;
   dep_val : int array;
+  cached : cached list Atomic.t;
 }
 
 val of_source : Source.t -> n:int -> t
@@ -44,7 +53,7 @@ val of_source : Source.t -> n:int -> t
     phase schedule runs that same writer once per activation with its
     dependences re-based, and a recorded trace is copied field by
     field, wrapping past its end. The two generator writers allocate
-    nothing per instruction. *)
+    nothing per instruction. Packing runs in the [trace.pack] span. *)
 
 val at_least : Source.t -> n:int -> t
 (** A packing of at least [n] rows of the source, for callers that

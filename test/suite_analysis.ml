@@ -472,6 +472,29 @@ let test_characterize_once_per_packing () =
   Gc.full_major ();
   Alcotest.(check bool) "the dropped packing is collected" true (Atomic.get finalised)
 
+let test_live_packings_keep_their_results () =
+  (* Two live packings of one trace, with the same label and length,
+     each keep their own shared results: characterizing A, then B,
+     then each again runs no third IW sweep. *)
+  let program = Lazy.force mcf in
+  let a = pack program ~n:3000 and b = pack program ~n:3000 in
+  let sweeps packed =
+    let before = iw_points () in
+    ignore
+      (Characterize.curve_and_inputs_of_packed ~iw_instructions:1500 ~params:Params.baseline
+         packed ~n:2500);
+    (iw_points () - before) / List.length Iw_curve.default_windows
+  in
+  Fom_obs.Sink.enable ();
+  let counts =
+    Fun.protect ~finally:Fom_obs.Sink.disable (fun () ->
+        let first = sweeps a in
+        let second = sweeps b in
+        let third = sweeps a in
+        [ first; second; third; sweeps b ])
+  in
+  Alcotest.(check (list int)) "sweeps for A, B, A, B" [ 1; 1; 0; 0 ] counts
+
 let test_thunk_feed_equals_packed_feed () =
   (* The program-fed entry points equal the same calls over a fresh
      exact-length packing, whether they pack afresh or reuse a longer
@@ -730,6 +753,8 @@ let suite =
       QCheck_alcotest.to_alcotest prop_two_stage_profile_matches_oracle;
       Alcotest.test_case "characterize once per packing" `Quick
         test_characterize_once_per_packing;
+      Alcotest.test_case "live packings keep their results" `Quick
+        test_live_packings_keep_their_results;
       Alcotest.test_case "thunk feed equals the packed feed" `Quick
         test_thunk_feed_equals_packed_feed;
       Alcotest.test_case "thunk characterizations share a sweep" `Quick
