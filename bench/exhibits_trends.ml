@@ -84,9 +84,10 @@ let fig18 ctx =
 let fig19_sim ctx =
   Context.heading "Figure 19 (validation): measured vs analytic issue ramp (gzip)";
   let name = "gzip" in
-  let machine = Fom_uarch.Machine.create Context.bp_only (Context.packed ctx name) in
   let horizon = 20 in
-  let stats, record = Fom_uarch.Machine.run_recorded machine ~n:ctx.Context.n_sim in
+  let stats, record =
+    Fom_uarch.Machine.run_recorded Context.bp_only (Context.packed ctx name) ~n:ctx.Context.n_sim
+  in
   let cycles = stats.Fom_uarch.Stats.cycles in
   (* Per-cycle issue counts (-1: never issued). *)
   let issued = Array.make cycles 0 in

@@ -134,36 +134,38 @@ let run_pass ~jobs ~csv_dir ~scale selected =
 
 (* The CI regression gate: every measured exhibit that also appears in
    the committed baseline must stay within 2x of the baseline's
-   sequential wall time, after normalizing both sides by their scale
-   factor (wall time is linear in the instruction counts, which all
-   scale together). Exhibits whose normalized baseline is under 50ms
-   are reported but never gated: at that magnitude the ratio measures
-   timer noise, not code. The measured pass should itself run
-   sequentially (--jobs 1) for the comparison to be strict; a parallel
-   pass only makes the gate more permissive. Returns the regressed
-   exhibits. *)
+   sequential wall time. Both were timed at one scale
+   ({!check_baseline_scale}): wall time is not linear in the scale,
+   since fixed costs weigh more in a short run. Exhibits whose baseline
+   is under 50ms are reported but never gated: at that magnitude the
+   ratio measures timer noise, not code. The measured pass should
+   itself run sequentially (--jobs 1) for the comparison to be strict;
+   a parallel pass only makes the gate more permissive. Returns the
+   regressed exhibits. *)
 let baseline_gate_floor = 0.05
 
-let baseline_regressions ~scale ~timed doc =
+(* A baseline timed at another scale ends the run before any exhibit. *)
+let check_baseline_scale ~scale doc =
   let module J = Fom_util.Json in
-  let base_scale =
-    match Option.bind (J.member "scale" doc) J.number with
-    | Some s when s > 0.0 -> s
-    | Some _ | None -> 1.0
-  in
+  match Option.bind (J.member "scale" doc) J.number with
+  | Some base when Float.equal base scale -> ()
+  | base ->
+      Fom_check.Checker.run_exn
+        (Fom_check.Checker.fail ~code:"FOM-I030" ~path:"bench.baseline.scale"
+           (Printf.sprintf "the baseline was timed at %s but this run is at scale %g"
+              (match base with Some b -> Printf.sprintf "scale %g" b | None -> "no recorded scale")
+              scale))
+
+let baseline_regressions ~timed doc =
+  let module J = Fom_util.Json in
   let baseline_seconds name =
     match J.member "exhibits" doc with
     | Some (J.List items) ->
         List.find_map
           (fun item ->
             match J.member "name" item with
-            | Some (J.String n) when String.equal n name -> (
-                (* Reports written at jobs > 1 before the bench stopped
-                   re-timing on one worker (the committed baseline is
-                   one) carry that single-worker time here. *)
-                match J.member "seconds_jobs1" item with
-                | Some v -> J.number v
-                | None -> Option.bind (J.member "seconds" item) J.number)
+            | Some (J.String n) when String.equal n name ->
+                Option.bind (J.member "seconds" item) J.number
             | Some _ | None -> None)
           items
     | Some _ | None -> None
@@ -172,11 +174,9 @@ let baseline_regressions ~scale ~timed doc =
     (fun (name, seconds) ->
       match baseline_seconds name with
       | Some base when base > 0.0 ->
-          let ratio = seconds /. scale /. (base /. base_scale) in
-          let gated = base /. base_scale >= baseline_gate_floor in
-          Printf.printf
-            "baseline gate: %-12s %.2fs at scale %.2f vs %.2fs at scale %.2f (%.2fx%s)\n" name
-            seconds scale base base_scale ratio
+          let ratio = seconds /. base in
+          let gated = base >= baseline_gate_floor in
+          Printf.printf "baseline gate: %-12s %.2fs vs %.2fs (%.2fx%s)\n" name seconds base ratio
             (if gated then "" else ", below the gate floor");
           if gated && ratio > 2.0 then Some (name, ratio) else None
       | Some _ | None -> None)
@@ -224,8 +224,10 @@ let run options =
     List.iter (fun d -> prerr_endline (Fom_check.Diagnostic.to_string d)) jobs_diags;
     if List.exists Fom_check.Diagnostic.is_error jobs_diags then exit 2;
     (* Read the baseline before the first exhibit runs: an unreadable
-       or malformed file fails the run now, not after it. *)
+       or malformed file, or one timed at another scale, fails the run
+       now, not after it. *)
     let baseline = Option.map (fun path -> Fom_util.Json.of_file ~path) options.baseline in
+    Option.iter (check_baseline_scale ~scale:options.scale) baseline;
     if options.metrics || options.trace_out <> None then Fom_obs.Sink.enable ();
     Printf.printf
       "First-order superscalar model reproduction harness (scale %.2f, %d exhibits, %d jobs)\n"
@@ -256,7 +258,7 @@ let run options =
     match baseline with
     | None -> ()
     | Some doc -> (
-        match baseline_regressions ~scale:options.scale ~timed doc with
+        match baseline_regressions ~timed doc with
         | [] -> ()
         | regressions ->
             List.iter

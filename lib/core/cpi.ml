@@ -19,8 +19,7 @@ let characteristic (params : Params.t) (inputs : Inputs.t) =
     ~avg_latency:inputs.Inputs.avg_latency
     ~issue_width:(float_of_int params.Params.width) ()
 
-let evaluate ?(branch_mode = Measured_burst) ?(dcache_mode = Rob_fill_corrected) params inputs
-    =
+let compute ?(branch_mode = Measured_burst) ?(dcache_mode = Rob_fill_corrected) params inputs =
   Params.validate params;
   Inputs.validate inputs;
   let iw = characteristic params inputs in
@@ -58,6 +57,15 @@ let evaluate ?(branch_mode = Measured_burst) ?(dcache_mode = Rob_fill_corrected)
       *. float_of_int params.Params.dtlb_walk
       *. Inputs.dtlb_group_factor inputs;
   }
+
+let s_evaluate = Fom_obs.Span.id "model.evaluate"
+
+(* The span's closure is built only while tracing, so an untraced
+   evaluation allocates no more than [compute]. *)
+let evaluate ?branch_mode ?dcache_mode params inputs =
+  if Fom_obs.Sink.enabled () then
+    Fom_obs.Span.with_ s_evaluate (fun () -> compute ?branch_mode ?dcache_mode params inputs)
+  else compute ?branch_mode ?dcache_mode params inputs
 
 let pp fmt b =
   Format.fprintf fmt

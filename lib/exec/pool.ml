@@ -52,12 +52,6 @@ let env_jobs () =
                           or more (or unset it to use the machine's core count)"
                          s)))))
 
-let default_jobs () =
-  match env_jobs () with
-  | None -> recommended_domain_count ()
-  | Some (Ok jobs) -> jobs
-  | Some (Error d) -> raise (Checker.Invalid [ d ])
-
 let oversubscription_warning jobs =
   let recommended = recommended_domain_count () in
   if jobs > recommended then
@@ -112,7 +106,15 @@ let rec worker_loop t =
   next ()
 
 let create ?jobs ?domains () =
-  let jobs = match jobs with Some j -> j | None -> default_jobs () in
+  let jobs =
+    match jobs with
+    | Some j -> j
+    | None ->
+        (* A bad FOM_JOBS raises; oversubscription is only a warning. *)
+        let j, diags = resolve_jobs () in
+        Checker.run_exn diags;
+        j
+  in
   Checker.ensure ~code:"FOM-E001" ~path:"exec.jobs" (jobs >= 1)
     "worker count must be at least 1";
   (* Run at most the recommended number of domains: extra domains on a

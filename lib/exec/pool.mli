@@ -76,9 +76,8 @@ val resolve_jobs : ?requested:int -> unit -> int * Fom_check.Diagnostic.t list
 
 val create : ?jobs:int -> ?domains:int -> unit -> t
 (** [create ~jobs ()] starts a pool for a request of [jobs] workers
-    (default: the [FOM_JOBS] environment variable if set and
-    non-blank, which must then be a positive integer, else
-    {!recommended_domain_count}). Requires [jobs >= 1]. The number of
+    (default: {!resolve_jobs}'s count, raising its [FOM-E001] error
+    and ignoring its warning). Requires [jobs >= 1]. The number of
     domains actually run is [min jobs (recommended_domain_count ())]
     unless [?domains] overrides it — results never depend on either
     count.

@@ -33,10 +33,10 @@ val label : t -> string
 
 val of_program : ?seed:int -> Program.t -> t
 (** Replay the synthetic program from instruction 0. [?seed] passes an
-    explicit per-task stream seed through to {!Stream.create} —
-    parallel sweeps split one root generator with
-    {!Fom_util.Rng.split_seeds} *before* fanning out, so every task
-    replays the same trace no matter which domain runs it. *)
+    explicit stream seed through to {!Stream.create}: the program stays,
+    its dynamic draws change. Only tests set it; a reseeded workload
+    ([fom check --deep --seed]) regenerates the program from a reseeded
+    config instead. *)
 
 val of_schedule : label:string -> (Program.t * int) list -> t
 (** A phase schedule. Dynamic indices are globally sequential and

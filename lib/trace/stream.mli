@@ -14,9 +14,9 @@ val create : ?seed:int -> Program.t -> t
 (** Fresh stream positioned at the program entry, instruction 0.
     [?seed] overrides the config's seed for this stream's dynamic
     draws (dependence distances, addresses, branch directions) without
-    regenerating the program — the hook parallel sweeps use to give
-    each task an explicit {!Fom_util.Rng.split_seeds}-derived stream
-    that is independent of task execution order. *)
+    regenerating the program. Only tests set it; a reseeded workload
+    ([fom check --deep --seed]) regenerates the program from a reseeded
+    config instead. *)
 
 (** The instruction the last {!step} produced, as plain ints in the
     {!Packed} encodings: a column writer copies [tag], [pc] and [ea]

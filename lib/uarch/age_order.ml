@@ -55,10 +55,8 @@ let load_tag = Opclass.to_int Opclass.Load
    then keeps going while fetch would be attempted before [X = R + 1]:
    the event kernel's last cycle still dispatches and fetches behind
    the target, so those instructions touch the predictor and I-cache,
-   count toward the statistics and fill the record. Every event is
-   accounted in the run whose cycles [[x0, X)] contain it, which is what
-   lets runs resume: an instruction computed ahead of one run settles
-   the rest of its events in later ones.
+   count toward the statistics and fill the record. Such a run-ahead
+   instruction is accounted with its events before [X] only.
 
    Stage cycles live in rings indexed by [index land mask], sized by
    {!Config.comp_ring_size}. The recurrences read back at most
@@ -138,8 +136,6 @@ type t = {
   mutable next_cluster : int;  (* round-robin steering *)
   (* progress *)
   mutable last_computed : int;
-  mutable last_retired : int;
-  mutable cycle : int;
   (* statistics *)
   mutable mispredictions : int;
   window_at_branch_issue : Fom_util.Stats.Acc.t;
@@ -222,56 +218,48 @@ let create (config : Config.t) packed =
     pending;
     next_cluster = 0;
     last_computed = -1;
-    last_retired = -1;
-    cycle = 0;
     mispredictions = 0;
     window_at_branch_issue = Fom_util.Stats.Acc.create ();
     occupancy_window_sum = 0;
     occupancy_rob_sum = 0;
   }
 
-let cycle t = t.cycle
-let retired t = t.last_retired + 1
-
-(* Write instruction [i]'s events that fall in cycles [[from, until)]
-   into the record. *)
-let record_events t rc i ~from ~until =
+(* Write instruction [i]'s events before cycle [until] into the
+   record. *)
+let record_events t rc i ~until =
   let s = i land t.mask in
   let f = t.fetch_at.(s) and d = t.dispatch_at.(s) in
   let u = t.issue_at.(s) and r = t.retire_at.(s) in
   let stall = t.stall_at.(s) in
-  if stall > 0 && f - stall >= from && f - stall < until then rc.icache_stall.(i) <- stall;
-  if f >= from && f < until then begin
+  if stall > 0 && f - stall < until then rc.icache_stall.(i) <- stall;
+  if f < until then begin
     rc.fetch.(i) <- f;
     if t.branch_window.(s) >= 0 then rc.mispredicted.(i) <- true
   end;
-  if d >= from && d < until then begin
+  if d < until then begin
     rc.dispatch.(i) <- d;
     rc.cluster.(i) <- (if t.clustered then t.cluster_at.(s) else 0)
   end;
-  if u >= from && u < until then begin
+  if u < until then begin
     rc.issue.(i) <- u;
     rc.complete.(i) <- t.complete_at.(s)
   end;
-  if r >= from && r < until then rc.retire.(i) <- r
+  if r < until then rc.retire.(i) <- r
 
-(* Account instruction [i]'s events that fall in cycles [[from, until)]:
-   the occupancy sums, its misprediction and window sample, and the
-   record. *)
-let settle t record i ~from ~until =
+(* Account instruction [i]'s events before cycle [until]: the occupancy
+   sums, its misprediction and window sample, and the record. *)
+let settle t record i ~until =
   let s = i land t.mask in
   let f = t.fetch_at.(s) and d = t.dispatch_at.(s) in
   let u = t.issue_at.(s) and r = t.retire_at.(s) in
-  let lo = Int.max d from in
-  t.occupancy_window_sum <- t.occupancy_window_sum + Int.max 0 (Int.min u until - lo);
-  t.occupancy_rob_sum <- t.occupancy_rob_sum + Int.max 0 (Int.min r until - lo);
+  t.occupancy_window_sum <- t.occupancy_window_sum + Int.max 0 (Int.min u until - d);
+  t.occupancy_rob_sum <- t.occupancy_rob_sum + Int.max 0 (Int.min r until - d);
   let sample = t.branch_window.(s) in
   if sample >= 0 then begin
-    if f >= from && f < until then t.mispredictions <- t.mispredictions + 1;
-    if u >= from && u < until then
-      Fom_util.Stats.Acc.add t.window_at_branch_issue (float_of_int sample)
+    if f < until then t.mispredictions <- t.mispredictions + 1;
+    if u < until then Fom_util.Stats.Acc.add t.window_at_branch_issue (float_of_int sample)
   end;
-  match record with None -> () | Some rc -> record_events t rc i ~from ~until
+  match record with None -> () | Some rc -> record_events t rc i ~until
 
 (* Fetch reached row [i] at cycle [a]: past the packing, that is the
    event kernel's FOM-T132, unless its cycle limit fires first. *)
@@ -289,7 +277,7 @@ let[@inline] check_row t i a ~limit =
    cycle fetch may resume after it (its completion if it is a
    mispredicted branch, else -1), the window floor and the steering
    turn are carried in locals. With [~settled], every event of an
-   instruction falls in this run and is accounted here as {!settle}
+   instruction falls in the run and is accounted here as {!settle}
    would. *)
 let advance t ~last ~until ~limit ~settled record =
   let mask = t.mask and imask = t.issued_mask and bits = t.issued_bits in
@@ -451,9 +439,7 @@ let advance t ~last ~until ~limit ~settled record =
           t.mispredictions <- t.mispredictions + 1;
           Fom_util.Stats.Acc.add t.window_at_branch_issue (float_of_int sample)
         end;
-        match record with
-        | None -> ()
-        | Some rc -> record_events t rc i ~from:min_int ~until:max_int
+        match record with None -> () | Some rc -> record_events t rc i ~until:max_int
       end;
       next := i + 1
     end
@@ -463,14 +449,9 @@ let advance t ~last ~until ~limit ~settled record =
   t.next_cluster <- !turn;
   t.last_computed <- !next - 1
 
-let run t ~n ~limit ~record =
-  let from = t.cycle in
-  let target = t.last_retired + n in
-  (* Instructions an earlier run computed ahead: those up to the target
-     have every remaining event in this run. *)
-  for i = t.last_retired + 1 to Int.min t.last_computed target do
-    settle t record i ~from ~until:max_int
-  done;
+let run config packed ~n ~limit ~record =
+  let t = create config packed in
+  let target = n - 1 in
   advance t ~last:target ~until:max_int ~limit ~settled:true record;
   (* Run ahead to the event kernel's last cycle: the target's
      retirement, or the cycle limit if that comes first (rows fetched by
@@ -482,14 +463,12 @@ let run t ~n ~limit ~record =
   if t.last_computed - target > t.mask then
     Fom_check.Checker.internal_error "age-order stage ring overflow";
   for i = target + 1 to t.last_computed do
-    settle t record i ~from ~until
+    settle t record i ~until
   done;
   let last = ref target in
   while !last < t.last_computed && t.retire_at.((!last + 1) land t.mask) < until do
     incr last
   done;
-  t.last_retired <- !last;
-  t.cycle <- until;
   let mean sum = float_of_int sum /. float_of_int until in
   let cache_stats = Hierarchy.stats t.hierarchy in
   {

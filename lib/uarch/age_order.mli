@@ -20,22 +20,11 @@ type record = {
 }
 (** {!Machine.record}. *)
 
-type t
-
-val create : Config.t -> Fom_trace.Packed.t -> t
-(** A machine at cycle 0 over a packed trace; the configuration is
-    valid and order-free. Allocates every ring here, sized from the
-    configuration. *)
-
-val cycle : t -> int
-(** The cycle the last run ended at (0 before any). *)
-
-val retired : t -> int
-(** Instructions retired so far. *)
-
-val run : t -> n:int -> limit:int -> record:record option -> Stats.t
-(** {!Machine.run} for [n >= 1] further retirements: raises
-    [Cycle_limit_exceeded] if the last of them retires after cycle
-    [limit], and [FOM-T132] when fetch would run past the packing
-    before the run ends. With a record, fills in the stage cycles of
-    this run's events. *)
+val run :
+  Config.t -> Fom_trace.Packed.t -> n:int -> limit:int -> record:record option -> Stats.t
+(** {!Machine.run} of a cold machine to [n >= 1] retirements; the
+    configuration is valid and order-free. Allocates every ring here,
+    sized from the configuration. Raises [Cycle_limit_exceeded] if the
+    last of them retires after cycle [limit], and [FOM-T132] when fetch
+    would run past the packing before the run ends. With a record,
+    fills in the stage cycles of the run's events. *)

@@ -45,7 +45,7 @@ val check : t -> Fom_check.Diagnostic.t list
 
 val ideal_data_side : t -> bool
 (** An ideal L1D and no dTLB: no latency depends on issue order, so
-    {!Machine.create} runs the machine on its age-order kernel. *)
+    {!Machine.run} runs the machine on its age-order kernel. *)
 
 val max_comp_ring_bits : int
 (** log2 of the largest completion ring: configurations whose in-flight

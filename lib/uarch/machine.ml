@@ -43,7 +43,7 @@ let store_tag = Opclass.to_int Opclass.Store
 let branch_tag = Opclass.to_int Opclass.Branch
 
 (* The event kernel, for every machine the age-order kernel does not
-   take (see {!create}).
+   take (see {!run}).
 
    The trace is a packed one, read in place: an instruction's fields
    are looked up by its dynamic index in the packing's columns, never
@@ -70,8 +70,8 @@ let branch_tag = Opclass.to_int Opclass.Branch
    instructions in age order, so issue picks oldest-first without a
    heap. When the ready set is empty the machine can only change state
    at a known future cycle (a completion, a dispatch, a fetch restart
-   or a wakeup), and {!run} jumps there instead of stepping the idle
-   cycles in between.
+   or a wakeup), and {!run_event} jumps there instead of stepping the
+   idle cycles in between.
 
    The per-instruction helpers are [@inline]: every register is
    caller-saved in OCaml's native code, so an out-of-line helper in the
@@ -130,7 +130,7 @@ type event = {
   mutable cycle : int;
   mutable wake_events : int;  (* ready-set insertions, for sim.events *)
   mutable skipped_cycles : int;  (* idle cycles jumped over *)
-  mutable record : record option;  (* stage cycles, during {!run_recorded} *)
+  record : record option;  (* stage cycles, for {!run_recorded} *)
   (* statistics *)
   mutable short_load_misses : int;
   mutable long_load_misses : int;
@@ -144,7 +144,7 @@ type event = {
   mutable occupancy_rob_sum : int;
 }
 
-let create_event config packed =
+let create_event config packed ~record =
   let ring = Config.comp_ring_size config in
   let dtlb = Option.map Fom_cache.Tlb.create config.Config.dtlb in
   let hierarchy = Hierarchy.create config.Config.cache in
@@ -193,7 +193,7 @@ let create_event config packed =
     cycle = 0;
     wake_events = 0;
     skipped_cycles = 0;
-    record = None;
+    record;
     short_load_misses = 0;
     long_load_misses = 0;
     dtlb_misses = 0;
@@ -566,16 +566,16 @@ let skip_idle t ~limit =
     t.cycle <- next
   end
 
-let run_event t ~n ~limit =
-  let target = t.last_retired + n in
-  let e0 = t.wake_events and k0 = t.skipped_cycles in
+let run_event config packed ~n ~limit ~record =
+  let t = create_event config packed ~record in
+  let target = n - 1 in
   while t.last_retired < target do
     if t.cycle > limit then raise Cycle_limit_exceeded;
     step t;
     if t.ready_count = 0 && t.last_retired < target then skip_idle t ~limit
   done;
-  Fom_obs.Metrics.add m_skipped (t.skipped_cycles - k0);
-  Fom_obs.Metrics.add m_events (t.wake_events - e0);
+  Fom_obs.Metrics.add m_skipped t.skipped_cycles;
+  Fom_obs.Metrics.add m_events t.wake_events;
   let mean sum = float_of_int sum /. float_of_int (Int.max 1 t.cycle) in
   let cache_stats = Hierarchy.stats t.hierarchy in
   {
@@ -595,24 +595,6 @@ let run_event t ~n ~limit =
     mean_rob_occupancy = mean t.occupancy_rob_sum;
   }
 
-(* Two kernels behind one interface. A machine whose timing cannot
-   depend on issue order — an ideal L1D, so every load takes its hit
-   latency, and no dTLB — runs on the age-order recurrence
-   ({!Age_order}), which computes each instruction's stage cycles from
-   older ones with no cycle loop, whatever its clusters and units.
-   Every other machine runs on the event kernel above: a real L1D or a
-   dTLB gives a load a latency that depends on the order of the
-   accesses before it. {!Config.check} keeps clusters and FU limits
-   off those machines ([FOM-M009]), so the event kernel has one
-   cluster and unbounded units. *)
-type kernel = Event of event | Age_order of Age_order.t
-
-type t = {
-  len : int;  (* the packing's, for {!run_recorded}'s columns *)
-  retire_gap : int;
-  kernel : kernel;
-}
-
 (* The most cycles that can pass between two consecutive retirements
    (or between the start of a run and its first). Once instruction [k]
    retires, [k + 1] is the oldest in flight: every older producer has
@@ -629,44 +611,37 @@ let retire_gap (config : Config.t) =
   let slowest = Array.fold_left Int.max memory (Latency.table config.Config.latencies) in
   memory + config.Config.pipeline_depth + walk + slowest + 5
 
-let create config packed =
+(* Two kernels behind one interface. A machine whose timing cannot
+   depend on issue order — an ideal L1D, so every load takes its hit
+   latency, and no dTLB — runs on the age-order recurrence
+   ({!Age_order}), which computes each instruction's stage cycles from
+   older ones with no cycle loop, whatever its clusters and units.
+   Every other machine runs on the event kernel above: a real L1D or a
+   dTLB gives a load a latency that depends on the order of the
+   accesses before it. {!Config.check} keeps clusters and FU limits
+   off those machines ([FOM-M009]), so the event kernel has one
+   cluster and unbounded units. *)
+let run_with ?cycle_limit config packed ~n ~record =
   Config.validate config;
-  {
-    len = packed.Packed.len;
-    retire_gap = retire_gap config;
-    kernel =
-      (if Config.ideal_data_side config then Age_order (Age_order.create config packed)
-       else Event (create_event config packed));
-  }
-
-let run_with ?cycle_limit t ~n ~record =
   if n < 1 then
     Fom_check.Checker.run_exn
       (Fom_check.Checker.fail ~code:"FOM-I030" ~path:"machine.n"
          (Printf.sprintf "a run must retire at least one instruction, got n = %d" n));
-  let c0 = match t.kernel with Event e -> e.cycle | Age_order a -> Age_order.cycle a in
-  let r0 = match t.kernel with Event e -> e.last_retired + 1 | Age_order a -> Age_order.retired a in
-  (* The budget is relative to the current cycle so that a machine can
-     be resumed with successive [run] calls. *)
-  let limit = c0 + Option.value cycle_limit ~default:(n * t.retire_gap) in
+  let limit = Option.value cycle_limit ~default:(n * retire_gap config) in
   let stats =
     Fom_obs.Span.with_ s_run (fun () ->
-        match t.kernel with
-        | Age_order a -> Age_order.run a ~n ~limit ~record
-        | Event e when Option.is_none record -> run_event e ~n ~limit
-        | Event e ->
-            e.record <- record;
-            Fun.protect ~finally:(fun () -> e.record <- None) (fun () -> run_event e ~n ~limit))
+        if Config.ideal_data_side config then Age_order.run config packed ~n ~limit ~record
+        else run_event config packed ~n ~limit ~record)
   in
   Fom_obs.Metrics.incr m_runs;
-  Fom_obs.Metrics.add m_cycles (stats.Stats.cycles - c0);
-  Fom_obs.Metrics.add m_instructions (stats.Stats.instructions - r0);
+  Fom_obs.Metrics.add m_cycles stats.Stats.cycles;
+  Fom_obs.Metrics.add m_instructions stats.Stats.instructions;
   stats
 
-let run ?cycle_limit t ~n = run_with ?cycle_limit t ~n ~record:None
+let run ?cycle_limit config packed ~n = run_with ?cycle_limit config packed ~n ~record:None
 
-let run_recorded t ~n =
-  let column init = Array.make t.len init in
+let run_recorded config packed ~n =
+  let column init = Array.make packed.Packed.len init in
   let r =
     {
       fetch = column (-1);
@@ -675,8 +650,8 @@ let run_recorded t ~n =
       complete = column (-1);
       retire = column (-1);
       cluster = column (-1);
-      mispredicted = Array.make t.len false;
+      mispredicted = Array.make packed.Packed.len false;
       icache_stall = column 0;
     }
   in
-  (run_with t ~n ~record:(Some r), r)
+  (run_with config packed ~n ~record:(Some r), r)

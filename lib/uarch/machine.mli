@@ -21,7 +21,7 @@
     replay. The paper's five Figure 2 configurations are obtained
     purely by idealizing caches/predictor in the {!Config.t}.
 
-    Two kernels implement these rules, and {!create} picks one from the
+    Two kernels implement these rules, and {!run} picks one from the
     configuration; both give the same statistics and record bit for
     bit.
     - The age-order kernel runs every machine whose timing cannot
@@ -43,15 +43,22 @@
       calendar into an age-ordered ready bitmap and jumping over idle
       cycles. *)
 
-type t
+exception Cycle_limit_exceeded
+(** Raised when the simulation exceeds its cycle budget — a deadlock
+    guard; it should never fire for well-formed traces. *)
 
-val create : Config.t -> Fom_trace.Packed.t -> t
-(** [create config packed] builds a machine replaying a packed trace
-    from dynamic index 0. Each instruction's fields are read where the
-    packing keeps them, by dynamic index; nothing is decoded or
-    allocated per instruction. The packing must cover every
-    instruction the machine fetches — [n] plus {!Config.inflight_span}
-    for a run to [n] retirements — or fetch raises [FOM-T132].
+val run : ?cycle_limit:int -> Config.t -> Fom_trace.Packed.t -> n:int -> Stats.t
+(** [run config packed ~n] validates [config], then simulates a cold
+    machine replaying a packed trace from dynamic index 0 until [n]
+    instructions retire ([FOM-I030] unless [n >= 1]). Each
+    instruction's fields are read where the packing keeps them, by
+    dynamic index; nothing is decoded or allocated per instruction. The
+    packing must cover every instruction the machine fetches — [n] plus
+    {!Config.inflight_span} — or fetch raises [FOM-T132]. The default
+    cycle limit is [n] times the most cycles the configuration can
+    spend between two retirements: an I-cache fill from memory, the
+    front-end depth, a dTLB walk, the slowest execution and a few
+    cycles of stage overhead.
 
     Picks the kernel from the data side alone: the age-order one when
     the L1D is ideal and there is no dTLB, whatever the clusters and
@@ -60,20 +67,9 @@ val create : Config.t -> Fom_trace.Packed.t -> t
     parks each waiting instruction on its blocking producer or in a
     wakeup calendar and keeps the ready ones as bits of an age-ordered
     bitmap, so a cycle costs O(instructions woken), not O(window); when
-    none is ready, {!run} jumps straight to the next cycle at which
+    none is ready, the run jumps straight to the next cycle at which
     anything can happen. The age-order kernel costs O(1) amortised per
     instruction plus O(1) per cycle the run spans. *)
-
-exception Cycle_limit_exceeded
-(** Raised when the simulation exceeds its cycle budget — a deadlock
-    guard; it should never fire for well-formed traces. *)
-
-val run : ?cycle_limit:int -> t -> n:int -> Stats.t
-(** Simulate until [n] instructions retire ([FOM-I030] unless
-    [n >= 1]). The default cycle limit is [n] times the most cycles
-    the configuration can spend between two retirements: an I-cache
-    fill from memory, the front-end depth, a dTLB walk, the slowest
-    execution and a few cycles of stage overhead. *)
 
 type record = {
   fetch : int array;  (** cycle it entered the front-end pipe *)
@@ -88,13 +84,12 @@ type record = {
           1 on a miss, 0 on a hit or with no probe *)
 }
 (** When each instruction of one run reached each stage, by dynamic
-    index over the whole packing; -1 for a stage not reached (or
-    reached before {!run_recorded} was called). The predictor's and
-    the I-cache's verdicts and the loads' [complete] cycles are the
-    inputs the cycle rules cannot derive; [test/pipeline_check.ml]
-    re-derives every other column from them. *)
+    index over the whole packing; -1 for a stage not reached. The
+    predictor's and the I-cache's verdicts and the loads' [complete]
+    cycles are the inputs the cycle rules cannot derive;
+    [test/pipeline_check.ml] re-derives every other column from them. *)
 
-val run_recorded : t -> n:int -> Stats.t * record
+val run_recorded : Config.t -> Fom_trace.Packed.t -> n:int -> Stats.t * record
 (** Like {!run}, also recording the pipeline — e.g. per-cycle issue
     counts are a histogram of [issue], and fetch restarts after a
     misprediction at the branch's [complete] cycle (paper Figure 19's

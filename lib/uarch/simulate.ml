@@ -1,4 +1,4 @@
-let run_packed config packed ~n = Machine.run (Machine.create config packed) ~n
+let run_packed config packed ~n = Machine.run config packed ~n
 
 let run_source config source ~n =
   (* Validate before sizing the packing from the configuration. *)

@@ -14,7 +14,7 @@ val run_source : Config.t -> Fom_trace.Source.t -> n:int -> Stats.t
     over an exact-length packing. *)
 
 val run_packed : Config.t -> Fom_trace.Packed.t -> n:int -> Stats.t
-(** {!run} over an existing packing (see {!Machine.create}), so one
+(** {!run} over an existing packing (see {!Machine.run}), so one
     packed trace can serve many configurations. The packing must cover
     every instruction the machine fetches: [n] plus the in-flight span
     ({!Config.inflight_span}), which bounds how far fetch runs ahead of

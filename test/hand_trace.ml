@@ -2,13 +2,12 @@
    from dynamic index to instruction; it enters the machine the only
    way any trace does, packed, here as a recorded source. *)
 
-(* A machine over the first [n + inflight_span] instructions: enough
-   for runs totalling [n] retirements. *)
-let machine config gen ~n =
-  let n = n + Fom_uarch.Config.inflight_span config in
-  Fom_uarch.Machine.create config
+(* A run to [n] retirements over the first [n + inflight_span]
+   instructions. *)
+let run config gen ~n =
+  let len = n + Fom_uarch.Config.inflight_span config in
+  Fom_uarch.Machine.run config
     (Fom_trace.Packed.of_source
-       (Fom_trace.Source.of_instrs ~label:"hand-built" (Array.init n gen))
-       ~n)
-
-let run config gen ~n = Fom_uarch.Machine.run (machine config gen ~n) ~n
+       (Fom_trace.Source.of_instrs ~label:"hand-built" (Array.init len gen))
+       ~n:len)
+    ~n

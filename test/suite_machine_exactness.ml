@@ -172,7 +172,7 @@ let random_config ~width ~variant ~shape =
 (* A recorded run of [config] over [packed] must pass the pipeline
    checker, and recording must not change the statistics. *)
 let check_recorded ~case config packed ~n =
-  let stats, record = Machine.run_recorded (Machine.create config packed) ~n in
+  let stats, record = Machine.run_recorded config packed ~n in
   (match Pipeline_check.check config packed record stats with
   | Ok () -> ()
   | Error e -> Alcotest.failf "%s: %s" case e);
@@ -261,7 +261,7 @@ let test_checker_grid () =
                  the same statistics, under [cycles - 2] it raises. *)
               let cycles = stats.Stats.cycles in
               let outcome cycle_limit =
-                match Machine.run ~cycle_limit (Machine.create config packed) ~n with
+                match Machine.run ~cycle_limit config packed ~n with
                 | stats -> Some stats
                 | exception Machine.Cycle_limit_exceeded -> None
               in
@@ -320,57 +320,12 @@ let test_short_packing_raises_t132 () =
     Fom_trace.Source.of_program (Fom_trace.Program.generate (Fom_workloads.Spec2000.find "gzip"))
   in
   let short = Fom_trace.Packed.of_source source ~n in
-  match Machine.run (Machine.create config short) ~n with
+  match Machine.run config short ~n with
   | _ -> Alcotest.fail "expected FOM-T132"
   | exception Fom_check.Checker.Invalid [ d ] ->
       Alcotest.(check string) "code" "FOM-T132" d.Fom_check.Diagnostic.code;
       Alcotest.(check string) "path" "machine.trace" d.Fom_check.Diagnostic.path
   | exception Fom_check.Checker.Invalid _ -> Alcotest.fail "expected one diagnostic"
-
-let test_resumable_runs_compose () =
-  (* Two runs of n/2 equal one run of n on the same machine. *)
-  let m1 = Hand_trace.machine ideal alu ~n:1000 in
-  let first = Machine.run m1 ~n:500 in
-  let second = Machine.run m1 ~n:(1000 - first.Stats.instructions) in
-  let full = Hand_trace.run ideal alu ~n:1000 in
-  Alcotest.(check int) "same total cycles" full.Stats.cycles second.Stats.cycles;
-  Alcotest.(check bool) "at least 1000 retired" true (second.Stats.instructions >= 1000)
-
-let test_resumable_packed_runs_compose () =
-  (* The ROB and the front-end pipe are index ranges that must carry
-     across a [run] boundary: stopping a packed-fed machine part-way and
-     resuming it to the same retirement target gives exactly the full
-     statistics of one uninterrupted run. *)
-  let n = 6000 in
-  List.iter
-    (fun (name, config) ->
-      let program = Fom_trace.Program.generate (Fom_workloads.Spec2000.find name) in
-      let packed =
-        Fom_trace.Packed.of_source
-          (Fom_trace.Source.of_program program)
-          ~n:(n + Config.inflight_span config)
-      in
-      let resumed = Machine.create config packed in
-      let first = Machine.run resumed ~n:2500 in
-      let second = Machine.run resumed ~n:(n - first.Stats.instructions) in
-      let full = Machine.run (Machine.create config packed) ~n in
-      Alcotest.(check bool) (name ^ ": resumed run equals one run") true (second = full))
-    [
-      ("gzip", Config.baseline);
-      ("mcf", Config.baseline);
-      ( "gcc",
-        Config.with_fetch_buffer 16
-          (Config.with_dtlb
-             { Fom_cache.Tlb.entries = 64; page_bits = 13; walk_latency = 30 }
-             Config.baseline) );
-      ( "vpr",
-        Config.with_fetch_buffer 16
-          (Config.with_fu_limits (Fom_isa.Fu_set.make ~alu:2 ~load:1 ())
-             (Config.with_clusters 2
-                (Config.with_cache
-                   { Hierarchy.baseline with Hierarchy.l1d = Hierarchy.Ideal }
-                   Config.baseline))) );
-    ]
 
 let test_packed_run_allocation_free () =
   (* The detailed simulator keeps its in-flight state in preallocated
@@ -418,9 +373,6 @@ let suite =
       Alcotest.test_case "long miss blocks retirement" `Quick test_long_miss_blocks_retirement;
       Alcotest.test_case "store misses do not block" `Quick test_store_misses_do_not_block;
       Alcotest.test_case "occupancy stats bounded" `Quick test_window_stat_bounded;
-      Alcotest.test_case "resumable runs compose" `Quick test_resumable_runs_compose;
-      Alcotest.test_case "resumable packed runs compose" `Quick
-        test_resumable_packed_runs_compose;
       Alcotest.test_case "packed run allocation-free" `Quick test_packed_run_allocation_free;
       QCheck_alcotest.to_alcotest prop_pipeline_record_passes_checker;
       Alcotest.test_case "pipeline checker: long latencies, cycle limits" `Quick

@@ -222,6 +222,38 @@ let test_memo_metrics () =
       Alcotest.(check int) "one compute" 1 (counter_value "memo.computes");
       Alcotest.(check int) "one join" 1 (counter_value "memo.joins"))
 
+let test_model_evaluate_span () =
+  (* One model evaluation is one balanced library span. *)
+  let inputs =
+    {
+      Fom_model.Inputs.name = "span";
+      instructions = 100_000;
+      alpha = 1.2;
+      beta = 0.6;
+      fit_r2 = 0.99;
+      avg_latency = 1.3;
+      mispredictions_per_instr = 0.005;
+      mispred_bursts = Fom_util.Distribution.of_list [ (1, 50) ];
+      l1i_misses_per_instr = 0.001;
+      l2i_misses_per_instr = 0.0002;
+      short_misses_per_instr = 0.01;
+      long_misses_per_instr = 0.002;
+      long_miss_groups = Fom_util.Distribution.of_list [ (1, 10) ];
+      dtlb_misses_per_instr = 0.0;
+      dtlb_groups = Fom_util.Distribution.create ();
+    }
+  in
+  with_sink (fun () ->
+      ignore (Fom_model.Cpi.evaluate Fom_model.Params.baseline inputs);
+      Alcotest.(check (list string))
+        "one Begin/End pair" [ "B"; "E" ]
+        (List.filter_map
+           (fun (e : Span.event) ->
+             if String.equal e.Span.name "model.evaluate" then
+               Some (match e.Span.phase with Span.Begin -> "B" | Span.End -> "E")
+             else None)
+           (Span.events ())))
+
 let test_sim_skipped_cycles () =
   (* The detailed simulator jumps over cycles in which nothing can
      happen. On the baseline machine mcf spends most cycles waiting on
@@ -254,5 +286,6 @@ let suite =
         test_determinism_with_sink;
       Alcotest.test_case "pool metrics and spans" `Quick test_pool_metrics;
       Alcotest.test_case "memo metrics" `Quick test_memo_metrics;
+      Alcotest.test_case "model.evaluate span" `Quick test_model_evaluate_span;
       Alcotest.test_case "simulator skips idle cycles" `Quick test_sim_skipped_cycles;
     ] )
