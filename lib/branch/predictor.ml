@@ -16,13 +16,11 @@ let counter_train table i taken =
   let c = if taken then Int.min 3 (c + 1) else Int.max 0 (c - 1) in
   Bytes.set table i (Char.chr c)
 
-type impl =
+type t =
   | I_ideal
   | I_always_taken
   | I_bimodal of { table : Bytes.t; mask : int }
   | I_gshare of { table : Bytes.t; mask : int; mutable history : int }
-
-type t = { spec : spec; impl : impl }
 
 let diagnostics spec =
   let module C = Fom_check.Checker in
@@ -40,32 +38,27 @@ let check_bits bits =
     "table size log2 must be within [1, 28]"
 
 let create spec =
-  let impl =
-    match spec with
-    | Ideal -> I_ideal
-    | Always_taken -> I_always_taken
-    | Bimodal bits ->
-        check_bits bits;
-        I_bimodal { table = fresh_counters bits; mask = (1 lsl bits) - 1 }
-    | Gshare bits ->
-        check_bits bits;
-        I_gshare { table = fresh_counters bits; mask = (1 lsl bits) - 1; history = 0 }
-  in
-  { spec; impl }
-
-let spec t = t.spec
+  match spec with
+  | Ideal -> I_ideal
+  | Always_taken -> I_always_taken
+  | Bimodal bits ->
+      check_bits bits;
+      I_bimodal { table = fresh_counters bits; mask = (1 lsl bits) - 1 }
+  | Gshare bits ->
+      check_bits bits;
+      I_gshare { table = fresh_counters bits; mask = (1 lsl bits) - 1; history = 0 }
 
 (* The predicted direction. [taken] is the resolved direction, needed
    only by [Ideal]; real predictors ignore it. No state change. *)
 let predict t ~pc ~taken =
-  match t.impl with
+  match t with
   | I_ideal -> taken
   | I_always_taken -> true
   | I_bimodal b -> counter_taken b.table (pc lsr 2 land b.mask)
   | I_gshare g -> counter_taken g.table ((pc lsr 2) lxor g.history land g.mask)
 
 let train t ~pc ~taken =
-  match t.impl with
+  match t with
   | I_ideal | I_always_taken -> ()
   | I_bimodal b -> counter_train b.table (pc lsr 2 land b.mask) taken
   | I_gshare g ->

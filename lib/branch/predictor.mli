@@ -26,7 +26,6 @@ val diagnostics : spec -> Fom_check.Diagnostic.t list
 type t
 
 val create : spec -> t
-val spec : t -> spec
 
 val observe : t -> pc:int -> taken:bool -> bool
 (** Predict the direction of the branch at [pc], then update the

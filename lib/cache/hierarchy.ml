@@ -32,14 +32,7 @@ let fig14 =
     latencies = baseline_latencies;
   }
 
-type stats = {
-  inst_accesses : int;
-  l1i_misses : int;
-  l2i_misses : int;
-  data_accesses : int;
-  short_misses : int;
-  long_misses : int;
-}
+type stats = { l1i_misses : int; l2i_misses : int }
 
 (* Counters are mutable fields so that an access allocates nothing;
    {!stats} assembles the record when asked. *)
@@ -48,12 +41,8 @@ type t = {
   l1i : Sa_cache.t option;
   l1d : Sa_cache.t option;
   l2 : Sa_cache.t option;
-  mutable n_inst : int;
   mutable n_l1i_misses : int;
   mutable n_l2i_misses : int;
-  mutable n_data : int;
-  mutable n_short : int;
-  mutable n_long : int;
 }
 
 let diagnostics (config : config) =
@@ -88,15 +77,9 @@ let create (config : config) =
     l1i = level config.l1i;
     l1d = level config.l1d;
     l2;
-    n_inst = 0;
     n_l1i_misses = 0;
     n_l2i_misses = 0;
-    n_data = 0;
-    n_short = 0;
-    n_long = 0;
   }
-
-let config t = t.config
 
 let beyond_l1 t addr =
   match (t.config.l2, t.l2) with
@@ -106,7 +89,6 @@ let beyond_l1 t addr =
   | Real_l2 _, None -> Fom_check.Checker.internal_error "real L2 configured without a cache"
 
 let access_inst t addr =
-  t.n_inst <- t.n_inst + 1;
   match t.l1i with
   | Some l1 when not (Sa_cache.access l1 addr) ->
       t.n_l1i_misses <- t.n_l1i_misses + 1;
@@ -116,15 +98,8 @@ let access_inst t addr =
   | Some _ | None -> L1_hit
 
 let access_data t addr =
-  t.n_data <- t.n_data + 1;
   match t.l1d with
-  | Some l1 when not (Sa_cache.access l1 addr) ->
-      let outcome = beyond_l1 t addr in
-      (match outcome with
-      | L2_hit -> t.n_short <- t.n_short + 1
-      | Memory -> t.n_long <- t.n_long + 1
-      | L1_hit -> ());
-      outcome
+  | Some l1 when not (Sa_cache.access l1 addr) -> beyond_l1 t addr
   | Some _ | None -> L1_hit
 
 let data_latency t = function
@@ -137,12 +112,4 @@ let inst_stall t = function
   | L2_hit -> t.config.latencies.l2
   | Memory -> t.config.latencies.memory
 
-let stats t =
-  {
-    inst_accesses = t.n_inst;
-    l1i_misses = t.n_l1i_misses;
-    l2i_misses = t.n_l2i_misses;
-    data_accesses = t.n_data;
-    short_misses = t.n_short;
-    long_misses = t.n_long;
-  }
+let stats t = { l1i_misses = t.n_l1i_misses; l2i_misses = t.n_l2i_misses }

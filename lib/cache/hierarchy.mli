@@ -66,7 +66,6 @@ val diagnostics : config -> Fom_check.Diagnostic.t list
 type t
 
 val create : config -> t
-val config : t -> config
 
 val access_inst : t -> int -> outcome
 (** Probe/fill the instruction path with a line address. *)
@@ -82,12 +81,10 @@ val inst_stall : t -> outcome -> int
     hit, [l2] for an L2 hit, [memory] for an L2 miss. *)
 
 type stats = {
-  inst_accesses : int;
-  l1i_misses : int;
+  l1i_misses : int;  (** instruction fetches that missed the L1I *)
   l2i_misses : int;  (** instruction fetches that went to memory *)
-  data_accesses : int;
-  short_misses : int;  (** L1D misses that hit L2 *)
-  long_misses : int;  (** L2 data misses *)
 }
 
 val stats : t -> stats
+(** Instruction-side miss counts so far. Data-side outcomes are the
+    caller's to count: {!access_data} returns each one. *)

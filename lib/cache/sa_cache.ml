@@ -11,8 +11,6 @@ type t = {
   tags : int array;  (* sets * assoc *)
   stamps : int array;
   mutable clock : int;
-  mutable accesses : int;
-  mutable misses : int;
 }
 
 let log2 n =
@@ -31,8 +29,6 @@ let create geometry =
     tags = Array.make n (-1);
     stamps = Array.make n 0;
     clock = 0;
-    accesses = 0;
-    misses = 0;
   }
 
 (* First way of [addr]'s set. *)
@@ -54,7 +50,6 @@ let find t addr =
 let probe t addr = find t addr >= 0
 
 let access t addr =
-  t.accesses <- t.accesses + 1;
   t.clock <- t.clock + 1;
   let slot = find t addr in
   if slot >= 0 then begin
@@ -62,7 +57,6 @@ let access t addr =
     true
   end
   else begin
-    t.misses <- t.misses + 1;
     let base = set_base t addr in
     let victim = ref base in
     for way = 1 to t.assoc - 1 do
@@ -72,6 +66,3 @@ let access t addr =
     t.stamps.(!victim) <- t.clock;
     false
   end
-
-let accesses t = t.accesses
-let misses t = t.misses

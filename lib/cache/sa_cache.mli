@@ -16,9 +16,3 @@ val access : t -> int -> bool
 
 val probe : t -> int -> bool
 (** Like {!access} but with no side effect at all. *)
-
-val accesses : t -> int
-(** Accesses made so far. *)
-
-val misses : t -> int
-(** Misses so far. *)

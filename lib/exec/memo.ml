@@ -29,26 +29,12 @@ type 'v cell = {
 }
 
 type ('k, 'v) t = {
-  lock : Mutex.t;  (* guards the table and the counter *)
+  lock : Mutex.t;  (* guards the table *)
   table : ('k, 'v cell) Hashtbl.t;
   pool : Pool.t option;
-  mutable computes : int;
 }
 
-let create ?pool () =
-  { lock = Mutex.create (); table = Hashtbl.create 64; pool; computes = 0 }
-
-let compute_count t =
-  Mutex.lock t.lock;
-  let n = t.computes in
-  Mutex.unlock t.lock;
-  n
-
-let length t =
-  Mutex.lock t.lock;
-  let n = Hashtbl.length t.table in
-  Mutex.unlock t.lock;
-  n
+let create ?pool () = { lock = Mutex.create (); table = Hashtbl.create 64; pool }
 
 let self_id () = (Domain.self () :> int)
 
@@ -105,7 +91,6 @@ let get t key compute =
           }
         in
         Hashtbl.add t.table key cell;
-        t.computes <- t.computes + 1;
         (cell, true)
   in
   Mutex.unlock t.lock;

@@ -47,12 +47,3 @@ val get : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v
     invoking [compute] exactly once per key per process — the first
     demander computes, concurrent demanders wait for its result.
     Re-raises the owner's exception if the computation failed. *)
-
-val compute_count : ('k, 'v) t -> int
-(** How many computations this table has ever *started* — the
-    exactly-once guarantee says this equals the number of distinct
-    keys demanded, regardless of worker count (asserted by the
-    regression tests in [test/suite_exec.ml]). *)
-
-val length : ('k, 'v) t -> int
-(** Number of keys present (claimed, completed, or failed). *)

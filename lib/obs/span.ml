@@ -97,7 +97,16 @@ let with_ i f =
   if not (Gate.is_on ()) then f ()
   else begin
     enter i;
-    Fun.protect ~finally:(fun () -> leave i) f
+    (* Not [Fun.protect]: its [finally] closure would allocate on every
+       traced call. *)
+    match f () with
+    | v ->
+        leave i;
+        v
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        leave i;
+        Printexc.raise_with_backtrace e bt
   end
 
 type phase = Begin | End

@@ -9,7 +9,7 @@ type t = {
   mutable offset : int;
 }
 
-let create ?seed_rng kind region =
+let create ~seed_rng kind region =
   let ensure ~path cond message =
     Fom_check.Checker.ensure ~code:"FOM-T050" ~path cond message
   in
@@ -21,11 +21,7 @@ let create ?seed_rng kind region =
       ensure ~path:"address_gen.stride" (stride > 0 && stride mod 8 = 0)
         "stride must be a positive multiple of 8 bytes"
   | Random | Chase -> ());
-  let rng = match seed_rng with Some r -> Fom_util.Rng.split r | None -> Fom_util.Rng.create 0 in
-  { kind; region; rng; offset = 0 }
-
-let kind t = t.kind
-let region t = t.region
+  { kind; region; rng = Fom_util.Rng.split seed_rng; offset = 0 }
 
 let align8 x = x land lnot 7
 

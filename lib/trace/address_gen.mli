@@ -27,12 +27,9 @@ type region = { base : int; size : int }
 type t
 (** Mutable generator state. *)
 
-val create : ?seed_rng:Fom_util.Rng.t -> kind -> region -> t
+val create : seed_rng:Fom_util.Rng.t -> kind -> region -> t
 (** Fresh generator over a region; [Random]/[Chase] draw from
     [seed_rng] (a dedicated split stream). *)
-
-val kind : t -> kind
-val region : t -> region
 
 val next : t -> int
 (** Next effective address, 8-byte aligned, within the region. *)

@@ -6,7 +6,7 @@ type kind =
 
 type t = { kind : kind; rng : Fom_util.Rng.t; mutable step : int }
 
-let create ?seed_rng kind =
+let create ~seed_rng kind =
   let ensure ~code ~path cond message = Fom_check.Checker.ensure ~code ~path cond message in
   (match kind with
   | Biased p | Chaotic p ->
@@ -19,10 +19,7 @@ let create ?seed_rng kind =
   | Pattern a ->
       ensure ~code:"FOM-T032" ~path:"branch_behavior.pattern" (Array.length a > 0)
         "direction pattern must be non-empty");
-  let rng = match seed_rng with Some r -> Fom_util.Rng.split r | None -> Fom_util.Rng.create 0 in
-  { kind; rng; step = 0 }
-
-let kind t = t.kind
+  { kind; rng = Fom_util.Rng.split seed_rng; step = 0 }
 
 let next t =
   match t.kind with

@@ -23,11 +23,9 @@ type kind =
 type t
 (** Mutable behaviour state. *)
 
-val create : ?seed_rng:Fom_util.Rng.t -> kind -> t
+val create : seed_rng:Fom_util.Rng.t -> kind -> t
 (** Fresh behaviour; stochastic kinds draw from a dedicated split of
     [seed_rng]. *)
-
-val kind : t -> kind
 
 val next : t -> bool
 (** Next resolved direction. *)

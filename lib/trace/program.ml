@@ -207,14 +207,4 @@ let generate config =
 
 let entry _t = 0
 let static_count t = Array.length t.statics
-let footprint_bytes t = 4 * static_count t
-
-let block_of_uid t uid =
-  let rec search lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi + 1) / 2 in
-      if t.blocks.(mid).first <= uid then search mid hi else search lo (mid - 1)
-  in
-  search 0 (Array.length t.blocks - 1)
 

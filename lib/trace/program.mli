@@ -15,7 +15,7 @@
 
 type static = {
   uid : int;  (** index into the flat static-instruction array *)
-  pc : int;  (** byte address ([code_base + 4 * uid]) *)
+  pc : int;  (** byte address, 4 bytes past the previous uid's *)
   opclass : Fom_isa.Opclass.t;
   nsrc : int;  (** dependences to sample per dynamic instance *)
   agen_spec : (Address_gen.kind * Address_gen.region) option;
@@ -41,17 +41,8 @@ type t = private {
 val generate : Config.t -> t
 (** Deterministic in [config.seed]. *)
 
-val code_base : int
-(** Byte address of the first static instruction. *)
-
 val entry : t -> int
 (** Entry block id (0). *)
 
 val static_count : t -> int
-
-val footprint_bytes : t -> int
-(** Static code size: drives the I-cache behaviour. *)
-
-val block_of_uid : t -> int -> int
-(** Enclosing block id of a static instruction. *)
 

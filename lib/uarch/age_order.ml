@@ -5,17 +5,6 @@ module Packed = Fom_trace.Packed
 
 exception Cycle_limit_exceeded
 
-type record = {
-  fetch : int array;
-  dispatch : int array;
-  issue : int array;
-  complete : int array;
-  retire : int array;
-  cluster : int array;
-  mispredicted : bool array;
-  icache_stall : int array;
-}
-
 let branch_tag = Opclass.to_int Opclass.Branch
 let load_tag = Opclass.to_int Opclass.Load
 
@@ -226,7 +215,7 @@ let create (config : Config.t) packed =
 
 (* Write instruction [i]'s events before cycle [until] into the
    record. *)
-let record_events t rc i ~until =
+let record_events t (rc : Stats.record) i ~until =
   let s = i land t.mask in
   let f = t.fetch_at.(s) and d = t.dispatch_at.(s) in
   let u = t.issue_at.(s) and r = t.retire_at.(s) in

@@ -4,24 +4,12 @@
     fetch, dispatch, issue, completion and retirement cycles from older
     instructions alone, in one pass in program order, and gives exactly
     the event kernel's statistics and record.
-    {!Machine} selects it; the types below are the ones it exports. *)
+    {!Machine} selects it; its exception is the one {!Machine} exports. *)
 
 exception Cycle_limit_exceeded
 
-type record = {
-  fetch : int array;
-  dispatch : int array;
-  issue : int array;
-  complete : int array;
-  retire : int array;
-  cluster : int array;
-  mispredicted : bool array;
-  icache_stall : int array;
-}
-(** {!Machine.record}. *)
-
 val run :
-  Config.t -> Fom_trace.Packed.t -> n:int -> limit:int -> record:record option -> Stats.t
+  Config.t -> Fom_trace.Packed.t -> n:int -> limit:int -> record:Stats.record option -> Stats.t
 (** {!Machine.run} of a cold machine to [n >= 1] retirements; the
     configuration is valid and order-free. Allocates every ring here,
     sized from the configuration. Raises [Cycle_limit_exceeded] if the

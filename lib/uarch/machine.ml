@@ -6,17 +6,6 @@ module Packed = Fom_trace.Packed
 
 exception Cycle_limit_exceeded = Age_order.Cycle_limit_exceeded
 
-type record = Age_order.record = {
-  fetch : int array;
-  dispatch : int array;
-  issue : int array;
-  complete : int array;
-  retire : int array;
-  cluster : int array;
-  mispredicted : bool array;
-  icache_stall : int array;
-}
-
 (* Observability (no-ops unless an Fom_obs sink is enabled). Counters
    accumulate across every machine in the process; [sim.events] counts
    the event kernel's ready-set insertions — its unit of work — and
@@ -130,7 +119,7 @@ type event = {
   mutable cycle : int;
   mutable wake_events : int;  (* ready-set insertions, for sim.events *)
   mutable skipped_cycles : int;  (* idle cycles jumped over *)
-  record : record option;  (* stage cycles, for {!run_recorded} *)
+  record : Stats.record option;  (* stage cycles, for {!run_recorded} *)
   (* statistics *)
   mutable short_load_misses : int;
   mutable long_load_misses : int;
@@ -644,7 +633,7 @@ let run_recorded config packed ~n =
   let column init = Array.make packed.Packed.len init in
   let r =
     {
-      fetch = column (-1);
+      Stats.fetch = column (-1);
       dispatch = column (-1);
       issue = column (-1);
       complete = column (-1);

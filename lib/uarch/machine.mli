@@ -71,25 +71,7 @@ val run : ?cycle_limit:int -> Config.t -> Fom_trace.Packed.t -> n:int -> Stats.t
     anything can happen. The age-order kernel costs O(1) amortised per
     instruction plus O(1) per cycle the run spans. *)
 
-type record = {
-  fetch : int array;  (** cycle it entered the front-end pipe *)
-  dispatch : int array;  (** cycle it entered the window and ROB *)
-  issue : int array;
-  complete : int array;  (** set at issue; may lie past the end of the run *)
-  retire : int array;
-  cluster : int array;  (** steered to at dispatch *)
-  mispredicted : bool array;  (** a branch the predictor got wrong *)
-  icache_stall : int array;
-      (** cycles from its I-cache probe until fetch may resume: at least
-          1 on a miss, 0 on a hit or with no probe *)
-}
-(** When each instruction of one run reached each stage, by dynamic
-    index over the whole packing; -1 for a stage not reached. The
-    predictor's and the I-cache's verdicts and the loads' [complete]
-    cycles are the inputs the cycle rules cannot derive;
-    [test/pipeline_check.ml] re-derives every other column from them. *)
-
-val run_recorded : Config.t -> Fom_trace.Packed.t -> n:int -> Stats.t * record
+val run_recorded : Config.t -> Fom_trace.Packed.t -> n:int -> Stats.t * Stats.record
 (** Like {!run}, also recording the pipeline — e.g. per-cycle issue
     counts are a histogram of [issue], and fetch restarts after a
     misprediction at the branch's [complete] cycle (paper Figure 19's

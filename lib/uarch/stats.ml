@@ -15,6 +15,17 @@ type t = {
   mean_rob_occupancy : float;
 }
 
+type record = {
+  fetch : int array;
+  dispatch : int array;
+  issue : int array;
+  complete : int array;
+  retire : int array;
+  cluster : int array;
+  mispredicted : bool array;
+  icache_stall : int array;
+}
+
 let ipc t =
   if t.cycles = 0 then 0.0 else float_of_int t.instructions /. float_of_int t.cycles
 

@@ -28,6 +28,25 @@ type t = {
   mean_rob_occupancy : float;
 }
 
+type record = {
+  fetch : int array;  (** cycle it entered the front-end pipe *)
+  dispatch : int array;  (** cycle it entered the window and ROB *)
+  issue : int array;
+  complete : int array;  (** set at issue; may lie past the end of the run *)
+  retire : int array;
+  cluster : int array;  (** steered to at dispatch *)
+  mispredicted : bool array;  (** a branch the predictor got wrong *)
+  icache_stall : int array;
+      (** cycles from its I-cache probe until fetch may resume: at least
+          1 on a miss, 0 on a hit or with no probe *)
+}
+(** A {!Machine.run_recorded} pipeline record: when each instruction
+    of one run reached each stage, by dynamic index over the whole
+    packing; -1 for a stage not reached. The predictor's and the
+    I-cache's verdicts and the loads' [complete] cycles are the inputs
+    the cycle rules cannot derive; [test/pipeline_check.ml] re-derives
+    every other column from them. *)
+
 val ipc : t -> float
 val cpi : t -> float
 

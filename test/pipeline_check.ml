@@ -25,7 +25,7 @@ exception Mismatch of string
 
 let fail fmt = Printf.ksprintf (fun m -> raise (Mismatch m)) fmt
 
-let derive (config : Config.t) (p : Packed.t) (r : Machine.record) (stats : Stats.t) =
+let derive (config : Config.t) (p : Packed.t) (r : Stats.record) (stats : Stats.t) =
   let len = p.Packed.len in
   let width = config.Config.width and clusters = config.Config.clusters in
   let load = Opclass.to_int Opclass.Load and store = Opclass.to_int Opclass.Store in
@@ -146,9 +146,9 @@ let derive (config : Config.t) (p : Packed.t) (r : Machine.record) (stats : Stat
           Fom_util.Stats.Acc.add window_at_branch_issue (float_of_int (!win - !issued - 1));
         issue.(i) <- c;
         complete.(i) <- c + execute i c;
-        if op = load && complete.(i) <> r.Machine.complete.(i) then
+        if op = load && complete.(i) <> r.Stats.complete.(i) then
           fail "load %d issued at cycle %d: replay completes it at %d, record at %d" i c
-            complete.(i) r.Machine.complete.(i);
+            complete.(i) r.Stats.complete.(i);
         fu_busy.(op) <- fu_busy.(op) + 1;
         cluster_issued.(cl) <- cluster_issued.(cl) + 1;
         cluster_count.(cl) <- cluster_count.(cl) - 1;
@@ -231,13 +231,13 @@ let derive (config : Config.t) (p : Packed.t) (r : Machine.record) (stats : Stat
   done;
   let columns =
     [
-      ("fetch", fetch, r.Machine.fetch);
-      ("dispatch", dispatch, r.Machine.dispatch);
-      ("issue", issue, r.Machine.issue);
-      ("complete", complete, r.Machine.complete);
-      ("retire", retire, r.Machine.retire);
-      ("cluster", cluster, r.Machine.cluster);
-      ("icache_stall", icache_stall, r.Machine.icache_stall);
+      ("fetch", fetch, r.Stats.fetch);
+      ("dispatch", dispatch, r.Stats.dispatch);
+      ("issue", issue, r.Stats.issue);
+      ("complete", complete, r.Stats.complete);
+      ("retire", retire, r.Stats.retire);
+      ("cluster", cluster, r.Stats.cluster);
+      ("icache_stall", icache_stall, r.Stats.icache_stall);
     ]
   in
   List.iter
@@ -250,9 +250,9 @@ let derive (config : Config.t) (p : Packed.t) (r : Machine.record) (stats : Stat
     columns;
   Array.iteri
     (fun i m ->
-      if m <> r.Machine.mispredicted.(i) then
+      if m <> r.Stats.mispredicted.(i) then
         fail "misprediction of instruction %d: recorded %b, derived %b" i
-          r.Machine.mispredicted.(i) m)
+          r.Stats.mispredicted.(i) m)
     mispredicted;
   let mean sum = float_of_int sum /. float_of_int (Int.max 1 !cycle) in
   let exact name derived recorded =

@@ -62,9 +62,8 @@ let test_gshare_loop_misses_once_per_trip () =
   let per_trip = float_of_int wrong /. (10000.0 /. float_of_int trip) in
   Alcotest.(check bool) "about one miss per trip" true (per_trip < 3.0)
 
-let test_spec_accessor () =
-  let p = Predictor.create Predictor.default_spec in
-  Alcotest.(check bool) "default is gshare 13" true (Predictor.spec p = Predictor.Gshare 13)
+let test_default_spec () =
+  Alcotest.(check bool) "default is gshare 13" true (Predictor.default_spec = Predictor.Gshare 13)
 
 let prop_observe_counts =
   QCheck.Test.make ~name:"stats count every observation" ~count:50
@@ -93,7 +92,7 @@ let suite =
       Alcotest.test_case "gshare chaotic near half" `Quick test_gshare_chaotic_near_half;
       Alcotest.test_case "gshare loop misses once per trip" `Quick
         test_gshare_loop_misses_once_per_trip;
-      Alcotest.test_case "default spec" `Quick test_spec_accessor;
+      Alcotest.test_case "default spec" `Quick test_default_spec;
       QCheck_alcotest.to_alcotest prop_observe_counts;
       QCheck_alcotest.to_alcotest prop_ideal_perfect;
     ] )

@@ -7,6 +7,10 @@ module Hierarchy = Fom_cache.Hierarchy
 
 let small = Geometry.make ~size:1024 ~assoc:2 ~line:64 (* 8 sets *)
 
+(* 1 when accessing [addr] misses: the tests count misses as the
+   accesses that return [false]. *)
+let miss c addr = if Sa_cache.access c addr then 0 else 1
+
 let test_geometry_baseline () =
   Alcotest.(check int) "l1 sets" 8 (Geometry.sets Geometry.l1_baseline);
   Alcotest.(check int) "l2 sets" 1024 (Geometry.sets Geometry.l2_baseline)
@@ -20,8 +24,7 @@ let test_cache_cold_miss_then_hit () =
   let c = Sa_cache.create small in
   Alcotest.(check bool) "cold miss" false (Sa_cache.access c 0x100);
   Alcotest.(check bool) "then hit" true (Sa_cache.access c 0x100);
-  Alcotest.(check bool) "same line hits" true (Sa_cache.access c 0x13f);
-  Alcotest.(check int) "one miss" 1 (Sa_cache.misses c)
+  Alcotest.(check bool) "same line hits" true (Sa_cache.access c 0x13f)
 
 let test_cache_lru_eviction () =
   let c = Sa_cache.create small in
@@ -41,7 +44,7 @@ let test_cache_probe_no_side_effect () =
   let c = Sa_cache.create small in
   Alcotest.(check bool) "probe miss" false (Sa_cache.probe c 0x200);
   Alcotest.(check bool) "still miss" false (Sa_cache.probe c 0x200);
-  Alcotest.(check int) "no accesses counted" 0 (Sa_cache.accesses c)
+  Alcotest.(check bool) "first access still misses" false (Sa_cache.access c 0x200)
 
 let test_cache_working_set_fits () =
   (* A working set equal to capacity must fully hit after one pass. *)
@@ -50,23 +53,23 @@ let test_cache_working_set_fits () =
   for i = 0 to lines - 1 do
     ignore (Sa_cache.access c (i * 64))
   done;
-  let first_pass = Sa_cache.misses c in
+  let second_pass = ref 0 in
   for i = 0 to lines - 1 do
-    ignore (Sa_cache.access c (i * 64))
+    second_pass := !second_pass + miss c (i * 64)
   done;
-  Alcotest.(check int) "second pass all hits" first_pass (Sa_cache.misses c)
+  Alcotest.(check int) "second pass all hits" 0 !second_pass
 
 let test_cache_thrashing_set () =
   (* assoc+1 tags cycling through one set with LRU miss every time. *)
   let c = Sa_cache.create small in
   let set_stride = 8 * 64 in
-  for round = 1 to 10 do
-    ignore round;
+  let misses = ref 0 in
+  for _ = 1 to 10 do
     for k = 0 to 2 do
-      ignore (Sa_cache.access c (k * set_stride))
+      misses := !misses + miss c (k * set_stride)
     done
   done;
-  Alcotest.(check int) "all misses" 30 (Sa_cache.misses c)
+  Alcotest.(check int) "all misses" 30 !misses
 
 let test_cache_miss_rate_monotone_in_size () =
   (* Random accesses over 64 KiB: a bigger cache can only help. *)
@@ -74,8 +77,7 @@ let test_cache_miss_rate_monotone_in_size () =
   let addrs = Array.init 20000 (fun _ -> Fom_util.Rng.int rng 65536) in
   let run size =
     let c = Sa_cache.create (Geometry.make ~size ~assoc:4 ~line:64) in
-    Array.iter (fun a -> ignore (Sa_cache.access c a)) addrs;
-    Sa_cache.misses c
+    Array.fold_left (fun n a -> n + miss c a) 0 addrs
   in
   let small_rate = run 4096 and big_rate = run 32768 in
   Alcotest.(check bool) "bigger cache misses less" true (big_rate < small_rate)
@@ -84,10 +86,7 @@ let test_hierarchy_classification () =
   let h = Hierarchy.create Hierarchy.baseline in
   (* Cold: L1 miss and L2 miss -> Memory; second touch -> L1 hit. *)
   Alcotest.(check bool) "cold long miss" true (Hierarchy.access_data h 0x5000 = Hierarchy.Memory);
-  Alcotest.(check bool) "rehit" true (Hierarchy.access_data h 0x5000 = Hierarchy.L1_hit);
-  let s = Hierarchy.stats h in
-  Alcotest.(check int) "one long miss" 1 s.Hierarchy.long_misses;
-  Alcotest.(check int) "two accesses" 2 s.Hierarchy.data_accesses
+  Alcotest.(check bool) "rehit" true (Hierarchy.access_data h 0x5000 = Hierarchy.L1_hit)
 
 let test_hierarchy_short_miss () =
   let h = Hierarchy.create Hierarchy.baseline in
@@ -97,16 +96,14 @@ let test_hierarchy_short_miss () =
   for k = 1 to 8 do
     ignore (Hierarchy.access_data h (0x9000 + (k * 4096)))
   done;
-  Alcotest.(check bool) "L2 catch" true (Hierarchy.access_data h 0x9000 = Hierarchy.L2_hit);
-  Alcotest.(check bool) "short miss counted" true ((Hierarchy.stats h).Hierarchy.short_misses >= 1)
+  Alcotest.(check bool) "L2 catch" true (Hierarchy.access_data h 0x9000 = Hierarchy.L2_hit)
 
 let test_hierarchy_ideal () =
   let h = Hierarchy.create Hierarchy.all_ideal in
   for i = 0 to 999 do
     Alcotest.(check bool) "always hits" true
       (Hierarchy.access_data h (i * 8192) = Hierarchy.L1_hit)
-  done;
-  Alcotest.(check int) "no misses" 0 (Hierarchy.stats h).Hierarchy.long_misses
+  done
 
 let test_hierarchy_fig14 () =
   let h = Hierarchy.create Hierarchy.fig14 in
@@ -125,10 +122,9 @@ let test_hierarchy_latencies () =
 
 let test_hierarchy_inst_side_stats () =
   let h = Hierarchy.create Hierarchy.baseline in
-  ignore (Hierarchy.access_inst h 0x400000);
-  ignore (Hierarchy.access_inst h 0x400000);
+  Alcotest.(check bool) "cold fetch" true (Hierarchy.access_inst h 0x400000 = Hierarchy.Memory);
+  Alcotest.(check bool) "refetch" true (Hierarchy.access_inst h 0x400000 = Hierarchy.L1_hit);
   let s = Hierarchy.stats h in
-  Alcotest.(check int) "accesses" 2 s.Hierarchy.inst_accesses;
   Alcotest.(check int) "l1i misses" 1 s.Hierarchy.l1i_misses;
   Alcotest.(check int) "l2i misses" 1 s.Hierarchy.l2i_misses
 
@@ -140,11 +136,11 @@ let test_direct_mapped_conflicts () =
     let c = Sa_cache.create (geometry ~assoc) in
     let sets = Geometry.sets (geometry ~assoc) in
     let a = 0x0 and b = sets * 64 in
+    let misses = ref 0 in
     for _ = 1 to 10 do
-      ignore (Sa_cache.access c a);
-      ignore (Sa_cache.access c b)
+      misses := !misses + miss c a + miss c b
     done;
-    Sa_cache.misses c
+    !misses
   in
   Alcotest.(check int) "direct-mapped thrashes" 20 (run 1);
   Alcotest.(check int) "2-way holds both" 2 (run 2)
@@ -160,15 +156,6 @@ let prop_geometry_mapping_sane =
         addr land Hierarchy.inst_line_mask { Hierarchy.baseline with l1i = Real geometry }
       in
       Geometry.sets geometry > 0 && line <= addr && addr - line < geometry.Geometry.line)
-
-let prop_lru_bounded_misses =
-  QCheck.Test.make ~name:"misses never exceed accesses" ~count:50
-    QCheck.(list_of_size (Gen.int_range 1 500) (int_range 0 100000))
-    (fun addrs ->
-      let c = Sa_cache.create small in
-      List.iter (fun a -> ignore (Sa_cache.access c a)) addrs;
-      Sa_cache.misses c <= Sa_cache.accesses c
-      && Sa_cache.accesses c = List.length addrs)
 
 let prop_access_then_resident =
   QCheck.Test.make ~name:"an accessed line is immediately resident" ~count:100
@@ -197,6 +184,5 @@ let suite =
       Alcotest.test_case "hierarchy inst stats" `Quick test_hierarchy_inst_side_stats;
       Alcotest.test_case "direct-mapped conflicts" `Quick test_direct_mapped_conflicts;
       QCheck_alcotest.to_alcotest prop_geometry_mapping_sane;
-      QCheck_alcotest.to_alcotest prop_lru_bounded_misses;
       QCheck_alcotest.to_alcotest prop_access_then_resident;
     ] )

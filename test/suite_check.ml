@@ -159,17 +159,18 @@ let test_trace_config_codes () =
 
 let test_branch_behavior_codes () =
   let module B = Fom_trace.Branch_behavior in
-  expect_invalid "T030" "FOM-T030" (fun () -> B.create (B.Biased 1.5));
-  expect_invalid "T031" "FOM-T031" (fun () -> B.create (B.Loop 0));
-  expect_invalid "T032" "FOM-T032" (fun () -> B.create (B.Pattern [||]));
-  ignore (B.create (B.Chaotic 0.5))
+  let create = B.create ~seed_rng:(Fom_util.Rng.create 0) in
+  expect_invalid "T030" "FOM-T030" (fun () -> create (B.Biased 1.5));
+  expect_invalid "T031" "FOM-T031" (fun () -> create (B.Loop 0));
+  expect_invalid "T032" "FOM-T032" (fun () -> create (B.Pattern [||]));
+  ignore (create (B.Chaotic 0.5))
 
 let test_address_gen_codes () =
   let module A = Fom_trace.Address_gen in
-  expect_invalid "T050 region" "FOM-T050" (fun () ->
-      A.create A.Random { A.base = 0; size = 12 });
+  let create = A.create ~seed_rng:(Fom_util.Rng.create 0) in
+  expect_invalid "T050 region" "FOM-T050" (fun () -> create A.Random { A.base = 0; size = 12 });
   expect_invalid "T050 stride" "FOM-T050" (fun () ->
-      A.create (A.Stride { stride = 3 }) { A.base = 0; size = 4096 })
+      create (A.Stride { stride = 3 }) { A.base = 0; size = 4096 })
 
 let test_phases_codes () =
   let module P = Fom_trace.Phases in

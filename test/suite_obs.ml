@@ -77,6 +77,20 @@ let test_span_end_on_raise () =
       in
       Alcotest.(check int) "begin and end both recorded" 2 (List.length phases))
 
+(* With the sink on, a span over a preallocated thunk allocates nothing
+   once the domain's buffer exists: two array stores and a clock read
+   per event (exact on one domain in native code). *)
+let test_span_allocates_nothing () =
+  with_sink (fun () ->
+      let s = Span.id "test.alloc" in
+      let f () = () in
+      Span.with_ s f;
+      let before = Gc.minor_words () in
+      for _ = 1 to 10_000 do
+        Span.with_ s f
+      done;
+      Alcotest.(check (float 0.0)) "minor words" 0.0 (Gc.minor_words () -. before))
+
 let test_span_capacity_drops () =
   (* A deliberately tiny buffer: overflow is counted, not crashed on,
      and the exporter still balances what survived. *)
@@ -276,6 +290,7 @@ let suite =
     [
       Alcotest.test_case "span nesting" `Quick test_span_nesting;
       Alcotest.test_case "span end recorded on raise" `Quick test_span_end_on_raise;
+      Alcotest.test_case "traced span allocates nothing" `Quick test_span_allocates_nothing;
       Alcotest.test_case "span buffer overflow drops, not crashes" `Quick
         test_span_capacity_drops;
       Alcotest.test_case "disabled sink records nothing" `Quick test_disabled_is_noop;

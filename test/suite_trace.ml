@@ -26,13 +26,13 @@ let collect program ~n =
 let region = { Address_gen.base = 0x1000; size = 4096 }
 
 let test_stride_walks_region () =
-  let g = Address_gen.create (Address_gen.Stride { stride = 64 }) region in
+  let g = Address_gen.create ~seed_rng:(Rng.create 0) (Address_gen.Stride { stride = 64 }) region in
   let a0 = Address_gen.next g and a1 = Address_gen.next g in
   Alcotest.(check int) "first" 0x1000 a0;
   Alcotest.(check int) "second" 0x1040 a1
 
 let test_stride_wraps () =
-  let g = Address_gen.create (Address_gen.Stride { stride = 1024 }) region in
+  let g = Address_gen.create ~seed_rng:(Rng.create 0) (Address_gen.Stride { stride = 1024 }) region in
   let addrs = List.init 5 (fun _ -> Address_gen.next g) in
   Alcotest.(check int) "wraps to base" 0x1000 (List.nth addrs 4)
 
@@ -46,7 +46,7 @@ let test_random_in_region () =
   done
 
 let test_loop_behavior () =
-  let b = Branch_behavior.create (Branch_behavior.Loop 4) in
+  let b = Branch_behavior.create ~seed_rng:(Rng.create 0) (Branch_behavior.Loop 4) in
   let outcomes = List.init 8 (fun _ -> Branch_behavior.next b) in
   Alcotest.(check (list bool)) "3 taken then exit, repeating"
     [ true; true; true; false; true; true; true; false ]
@@ -54,7 +54,7 @@ let test_loop_behavior () =
 
 let test_pattern_behavior () =
   let pattern = [| true; false; false |] in
-  let b = Branch_behavior.create (Branch_behavior.Pattern pattern) in
+  let b = Branch_behavior.create ~seed_rng:(Rng.create 0) (Branch_behavior.Pattern pattern) in
   let outcomes = List.init 6 (fun _ -> Branch_behavior.next b) in
   Alcotest.(check (list bool)) "periodic" [ true; false; false; true; false; false ] outcomes
 
@@ -88,15 +88,6 @@ let test_program_structure () =
       Alcotest.(check bool) "non-empty block" true (b.Program.len >= 2);
       let term = p.Program.statics.(b.Program.first + b.Program.len - 1) in
       Alcotest.(check bool) "terminator is control" true (Opclass.is_control term.Program.opclass))
-    p.Program.blocks
-
-let test_block_of_uid () =
-  let p = Program.generate (gzip ()) in
-  Array.iteri
-    (fun id (b : Program.block) ->
-      Alcotest.(check int) "first maps to id" id (Program.block_of_uid p b.Program.first);
-      Alcotest.(check int) "last maps to id" id
-        (Program.block_of_uid p (b.Program.first + b.Program.len - 1)))
     p.Program.blocks
 
 let test_stream_indices_sequential () =
@@ -193,9 +184,10 @@ let test_interleaved_streams_independent () =
 
 let test_pcs_within_footprint () =
   let p = Program.generate (Fom_workloads.Spec2000.find "vortex") in
-  let hi = Program.code_base + Program.footprint_bytes p in
+  let lo = p.Program.statics.(0).Program.pc in
+  let hi = lo + (4 * Program.static_count p) in
   iter p ~n:20000 (fun ins ->
-      if ins.Instr.pc < Program.code_base || ins.Instr.pc >= hi then
+      if ins.Instr.pc < lo || ins.Instr.pc >= hi then
         Alcotest.failf "pc 0x%x outside footprint" ins.Instr.pc)
 
 let test_full_block_coverage_small_program () =
@@ -204,8 +196,15 @@ let test_full_block_coverage_small_program () =
   let p = Program.generate (gzip ()) in
   let blocks = Array.length p.Program.blocks in
   let seen = Array.make blocks false in
+  (* A block is entered only at its first instruction: its first pc
+     identifies it. *)
+  let block_at = Hashtbl.create blocks in
+  Array.iteri
+    (fun id (b : Program.block) ->
+      Hashtbl.replace block_at p.Program.statics.(b.Program.first).Program.pc id)
+    p.Program.blocks;
   iter p ~n:100000 (fun ins ->
-      seen.(Program.block_of_uid p ((ins.Instr.pc - Program.code_base) / 4)) <- true);
+      Option.iter (fun id -> seen.(id) <- true) (Hashtbl.find_opt block_at ins.Instr.pc));
   Array.iteri
     (fun i visited -> if not visited then Alcotest.failf "block %d never visited" i)
     seen
@@ -253,7 +252,6 @@ let suite =
       Alcotest.test_case "biased rate" `Quick test_biased_behavior_rate;
       Alcotest.test_case "program deterministic" `Quick test_program_generation_deterministic;
       Alcotest.test_case "program structure" `Quick test_program_structure;
-      Alcotest.test_case "block of uid" `Quick test_block_of_uid;
       Alcotest.test_case "stream indices" `Quick test_stream_indices_sequential;
       Alcotest.test_case "deps precede instruction" `Quick test_stream_deps_precede;
       Alcotest.test_case "mix matches config" `Quick test_stream_mix_matches_config;

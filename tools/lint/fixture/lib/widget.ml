@@ -23,3 +23,8 @@ module Inner = struct
 end
 
 let tuned ?(knob = 1) ?(depth = 2) () = knob + depth
+
+type level = int
+let level x = x
+type gauge = int
+let gauge x = x

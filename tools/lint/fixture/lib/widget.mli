@@ -15,3 +15,10 @@ end
 
 (* FOM-L010: no caller sets ?knob; bin/ sets ?depth. *)
 val tuned : ?knob:int -> ?depth:int -> unit -> int
+
+(* A val named like a type counts only where it is applied: bin/
+   applies [level], but names [gauge] only as a type. *)
+type level
+val level : int -> level
+type gauge
+val gauge : int -> gauge

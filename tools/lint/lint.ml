@@ -34,10 +34,13 @@
                Fom_uarch.Config] then [M.create]), or a bare name
                inside a local open ([M.( ... )], [M.[ ... ]]). A val of
                a nested signature is qualified by its inner module's
-               name. Modules that share a name share their references,
-               so the rule can miss a dead export but never flags a
-               live one. The report says whether the val is used
-               inside its module at all.
+               name. A val named like a type of its signature counts
+               only where an argument follows it, since
+               [Hierarchy.config option] names the type. Modules that
+               share a name share their references, so the rule can
+               miss a dead export but never flags a live one. The
+               report says whether the val is used inside its module
+               at all.
      FOM-L010  an optional parameter [?l] of a [val] in an .mli under
                DIR that no caller sets: no .ml of FOM-L008's callers
                outside the val's own module passes [~l] or [?l].
@@ -449,7 +452,8 @@ let fixture_dir = Filename.concat "tools" (Filename.concat "lint" "fixture")
 
 (* A val of a library interface. [qualifier] is the module name a
    caller writes before [name]; [construct] names the val in the
-   allowlist: [name], or [M.name] for a val of an inner module [M]. *)
+   allowlist: [name], or [M.name] for a val of an inner module [M].
+   [typed] when the same signature declares a type [name] too. *)
 type export = {
   mli : string;
   line : int;
@@ -457,6 +461,7 @@ type export = {
   name : string;
   construct : string;
   text : string;
+  typed : bool;
 }
 
 (* The vals [mli] declares, inside [module M : sig ... end] too (one
@@ -466,28 +471,60 @@ let exports mli =
   let raw_lines = Array.of_list (String.split_on_char '\n' src) in
   let file_module = String.capitalize_ascii (Filename.remove_extension (Filename.basename mli)) in
   let inner = ref None in
-  List.concat
-    (List.mapi
-       (fun idx line ->
-         match tokens line with
-         | "module" :: m :: ":" :: "sig" :: _ ->
-             inner := Some m;
-             []
-         | "end" :: _ ->
-             inner := None;
-             []
-         | "val" :: name :: _ ->
-             let qualifier, construct =
-               match !inner with Some m -> (m, m ^ "." ^ name) | None -> (file_module, name)
-             in
-             [ { mli; line = idx + 1; qualifier; name; construct; text = raw_lines.(idx) } ]
-         | _ -> [])
-       (String.split_on_char '\n' (strip src)))
+  let qualifier () = Option.value !inner ~default:file_module in
+  let types = ref [] in
+  let vals =
+    List.concat
+      (List.mapi
+         (fun idx line ->
+           match tokens line with
+           | "module" :: m :: ":" :: "sig" :: _ ->
+               inner := Some m;
+               []
+           | "end" :: _ ->
+               inner := None;
+               []
+           | "type" :: rest ->
+               (* The name follows the parameters: ['a t], [('k, 'v) t]. *)
+               Option.iter
+                 (fun name -> types := (qualifier (), name) :: !types)
+                 (List.find_opt is_value rest);
+               []
+           | "val" :: name :: _ ->
+               let construct = match !inner with Some m -> m ^ "." ^ name | None -> name in
+               [ (qualifier (), name, construct, idx) ]
+           | _ -> [])
+         (String.split_on_char '\n' (strip src)))
+  in
+  List.map
+    (fun (qualifier, name, construct, idx) ->
+      { mli; line = idx + 1; qualifier; name; construct; text = raw_lines.(idx);
+        typed = List.mem (qualifier, name) !types })
+    vals
 
-(* Every (qualifier, name) a caller's tokens reference: [Q.name], and
-   each bare name inside a local open [Q.( ... )] or [Q.[ ... ]]. *)
+(* Words after which a qualified name is not applied: keywords that
+   end an expression or a declaration, and the postfix type
+   constructors of [Q.v option]. *)
+let not_arguments =
+  ends_application
+  @ [ "type"; "val"; "module"; "open"; "include"; "exception"; "external"; "of"; "as";
+      "constraint"; "option"; "list"; "array"; "ref" ]
+
+(* Whether the tokens after a name start an argument: an identifier, a
+   literal, [(], [[], [~] or [?]. A name in a type is never followed by
+   one, so an applied use is a use of the val, not of a same-named
+   type ([Hierarchy.config option]). *)
+let argument_follows = function
+  | tok :: _ when is_value tok -> not (List.mem tok not_arguments)
+  | tok :: _ -> List.mem tok [ "("; "["; "~"; "?"; "\"" ] || (tok.[0] >= '0' && tok.[0] <= '9')
+  | [] -> false
+
+(* Every (qualifier, name, applied) a caller's tokens reference:
+   [Q.name], and each bare name inside a local open [Q.( ... )] or
+   [Q.[ ... ]]; [applied] when an argument follows it. *)
 let rec references acc = function
-  | q :: "." :: v :: rest when is_module q && is_value v -> references ((q, v) :: acc) (v :: rest)
+  | q :: "." :: v :: rest when is_module q && is_value v ->
+      references ((q, v, argument_follows rest) :: acc) (v :: rest)
   | q :: "." :: (("(" | "[") :: body as rest) when is_module q ->
       let rec opened depth prev acc = function
         | [] -> acc
@@ -497,7 +534,9 @@ let rec references acc = function
             in
             if depth = 0 then acc
             else
-              let acc = if is_value tok && prev <> "." then (q, tok) :: acc else acc in
+              let acc =
+                if is_value tok && prev <> "." then (q, tok, argument_follows body) :: acc else acc
+              in
               opened depth tok acc body
       in
       references (opened 1 "" acc body) rest
@@ -511,15 +550,16 @@ let used_within ml name =
     | [] -> false
     | tok :: rest ->
         (tok = name
-        && not (List.mem prev [ "let"; "and"; "rec"; "mutable"; "."; "~"; "?"; "val" ]))
+        && not (List.mem prev [ "let"; "and"; "rec"; "mutable"; "."; "~"; "?"; "val"; "type" ]))
         || scan tok rest
   in
   Sys.file_exists ml && scan "" (tokens (strip (read_file ml)))
 
 (* The caller .ml files with their tokens, and a table from each
-   (module, name) they reference to the files that reference it. A
-   reference counts for every module of its qualifier's name and for
-   the target of every alias of that name, across all callers. *)
+   (module, name) they reference to the files that reference it, each
+   with whether the reference is applied. A reference counts for every
+   module of its qualifier's name and for the target of every alias of
+   that name, across all callers. *)
 let caller_references () =
   let callers =
     List.concat_map
@@ -533,9 +573,9 @@ let caller_references () =
   List.iter
     (fun (file, toks) ->
       List.iter
-        (fun (q, v) ->
+        (fun (q, v, applied) ->
           List.iter
-            (fun m -> Hashtbl.add referenced (m, v) file)
+            (fun m -> Hashtbl.add referenced (m, v) (file, applied))
             (q :: List.filter_map (fun (x, m) -> if x = q then Some m else None) alias_of))
         (references [] toks))
     sources;
@@ -544,7 +584,8 @@ let caller_references () =
 (* FOM-L008 findings for the vals of the .mli files under [roots]. A
    reference counts from any caller .ml but the val's own module's, so
    two modules sharing a name can hide a dead export but never flag a
-   live one. *)
+   live one. A val that shares its name with a type of its signature
+   counts only applied references. *)
 let unused_exports roots referenced =
   List.concat_map
     (fun root ->
@@ -553,8 +594,8 @@ let unused_exports roots referenced =
           let own = Filename.remove_extension mli ^ ".ml" in
           List.filter_map
             (fun e ->
-              if List.exists (fun f -> f <> own) (Hashtbl.find_all referenced (e.qualifier, e.name))
-              then None
+              let counts (f, applied) = f <> own && (applied || not e.typed) in
+              if List.exists counts (Hashtbl.find_all referenced (e.qualifier, e.name)) then None
               else
                 let why =
                   if used_within own e.name then "is used only inside its module"
