@@ -2,6 +2,8 @@ module Inputs = Fom_model.Inputs
 module Params = Fom_model.Params
 module Packed = Fom_trace.Packed
 module Memo = Fom_exec.Memo
+module Hierarchy = Fom_cache.Hierarchy
+module Predictor = Fom_branch.Predictor
 
 let assemble ~name ~n curve (profile : Profile.t) =
   {
@@ -25,20 +27,15 @@ let assemble ~name ~n curve (profile : Profile.t) =
   }
 
 (* What every characterization of one packing shares, whatever its
-   window, ROB, width or depth: the IW curve, keyed by its windows and
-   instruction count, and the functional replay, keyed by the cache
-   hierarchy, the predictor, the dTLB and the instruction count (the
-   optional arguments as passed). Memo cells compute each once, and a
-   demander that finds one in flight helps the pool until it lands. *)
+   window, ROB, width or depth: the IW curve, keyed by its instruction
+   count, and the functional replay, keyed by the cache hierarchy, the
+   predictor, the dTLB and the instruction count. Memo cells compute
+   each once, and a demander that finds one in flight helps the pool
+   until it lands. *)
 type shared = {
-  curves : (int list option * int option, Iw_curve.t) Memo.t;
+  curves : (int, Iw_curve.t) Memo.t;
   replays :
-    ( Fom_cache.Hierarchy.config option
-      * Fom_branch.Predictor.spec option
-      * Fom_cache.Tlb.spec option
-      * int,
-      Profile.replay )
-    Memo.t;
+    (Hierarchy.config * Predictor.spec * Fom_cache.Tlb.spec option * int, Profile.replay) Memo.t;
 }
 
 type Packed.cached += Shared of Fom_exec.Pool.t option * shared
@@ -56,8 +53,10 @@ let rec shared pool (packed : Packed.t) =
       if Atomic.compare_and_set packed.Packed.cached cached (Shared (pool, s) :: cached) then s
       else shared pool packed
 
-let curve_and_inputs_of_packed ?pool ?windows ?iw_instructions ?cache ?predictor ?latencies
-    ?grouping ?dtlb ~(params : Params.t) packed ~n =
+(* Every entry point, its defaults resolved, so that one memory system
+   keys one replay however it was named. *)
+let characterize ~pool ~iw_instructions ~cache ~predictor ~grouping ~dtlb ~(params : Params.t)
+    packed ~n =
   Params.validate params;
   if Packed.length packed < n then
     Fom_check.Checker.(
@@ -68,42 +67,47 @@ let curve_and_inputs_of_packed ?pool ?windows ?iw_instructions ?cache ?predictor
               (Packed.length packed) n)));
   let shared = shared pool packed in
   let curve =
-    Memo.get shared.curves (windows, iw_instructions) (fun () ->
-        Iw_curve.measure_packed ?pool ?windows ?n:iw_instructions packed)
+    Memo.get shared.curves iw_instructions (fun () ->
+        Iw_curve.measure_packed ?pool ~n:iw_instructions packed)
   in
   let replay =
     Memo.get shared.replays (cache, predictor, dtlb, n) (fun () ->
-        Profile.replay ?cache ?predictor ?dtlb packed ~n)
+        Profile.replay ~cache ~predictor ?dtlb packed ~n)
   in
   let profile =
-    Profile.group ?latencies ?grouping ~burst_window:params.Params.window_size
+    Profile.group ~grouping ~burst_window:params.Params.window_size
       ~group_window:params.Params.rob_size packed replay
   in
   (curve, profile, assemble ~name:(Packed.label packed) ~n curve profile)
 
-let inputs_of_source ?pool ?windows ?iw_instructions ?cache ?predictor ?latencies ?grouping
-    ?dtlb ~params source ~n =
-  (* The machine is checked before any work: the model would reject
-     it only after the whole characterization. *)
-  Params.validate params;
-  (* One packing covers whichever pass reads furthest: the profile's
-     [n] or the IW sweep's instructions plus its largest window of
-     fetch-ahead (a longer packing of the source is reused). Both
-     passes then replay the same flat columns with no further decode
-     of the underlying source. *)
-  let iw_instructions = Option.value iw_instructions ~default:30_000 in
-  let windows = Option.value windows ~default:Iw_curve.default_windows in
-  let max_window = List.fold_left Int.max 1 windows in
-  let packed = Packed.at_least source ~n:(Int.max n (iw_instructions + max_window)) in
-  let _, _, result =
-    curve_and_inputs_of_packed ?pool ~windows ~iw_instructions ?cache ?predictor ?latencies
-      ?grouping ?dtlb ~params packed ~n
-  in
-  result
+let curve_and_inputs_of_packed ?pool ?(iw_instructions = 30_000) ?(cache = Hierarchy.baseline)
+    ?(grouping = Profile.Dependence_aware) ?dtlb ~params packed ~n =
+  characterize ~pool ~iw_instructions ~cache ~predictor:Predictor.default_spec ~grouping ~dtlb
+    ~params packed ~n
 
-let inputs ?pool ?windows ?iw_instructions ?cache ?predictor ?latencies ?grouping ?dtlb
-    ~params program ~n =
-  inputs_of_source ?pool ?windows ?iw_instructions ?cache ?predictor ?latencies ?grouping
-    ?dtlb ~params
+(* The inputs of [n] instructions of a source. The machine is checked
+   before any work: the model would reject it only after the whole
+   characterization. One packing covers whichever pass reads furthest:
+   the profile's [n] or the IW sweep's instructions plus its largest
+   window of fetch-ahead (a longer packing of the source is reused).
+   Both passes then replay the same flat columns with no further
+   decode of the underlying source. *)
+let of_source ~iw_instructions ~cache ~predictor ~dtlb ~params source ~n =
+  Params.validate params;
+  let max_window = List.fold_left Int.max 1 Iw_curve.default_windows in
+  let rows = Int.max n (Packed.padded iw_instructions ~margin:max_window) in
+  let _, _, inputs =
+    characterize ~pool:None ~iw_instructions ~cache ~predictor ~grouping:Profile.Dependence_aware
+      ~dtlb ~params (Packed.at_least source ~n:rows) ~n
+  in
+  inputs
+
+let inputs_of_source ?(iw_instructions = 30_000) ~params source ~n =
+  of_source ~iw_instructions ~cache:Hierarchy.baseline ~predictor:Predictor.default_spec
+    ~dtlb:None ~params source ~n
+
+let inputs ?(iw_instructions = 30_000) ?(cache = Hierarchy.baseline)
+    ?(predictor = Predictor.default_spec) ?dtlb ~params program ~n =
+  of_source ~iw_instructions ~cache ~predictor ~dtlb ~params
     (Fom_trace.Source.of_program program)
     ~n

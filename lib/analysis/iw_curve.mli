@@ -12,14 +12,13 @@ val default_windows : int list
 (** 4, 8, 16, 32, 64, 128, 256 — the paper's Figure 4 range. *)
 
 val measure_packed :
-  ?pool:Fom_exec.Pool.t -> ?windows:int list -> ?n:int ->
-  ?latencies:Fom_isa.Latency.t ->
-  ?issue_limit:int -> Fom_trace.Packed.t -> t
+  ?pool:Fom_exec.Pool.t -> ?windows:int list -> ?n:int -> Fom_trace.Packed.t -> t
 (** Run the idealized simulation at each window size over an
-    already-packed trace and fit. Defaults: {!default_windows},
-    30_000 instructions per point, unit latencies, unbounded issue —
-    the implementation-independent curve. The packing must hold at
-    least [n] plus the largest window instructions ([FOM-I033]).
+    already-packed trace and fit, at unit latencies and unbounded
+    issue: the implementation-independent curve. Defaults:
+    {!default_windows}, 30_000 instructions per point. The packing
+    must hold at least [n] plus the largest window instructions
+    ([FOM-I033]).
 
     Every point runs the {!Iw_sim.ipc_of_packed} recurrence kernel
     over the one packing. [?pool] measures the points as one task per

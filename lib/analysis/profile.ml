@@ -71,7 +71,7 @@ let replay ?(cache = Hierarchy.baseline) ?(predictor = Predictor.default_spec) ?
       let tlb = Option.map Fom_cache.Tlb.create dtlb in
       let counts = Array.make Opclass.count 0 in
       let branches = ref 0 in
-      let short_misses = ref 0 in
+      let short_misses = ref 0 and l2_fetches = ref 0 and memory_fetches = ref 0 in
       let mispredicted = events () and long_loads = events () and dtlb_loads = events () in
       let last_line = ref (-1) in
       let line_mask = Hierarchy.inst_line_mask cache in
@@ -82,7 +82,10 @@ let replay ?(cache = Hierarchy.baseline) ?(predictor = Predictor.default_spec) ?
         let line = pc.(i) land line_mask in
         if line <> !last_line then begin
           last_line := line;
-          ignore (Hierarchy.access_inst hierarchy pc.(i))
+          match Hierarchy.access_inst hierarchy pc.(i) with
+          | Hierarchy.L1_hit -> ()
+          | Hierarchy.L2_hit -> incr l2_fetches
+          | Hierarchy.Memory -> incr memory_fetches
         end;
         if cls = load_tag then begin
           let addr = ea.(i) in
@@ -105,14 +108,13 @@ let replay ?(cache = Hierarchy.baseline) ?(predictor = Predictor.default_spec) ?
           if not (Predictor.observe pred ~pc:pc.(i) ~taken) then push mispredicted i
         end
       done;
-      let stats = Hierarchy.stats hierarchy in
       {
         length = n;
         counts;
         branches = !branches;
         mispredicted;
-        l1i_misses = stats.Hierarchy.l1i_misses - stats.Hierarchy.l2i_misses;
-        l2i_misses = stats.Hierarchy.l2i_misses;
+        l1i_misses = !l2_fetches;
+        l2i_misses = !memory_fetches;
         short_misses = !short_misses;
         long_loads;
         dtlb_loads;
@@ -215,11 +217,10 @@ let leader_groups ~taint (packed : Packed.t) ~window { data = events; len = coun
   done;
   dist
 
-let group ?(latencies = Latency.default) ?(grouping = Dependence_aware) ~burst_window
-    ~group_window (packed : Packed.t) r =
+let group ?(grouping = Dependence_aware) ~burst_window ~group_window (packed : Packed.t) r =
   Fom_check.Checker.ensure ~code:"FOM-I030" ~path:"profile.n" (r.length <= Packed.length packed)
     "the replay covers more instructions than the packed trace";
-  let latency_of = Latency.table latencies in
+  let latency_of = Latency.table Latency.default in
   (* Every instruction contributes its class latency, except that a
      short miss lengthens its load to the L2 latency: short misses
      behave like a long-latency functional unit (paper 4.3). Long

@@ -66,14 +66,12 @@ val replay :
     hierarchy and 8K gShare, no dTLB. *)
 
 val group :
-  ?latencies:Fom_isa.Latency.t ->
   ?grouping:grouping ->
   burst_window:int -> group_window:int ->
   Fom_trace.Packed.t -> replay -> t
 (** The profile of one machine from a replay of this packing
     ([FOM-I030] if the packing is shorter than the replay): the mean
-    latency under [latencies] (default {!Fom_isa.Latency.default}),
-    the misprediction bursts within [burst_window] (the issue-window
+    latency under {!Fom_isa.Latency.default}, the misprediction bursts within [burst_window] (the issue-window
     size), and the long-miss and dTLB-miss groups within
     [group_window] (the ROB size) under [grouping] (default
     {!Dependence_aware}). Dependences are read only within

@@ -32,17 +32,11 @@ let fig14 =
     latencies = baseline_latencies;
   }
 
-type stats = { l1i_misses : int; l2i_misses : int }
-
-(* Counters are mutable fields so that an access allocates nothing;
-   {!stats} assembles the record when asked. *)
 type t = {
   config : config;
   l1i : Sa_cache.t option;
   l1d : Sa_cache.t option;
   l2 : Sa_cache.t option;
-  mutable n_l1i_misses : int;
-  mutable n_l2i_misses : int;
 }
 
 let diagnostics (config : config) =
@@ -72,14 +66,7 @@ let create (config : config) =
     | Ideal_l2 | No_l2 -> None
     | Real_l2 g -> Some (Sa_cache.create g)
   in
-  {
-    config;
-    l1i = level config.l1i;
-    l1d = level config.l1d;
-    l2;
-    n_l1i_misses = 0;
-    n_l2i_misses = 0;
-  }
+  { config; l1i = level config.l1i; l1d = level config.l1d; l2 }
 
 let beyond_l1 t addr =
   match (t.config.l2, t.l2) with
@@ -90,11 +77,7 @@ let beyond_l1 t addr =
 
 let access_inst t addr =
   match t.l1i with
-  | Some l1 when not (Sa_cache.access l1 addr) ->
-      t.n_l1i_misses <- t.n_l1i_misses + 1;
-      let outcome = beyond_l1 t addr in
-      if outcome = Memory then t.n_l2i_misses <- t.n_l2i_misses + 1;
-      outcome
+  | Some l1 when not (Sa_cache.access l1 addr) -> beyond_l1 t addr
   | Some _ | None -> L1_hit
 
 let access_data t addr =
@@ -111,5 +94,3 @@ let inst_stall t = function
   | L1_hit -> 0
   | L2_hit -> t.config.latencies.l2
   | Memory -> t.config.latencies.memory
-
-let stats t = { l1i_misses = t.n_l1i_misses; l2i_misses = t.n_l2i_misses }

@@ -71,7 +71,8 @@ val access_inst : t -> int -> outcome
 (** Probe/fill the instruction path with a line address. *)
 
 val access_data : t -> int -> outcome
-(** Probe/fill the data path with a byte address. *)
+(** Probe/fill the data path with a byte address. The hierarchy keeps
+    no counts: each caller counts the outcomes these return. *)
 
 val data_latency : t -> outcome -> int
 (** Load-use latency for a data access with the given outcome. *)
@@ -79,12 +80,3 @@ val data_latency : t -> outcome -> int
 val inst_stall : t -> outcome -> int
 (** Extra fetch-stall cycles for an instruction access: 0 for an L1
     hit, [l2] for an L2 hit, [memory] for an L2 miss. *)
-
-type stats = {
-  l1i_misses : int;  (** instruction fetches that missed the L1I *)
-  l2i_misses : int;  (** instruction fetches that went to memory *)
-}
-
-val stats : t -> stats
-(** Instruction-side miss counts so far. Data-side outcomes are the
-    caller's to count: {!access_data} returns each one. *)

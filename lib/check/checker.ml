@@ -55,9 +55,9 @@ let has_errors rule = List.exists Diagnostic.is_error rule
 let run_exn rule =
   match errors rule with [] -> () | errs -> raise (Invalid errs)
 
-let ensure ?severity ~code ~path cond message =
+let ensure ~code ~path cond message =
   if cond then ()
-  else raise (Invalid [ Diagnostic.make ?severity ~code ~path message ])
+  else raise (Invalid [ Diagnostic.make ~code ~path message ])
 
 let internal_error message =
   raise (Invalid [ Diagnostic.make ~code:"FOM-X001" ~path:"internal" message ])

@@ -89,7 +89,7 @@ val run_exn : rule -> unit
 (** Raise {!Invalid} with the error-severity diagnostics, if any.
     Warnings and hints never raise. *)
 
-val ensure : ?severity:Diagnostic.severity -> code:string -> path:string -> bool -> string -> unit
+val ensure : code:string -> path:string -> bool -> string -> unit
 (** Immediate single-condition precondition: raise {!Invalid} with
     one diagnostic when the condition fails. For hot construction
     paths pass a static message string — nothing allocates when the

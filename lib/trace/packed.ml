@@ -78,19 +78,25 @@ let write_recorded c deps instrs =
     write_deps c deps i ins.Instr.deps (Array.length ins.Instr.deps) ~rebase
   done
 
+(* A length the heap cannot hold is the caller's input too: report it
+   rather than end the process. *)
+let cannot_allocate length =
+  raise
+    (Fom_check.Checker.Invalid
+       (Fom_check.Checker.fail ~code:"FOM-T130" ~path:"packed.n"
+          ("cannot allocate a packed trace of " ^ length ^ " instructions")))
+
+let padded n ~margin =
+  if n > max_int - margin then cannot_allocate (Printf.sprintf "%d + %d" n margin);
+  n + margin
+
 let pack source ~n =
   Fom_check.Checker.ensure ~code:"FOM-T130" ~path:"packed.n" (n > 0)
     "packed trace length must be positive";
-  (* A length the heap cannot hold is the caller's input too: report it
-     rather than end the process. *)
   let column len =
     match Array.make len 0 with
     | a -> a
-    | exception (Out_of_memory | Invalid_argument _) ->
-        raise
-          (Fom_check.Checker.Invalid
-             (Fom_check.Checker.fail ~code:"FOM-T130" ~path:"packed.n"
-                (Printf.sprintf "cannot allocate a packed trace of %d instructions" n)))
+    | exception (Out_of_memory | Invalid_argument _) -> cannot_allocate (string_of_int n)
   in
   let c =
     {

@@ -75,6 +75,12 @@ val at_least : Source.t -> n:int -> t
     first [n] rows gets the same result from any longer packing of the
     source. [FOM-T130] as {!of_source}. *)
 
+val padded : int -> margin:int -> int
+(** [padded n ~margin] is [n + margin]: the rows a pass over [n]
+    instructions reads with [margin] rows of lookahead. A sum past
+    [max_int] is a packing no heap can hold: [FOM-T130] as
+    {!of_source}, not a wrapped length. *)
+
 val length : t -> int
 (** Number of packed instructions. *)
 

@@ -127,6 +127,8 @@ type t = {
   mutable last_computed : int;
   (* statistics *)
   mutable mispredictions : int;
+  mutable l2_fetches : int;  (* instruction fetches served by the L2 *)
+  mutable memory_fetches : int;  (* instruction fetches served by memory *)
   window_at_branch_issue : Fom_util.Stats.Acc.t;
   mutable occupancy_window_sum : int;
   mutable occupancy_rob_sum : int;
@@ -208,6 +210,8 @@ let create (config : Config.t) packed =
     next_cluster = 0;
     last_computed = -1;
     mispredictions = 0;
+    l2_fetches = 0;
+    memory_fetches = 0;
     window_at_branch_issue = Fom_util.Stats.Acc.create ();
     occupancy_window_sum = 0;
     occupancy_rob_sum = 0;
@@ -307,6 +311,8 @@ let advance t ~last ~until ~limit ~settled record =
           match Hierarchy.access_inst t.hierarchy pc with
           | Hierarchy.L1_hit -> a
           | (Hierarchy.L2_hit | Hierarchy.Memory) as outcome ->
+              if outcome = Hierarchy.L2_hit then t.l2_fetches <- t.l2_fetches + 1
+              else t.memory_fetches <- t.memory_fetches + 1;
               a + Int.max 1 (Hierarchy.inst_stall t.hierarchy outcome)
         end
       in
@@ -459,13 +465,12 @@ let run config packed ~n ~limit ~record =
     incr last
   done;
   let mean sum = float_of_int sum /. float_of_int until in
-  let cache_stats = Hierarchy.stats t.hierarchy in
   {
     Stats.instructions = !last + 1;
     cycles = until;
     branch_mispredictions = t.mispredictions;
-    l1i_misses = cache_stats.Hierarchy.l1i_misses - cache_stats.Hierarchy.l2i_misses;
-    l2i_misses = cache_stats.Hierarchy.l2i_misses;
+    l1i_misses = t.l2_fetches;
+    l2i_misses = t.memory_fetches;
     (* An ideal L1D and no dTLB: no data-side miss, none outstanding. *)
     short_data_misses = 0;
     long_data_misses = 0;

@@ -125,6 +125,8 @@ type event = {
   mutable long_load_misses : int;
   mutable dtlb_misses : int;
   mutable mispredictions : int;
+  mutable l2_fetches : int;  (* instruction fetches served by the L2 *)
+  mutable memory_fetches : int;  (* instruction fetches served by memory *)
   mutable mispred_under_long : int;
   mutable imiss_under_long : int;
   window_at_branch_issue : Fom_util.Stats.Acc.t;
@@ -187,6 +189,8 @@ let create_event config packed ~record =
     long_load_misses = 0;
     dtlb_misses = 0;
     mispredictions = 0;
+    l2_fetches = 0;
+    memory_fetches = 0;
     mispred_under_long = 0;
     imiss_under_long = 0;
     window_at_branch_issue = Fom_util.Stats.Acc.create ();
@@ -474,6 +478,8 @@ let fetch t =
           match outcome with
           | Hierarchy.L1_hit -> true
           | Hierarchy.L2_hit | Hierarchy.Memory ->
+              if outcome = Hierarchy.L2_hit then t.l2_fetches <- t.l2_fetches + 1
+              else t.memory_fetches <- t.memory_fetches + 1;
               if long_misses_outstanding t > 0 then
                 t.imiss_under_long <- t.imiss_under_long + 1;
               let stall = Hierarchy.inst_stall t.hierarchy outcome in
@@ -566,13 +572,12 @@ let run_event config packed ~n ~limit ~record =
   Fom_obs.Metrics.add m_skipped t.skipped_cycles;
   Fom_obs.Metrics.add m_events t.wake_events;
   let mean sum = float_of_int sum /. float_of_int (Int.max 1 t.cycle) in
-  let cache_stats = Hierarchy.stats t.hierarchy in
   {
     Stats.instructions = t.last_retired + 1;
     cycles = t.cycle;
     branch_mispredictions = t.mispredictions;
-    l1i_misses = cache_stats.Hierarchy.l1i_misses - cache_stats.Hierarchy.l2i_misses;
-    l2i_misses = cache_stats.Hierarchy.l2i_misses;
+    l1i_misses = t.l2_fetches;
+    l2i_misses = t.memory_fetches;
     short_data_misses = t.short_load_misses;
     long_data_misses = t.long_load_misses;
     dtlb_misses = t.dtlb_misses;

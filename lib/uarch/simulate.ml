@@ -3,7 +3,8 @@ let run_packed config packed ~n = Machine.run config packed ~n
 let run_source config source ~n =
   (* Validate before sizing the packing from the configuration. *)
   Config.validate config;
-  let packed = Fom_trace.Packed.at_least source ~n:(n + Config.inflight_span config) in
+  let rows = Fom_trace.Packed.padded n ~margin:(Config.inflight_span config) in
+  let packed = Fom_trace.Packed.at_least source ~n:rows in
   run_packed config packed ~n
 
 let run config program ~n =

@@ -45,6 +45,7 @@ let derive (config : Config.t) (p : Packed.t) (r : Stats.record) (stats : Stats.
   let predictor = Fom_branch.Predictor.create config.Config.predictor in
   let dtlb = Option.map Fom_cache.Tlb.create config.Config.dtlb in
   let short_misses = ref 0 and long_misses = ref 0 and dtlb_misses = ref 0 in
+  let l2_fetches = ref 0 and memory_fetches = ref 0 in
   let mispredictions_under_long = ref 0 and imisses_under_long = ref 0 in
   let rob_ahead_of_long_miss = Fom_util.Stats.Acc.create () in
   (* The latest completion of a long miss so far: one is outstanding at
@@ -202,6 +203,7 @@ let derive (config : Config.t) (p : Packed.t) (r : Stats.record) (stats : Stats.
           match Hierarchy.access_inst hierarchy pc with
           | Hierarchy.L1_hit -> ()
           | outcome ->
+              incr (if outcome = Hierarchy.L2_hit then l2_fetches else memory_fetches);
               if !long_until > c then incr imisses_under_long;
               icache_stall.(i) <- Int.max 1 (Hierarchy.inst_stall hierarchy outcome);
               stall_until := c + icache_stall.(i);
@@ -264,10 +266,8 @@ let derive (config : Config.t) (p : Packed.t) (r : Stats.record) (stats : Stats.
     (string_of_int (Array.fold_left (fun n m -> if m then n + 1 else n) 0 mispredicted))
     (string_of_int stats.Stats.branch_mispredictions);
   let count name derived recorded = exact name (string_of_int derived) (string_of_int recorded) in
-  let caches = Hierarchy.stats hierarchy in
-  count "L1I misses" (caches.Hierarchy.l1i_misses - caches.Hierarchy.l2i_misses)
-    stats.Stats.l1i_misses;
-  count "L2I misses" caches.Hierarchy.l2i_misses stats.Stats.l2i_misses;
+  count "L1I misses" !l2_fetches stats.Stats.l1i_misses;
+  count "L2I misses" !memory_fetches stats.Stats.l2i_misses;
   count "short data misses" !short_misses stats.Stats.short_data_misses;
   count "long data misses" !long_misses stats.Stats.long_data_misses;
   count "dTLB misses" !dtlb_misses stats.Stats.dtlb_misses;

@@ -95,7 +95,7 @@ let store_tag = Opclass.to_int Opclass.Store
 let branch_tag = Opclass.to_int Opclass.Branch
 
 let run_packed ?(cache = Hierarchy.baseline) ?(predictor = Predictor.default_spec)
-    ?(latencies = Latency.default) ?(burst_window = 48) ?(group_window = 128)
+    ?(burst_window = 48) ?(group_window = 128)
     ?(grouping = Profile.Dependence_aware) ?dtlb (packed : Packed.t) ~n =
   Fom_check.Checker.ensure ~code:"FOM-I030" ~path:"profile.n" (n > 0)
     "profiled instruction count must be positive";
@@ -104,7 +104,7 @@ let run_packed ?(cache = Hierarchy.baseline) ?(predictor = Predictor.default_spe
   let hierarchy = Hierarchy.create cache in
   let pred = Predictor.create predictor in
   let counts = Array.make Opclass.count 0 in
-  let latency_of = Latency.table latencies in
+  let latency_of = Latency.table Latency.default in
   let l2_latency = Hierarchy.data_latency hierarchy Hierarchy.L2_hit in
   let latency_sum = ref 0 in
   let branches = ref 0 in
@@ -129,6 +129,7 @@ let run_packed ?(cache = Hierarchy.baseline) ?(predictor = Predictor.default_spe
   let tlb_group_id = ref 0 in
   let short_misses = ref 0 in
   let long_misses = ref 0 in
+  let l2_fetches = ref 0 and memory_fetches = ref 0 in
   let last_line = ref (-1) in
   let line_mask = Hierarchy.inst_line_mask cache in
   let { Packed.op; pc; dep_off; dep_val; ea; _ } = packed in
@@ -138,7 +139,10 @@ let run_packed ?(cache = Hierarchy.baseline) ?(predictor = Predictor.default_spe
     let line = pc.(i) land line_mask in
     if line <> !last_line then begin
       last_line := line;
-      ignore (Hierarchy.access_inst hierarchy pc.(i))
+      match Hierarchy.access_inst hierarchy pc.(i) with
+      | Hierarchy.L1_hit -> ()
+      | Hierarchy.L2_hit -> incr l2_fetches
+      | Hierarchy.Memory -> incr memory_fetches
     end;
     let lo = dep_off.(i) and hi = dep_off.(i + 1) in
     let is_tainted = aware && tainted_by taint ~group_id:!group_id dep_val lo hi in
@@ -199,7 +203,6 @@ let run_packed ?(cache = Hierarchy.baseline) ?(predictor = Predictor.default_spe
   grouper_flush bursts;
   grouper_flush groups;
   grouper_flush tlb_groups;
-  let cache_stats = Hierarchy.stats hierarchy in
   {
     Profile.instructions = n;
     class_counts = List.mapi (fun k cls -> (cls, counts.(k))) Opclass.all;
@@ -207,8 +210,8 @@ let run_packed ?(cache = Hierarchy.baseline) ?(predictor = Predictor.default_spe
     branches = !branches;
     mispredictions = !mispredictions;
     mispred_bursts = bursts.dist;
-    l1i_misses = cache_stats.Hierarchy.l1i_misses - cache_stats.Hierarchy.l2i_misses;
-    l2i_misses = cache_stats.Hierarchy.l2i_misses;
+    l1i_misses = !l2_fetches;
+    l2i_misses = !memory_fetches;
     short_misses = !short_misses;
     long_misses = !long_misses;
     long_miss_groups = groups.dist;

@@ -365,8 +365,7 @@ let prop_two_stage_profile_matches_oracle =
      stream seeds; baseline, Figure 14, ideal-except-data and all-ideal
      caches; three predictors; no dTLB or an 8-entry one; both
      groupings; burst and group windows 1-512 (taint scans from a
-     leader up to its whole window); unit, default and random latency
-     tables; 1-5000 instructions. *)
+     leader up to its whole window); 1-5000 instructions. *)
   let caches =
     [| Hierarchy.baseline; Hierarchy.fig14; Hierarchy.ideal_except_data; Hierarchy.all_ideal |]
   in
@@ -388,13 +387,12 @@ let prop_two_stage_profile_matches_oracle =
         else Some { Fom_cache.Tlb.entries = 8; page_bits = 12; walk_latency = 30 }
       in
       let grouping = if draw / 24 mod 2 = 0 then Profile.Dependence_aware else Profile.Paper_naive in
-      let latencies = latency_table (draw / 48 mod 3) seed in
       let oracle =
-        Profile_oracle.run_packed ~cache ~predictor ~latencies ~burst_window ~group_window
-          ~grouping ?dtlb packed ~n
+        Profile_oracle.run_packed ~cache ~predictor ~burst_window ~group_window ~grouping ?dtlb
+          packed ~n
       in
       let staged =
-        Profile.group ~latencies ~grouping ~burst_window ~group_window packed
+        Profile.group ~grouping ~burst_window ~group_window packed
           (Profile.replay ~cache ~predictor ?dtlb packed ~n)
       in
       profile_data oracle = profile_data staged)
@@ -494,6 +492,42 @@ let test_live_packings_keep_their_results () =
         [ first; second; third; sweeps b ])
   in
   Alcotest.(check (list int)) "sweeps for A, B, A, B" [ 1; 1; 0; 0 ] counts
+
+let test_defaults_key_like_their_values () =
+  (* The shared results are keyed by resolved values: an omitted
+     argument and its default spelled out are one cell. Four calls on
+     one packing, naming the baseline cache and the 30k-instruction
+     sweep each way, run one IW sweep and one replay. *)
+  let n = 4000 in
+  let packed = pack (Lazy.force mcf) ~n:(30_000 + 256) in
+  let characterize ?iw_instructions ?cache () =
+    let _, _, inputs =
+      Characterize.curve_and_inputs_of_packed ?iw_instructions ?cache ~params:Params.baseline
+        packed ~n
+    in
+    inputs_data inputs
+  in
+  let computes () =
+    Option.value ~default:0
+      (List.assoc_opt "memo.computes" (Fom_obs.Metrics.snapshot ()).Fom_obs.Metrics.counters)
+  in
+  Fom_obs.Sink.enable ();
+  let points, computed, results =
+    Fun.protect ~finally:Fom_obs.Sink.disable (fun () ->
+        let points = iw_points () and computed = computes () in
+        let results =
+          [ characterize ();
+            characterize ~cache:Hierarchy.baseline ();
+            characterize ~iw_instructions:30_000 ();
+            characterize ~iw_instructions:30_000 ~cache:Hierarchy.baseline () ]
+        in
+        (iw_points () - points, computes () - computed, results))
+  in
+  Alcotest.(check int) "one IW sweep" (List.length Iw_curve.default_windows) points;
+  Alcotest.(check int) "one sweep and one replay computed" 2 computed;
+  List.iter
+    (fun r -> Alcotest.(check bool) "equal inputs" true (r = List.hd results))
+    results
 
 let test_thunk_feed_equals_packed_feed () =
   (* The program-fed entry points equal the same calls over a fresh
@@ -639,16 +673,13 @@ let test_iw_sim_rejects_window_beyond_ring () =
 
 let test_iw_sim_rejects_non_positive_issue_limit () =
   (* A zero-slot cycle never issues anything, so the run would never
-     end: every entry point refuses the limit up front. *)
+     end: the kernel refuses the limit up front, at every window. *)
   let p = Lazy.force gzip in
   let packed = Fom_trace.Packed.of_source (Fom_trace.Source.of_program p) ~n:200 in
   List.iter
-    (fun issue_limit ->
-      expect_code "FOM-I030" (fun () ->
-          Iw_sim.ipc_of_packed ~issue_limit packed ~window:8 ~n:100);
-      expect_code "FOM-I030" (fun () ->
-          Iw_curve.measure_packed ~issue_limit ~windows:[ 8 ] ~n:100 packed))
-    [ 0; -1 ]
+    (fun (issue_limit, window) ->
+      expect_code "FOM-I030" (fun () -> Iw_sim.ipc_of_packed ~issue_limit packed ~window ~n:100))
+    [ (0, 8); (-1, 8); (0, 1); (-1, 64) ]
 
 (* The three [iw.bound.*] counters after one IPC evaluation. *)
 let bound_counts ?issue_limit program ~window ~n =
@@ -753,6 +784,8 @@ let suite =
       QCheck_alcotest.to_alcotest prop_two_stage_profile_matches_oracle;
       Alcotest.test_case "characterize once per packing" `Quick
         test_characterize_once_per_packing;
+      Alcotest.test_case "defaults key like their values" `Quick
+        test_defaults_key_like_their_values;
       Alcotest.test_case "live packings keep their results" `Quick
         test_live_packings_keep_their_results;
       Alcotest.test_case "thunk feed equals the packed feed" `Quick

@@ -236,6 +236,30 @@ let test_pack_beyond_the_heap () =
       Alcotest.(check bool) ("names the length: " ^ message) true (names 0)
   | exception Fom_check.Checker.Invalid _ -> Alcotest.fail "expected one diagnostic"
 
+let test_padded_packing_past_max_int () =
+  (* A run packs its length plus some lookahead. Near max_int that sum
+     is more rows than any heap holds: one FOM-T130 that says so,
+     raised before any packing, not a wrapped length reported as
+     non-positive. *)
+  let program = Lazy.force gzip in
+  let expect name f =
+    match f () with
+    | _ -> Alcotest.fail (name ^ ": expected FOM-T130")
+    | exception Fom_check.Checker.Invalid [ d ] ->
+        Alcotest.(check string) (name ^ " code") "FOM-T130" d.Fom_check.Diagnostic.code;
+        Alcotest.(check bool)
+          (name ^ " cannot allocate: " ^ d.Fom_check.Diagnostic.message)
+          true
+          (String.starts_with ~prefix:"cannot allocate" d.Fom_check.Diagnostic.message)
+    | exception Fom_check.Checker.Invalid _ -> Alcotest.fail (name ^ ": expected one diagnostic")
+  in
+  expect "simulate" (fun () ->
+      Fom_uarch.Simulate.run Fom_uarch.Config.baseline program ~n:4611686018427387800);
+  expect "iw curve" (fun () -> Fom_analysis.Iw_curve.measure ~n:max_int program);
+  expect "characterize" (fun () ->
+      Fom_analysis.Characterize.inputs ~iw_instructions:max_int
+        ~params:Fom_model.Params.baseline program ~n:1000)
+
 let test_at_least_reuse_is_by_identity () =
   (* [Packed.at_least] hands back the domain's last packing only for a
      source over the physically same programs with the same seed or
@@ -314,6 +338,8 @@ let suite =
       Alcotest.test_case "rejects forward dependence" `Quick test_load_rejects_bad_dependence;
       Alcotest.test_case "unreadable file" `Quick test_load_unreadable;
       Alcotest.test_case "packing beyond the heap is FOM-T130" `Quick test_pack_beyond_the_heap;
+      Alcotest.test_case "padded packing past max_int is FOM-T130" `Quick
+        test_padded_packing_past_max_int;
       Alcotest.test_case "at_least reuse is by identity" `Quick
         test_at_least_reuse_is_by_identity;
       QCheck_alcotest.to_alcotest prop_load_diagnoses_at_file_line;

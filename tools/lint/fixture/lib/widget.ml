@@ -23,6 +23,9 @@ module Inner = struct
 end
 
 let tuned ?(knob = 1) ?(depth = 2) () = knob + depth
+let spun ?(turns = 1) () = turns
+let nested ?(inner = 1) x = inner + x
+let scaled ?(factor = 1) x = factor * x
 
 type level = int
 let level x = x

@@ -43,12 +43,16 @@
                at all.
      FOM-L010  an optional parameter [?l] of a [val] in an .mli under
                DIR that no caller sets: no .ml of FOM-L008's callers
-               outside the val's own module passes [~l] or [?l].
-               test/ does not count, so a setting that only tests
-               turn is reported; its default should be a constant.
-               This is a token approximation, not a type check: a
-               [~l] or [?l] passed to any other function, in any
-               caller, hides the finding.
+               outside the val's own module passes [~l] or [?l] in an
+               application of the val, reached as FOM-L008 reaches
+               it (qualified, through a module alias or in a local
+               open). The application's labels are those at its own
+               bracket depth up to its end (a keyword that ends an
+               application, an unmatched closing bracket, [;], [,],
+               [|] or [->]); a label inside a nested bracket belongs
+               to the call there. test/ does not count, so a setting
+               that only tests turn is reported; its default should
+               be a constant.
 
    An allowlist file grants sanctioned exceptions, one per line:
 
@@ -519,12 +523,33 @@ let argument_follows = function
   | tok :: _ -> List.mem tok [ "("; "["; "~"; "?"; "\"" ] || (tok.[0] >= '0' && tok.[0] <= '9')
   | [] -> false
 
-(* Every (qualifier, name, applied) a caller's tokens reference:
-   [Q.name], and each bare name inside a local open [Q.( ... )] or
-   [Q.[ ... ]]; [applied] when an argument follows it. *)
+(* The labels ([~l] or [?l]) of the application whose arguments start
+   at [toks], up to its end: a keyword of [ends_application], an
+   unmatched closing bracket, [;], [,], [|] or [->]. A label inside a
+   nested bracket belongs to the call there. *)
+let applied_labels toks =
+  let rec go depth acc = function
+    | ("(" | "[" | "{") :: rest -> go (depth + 1) acc rest
+    | (")" | "]" | "}") :: rest -> if depth = 0 then acc else go (depth - 1) acc rest
+    | ("~" | "?") :: label :: rest when depth = 0 && is_value label -> go depth (label :: acc) rest
+    | (";" | "," | "|") :: _ when depth = 0 -> acc
+    | "-" :: ">" :: _ when depth = 0 -> acc
+    | tok :: _ when depth = 0 && List.mem tok ends_application -> acc
+    | _ :: rest -> go depth acc rest
+    | [] -> acc
+  in
+  go 0 [] toks
+
+(* A caller's use of a val: in which file, whether an argument follows
+   it and the labels its application passes. *)
+type reference = { caller : string; applied : bool; labels : string list }
+
+(* Every (qualifier, name, tokens after the name) a caller's tokens
+   reference: [Q.name], and each bare name inside a local open
+   [Q.( ... )] or [Q.[ ... ]]. *)
 let rec references acc = function
   | q :: "." :: v :: rest when is_module q && is_value v ->
-      references ((q, v, argument_follows rest) :: acc) (v :: rest)
+      references ((q, v, rest) :: acc) (v :: rest)
   | q :: "." :: (("(" | "[") :: body as rest) when is_module q ->
       let rec opened depth prev acc = function
         | [] -> acc
@@ -534,9 +559,7 @@ let rec references acc = function
             in
             if depth = 0 then acc
             else
-              let acc =
-                if is_value tok && prev <> "." then (q, tok, argument_follows body) :: acc else acc
-              in
+              let acc = if is_value tok && prev <> "." then (q, tok, body) :: acc else acc in
               opened depth tok acc body
       in
       references (opened 1 "" acc body) rest
@@ -555,11 +578,10 @@ let used_within ml name =
   in
   Sys.file_exists ml && scan "" (tokens (strip (read_file ml)))
 
-(* The caller .ml files with their tokens, and a table from each
-   (module, name) they reference to the files that reference it, each
-   with whether the reference is applied. A reference counts for every
-   module of its qualifier's name and for the target of every alias of
-   that name, across all callers. *)
+(* A table from each (module, name) the caller .ml files reference to
+   its references. A reference counts for every module of its
+   qualifier's name and for the target of every alias of that name,
+   across all callers. *)
 let caller_references () =
   let callers =
     List.concat_map
@@ -573,13 +595,14 @@ let caller_references () =
   List.iter
     (fun (file, toks) ->
       List.iter
-        (fun (q, v, applied) ->
+        (fun (q, v, rest) ->
+          let r = { caller = file; applied = argument_follows rest; labels = applied_labels rest } in
           List.iter
-            (fun m -> Hashtbl.add referenced (m, v) (file, applied))
+            (fun m -> Hashtbl.add referenced (m, v) r)
             (q :: List.filter_map (fun (x, m) -> if x = q then Some m else None) alias_of))
         (references [] toks))
     sources;
-  (sources, referenced)
+  referenced
 
 (* FOM-L008 findings for the vals of the .mli files under [roots]. A
    reference counts from any caller .ml but the val's own module's, so
@@ -594,7 +617,7 @@ let unused_exports roots referenced =
           let own = Filename.remove_extension mli ^ ".ml" in
           List.filter_map
             (fun e ->
-              let counts (f, applied) = f <> own && (applied || not e.typed) in
+              let counts r = r.caller <> own && (r.applied || not e.typed) in
               if List.exists counts (Hashtbl.find_all referenced (e.qualifier, e.name)) then None
               else
                 let why =
@@ -628,21 +651,9 @@ let optional_labels mli =
   go None [] (located_tokens (strip (read_file mli)))
 
 (* FOM-L010 findings for the .mli files under [roots]: an optional
-   label is set when some caller .ml other than the val's own module
-   passes [~label] or [?label] anywhere. *)
-let unset_options roots sources =
-  let passed = Hashtbl.create 1024 in
-  List.iter
-    (fun (file, toks) ->
-      let rec scan = function
-        | ("~" | "?") :: label :: rest ->
-            Hashtbl.replace passed (file, label) ();
-            scan rest
-        | _ :: rest -> scan rest
-        | [] -> ()
-      in
-      scan toks)
-    sources;
+   label is set when an application of its val in some caller .ml
+   other than the val's own module passes [~label] or [?label]. *)
+let unset_options roots referenced =
   List.concat_map
     (fun root ->
       List.concat_map
@@ -651,8 +662,8 @@ let unset_options roots sources =
           let raw_lines = Array.of_list (String.split_on_char '\n' (read_file mli)) in
           List.filter_map
             (fun (e, label, line) ->
-              let sets (file, _) = file <> own && Hashtbl.mem passed (file, label) in
-              if List.exists sets sources then None
+              let sets r = r.caller <> own && List.mem label r.labels in
+              if List.exists sets (Hashtbl.find_all referenced (e.qualifier, e.name)) then None
               else Some (e, label, line, raw_lines.(line - 1)))
             (optional_labels mli))
         (List.sort compare (walk ".mli" root [])))
@@ -734,7 +745,7 @@ let () =
           end)
         (scan_file file))
     files;
-  let callers = caller_references () in
+  let referenced = caller_references () in
   List.iter
     (fun (e, why) ->
       if not (allowed e.mli e.construct) then begin
@@ -742,7 +753,7 @@ let () =
           e.mli e.line e.construct why (String.trim e.text);
         incr errors
       end)
-    (unused_exports (List.rev !roots) (snd callers));
+    (unused_exports (List.rev !roots) referenced);
   List.iter
     (fun (e, label, line, text) ->
       if not (allowed e.mli (e.construct ^ "?" ^ label)) then begin
@@ -751,7 +762,7 @@ let () =
           e.mli line label e.construct (String.trim text);
         incr errors
       end)
-    (unset_options (List.rev !roots) (fst callers));
+    (unset_options (List.rev !roots) referenced);
   List.iteri
     (fun k (file, construct) ->
       if not used.(k) then
