@@ -33,5 +33,3 @@ let to_string = function
   | Store -> "store"
   | Branch -> "branch"
   | Jump -> "jump"
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -40,5 +40,3 @@ val has_result : t -> bool
     divide and load. *)
 
 val to_string : t -> string
-
-val pp : Format.formatter -> t -> unit

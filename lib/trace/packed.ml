@@ -1,6 +1,3 @@
-module Instr = Fom_isa.Instr
-module Opclass = Fom_isa.Opclass
-
 type cached = ..
 
 type t = {
@@ -17,9 +14,9 @@ type t = {
 let label t = t.label
 let length t = t.len
 
-(* Row [i]'s producers: the first [nd] of [src], re-based by [rebase].
-   The dependence array doubles when full. *)
-let[@inline] write_deps c deps i src nd ~rebase =
+(* Row [i]'s producers: the [nd] entries of [src] from [from], re-based
+   by [rebase]. The dependence array doubles when full. *)
+let[@inline] write_deps c deps i src ~from nd ~rebase =
   let used = c.dep_off.(i) in
   if used + nd > Array.length !deps then begin
     let grown = Array.make (2 * (used + nd)) 0 in
@@ -28,7 +25,7 @@ let[@inline] write_deps c deps i src nd ~rebase =
   end;
   let dep_val = !deps in
   for k = 0 to nd - 1 do
-    dep_val.(used + k) <- src.(k) + rebase
+    dep_val.(used + k) <- src.(from + k) + rebase
   done;
   c.dep_off.(i + 1) <- used + nd
 
@@ -42,7 +39,7 @@ let write_stream c deps stream ~first ~count ~rebase =
     c.op.(i) <- cur.Stream.tag;
     c.pc.(i) <- cur.Stream.pc;
     c.ea.(i) <- cur.Stream.ea;
-    write_deps c deps i cur.Stream.deps cur.Stream.ndeps ~rebase
+    write_deps c deps i cur.Stream.deps ~from:0 cur.Stream.ndeps ~rebase
   done
 
 (* A phase schedule: each activation is a fresh stream of its phase's
@@ -61,21 +58,18 @@ let write_schedule c deps phases =
       phases
   done
 
-(* A recorded trace, already validated by {!Source.of_instrs}: row [i]
-   is instruction [i mod len], re-based by the completed copies. *)
-let write_recorded c deps instrs =
-  let len = Array.length instrs in
+(* A recorded trace, already validated by {!Source.of_columns}: row
+   [i] is row [i mod len], its dependences re-based by the completed
+   copies. *)
+let write_recorded c deps (r : Source.columns) =
+  let len = Array.length r.Source.op in
   for i = 0 to c.len - 1 do
-    let ins = instrs.(i mod len) in
-    let rebase = i - (i mod len) in
-    c.op.(i) <- Opclass.to_int ins.Instr.opclass;
-    c.pc.(i) <- ins.Instr.pc;
-    c.ea.(i) <-
-      (match (ins.Instr.mem, ins.Instr.ctrl) with
-      | Some addr, _ -> addr
-      | None, Some ctrl -> (ctrl.Instr.target lsl 1) lor Bool.to_int ctrl.Instr.taken
-      | None, None -> -1);
-    write_deps c deps i ins.Instr.deps (Array.length ins.Instr.deps) ~rebase
+    let j = i mod len in
+    c.op.(i) <- r.op.(j);
+    c.pc.(i) <- r.pc.(j);
+    c.ea.(i) <- r.ea.(j);
+    let from = r.dep_off.(j) in
+    write_deps c deps i r.dep_val ~from (r.dep_off.(j + 1) - from) ~rebase:(i - j)
   done
 
 (* A length the heap cannot hold is the caller's input too: report it
@@ -116,7 +110,7 @@ let pack source ~n =
   | Source.Generator { program; seed } ->
       write_stream c deps (Stream.create ?seed program) ~first:0 ~count:n ~rebase:0
   | Source.Schedule phases -> write_schedule c deps phases
-  | Source.Recorded instrs -> write_recorded c deps instrs);
+  | Source.Recorded columns -> write_recorded c deps columns);
   { c with dep_val = !deps }
 
 (* Every packing, explicit or through {!at_least}, runs in this span. *)
@@ -125,8 +119,8 @@ let of_source source ~n = Fom_obs.Span.with_ s_pack (fun () -> pack source ~n)
 
 (* Whether a packing of [a] serves [b]: a generator over the physically
    same program and an equal seed, or a schedule of the same programs
-   and budgets, under one label. A recorded trace's array belongs to
-   its caller and is mutable, so it never matches. *)
+   and budgets, under one label. A recorded trace's columns belong to
+   its caller and are mutable, so it never matches. *)
 let same_source (a : Source.t) (b : Source.t) =
   String.equal a.Source.label b.Source.label
   &&
@@ -160,27 +154,3 @@ let at_least source ~n =
       Weak.set slot 0 (Some packed);
       Domain.DLS.set last (Some (source, slot));
       packed
-
-(* Decode one instruction. Fields are well-formed (by construction
-   from the generator, validated by {!Source.of_instrs} for a recorded
-   trace), so the record is built directly rather than through
-   [Instr.make]. Past the end the trace wraps with re-based indices
-   and dependences, like a recorded source. *)
-let instr t i =
-  Fom_check.Checker.ensure ~code:"FOM-T131" ~path:"packed.instr" (i >= 0)
-    "dynamic index must be non-negative";
-  let off = i mod t.len in
-  let rebase = i - off in
-  let lo = t.dep_off.(off) and hi = t.dep_off.(off + 1) in
-  let opclass = Opclass.of_int t.op.(off) and ea = t.ea.(off) in
-  {
-    Instr.index = i;
-    pc = t.pc.(off);
-    opclass;
-    deps = Array.init (hi - lo) (fun k -> t.dep_val.(lo + k) + rebase);
-    mem = (if Opclass.is_memory opclass then Some ea else None);
-    ctrl =
-      (if Opclass.is_control opclass then
-         Some { Instr.target = ea lsr 1; taken = ea land 1 = 1 }
-       else None);
-  }

@@ -8,7 +8,9 @@
     without copying. Packing is the only way a trace reaches the
     passes that replay it, trace export included, and each
     {!Source.kind} has exactly one writer into the columns
-    ({!of_source}).
+    ({!of_source}). The columns are the library's one trace form: a
+    recorded trace ({!Source.columns}) holds the same encoding, and
+    {!Trace_file} parses into it and prints from it.
 
     The columns (all indexed by dynamic instruction, except the
     dependence columns which use compressed-sparse-row layout):
@@ -19,8 +21,9 @@
       jump's [(target lsl 1) lor taken], else [-1] (only memory
       operations carry an address, only control ones a direction);
     - [dep_off]/[dep_val]: instruction [i]'s true producers are
-      [dep_val.(dep_off.(i)) .. dep_val.(dep_off.(i+1) - 1)], in
-      instruction-field order; [dep_val] is not trimmed, so entries
+      [dep_val.(dep_off.(i)) .. dep_val.(dep_off.(i+1) - 1)], in the
+      source's order (a generator lists its most recently sampled
+      producer first); [dep_val] is not trimmed, so entries
       from [dep_off.(len)] on are unused capacity.
 
     The record is exposed so simulation kernels can index the columns
@@ -51,9 +54,9 @@ val of_source : Source.t -> n:int -> t
     Each {!Source.kind} has one column writer: a generator is stepped
     straight into the columns through its {!Stream.step} cursor, a
     phase schedule runs that same writer once per activation with its
-    dependences re-based, and a recorded trace is copied field by
-    field, wrapping past its end. The two generator writers allocate
-    nothing per instruction. Packing runs in the [trace.pack] span. *)
+    dependences re-based, and a recorded trace's columns are copied
+    row by row, wrapping past their end with re-based dependences.
+    The two generator writers allocate nothing per instruction. Packing runs in the [trace.pack] span. *)
 
 val at_least : Source.t -> n:int -> t
 (** A packing of at least [n] rows of the source, for callers that
@@ -66,8 +69,8 @@ val at_least : Source.t -> n:int -> t
     physically same {!Program.t} with an equal seed, or a schedule of
     the physically same programs with the same budgets, under the same
     label. Otherwise it packs exactly [n] rows with {!of_source} and
-    remembers them. A recorded source always packs afresh: its array
-    belongs to the caller and is mutable.
+    remembers them. A recorded source always packs afresh: its columns
+    belong to the caller and are mutable.
 
     The slot holds its packing weakly, so it keeps no packing alive
     (it keeps the source), and a sweep of machines over one program
@@ -86,8 +89,3 @@ val length : t -> int
 
 val label : t -> string
 (** Human-readable origin, inherited from the source. *)
-
-val instr : t -> int -> Fom_isa.Instr.t
-(** Decode dynamic instruction [i] ([FOM-T131] if negative). Past the
-    end the trace wraps with re-based indices and dependences, exactly
-    like a {!Source.Recorded} replay. *)

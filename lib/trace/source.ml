@@ -1,9 +1,17 @@
-module Instr = Fom_isa.Instr
+module Opclass = Fom_isa.Opclass
+
+type columns = {
+  op : int array;
+  pc : int array;
+  ea : int array;
+  dep_off : int array;
+  dep_val : int array;
+}
 
 type kind =
   | Generator of { program : Program.t; seed : int option }
   | Schedule of (Program.t * int) list
-  | Recorded of Instr.t array
+  | Recorded of columns
 
 type t = { label : string; kind : kind }
 
@@ -18,23 +26,27 @@ let of_schedule ~label phases =
     "phase schedule must be non-empty, with positive instruction budgets";
   { label; kind = Schedule phases }
 
-let of_instrs ?(label = "recorded") instrs =
+let of_columns ?(label = "recorded") c =
   let ensure cond message =
-    Fom_check.Checker.ensure ~code:"FOM-T110" ~path:"source.of_instrs" cond message
+    Fom_check.Checker.ensure ~code:"FOM-T110" ~path:"source.of_columns" cond message
   in
-  ensure (Array.length instrs > 0) "recorded trace must be non-empty";
-  Array.iteri
-    (fun i (ins : Instr.t) ->
-      ensure (ins.Instr.index = i) "recorded trace must be in dynamic index order";
-      ensure
-        (Fom_isa.Opclass.is_memory ins.Instr.opclass = Option.is_some ins.Instr.mem
-        && Fom_isa.Opclass.is_control ins.Instr.opclass = Option.is_some ins.Instr.ctrl)
-        "memory operations alone carry an address, control operations alone a direction";
-      ensure
-        (match ins.Instr.mem with Some addr -> addr >= 0 | None -> true)
-        "memory addresses must be non-negative";
-      ensure
-        (match ins.Instr.ctrl with Some c -> c.Instr.target >= 0 | None -> true)
-        "control targets must be non-negative")
-    instrs;
-  { label; kind = Recorded instrs }
+  let len = Array.length c.op in
+  ensure (len > 0) "recorded trace must be non-empty";
+  ensure
+    (Array.length c.pc = len && Array.length c.ea = len && Array.length c.dep_off = len + 1)
+    "columns must agree in length";
+  for i = 0 to len - 1 do
+    let tag = c.op.(i) and lo = c.dep_off.(i) and hi = c.dep_off.(i + 1) in
+    ensure (tag >= 0 && tag < Opclass.count) "operation tag out of range";
+    let opclass = Opclass.of_int tag in
+    ensure
+      (if Opclass.is_memory opclass || Opclass.is_control opclass then c.ea.(i) >= 0
+       else c.ea.(i) = -1)
+      "memory and control operations alone carry an address or direction, never negative";
+    ensure (0 <= lo && lo <= hi && hi <= Array.length c.dep_val)
+      "dependence offsets must rise within the dependence column";
+    for k = lo to hi - 1 do
+      ensure (c.dep_val.(k) >= 0 && c.dep_val.(k) < i) "dependences must name earlier instructions"
+    done
+  done;
+  { label; kind = Recorded c }

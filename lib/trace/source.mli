@@ -4,7 +4,7 @@
     producer of instructions. There are three kinds: the synthetic
     generator ({!of_program}), a phase schedule of generators
     ({!of_schedule}, built by {!Phases.source}) and a recorded trace
-    ({!of_instrs}, or a trace file read by {!Trace_file.load} — the
+    ({!of_columns}, filled by {!Trace_file.load} — the
     bring-your-own-trace path for driving the model with instruction
     traces produced elsewhere).
 
@@ -14,6 +14,17 @@
     functional profiler, the IW kernel, the detailed simulator and
     trace export all replay those columns. *)
 
+type columns = {
+  op : int array;
+  pc : int array;
+  ea : int array;
+  dep_off : int array;
+  dep_val : int array;
+}
+(** A recorded trace in the {!Packed} column encoding, one row per
+    dynamic instruction: [op], [pc], [ea], and row [i]'s producers at
+    [dep_val.(dep_off.(i)) .. dep_val.(dep_off.(i+1) - 1)]. *)
+
 type kind =
   | Generator of { program : Program.t; seed : int option }
       (** a {!Stream} over the program, with an optional stream seed *)
@@ -21,10 +32,10 @@ type kind =
       (** phases in order, each with its positive instruction budget;
           every activation restarts its program's stream, and after the
           last phase the schedule repeats *)
-  | Recorded of Fom_isa.Instr.t array
-      (** non-empty, in dynamic index order; past its end the trace
-          repeats from the start with re-based indices and
-          dependences, so consumers may read any [n] *)
+  | Recorded of columns
+      (** non-empty, validated by {!of_columns}; past its end the
+          trace repeats from the start with re-based dependences, so
+          consumers may read any [n] *)
 
 type t = private { label : string; kind : kind }
 
@@ -44,8 +55,11 @@ val of_schedule : label:string -> (Program.t * int) list -> t
     starts at. [FOM-T041] on an empty schedule or a budget below 1
     ({!Phases.source} reports both per phase first). *)
 
-val of_instrs : ?label:string -> Fom_isa.Instr.t array -> t
-(** Replay a materialized trace. [FOM-T110] unless the array is
-    non-empty, numbered from 0 in order, and every memory address and
-    control target is non-negative (the packed columns use [-1] for
-    "none"). *)
+val of_columns : ?label:string -> columns -> t
+(** Replay a recorded trace. [FOM-T110] unless there is at least one
+    row, the columns agree in length ([dep_off] has one entry more),
+    every [op] is an {!Fom_isa.Opclass.to_int} tag, memory and control
+    operations alone carry a non-negative [ea] (every other row holds
+    [-1]), [dep_off] does not decrease and ends inside [dep_val], and
+    every dependence names an earlier row. The columns are the
+    caller's and are not copied. *)

@@ -1,5 +1,4 @@
 module Rng = Fom_util.Rng
-module Instr = Fom_isa.Instr
 module Opclass = Fom_isa.Opclass
 
 (* Ring buffer of the dynamic indices of recent value-producing
@@ -24,7 +23,6 @@ let ring_pos r d =
   (r.head - d + cap + cap) mod cap
 
 type cursor = {
-  mutable index : int;
   mutable pc : int;
   mutable tag : int;
   mutable ndeps : int;
@@ -90,7 +88,6 @@ let create ?seed program =
     pos = 0;
     cur =
       {
-        index = -1;
         pc = 0;
         tag = 0;
         ndeps = 0;
@@ -99,9 +96,10 @@ let create ?seed program =
       };
   }
 
-(* Sample [nsrc] producers into the cursor. [Instr.t] lists the most
-   recently sampled dependence first, so sample [j] lands in slot
-   [k - 1 - j]. An empty ring yields no dependences. *)
+(* Sample [nsrc] producers into the cursor. The packed dependence
+   column lists the most recently sampled dependence first, so sample
+   [j] lands in slot [k - 1 - j]. An empty ring yields no
+   dependences. *)
 let sample_deps t c nsrc =
   let ring = t.ring in
   let distances = t.program.Program.distances in
@@ -120,7 +118,6 @@ let step t =
   let index = t.index in
   t.index <- index + 1;
   if t.pos = blk.len - 1 then t.pos <- 0 else t.pos <- t.pos + 1;
-  c.index <- index;
   c.pc <- s.pc;
   c.tag <- Opclass.to_int s.opclass;
   c.ea <-
@@ -180,14 +177,3 @@ let step t =
   | Opclass.Alu | Opclass.Mul | Opclass.Div | Opclass.Load | Opclass.Store -> ());
   if Opclass.has_result s.opclass then ring_push t.ring index;
   c
-
-let next t =
-  let c = step t in
-  let opclass = Opclass.of_int c.tag in
-  Instr.make ~index:c.index ~pc:c.pc ~opclass ~deps:(Array.sub c.deps 0 c.ndeps)
-    ?mem:(if Opclass.is_memory opclass then Some c.ea else None)
-    ?ctrl:
-      (if Opclass.is_control opclass then
-         Some { Instr.target = c.ea lsr 1; taken = c.ea land 1 = 1 }
-       else None)
-    ()

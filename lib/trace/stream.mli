@@ -22,14 +22,13 @@ val create : ?seed:int -> Program.t -> t
     {!Packed} encodings: a column writer copies [tag], [pc] and [ea]
     straight across. *)
 type cursor = private {
-  mutable index : int;  (** dynamic index *)
   mutable pc : int;
   mutable tag : int;  (** {!Fom_isa.Opclass.to_int} *)
   mutable ndeps : int;
   deps : int array;
-      (** the first [ndeps] entries are the true producers, in
-          {!Fom_isa.Instr.t} field order: the most recently sampled
-          one first *)
+      (** the first [ndeps] entries are the dynamic indices of the
+          true producers, in {!Packed} [dep_val] order: the most
+          recently sampled one first *)
   mutable ea : int;  (** the {!Packed} [ea] column's value *)
 }
 
@@ -37,8 +36,3 @@ val step : t -> cursor
 (** Advance the walk by one instruction and return the stream's cursor
     holding it. The cursor is the same record on every call, valid
     until the next [step]; stepping allocates nothing. *)
-
-val next : t -> Fom_isa.Instr.t
-(** Emit the next dynamic instruction: one {!step}, decoded through
-    {!Fom_isa.Instr.make}. Never fails: the synthetic walk is
-    infinite. *)

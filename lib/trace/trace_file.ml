@@ -1,4 +1,3 @@
-module Instr = Fom_isa.Instr
 module Opclass = Fom_isa.Opclass
 
 let format_magic = "fom-trace 1"
@@ -7,28 +6,26 @@ let class_of_string s =
   List.find_opt (fun c -> String.equal (Opclass.to_string c) s) Opclass.all
 
 let save ~path source ~n =
-  let packed = Packed.of_source source ~n in
+  let p = Packed.of_source source ~n in
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->
       output_string oc (format_magic ^ "\n");
       for i = 0 to n - 1 do
-        let ins = Packed.instr packed i in
-        let mem = match ins.Instr.mem with Some a -> Printf.sprintf "%x" a | None -> "-" in
+        let opclass = Opclass.of_int p.Packed.op.(i) and ea = p.Packed.ea.(i) in
+        let mem = if Opclass.is_memory opclass then Printf.sprintf "%x" ea else "-" in
         let dir, target =
-          match ins.Instr.ctrl with
-          | Some c -> ((if c.Instr.taken then "T" else "N"), Printf.sprintf "%x" c.Instr.target)
-          | None -> ("-", "-")
+          if Opclass.is_control opclass then
+            ((if ea land 1 = 1 then "T" else "N"), Printf.sprintf "%x" (ea lsr 1))
+          else ("-", "-")
         in
-        let deps =
-          ins.Instr.deps |> Array.to_list |> List.map string_of_int |> String.concat " "
-        in
-        Printf.fprintf oc "%s %x %s %s %s%s%s\n"
-          (Opclass.to_string ins.Instr.opclass)
-          ins.Instr.pc mem dir target
-          (if deps = "" then "" else " ")
-          deps
+        Printf.fprintf oc "%s %x %s %s %s" (Opclass.to_string opclass) p.Packed.pc.(i) mem dir
+          target;
+        for k = p.Packed.dep_off.(i) to p.Packed.dep_off.(i + 1) - 1 do
+          Printf.fprintf oc " %d" p.Packed.dep_val.(k)
+        done;
+        output_char oc '\n'
       done)
 
 (* A parse error names the file and the 1-based line number in the
@@ -43,6 +40,7 @@ let parse_error ~path ~lineno ~code msg =
            msg;
        ])
 
+(* One line as its row's [op], [pc], [ea] and dependences. *)
 let parse_line ~path ~lineno ~index line =
   match String.split_on_char ' ' (String.trim line) with
   | cls_s :: pc_s :: mem_s :: dir_s :: target_s :: dep_fields -> (
@@ -51,32 +49,37 @@ let parse_line ~path ~lineno ~index line =
           parse_error ~path ~lineno ~code:"FOM-T103"
             (Printf.sprintf "unknown instruction class %S in %S" cls_s line)
       | Some opclass ->
-          let parse_hex what s =
+          let parse_hex ?(limit = max_int) what s =
             match int_of_string_opt ("0x" ^ s) with
-            | Some v when v >= 0 -> v
+            | Some v when v >= 0 && v <= limit -> v
             | Some _ | None ->
                 parse_error ~path ~lineno ~code:"FOM-T104"
                   (Printf.sprintf "bad %s %S in %S" what s line)
           in
           let pc = parse_hex "pc" pc_s in
           let mem = if mem_s = "-" then None else Some (parse_hex "address" mem_s) in
+          (* A target must leave room for the direction bit of [ea]. *)
           let ctrl =
             match (dir_s, target_s) with
             | "-", "-" -> None
             | ("T" | "N"), target ->
-                Some { Instr.target = parse_hex "target" target; taken = dir_s = "T" }
+                Some ((parse_hex ~limit:(max_int lsr 1) "target" target lsl 1)
+                      lor Bool.to_int (dir_s = "T"))
             | dir, _ ->
                 parse_error ~path ~lineno ~code:"FOM-T104"
                   (Printf.sprintf "bad direction %S (expected T, N or -) in %S" dir line)
           in
           (* Memory operations, and only they, carry an address; control
              operations, and only they, a direction and target. *)
-          if
-            Opclass.is_memory opclass <> Option.is_some mem
-            || Opclass.is_control opclass <> Option.is_some ctrl
-          then
-            parse_error ~path ~lineno ~code:"FOM-T106"
-              (Printf.sprintf "address or direction fields do not fit class %s in %S" cls_s line);
+          let ea =
+            match (Opclass.is_memory opclass, mem, Opclass.is_control opclass, ctrl) with
+            | true, Some ea, false, None | false, None, true, Some ea -> ea
+            | false, None, false, None -> -1
+            | _ ->
+                parse_error ~path ~lineno ~code:"FOM-T106"
+                  (Printf.sprintf "address or direction fields do not fit class %s in %S" cls_s
+                     line)
+          in
           let deps =
             dep_fields
             |> List.filter (fun f -> f <> "")
@@ -92,9 +95,8 @@ let parse_line ~path ~lineno ~index line =
                    | None ->
                        parse_error ~path ~lineno ~code:"FOM-T104"
                          (Printf.sprintf "bad dependence %S in %S" f line))
-            |> Array.of_list
           in
-          Instr.make ~index ~pc ~opclass ~deps ?mem ?ctrl ())
+          (Opclass.to_int opclass, pc, ea, deps))
   | _ ->
       parse_error ~path ~lineno ~code:"FOM-T106"
         (Printf.sprintf "malformed trace line %S (expected class pc mem dir target deps...)"
@@ -112,22 +114,35 @@ let parse_file ~path =
             (Printf.sprintf "not a fom trace (header %S, expected %S)" magic format_magic)
       | exception End_of_file ->
           parse_error ~path ~lineno:1 ~code:"FOM-T102" "empty trace file");
-      let instrs = ref [] in
-      let index = ref 0 in
-      let lineno = ref 1 in
+      let op = ref [] and pc = ref [] and ea = ref [] and dep_off = ref [ 0 ] in
+      let dep_val = ref [] and ndeps = ref 0 and index = ref 0 and lineno = ref 1 in
       (try
          while true do
            let line = input_line ic in
            incr lineno;
            if String.trim line <> "" then begin
-             instrs := parse_line ~path ~lineno:!lineno ~index:!index line :: !instrs;
+             let o, p, e, deps = parse_line ~path ~lineno:!lineno ~index:!index line in
+             op := o :: !op;
+             pc := p :: !pc;
+             ea := e :: !ea;
+             dep_val := List.rev_append deps !dep_val;
+             ndeps := !ndeps + List.length deps;
+             dep_off := !ndeps :: !dep_off;
              incr index
            end
          done
        with End_of_file -> ());
-      if !instrs = [] then
+      if !index = 0 then
         parse_error ~path ~lineno:!lineno ~code:"FOM-T107" "trace file has no instructions";
-      Source.of_instrs ~label:path (Array.of_list (List.rev !instrs)))
+      let column l = Array.of_list (List.rev !l) in
+      Source.of_columns ~label:path
+        {
+          Source.op = column op;
+          pc = column pc;
+          ea = column ea;
+          dep_off = column dep_off;
+          dep_val = column dep_val;
+        })
 
 (* A missing file, a directory or a failed read is FOM-T100 on the
    path; parse errors are already diagnostics. *)

@@ -1,6 +1,6 @@
 (* Hand-built traces for the detailed simulator. A trace is a generator
-   from dynamic index to instruction; it enters the machine the only
-   way any trace does, packed, here as a recorded source. *)
+   from dynamic index to {!Row.t}; it enters the machine the only way
+   any trace does, packed, here as a recorded source. *)
 
 (* A run to [n] retirements over the first [n + inflight_span]
    instructions. *)
@@ -8,6 +8,6 @@ let run config gen ~n =
   let len = n + Fom_uarch.Config.inflight_span config in
   Fom_uarch.Machine.run config
     (Fom_trace.Packed.of_source
-       (Fom_trace.Source.of_instrs ~label:"hand-built" (Array.init len gen))
+       (Row.source ~label:"hand-built" (Array.init len gen))
        ~n:len)
     ~n

@@ -2,16 +2,15 @@
    the paper describes it: refill the window to capacity, then scan it
    oldest-first every cycle and issue whatever is ready, up to the
    issue limit. O(window) per cycle; the oracle Iw_sim.ipc_of_packed
-   is tested against. It decodes the same packing one [Instr.t] at a
+   is tested against. It decodes the same packing one {!Row.t} at a
    time, so the packing must hold [n + window] instructions. *)
 
-module Instr = Fom_isa.Instr
 module Latency = Fom_isa.Latency
 
 let ipc_of_packed ?(latencies = Latency.unit) ?issue_limit packed ~window ~n =
   let fetched = ref 0 in
   let next_instr () =
-    let ins = Fom_trace.Packed.instr packed !fetched in
+    let ins = Row.decode packed !fetched in
     incr fetched;
     ins
   in
@@ -24,10 +23,10 @@ let ipc_of_packed ?(latencies = Latency.unit) ?issue_limit packed ~window ~n =
   let cycle = ref 0 in
   let issued_total = ref 0 in
   let limit = Option.value issue_limit ~default:max_int in
-  let ready (i : Instr.t) =
+  let ready (i : Row.t) =
     Array.for_all
       (fun d -> match Hashtbl.find_opt comp d with Some c -> c <= !cycle | None -> false)
-      i.Instr.deps
+      i.Row.deps
   in
   while !issued_total < n do
     (* Refill the window to capacity (instant fetch). *)
@@ -43,8 +42,8 @@ let ipc_of_packed ?(latencies = Latency.unit) ?issue_limit packed ~window ~n =
       | None -> failwith "window slot empty below count"
       | Some i ->
           if !issued < limit && ready i then begin
-            Hashtbl.replace comp i.Instr.index
-              (!cycle + Latency.of_class latencies i.Instr.opclass);
+            Hashtbl.replace comp i.Row.index
+              (!cycle + Latency.of_class latencies i.Row.opclass);
             incr issued
           end
           else begin

@@ -643,16 +643,15 @@ let test_packed_round_trip () =
     (Fom_trace.Packed.label packed);
   let expect =
     let stream = Fom_trace.Stream.create (Lazy.force gzip) in
-    let base = Array.init len (fun _ -> Fom_trace.Stream.next stream) in
-    let wrapped = Fom_trace.Packed.of_source (Fom_trace.Source.of_instrs base) ~n:total in
-    Array.init total (Fom_trace.Packed.instr wrapped)
+    let base = Array.init len (fun index -> Row.of_cursor ~index (Fom_trace.Stream.step stream)) in
+    Row.take (Fom_trace.Packed.of_source (Row.source base) ~n:total) ~n:total
   in
   Array.iteri
     (fun i ins ->
       Alcotest.(check bool)
         (Printf.sprintf "decoded instr %d" i)
         true
-        (Fom_trace.Packed.instr packed i = ins))
+        (Row.decode packed i = ins))
     expect
 
 let expect_code code thunk =

@@ -219,6 +219,10 @@ let test_parse_codes () =
   expect_parse_error "T104 negative target" "FOM-T104" ~line:2
     "fom-trace 1\nbranch 400000 - T 7fffffffffffffff\n";
   expect_parse_error "T104 direction" "FOM-T104" ~line:2 "fom-trace 1\nbranch 400000 - X 400008\n";
+  (* The packed [ea] column keeps a target's low bit for the direction,
+     so a target must be below 2^61. *)
+  expect_parse_error "T104 target at 2^61" "FOM-T104" ~line:2
+    "fom-trace 1\nbranch 400000 - T 2000000000000000\n";
   (* The fields must fit the class: an address on memory operations
      only, a direction and target on control operations only. *)
   expect_parse_error "T106 load without address" "FOM-T106" ~line:2
@@ -229,38 +233,42 @@ let test_parse_codes () =
   expect_parse_error "T105 line 4" "FOM-T105" ~line:4
     "fom-trace 1\nalu 400000 - - -\n\nalu 400004 - - - 9\n"
 
-let test_of_instrs_codes () =
-  expect_invalid "T110 empty" "FOM-T110" (fun () -> Fom_trace.Source.of_instrs [||]);
-  let i0 =
-    Fom_isa.Instr.make ~index:1 ~pc:0x1000 ~opclass:Fom_isa.Opclass.Alu ()
+(* --- recorded traces (FOM-T110) ---------------------------------------- *)
+
+let test_of_columns_codes () =
+  (* One alu row, one load of 0x2000 on it and one taken jump to
+     0x400 on the load; each case breaks one rule. *)
+  let valid =
+    {
+      Fom_trace.Source.op = [| 0; 3; 6 |];
+      pc = [| 0x1000; 0x1004; 0x1008 |];
+      ea = [| -1; 0x2000; (0x400 lsl 1) lor 1 |];
+      dep_off = [| 0; 0; 1; 2 |];
+      dep_val = [| 0; 1 |];
+    }
   in
-  expect_invalid "T110 order" "FOM-T110" (fun () -> Fom_trace.Source.of_instrs [| i0 |]);
-  expect_invalid "T110 negative address" "FOM-T110" (fun () ->
-      Fom_trace.Source.of_instrs
-        [| Fom_isa.Instr.make ~index:0 ~pc:0x1000 ~opclass:Fom_isa.Opclass.Load ~mem:(-1) () |]);
-  expect_invalid "T110 negative target" "FOM-T110" (fun () ->
-      Fom_trace.Source.of_instrs
-        [|
-          Fom_isa.Instr.make ~index:0 ~pc:0x1000 ~opclass:Fom_isa.Opclass.Jump
-            ~ctrl:{ Fom_isa.Instr.target = -4; taken = true }
-            ();
-        |]);
-  (* A record built without Instr.make: an address on an ALU op. *)
-  expect_invalid "T110 address on a non-memory op" "FOM-T110" (fun () ->
-      Fom_trace.Source.of_instrs [| { i0 with Fom_isa.Instr.index = 0; mem = Some 8 } |]);
-  expect_invalid "T110 branch without direction" "FOM-T110" (fun () ->
-      Fom_trace.Source.of_instrs
-        [| { i0 with Fom_isa.Instr.index = 0; opclass = Fom_isa.Opclass.Branch } |])
-
-(* --- instruction structure (FOM-T120, FOM-U) ------------------------- *)
-
-let test_instr_codes () =
-  expect_invalid "T120 index" "FOM-T120" (fun () ->
-      Fom_isa.Instr.make ~index:(-1) ~pc:0 ~opclass:Fom_isa.Opclass.Alu ());
-  expect_invalid "T120 load without mem" "FOM-T120" (fun () ->
-      Fom_isa.Instr.make ~index:0 ~pc:0 ~opclass:Fom_isa.Opclass.Load ());
-  expect_invalid "T120 forward dep" "FOM-T120" (fun () ->
-      Fom_isa.Instr.make ~index:3 ~pc:0 ~opclass:Fom_isa.Opclass.Alu ~deps:[| 3 |] ())
+  ignore (Fom_trace.Source.of_columns valid);
+  List.iter
+    (fun (name, columns) ->
+      expect_invalid ("T110 " ^ name) "FOM-T110" (fun () -> Fom_trace.Source.of_columns columns))
+    [
+      ("empty", { valid with op = [||]; pc = [||]; ea = [||]; dep_off = [| 0 |] });
+      ("op tag out of range", { valid with op = [| 0; 3; 7 |] });
+      ("negative op tag", { valid with op = [| -1; 3; 6 |] });
+      ("column lengths disagree", { valid with pc = [| 0x1000; 0x1004 |] });
+      ("dep_off one short", { valid with dep_off = [| 0; 0; 1 |] });
+      ("load without an address", { valid with ea = [| -1; -1; 0x801 |] });
+      ("negative address", { valid with ea = [| -1; -8; 0x801 |] });
+      ("negative target", { valid with ea = [| -1; 0x2000; -7 |] });
+      ("address on a non-memory op", { valid with ea = [| 8; 0x2000; 0x801 |] });
+      ("branch without direction", { valid with op = [| 0; 3; 5 |]; ea = [| -1; 0x2000; -1 |] });
+      ("forward dependence", { valid with dep_val = [| 2; 1 |] });
+      ("self dependence", { valid with dep_val = [| 1; 1 |] });
+      ("negative dependence", { valid with dep_val = [| -1; 1 |] });
+      ("dep_off decreases", { valid with dep_off = [| 0; 0; 1; 0 |] });
+      ("negative dep_off", { valid with dep_off = [| -1; 0; 1; 2 |] });
+      ("dep_off ends past dep_val", { valid with dep_off = [| 0; 0; 1; 3 |] });
+    ]
 
 let test_util_codes () =
   expect_invalid "U001 rng" "FOM-U001" (fun () ->
@@ -432,8 +440,7 @@ let suite =
       Alcotest.test_case "address gen codes" `Quick test_address_gen_codes;
       Alcotest.test_case "phases codes" `Quick test_phases_codes;
       Alcotest.test_case "trace parse codes" `Quick test_parse_codes;
-      Alcotest.test_case "of_instrs codes" `Quick test_of_instrs_codes;
-      Alcotest.test_case "instr codes" `Quick test_instr_codes;
+      Alcotest.test_case "of_columns codes" `Quick test_of_columns_codes;
       Alcotest.test_case "util codes" `Quick test_util_codes;
       Alcotest.test_case "machine codes" `Quick test_machine_codes;
       Alcotest.test_case "ring guard codes" `Quick test_ring_guard_codes;

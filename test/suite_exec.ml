@@ -135,8 +135,7 @@ let test_source_seed_override () =
      stream. *)
   let program = Lazy.force gzip in
   let record seed =
-    let packed = Fom_trace.Packed.of_source (Source.of_program ?seed program) ~n:500 in
-    Array.init 500 (Fom_trace.Packed.instr packed)
+    Row.take (Fom_trace.Packed.of_source (Source.of_program ?seed program) ~n:500) ~n:500
   in
   let a = record (Some 1234) and b = record (Some 1234) in
   Alcotest.(check bool) "explicit seed reproduces" true (a = b);

@@ -4,7 +4,6 @@
 module Config = Fom_uarch.Config
 module Machine = Fom_uarch.Machine
 module Stats = Fom_uarch.Stats
-module Instr = Fom_isa.Instr
 module Opclass = Fom_isa.Opclass
 module Hierarchy = Fom_cache.Hierarchy
 module Predictor = Fom_branch.Predictor
@@ -13,7 +12,7 @@ let ideal = Config.ideal Config.baseline
 
 let alu ?pc ?(deps = [||]) index =
   let pc = Option.value pc ~default:(0x400000 + (4 * index)) in
-  Instr.make ~index ~pc ~opclass:Opclass.Alu ~deps ()
+  Row.make ~index ~pc ~opclass:Opclass.Alu ~deps ()
 
 let run_cycles config gen ~n = (Hand_trace.run config gen ~n).Stats.cycles
 
@@ -43,7 +42,7 @@ let test_serial_chain_exact () =
 let test_mul_chain_exact () =
   (* A multiply chain pays the 3-cycle latency per link. *)
   let gen index =
-    Instr.make ~index ~pc:0x400000 ~opclass:Opclass.Mul
+    Row.make ~index ~pc:0x400000 ~opclass:Opclass.Mul
       ~deps:(if index = 0 then [||] else [| index - 1 |])
       ()
   in
@@ -58,8 +57,8 @@ let test_branch_mispredict_penalty_exact () =
   let branch_at = 2000 in
   let gen index =
     if index = branch_at then
-      Instr.make ~index ~pc:0x400100 ~opclass:Opclass.Branch
-        ~ctrl:{ Instr.target = 0x400000; taken = false }
+      Row.make ~index ~pc:0x400100 ~opclass:Opclass.Branch
+        ~ctrl:{ Row.target = 0x400000; taken = false }
         ()
     else alu index
   in
@@ -96,7 +95,7 @@ let test_long_miss_blocks_retirement () =
      instruction: nothing retires during the memory wait. *)
   let gen index =
     if index = 0 then
-      Instr.make ~index ~pc:0x400000 ~opclass:Opclass.Load ~mem:0xA000000 ()
+      Row.make ~index ~pc:0x400000 ~opclass:Opclass.Load ~mem:0xA000000 ()
     else alu index
   in
   let config = Config.with_cache Hierarchy.fig14 ideal in
@@ -114,7 +113,7 @@ let test_store_misses_do_not_block () =
      buffering absorbs store misses. *)
   let gen kind index =
     if index mod 10 = 0 then
-      Instr.make ~index ~pc:0x400000 ~opclass:kind
+      Row.make ~index ~pc:0x400000 ~opclass:kind
         ~mem:(0xA000000 + (index * 0x100000))
         ()
     else alu index

@@ -2,7 +2,6 @@
 
 module Phases = Fom_trace.Phases
 module Packed = Fom_trace.Packed
-module Instr = Fom_isa.Instr
 module Cpi = Fom_model.Cpi
 module Phased = Fom_model.Phased
 
@@ -12,19 +11,17 @@ let schedule =
     { Phases.config = Fom_workloads.Spec2000.find "mcf"; instructions = 2000 };
   ]
 
-let record source ~n =
-  let packed = Packed.of_source source ~n in
-  Array.init n (Packed.instr packed)
+let record source ~n = Row.take (Packed.of_source source ~n) ~n
 
 let test_indices_sequential_and_deps_valid () =
   let source = Phases.source schedule in
   let trace = record source ~n:12000 in
   Array.iteri
-    (fun i (ins : Instr.t) ->
-      Alcotest.(check int) "sequential" i ins.Instr.index;
+    (fun i (ins : Row.t) ->
+      Alcotest.(check int) "sequential" i ins.Row.index;
       Array.iter
         (fun d -> if not (d >= 0 && d < i) then Alcotest.failf "dep %d at %d" d i)
-        ins.Instr.deps)
+        ins.Row.deps)
     trace
 
 let test_phases_switch_content () =
@@ -35,9 +32,9 @@ let test_phases_switch_content () =
   let trace = record source ~n:5000 in
   let max_addr lo hi =
     Array.fold_left
-      (fun acc (ins : Instr.t) ->
-        if ins.Instr.index >= lo && ins.Instr.index < hi then
-          match ins.Instr.mem with Some a -> max acc a | None -> acc
+      (fun acc (ins : Row.t) ->
+        if ins.Row.index >= lo && ins.Row.index < hi then
+          match ins.Row.mem with Some a -> max acc a | None -> acc
         else acc)
       0 trace
   in
@@ -51,9 +48,9 @@ let test_phases_deterministic () =
   let a = record (Phases.source schedule) ~n:4000 in
   let b = record (Phases.source schedule) ~n:4000 in
   Array.iteri
-    (fun i (x : Instr.t) ->
-      Alcotest.(check int) "same pc" x.Instr.pc b.(i).Instr.pc;
-      Alcotest.(check bool) "same deps" true (x.Instr.deps = b.(i).Instr.deps))
+    (fun i (x : Row.t) ->
+      Alcotest.(check int) "same pc" x.Row.pc b.(i).Row.pc;
+      Alcotest.(check bool) "same deps" true (x.Row.deps = b.(i).Row.deps))
     a
 
 let test_phases_run_through_machine () =

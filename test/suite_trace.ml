@@ -7,7 +7,6 @@ module Branch_behavior = Fom_trace.Branch_behavior
 module Config = Fom_trace.Config
 module Program = Fom_trace.Program
 module Stream = Fom_trace.Stream
-module Instr = Fom_isa.Instr
 module Opclass = Fom_isa.Opclass
 
 let gzip () = Fom_workloads.Spec2000.find "gzip"
@@ -16,13 +15,12 @@ let gzip () = Fom_workloads.Spec2000.find "gzip"
    materialized. *)
 let iter program ~n f =
   let t = Stream.create program in
-  for _ = 1 to n do
-    f (Stream.next t)
+  for index = 0 to n - 1 do
+    f (Row.of_cursor ~index (Stream.step t))
   done
 
 let collect program ~n =
-  let t = Stream.create program in
-  Array.init n (fun _ -> Stream.next t)
+  Row.take (Fom_trace.Packed.of_source (Fom_trace.Source.of_program program) ~n) ~n
 let region = { Address_gen.base = 0x1000; size = 4096 }
 
 let test_stride_walks_region () =
@@ -73,10 +71,10 @@ let test_program_generation_deterministic () =
   Alcotest.(check int) "same static count" (Program.static_count p1) (Program.static_count p2);
   let t1 = collect p1 ~n:1000 and t2 = collect p2 ~n:1000 in
   Array.iteri
-    (fun i (a : Instr.t) ->
+    (fun i (a : Row.t) ->
       let b = t2.(i) in
-      Alcotest.(check int) "same pc" a.Instr.pc b.Instr.pc;
-      Alcotest.(check bool) "same class" true (a.Instr.opclass = b.Instr.opclass))
+      Alcotest.(check int) "same pc" a.Row.pc b.Row.pc;
+      Alcotest.(check bool) "same class" true (a.Row.opclass = b.Row.opclass))
     t1
 
 let test_program_structure () =
@@ -91,18 +89,21 @@ let test_program_structure () =
     p.Program.blocks
 
 let test_stream_indices_sequential () =
+  (* The stream numbers its steps from 0 and its dependences name
+     steps in that numbering: step [i] is row [i] of the packing. *)
   let p = Program.generate (gzip ()) in
   let trace = collect p ~n:500 in
-  Array.iteri (fun i (ins : Instr.t) -> Alcotest.(check int) "index" i ins.Instr.index) trace
+  iter p ~n:500 (fun ins ->
+      if ins <> trace.(ins.Row.index) then Alcotest.failf "step %d differs" ins.Row.index)
 
 let test_stream_deps_precede () =
   let p = Program.generate (Fom_workloads.Spec2000.find "mcf") in
   iter p ~n:20000 (fun ins ->
       Array.iter
         (fun d ->
-          if not (d >= 0 && d < ins.Instr.index) then
-            Alcotest.failf "dep %d not before instr %d" d ins.Instr.index)
-        ins.Instr.deps)
+          if not (d >= 0 && d < ins.Row.index) then
+            Alcotest.failf "dep %d not before instr %d" d ins.Row.index)
+        ins.Row.deps)
 
 let test_stream_mix_matches_config () =
   let config = gzip () in
@@ -110,7 +111,7 @@ let test_stream_mix_matches_config () =
   let n = 200000 in
   let loads = ref 0 and branches = ref 0 and stores = ref 0 in
   iter p ~n (fun ins ->
-      match ins.Instr.opclass with
+      match ins.Row.opclass with
       | Opclass.Load -> incr loads
       | Opclass.Store -> incr stores
       | Opclass.Branch -> incr branches
@@ -124,15 +125,15 @@ let test_stream_mix_matches_config () =
 let test_stream_branches_have_ctrl () =
   let p = Program.generate (gzip ()) in
   iter p ~n:5000 (fun ins ->
-      if Opclass.is_control ins.Instr.opclass then
-        Alcotest.(check bool) "ctrl present" true (Option.is_some ins.Instr.ctrl)
-      else Alcotest.(check bool) "ctrl absent" true (Option.is_none ins.Instr.ctrl))
+      if Opclass.is_control ins.Row.opclass then
+        Alcotest.(check bool) "ctrl present" true (Option.is_some ins.Row.ctrl)
+      else Alcotest.(check bool) "ctrl absent" true (Option.is_none ins.Row.ctrl))
 
 let test_stream_memory_ops_have_addresses () =
   let p = Program.generate (Fom_workloads.Spec2000.find "mcf") in
   iter p ~n:5000 (fun ins ->
       Alcotest.(check bool) "mem iff memory op" true
-        (Option.is_some ins.Instr.mem = Fom_isa.Opclass.is_memory ins.Instr.opclass))
+        (Option.is_some ins.Row.mem = Fom_isa.Opclass.is_memory ins.Row.opclass))
 
 let test_chase_loads_serialized () =
   (* In mcf, chase loads must depend on their previous dynamic instance. *)
@@ -140,11 +141,11 @@ let test_chase_loads_serialized () =
   let last_by_pc = Hashtbl.create 64 in
   let found_chain = ref false in
   iter p ~n:50000 (fun ins ->
-      if ins.Instr.opclass = Opclass.Load then begin
-        (match Hashtbl.find_opt last_by_pc ins.Instr.pc with
-        | Some prev when Array.exists (fun d -> d = prev) ins.Instr.deps -> found_chain := true
+      if ins.Row.opclass = Opclass.Load then begin
+        (match Hashtbl.find_opt last_by_pc ins.Row.pc with
+        | Some prev when Array.exists (fun d -> d = prev) ins.Row.deps -> found_chain := true
         | _ -> ());
-        Hashtbl.replace last_by_pc ins.Instr.pc ins.Instr.index
+        Hashtbl.replace last_by_pc ins.Row.pc ins.Row.index
       end);
   Alcotest.(check bool) "found at least one load-load chain" true !found_chain
 
@@ -176,10 +177,10 @@ let test_interleaved_streams_independent () =
   let reference = collect p ~n:400 in
   let s1 = Stream.create p and s2 = Stream.create p in
   for i = 0 to 399 do
-    let a = Stream.next s1 in
-    let b = Stream.next s2 in
-    Alcotest.(check int) "s1 matches" reference.(i).Instr.pc a.Instr.pc;
-    Alcotest.(check int) "s2 matches" reference.(i).Instr.pc b.Instr.pc
+    let a = (Stream.step s1).Stream.pc in
+    let b = (Stream.step s2).Stream.pc in
+    Alcotest.(check int) "s1 matches" reference.(i).Row.pc a;
+    Alcotest.(check int) "s2 matches" reference.(i).Row.pc b
   done
 
 let test_pcs_within_footprint () =
@@ -187,8 +188,8 @@ let test_pcs_within_footprint () =
   let lo = p.Program.statics.(0).Program.pc in
   let hi = lo + (4 * Program.static_count p) in
   iter p ~n:20000 (fun ins ->
-      if ins.Instr.pc < lo || ins.Instr.pc >= hi then
-        Alcotest.failf "pc 0x%x outside footprint" ins.Instr.pc)
+      if ins.Row.pc < lo || ins.Row.pc >= hi then
+        Alcotest.failf "pc 0x%x outside footprint" ins.Row.pc)
 
 let test_full_block_coverage_small_program () =
   (* A small program's walk must reach every block within a modest
@@ -204,7 +205,7 @@ let test_full_block_coverage_small_program () =
       Hashtbl.replace block_at p.Program.statics.(b.Program.first).Program.pc id)
     p.Program.blocks;
   iter p ~n:100000 (fun ins ->
-      Option.iter (fun id -> seen.(id) <- true) (Hashtbl.find_opt block_at ins.Instr.pc));
+      Option.iter (fun id -> seen.(id) <- true) (Hashtbl.find_opt block_at ins.Row.pc));
   Array.iteri
     (fun i visited -> if not visited then Alcotest.failf "block %d never visited" i)
     seen
@@ -218,15 +219,15 @@ let test_single_chain_chase () =
   in
   let last_chase = ref (-1) in
   iter p ~n:20000 (fun ins ->
-      if ins.Instr.opclass = Opclass.Load then begin
+      if ins.Row.opclass = Opclass.Load then begin
         (if !last_chase >= 0 then
-           match ins.Instr.deps with
+           match ins.Row.deps with
            | [| d |] when d = !last_chase -> ()
            | deps ->
-               Alcotest.failf "load #%d deps %s, expected [%d]" ins.Instr.index
+               Alcotest.failf "load #%d deps %s, expected [%d]" ins.Row.index
                  (String.concat ";" (Array.to_list (Array.map string_of_int deps)))
                  !last_chase);
-        last_chase := ins.Instr.index
+        last_chase := ins.Row.index
       end)
 
 let prop_stream_deterministic =
@@ -237,8 +238,8 @@ let prop_stream_deterministic =
       let p = Program.generate config in
       let a = collect p ~n:200 and b = collect p ~n:200 in
       Array.for_all2
-        (fun (x : Instr.t) (y : Instr.t) ->
-          x.Instr.pc = y.Instr.pc && x.Instr.mem = y.Instr.mem && x.Instr.deps = y.Instr.deps)
+        (fun (x : Row.t) (y : Row.t) ->
+          x.Row.pc = y.Row.pc && x.Row.mem = y.Row.mem && x.Row.deps = y.Row.deps)
         a b)
 
 let suite =

@@ -6,20 +6,19 @@ module Stats = Fom_uarch.Stats
 module Simulate = Fom_uarch.Simulate
 module Hierarchy = Fom_cache.Hierarchy
 module Predictor = Fom_branch.Predictor
-module Instr = Fom_isa.Instr
 module Opclass = Fom_isa.Opclass
 
 let gzip_program = lazy (Fom_trace.Program.generate (Fom_workloads.Spec2000.find "gzip"))
 let mcf_program = lazy (Fom_trace.Program.generate (Fom_workloads.Spec2000.find "mcf"))
 
 let alu ~index ?(deps = [||]) () =
-  Instr.make ~index ~pc:(0x400000 + (4 * index)) ~opclass:Opclass.Alu ~deps ()
+  Row.make ~index ~pc:(0x400000 + (4 * index)) ~opclass:Opclass.Alu ~deps ()
 
 let ideal_config = Config.ideal Config.baseline
 
 let test_empty_chain_throughput () =
   (* Independent ALU instructions retire at full width. *)
-  let filler index = Instr.make ~index ~pc:0x400000 ~opclass:Opclass.Alu () in
+  let filler index = Row.make ~index ~pc:0x400000 ~opclass:Opclass.Alu () in
   let stats = Hand_trace.run ideal_config filler ~n:10000 in
   Alcotest.(check bool) "ipc near width" true (Stats.ipc stats > 3.5)
 
@@ -33,7 +32,7 @@ let test_serial_chain_throughput () =
 let test_latency_respected () =
   (* A chain of div (latency 12) instructions: IPC about 1/12. *)
   let chain index =
-    Instr.make ~index ~pc:0x400000 ~opclass:Opclass.Div
+    Row.make ~index ~pc:0x400000 ~opclass:Opclass.Div
       ~deps:(if index = 0 then [||] else [| index - 1 |])
       ()
   in
@@ -113,7 +112,7 @@ let test_isolated_long_miss_penalty () =
   let mem_latency = 200 in
   let make_trace ~miss index =
     if miss && index = 1000 then
-      Instr.make ~index ~pc:0x400000 ~opclass:Opclass.Load ~mem:0xDEAD000 ()
+      Row.make ~index ~pc:0x400000 ~opclass:Opclass.Load ~mem:0xDEAD000 ()
     else alu ~index ()
   in
   let config = Config.with_cache Hierarchy.fig14 ideal_config in
@@ -129,7 +128,7 @@ let test_overlapping_long_misses_share_penalty () =
      about one isolated penalty in total (paper eq. 7). *)
   let make_trace ~misses index =
     if List.mem index misses then
-      Instr.make ~index ~pc:0x400000 ~opclass:Opclass.Load
+      Row.make ~index ~pc:0x400000 ~opclass:Opclass.Load
         ~mem:(0xDEAD000 + (index * 0x100000))
         ()
     else alu ~index ()
@@ -147,7 +146,7 @@ let test_overlapping_long_misses_share_penalty () =
 let test_far_apart_misses_add () =
   let make_trace ~misses index =
     if List.mem index misses then
-      Instr.make ~index ~pc:0x400000 ~opclass:Opclass.Load
+      Row.make ~index ~pc:0x400000 ~opclass:Opclass.Load
         ~mem:(0xDEAD000 + (index * 0x100000))
         ()
     else alu ~index ()
