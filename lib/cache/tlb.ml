@@ -1,6 +1,6 @@
 type spec = { entries : int; page_bits : int; walk_latency : int }
 
-type t = { spec : spec; cache : Sa_cache.t }
+type t = Sa_cache.t
 
 let diagnostics spec =
   let module C = Fom_check.Checker in
@@ -17,7 +17,6 @@ let create spec =
      TLB. *)
   let page = 1 lsl spec.page_bits in
   let geometry = Geometry.make ~size:(spec.entries * page) ~assoc:spec.entries ~line:page in
-  { spec; cache = Sa_cache.create geometry }
+  Sa_cache.create geometry
 
-let spec t = t.spec
-let access t addr = Sa_cache.access t.cache addr
+let access = Sa_cache.access

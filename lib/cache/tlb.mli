@@ -19,7 +19,6 @@ val diagnostics : spec -> Fom_check.Diagnostic.t list
 type t
 
 val create : spec -> t
-val spec : t -> spec
 
 val access : t -> int -> bool
 (** [access t addr] translates; [false] means a TLB miss (the entry is

@@ -52,11 +52,7 @@ let ramp_up iw ~window =
   let cycles = float_of_int !cycles in
   { cycles; instructions = !issued; penalty = cycles -. (!issued /. steady) }
 
-type interval = {
-  total_cycles : float;
-  ipc : float;
-  issue_per_cycle : float array;
-}
+type interval = { ipc : float; issue_per_cycle : float array }
 
 let interval iw ~window ~pipeline_depth ~instructions =
   ensure ~path:"transient.interval" (Float.is_finite iw.Iw.issue_width)
@@ -84,9 +80,7 @@ let interval iw ~window ~pipeline_depth ~instructions =
       loop w (dispatched +. dispatch) (issued +. rate) (cycles + 1)
   in
   let issue_cycles = loop 0.0 0.0 0.0 0 in
-  let total_cycles = float_of_int (pipeline_depth + issue_cycles) in
   {
-    total_cycles;
-    ipc = n /. total_cycles;
+    ipc = n /. float_of_int (pipeline_depth + issue_cycles);
     issue_per_cycle = Array.of_list (List.rev !trace);
   }

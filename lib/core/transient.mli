@@ -34,8 +34,7 @@ val ramp_up : Iw_characteristic.t -> window:int -> result
     Figure 8. *)
 
 type interval = {
-  total_cycles : float;  (** pipeline fill plus issue time *)
-  ipc : float;  (** useful instructions per cycle over the interval *)
+  ipc : float;  (** useful instructions per cycle over the interval, fill included *)
   issue_per_cycle : float array;  (** per-cycle issue rates, fill included *)
 }
 

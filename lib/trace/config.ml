@@ -46,7 +46,6 @@ type t = {
   deps : deps;
   control : control;
   memory : memory;
-  latencies : Fom_isa.Latency.t;
 }
 
 (* Paths are relative to [workload.<name>], joined only on failure. *)
@@ -125,7 +124,6 @@ let check t =
               (Printf.sprintf "stride must be a positive multiple of 8 bytes, got %d"
                  mm.stream_stride))
        @ at_least ".memory.chase_chains" 0 mm.chase_chains))
-  @ Fom_isa.Latency.diagnostics t.latencies
 
 let validate t = Fom_check.Checker.run_exn (check t)
 

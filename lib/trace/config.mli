@@ -75,7 +75,6 @@ type t = {
   deps : deps;
   control : control;
   memory : memory;
-  latencies : Fom_isa.Latency.t;
 }
 
 val check : t -> Fom_check.Diagnostic.t list

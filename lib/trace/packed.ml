@@ -107,8 +107,8 @@ let pack source ~n =
   (* The presets average 0.08 to 1.29 dependences per instruction. *)
   let deps = ref (column (n + (n / 2))) in
   (match source.Source.kind with
-  | Source.Generator { program; seed } ->
-      write_stream c deps (Stream.create ?seed program) ~first:0 ~count:n ~rebase:0
+  | Source.Generator program ->
+      write_stream c deps (Stream.create program) ~first:0 ~count:n ~rebase:0
   | Source.Schedule phases -> write_schedule c deps phases
   | Source.Recorded columns -> write_recorded c deps columns);
   { c with dep_val = !deps }
@@ -118,15 +118,14 @@ let s_pack = Fom_obs.Span.id "trace.pack"
 let of_source source ~n = Fom_obs.Span.with_ s_pack (fun () -> pack source ~n)
 
 (* Whether a packing of [a] serves [b]: a generator over the physically
-   same program and an equal seed, or a schedule of the same programs
-   and budgets, under one label. A recorded trace's columns belong to
-   its caller and are mutable, so it never matches. *)
+   same program, or a schedule of the same programs and budgets, under
+   one label. A recorded trace's columns belong to its caller and are
+   mutable, so it never matches. *)
 let same_source (a : Source.t) (b : Source.t) =
   String.equal a.Source.label b.Source.label
   &&
   match (a.Source.kind, b.Source.kind) with
-  | Source.Generator { program = p; seed = s }, Source.Generator { program = q; seed = t } ->
-      p == q && Option.equal Int.equal s t
+  | Source.Generator p, Source.Generator q -> p == q
   | Source.Schedule a, Source.Schedule b ->
       List.equal (fun (p, budget) (q, budget') -> p == q && budget = budget') a b
   | _ -> false

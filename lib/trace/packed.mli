@@ -66,11 +66,11 @@ val at_least : Source.t -> n:int -> t
     It returns the calling domain's most recent packing from this
     function when that packing is of the same source, is still in
     memory and holds at least [n] rows: a generator over the
-    physically same {!Program.t} with an equal seed, or a schedule of
-    the physically same programs with the same budgets, under the same
-    label. Otherwise it packs exactly [n] rows with {!of_source} and
-    remembers them. A recorded source always packs afresh: its columns
-    belong to the caller and are mutable.
+    physically same {!Program.t}, or a schedule of the physically same
+    programs with the same budgets, under the same label. Otherwise it
+    packs exactly [n] rows with {!of_source} and remembers them. A
+    recorded source always packs afresh: its columns belong to the
+    caller and are mutable.
 
     The slot holds its packing weakly, so it keeps no packing alive
     (it keeps the source), and a sweep of machines over one program

@@ -9,7 +9,7 @@ type columns = {
 }
 
 type kind =
-  | Generator of { program : Program.t; seed : int option }
+  | Generator of Program.t
   | Schedule of (Program.t * int) list
   | Recorded of columns
 
@@ -17,8 +17,7 @@ type t = { label : string; kind : kind }
 
 let label t = t.label
 
-let of_program ?seed program =
-  { label = program.Program.config.Config.name; kind = Generator { program; seed } }
+let of_program program = { label = program.Program.config.Config.name; kind = Generator program }
 
 let of_schedule ~label phases =
   Fom_check.Checker.ensure ~code:"FOM-T041" ~path:"source.of_schedule"

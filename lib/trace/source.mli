@@ -26,8 +26,7 @@ type columns = {
     [dep_val.(dep_off.(i)) .. dep_val.(dep_off.(i+1) - 1)]. *)
 
 type kind =
-  | Generator of { program : Program.t; seed : int option }
-      (** a {!Stream} over the program, with an optional stream seed *)
+  | Generator of Program.t  (** a {!Stream} over the program *)
   | Schedule of (Program.t * int) list
       (** phases in order, each with its positive instruction budget;
           every activation restarts its program's stream, and after the
@@ -42,12 +41,8 @@ type t = private { label : string; kind : kind }
 val label : t -> string
 (** Human-readable origin (workload name or file path). *)
 
-val of_program : ?seed:int -> Program.t -> t
-(** Replay the synthetic program from instruction 0. [?seed] passes an
-    explicit stream seed through to {!Stream.create}: the program stays,
-    its dynamic draws change. Only tests set it; a reseeded workload
-    ([fom check --deep --seed]) regenerates the program from a reseeded
-    config instead. *)
+val of_program : Program.t -> t
+(** Replay the synthetic program from instruction 0. *)
 
 val of_schedule : label:string -> (Program.t * int) list -> t
 (** A phase schedule. Dynamic indices are globally sequential and

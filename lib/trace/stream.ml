@@ -53,10 +53,9 @@ type t = {
    uniform while still exercising far control transfers. *)
 let max_call_depth = 1
 
-let create ?seed program =
+let create program =
   let config = program.Program.config in
-  let root = match seed with Some s -> s | None -> config.Config.seed in
-  let seed_rng = Rng.create (root lxor 0x57AE) in
+  let seed_rng = Rng.create (config.Config.seed lxor 0x57AE) in
   let n = Program.static_count program in
   let agens = Array.make n None in
   let behaviors = Array.make n None in

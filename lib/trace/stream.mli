@@ -10,13 +10,10 @@
 
 type t
 
-val create : ?seed:int -> Program.t -> t
-(** Fresh stream positioned at the program entry, instruction 0.
-    [?seed] overrides the config's seed for this stream's dynamic
-    draws (dependence distances, addresses, branch directions) without
-    regenerating the program. Only tests set it; a reseeded workload
-    ([fom check --deep --seed]) regenerates the program from a reseeded
-    config instead. *)
+val create : Program.t -> t
+(** Fresh stream positioned at the program entry, instruction 0. Its
+    dynamic draws (dependence distances, addresses, branch directions)
+    descend from the program config's seed. *)
 
 (** The instruction the last {!step} produced, as plain ints in the
     {!Packed} encodings: a column writer copies [tag], [pc] and [ea]

@@ -107,13 +107,10 @@ type event = {
   l1_latency : int;
   l2_latency : int;
   memory_latency : int;
-  (* Completion cycles of outstanding long misses, a FIFO ring that
-     grows by doubling. Only expired entries at the front leave it, and
-     with a dTLB walk completion times are not monotone, so an expired
-     entry behind a later one still counts as outstanding. *)
-  mutable long_miss : int array;
-  mutable long_miss_head : int;
-  mutable long_miss_len : int;
+  (* The latest completion of a long miss issued so far; -1 before the
+     first. One is outstanding at cycle [c] exactly when it lies past
+     [c]. A dTLB walk makes completions non-monotone, hence the max. *)
+  mutable long_miss_until : int;
   latency : int array;  (* by class tag *)
   (* bookkeeping *)
   mutable cycle : int;
@@ -134,6 +131,10 @@ type event = {
   mutable occupancy_window_sum : int;
   mutable occupancy_rob_sum : int;
 }
+
+(* A dTLB miss's walk, from the config: no dTLB never walks. *)
+let walk_latency (config : Config.t) =
+  match config.Config.dtlb with Some s -> s.Fom_cache.Tlb.walk_latency | None -> 0
 
 let create_event config packed ~record =
   let ring = Config.comp_ring_size config in
@@ -170,16 +171,11 @@ let create_event config packed ~record =
     hierarchy;
     predictor = Predictor.create config.Config.predictor;
     dtlb;
-    walk_latency =
-      (match dtlb with
-      | Some d -> (Fom_cache.Tlb.spec d).Fom_cache.Tlb.walk_latency
-      | None -> 0);
+    walk_latency = walk_latency config;
     l1_latency = Hierarchy.data_latency hierarchy Hierarchy.L1_hit;
     l2_latency = Hierarchy.data_latency hierarchy Hierarchy.L2_hit;
     memory_latency = Hierarchy.data_latency hierarchy Hierarchy.Memory;
-    long_miss = Array.make 64 0;
-    long_miss_head = 0;
-    long_miss_len = 0;
+    long_miss_until = -1;
     latency = Latency.table config.Config.latencies;
     cycle = 0;
     wake_events = 0;
@@ -202,34 +198,6 @@ let create_event config packed ~record =
 let[@inline] completed t idx =
   let s = idx land t.slot_mask in
   t.comp_idx.(s) = idx && t.comp_time.(s) <= t.cycle
-
-(* Pop expired long misses off the front. Doing so at any cycle pops a
-   prefix of what a later call would, so callers may drain early. *)
-let[@inline] drain_long_misses t =
-  let mask = Array.length t.long_miss - 1 in
-  while t.long_miss_len > 0 && t.long_miss.(t.long_miss_head) <= t.cycle do
-    t.long_miss_head <- (t.long_miss_head + 1) land mask;
-    t.long_miss_len <- t.long_miss_len - 1
-  done
-
-let[@inline] long_misses_outstanding t =
-  drain_long_misses t;
-  t.long_miss_len
-
-let push_long_miss t time =
-  drain_long_misses t;
-  let cap = Array.length t.long_miss in
-  if t.long_miss_len = cap then begin
-    let grown = Array.make (2 * cap) 0 in
-    for k = 0 to cap - 1 do
-      grown.(k) <- t.long_miss.((t.long_miss_head + k) land (cap - 1))
-    done;
-    t.long_miss <- grown;
-    t.long_miss_head <- 0
-  end;
-  let mask = Array.length t.long_miss - 1 in
-  t.long_miss.((t.long_miss_head + t.long_miss_len) land mask) <- time;
-  t.long_miss_len <- t.long_miss_len + 1
 
 let retire t =
   let budget = ref t.config.Config.width in
@@ -266,7 +234,7 @@ let[@inline] issue_latency t idx =
         walk + Int.max lat t.l2_latency
     | Hierarchy.Memory ->
         t.long_load_misses <- t.long_load_misses + 1;
-        push_long_miss t (t.cycle + walk + t.memory_latency);
+        t.long_miss_until <- Int.max t.long_miss_until (t.cycle + walk + t.memory_latency);
         (* Entries in the ROB ahead of this load: an index
            difference, the ROB being an index range. *)
         Fom_util.Stats.Acc.add t.rob_ahead_of_long_miss
@@ -480,7 +448,7 @@ let fetch t =
           | Hierarchy.L2_hit | Hierarchy.Memory ->
               if outcome = Hierarchy.L2_hit then t.l2_fetches <- t.l2_fetches + 1
               else t.memory_fetches <- t.memory_fetches + 1;
-              if long_misses_outstanding t > 0 then
+              if t.long_miss_until > t.cycle then
                 t.imiss_under_long <- t.imiss_under_long + 1;
               let stall = Hierarchy.inst_stall t.hierarchy outcome in
               t.fetch_stall_until <- t.cycle + stall;
@@ -504,7 +472,7 @@ let fetch t =
           if not correct then begin
             t.mispredictions <- t.mispredictions + 1;
             (match t.record with Some r -> r.mispredicted.(idx) <- true | None -> ());
-            if long_misses_outstanding t > 0 then
+            if t.long_miss_until > t.cycle then
               t.mispred_under_long <- t.mispred_under_long + 1;
             t.blocking_branch <- idx;
             stopped := true
@@ -601,9 +569,8 @@ let run_event config packed ~n ~limit ~record =
    fetch, dispatch, issue and retire, and a cross-cluster bypass. *)
 let retire_gap (config : Config.t) =
   let memory = config.Config.cache.Hierarchy.latencies.Hierarchy.memory in
-  let walk = match config.Config.dtlb with Some s -> s.Fom_cache.Tlb.walk_latency | None -> 0 in
   let slowest = Array.fold_left Int.max memory (Latency.table config.Config.latencies) in
-  memory + config.Config.pipeline_depth + walk + slowest + 5
+  memory + config.Config.pipeline_depth + walk_latency config + slowest + 5
 
 (* Two kernels behind one interface. A machine whose timing cannot
    depend on issue order — an ideal L1D, so every load takes its hit

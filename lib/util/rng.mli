@@ -20,12 +20,12 @@ val split : t -> t
 val split_seeds : t -> int -> int array
 (** [split_seeds t n] derives [n] independent non-negative integer
     seeds from [t] in one step, advancing [t] by [n] draws, for APIs
-    that take a seed rather than a generator (workload configs,
-    [Fom_trace.Source.of_program ~seed]). The split is performed
-    *before* any parallel work begins, so handing seed [i] to task [i]
-    gives every task the same draws no matter which domain runs it or
-    in what order — the seed-discipline that keeps {!Fom_exec.Pool}
-    runs bit-identical to sequential ones. Requires [n >= 0]. *)
+    that take a seed rather than a generator (workload configs). The
+    split is performed *before* any parallel work begins, so handing
+    seed [i] to task [i] gives every task the same draws no matter
+    which domain runs it or in what order — the seed-discipline that
+    keeps {!Fom_exec.Pool} runs bit-identical to sequential ones.
+    Requires [n >= 0]. *)
 
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)

@@ -38,7 +38,6 @@ let scaffold name seed =
         stream_stride = 8;
         chase_chains = 0;
       };
-    latencies = Fom_isa.Latency.unit;
   }
 
 let serial_chain =

@@ -1,5 +1,4 @@
 module Config = Fom_trace.Config
-module Latency = Fom_isa.Latency
 
 let kib n = n * 1024
 let mib n = n * 1024 * 1024
@@ -51,7 +50,6 @@ let base name seed =
         stream_stride = 8;
         chase_chains = 0;
       };
-    latencies = Latency.default;
   }
 
 (* bzip2: regular compression loops — few I-misses, streaming data,

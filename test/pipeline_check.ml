@@ -51,13 +51,16 @@ let derive (config : Config.t) (p : Packed.t) (r : Stats.record) (stats : Stats.
   (* The latest completion of a long miss so far: one is outstanding at
      cycle [c] exactly when it lies past [c]. *)
   let long_until = ref (-1) in
+  let walk_latency =
+    match config.Config.dtlb with Some s -> s.Fom_cache.Tlb.walk_latency | None -> 0
+  in
   (* A dTLB miss fills the entry and adds the walk in front of the
      cache access; only a load's counts. *)
   let walk ~count addr =
     match dtlb with
     | Some tlb when not (Fom_cache.Tlb.access tlb addr) ->
         if count then incr dtlb_misses;
-        (Fom_cache.Tlb.spec tlb).Fom_cache.Tlb.walk_latency
+        walk_latency
     | Some _ | None -> 0
   in
   (* A load completes after the larger of its class latency and its

@@ -294,7 +294,7 @@ let kernel_matches_oracle ?issue_limit ~latencies source ~window ~n =
 
 let prop_packed_kernel_bit_identical =
   (* The recurrence computes *bit-identical* IPC to the oracle across
-     Spec2000 and micro presets, stream seeds, windows 1-280, issue
+     Spec2000 and micro presets at random seeds, windows 1-280, issue
      limits (none or 1-8) and unit, default and random latency
      tables. *)
   QCheck.Test.make ~name:"packed kernel IPC bit-identical to reference" ~count:60
@@ -305,7 +305,8 @@ let prop_packed_kernel_bit_identical =
         (int_range 0 2))
     (fun ((preset, window, seed, limit_sel), latency_sel) ->
       let source =
-        Fom_trace.Source.of_program ~seed (Fom_trace.Program.generate presets.(preset))
+        Fom_trace.Source.of_program
+          (Fom_trace.Program.generate (Fom_workloads.Spec2000.with_seed seed presets.(preset)))
       in
       let issue_limit = if limit_sel = 0 then None else Some limit_sel in
       kernel_matches_oracle ?issue_limit ~latencies:(latency_table latency_sel seed) source
@@ -361,8 +362,8 @@ let profile_data (p : Profile.t) =
 
 let prop_two_stage_profile_matches_oracle =
   (* The replay and grouping stages derive every field the one-pass
-     oracle does, bit for bit: Spec2000 and micro presets with random
-     stream seeds; baseline, Figure 14, ideal-except-data and all-ideal
+     oracle does, bit for bit: Spec2000 and micro presets at random
+     seeds; baseline, Figure 14, ideal-except-data and all-ideal
      caches; three predictors; no dTLB or an 8-entry one; both
      groupings; burst and group windows 1-512 (taint scans from a
      leader up to its whole window); 1-5000 instructions. *)
@@ -378,7 +379,8 @@ let prop_two_stage_profile_matches_oracle =
         (pair (int_range 1 512) (int_range 1 512)))
     (fun ((preset, seed, n, draw), (burst_window, group_window)) ->
       let source =
-        Fom_trace.Source.of_program ~seed (Fom_trace.Program.generate presets.(preset))
+        Fom_trace.Source.of_program
+          (Fom_trace.Program.generate (Fom_workloads.Spec2000.with_seed seed presets.(preset)))
       in
       let packed = Fom_trace.Packed.of_source source ~n in
       let cache = caches.(draw mod 4) and predictor = predictors.(draw / 4 mod 3) in

@@ -129,19 +129,6 @@ let test_split_seeds_deterministic () =
   Alcotest.(check int) "seeds distinct" 8 (List.length distinct);
   Array.iter (fun s -> Alcotest.(check bool) "non-negative" true (s >= 0)) a
 
-let test_source_seed_override () =
-  (* The per-task seed split through lib/trace: an explicit seed
-     reproduces exactly, and differs from the config's default
-     stream. *)
-  let program = Lazy.force gzip in
-  let record seed =
-    Row.take (Fom_trace.Packed.of_source (Source.of_program ?seed program) ~n:500) ~n:500
-  in
-  let a = record (Some 1234) and b = record (Some 1234) in
-  Alcotest.(check bool) "explicit seed reproduces" true (a = b);
-  let default = record None in
-  Alcotest.(check bool) "override perturbs the stream" true (a <> default)
-
 let test_resolve_jobs () =
   let recommended = Pool.recommended_domain_count () in
   (* No request: the default (FOM_JOBS or the recommended count), and
@@ -393,6 +380,5 @@ let suite =
       Alcotest.test_case "resolve_jobs" `Quick test_resolve_jobs;
       Alcotest.test_case "resolve_jobs FOM_JOBS validation" `Quick test_resolve_jobs_env;
       Alcotest.test_case "split_seeds deterministic" `Quick test_split_seeds_deterministic;
-      Alcotest.test_case "source seed override" `Quick test_source_seed_override;
       QCheck_alcotest.to_alcotest prop_map_agrees_with_list_map;
     ] )

@@ -207,11 +207,13 @@ let prop_pipeline_record_passes_checker =
    (a long miss re-books from a clamped bucket, across skipped idle
    cycles), and cycle limits just below and at the run's length, where
    a skip must stop at the limit so that the run raises exactly when
-   stepping every cycle would. The last two machines run on the
-   age-order kernel: clusters and FU limits behind a real L1I and a
-   fetch buffer, whose I-misses reach memory, and a real L1I whose
-   misses the L2 fills in zero cycles, which still ends the fetch
-   cycle. *)
+   stepping every cycle would. Two machines run on the age-order
+   kernel: clusters and FU limits behind a real L1I and a fetch
+   buffer, whose I-misses reach memory, and a real L1I whose misses
+   the L2 fills in zero cycles, which still ends the fetch cycle. On
+   the last, a dTLB walk delays some long misses past later ones, so
+   the misses under a long miss must follow the latest completion,
+   not the last issued. *)
 let test_checker_grid () =
   let n = 1000 in
   let machines =
@@ -231,6 +233,10 @@ let test_checker_grid () =
             Hierarchy.ideal_except_l1i with
             Hierarchy.latencies = { Hierarchy.l1 = 0; l2 = 0; memory = 200 };
           }
+          Config.baseline );
+      ( "dtlb",
+        Config.with_dtlb
+          { Fom_cache.Tlb.entries = 16; page_bits = 12; walk_latency = 30 }
           Config.baseline );
     ]
   in

@@ -267,11 +267,15 @@ let test_padded_packing_past_max_int () =
 
 let test_at_least_reuse_is_by_identity () =
   (* [Packed.at_least] hands back the domain's last packing only for a
-     source over the physically same programs with the same seed or
-     budgets and label, long enough; anything else packs afresh, a
+     source over the physically same programs with the same budgets and
+     label, long enough; anything else packs afresh, a
      recorded trace always. The slot keeps no packing alive. *)
   let gzip_config = Fom_workloads.Spec2000.find "gzip" in
   let program = Fom_trace.Program.generate gzip_config in
+  let reseeded seed =
+    Fom_trace.Program.generate (Fom_workloads.Spec2000.with_seed seed gzip_config)
+  in
+  let seven = reseeded 7 in
   let mcf = Fom_trace.Program.generate (Fom_workloads.Spec2000.find "mcf") in
   let schedule ?(label = "gzip+mcf") budget =
     Source.of_schedule ~label [ (program, 700); (mcf, budget) ]
@@ -298,13 +302,13 @@ let test_at_least_reuse_is_by_identity () =
         [
           ( "a regenerated equal program",
             Source.of_program (Fom_trace.Program.generate gzip_config) );
-          ("another seed", Source.of_program ~seed:7 program);
+          ("a reseeded program", Source.of_program seven);
         ] );
-      ( Source.of_program ~seed:7 program,
-        [ ("an equal seed", Source.of_program ~seed:7 program) ],
+      ( Source.of_program seven,
+        [ ("a new source of the reseeded program", Source.of_program seven) ],
         [
-          ("no seed", Source.of_program program);
-          ("a third seed", Source.of_program ~seed:8 program);
+          ("the preset's seed", Source.of_program program);
+          ("a third seed", Source.of_program (reseeded 8));
         ] );
       ( schedule 500,
         [ ("a new schedule of the same programs", schedule 500) ],

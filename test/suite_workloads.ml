@@ -212,7 +212,6 @@ let random_config rng k =
   let base = Spec2000.find "gcc" in
   let f lo hi = lo +. float rng (hi -. lo) in
   {
-    base with
     Config.name = Printf.sprintf "random-%d" k;
     seed = 1000 + int rng 100000;
     mix =

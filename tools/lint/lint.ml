@@ -61,9 +61,9 @@
    where <construct> is the banned token (e.g. [assert]), or for
    FOM-L008 the val's name in its .mli ([Acc.mean] for a val of the
    inner module [Acc]), and for FOM-L010 that name and the label
-   ([make?mul]). Unused allowlist entries are reported as
-   warnings so the list cannot rot. Exit status is 1 if any
-   non-allowlisted finding remains. *)
+   ([make?mul]). An allowlist entry that matches no finding is itself
+   an error (FOM-L000), so the list cannot rot. Exit status is 1 if
+   any non-allowlisted finding or unused entry remains. *)
 
 let usage () =
   prerr_endline "usage: lint --allowlist FILE DIR...";
@@ -765,8 +765,10 @@ let () =
     (unset_options (List.rev !roots) referenced);
   List.iteri
     (fun k (file, construct) ->
-      if not used.(k) then
-        Printf.printf "warning[FOM-L000] allowlist entry unused: %s %s\n" file construct)
+      if not used.(k) then begin
+        Printf.printf "error[FOM-L000] allowlist entry unused: %s %s\n" file construct;
+        incr errors
+      end)
     allowlist;
   if !errors > 0 then begin
     Printf.printf "%d lint error%s\n" !errors (if !errors = 1 then "" else "s");
