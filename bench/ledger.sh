@@ -17,13 +17,19 @@
 # (sim.runs) and the work they did (sim.instructions, sim.cycles, and
 # the event kernel's ready-set insertions and skipped idle cycles,
 # sim.events and sim.skipped_cycles), the IW kernel's points, cycles,
-# instructions and binding terms (iw.*) and the memo computations and
-# joins. The harness memoizes every simulation by its machine
+# instructions and binding terms (iw.*), the memo computations and
+# joins, and the packings made and rows written (trace.packs,
+# trace.rows). The harness memoizes every simulation by its machine
 # configuration, benchmark and length, so a duplicate or lost
 # simulation moves sim.runs and memo.computes; a kernel change that
 # alters the simulated work moves the sim.* lines. These counters do
 # not depend on scheduling; pool.*, memo.contention and spans.* do and
-# stay out.
+# stay out. The harness packs its presets explicitly, once each; only
+# the phase exhibit goes through Packed.at_least, whose characterization
+# reuses the packing its simulation just dropped. That reuse rests on a
+# weak pointer, so a major GC cycle ending between the two calls would
+# add a packing; nine runs at jobs 1 and fifteen at jobs 2 read the
+# same trace.* lines.
 #
 # A change that alters an exhibit or the work on purpose regenerates
 # the ledger in the same commit, so its diff shows what moved.
@@ -38,4 +44,4 @@ tail -n +2 "$dir/stdout" | grep -v 'done in' | sed -n '/^Total harness time/q;p'
   | md5sum | sed 's/-$/stdout/'
 (cd "$dir/csv" && LC_ALL=C ls -- *.csv | while read -r f; do md5sum "$f"; done)
 sed -n '/^Observability metrics$/,$p' "$dir/stdout" \
-  | awk '$1 ~ /^(sim|iw)\./ || $1 == "memo.computes" || $1 == "memo.joins" { print $3 "  " $1 }'
+  | awk '$1 ~ /^(sim|iw|trace)\./ || $1 == "memo.computes" || $1 == "memo.joins" { print $3 "  " $1 }'

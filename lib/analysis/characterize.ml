@@ -89,9 +89,11 @@ let curve_and_inputs_of_packed ?pool ?(iw_instructions = 30_000) ?(cache = Hiera
    before any work: the model would reject it only after the whole
    characterization. One packing covers whichever pass reads furthest:
    the profile's [n] or the IW sweep's instructions plus its largest
-   window of fetch-ahead (a longer packing of the source is reused).
-   Both passes then replay the same flat columns with no further
-   decode of the underlying source. *)
+   window of fetch-ahead. It comes from the domain's table of one
+   packing per source: a longer one is reused with its cached curve
+   and replays, a shorter program packing grows by the missing rows
+   (a new packing with empty caches). Both passes then replay the same
+   flat columns with no further decode of the underlying source. *)
 let of_source ~iw_instructions ~cache ~predictor ~dtlb ~params source ~n =
   Params.validate params;
   let max_window = List.fold_left Int.max 1 Iw_curve.default_windows in

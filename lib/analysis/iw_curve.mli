@@ -29,8 +29,8 @@ val measure_packed :
 val measure : ?n:int -> Fom_trace.Program.t -> t
 (** {!measure_packed} with its defaults over the program, packed with
     the largest default window of margin by {!Fom_trace.Packed.at_least}
-    (the calling domain's last packing of the program is reused when it
-    is long enough). *)
+    (the calling domain's packing of the program is reused when it is
+    long enough, and grown when it is not). *)
 
 val alpha : t -> float
 val beta : t -> float

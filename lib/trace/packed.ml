@@ -84,38 +84,87 @@ let padded n ~margin =
   if n > max_int - margin then cannot_allocate (Printf.sprintf "%d + %d" n margin);
   n + margin
 
+(* A column of [capacity] entries for a packing of [n] rows. *)
+let column ~n capacity =
+  match Array.make capacity 0 with
+  | a -> a
+  | exception (Out_of_memory | Invalid_argument _) -> cannot_allocate (string_of_int n)
+
+let m_packs = Fom_obs.Metrics.counter "trace.packs"
+let m_rows = Fom_obs.Metrics.counter "trace.rows"
+
+(* The source's first [n] rows, and for a generator the stream that
+   wrote them, standing after the last. *)
 let pack source ~n =
   Fom_check.Checker.ensure ~code:"FOM-T130" ~path:"packed.n" (n > 0)
     "packed trace length must be positive";
-  let column len =
-    match Array.make len 0 with
-    | a -> a
-    | exception (Out_of_memory | Invalid_argument _) -> cannot_allocate (string_of_int n)
-  in
   let c =
     {
       label = Source.label source;
       len = n;
-      op = column n;
-      pc = column n;
-      ea = column n;
-      dep_off = column (n + 1);
+      op = column ~n n;
+      pc = column ~n n;
+      ea = column ~n n;
+      dep_off = column ~n (n + 1);
       dep_val = [||];
       cached = Atomic.make [];
     }
   in
   (* The presets average 0.08 to 1.29 dependences per instruction. *)
-  let deps = ref (column (n + (n / 2))) in
-  (match source.Source.kind with
-  | Source.Generator program ->
-      write_stream c deps (Stream.create program) ~first:0 ~count:n ~rebase:0
-  | Source.Schedule phases -> write_schedule c deps phases
-  | Source.Recorded columns -> write_recorded c deps columns);
+  let deps = ref (column ~n (n + (n / 2))) in
+  let stream =
+    match source.Source.kind with
+    | Source.Generator program ->
+        let stream = Stream.create program in
+        write_stream c deps stream ~first:0 ~count:n ~rebase:0;
+        Some stream
+    | Source.Schedule phases ->
+        write_schedule c deps phases;
+        None
+    | Source.Recorded columns ->
+        write_recorded c deps columns;
+        None
+  in
+  Fom_obs.Metrics.incr m_packs;
+  Fom_obs.Metrics.add m_rows n;
+  ({ c with dep_val = !deps }, stream)
+
+(* [from] grown to [n] rows by [stream], the generator stream that wrote
+   [from]'s rows and stands after its last. The new rows go into
+   [from]'s spare capacity where it has room: they lie past [from.len],
+   which no holder of [from] reads. A column without room is copied
+   into one an eighth longer than [from], so that a sweep creeping up
+   in length copies once. *)
+let grow from stream ~n =
+  let len = from.len in
+  let widen a extra =
+    if Array.length a - extra >= n then a
+    else begin
+      let wider = column ~n (Int.max n (len + (len / 8)) + extra) in
+      Array.blit a 0 wider 0 (len + extra);
+      wider
+    end
+  in
+  let c =
+    {
+      from with
+      len = n;
+      op = widen from.op 0;
+      pc = widen from.pc 0;
+      ea = widen from.ea 0;
+      dep_off = widen from.dep_off 1;
+      cached = Atomic.make [];
+    }
+  in
+  let deps = ref c.dep_val in
+  write_stream c deps stream ~first:len ~count:(n - len) ~rebase:0;
+  Fom_obs.Metrics.add m_rows (n - len);
   { c with dep_val = !deps }
 
-(* Every packing, explicit or through {!at_least}, runs in this span. *)
+(* Every packing, explicit or through {!at_least}, and every growth
+   runs in this span. *)
 let s_pack = Fom_obs.Span.id "trace.pack"
-let of_source source ~n = Fom_obs.Span.with_ s_pack (fun () -> pack source ~n)
+let of_source source ~n = fst (Fom_obs.Span.with_ s_pack (fun () -> pack source ~n))
 
 (* Whether a packing of [a] serves [b]: a generator over the physically
    same program, or a schedule of the same programs and budgets, under
@@ -130,26 +179,54 @@ let same_source (a : Source.t) (b : Source.t) =
       List.equal (fun (p, budget) (q, budget') -> p == q && budget = budget') a b
   | _ -> false
 
-(* The calling domain's last packing from {!at_least} and its source.
-   The packing is held weakly, so the slot keeps none alive. The source
-   is compared first: reading a weak pointer during a major cycle keeps
-   what it points to alive through that cycle. *)
-let last : (Source.t * t Weak.t) option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+(* A source's latest packing from {!at_least}, held weakly, and for a
+   generator the stream that wrote it, standing after its last row. The
+   stream is an ephemeron's data keyed on the packing, so it dies with
+   the packing: the table holds no stream of a dead packing. *)
+type entry = {
+  source : Source.t;
+  packing : t Weak.t;
+  stream : (t, Stream.t) Ephemeron.K1.t option;
+}
+
+(* The calling domain's entries, one per source. Each call first drops
+   the entries whose packing the GC has cleared ([Weak.check] keeps
+   nothing alive), so the table holds no dead packing's source. Only
+   the matching entry's weak pointer is read: reading one during a
+   major cycle keeps what it points to alive through that cycle. *)
+let table : entry list Domain.DLS.key = Domain.DLS.new_key (fun () -> [])
 
 let at_least source ~n =
+  let live = List.filter (fun e -> Weak.check e.packing 0) (Domain.DLS.get table) in
+  Domain.DLS.set table live;
+  match source.Source.kind with
+  | Source.Recorded _ -> of_source source ~n
   (* A non-positive [n] reuses nothing: {!of_source} rejects it. *)
-  let reused =
-    match Domain.DLS.get last with
-    | Some (from, slot) when n > 0 && same_source from source -> (
-        match Weak.get slot 0 with Some packed when packed.len >= n -> Some packed | _ -> None)
-    | _ -> None
-  in
-  match (reused, source.Source.kind) with
-  | Some packed, _ -> packed
-  | None, Source.Recorded _ -> of_source source ~n
-  | None, (Source.Generator _ | Source.Schedule _) ->
-      let packed = of_source source ~n in
-      let slot = Weak.create 1 in
-      Weak.set slot 0 (Some packed);
-      Domain.DLS.set last (Some (source, slot));
+  | (Source.Generator _ | Source.Schedule _) when n <= 0 -> of_source source ~n
+  | Source.Generator _ | Source.Schedule _ ->
+      let found, others = List.partition (fun e -> same_source e.source source) live in
+      (* The entry is off the table while its stream moves on, so a
+         growth that raises leaves no stream out of step with its
+         packing. *)
+      Domain.DLS.set table others;
+      let remember write =
+        let packed, stream = Fom_obs.Span.with_ s_pack write in
+        let packing = Weak.create 1 in
+        Weak.set packing 0 (Some packed);
+        ({ source; packing; stream = Option.map (Ephemeron.K1.make packed) stream }, packed)
+      in
+      let fresh () = remember (fun () -> pack source ~n) in
+      let entry, packed =
+        match found with
+        | [ e ] -> (
+            match Weak.get e.packing 0 with
+            | Some packed when packed.len >= n -> (e, packed)
+            | Some from -> (
+                match Option.bind e.stream (fun s -> Ephemeron.K1.query s from) with
+                | Some stream -> remember (fun () -> (grow from stream ~n, Some stream))
+                | None -> fresh ())
+            | None -> fresh ())
+        | _ -> fresh ()
+      in
+      Domain.DLS.set table (entry :: others);
       packed

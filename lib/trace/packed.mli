@@ -23,8 +23,11 @@
     - [dep_off]/[dep_val]: instruction [i]'s true producers are
       [dep_val.(dep_off.(i)) .. dep_val.(dep_off.(i+1) - 1)], in the
       source's order (a generator lists its most recently sampled
-      producer first); [dep_val] is not trimmed, so entries
-      from [dep_off.(len)] on are unused capacity.
+      producer first).
+
+    A column may be longer than the packing: rows from [len] on, and
+    [dep_val] entries from [dep_off.(len)] on, are spare capacity that
+    no consumer reads. {!at_least} grows a packing into that room.
 
     The record is exposed so simulation kernels can index the columns
     directly; treat every array as read-only.
@@ -63,20 +66,34 @@ val at_least : Source.t -> n:int -> t
     hand the library a program or source rather than a packing
     ([Simulate.run], [Characterize.inputs], [Profile.run] and
     [Iw_curve.measure], and their source variants).
-    It returns the calling domain's most recent packing from this
-    function when that packing is of the same source, is still in
-    memory and holds at least [n] rows: a generator over the
-    physically same {!Program.t}, or a schedule of the physically same
-    programs with the same budgets, under the same label. Otherwise it
-    packs exactly [n] rows with {!of_source} and remembers them. A
-    recorded source always packs afresh: its columns belong to the
-    caller and are mutable.
 
-    The slot holds its packing weakly, so it keeps no packing alive
-    (it keeps the source), and a sweep of machines over one program
-    packs it once (again only when a longer packing is asked for). A consumer that reads only its
-    first [n] rows gets the same result from any longer packing of the
-    source. [FOM-T130] as {!of_source}. *)
+    Each domain keeps a table with one entry per source: a generator
+    over the physically same {!Program.t}, or a schedule of the
+    physically same programs with the same budgets, under the same
+    label. An entry holds its source's latest packing from this
+    function weakly, so the table keeps no packing alive, and every
+    call first drops the entries whose packing the GC has cleared, so
+    it keeps no dead packing's program alive either.
+    - A packing still in memory with at least [n] rows is returned as
+      it is.
+    - A shorter generator packing is grown: the entry also holds the
+      {!Stream.t} that wrote it, standing after its last row, for as
+      long as the packing lives, and the new rows are stepped on from
+      there into a new record that shares the old columns where they
+      have spare capacity (else the columns are copied into longer
+      ones). The old record still reads its own rows.
+    - A shorter schedule packing, or none, is replaced by a fresh
+      packing of exactly [n] rows from {!of_source}.
+    - A recorded source always packs afresh: its columns belong to the
+      caller and are mutable.
+
+    So a sweep of machines over several programs packs each program
+    once and grows it when a longer packing is asked for. A consumer
+    that reads only its first [n] rows gets the same result from any
+    longer packing of the source. Packing and growing run in the
+    [trace.pack] span; the [trace.packs] and [trace.rows] counters
+    count fresh packings (by any function) and rows written, a growth
+    only its new rows. [FOM-T130] as {!of_source}. *)
 
 val padded : int -> margin:int -> int
 (** [padded n ~margin] is [n + margin]: the rows a pass over [n]

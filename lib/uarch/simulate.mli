@@ -9,9 +9,10 @@ val run_source : Config.t -> Fom_trace.Source.t -> n:int -> Stats.t
     packing of at least [n + ]{!Config.inflight_span}[ config]
     instructions from {!Fom_trace.Packed.at_least} and replays it with
     {!run_packed}. A sweep of machines over one program or schedule
-    thus packs it once, and again only for a longer in-flight span; the
-    machine reads no row past its span, so the statistics equal those
-    over an exact-length packing. *)
+    thus packs it once. A longer in-flight span grows a program's
+    packing by the missing rows and repacks a schedule. The machine
+    reads no row past its span, so the statistics equal those over an
+    exact-length packing. *)
 
 val run_packed : Config.t -> Fom_trace.Packed.t -> n:int -> Stats.t
 (** {!run} over an existing packing (see {!Machine.run}), so one

@@ -6,7 +6,7 @@ let pad ~left width s =
     let fill = String.make (width - n) ' ' in
     if left then s ^ fill else fill ^ s
 
-let render ~header rows =
+let print ~header rows =
   let ncols = List.length header in
   let normalize row =
     let n = List.length row in
@@ -21,30 +21,17 @@ let render ~header rows =
           (String.length h) rows)
       header
   in
-  let render_row cells =
+  let print_row cells =
     let padded =
       List.mapi
         (fun i cell -> pad ~left:(i = 0) (List.nth widths i) cell)
         cells
     in
-    "  " ^ String.concat "  " padded
+    print_string ("  " ^ String.concat "  " padded ^ "\n")
   in
-  let rule =
-    "  " ^ String.concat "  " (List.map (fun w -> String.make w '-') widths)
-  in
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (render_row header);
-  Buffer.add_char buf '\n';
-  Buffer.add_string buf rule;
-  Buffer.add_char buf '\n';
-  List.iter
-    (fun row ->
-      Buffer.add_string buf (render_row row);
-      Buffer.add_char buf '\n')
-    rows;
-  Buffer.contents buf
-
-let print ~header rows = print_string (render ~header rows)
+  print_row header;
+  print_row (List.map (fun w -> String.make w '-') widths);
+  List.iter print_row rows
 
 let float_cell ?(decimals = 3) x = Printf.sprintf "%.*f" decimals x
 

@@ -241,6 +241,28 @@ let test_pack_beyond_the_heap () =
       Alcotest.(check bool) ("names the length: " ^ message) true (names 0)
   | exception Fom_check.Checker.Invalid _ -> Alcotest.fail "expected one diagnostic"
 
+let test_growth_beyond_the_heap () =
+  (* Growing a held packing past any heap, or to max_int rows, whose
+     columns' lengths would wrap, is one FOM-T130 too. The failed
+     growth drops the source's entry, so the next request packs
+     afresh; the packing grown from keeps its rows. *)
+  let program = Fom_trace.Program.generate (Fom_workloads.Spec2000.find "gzip") in
+  let source () = Source.of_program program in
+  let held = Packed.at_least (source ()) ~n:100 in
+  List.iter
+    (fun n ->
+      match Packed.at_least (source ()) ~n with
+      | _ -> Alcotest.failf "%d rows: expected FOM-T130" n
+      | exception Fom_check.Checker.Invalid [ d ] ->
+          Alcotest.(check string) "code" "FOM-T130" d.Fom_check.Diagnostic.code
+      | exception Fom_check.Checker.Invalid _ -> Alcotest.fail "expected one diagnostic")
+    [ 1 lsl 50; max_int ];
+  let again = Packed.at_least (source ()) ~n:100 in
+  Alcotest.(check bool) "packed afresh" true (again != held);
+  Alcotest.(check bool) "the same rows" true
+    (Packed.length held = 100 && again.Packed.op = held.Packed.op
+    && again.Packed.ea = held.Packed.ea)
+
 let test_padded_packing_past_max_int () =
   (* A run packs its length plus some lookahead. Near max_int that sum
      is more rows than any heap holds: one FOM-T130 that says so,
@@ -266,10 +288,10 @@ let test_padded_packing_past_max_int () =
         ~params:Fom_model.Params.baseline program ~n:1000)
 
 let test_at_least_reuse_is_by_identity () =
-  (* [Packed.at_least] hands back the domain's last packing only for a
-     source over the physically same programs with the same budgets and
-     label, long enough; anything else packs afresh, a
-     recorded trace always. The slot keeps no packing alive. *)
+  (* [Packed.at_least] hands back the domain's packing of a source only
+     for a source over the physically same programs with the same
+     budgets and label, long enough; anything else packs afresh, a
+     recorded trace always. The table keeps no packing alive. *)
   let gzip_config = Fom_workloads.Spec2000.find "gzip" in
   let program = Fom_trace.Program.generate gzip_config in
   let reseeded seed =
@@ -289,7 +311,7 @@ let test_at_least_reuse_is_by_identity () =
       List.iter (fun (what, source) -> check what true (Packed.at_least source ~n == first)) same;
       check "fewer rows reuse" true (Packed.at_least base ~n:(n - 1) == first);
       let longer = Packed.at_least base ~n:(n + 1) in
-      check "more rows pack afresh" true (longer != first && Packed.length longer = n + 1);
+      check "more rows give a new packing" true (longer != first && Packed.length longer = n + 1);
       check "then serve fewer rows" true (Packed.at_least base ~n == longer);
       List.iter
         (fun (what, source) ->
@@ -332,6 +354,83 @@ let test_at_least_reuse_is_by_identity () =
   Gc.full_major ();
   check "the dropped packing is collected" true (Atomic.get finalised)
 
+let test_at_least_keeps_one_packing_per_source () =
+  (* The table keeps a packing per source, not only the last one: after
+     another source packs, the first source's packing comes back. The
+     packings are held here, so no result depends on GC timing. *)
+  let generate name = Fom_trace.Program.generate (Fom_workloads.Spec2000.find name) in
+  let vpr = generate "vpr" and mcf = generate "mcf" in
+  let schedule () = Source.of_schedule ~label:"vpr+mcf" [ (vpr, 300); (mcf, 200) ] in
+  let n = 2000 in
+  let a = Packed.at_least (Source.of_program vpr) ~n in
+  let b = Packed.at_least (Source.of_program mcf) ~n in
+  let s = Packed.at_least (schedule ()) ~n in
+  Alcotest.(check bool) "A, B, A: the same A" true
+    (Packed.at_least (Source.of_program vpr) ~n == a);
+  Alcotest.(check bool) "B again" true (Packed.at_least (Source.of_program mcf) ~n:(n - 1) == b);
+  Alcotest.(check bool) "the schedule again" true (Packed.at_least (schedule ()) ~n == s);
+  let longer = Packed.at_least (schedule ()) ~n:(n + 1) in
+  Alcotest.(check bool) "a schedule is repacked, not grown" true
+    (longer != s && longer.Packed.op != s.Packed.op && Packed.length longer = n + 1)
+
+(* The rows of [p] a consumer reads: every column up to [len], and
+   [dep_val] up to [dep_off.(len)]. *)
+let used (p : Packed.t) =
+  let len = p.Packed.len in
+  [
+    Array.sub p.op 0 len; Array.sub p.pc 0 len; Array.sub p.ea 0 len;
+    Array.sub p.dep_off 0 (len + 1); Array.sub p.dep_val 0 p.dep_off.(len);
+  ]
+
+let test_grown_packing_equals_fresh () =
+  (* A generator packing asked for at ascending lengths is grown from
+     its last row, not repacked: into the columns' spare room where
+     they have it, else into copies. Every length must read as a fresh
+     packing of that length, for every preset, including the last,
+     whose dependences no longer fit the first packing's buffer. *)
+  let lengths = [ 256; 257; 280; 288; 8000 ] in
+  List.iter
+    (fun (config : Fom_trace.Config.t) ->
+      let name = config.Fom_trace.Config.name in
+      let program = Fom_trace.Program.generate config in
+      let grown = List.map (fun n -> Packed.at_least (Source.of_program program) ~n) lengths in
+      List.iter2
+        (fun n (p : Packed.t) ->
+          Alcotest.(check int) (name ^ " length") n (Packed.length p);
+          if used p <> used (Packed.of_source (Source.of_program program) ~n) then
+            Alcotest.failf "%s: a packing grown to %d rows differs from a fresh one" name n)
+        lengths grown;
+      match grown with
+      | [ first; copied; in_place; full; last ] ->
+          let check what b = Alcotest.(check bool) (name ^ ": " ^ what) true b in
+          check "each length is a new packing" (copied != first && in_place != copied);
+          check "the first growth copies" (copied.Packed.op != first.Packed.op);
+          check "later ones fill its spare room"
+            (in_place.Packed.op == copied.Packed.op && full.Packed.op == copied.Packed.op);
+          check "the last outgrows the first dependence buffer"
+            (last.Packed.dep_off.(8000) > Array.length first.Packed.dep_val
+            && last.Packed.dep_val != first.Packed.dep_val)
+      | _ -> assert false)
+    (Fom_workloads.Spec2000.all @ Fom_workloads.Micro.all)
+
+let test_dropped_packing_frees_its_program () =
+  (* The table holds its packings weakly. Once the GC has cleared one,
+     the next call drops its entry, and with it the source and the
+     generator stream, so the program can be collected too. *)
+  let packing_freed = Atomic.make false and program_freed = Atomic.make false in
+  let[@inline never] pack_and_drop () =
+    let program = Fom_trace.Program.generate (Fom_workloads.Spec2000.find "twolf") in
+    Gc.finalise_last (fun () -> Atomic.set program_freed true) program;
+    let packed = Packed.at_least (Source.of_program program) ~n:3000 in
+    Gc.finalise_last (fun () -> Atomic.set packing_freed true) packed
+  in
+  pack_and_drop ();
+  Gc.full_major ();
+  Alcotest.(check bool) "the dropped packing is finalised" true (Atomic.get packing_freed);
+  ignore (Packed.at_least (Source.of_program (Lazy.force gzip)) ~n:10);
+  Gc.full_major ();
+  Alcotest.(check bool) "the table no longer keeps its program" true (Atomic.get program_freed)
+
 let suite =
   ( "source",
     [
@@ -347,9 +446,15 @@ let suite =
       Alcotest.test_case "rejects forward dependence" `Quick test_load_rejects_bad_dependence;
       Alcotest.test_case "unreadable file" `Quick test_load_unreadable;
       Alcotest.test_case "packing beyond the heap is FOM-T130" `Quick test_pack_beyond_the_heap;
+      Alcotest.test_case "growth beyond the heap is FOM-T130" `Quick test_growth_beyond_the_heap;
       Alcotest.test_case "padded packing past max_int is FOM-T130" `Quick
         test_padded_packing_past_max_int;
       Alcotest.test_case "at_least reuse is by identity" `Quick
         test_at_least_reuse_is_by_identity;
+      Alcotest.test_case "at_least keeps one packing per source" `Quick
+        test_at_least_keeps_one_packing_per_source;
+      Alcotest.test_case "grown packing equals fresh" `Quick test_grown_packing_equals_fresh;
+      Alcotest.test_case "dropped packing frees its program" `Quick
+        test_dropped_packing_frees_its_program;
       QCheck_alcotest.to_alcotest prop_load_diagnoses_at_file_line;
     ] )

@@ -355,12 +355,6 @@ let test_distribution_empty () =
   check_float "empty mean" 0.0 (Distribution.mean d);
   Alcotest.(check (list (pair int int))) "empty to_list" [] (Distribution.to_list d)
 
-let test_table_render () =
-  let s = Table.render ~header:[ "a"; "bb" ] [ [ "x"; "1" ]; [ "yy"; "22" ] ] in
-  Alcotest.(check bool) "contains header" true (String.length s > 0);
-  let lines = String.split_on_char '\n' s in
-  Alcotest.(check int) "line count" 5 (List.length lines)
-
 let test_table_float_cell () =
   Alcotest.(check string) "format" "1.50" (Table.float_cell ~decimals:2 1.5)
 
@@ -585,7 +579,6 @@ let suite =
       Alcotest.test_case "fit eval" `Quick test_fit_eval;
       Alcotest.test_case "distribution basics" `Quick test_distribution_basic;
       Alcotest.test_case "distribution empty" `Quick test_distribution_empty;
-      Alcotest.test_case "table render" `Quick test_table_render;
       Alcotest.test_case "table float cell" `Quick test_table_float_cell;
       Alcotest.test_case "csv escaping" `Quick test_csv_escaping;
       Alcotest.test_case "csv render" `Quick test_csv_render;
