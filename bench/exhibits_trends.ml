@@ -86,7 +86,7 @@ let fig19_sim ctx =
   let name = "gzip" in
   let horizon = 20 in
   let stats, record =
-    Fom_uarch.Machine.run_recorded Context.bp_only (Context.packed ctx name) ~n:ctx.Context.n_sim
+    Fom_uarch.Simulate.run_recorded Context.bp_only (Context.packed ctx name) ~n:ctx.Context.n_sim
   in
   let cycles = stats.Fom_uarch.Stats.cycles in
   (* Per-cycle issue counts (-1: never issued). *)

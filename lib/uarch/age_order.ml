@@ -40,12 +40,16 @@ let load_tag = Opclass.to_int Opclass.Load
      first cycle at or after completion, the older retirement and
      [R(i - width) + 1].
 
-   A run computes instructions until its target [T] retires at [R],
-   then keeps going while fetch would be attempted before [X = R + 1]:
+   A run computes instructions in one pass in program order. Until
+   its target [T] is computed, nothing bounds the pass; [T]'s
+   retirement [R] then sets the end of the run, [X = min R limit + 1],
+   and the pass keeps going while fetch would be attempted before [X]:
    the event kernel's last cycle still dispatches and fetches behind
    the target, so those instructions touch the predictor and I-cache,
-   count toward the statistics and fill the record. Such a run-ahead
-   instruction is accounted with its events before [X] only.
+   count toward the statistics and fill the record. Each instruction
+   is accounted as it is computed, with its events before [X] only;
+   every event of an instruction at or before [T] falls by [R], so one
+   computed before [X] is known loses none.
 
    Stage cycles live in rings indexed by [index land mask], sized by
    {!Config.comp_ring_size}. The recurrences read back at most
@@ -61,18 +65,18 @@ let load_tag = Opclass.to_int Opclass.Load
    counts every issue: cycles at or below [base] are folded into
    [below] (issues so far at or before [base]), and [base] moves up to
    each dispatch cycle; every later issue lands above it. One cluster's
-   budget is ring 0. More clusters have a ring each and count their
-   [pending] issues above [base], their window entries at a steering;
-   each class with limited units has a ring. [base] clears every ring
-   it passes. The oldest instruction still waiting is first for its
-   cluster's slots and its class's units, so it issues at most
-   [slowest latency + bypass] cycles after an older issue (latencies
-   are at least 1, which covers a cycle's wait on a slot or a unit;
-   the bypass is 1 with clusters). An issue time thus stays within
-   [window] such steps of the dispatch above which it lands; the rings
-   hold the next power of two past that, and the kernel checks the
-   bound on every issue. Nothing is allocated per instruction or per
-   cycle. *)
+   budget is ring 0. More clusters have a ring each (cluster [k]'s is
+   ring [k + 1]) and count their [pending] issues above [base], their
+   window entries at a steering; each class with limited units has a
+   ring. [base] clears every ring it passes. The oldest instruction
+   still waiting is first for its cluster's slots and its class's
+   units, so it issues at most [slowest latency + bypass] cycles after
+   an older issue (latencies are at least 1, which covers a cycle's
+   wait on a slot or a unit; the bypass is 1 with clusters). An issue
+   time thus stays within [window] such steps of the dispatch above
+   which it lands; the rings hold the next power of two past that, and
+   the kernel checks the bound on every issue. Nothing is allocated
+   per instruction or per cycle. *)
 type t = {
   (* the packed trace's columns, by dynamic index (see {!Packed}) *)
   len : int;
@@ -88,6 +92,7 @@ type t = {
   rob : int;
   pipe_capacity : int;
   fetch_limit : int;
+  clusters : int;
   latency : int array;  (* by class tag; a load's is its L1 hit's *)
   unit_limit : int array;  (* units by class tag; max_int when unbounded *)
   (* front end; an ideal L1I or predictor is never consulted: it never
@@ -102,29 +107,17 @@ type t = {
   mask : int;
   fetch_at : int array;
   dispatch_at : int array;
-  issue_at : int array;
   complete_at : int array;
   retire_at : int array;
-  stall_at : int array;  (* cycles from the I-cache probe to the fetch; 0 for none *)
-  clustered : bool;  (* more than one cluster: steering and bypass *)
-  cluster_at : int array;  (* by slot, when clustered *)
-  branch_window : int array;
-      (* a mispredicted branch's window_at_branch_issue sample; -1 for
-         every other instruction *)
+  cluster_at : int array;  (* by slot, with more than one cluster *)
   (* issue counts per cycle above [base]: ring [k] covers slots
      [k lsl issued_bits ..]; ring 0, then clusters' rings, then limited
      classes' *)
   issued : int array;
   issued_bits : int;
   issued_mask : int;
-  cluster_ring : int array;  (* by cluster: its budget ring's first slot *)
   unit_ring : int array;  (* by class tag: its ring's first slot; -1 when unbounded *)
-  mutable base : int;
-  mutable below : int;
   pending : int array;  (* by cluster, with more than one: its issues above [base] *)
-  mutable next_cluster : int;  (* round-robin steering *)
-  (* progress *)
-  mutable last_computed : int;
   (* statistics *)
   mutable mispredictions : int;
   mutable l2_fetches : int;  (* instruction fetches served by the L2 *)
@@ -141,27 +134,28 @@ let create (config : Config.t) packed =
   latency.(load_tag) <-
     Int.max latency.(load_tag) (Hierarchy.data_latency hierarchy Hierarchy.L1_hit);
   let width = config.Config.width and clusters = config.Config.clusters in
-  let issued_bits =
+  let span =
     let bypass = if clusters > 1 then 1 else 0 in
-    let span = (config.Config.window_size * (Array.fold_left Int.max 1 latency + bypass)) + 2 in
-    let rec grow b = if 1 lsl b >= span then b else grow (b + 1) in
-    grow 3
+    (config.Config.window_size * (Array.fold_left Int.max 1 latency + bypass)) + 2
   in
+  let issued_bits = ref 3 in
+  while 1 lsl !issued_bits < span do
+    incr issued_bits
+  done;
+  let issued_bits = !issued_bits in
   (* One cluster's budget is ring 0's: every issue is its own. *)
   let pending = if clusters = 1 then [||] else Array.make clusters 0 in
-  let cluster_ring =
-    if clusters = 1 then [| 0 |] else Array.init clusters (fun k -> (k + 1) lsl issued_bits)
-  in
-  let unit_ring = Array.make Opclass.count (-1) and rings = ref (1 + Array.length pending) in
-  let unit_limit =
-    Array.init Opclass.count (fun tag ->
-        let limit = Fom_isa.Fu_set.of_class config.Config.fu_limits (Opclass.of_int tag) in
-        if limit < max_int then begin
-          unit_ring.(tag) <- !rings lsl issued_bits;
-          incr rings
-        end;
-        limit)
-  in
+  let unit_limit = Array.make Opclass.count max_int in
+  let unit_ring = Array.make Opclass.count (-1) in
+  let rings = ref (1 + Array.length pending) in
+  for tag = 0 to Opclass.count - 1 do
+    let limit = Fom_isa.Fu_set.of_class config.Config.fu_limits (Opclass.of_int tag) in
+    if limit < max_int then begin
+      unit_limit.(tag) <- limit;
+      unit_ring.(tag) <- !rings lsl issued_bits;
+      incr rings
+    end
+  done;
   {
     len = packed.Packed.len;
     op = packed.Packed.op;
@@ -175,6 +169,7 @@ let create (config : Config.t) packed =
     rob = config.Config.rob_size;
     pipe_capacity = (width * config.Config.pipeline_depth) + config.Config.fetch_buffer;
     fetch_limit = (if config.Config.fetch_buffer > 0 then 2 * width else width);
+    clusters;
     latency;
     unit_limit;
     hierarchy;
@@ -192,23 +187,14 @@ let create (config : Config.t) packed =
        is at cycle 0. *)
     fetch_at = Array.make ring (-1);
     dispatch_at = Array.make ring (-1);
-    issue_at = Array.make ring (-1);
     complete_at = Array.make ring (-1);
     retire_at = Array.make ring (-1);
-    stall_at = Array.make ring 0;
-    clustered = clusters > 1;
     cluster_at = Array.make (if clusters > 1 then ring else 0) 0;
-    branch_window = Array.make ring (-1);
     issued = Array.make (!rings lsl issued_bits) 0;
     issued_bits;
     issued_mask = (1 lsl issued_bits) - 1;
-    cluster_ring;
     unit_ring;
-    base = -1;
-    below = 0;
     pending;
-    next_cluster = 0;
-    last_computed = -1;
     mispredictions = 0;
     l2_fetches = 0;
     memory_fetches = 0;
@@ -216,43 +202,6 @@ let create (config : Config.t) packed =
     occupancy_window_sum = 0;
     occupancy_rob_sum = 0;
   }
-
-(* Write instruction [i]'s events before cycle [until] into the
-   record. *)
-let record_events t (rc : Stats.record) i ~until =
-  let s = i land t.mask in
-  let f = t.fetch_at.(s) and d = t.dispatch_at.(s) in
-  let u = t.issue_at.(s) and r = t.retire_at.(s) in
-  let stall = t.stall_at.(s) in
-  if stall > 0 && f - stall < until then rc.icache_stall.(i) <- stall;
-  if f < until then begin
-    rc.fetch.(i) <- f;
-    if t.branch_window.(s) >= 0 then rc.mispredicted.(i) <- true
-  end;
-  if d < until then begin
-    rc.dispatch.(i) <- d;
-    rc.cluster.(i) <- (if t.clustered then t.cluster_at.(s) else 0)
-  end;
-  if u < until then begin
-    rc.issue.(i) <- u;
-    rc.complete.(i) <- t.complete_at.(s)
-  end;
-  if r < until then rc.retire.(i) <- r
-
-(* Account instruction [i]'s events before cycle [until]: the occupancy
-   sums, its misprediction and window sample, and the record. *)
-let settle t record i ~until =
-  let s = i land t.mask in
-  let f = t.fetch_at.(s) and d = t.dispatch_at.(s) in
-  let u = t.issue_at.(s) and r = t.retire_at.(s) in
-  t.occupancy_window_sum <- t.occupancy_window_sum + Int.max 0 (Int.min u until - d);
-  t.occupancy_rob_sum <- t.occupancy_rob_sum + Int.max 0 (Int.min r until - d);
-  let sample = t.branch_window.(s) in
-  if sample >= 0 then begin
-    if f < until then t.mispredictions <- t.mispredictions + 1;
-    if u < until then Fom_util.Stats.Acc.add t.window_at_branch_issue (float_of_int sample)
-  end;
-  match record with None -> () | Some rc -> record_events t rc i ~until
 
 (* Fetch reached row [i] at cycle [a]: past the packing, that is the
    event kernel's FOM-T132, unless its cycle limit fires first. *)
@@ -264,18 +213,17 @@ let[@inline] check_row t i a ~limit =
          "packed trace exhausted before the run retired its target")
   end
 
-(* Compute instructions from [last_computed + 1] on, while the index is
-   at most [last] and fetch reaches the instruction before [until]. The
-   previous instruction's fetch, dispatch and retirement cycles, the
-   cycle fetch may resume after it (its completion if it is a
-   mispredicted branch, else -1), the window floor and the steering
-   turn are carried in locals. With [~settled], every event of an
-   instruction falls in the run and is accounted here as {!settle}
-   would. *)
-let advance t ~last ~until ~limit ~settled record =
+(* The one pass. The previous instruction's fetch, dispatch and
+   retirement cycles, the cycle fetch may resume after it (its
+   completion if it is a mispredicted branch, else -1), the window
+   floor, the steering turn and the end of the run are carried in
+   locals. *)
+let run config packed ~n ~limit ~record =
+  let t = create config packed in
+  let target = n - 1 in
   let mask = t.mask and imask = t.issued_mask and bits = t.issued_bits in
   let width = t.width and window = t.window and rob = t.rob in
-  let clusters = Array.length t.cluster_ring in
+  let clusters = t.clusters in
   let cluster_width = width / clusters and cluster_window = window / clusters in
   let fetch_at = t.fetch_at and dispatch_at = t.dispatch_at in
   let complete_at = t.complete_at and retire_at = t.retire_at in
@@ -283,22 +231,20 @@ let advance t ~last ~until ~limit ~settled record =
   let issued = t.issued and dep_off = t.dep_off and dep_val = t.dep_val in
   (* One cluster with unbounded units has ring 0 alone: no steering,
      bypass, cluster ring or unit to look at. *)
-  let clustered = t.clustered and rings = Array.length issued lsr bits in
-  let prev = t.last_computed land mask in
-  let f_prev = ref fetch_at.(prev) and d_prev = ref dispatch_at.(prev) in
-  let r_prev = ref retire_at.(prev) in
-  let resume = ref (if t.branch_window.(prev) >= 0 then complete_at.(prev) else -1) in
-  let base = ref t.base and below = ref t.below in
-  let turn = ref t.next_cluster in
-  let next = ref (t.last_computed + 1) in
-  let go = ref true in
+  let clustered = clusters > 1 and rings = Array.length issued lsr bits in
+  let f_prev = ref (-1) and d_prev = ref (-1) and r_prev = ref (-1) and resume = ref (-1) in
+  let base = ref (-1) and below = ref 0 and turn = ref 0 in
+  (* [until] is [X], unbounded until the target is computed; [finish]
+     is [R]. *)
+  let until = ref max_int and finish = ref max_int and retired = ref 0 in
+  let next = ref 0 and go = ref true in
   while !go do
     let i = !next in
     (* Fetch: the attempt, from older instructions only, so it can be
        asked before deciding to compute [i]. *)
     let a = Int.max !f_prev (fetch_at.((i - t.fetch_limit) land mask) + 1) in
     let a = Int.max (Int.max a dispatch_at.((i - t.pipe_capacity) land mask)) !resume in
-    if i > last || a >= until then go := false
+    if a >= !until then go := false
     else begin
       check_row t i a ~limit;
       let s = i land mask in
@@ -317,7 +263,6 @@ let advance t ~last ~until ~limit ~settled record =
         end
       in
       fetch_at.(s) <- f;
-      t.stall_at.(s) <- f - a;
       f_prev := f;
       let op = t.op.(i) in
       let mispredicted =
@@ -337,7 +282,7 @@ let advance t ~last ~until ~limit ~settled record =
         issued.(c) <- 0;
         if rings > 1 then begin
           for k = 0 to Array.length pending - 1 do
-            let slot = t.cluster_ring.(k) lor c in
+            let slot = ((k + 1) lsl bits) lor c in
             pending.(k) <- pending.(k) - issued.(slot);
             issued.(slot) <- 0
           done;
@@ -381,7 +326,7 @@ let advance t ~last ~until ~limit ~settled record =
           if c > !e then e := c
         end
       done;
-      let own = t.cluster_ring.(cl) in
+      let own = if clustered then (cl + 1) lsl bits else 0 in
       let u = ref !e in
       while issued.(own lor (!u land imask)) >= cluster_width do
         incr u
@@ -413,13 +358,11 @@ let advance t ~last ~until ~limit ~settled record =
         end
         else -1
       in
-      t.branch_window.(s) <- sample;
       issued.(u land imask) <- issued.(u land imask) + 1;
       if clustered then begin
         issued.(own lor (u land imask)) <- issued.(own lor (u land imask)) + 1;
         pending.(cl) <- pending.(cl) + 1
       end;
-      t.issue_at.(s) <- u;
       (* Completion and retirement. *)
       let c = u + t.latency.(op) in
       complete_at.(s) <- c;
@@ -427,47 +370,56 @@ let advance t ~last ~until ~limit ~settled record =
       let r = Int.max (Int.max c !r_prev) (retire_at.((i - width) land mask) + 1) in
       retire_at.(s) <- r;
       r_prev := r;
-      if settled then begin
+      (* The end of the run: the target's retirement, or the cycle limit
+         if that comes first (rows fetched by then may still run past the
+         packing, which {!check_row} reports before the limit raises). *)
+      if i = target then begin
+        finish := r;
+        until := Int.min r limit + 1
+      end;
+      (* Account [i]'s events before the end of the run: every one of
+         them when it retires before. *)
+      let until = !until in
+      if r < until then begin
         t.occupancy_window_sum <- t.occupancy_window_sum + (u - d);
         t.occupancy_rob_sum <- t.occupancy_rob_sum + (r - d);
-        if mispredicted then begin
-          t.mispredictions <- t.mispredictions + 1;
-          Fom_util.Stats.Acc.add t.window_at_branch_issue (float_of_int sample)
-        end;
-        match record with None -> () | Some rc -> record_events t rc i ~until:max_int
+        incr retired
+      end
+      else begin
+        t.occupancy_window_sum <- t.occupancy_window_sum + Int.max 0 (Int.min u until - d);
+        t.occupancy_rob_sum <- t.occupancy_rob_sum + Int.max 0 (until - d)
       end;
+      if mispredicted then begin
+        if f < until then t.mispredictions <- t.mispredictions + 1;
+        if u < until then Fom_util.Stats.Acc.add t.window_at_branch_issue (float_of_int sample)
+      end;
+      (match record with
+      | None -> ()
+      | Some (rc : Stats.record) ->
+          if f > a then rc.icache_stall.(i) <- f - a;
+          if f < until then begin
+            rc.fetch.(i) <- f;
+            if mispredicted then rc.mispredicted.(i) <- true
+          end;
+          if d < until then begin
+            rc.dispatch.(i) <- d;
+            rc.cluster.(i) <- cl
+          end;
+          if u < until then begin
+            rc.issue.(i) <- u;
+            rc.complete.(i) <- c
+          end;
+          if r < until then rc.retire.(i) <- r);
       next := i + 1
     end
   done;
-  t.base <- !base;
-  t.below <- !below;
-  t.next_cluster <- !turn;
-  t.last_computed <- !next - 1
-
-let run config packed ~n ~limit ~record =
-  let t = create config packed in
-  let target = n - 1 in
-  advance t ~last:target ~until:max_int ~limit ~settled:true record;
-  (* Run ahead to the event kernel's last cycle: the target's
-     retirement, or the cycle limit if that comes first (rows fetched by
-     then may still run past the packing). *)
-  let finish = t.retire_at.(target land t.mask) in
-  let until = Int.min finish limit + 1 in
-  advance t ~last:max_int ~until ~limit ~settled:false record;
-  if finish > limit then raise Cycle_limit_exceeded;
-  if t.last_computed - target > t.mask then
+  if !finish > limit then raise Cycle_limit_exceeded;
+  if !next - 1 - target > mask then
     Fom_check.Checker.internal_error "age-order stage ring overflow";
-  for i = target + 1 to t.last_computed do
-    settle t record i ~until
-  done;
-  let last = ref target in
-  while !last < t.last_computed && t.retire_at.((!last + 1) land t.mask) < until do
-    incr last
-  done;
-  let mean sum = float_of_int sum /. float_of_int until in
+  let cycles = !until in
   {
-    Stats.instructions = !last + 1;
-    cycles = until;
+    Stats.instructions = !retired;
+    cycles;
     branch_mispredictions = t.mispredictions;
     l1i_misses = t.l2_fetches;
     l2i_misses = t.memory_fetches;
@@ -479,6 +431,6 @@ let run config packed ~n ~limit ~record =
     imisses_under_long_miss = 0;
     window_at_branch_issue = Fom_util.Stats.Acc.mean t.window_at_branch_issue;
     rob_ahead_of_long_miss = 0.0;
-    mean_window_occupancy = mean t.occupancy_window_sum;
-    mean_rob_occupancy = mean t.occupancy_rob_sum;
+    mean_window_occupancy = float_of_int t.occupancy_window_sum /. float_of_int cycles;
+    mean_rob_occupancy = float_of_int t.occupancy_rob_sum /. float_of_int cycles;
   }

@@ -27,8 +27,8 @@ let baseline =
     clusters = 1;
   }
 
-(* Completion bookkeeping in {!Machine} is ring-buffered by dynamic
-   instruction index. Everything in flight — ROB residents plus the
+(* In-flight bookkeeping in both detailed kernels is ring-buffered by
+   dynamic instruction index. Everything in flight — ROB residents plus the
    front-end pipe — must map to distinct slots, or completion lookups
    silently alias; the ring is therefore sized from the configuration
    (next power of two past the worst-case span), and configurations

@@ -45,7 +45,7 @@ val check : t -> Fom_check.Diagnostic.t list
 
 val ideal_data_side : t -> bool
 (** An ideal L1D and no dTLB: no latency depends on issue order, so
-    {!Machine.run} runs the machine on its age-order kernel. *)
+    {!Simulate} runs the machine on its age-order kernel. *)
 
 val max_comp_ring_bits : int
 (** log2 of the largest completion ring: configurations whose in-flight
@@ -61,7 +61,7 @@ val inflight_span : t -> int
     instructions, which is how long a packing it replays must be. *)
 
 val comp_ring_size : t -> int
-(** Size of the completion-tracking ring {!Machine} allocates for
+(** Size of the in-flight rings {!Simulate}'s kernels allocate for
     this configuration — the smallest power of two strictly above
     {!inflight_span}, so in-flight instructions always map to distinct
     slots. *)

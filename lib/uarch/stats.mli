@@ -40,7 +40,7 @@ type record = {
       (** cycles from its I-cache probe until fetch may resume: at least
           1 on a miss, 0 on a hit or with no probe *)
 }
-(** A {!Machine.run_recorded} pipeline record: when each instruction
+(** A {!Simulate.run_recorded} pipeline record: when each instruction
     of one run reached each stage, by dynamic index over the whole
     packing; -1 for a stage not reached. The predictor's and the
     I-cache's verdicts and the loads' [complete] cycles are the inputs

@@ -6,7 +6,7 @@
    instructions. *)
 let run config gen ~n =
   let len = n + Fom_uarch.Config.inflight_span config in
-  Fom_uarch.Machine.run config
+  Fom_uarch.Simulate.run_packed config
     (Fom_trace.Packed.of_source
        (Row.source ~label:"hand-built" (Array.init len gen))
        ~n:len)

@@ -1,5 +1,5 @@
 (* The detailed simulator's cycle rules, re-derived for a run and
-   compared with its pipeline record (Machine.run_recorded): the oracle
+   compared with its pipeline record (Simulate.run_recorded): the oracle
    both kernels are tested against. It steps every cycle in the
    machine's order (retire, issue, dispatch, fetch) and rescans its
    whole window oldest-first, with no calendar, bitmap or recurrence.
@@ -15,7 +15,6 @@
    first disagreement. The record must come from a fresh machine. *)
 
 module Config = Fom_uarch.Config
-module Machine = Fom_uarch.Machine
 module Stats = Fom_uarch.Stats
 module Opclass = Fom_isa.Opclass
 module Packed = Fom_trace.Packed

@@ -2,7 +2,7 @@
    checking cycle-accurate behaviour of each mechanism in isolation. *)
 
 module Config = Fom_uarch.Config
-module Machine = Fom_uarch.Machine
+module Simulate = Fom_uarch.Simulate
 module Stats = Fom_uarch.Stats
 module Opclass = Fom_isa.Opclass
 module Hierarchy = Fom_cache.Hierarchy
@@ -171,12 +171,12 @@ let random_config ~width ~variant ~shape =
 (* A recorded run of [config] over [packed] must pass the pipeline
    checker, and recording must not change the statistics. *)
 let check_recorded ~case config packed ~n =
-  let stats, record = Machine.run_recorded config packed ~n in
+  let stats, record = Simulate.run_recorded config packed ~n in
   (match Pipeline_check.check config packed record stats with
   | Ok () -> ()
   | Error e -> Alcotest.failf "%s: %s" case e);
   Alcotest.(check bool) (case ^ ": recording changes nothing") true
-    (stats = Fom_uarch.Simulate.run_packed config packed ~n);
+    (stats = Simulate.run_packed config packed ~n);
   stats
 
 let prop_pipeline_record_passes_checker =
@@ -266,9 +266,9 @@ let test_checker_grid () =
                  the same statistics, under [cycles - 2] it raises. *)
               let cycles = stats.Stats.cycles in
               let outcome cycle_limit =
-                match Machine.run ~cycle_limit config packed ~n with
+                match Simulate.run_packed ~cycle_limit config packed ~n with
                 | stats -> Some stats
-                | exception Machine.Cycle_limit_exceeded -> None
+                | exception Simulate.Cycle_limit_exceeded -> None
               in
               Alcotest.(check bool) (case ^ ": cycle limit met") true
                 (outcome (cycles - 1) = Some stats);
@@ -325,12 +325,45 @@ let test_short_packing_raises_t132 () =
     Fom_trace.Source.of_program (Fom_trace.Program.generate (Fom_workloads.Spec2000.find "gzip"))
   in
   let short = Fom_trace.Packed.of_source source ~n in
-  match Machine.run config short ~n with
+  match Simulate.run_packed config short ~n with
   | _ -> Alcotest.fail "expected FOM-T132"
   | exception Fom_check.Checker.Invalid [ d ] ->
       Alcotest.(check string) "code" "FOM-T132" d.Fom_check.Diagnostic.code;
       Alcotest.(check string) "path" "machine.trace" d.Fom_check.Diagnostic.path
   | exception Fom_check.Checker.Invalid _ -> Alcotest.fail "expected one diagnostic"
+
+let test_cycle_limit_meets_packing_end () =
+  (* Over a packing of exactly [n] rows, a width-8 machine fetches row
+     [n] at cycle [c], before the target retires. A cycle limit below
+     [c] ends the run first; a limit of [c] lets the fetch happen and
+     run past the packing. Both machines have an ideal L1I, so the
+     fetch attempt and the fetch fall on the same cycle. *)
+  let n = 2000 in
+  let source =
+    Fom_trace.Source.of_program (Fom_trace.Program.generate (Fom_workloads.Spec2000.find "gzip"))
+  in
+  let short = Fom_trace.Packed.of_source source ~n in
+  List.iter
+    (fun (label, config) ->
+      let config = { config with Config.width = 8 } in
+      let long = Fom_trace.Packed.of_source source ~n:(n + Config.inflight_span config) in
+      let _, record = Simulate.run_recorded config long ~n in
+      let c = record.Stats.fetch.(n) in
+      Alcotest.(check bool) (label ^ ": row n fetched before the target retires") true
+        (c >= 0 && c < record.Stats.retire.(n - 1));
+      (match Simulate.run_packed ~cycle_limit:(c - 1) config short ~n with
+      | _ -> Alcotest.failf "%s: expected Cycle_limit_exceeded" label
+      | exception Simulate.Cycle_limit_exceeded -> ());
+      match Simulate.run_packed ~cycle_limit:c config short ~n with
+      | _ -> Alcotest.failf "%s: expected FOM-T132" label
+      | exception Fom_check.Checker.Invalid [ d ] ->
+          Alcotest.(check string) (label ^ ": code") "FOM-T132" d.Fom_check.Diagnostic.code;
+          Alcotest.(check string) (label ^ ": path") "machine.trace" d.Fom_check.Diagnostic.path
+      | exception Fom_check.Checker.Invalid _ -> Alcotest.failf "%s: expected one diagnostic" label)
+    [
+      ("age-order", ideal);
+      ("event", Config.with_cache Hierarchy.ideal_except_data ideal);
+    ]
 
 let test_packed_run_allocation_free () =
   (* The detailed simulator keeps its in-flight state in preallocated
@@ -383,6 +416,8 @@ let suite =
       Alcotest.test_case "pipeline checker: long latencies, cycle limits" `Quick
         test_checker_grid;
       Alcotest.test_case "short packing raises FOM-T132" `Quick test_short_packing_raises_t132;
+      Alcotest.test_case "cycle limit meets packing end" `Quick
+        test_cycle_limit_meets_packing_end;
       Alcotest.test_case "packing margin covers wide machines" `Quick
         test_packing_margin_wide_machines;
       QCheck_alcotest.to_alcotest prop_packing_length_does_not_change_results;

@@ -233,7 +233,7 @@ let check_golden ~machines ~recorded expected =
       Alcotest.(check string) (name ^ " records") record_expected
         (digest
            (List.map
-              (fun m -> Fom_uarch.Machine.run_recorded m packed ~n)
+              (fun m -> Fom_uarch.Simulate.run_recorded m packed ~n)
               recorded)))
     Fom_workloads.Spec2000.all expected
 
